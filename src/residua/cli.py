@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bitset import bits
@@ -27,6 +26,12 @@ from .laws import Budget, LawId, all_pass, run_all
 from .residual import residual_profile
 from .testbed import OrdinalCoframe, fmt_vec, parse_vec
 from .topology import cb_sequence, check_order_compatible, dual_lawson
+
+
+def _natural(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--laws", default="all", help="all | comma list of law names")
     p.add_argument("--family", default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("RESIDUA_JOBS", "1")))
     add_output_flags(p)
 
     p = sub.add_parser("topology", help="dual Lawson topology, CB sequence, order compatibility")
@@ -65,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("testbed", help="ordinal-vector coframe checks")
     p.add_argument("--dims", type=int, required=True)
-    p.add_argument("--bound", type=int, default=6)
+    p.add_argument("--bound", type=_natural, default=6)
     p.add_argument("--element", help="single vector, e.g. 3,inf")
     p.add_argument("--cb", action="store_true", help="verify the CB ladder against the subspace oracle")
     add_output_flags(p)
@@ -160,7 +164,6 @@ def _cmd_laws(args) -> int:
         L,
         budget=Budget(seed=args.seed),
         laws=_parse_laws(args.laws),
-        jobs=args.jobs,
         family=family,
     )
     doc = [r.to_json_dict() for r in reports]

@@ -10,15 +10,15 @@ seeded random distributive lattices for fuzzing the law suite.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import json
 import random
 from dataclasses import dataclass
 
 from .bitset import bits, mask_of, popcount
 from .errors import InvalidGroup, TooLarge
-from .lattice import FiniteLattice, FinitePoset, as_lattice, build_poset
+from .lattice import FiniteLattice, FinitePoset, as_lattice, build_poset, inclusion_lattice
 from .residual import residual_derivative
-from .topology import FiniteTopology, closed_set_lattice
 
 LATTICE_SIZE_CAP = 4096
 GROUP_ORDER_CAP = 64
@@ -27,6 +27,8 @@ ZN_CAP = 10**6
 CATALOG_NAMES = tuple(
     [f"z{n}" for n in range(1, 33)] + ["s3", "d4", "q8", "a4", "z2xz4", "z2xz2xz2"]
 )
+# Catalog groups whose tables ship as JSON; the abelian ones are generated.
+_BUNDLED_GROUPS = ("s3", "d4", "q8", "a4")
 
 
 # -- finite groups -----------------------------------------------------------
@@ -84,12 +86,28 @@ class CayleyTable:
 
 
 def load_catalog_group(name: str) -> CayleyTable:
-    """Load one of the bundled Cayley tables by name (e.g. 'q8')."""
+    """One of the catalog groups by name (e.g. 'q8' or 'z2xz4')."""
     if name not in CATALOG_NAMES:
         raise InvalidGroup(f"unknown catalog group {name!r}; see CATALOG_NAMES")
-    ref = importlib.resources.files("residua.data.groups").joinpath(f"{name}.json")
-    doc = json.loads(ref.read_text())
+    if name in _BUNDLED_GROUPS:
+        ref = importlib.resources.files("residua.data.groups").joinpath(f"{name}.json")
+        doc = json.loads(ref.read_text())
+    else:
+        doc = _abelian_group([int(factor[1:]) for factor in name.split("x")])
     return CayleyTable.from_json_dict(doc, name=name)
+
+
+def _abelian_group(moduli: list[int]) -> dict:
+    """Cayley JSON of Z/m1 x ... x Z/mk: elements are the tuples in
+    lexicographic order, the operation is componentwise addition, and the
+    identity is 0."""
+    elems = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elems)}
+    table = [
+        [index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))] for b in elems]
+        for a in elems
+    ]
+    return {"order": len(elems), "identity": 0, "table": table}
 
 
 def _closure(c: CayleyTable, seed_mask: int) -> int:
@@ -131,26 +149,12 @@ def subgroups(c: CayleyTable) -> list[int]:
 
 
 def subgroup_lattice(c: CayleyTable) -> FiniteLattice:
-    """Subgroup lattice ordered by inclusion; the meet is intersection."""
-    subs = subgroups(c)
-    names = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in subs)
-    n = len(subs)
-    up = []
-    down = []
-    for i, a in enumerate(subs):
-        u = d = 0
-        for j, b in enumerate(subs):
-            if a & ~b == 0:
-                u |= 1 << j
-            if b & ~a == 0:
-                d |= 1 << j
-        up.append(u)
-        down.append(d)
-    poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
-    poset.verify_axioms()
-    lat = as_lattice(poset, provenance=f"subgroup_lattice({c.name})")
-    lat.__dict__["subgroup_masks"] = tuple(subs)
-    return lat
+    """Subgroup lattice ordered by inclusion; the meet is intersection.
+
+    ``sets[i]`` is the element bitmask of subgroup ``i``.
+    """
+    points = tuple(str(g) for g in range(c.order))
+    return inclusion_lattice(subgroups(c), points, f"subgroup_lattice({c.name})")
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def frattini(c: CayleyTable) -> FrattiniResult:
     subgroup lattice.  The two must agree exactly.
     """
     lat = subgroup_lattice(c)
-    subs = lat.__dict__["subgroup_masks"]
+    subs = lat.sets
     whole = subs[lat.top]
     maximal_masks = [
         subs[i]
@@ -220,7 +224,8 @@ def ideal_lattice_zn(n: int) -> FiniteLattice:
     """Ideals of Z/n are dZ/n for d | n, ordered by inclusion.
 
     dZ/n is contained in eZ/n iff e divides d, so the top is (1) = R and
-    the bottom is (n) = {0}.
+    the bottom is (n) = {0}.  Element ``i`` is the ideal generated by
+    ``divisors(n)[i]``.
     """
     if not 2 <= n <= ZN_CAP:
         raise TooLarge(f"n must be between 2 and {ZN_CAP}")
@@ -233,9 +238,7 @@ def ideal_lattice_zn(n: int) -> FiniteLattice:
         if di % dj == 0
     ]
     poset = build_poset(names, pairs, mode="leq")
-    lat = as_lattice(poset, provenance=f"ideal_lattice_zn({n})")
-    lat.__dict__["ideal_generators"] = tuple(divs)
-    return lat
+    return as_lattice(poset, provenance=f"ideal_lattice_zn({n})")
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,7 @@ class JacobsonResult:
 def jacobson_zn(n: int) -> JacobsonResult:
     """Jacobson radical of Z/n via the derivative, checked against rad(n)."""
     lat = ideal_lattice_zn(n)
-    gens = lat.__dict__["ideal_generators"]
+    gens = divisors(n)
     mu = residual_derivative(lat, lat.top)
     expected = radical(n)
     if gens[mu] != expected:
@@ -286,25 +289,7 @@ def downset_lattice(p: FinitePoset, provenance: str | None = None) -> FiniteLatt
     ]
     if len(downsets) > LATTICE_SIZE_CAP:
         raise TooLarge(f"downset lattice exceeds the size cap {LATTICE_SIZE_CAP}")
-    downsets.sort(key=lambda m: (popcount(m), m))
-    names = tuple(
-        "{" + ",".join(p.names[i] for i in bits(m)) + "}" for m in downsets
-    )
-    n = len(downsets)
-    up = []
-    down = []
-    for i, a in enumerate(downsets):
-        u = d = 0
-        for j, b in enumerate(downsets):
-            if a & ~b == 0:
-                u |= 1 << j
-            if b & ~a == 0:
-                d |= 1 << j
-        up.append(u)
-        down.append(d)
-    poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
-    poset.verify_axioms()
-    return as_lattice(poset, provenance=provenance or f"downset(poset n={p.n})")
+    return inclusion_lattice(downsets, p.names, provenance or f"downset(poset n={p.n})")
 
 
 def boolean(k: int) -> FiniteLattice:
@@ -398,26 +383,6 @@ def random_distributive(seed: int, target_size: int) -> FiniteLattice:
             return lat
 
 
-def closed_sets(t: FiniteTopology) -> FiniteLattice:
-    """Lattice of closed sets of a finite topology, ordered by inclusion."""
-    lat, _ = closed_set_lattice(t)
-    return lat
-
-
-def antichain_count(p: FinitePoset) -> int:
-    """Brute-force count of antichains (equals the downset count)."""
-    count = 0
-    for m in range(1 << p.n):
-        if all(
-            not p.lt(i, j) and not p.lt(j, i)
-            for i in bits(m)
-            for j in bits(m)
-            if i < j
-        ):
-            count += 1
-    return count
-
-
 # -- generator-spec strings ----------------------------------------------------
 
 
@@ -440,7 +405,10 @@ def generate(spec: str) -> FiniteLattice:
     if kind == "zn":
         return ideal_lattice_zn(int(arg))
     if kind == "random":
-        opts = dict(kv.split("=") for kv in arg.split(","))
+        opts = dict(kv.partition("=")[::2] for kv in arg.split(","))
+        for field in ("seed", "size"):
+            if field not in opts:
+                raise ValueError(f"random spec is random:seed=S,size=T; {field!r} is missing")
         return random_distributive(int(opts["seed"]), int(opts["size"]))
     if kind == "group":
         if arg.startswith("@"):
@@ -485,7 +453,5 @@ __all__ = [
     "antichain_poset",
     "random_poset",
     "random_distributive",
-    "closed_sets",
-    "antichain_count",
     "generate",
 ]

@@ -11,10 +11,10 @@ can therefore never produce a silently wrong answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .bitset import bits, contains, full_mask, subsets
+from .bitset import bits, contains, full_mask
 from .errors import (
     CycleDetected,
     LatticeIntegrityError,
@@ -154,6 +154,17 @@ def build_poset(
 
 
 def poset_from_json(doc: dict) -> FinitePoset:
+    """Poset from ``{"elements": [...], "relation": [[a, b], ...], "mode": ...}``.
+
+    A document of the wrong shape raises ``ValueError`` naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"poset JSON must be an object, got {type(doc).__name__}")
+    for field in ("elements", "relation"):
+        if not isinstance(doc.get(field), (list, tuple)):
+            raise ValueError(f"poset JSON needs a list field {field!r}")
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in doc["relation"]):
+        raise ValueError("poset JSON field 'relation' must hold [a, b] pairs")
     pairs = [tuple(p) for p in doc["relation"]]
     return build_poset(doc["elements"], pairs, doc.get("mode", "covers"))
 
@@ -162,8 +173,10 @@ def poset_from_json(doc: dict) -> FinitePoset:
 class FiniteLattice:
     """A finite lattice: poset plus total meet/join tables and bottom.
 
-    Instances are immutable after construction and safe to share across
-    threads; every operation is read-only.
+    Instances are immutable after construction; every operation is
+    read-only.  For a lattice of sets ordered by inclusion, ``sets[i]`` is
+    the set (a bitmask) that element ``i`` stands for; otherwise ``sets``
+    is empty.
     """
 
     poset: FinitePoset
@@ -174,6 +187,7 @@ class FiniteLattice:
     distributive: bool
     coframe: bool
     provenance: str = "lattice"
+    sets: tuple = ()
 
     # -- order plumbing -------------------------------------------------
 
@@ -252,30 +266,10 @@ class FiniteLattice:
 
     # -- dual compactness -------------------------------------------------
 
-    def dually_compact(self, x: int, definitional: bool = False) -> bool:
-        """Every element of a finite lattice is dually compact.
-
-        A finite filtered set contains its own minimum, which realizes the
-        required member below x.  With ``definitional=True`` (n <= 10) the
-        claim is re-established by exhausting all filtered subsets.
-        """
-        if definitional:
-            if self.n > 10:
-                raise ValueError("definitional dual-compactness check is capped at n <= 10")
-            for sub in subsets(self.full()):
-                if sub == 0 or not self._is_filtered(sub):
-                    continue
-                m = self.meet_of_set(list(bits(sub)))
-                if self.leq(m, x) and not any(self.leq(f, x) for f in bits(sub)):
-                    return False
-        return True
-
-    def _is_filtered(self, mask: int) -> bool:
-        members = list(bits(mask))
-        for a in members:
-            for b in members:
-                if not any(self.leq(c, a) and self.leq(c, b) for c in members):
-                    return False
+    def dually_compact(self, x: int) -> bool:
+        """Every element of a finite lattice is dually compact: a finite
+        filtered set contains its own minimum, which realizes the required
+        member below x."""
         return True
 
     # -- serialization ----------------------------------------------------
@@ -326,7 +320,7 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     if bottom is None:
         raise NoBottom("lattice has no bottom element")
     top = down_index[full_mask(n)]
-    distributive = _is_distributive(n, meet, join)
+    distributive = _distributivity_witness(n, meet, join) is None
     # For a finite lattice the coframe law (dual infinite distributivity)
     # reduces to plain distributivity: all meets/joins are finite.
     return FiniteLattice(
@@ -341,14 +335,44 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     )
 
 
-def _is_distributive(n: int, meet, join) -> bool:
-    if n <= _DISTRIBUTIVITY_EXHAUSTIVE_CAP:
-        return _distributivity_witness(n, meet, join) is None
-    return _distributivity_witness_numpy(n, meet, join) is None
+def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenance: str) -> FiniteLattice:
+    """Lattice of distinct point sets (bitmasks) ordered by inclusion.
+
+    The sets are put in (size, value) order; element ``i`` stands for
+    ``sets[i]`` of the result and is named by the ``point_names`` of its
+    members.  Raises ``NotALattice`` if the family is not a lattice.
+    """
+    sets = tuple(sorted(sets, key=lambda m: (m.bit_count(), m)))
+    names = tuple("{" + ",".join(point_names[i] for i in bits(m)) + "}" for m in sets)
+    up = []
+    down = []
+    for a in sets:
+        u = d = 0
+        for j, b in enumerate(sets):
+            common = a & b
+            if common == a:
+                u |= 1 << j
+            if common == b:
+                d |= 1 << j
+        up.append(u)
+        down.append(d)
+    poset = FinitePoset(n=len(sets), names=names, up=tuple(up), down=tuple(down))
+    poset.verify_axioms()
+    return replace(as_lattice(poset, provenance=provenance), sets=sets)
 
 
 def _distributivity_witness(n: int, meet, join):
-    """First triple with x ^ (y v z) != (x ^ y) v (x ^ z), or None."""
+    """First triple with x ^ (y v z) != (x ^ y) v (x ^ z), or None.
+
+    Reads only the tables, never the order, so it also judges tables
+    that disagree with the order (the shrinker's corrupted sublattices).
+    """
+    if n <= _DISTRIBUTIVITY_EXHAUSTIVE_CAP:
+        return _distributivity_witness_scan(n, meet, join)
+    return _distributivity_witness_numpy(n, meet, join)
+
+
+def _distributivity_witness_scan(n: int, meet, join):
     for x in range(n):
         mx = meet[x]
         for y in range(n):
@@ -377,10 +401,8 @@ def _distributivity_witness_numpy(n: int, meet, join):
 
 
 def distributivity_witness(L: FiniteLattice):
-    """Public hook used by tests and the law suite shrinker."""
-    if L.n <= _DISTRIBUTIVITY_EXHAUSTIVE_CAP:
-        return _distributivity_witness(L.n, L.meet, L.join)
-    return _distributivity_witness_numpy(L.n, L.meet, L.join)
+    """A triple on which distributivity fails in L, or None."""
+    return _distributivity_witness(L.n, L.meet, L.join)
 
 
 def meet_of_set(L: FiniteLattice, mask_or_indices) -> int:
@@ -404,12 +426,6 @@ def _as_indices(mask_or_indices) -> list[int]:
     return list(mask_or_indices)
 
 
-def dually_compact_finite(L: FiniteLattice, x: int, definitional: bool = False) -> bool:
-    """Dual compactness of an element of a finite lattice (always true;
-    optionally re-derived from the definition for n <= 10)."""
-    return L.dually_compact(x, definitional=definitional)
-
-
 def lattice_from_json(doc: dict, provenance: str = "lattice") -> FiniteLattice:
     return as_lattice(poset_from_json(doc), provenance=provenance)
 
@@ -417,28 +433,6 @@ def lattice_from_json(doc: dict, provenance: str = "lattice") -> FiniteLattice:
 def canonical_json(obj) -> str:
     """Stable byte form: sorted keys, no whitespace drift, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def dual_distributivity_holds(L: FiniteLattice, subset_cap: int = 12, samples=None) -> bool:
-    """Independent coframe test: x v /\\S == /\\(x v s) over subsets S.
-
-    Exhaustive over all subsets when n <= subset_cap, over the supplied
-    sample masks otherwise.
-    """
-    if L.n <= subset_cap:
-        candidate_masks = list(subsets(L.full()))
-    else:
-        candidate_masks = list(samples or [])
-    for x in L.elements():
-        for mask in candidate_masks:
-            members = list(bits(mask))
-            if not members:
-                continue
-            lhs = L.join2(x, L.meet_of_set(members))
-            rhs = L.meet_of_set([L.join2(x, s) for s in members])
-            if lhs != rhs:
-                return False
-    return True
 
 
 def _dot_escape(s: str) -> str:
@@ -454,8 +448,7 @@ __all__ = [
     "lattice_from_json",
     "meet_of_set",
     "join_of_set",
-    "dually_compact_finite",
     "canonical_json",
-    "dual_distributivity_holds",
     "distributivity_witness",
+    "inclusion_lattice",
 ]

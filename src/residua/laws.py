@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
 from .errors import LatticeIntegrityError
-from .lattice import FiniteLattice, FinitePoset
+from .lattice import FiniteLattice, FinitePoset, _distributivity_witness
 from .residual import (
     classify_t,
     co_heyting_sub,
@@ -747,17 +746,10 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _profil
     return done("fail", ctx, witness=extra)
 
 
-def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, jobs: int = 1, family=None) -> list:
-    """Run the registry (or a subset) and merge reports in registry order."""
+def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, family=None) -> list:
+    """Run the registry (or a subset) in registry order, sharing profiles."""
     selected = list(REGISTRY) if laws is None else list(laws)
     profiles: dict = {}
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                law: pool.submit(run_law, L, law, budget, family, profiles)
-                for law in selected
-            }
-            return [futures[law].result() for law in selected]
     return [run_law(L, law, budget, family, profiles) for law in selected]
 
 
@@ -778,15 +770,6 @@ def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> Fi
     return replace(
         L, provenance=f"{L.provenance}+fault({table}[{i}][{j}]={value})", **mutated
     )
-
-
-def _tables_distributive(n, meet, join) -> bool:
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False
-    return True
 
 
 def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
@@ -811,7 +794,7 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
     join = tuple(tuple(pos[L.join[a][b]] for b in keep) for a in keep)
     bottom = next((i for i in range(n) if up[i] == full_mask(n)), 0)
     top = next((i for i in range(n) if down[i] == full_mask(n)), n - 1)
-    distributive = _tables_distributive(n, meet, join)
+    distributive = _distributivity_witness(n, meet, join) is None
     return FiniteLattice(
         poset=poset,
         meet=meet,

@@ -40,11 +40,14 @@ MAX_DIMS = 4
 
 
 def parse_vec(text: str) -> tuple:
-    """Parse a comma list like ``"3,inf"`` into a vector."""
+    """Parse a comma list like ``"3,inf"`` into a vector of naturals or inf."""
     coords = []
     for part in text.split(","):
         part = part.strip().lower()
-        coords.append(INF if part == "inf" else int(part))
+        c = INF if part == "inf" else int(part)
+        if c < 0:
+            raise ValueError(f"coordinate {part} is negative; coordinates are naturals or inf")
+        coords.append(c)
     return tuple(coords)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
 from .errors import NotT1, TooLarge
-from .lattice import FiniteLattice, FinitePoset, as_lattice
+from .lattice import FiniteLattice, inclusion_lattice
 from .residual import residual_derivative
 
 _OPENS_MATERIALIZATION_CAP = 20
@@ -264,33 +264,13 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
     )
 
 
-def closed_set_lattice(t: FiniteTopology) -> tuple[FiniteLattice, list[int]]:
-    """The lattice of closed sets ordered by inclusion.
-
-    Returns the lattice together with the closed-set bitmask carried by
-    each lattice element.
-    """
+def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
+    """The lattice of closed sets ordered by inclusion; ``sets[i]`` is the
+    closed set (a point bitmask) that element ``i`` stands for."""
     everything = full_mask(t.n)
-    closeds = sorted(
-        {everything & ~o for o in t.opens}, key=lambda m: (m.bit_count(), m)
-    )
-    names = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in closeds)
-    n = len(closeds)
-    up = []
-    down = []
-    for i, a in enumerate(closeds):
-        u = 0
-        d = 0
-        for j, b in enumerate(closeds):
-            if a & ~b == 0:
-                u |= 1 << j
-            if b & ~a == 0:
-                d |= 1 << j
-        up.append(u)
-        down.append(d)
-    poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
-    poset.verify_axioms()
-    return as_lattice(poset, provenance=f"closed_sets(points={t.n})"), closeds
+    points = tuple(str(x) for x in range(t.n))
+    closeds = {everything & ~o for o in t.opens}
+    return inclusion_lattice(closeds, points, f"closed_sets(points={t.n})")
 
 
 @dataclass(frozen=True)
@@ -310,8 +290,8 @@ def residual_equals_cb_closedsets(t: FiniteTopology) -> CBResidualReport:
     lattice must equal its topological CB derivative."""
     if not t.is_t1:
         raise NotT1("space has a non-closed singleton")
-    lat, closeds = closed_set_lattice(t)
-    index = {m: i for i, m in enumerate(closeds)}
+    lat = closed_set_lattice(t)
+    closeds = lat.sets
     mismatches = []
     for i, s in enumerate(closeds):
         mu = residual_derivative(lat, i)

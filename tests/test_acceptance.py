@@ -153,7 +153,7 @@ def test_criterion_2_frattini_oracle():
             else:
                 oracle_subs = _cyclic_subgroups(g)  # the larger catalog groups are cyclic
             lat = subgroup_lattice(g)
-            subs = set(lat.__dict__["subgroup_masks"])
+            subs = set(lat.sets)
             assert subs == oracle_subs, name
             fr = frattini(g)  # internally asserts derivative == intersection
             assert sum(1 << m for m in fr.members) == _frattini_oracle(g, oracle_subs), name

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from residua import cli
 from residua.lattice import canonical_json, lattice_from_json
 from residua.laws import LawReport
@@ -35,7 +37,7 @@ def test_laws_random_all_pass(tmp_path):
     )
     assert code == 0
     reports = json.loads(out.read_text())
-    assert len(reports) == 26
+    assert [r["law"] for r in reports] == [law.value for law in cli.LawId]
     assert all(r["verdict"] != "fail" for r in reports)
 
 
@@ -119,6 +121,27 @@ def test_usage_errors():
     assert run_cli("analyze", "--input", "/nonexistent.json") == 2
 
 
+MALFORMED_INPUTS = {
+    "random spec without size": (["laws", "--gen", "random:seed=1"], None),
+    "lattice JSON without relation": (["analyze", "--input", "{file}"], {"elements": ["a", "b"]}),
+    "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
+    "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),
+    "negative testbed bound": (["testbed", "--dims", "2", "--bound", "-1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    argv, doc = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    assert run_cli(*argv, "--report", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
 def test_lattice_json_round_trip_via_cli_schema(tmp_path):
     lattice_doc = {
         "elements": ["0", "a", "b", "1"],
@@ -158,10 +181,3 @@ def test_reports_deterministic(tmp_path):
         return docs
 
     assert stripped(a) == stripped(b)
-
-
-def test_jobs_flag(tmp_path):
-    out = tmp_path / "laws.json"
-    assert run_cli("laws", "--gen", "boolean:3", "--jobs", "4", "--report", str(out)) == 0
-    reports = json.loads(out.read_text())
-    assert [r["law"] for r in reports] == [r.value for r in cli.LawId]

@@ -7,11 +7,9 @@ from residua.errors import InvalidGroup, TooLarge
 from residua.generators import (
     CATALOG_NAMES,
     CayleyTable,
-    antichain_count,
     antichain_poset,
     boolean,
     chain,
-    closed_sets,
     divisor,
     divisors,
     downset_lattice,
@@ -28,7 +26,7 @@ from residua.generators import (
     subgroups,
 )
 from residua.laws import all_pass, run_all
-from residua.topology import FiniteTopology
+from residua.topology import FiniteTopology, closed_set_lattice
 import random
 
 
@@ -89,8 +87,7 @@ def test_subgroups_match_single_generator_oracle_for_cyclic():
 def test_z4_subgroup_chain():
     lat = subgroup_lattice(load_catalog_group("z4"))
     assert lat.n == 3
-    subs = lat.__dict__["subgroup_masks"]
-    assert [sorted(bits(m)) for m in subs] == [[0], [0, 2], [0, 1, 2, 3]]
+    assert [sorted(bits(m)) for m in lat.sets] == [[0], [0, 2], [0, 1, 2, 3]]
 
 
 def test_q8_has_six_subgroups_s3_structure():
@@ -161,6 +158,20 @@ def test_downset_of_antichain_is_diamond():
     assert lat.distributive
 
 
+def antichain_count(p) -> int:
+    """Brute-force count of antichains (equals the downset count)."""
+    count = 0
+    for m in range(1 << p.n):
+        if all(
+            not p.lt(i, j) and not p.lt(j, i)
+            for i in bits(m)
+            for j in bits(m)
+            if i < j
+        ):
+            count += 1
+    return count
+
+
 def test_downset_count_equals_antichain_count():
     rng = random.Random(9)
     for _ in range(12):
@@ -188,8 +199,9 @@ def test_product_of_chains_is_grid():
 
 def test_closed_sets_generator():
     t = FiniteTopology.from_subbase(2, [[0]])
-    lat = closed_sets(t)
+    lat = closed_set_lattice(t)
     assert lat.n == 3  # {}, {1}, {0,1}
+    assert lat.sets == (0b00, 0b10, 0b11)
 
 
 def test_generated_lattices_pass_laws_when_distributive():

@@ -113,13 +113,6 @@ def test_reports_are_deterministic(div12):
     assert strip(run_all(div12, Budget(seed=3))) == strip(run_all(div12, Budget(seed=3)))
 
 
-def test_jobs_merge_in_registry_order(div12):
-    seq = run_all(div12, jobs=1)
-    par = run_all(div12, jobs=4)
-    assert [r.law for r in seq] == [r.law for r in par]
-    assert [r.verdict for r in seq] == [r.verdict for r in par]
-
-
 def test_family_hypothesis_gate(b3):
     # a family without the bottom is skipped, not asserted
     atoms = [x for x in b3.elements() if bin(b3.down_set(x)).count("1") == 2]

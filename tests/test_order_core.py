@@ -12,7 +12,6 @@ from residua.lattice import (
     as_lattice,
     build_poset,
     canonical_json,
-    dual_distributivity_holds,
     join_of_set,
     lattice_from_json,
     meet_of_set,
@@ -156,7 +155,6 @@ def test_every_finite_element_dually_compact(b2, chain3):
     for L in (b2, chain3, chain(4)):
         for x in L.elements():
             assert L.dually_compact(x)
-            assert L.dually_compact(x, definitional=True)
             assert _dually_compact_oracle(L, x)
     single = chain(1)
     assert single.dually_compact(single.bottom)
@@ -172,6 +170,28 @@ def test_tables_commutative_associative_absorptive(b3, div12, n5):
         for i, j, k in itertools.product(L.elements(), repeat=3):
             assert L.meet2(i, L.meet2(j, k)) == L.meet2(L.meet2(i, j), k)
             assert L.join2(i, L.join2(j, k)) == L.join2(L.join2(i, j), k)
+
+
+def dual_distributivity_holds(L, subset_cap: int = 12, samples=None) -> bool:
+    """Independent coframe test: x v /\\S == /\\(x v s) over subsets S.
+
+    Exhaustive over all subsets when n <= subset_cap, over the supplied
+    sample masks otherwise.
+    """
+    if L.n <= subset_cap:
+        candidate_masks = list(subsets(L.full()))
+    else:
+        candidate_masks = list(samples or [])
+    for x in L.elements():
+        for mask in candidate_masks:
+            members = list(bits(mask))
+            if not members:
+                continue
+            lhs = L.join2(x, L.meet_of_set(members))
+            rhs = L.meet_of_set([L.join2(x, s) for s in members])
+            if lhs != rhs:
+                return False
+    return True
 
 
 def test_coframe_flag_matches_independent_dual_distributivity(b3, div12, n5, m3):

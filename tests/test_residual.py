@@ -87,9 +87,8 @@ def test_residual_derivative_examples(b2):
 
 def test_residual_derivative_z4_subgroup_chain():
     lat = subgroup_lattice(load_catalog_group("z4"))
-    subs = lat.__dict__["subgroup_masks"]
     mu = residual_derivative(lat, lat.top)
-    assert sorted(bits(subs[mu])) == [0, 2]
+    assert sorted(bits(lat.sets[mu])) == [0, 2]
 
 
 def test_profile_chain(chain3):

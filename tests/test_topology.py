@@ -173,7 +173,8 @@ def test_residual_equals_cb_requires_t1():
 
 def test_closed_set_lattice_matches_powerset_on_discrete():
     t = FiniteTopology.from_subbase(3, [[0], [1], [2]])
-    lat, closeds = closed_set_lattice(t)
+    lat = closed_set_lattice(t)
+    closeds = lat.sets
     assert lat.n == 8
     assert lat.distributive
     index = {m: i for i, m in enumerate(closeds)}
