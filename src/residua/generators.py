@@ -45,10 +45,27 @@ class CayleyTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict, name: str = "group") -> "CayleyTable":
+        """Group from ``{"order": n, "identity": e, "table": [[...], ...]}``.
+
+        A document of the wrong shape raises ``InvalidGroup`` naming the
+        field; the group axioms are then checked by ``validate``.
+        """
+        if not isinstance(doc, dict):
+            raise InvalidGroup(f"{name}: Cayley JSON must be an object, got {type(doc).__name__}")
+        order, identity, table = doc.get("order"), doc.get("identity"), doc.get("table")
+        if not _is_index(order):
+            raise InvalidGroup(f"{name}: Cayley JSON needs a non-negative integer field 'order'")
+        if not (_is_index(identity) and identity < order):
+            raise InvalidGroup(f"{name}: Cayley JSON field 'identity' must be an element below 'order'")
+        if not (
+            isinstance(table, list)
+            and all(isinstance(row, list) and all(map(_is_index, row)) for row in table)
+        ):
+            raise InvalidGroup(f"{name}: Cayley JSON field 'table' must be a list of rows of elements")
         c = cls(
-            order=doc["order"],
-            table=tuple(tuple(row) for row in doc["table"]),
-            identity=doc["identity"],
+            order=order,
+            table=tuple(tuple(row) for row in table),
+            identity=identity,
             name=name,
         )
         c.validate()
@@ -83,6 +100,10 @@ class CayleyTable:
             "identity": self.identity,
             "table": [list(row) for row in self.table],
         }
+
+
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def load_catalog_group(name: str) -> CayleyTable:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
 from .errors import LatticeIntegrityError
-from .lattice import FiniteLattice, FinitePoset, _distributivity_witness
+from .lattice import FiniteLattice, FinitePoset
 from .residual import (
     classify_t,
     co_heyting_sub,
@@ -428,6 +428,17 @@ def _check_minmax_bound(ctx):
     for u, v in ctx.pairs():
         hyp = L.join2(u, v)
         conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
+        if ctx.finite:
+            # The element loop below as a bit scan: count the z <= hyp up
+            # to the first (lowest) one that escapes the conclusion.
+            under = L.poset.down[hyp]
+            escaped = under & ~L.poset.down[conclusion]
+            if not escaped:
+                ctx.checked += under.bit_count()
+                continue
+            first = escaped & -escaped
+            ctx.checked += (under & (2 * first - 1)).bit_count()
+            return False, ctx.witness(u=u, v=v, z=first.bit_length() - 1)
         for z in ctx.elements:
             if L.leq(z, hyp):
                 ctx.checked += 1
@@ -805,6 +816,24 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
         coframe=distributive,
         provenance=f"shrunk({L.provenance})",
     )
+
+
+def _distributivity_witness(n: int, meet, join):
+    """First triple with x ^ (y v z) != (x ^ y) v (x ^ z), or None.
+
+    Reads only the tables, never the order, so it also judges tables
+    that disagree with the order (the shrinker's corrupted sublattices).
+    """
+    for x in range(n):
+        mx = meet[x]
+        for y in range(n):
+            mxy = mx[y]
+            jrow = join[mxy]
+            jy = join[y]
+            for z in range(n):
+                if mx[jy[z]] != jrow[mx[z]]:
+                    return (x, y, z)
+    return None
 
 
 def _table_closure(L: FiniteLattice, seed: set) -> set:

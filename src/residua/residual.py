@@ -2,10 +2,11 @@
 
 Every function here is generic over an *effective lattice* instance.  A
 finite lattice exposes ``strictly_below``/``elements`` and the calculus
-computes everything definitionally; an instance that instead supplies its
-own ``maximal_subelements``/``co_heyting_sub``/``outcasts`` closed forms
-(the ordinal testbed) is used through those, so there is a single copy of
-the derivative/rank/stratum machinery.
+computes everything definitionally (the maximal subelements of x are its
+lower covers, a cached row of the order); an instance that instead
+supplies its own ``maximal_subelements``/``co_heyting_sub``/``outcasts``
+closed forms (the ordinal testbed) is used through those, so there is a
+single copy of the derivative/rank/stratum machinery.
 
 Set-valued results are returned in canonical index order.  Degenerate
 input: the bottom element has no maximal subelements, derivative itself,
@@ -72,10 +73,9 @@ def maximal_subelements(L, x, family=None) -> list:
     if hasattr(L, "maximal_subelements"):
         return L.maximal_subelements(x, family)
     fam = _family_mask(L, family)
-    cand = L.strictly_below(x)
-    if fam is not None:
-        cand &= fam
-    return sorted(bits(L.poset.maximal_of(cand)))
+    if fam is None:
+        return list(bits(L.poset.lower_covers[x]))
+    return list(bits(L.poset.maximal_of(L.strictly_below(x) & fam)))
 
 
 def residual_derivative(L, x, family=None):
@@ -114,7 +114,9 @@ def mu_iterates(L, x, family=None, limit=None) -> list:
 
 def classify_t(L, x) -> int:
     """Cardinality of the set of maximal subelements of x."""
-    return len(maximal_subelements(L, x))
+    if hasattr(L, "maximal_subelements"):
+        return len(L.maximal_subelements(x, None))
+    return L.poset.lower_covers[x].bit_count()
 
 
 def outcasts(L, x, family=None) -> list:

@@ -1,7 +1,18 @@
+import random
+
 import pytest
 
-from residua.lattice import as_lattice, build_poset
-from residua.generators import boolean, chain, divisor
+from residua.bitset import full_mask
+from residua.lattice import as_lattice, build_poset, inclusion_lattice
+from residua.generators import (
+    CATALOG_NAMES,
+    boolean,
+    chain,
+    divisor,
+    load_catalog_group,
+    random_distributive,
+    subgroup_lattice,
+)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +53,29 @@ def m3():
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
     )
     return as_lattice(p, provenance="M3")
+
+
+def moore_family(rng, points):
+    """A random intersection-closed family of subsets of ``points`` points
+    that contains the full set: a lattice under inclusion, often not a
+    distributive one."""
+    family = {full_mask(points)} | {rng.getrandbits(points) for _ in range(rng.randint(2, 9))}
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            return family
+        family = closed
+
+
+@pytest.fixture(scope="session")
+def lattice_corpus():
+    """Differential-test corpus: the subgroup lattices of the catalog
+    groups, seeded ``random:`` lattices and seeded Moore families."""
+    corpus = [subgroup_lattice(load_catalog_group(name)) for name in CATALOG_NAMES]
+    corpus += [random_distributive(seed, 40) for seed in range(20)]
+    rng = random.Random(3)
+    for k in range(600):
+        points = rng.randint(3, 6)
+        names = [f"p{i}" for i in range(points)]
+        corpus.append(inclusion_lattice(moore_family(rng, points), names, f"moore#{k}"))
+    return corpus

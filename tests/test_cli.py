@@ -127,6 +127,20 @@ MALFORMED_INPUTS = {
     "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
     "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),
     "negative testbed bound": (["testbed", "--dims", "2", "--bound", "-1"], None),
+    "non-object Cayley JSON": (["group", "--input", "{file}"], [1, 2]),
+    "Cayley JSON without order": (["group", "--input", "{file}"], {"elements": ["e"]}),
+    "Cayley JSON with non-list table": (
+        ["group", "--input", "{file}"],
+        {"order": 1, "identity": 0, "table": "e"},
+    ),
+    "Cayley JSON with identity out of range": (
+        ["group", "--input", "{file}"],
+        {"order": 2, "identity": 5, "table": [[0, 1], [1, 0]]},
+    ),
+    "group spec file without identity": (
+        ["analyze", "--gen", "group:@{file}"],
+        {"order": 1, "table": [[0]]},
+    ),
 }
 
 

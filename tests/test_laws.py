@@ -1,6 +1,8 @@
+import itertools
 import json
 
 from residua.generators import (
+    boolean,
     chain,
     divisor,
     downset_lattice,
@@ -134,6 +136,40 @@ def test_every_single_entry_mutation_fails_some_law(b2):
                         continue
                     mutated = mutate_entry(b2, table, i, j, v)
                     assert not all_pass(run_all(mutated)), (table, i, j, v)
+
+
+def minmax_pairs_reference(L):
+    """The per-element loop over element pairs of the minmax_bound law:
+    ``(checked, witness)`` at the first z <= u v v not below the
+    conclusion, or None."""
+    checked = 0
+    for u, v in itertools.product(L.elements(), repeat=2):
+        hyp = L.join2(u, v)
+        conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
+        for z in L.elements():
+            if L.leq(z, hyp):
+                checked += 1
+                if not L.leq(z, conclusion):
+                    indices = {"u": u, "v": v, "z": z}
+                    return checked, {**{k: L.names[i] for k, i in indices.items()}, "indices": indices}
+    return None
+
+
+def test_minmax_bound_bit_scan_matches_element_loop(div12):
+    failures = 0
+    for L in (boolean(3), div12, chain(5), divisor(60)):
+        for v, w in itertools.product(L.elements(), repeat=2):
+            if w == v:
+                continue
+            mutated = mutate_entry(L, "meet", v, v, w)
+            expected = minmax_pairs_reference(mutated)
+            if expected is None:
+                continue
+            rep = run_law(mutated, LawId.MINMAX_BOUND)
+            assert rep.verdict == "fail"
+            assert (rep.checked, rep.witness) == expected
+            failures += 1
+    assert failures >= 100
 
 
 def test_fault_reports_carry_witness(div12):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from residua.bitset import bits, full_mask, mask_of, subsets
 from residua.errors import CycleDetected, NotALattice, UnknownElement
 from residua.lattice import (
+    _birkhoff_distributive,
     as_lattice,
     build_poset,
     canonical_json,
@@ -18,6 +19,7 @@ from residua.lattice import (
     poset_from_json,
 )
 from residua.generators import chain
+from residua.laws import _distributivity_witness
 
 
 def closure_oracle(names, pairs):
@@ -86,6 +88,17 @@ def test_pentagon_not_distributive_by_triple_scan(n5):
     )
     assert found
     assert not n5.distributive and not n5.coframe
+
+
+def test_birkhoff_agrees_with_triple_scan(lattice_corpus):
+    """as_lattice decides distributivity by Birkhoff's criterion; the
+    table-based triple scan is its oracle."""
+    non_distributive = 0
+    for L in lattice_corpus:
+        by_scan = _distributivity_witness(L.n, L.meet, L.join) is None
+        assert _birkhoff_distributive(L.poset, L.join) == by_scan == L.distributive, L.provenance
+        non_distributive += not by_scan
+    assert non_distributive >= 100
 
 
 def test_antichain_is_not_a_lattice():

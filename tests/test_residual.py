@@ -63,6 +63,14 @@ def test_maximal_subelements_examples(b2, chain3):
     assert maximal_subelements(chain3, chain3.bottom) == []
 
 
+def test_lower_covers_match_maximal_oracle(lattice_corpus):
+    for L in lattice_corpus:
+        for x in L.elements():
+            assert L.poset.lower_covers[x] == mask_of(maximal_oracle(L, x)), (L.provenance, x)
+        hasse = sorted((z, x) for x in L.elements() for z in maximal_oracle(L, x))
+        assert L.poset.covers() == hasse
+
+
 def test_maximal_subelements_with_family():
     L = downset_lattice(antichain_poset(2))
     fam = [L.bottom, L.top]
