@@ -21,7 +21,6 @@ from .errors import (
     LatticeIntegrityError,
     NoBottom,
     NotALattice,
-    NoTop,
     UnknownElement,
 )
 
@@ -154,8 +153,13 @@ def poset_from_json(doc: dict) -> FinitePoset:
     for field in ("elements", "relation"):
         if not isinstance(doc.get(field), (list, tuple)):
             raise ValueError(f"poset JSON needs a list field {field!r}")
-    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in doc["relation"]):
-        raise ValueError("poset JSON field 'relation' must hold [a, b] pairs")
+    if not all(isinstance(name, str) for name in doc["elements"]):
+        raise ValueError("poset JSON field 'elements' must hold string names")
+    if not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(a, str) for a in p)
+        for p in doc["relation"]
+    ):
+        raise ValueError("poset JSON field 'relation' must hold [a, b] pairs of names")
     pairs = [tuple(p) for p in doc["relation"]]
     return build_poset(doc["elements"], pairs, doc.get("mode", "covers"))
 
@@ -370,18 +374,13 @@ def _birkhoff_distributive(p: FinitePoset, join) -> bool:
 
 
 def meet_of_set(L: FiniteLattice, mask_or_indices) -> int:
-    """Meet of a subset; the empty meet is the top (NoTop if absent)."""
-    idxs = _as_indices(mask_or_indices)
-    if not idxs:
-        if L.top is None:
-            raise NoTop("empty meet in a top-less structure")
-        return L.top
-    return L.meet_of_set(idxs)
+    """Meet of a subset given as a bitmask or as indices; the empty meet
+    is the top."""
+    return L.meet_of_set(_as_indices(mask_or_indices))
 
 
 def join_of_set(L: FiniteLattice, mask_or_indices) -> int:
-    idxs = _as_indices(mask_or_indices)
-    return L.join_of_set(idxs)
+    return L.join_of_set(_as_indices(mask_or_indices))
 
 
 def _as_indices(mask_or_indices) -> list[int]:

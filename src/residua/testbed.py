@@ -14,10 +14,12 @@ rank omega and core bottom.  A vector's residue at a finite coordinate j
 keeps coordinate j and forgets the rest, its boundary is itself, and it
 never has outcasts.
 
-Topological questions (isolation, CB levels) are decided by bounded
-exhaustive searches over basic opens of the dual Lawson topology, kept
-independent of the closed forms so the two can be played against each
-other.
+Topological questions (isolation, CB levels) are decided by a bounded
+search over basic opens of the dual Lawson topology, kept independent of
+the closed forms so the two can be played against each other.  The
+search needs one basic open per point: the one with the maximal positive
+part and the maximal negative parts, which is the smallest basic open
+around the point (see ``OrdinalCoframe._punctured_open``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
     UnstableVerdict,
 )
 from .residual import OMEGA, RankValue
+from .topology import IsolatedBelowReport
 
 MAX_DIMS = 4
 
@@ -365,28 +368,54 @@ class OrdinalCoframe:
         fins = [c for c in x if c != INF]
         return max(fins) if fins else 0
 
+    def _punctured_open(self, x: tuple, bound: int, points) -> list:
+        """The points other than x in the smallest basic open around x
+        with parameters <= bound.
+
+        A basic open is the downset of an all-finite vector a (the
+        positive part) minus finitely many such downsets (the negative
+        parts).  z lies in the downset of a iff z_j >= a_j for every j; it
+        escapes iff z_j < a_j for some j, which only gets easier as a
+        grows, so the largest admissible positive part a* = min(x, bound)
+        gives the smallest open.  Negative parts can be taken maximal: z
+        survives every admissible negative iff min(z_j, bound) <= x_j for
+        every j, i.e. z_j <= x_j wherever x_j < bound.  The open is thus
+        the box of z with min(x_j, bound) <= z_j <= x_j where x_j < bound
+        and z_j >= bound elsewhere; neither argument uses the closed forms.
+        """
+        near = points
+        for j, c in enumerate(x):
+            lo, hi = min(c, bound), c if c < bound else INF
+            near = [z for z in near if lo <= z[j] <= hi]
+        return [z for z in near if z != x]
 
     def _separable(self, x: tuple, bound: int, members=None) -> bool:
-        """Is there a basic open with parameters <= bound isolating x?
+        """Is there a basic open with parameters <= bound isolating x among
+        ``members`` (default: the whole grid)?
 
-        A basic open is the downset of an all-finite vector minus finitely
-        many such downsets.  Negative parts can be taken maximal: a point
-        z survives every admissible negative iff min(z_j, bound) <= x_j in
-        every coordinate.  The positive part is searched exhaustively.
+        If any basic open does, the smallest one does, so the answer is
+        whether that open holds no other member.
         """
-        grid = self._grid(bound) if members is None else members
-        bad = [
-            z
-            for z in grid
-            if z != x
-            and all(min(zc, bound) <= xc for zc, xc in zip(z, x))
-        ]
-        bad.sort(key=lambda z: tuple(-min(c, bound + 2) for c in z))
-        ranges = [range(int(min(c, bound)), -1, -1) for c in x]
-        for a in itertools.product(*ranges):
-            if all(any(zc < ac for zc, ac in zip(z, a)) for z in bad):
-                return True
-        return False
+        points = self._grid(bound) if members is None else members
+        return not self._punctured_open(x, bound, points)
+
+    def _stable_isolation(self, x: tuple, bound: int, member=None) -> bool:
+        """Run the basic-open search at ``bound`` and at the next three
+        bounds, inside {z : member(z)} unless ``member`` is None."""
+        if bound < self.max_finite(x) + 2:
+            raise BoundTooSmall(
+                f"bound {bound} < max finite coordinate of {fmt_vec(x)} + 2"
+            )
+        verdicts = set()
+        for b in range(bound, bound + 4):
+            members = None if member is None else [z for z in self._grid(b) if member(z)]
+            verdicts.add(self._separable(x, b, members))
+        if len(verdicts) != 1:
+            what = "isolation" if member is None else "subspace isolation"
+            raise UnstableVerdict(
+                f"{what} verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
+            )
+        return verdicts.pop()
 
     def isolated_oracle(self, x: tuple, bound: int) -> bool:
         """Search-based isolation verdict, independent of the closed forms.
@@ -396,35 +425,14 @@ class OrdinalCoframe:
         trusting an unproved search radius.
         """
         self._check(x)
-        if bound < self.max_finite(x) + 2:
-            raise BoundTooSmall(
-                f"bound {bound} < max finite coordinate of {fmt_vec(x)} + 2"
-            )
-        verdicts = [self._separable(x, b) for b in range(bound, bound + 4)]
-        if len(set(verdicts)) != 1:
-            raise UnstableVerdict(
-                f"isolation verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
-            )
-        return verdicts[0]
+        return self._stable_isolation(x, bound)
 
     def isolated_in_subspace_oracle(self, x: tuple, member, bound: int) -> bool:
         """Isolation of x inside {z : member(z)}, by the same bounded search."""
         self._check(x)
         if not member(x):
             raise PreconditionFailed(f"{fmt_vec(x)} is not in the subspace")
-        if bound < self.max_finite(x) + 2:
-            raise BoundTooSmall(
-                f"bound {bound} < max finite coordinate of {fmt_vec(x)} + 2"
-            )
-        verdicts = []
-        for b in range(bound, bound + 4):
-            members = [z for z in self._grid(b) if member(z)]
-            verdicts.append(self._separable(x, b, members))
-        if len(set(verdicts)) != 1:
-            raise UnstableVerdict(
-                f"subspace isolation verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
-            )
-        return verdicts[0]
+        return self._stable_isolation(x, bound, member)
 
     def subspace_isolation_sweep(self, member, bound: int) -> dict:
         """Isolation verdicts inside {z : member(z)} for every box(bound)
@@ -438,20 +446,10 @@ class OrdinalCoframe:
         out = {}
         for b in (bound + 2, bound + 3):
             members = [z for z in self._grid(b) if member(z)]
-            capped = [tuple(min(c, b) for c in z) for z in members]
             for x in self.box(bound):
                 if not member(x):
                     continue
-                bad = [
-                    z
-                    for z, zc in zip(members, capped)
-                    if z != x and all(c <= xc for c, xc in zip(zc, x))
-                ]
-                ranges = [range(int(min(c, b)), -1, -1) for c in x]
-                verdict = any(
-                    all(any(zc < ac for zc, ac in zip(z, a)) for z in bad)
-                    for a in itertools.product(*ranges)
-                )
+                verdict = self._separable(x, b, members)
                 if x in out and out[x] != verdict:
                     raise UnstableVerdict(
                         f"subspace isolation verdict for {fmt_vec(x)} differs "
@@ -498,9 +496,6 @@ class OrdinalCoframe:
                 tuple(IS_INF if i in infs else ANY for i in range(self.dims))
             )
         return tuple(out)
-
-    def in_level(self, x: tuple, alpha: int) -> bool:
-        return self.cb_level(x) >= alpha
 
     # -- section-6 checkers ----------------------------------------------------
 
@@ -579,28 +574,23 @@ class OrdinalCoframe:
         )
 
     def check_locally_constant_core(self, x: tuple, bound: int) -> bool:
-        """Search for a basic open around x on which the core is constant
-        away from the downset of x."""
+        """Is there a basic open around x on which the core is constant
+        away from the downset of x?
+
+        A larger positive part gives a smaller open, so the smallest basic
+        open (see ``_punctured_open``) decides.
+        """
         self._check(x)
         if self.cb_level(x) != 1:
             raise PreconditionFailed(f"{fmt_vec(x)} is not in S1 minus S2")
-        grid = self._grid(bound)
         core_x = self.profile(x).core
-        ranges = [range(int(min(c, bound)), -1, -1) for c in x]
-        for a in itertools.product(*ranges):
-            zone = [
-                z
-                for z in grid
-                if z != x
-                and self.leq(z, a)
-                and all(min(zc, bound) <= xc for zc, xc in zip(z, x))
-                and not self.leq(z, x)
-            ]
-            if all(self.profile(z).core == core_x for z in zone):
-                return True
-        return False
+        return all(
+            self.profile(z).core == core_x
+            for z in self._punctured_open(x, bound, self._grid(bound))
+            if not self.leq(z, x)
+        )
 
-    def check_isolated_below_conditions(self, x: tuple, bound: int = 6) -> "IsolatedBelowReport":
+    def check_isolated_below_conditions(self, x: tuple, bound: int = 6) -> IsolatedBelowReport:
         """Clause-by-clause evaluation of the isolated-from-below conditions.
 
         Only the bottom vector has no maximal subelements here, so the
@@ -616,7 +606,7 @@ class OrdinalCoframe:
             )
         if self.dims >= 2:
             return IsolatedBelowReport(
-                x=x, vacuous=True, reason="bottom is not in S1 minus S2", clauses={}
+                x=fmt_vec(x), vacuous=True, reason="bottom is not in S1 minus S2", clauses={}
             )
         # dims == 1: bottom = (inf,) is in S1 minus S2.
         clauses = {}
@@ -631,86 +621,13 @@ class OrdinalCoframe:
         clauses["tail_dually_compact"] = True
         clauses["relative_strata_finite"] = True
         clauses["tails_enter_every_neighborhood"] = True  # empty tail set
-        return IsolatedBelowReport(x=x, vacuous=False, reason=None, clauses=clauses)
+        return IsolatedBelowReport(x=fmt_vec(x), vacuous=False, reason=None, clauses=clauses)
 
     def _separable_if_bounded(self, x: tuple, bound: int) -> bool:
         try:
             return self.isolated_oracle(x, max(bound, self.max_finite(x) + 2))
         except UnstableVerdict:
             return False
-
-
-def check_isolated_below_conditions_finite(L, t, x: int) -> IsolatedBelowReport:
-    """Clause-by-clause isolated-from-below evaluation on a finite lattice
-    with an arbitrary finite topology on its carrier.
-
-    Real finite lattices under the dual Lawson topology are discrete, so
-    the second CB layer is empty and the precondition fails; the checker
-    is exercised through hand-built topologies in fixtures.  Clauses are
-    evaluated exhaustively and reported, never assumed.
-    """
-    from .bitset import bits, contains
-    from .residual import (
-        classify_t,
-        completely_coirreducibles,
-        maximal_subelements,
-        mu_iterates,
-        outcasts,
-    )
-    from .topology import cb_sequence
-
-    seq = cb_sequence(t)
-    s1 = seq.levels[1] if len(seq.levels) > 1 else 0
-    s2 = seq.levels[2] if len(seq.levels) > 2 else 0
-    if not contains(s1, x) or contains(s2, x):
-        raise PreconditionFailed(
-            f"{L.names[x]} is not in S1 minus S2 for this topology"
-        )
-    t0 = [z for z in L.elements() if classify_t(L, z) == 0]
-    if x not in t0:
-        if not outcasts(L, x):
-            raise PreconditionFailed(
-                f"{L.names[x]} is outside the zero-maximal family and has no outcast"
-            )
-        raise PreconditionFailed("outcast variant needs an infinite instance")
-    m_t0 = maximal_subelements(L, x, t0)
-    mu_t0 = L.meet_of_set(m_t0) if m_t0 else x
-    delta_x = [
-        s
-        for s in completely_coirreducibles(L)
-        if L.leq(s, x) and not L.leq(s, mu_t0)
-    ]
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(delta_x, k) for k in range(len(delta_x) + 1)
-        )
-    )
-    h = {p: L.join_of_set(list(p)) for p in subsets}
-    full = h[tuple(delta_x)]
-    isolated = lambda z: t.min_nbhd[z] == 1 << z
-    cores = {z: mu_iterates(L, z)[-1] for z in set(h.values())}
-    clauses = {}
-    clauses["net_strictly_below"] = all(v != x for v in h.values())
-    clauses["net_joins_to_x"] = full == x or (not delta_x and x == L.bottom)
-    clauses["every_subelement_dominated"] = all(
-        L.leq(z, full) for z in bits(L.strictly_below(x))
-    )
-    stars = [p for p in subsets if isolated(h[p]) and cores[h[p]] == mu_t0]
-    clauses["base_point_isolated_with_matching_core"] = bool(stars)
-    clauses["tail_dually_compact"] = all(L.dually_compact(v) for v in h.values())
-    clauses["relative_strata_finite"] = True  # finite instance
-    # Against the minimal neighborhood of x, the hardest open.
-    nbhd = t.min_nbhd[x]
-    clauses["tails_enter_every_neighborhood"] = any(
-        all(contains(nbhd, s) for s in delta_x if s not in p) for p in subsets
-    )
-    if stars:
-        p_star = stars[0]
-        rest = [s for s in delta_x if s not in p_star]
-        clauses["late_members_dominate_mu"] = all(L.leq(mu_t0, s) for s in rest)
-    clauses["unique_maximal_t0_subelement"] = len(m_t0) == 1
-    clauses["no_t0_outcast"] = not outcasts(L, x, t0)
-    return IsolatedBelowReport(x=x, vacuous=False, reason=None, clauses=clauses)
 
 
 @dataclass(frozen=True)
@@ -760,22 +677,6 @@ class S1S2Report:
         }
 
 
-@dataclass(frozen=True)
-class IsolatedBelowReport:
-    x: tuple
-    vacuous: bool
-    reason: Optional[str]
-    clauses: dict
-
-    def to_json_dict(self) -> dict:
-        out = {"x": fmt_vec(self.x), "vacuous": self.vacuous}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.clauses:
-            out["clauses"] = dict(sorted(self.clauses.items()))
-        return out
-
-
 __all__ = [
     "INF",
     "MAX_DIMS",
@@ -791,5 +692,4 @@ __all__ = [
     "fmt_vec",
     "S1S2Report",
     "IsolatedBelowReport",
-    "check_isolated_below_conditions_finite",
 ]

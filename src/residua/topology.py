@@ -11,14 +11,22 @@ small point counts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
-from .errors import NotT1, TooLarge
+from .errors import NotT1, PreconditionFailed, TooLarge
 from .lattice import FiniteLattice, inclusion_lattice
-from .residual import residual_derivative
+from .residual import (
+    classify_t,
+    completely_coirreducibles,
+    maximal_subelements,
+    mu_iterates,
+    outcasts,
+    residual_derivative,
+)
 
 _OPENS_MATERIALIZATION_CAP = 20
 
@@ -327,6 +335,90 @@ def locally_constant_core(L: FiniteLattice, t: FiniteTopology, x: int, cores) ->
     return all(cores[z] == cores[x] for z in bits(region))
 
 
+@dataclass(frozen=True)
+class IsolatedBelowReport:
+    """Clause verdicts of the isolated-from-below conditions at one
+    element; ``x`` is the element as printed (a name or a vector)."""
+
+    x: str
+    vacuous: bool
+    reason: Optional[str]
+    clauses: dict
+
+    def to_json_dict(self) -> dict:
+        out = {"x": self.x, "vacuous": self.vacuous}
+        if self.reason:
+            out["reason"] = self.reason
+        if self.clauses:
+            out["clauses"] = dict(sorted(self.clauses.items()))
+        return out
+
+
+def check_isolated_below_conditions_finite(
+    L: FiniteLattice, t: FiniteTopology, x: int
+) -> IsolatedBelowReport:
+    """Clause-by-clause isolated-from-below evaluation on a finite lattice
+    with an arbitrary finite topology on its carrier.
+
+    Real finite lattices under the dual Lawson topology are discrete, so
+    the second CB layer is empty and the precondition fails; the checker
+    is exercised through hand-built topologies in fixtures.  Clauses are
+    evaluated exhaustively and reported, never assumed.
+    """
+    seq = cb_sequence(t)
+    s1 = seq.levels[1] if len(seq.levels) > 1 else 0
+    s2 = seq.levels[2] if len(seq.levels) > 2 else 0
+    if not contains(s1, x) or contains(s2, x):
+        raise PreconditionFailed(
+            f"{L.names[x]} is not in S1 minus S2 for this topology"
+        )
+    t0 = [z for z in L.elements() if classify_t(L, z) == 0]
+    if x not in t0:
+        if not outcasts(L, x):
+            raise PreconditionFailed(
+                f"{L.names[x]} is outside the zero-maximal family and has no outcast"
+            )
+        raise PreconditionFailed("outcast variant needs an infinite instance")
+    m_t0 = maximal_subelements(L, x, t0)
+    mu_t0 = L.meet_of_set(m_t0) if m_t0 else x
+    delta_x = [
+        s
+        for s in completely_coirreducibles(L)
+        if L.leq(s, x) and not L.leq(s, mu_t0)
+    ]
+    subsets = list(
+        itertools.chain.from_iterable(
+            itertools.combinations(delta_x, k) for k in range(len(delta_x) + 1)
+        )
+    )
+    h = {p: L.join_of_set(list(p)) for p in subsets}
+    full = h[tuple(delta_x)]
+    isolated = lambda z: t.min_nbhd[z] == 1 << z
+    cores = {z: mu_iterates(L, z)[-1] for z in set(h.values())}
+    clauses = {}
+    clauses["net_strictly_below"] = all(v != x for v in h.values())
+    clauses["net_joins_to_x"] = full == x or (not delta_x and x == L.bottom)
+    clauses["every_subelement_dominated"] = all(
+        L.leq(z, full) for z in bits(L.strictly_below(x))
+    )
+    stars = [p for p in subsets if isolated(h[p]) and cores[h[p]] == mu_t0]
+    clauses["base_point_isolated_with_matching_core"] = bool(stars)
+    clauses["tail_dually_compact"] = all(L.dually_compact(v) for v in h.values())
+    clauses["relative_strata_finite"] = True  # finite instance
+    # Against the minimal neighborhood of x, the hardest open.
+    nbhd = t.min_nbhd[x]
+    clauses["tails_enter_every_neighborhood"] = any(
+        all(contains(nbhd, s) for s in delta_x if s not in p) for p in subsets
+    )
+    if stars:
+        p_star = stars[0]
+        rest = [s for s in delta_x if s not in p_star]
+        clauses["late_members_dominate_mu"] = all(L.leq(mu_t0, s) for s in rest)
+    clauses["unique_maximal_t0_subelement"] = len(m_t0) == 1
+    clauses["no_t0_outcast"] = not outcasts(L, x, t0)
+    return IsolatedBelowReport(x=L.names[x], vacuous=False, reason=None, clauses=clauses)
+
+
 __all__ = [
     "FiniteTopology",
     "CBSequence",
@@ -339,4 +431,6 @@ __all__ = [
     "residual_equals_cb_closedsets",
     "is_order_convex",
     "locally_constant_core",
+    "IsolatedBelowReport",
+    "check_isolated_below_conditions_finite",
 ]

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from residua import cli
 from residua.lattice import canonical_json, lattice_from_json
@@ -141,6 +145,18 @@ MALFORMED_INPUTS = {
         ["analyze", "--gen", "group:@{file}"],
         {"order": 1, "table": [[0]]},
     ),
+    "lattice JSON with integer names, DOT output": (
+        ["analyze", "--input", "{file}", "--format", "dot"],
+        {"elements": [1, 2], "relation": [[1, 2]]},
+    ),
+    "lattice JSON with list names": (
+        ["analyze", "--input", "{file}"],
+        {"elements": [[1], [2]], "relation": []},
+    ),
+    "downset spec file with integer names": (
+        ["analyze", "--gen", "downset:@{file}"],
+        {"elements": [1, 2], "relation": [[1, 2]]},
+    ),
 }
 
 
@@ -153,6 +169,86 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert run_cli(*argv, "--report", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+#
+# Sizes stay at most 6, far under the generator caps, so an example takes
+# milliseconds; the documents are near-valid often enough to get past the
+# first field check.
+
+SMALL = st.integers(-2, 6)
+JUNK = st.text(alphabet="abz:|,=@-", max_size=6)
+JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+NAME = st.sampled_from(["a", "b", "c", 1, 2, [1], None])
+POSET_DOCS = st.fixed_dictionaries(
+    {
+        "elements": st.lists(NAME, max_size=4) | JSON,
+        "relation": st.lists(st.lists(NAME, min_size=2, max_size=2) | JSON, max_size=4) | JSON,
+    },
+    optional={"mode": st.sampled_from(["covers", "leq"]) | JSON},
+)
+CAYLEY_DOCS = st.fixed_dictionaries(
+    {
+        "order": SMALL | JSON,
+        "identity": SMALL | JSON,
+        "table": st.lists(st.lists(SMALL, max_size=4), max_size=4) | JSON,
+    }
+)
+FILE_COMMANDS = [
+    ["analyze", "--input", "{file}"],
+    ["analyze", "--input", "{file}", "--format", "dot"],
+    ["analyze", "--input", "{file}", "--format", "text"],
+    ["laws", "--input", "{file}"],
+    ["topology", "--input", "{file}"],
+    ["group", "--input", "{file}"],
+    ["analyze", "--gen", "downset:@{file}"],
+    ["analyze", "--gen", "group:@{file}"],
+]
+SPEC = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["chain", "boolean", "divisor", "zn", "group", "nosuch", ""]), SMALL | JUNK),
+    st.builds("random:seed={},size={}".format, SMALL, SMALL),
+    st.builds("product:{}:{}|{}:{}".format, st.sampled_from(["chain", "divisor", "x"]), SMALL, st.sampled_from(["boolean", "zn"]), SMALL),
+    st.builds("{}:{}".format, st.sampled_from(["group", "downset", "random", "product"]), JUNK),
+)
+SPEC_COMMANDS = ["analyze", "laws", "topology"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(FILE_COMMANDS), JSON | POSET_DOCS | CAYLEY_DOCS),
+        st.tuples(st.sampled_from(SPEC_COMMANDS), SPEC),
+    )
+)
+def test_fuzzed_inputs_keep_the_exit_code_contract(fuzz_dir, case):
+    command, data = case
+    path = fuzz_dir / "input.json"
+    report = str(fuzz_dir / "out")
+    if isinstance(command, list):
+        path.write_text(json.dumps(data))
+        argv = [a.replace("{file}", str(path)) for a in command]
+    else:
+        argv = [command, "--gen", data]
+    code, err = run_quietly(argv + ["--report", report])
+    assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
 
 

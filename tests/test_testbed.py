@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from residua.errors import (
     NotBelow,
     PreconditionFailed,
 )
-from residua.generators import chain
 from residua.residual import OMEGA, RankValue, mu_iterates
 from residua.testbed import (
     ANY,
@@ -19,12 +19,10 @@ from residua.testbed import (
     IS_INF,
     CoordConstraint,
     OrdinalCoframe,
-    check_isolated_below_conditions_finite,
     fmt_vec,
     parse_vec,
     pattern_matches,
 )
-from residua.topology import FiniteTopology, dual_lawson
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +342,7 @@ def test_locally_constant_core(cf2):
 def test_isolated_below_vacuous_dims2(cf2):
     rep = cf2.check_isolated_below_conditions(cf2.bottom)
     assert rep.vacuous
+    assert rep.to_json_dict()["x"] == "inf,inf"
     with pytest.raises(PreconditionFailed):
         cf2.check_isolated_below_conditions((2, 3))
 
@@ -355,23 +354,6 @@ def test_isolated_below_dims1_enumerates_clauses():
     assert rep.clauses["unique_maximal_t0_subelement"] is False
     assert rep.clauses["no_t0_outcast"] is True
     assert rep.clauses["base_point_isolated_with_matching_core"] is False
-
-
-def test_isolated_below_finite_precondition(b3):
-    t = dual_lawson(b3)
-    with pytest.raises(PreconditionFailed):
-        check_isolated_below_conditions_finite(b3, t, b3.top)
-
-
-def test_isolated_below_finite_fixture():
-    # pretend topology on a 3-chain putting the bottom in the second layer
-    L = chain(3)
-    t = FiniteTopology.from_subbase(3, [[1], [2], [0, 1]])
-    rep = check_isolated_below_conditions_finite(L, t, 0)
-    assert not rep.vacuous
-    assert rep.clauses["no_t0_outcast"] is True
-    assert rep.clauses["tail_dually_compact"] is True
-    assert "net_strictly_below" in rep.clauses
 
 
 def test_stability_machinery(cf2):
@@ -393,3 +375,109 @@ def test_characterization_matches_oracle_random(dims, coords):
     x = tuple(coords[:dims])
     bound = max(6, cf.max_finite(x) + 2)
     assert cf.characterization_predicates(x)["corrected"] == cf.isolated_oracle(x, bound)
+
+
+# -- the isolation search against its exhaustive form -----------------------
+#
+# OrdinalCoframe decides isolation at the largest positive part only.  The
+# references below are the searches as first written, trying every
+# positive part a <= min(x, bound); they must give the same verdicts.
+
+
+def exhaustive_separable(cf, x, bound, members=None):
+    grid = cf._grid(bound) if members is None else members
+    bad = [
+        z
+        for z in grid
+        if z != x
+        and all(min(zc, bound) <= xc for zc, xc in zip(z, x))
+    ]
+    bad.sort(key=lambda z: tuple(-min(c, bound + 2) for c in z))
+    ranges = [range(int(min(c, bound)), -1, -1) for c in x]
+    for a in itertools.product(*ranges):
+        if all(any(zc < ac for zc, ac in zip(z, a)) for z in bad):
+            return True
+    return False
+
+
+def exhaustive_sweep(cf, member, bound):
+    out = {}
+    for b in (bound + 2, bound + 3):
+        members = [z for z in cf._grid(b) if member(z)]
+        capped = [tuple(min(c, b) for c in z) for z in members]
+        for x in cf.box(bound):
+            if not member(x):
+                continue
+            bad = [
+                z
+                for z, zc in zip(members, capped)
+                if z != x and all(c <= xc for c, xc in zip(zc, x))
+            ]
+            ranges = [range(int(min(c, b)), -1, -1) for c in x]
+            verdict = any(
+                all(any(zc < ac for zc, ac in zip(z, a)) for z in bad)
+                for a in itertools.product(*ranges)
+            )
+            out[x] = verdict
+    return out
+
+
+def exhaustive_locally_constant_core(cf, x, bound):
+    grid = cf._grid(bound)
+    core_x = cf.profile(x).core
+    ranges = [range(int(min(c, bound)), -1, -1) for c in x]
+    for a in itertools.product(*ranges):
+        zone = [
+            z
+            for z in grid
+            if z != x
+            and cf.leq(z, a)
+            and all(min(zc, bound) <= xc for zc, xc in zip(z, x))
+            and not cf.leq(z, x)
+        ]
+        if all(cf.profile(z).core == core_x for z in zone):
+            return True
+    return False
+
+
+def test_separable_matches_exhaustive_search():
+    verdicts = set()
+    for dims, bounds in ((1, range(8)), (2, range(8)), (3, range(5))):
+        cf = OrdinalCoframe(dims)
+        for bound in bounds:
+            for x in cf._grid(bound):
+                got = cf._separable(x, bound)
+                assert got == exhaustive_separable(cf, x, bound), (x, bound)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_sweep_matches_exhaustive_sweep():
+    for dims, bound in ((1, 8), (2, 8), (3, 4)):
+        cf = OrdinalCoframe(dims)
+        for alpha in range(dims + 1):
+            member = lambda z, a=alpha: cf.cb_level(z) >= a
+            sweep = cf.subspace_isolation_sweep(member, bound)
+            assert sweep == exhaustive_sweep(cf, member, bound), (dims, alpha)
+
+
+class _StepCore(OrdinalCoframe):
+    """The testbed with a made-up core that changes across the grid, so the
+    zone searches have something to find; the real core is constant."""
+
+    def profile(self, x):
+        return SimpleNamespace(core=tuple(c >= 3 for c in x))
+
+
+def test_locally_constant_core_matches_exhaustive_search():
+    verdicts = set()
+    for dims, bounds in ((1, range(6)), (2, range(6)), (3, range(4))):
+        cf = _StepCore(dims)
+        for bound in bounds:
+            for x in cf._grid(bound):
+                if cf.cb_level(x) != 1:
+                    continue
+                got = cf.check_locally_constant_core(x, bound)
+                assert got == exhaustive_locally_constant_core(cf, x, bound), (x, bound)
+                verdicts.add(got)
+    assert verdicts == {True, False}

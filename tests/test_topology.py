@@ -1,11 +1,12 @@
 import pytest
 
 from residua.bitset import bits, full_mask
-from residua.errors import NotT1, TooLarge
+from residua.errors import NotT1, PreconditionFailed, TooLarge
 from residua.generators import boolean, chain, divisor
 from residua.topology import (
     FiniteTopology,
     cb_sequence,
+    check_isolated_below_conditions_finite,
     check_order_compatible,
     closed_set_lattice,
     dual_lawson,
@@ -197,3 +198,29 @@ def test_locally_constant_core_on_discrete(chain3):
     cores = {x: mu_iterates(chain3, x)[-1] for x in chain3.elements()}
     for x in chain3.elements():
         assert locally_constant_core(chain3, t, x, cores)
+
+
+def test_isolated_below_finite_precondition(b3):
+    t = dual_lawson(b3)
+    with pytest.raises(PreconditionFailed):
+        check_isolated_below_conditions_finite(b3, t, b3.top)
+
+
+def test_isolated_below_finite_fixture():
+    # pretend topology on a 3-chain putting the bottom in the second layer
+    L = chain(3)
+    t = FiniteTopology.from_subbase(3, [[1], [2], [0, 1]])
+    rep = check_isolated_below_conditions_finite(L, t, 0)
+    assert not rep.vacuous
+    assert rep.clauses["no_t0_outcast"] is True
+    assert rep.clauses["tail_dually_compact"] is True
+    assert "net_strictly_below" in rep.clauses
+
+
+def test_isolated_below_finite_report_names_the_element():
+    L = chain(3)
+    t = FiniteTopology.from_subbase(3, [[1], [2], [0, 1]])
+    doc = check_isolated_below_conditions_finite(L, t, 0).to_json_dict()
+    assert doc["x"] == L.names[0]
+    assert doc["vacuous"] is False
+    assert list(doc["clauses"]) == sorted(doc["clauses"])
