@@ -117,7 +117,7 @@ def _cmd_analyze(args) -> int:
     family = _parse_family(L, args.family)
     profiles = {x: residual_profile(L, x, family) for x in L.elements()}
     if args.format == "dot":
-        if args.element:
+        if args.element is not None:
             x = L.poset.index_of(args.element)
             _emit(args, profiles[x].boundary_dot(L))
         else:
@@ -212,7 +212,7 @@ def _cmd_testbed(args) -> int:
     doc: dict = {"dims": args.dims, "bound": bound}
     mismatches = []
     discrepancies = []
-    if args.element:
+    if args.element is not None:
         x = parse_vec(args.element)
         p = cf.profile(x)
         preds = cf.characterization_predicates(x)

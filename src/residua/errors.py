@@ -52,7 +52,8 @@ class NotT1(ResiduaError):
 
 
 class TooLarge(ResiduaError):
-    """A generator was asked for a structure above its documented cap."""
+    """A generator or search was asked for a structure above its
+    documented cap."""
 
 
 class InvalidGroup(ResiduaError):

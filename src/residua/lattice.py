@@ -5,7 +5,10 @@ bit-packed row per element, so order queries are O(1) word operations.
 Meet/join tables are materialized on lattice construction and every
 ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
-can therefore never produce a silently wrong answer.
+can therefore never produce a silently wrong answer.  Facts derived from
+the order alone (lower covers, the completely co-irreducibles) are cached
+on the poset, facts that read the tables (residual derivatives) on the
+lattice, one row per element.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitset import bits, contains, full_mask, mask_of
+from .bitset import bits, full_mask, mask_of
 from .errors import (
     CycleDetected,
     LatticeIntegrityError,
@@ -73,6 +76,16 @@ class FinitePoset:
     def lower_covers(self) -> tuple[int, ...]:
         """``lower_covers[x]`` is the bitmask of the elements x covers."""
         return tuple(self.maximal_of(self.down[x] & ~(1 << x)) for x in range(self.n))
+
+    @cached_property
+    def coirreducibles(self) -> int:
+        """Bitmask of the completely co-irreducible elements: x has a unique
+        lower cover m and every element strictly below x is below m."""
+        down, out = self.down, 0
+        for x, row in enumerate(self.lower_covers):
+            if row.bit_count() == 1 and down[x] & ~(1 << x) & ~down[row.bit_length() - 1] == 0:
+                out |= 1 << x
+        return out
 
     def covers(self) -> list[tuple[int, int]]:
         """Edges (i, j) of the Hasse diagram, sorted: j covers i."""
@@ -224,18 +237,26 @@ class FiniteLattice:
         return self.join[i][j]
 
     # -- verified folds --------------------------------------------------
+    #
+    # Each fold checks its answer against the universal property: the
+    # common lower (upper) bounds of the set must be exactly down(acc)
+    # (up(acc)).  That one comparison is the same test as "acc is a common
+    # bound and every common bound is below (above) it": on a transitive
+    # order acc being a common bound forces down(acc) (up(acc)) inside the
+    # common bounds, and reflexivity puts acc in its own row.
 
     def meet_of_set(self, xs: Iterable[int]) -> int:
         """Meet of a finite set, verified against the universal property."""
         xs = list(xs)
         if not xs:
             return self.top  # every finite lattice has one
+        down, meet = self.poset.down, self.meet
         acc = xs[0]
-        lower = self.poset.down[acc]
+        lower = down[acc]
         for x in xs[1:]:
-            acc = self.meet[acc][x]
-            lower &= self.poset.down[x]
-        if not (contains(lower, acc) and lower & ~self.poset.down[acc] == 0):
+            acc = meet[acc][x]
+            lower &= down[x]
+        if lower != down[acc]:
             raise LatticeIntegrityError(
                 "meet table violates the universal property",
                 witness={"set": [self.names[x] for x in xs], "folded": self.names[acc]},
@@ -243,21 +264,32 @@ class FiniteLattice:
         return acc
 
     def join_of_set(self, xs: Iterable[int]) -> int:
-        """Join of a finite set; the empty join is the bottom."""
+        """Join of a finite set, verified the same way; the empty join is
+        the bottom."""
         xs = list(xs)
         if not xs:
             return self.bottom
+        up, join = self.poset.up, self.join
         acc = xs[0]
-        upper = self.poset.up[acc]
+        upper = up[acc]
         for x in xs[1:]:
-            acc = self.join[acc][x]
-            upper &= self.poset.up[x]
-        if not (contains(upper, acc) and upper & ~self.poset.up[acc] == 0):
+            acc = join[acc][x]
+            upper &= up[x]
+        if upper != up[acc]:
             raise LatticeIntegrityError(
                 "join table violates the universal property",
                 witness={"set": [self.names[x] for x in xs], "folded": self.names[acc]},
             )
         return acc
+
+    @cached_property
+    def derivatives(self) -> list:
+        """Row of residual derivatives (default family), filled one element
+        at a time by ``residual.residual_derivative``; None where not yet
+        computed.  It lives on the lattice, not the poset, because the
+        derivative reads the meet table: a ``mutate_entry`` copy starts
+        with its own empty row."""
+        return [None] * self.n
 
     # -- dual compactness -------------------------------------------------
 

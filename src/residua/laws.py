@@ -8,10 +8,18 @@ exhaustively; subset-valued quantifiers enumerate exhaustively for small
 carriers and fall back to seeded sampling above, which the report
 records.
 
-Two structural laws (downset upper-completeness and the lower-semilattice
-property of the dually compact elements) verify their joins/meets against
-the universal property on the order matrix across all pairs, so any
-corrupted meet or join table entry fails at least one registered law.
+Two structural laws verify the tables against the universal property on
+the order matrix.  Downset upper-completeness checks every join entry, in
+both argument orders, so any corrupted join entry fails it.  The
+lower-semilattice law of the dually compact elements checks every meet
+pair that ``_Ctx.pairs`` yields: every meet entry while the pair budget
+runs exhaustively, sampled pairs above it.
+
+On finite lattices the checkers read derived facts as cached rows
+(lower covers and co-irreducibles on the poset, derivatives on the
+lattice) and answer element quantifiers with mask operations, with the
+same verdicts, ``checked`` counts and witnesses as the per-element loops
+they replace; the tests keep those loops as references.
 """
 
 from __future__ import annotations
@@ -376,9 +384,12 @@ def _check_delta_equals_delta_plus(ctx):
 
 def _check_type_subadditive(ctx):
     L = ctx.L
+    # One count per element; the testbed's box is closed under joins
+    # (coordinatewise minima), so every join has its count too.
+    t = {x: classify_t(L, x) for x in ctx.elements}
     for x, z in ctx.pairs():
         ctx.checked += 1
-        if classify_t(L, L.join2(x, z)) > classify_t(L, x) + classify_t(L, z):
+        if t[L.join2(x, z)] > t[x] + t[z]:
             return False, ctx.witness(x=x, z=z)
     return True, None
 
@@ -447,6 +458,19 @@ def _check_minmax_bound(ctx):
     for asc in _sample_chains(ctx):
         desc = list(reversed(asc))
         bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
+        if ctx.finite:
+            # The same bit scan: under holds the z below every a v d.
+            down = L.poset.down
+            under = L.full()
+            for a, d in zip(asc, desc):
+                under &= down[L.join2(a, d)]
+            escaped = under & ~down[bound]
+            if not escaped:
+                ctx.checked += under.bit_count()
+                continue
+            first = escaped & -escaped
+            ctx.checked += (under & (2 * first - 1)).bit_count()
+            return False, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=first.bit_length() - 1)
         for z in ctx.elements:
             if all(L.leq(z, L.join2(a, d)) for a, d in zip(asc, desc)):
                 ctx.checked += 1
@@ -474,6 +498,16 @@ def _sample_chains(ctx) -> list:
 
 
 def _check_boundary_removal_descent(ctx):
+    """Removing boundary members from the join of core and boundary poset
+    leaves a target that x descends to by steps into maximal subelements.
+
+    The law is finite-only, and in a finite poset such a descent exists
+    iff target <= x: the elements z with target <= z < x form a finite
+    set, a maximal one among them is a lower cover of x, and induction on
+    the size of the interval [target, x] builds the chain of lower covers.
+    Each step only goes down, so a descent never reaches an element that
+    is not below x.  The test is therefore one order bit per target.
+    """
     L = ctx.L
     budget = ctx.budget
     for x in ctx.elements:
@@ -494,29 +528,11 @@ def _check_boundary_removal_descent(ctx):
         for removed in removals:
             ctx.checked += 1
             target = L.join_of_set([p.core, *[s for s in delta if s not in removed]])
-            if not _descends_to(L, x, target):
+            if not L.leq(target, x):
                 return False, ctx.witness(
                     {"removed": [ctx.name(s) for s in removed]}, x=x, target=target
                 )
     return True, None
-
-
-def _descends_to(L, x, target) -> bool:
-    """Can target be reached from x by steps into maximal subelements?"""
-    seen = set()
-    stack = [x]
-    interval = L.up_set(target)
-    while stack:
-        cur = stack.pop()
-        if cur == target:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for m in maximal_subelements(L, cur):
-            if contains(interval, m):
-                stack.append(m)
-    return False
 
 
 def _check_core_union(ctx):
@@ -533,12 +549,10 @@ def _check_core_union(ctx):
 
 def _check_core_decomp(ctx):
     L = ctx.L
-    t0 = [y for y in ctx.elements if classify_t(L, y) == 0]
+    t0 = mask_of(y for y in ctx.elements if classify_t(L, y) == 0)
+    down = L.poset.down
     for x, z in ctx.pairs():
-        j = L.join2(x, z)
-        for y in t0:
-            if not L.leq(y, j):
-                continue
+        for y in bits(t0 & down[L.join2(x, z)]):
             ctx.checked += 1
             got = L.join2(
                 ctx.profile(L.meet2(x, y)).core, ctx.profile(L.meet2(z, y)).core
@@ -590,12 +604,60 @@ def _check_x_minus_boundary_t0(ctx):
 def _check_downset_upper_complete(ctx):
     """Every subset of a downset has a least upper bound inside it.
 
-    Verified against the universal property on the order matrix for the
-    empty set, all singletons and all pairs, plus sampled larger subsets;
-    this is also what makes the suite sensitive to any corrupted join
-    entry.  ``join_of_set`` verifies a non-empty join against all of L,
-    which implies the property inside down(x) because x bounds the
-    subset; the empty join, the bottom, is checked here."""
+    The quantifier runs over the empty set, all singletons and all pairs
+    of each downset, plus sampled larger subsets.  One pass over the join
+    table decides the non-empty ones: if up(a v b) = up(a) & up(b) for
+    every a and b, in both argument orders, each entry is a least upper
+    bound, so every fold of ``join_of_set`` returns the true join, which
+    lies in down(x) because x bounds the subset.  The subsets are then
+    only counted, the sampled ones as many as the sampler would draw.
+    The empty join, the bottom, is checked for every x.
+
+    When the table check fails, the subsets are folded one by one to
+    report the first one that fails.  A bad entry that no folded subset
+    reaches (an entry join[i][j] with i > j is folded only by sampled
+    subsets) fails with the table check's pair, the top as x.
+    """
+    L = ctx.L
+    bad = _join_table_witness(L)
+    if bad is not None:
+        ok, witness = _fold_downset_subsets(ctx)
+        if not ok:
+            return ok, witness
+        a, b = bad
+        witness = ctx.witness({"set": [ctx.name(a), ctx.name(b)]}, join=L.join2(a, b), x=L.top)
+        witness["indices"].update(a=a, b=b)
+        return False, witness
+    budget = ctx.budget
+    down, up, bottom = L.poset.down, L.poset.up, L.bottom
+    for x in ctx.elements:
+        d = down[x].bit_count()
+        if d > 2 and d > budget.subset_exhaustive_bits:
+            ctx.sampled_subsets = True
+        ctx.checked += 1
+        if down[x] & ~up[bottom]:
+            return False, ctx.witness({"subset": []}, x=x, join=bottom)
+        ctx.checked += d + d * (d - 1) // 2
+        if d > 2:
+            ctx.checked += min(budget.max_sampled_subsets, 1 << min(d, 20))
+    return True, None
+
+
+def _join_table_witness(L):
+    """First pair (a, b) whose join entry is not the least upper bound, or
+    None when every entry is."""
+    up = L.poset.up
+    for a, row in enumerate(L.join):
+        ua = up[a]
+        for b, j in enumerate(row):
+            if up[j] != ua & up[b]:
+                return a, b
+    return None
+
+
+def _fold_downset_subsets(ctx):
+    """The subset loop of downset upper-completeness: fold each subset
+    through the verified ``join_of_set``."""
     L = ctx.L
     for x in ctx.elements:
         down = list(bits(L.down_set(x)))
@@ -632,7 +694,7 @@ def _check_k_lower_semilattice(ctx):
             ctx.checked += 1
             m = L.meet2(x, z)
             common = L.down_set(x) & L.down_set(z)
-            if not contains(common, m) or common & ~L.down_set(m):
+            if common != L.down_set(m):
                 return False, ctx.witness(x=x, z=z, meet=m)
         return True, None
     for x, z in ctx.pairs():

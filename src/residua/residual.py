@@ -3,7 +3,8 @@
 Every function here is generic over an *effective lattice* instance.  A
 finite lattice exposes ``strictly_below``/``elements`` and the calculus
 computes everything definitionally (the maximal subelements of x are its
-lower covers, a cached row of the order); an instance that instead
+lower covers, a cached row of the order, and derivatives are cached one
+element at a time on the lattice); an instance that instead
 supplies its own ``maximal_subelements``/``co_heyting_sub``/``outcasts``
 closed forms (the ordinal testbed) is used through those, so there is a
 single copy of the derivative/rank/stratum machinery.
@@ -79,7 +80,22 @@ def maximal_subelements(L, x, family=None) -> list:
 
 
 def residual_derivative(L, x, family=None):
-    """Meet of the maximal subelements; x itself when there are none."""
+    """Meet of the maximal subelements; x itself when there are none.
+
+    On a finite lattice the default-family answer is kept in
+    ``L.derivatives``.  It is stored only after its verified fold
+    returns, so a corrupted meet entry raises at every call.
+    """
+    if family is None and isinstance(L, FiniteLattice):
+        row = L.derivatives
+        mu = row[x]
+        if mu is None:
+            mu = row[x] = _derivative(L, x, None)
+        return mu
+    return _derivative(L, x, family)
+
+
+def _derivative(L, x, family):
     maxes = maximal_subelements(L, x, family)
     if not maxes:
         return x
@@ -92,8 +108,8 @@ def co_heyting_sub(L, x, z):
         return L.co_heyting_sub(x, z)
     if not L.leq(z, x):
         raise NotBelow(f"{L.names[z]} is not below {L.names[x]}")
-    cand = [y for y in bits(L.down_set(x)) if L.join2(z, y) == x]
-    return L.meet_of_set(cand)
+    jz = L.join[z]
+    return L.meet_of_set([y for y in bits(L.down_set(x)) if jz[y] == x])
 
 
 def mu_iterates(L, x, family=None, limit=None) -> list:
@@ -159,15 +175,7 @@ def completely_coirreducibles(L) -> list:
     """Elements with a unique maximal subelement dominating every proper subelement."""
     if hasattr(L, "completely_coirreducibles"):
         return L.completely_coirreducibles()
-    out = []
-    for x in L.elements():
-        maxes = maximal_subelements(L, x)
-        if len(maxes) != 1:
-            continue
-        mu = maxes[0]
-        if L.strictly_below(x) & ~L.down_set(mu) == 0:
-            out.append(x)
-    return out
+    return list(bits(L.poset.coirreducibles))
 
 
 @dataclass(frozen=True)
@@ -315,11 +323,7 @@ def delta_plus(L, x, core=None) -> list:
         return L.delta_plus(x)
     if core is None:
         core = mu_iterates(L, x)[-1]
-    return [
-        s
-        for s in completely_coirreducibles(L)
-        if L.leq(s, x) and not L.leq(s, core)
-    ]
+    return list(bits(L.poset.coirreducibles & L.down_set(x) & ~L.down_set(core)))
 
 
 @dataclass(frozen=True)

@@ -34,19 +34,26 @@ from .errors import (
     DimensionMismatch,
     NotBelow,
     PreconditionFailed,
+    TooLarge,
     UnstableVerdict,
 )
 from .residual import OMEGA, RankValue
 from .topology import IsolatedBelowReport
 
 MAX_DIMS = 4
+# Largest search grid (vectors held at once) that box() and _grid() build.
+MAX_GRID_POINTS = 100_000
 
 
 def parse_vec(text: str) -> tuple:
     """Parse a comma list like ``"3,inf"`` into a vector of naturals or inf."""
+    if not text.strip():
+        raise ValueError("empty vector; give comma-separated naturals or inf, e.g. 3,inf")
     coords = []
     for part in text.split(","):
         part = part.strip().lower()
+        if not part:
+            raise ValueError(f"empty coordinate in {text!r}")
         c = INF if part == "inf" else int(part)
         if c < 0:
             raise ValueError(f"coordinate {part} is negative; coordinates are naturals or inf")
@@ -350,6 +357,7 @@ class OrdinalCoframe:
 
     def box(self, bound: int) -> list:
         """All vectors with coordinates in {0..bound} or infinity."""
+        self._check_grid_size(bound, bound + 2)
         values = list(range(bound + 1)) + [INF]
         return [tuple(v) for v in itertools.product(values, repeat=self.dims)]
 
@@ -358,11 +366,21 @@ class OrdinalCoframe:
         # all subbase constraints with parameters <= bound treat those
         # values identically.
         if bound not in self._grids:
+            self._check_grid_size(bound, bound + 3)
             values = list(range(bound + 2)) + [INF]
             self._grids[bound] = [
                 tuple(v) for v in itertools.product(values, repeat=self.dims)
             ]
         return self._grids[bound]
+
+    def _check_grid_size(self, bound: int, values: int) -> None:
+        """Raise TooLarge, before anything is built, when a grid of
+        ``values`` choices per coordinate exceeds MAX_GRID_POINTS."""
+        if values ** self.dims > MAX_GRID_POINTS:
+            raise TooLarge(
+                f"bound {bound} in dims {self.dims} needs a grid of {values}^{self.dims} "
+                f"vectors, above the cap of {MAX_GRID_POINTS}"
+            )
 
     def max_finite(self, x: tuple) -> int:
         fins = [c for c in x if c != INF]

@@ -131,6 +131,12 @@ MALFORMED_INPUTS = {
     "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
     "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),
     "negative testbed bound": (["testbed", "--dims", "2", "--bound", "-1"], None),
+    "testbed coordinate beyond the grid cap": (["testbed", "--dims", "2", "--element", "99999999,1"], None),
+    "testbed bound beyond the grid cap": (["testbed", "--dims", "4", "--bound", "99999999"], None),
+    "testbed dims below 1": (["testbed", "--dims", "0"], None),
+    "empty testbed vector": (["testbed", "--dims", "2", "--element", ""], None),
+    "empty coordinate in a testbed vector": (["testbed", "--dims", "2", "--element", "3,"], None),
+    "empty element name for DOT output": (["analyze", "--gen", "chain:3", "--format", "dot", "--element", ""], None),
     "non-object Cayley JSON": (["group", "--input", "{file}"], [1, 2]),
     "Cayley JSON without order": (["group", "--input", "{file}"], {"elements": ["e"]}),
     "Cayley JSON with non-list table": (

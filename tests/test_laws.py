@@ -1,6 +1,10 @@
+import functools
 import itertools
 import json
+from dataclasses import fields, replace
 
+from residua.bitset import contains
+from residua.errors import LatticeIntegrityError
 from residua.generators import (
     boolean,
     chain,
@@ -8,17 +12,21 @@ from residua.generators import (
     downset_lattice,
     random_distributive,
 )
-from residua.lattice import build_poset, canonical_json
+from residua.lattice import FiniteLattice, build_poset, canonical_json
 from residua.laws import (
+    DEFAULT_BUDGET,
     Budget,
     LawId,
     REGISTRY,
-    all_pass,
+    _Ctx,
+    _fold_downset_subsets,
+    _sample_chains,
     mutate_entry,
     run_all,
     run_law,
     shrink,
 )
+from residua.residual import maximal_subelements
 
 # The one-checker-per-invariant table: every invariant of the residual
 # calculus and every structural law has exactly one registry entry.
@@ -126,33 +134,146 @@ def test_family_hypothesis_gate(b3):
     assert rep.verdict == "pass"
 
 
-def test_every_single_entry_mutation_fails_some_law(b2):
-    for table in ("meet", "join"):
-        for i in range(b2.n):
-            for j in range(b2.n):
-                orig = getattr(b2, table)[i][j]
-                for v in range(b2.n):
-                    if v == orig:
-                        continue
-                    mutated = mutate_entry(b2, table, i, j, v)
-                    assert not all_pass(run_all(mutated)), (table, i, j, v)
+# The laws that check the tables against the order run first, so that a
+# mutation is usually decided by one or two laws instead of all 26.
+INTEGRITY_FIRST = sorted(
+    REGISTRY, key=lambda law: law not in (LawId.DOWNSET_UPPER_COMPLETE, LawId.K_LOWER_SEMILATTICE)
+)
 
 
-def minmax_pairs_reference(L):
-    """The per-element loop over element pairs of the minmax_bound law:
-    ``(checked, witness)`` at the first z <= u v v not below the
-    conclusion, or None."""
-    checked = 0
-    for u, v in itertools.product(L.elements(), repeat=2):
+def fails_some_law(L) -> bool:
+    return any(run_law(L, law).verdict == "fail" for law in INTEGRITY_FIRST)
+
+
+def single_entry_mutations(L, tables=("meet", "join"), entries=None):
+    for table in tables:
+        for i, j in entries or itertools.product(L.elements(), repeat=2):
+            orig = getattr(L, table)[i][j]
+            for v in L.elements():
+                if v != orig:
+                    yield (table, i, j, v), mutate_entry(L, table, i, j, v)
+
+
+def test_every_single_entry_mutation_fails_some_law(b2, b3):
+    # On boolean:3 every entry, and on divisor:60 the join entries [i][j]
+    # with i > j, which only sampled subsets fold, so that only the check
+    # of the whole join table catches some of them, such as
+    # ("join", 5, 4, v) on boolean:3 and ("join", 6, 1, 1) on divisor:60.
+    d60 = divisor(60)
+    cases = itertools.chain(
+        single_entry_mutations(b2),
+        single_entry_mutations(b3),
+        single_entry_mutations(
+            d60, ("join",), [(i, j) for i, j in itertools.product(d60.elements(), repeat=2) if i > j]
+        ),
+    )
+    for key, mutated in cases:
+        assert fails_some_law(mutated), key
+
+
+def test_join_entry_no_subset_folds_fails_with_the_table_pair(b3):
+    mutated = mutate_entry(b3, "join", 5, 4, 0)
+    rep = run_law(mutated, LawId.DOWNSET_UPPER_COMPLETE)
+    assert rep.verdict == "fail"
+    names = b3.names
+    assert rep.to_json_dict()["witness"] == {
+        "set": [names[5], names[4]],
+        "join": names[0],
+        "x": names[b3.top],
+    }
+    assert rep.checked == run_law(b3, LawId.DOWNSET_UPPER_COMPLETE).checked
+
+
+def join_table_is_correct(L) -> bool:
+    up = L.poset.up
+    return all(
+        up[L.join2(a, b)] == up[a] & up[b] for a in L.elements() for b in L.elements()
+    )
+
+
+def test_downset_count_path_matches_subset_loop(lattice_corpus, b3):
+    """Whole reports (verdict, checked, sampled flag, witness) of the
+    table-check-and-count path equal those of the subset loop, which folds
+    every subset, except where the loop misses a bad join entry: there
+    the law fails with the table check's pair."""
+    law = LawId.DOWNSET_UPPER_COMPLETE
+    wrong_bottom = replace_bottom(b3, b3.top)
+    cases = [*lattice_corpus, wrong_bottom, *(m for _, m in single_entry_mutations(b3, ("join",)))]
+    caught_by_table = 0
+    for L in cases:
+        rep = run_law(L, law)
+        ctx = _Ctx(L, DEFAULT_BUDGET, law)
+        ok, witness = _fold_downset_subsets(ctx)
+        assert (rep.checked, rep.exhaustive, rep.sampled_subsets) == (
+            ctx.checked,
+            ctx.exhaustive,
+            ctx.sampled_subsets,
+        ), L.provenance
+        if not ok:
+            assert (rep.verdict, rep.witness) == ("fail", witness), L.provenance
+        elif join_table_is_correct(L):
+            assert (rep.verdict, rep.witness) == ("pass", None), L.provenance
+        else:
+            assert rep.verdict == "fail" and set(rep.witness) == {"set", "join", "x", "indices"}
+            caught_by_table += 1
+    assert run_law(wrong_bottom, law).verdict == "fail"
+    assert caught_by_table >= 17
+
+
+def replace_bottom(L, bottom):
+    return replace(L, bottom=bottom, provenance=f"{L.provenance}+bottom={bottom}")
+
+
+def descends_to_reference(L, x, target) -> bool:
+    """Can target be reached from x by steps into maximal subelements?
+    A breadth-first search over the lower covers inside up(target)."""
+    seen = set()
+    stack = [x]
+    interval = L.up_set(target)
+    while stack:
+        cur = stack.pop()
+        if cur == target:
+            return True
+        if cur in seen:
+            continue
+        seen.add(cur)
+        for m in maximal_subelements(L, cur):
+            if contains(interval, m):
+                stack.append(m)
+    return False
+
+
+def test_descent_search_matches_order(lattice_corpus):
+    for L in lattice_corpus:
+        for x in L.elements():
+            for t in L.elements():
+                assert descends_to_reference(L, x, t) == L.leq(t, x), (L.provenance, x, t)
+
+
+def minmax_reference(L):
+    """The minmax_bound law with both halves as per-element loops over
+    the same pairs and sampled chains: ``(verdict, checked, witness)``."""
+    ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MINMAX_BOUND)
+    for u, v in ctx.pairs():
         hyp = L.join2(u, v)
         conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
         for z in L.elements():
             if L.leq(z, hyp):
-                checked += 1
+                ctx.checked += 1
                 if not L.leq(z, conclusion):
-                    indices = {"u": u, "v": v, "z": z}
-                    return checked, {**{k: L.names[i] for k, i in indices.items()}, "indices": indices}
-    return None
+                    return "fail", ctx.checked, ctx.witness(u=u, v=v, z=z)
+    for asc in _sample_chains(ctx):
+        desc = list(reversed(asc))
+        try:
+            bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
+        except LatticeIntegrityError as e:
+            return "fail", ctx.checked, e.witness
+        for z in L.elements():
+            if all(L.leq(z, L.join2(a, d)) for a, d in zip(asc, desc)):
+                ctx.checked += 1
+                if not L.leq(z, bound):
+                    return "fail", ctx.checked, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=z)
+    return "pass", ctx.checked, None
 
 
 def test_minmax_bound_bit_scan_matches_element_loop(div12):
@@ -162,14 +283,36 @@ def test_minmax_bound_bit_scan_matches_element_loop(div12):
             if w == v:
                 continue
             mutated = mutate_entry(L, "meet", v, v, w)
-            expected = minmax_pairs_reference(mutated)
-            if expected is None:
-                continue
+            expected = minmax_reference(mutated)
             rep = run_law(mutated, LawId.MINMAX_BOUND)
-            assert rep.verdict == "fail"
-            assert (rep.checked, rep.witness) == expected
-            failures += 1
+            assert (rep.verdict, rep.checked, rep.witness) == expected
+            failures += expected[0] == "fail"
     assert failures >= 100
+
+
+class UncheckedFolds(FiniteLattice):
+    """A lattice whose folds trust the tables.  With verified folds the
+    chain half of minmax_bound cannot fail: its bound is the join entry
+    of the chain's top and bottom, which its own last term reads too.
+    Unverified folds let a corrupted entry reach the bound."""
+
+    def meet_of_set(self, xs):
+        return functools.reduce(lambda a, b: self.meet[a][b], xs)
+
+    def join_of_set(self, xs):
+        return functools.reduce(lambda a, b: self.join[a][b], xs)
+
+
+def test_minmax_bound_chain_bit_scan_matches_element_loop(div12):
+    chain_failures = 0
+    for L in (boolean(3), div12, chain(5)):
+        unchecked = UncheckedFolds(**{f.name: getattr(L, f.name) for f in fields(L)})
+        for key, mutated in single_entry_mutations(unchecked):
+            expected = minmax_reference(mutated)
+            rep = run_law(mutated, LawId.MINMAX_BOUND)
+            assert (rep.verdict, rep.checked, rep.witness) == expected, key
+            chain_failures += expected[0] == "fail" and "chain" in expected[2]
+    assert chain_failures >= 20
 
 
 def test_fault_reports_carry_witness(div12):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residua.bitset import bits, full_mask, mask_of, subsets
-from residua.errors import CycleDetected, NotALattice, UnknownElement
+from residua.bitset import bits, contains, full_mask, mask_of, subsets
+from residua.errors import CycleDetected, LatticeIntegrityError, NotALattice, UnknownElement
 from residua.lattice import (
     _birkhoff_distributive,
     as_lattice,
@@ -18,8 +18,8 @@ from residua.lattice import (
     meet_of_set,
     poset_from_json,
 )
-from residua.generators import chain
-from residua.laws import _distributivity_witness
+from residua.generators import boolean, chain
+from residua.laws import _distributivity_witness, mutate_entry
 
 
 def closure_oracle(names, pairs):
@@ -137,6 +137,52 @@ def test_meet_join_of_set(b2, div12):
             di, dj = int(div12.names[i]), int(div12.names[j])
             assert int(div12.names[div12.meet2(i, j)]) == gcd(di, dj)
             assert int(div12.names[div12.join2(i, j)]) == di * dj // gcd(di, dj)
+
+
+def fold_passes_two_conditions(rows, table, xs) -> bool:
+    """The fold check written as two conditions: the folded element is a
+    common bound, and every common bound lies beyond it."""
+    acc, common = xs[0], rows[xs[0]]
+    for x in xs[1:]:
+        acc = table[acc][x]
+        common &= rows[x]
+    return contains(common, acc) and common & ~rows[acc] == 0
+
+
+def fold_raises(fold, xs) -> bool:
+    try:
+        fold(xs)
+    except LatticeIntegrityError:
+        return True
+    return False
+
+
+def test_one_comparison_fold_check_matches_two_conditions(lattice_corpus):
+    cases = [(L, None) for L in lattice_corpus]
+    nondistributive = next(L for L in lattice_corpus if not L.distributive and L.n >= 6)
+    for L in (boolean(3), nondistributive):
+        for table in ("meet", "join"):
+            for i, j in itertools.product(L.elements(), repeat=2):
+                for v in L.elements():
+                    if v != getattr(L, table)[i][j]:
+                        cases.append((mutate_entry(L, table, i, j, v), (i, j)))
+    raised = 0
+    for L, entry in cases:
+        if entry is None:
+            folds = [[a, b] for a in L.elements() for b in L.elements()]
+        else:
+            # every fold that reads the mutated entry first or second
+            i, j = entry
+            folds = [[i, j], *([i, j, k] for k in L.elements()), *([k, i, j] for k in L.elements())]
+        for xs in folds:
+            for fold, rows, table in (
+                (L.meet_of_set, L.poset.down, L.meet),
+                (L.join_of_set, L.poset.up, L.join),
+            ):
+                expected = not fold_passes_two_conditions(rows, table, xs)
+                assert fold_raises(fold, xs) == expected, (L.provenance, xs)
+                raised += expected
+    assert raised >= 1000
 
 
 def _filtered_subsets(L):

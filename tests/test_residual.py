@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residua.bitset import bits, mask_of
-from residua.errors import NotBelow
+from residua.errors import LatticeIntegrityError, NotBelow
 from residua.generators import (
     antichain_poset,
     downset_lattice,
@@ -25,6 +25,7 @@ from residua.residual import (
     residual_derivative,
     residual_profile,
 )
+from residua.laws import mutate_entry
 from residua.testbed import INF, OrdinalCoframe
 
 
@@ -178,6 +179,60 @@ def test_classify_t(b2, b3):
     assert classify_t(b2, b2.top) == 2
     assert classify_t(b2, b2.bottom) == 0
     assert classify_t(b3, b3.top) == 3
+
+
+def derivative_oracle(L, x):
+    """Meet of the maximal subelements read off the order matrix: the
+    element whose downset is their common downset."""
+    maxes = maximal_oracle(L, x)
+    if not maxes:
+        return x
+    common = L.full()
+    for m in maxes:
+        common &= L.down_set(m)
+    return next(z for z in L.elements() if L.down_set(z) == common)
+
+
+def coirreducibles_oracle(L):
+    """Elements with one maximal subelement that dominates every element
+    strictly below, straight from the definition."""
+    out = []
+    for x in L.elements():
+        maxes = maximal_oracle(L, x)
+        below = [z for z in L.elements() if L.lt(z, x)]
+        if len(maxes) == 1 and all(L.leq(z, maxes[0]) for z in below):
+            out.append(x)
+    return out
+
+
+def test_cached_rows_match_recomputation(lattice_corpus):
+    for L in lattice_corpus:
+        expected = [derivative_oracle(L, x) for x in L.elements()]
+        assert [residual_derivative(L, x) for x in L.elements()] == expected, L.provenance
+        assert L.derivatives == expected
+        # the second pass reads the filled row
+        assert [residual_derivative(L, x) for x in L.elements()] == expected
+        coirreducibles = coirreducibles_oracle(L)
+        assert completely_coirreducibles(L) == coirreducibles, L.provenance
+        for x in L.elements():
+            core = mu_iterates(L, x)[-1]
+            assert delta_plus(L, x) == [
+                s for s in coirreducibles if L.leq(s, x) and not L.leq(s, core)
+            ]
+
+
+def test_derivative_row_is_per_lattice_and_never_holds_a_failure(b3):
+    top = b3.top
+    expected = residual_derivative(b3, top)
+    m1, m2 = maximal_subelements(b3, top)[:2]
+    bad = mutate_entry(b3, "meet", m1, m2, top)
+    assert bad.derivatives is not b3.derivatives
+    assert bad.poset is b3.poset
+    for _ in range(2):
+        with pytest.raises(LatticeIntegrityError):
+            residual_derivative(bad, top)
+    assert bad.derivatives[top] is None
+    assert residual_derivative(b3, top) == expected
 
 
 def test_completely_coirreducibles(chain3, b2):

@@ -11,12 +11,14 @@ from residua.errors import (
     DimensionMismatch,
     NotBelow,
     PreconditionFailed,
+    TooLarge,
 )
 from residua.residual import OMEGA, RankValue, mu_iterates
 from residua.testbed import (
     ANY,
     INF,
     IS_INF,
+    MAX_GRID_POINTS,
     CoordConstraint,
     OrdinalCoframe,
     fmt_vec,
@@ -34,6 +36,23 @@ def test_parse_and_format():
     assert parse_vec("3,inf") == (3, INF)
     assert fmt_vec((3, INF)) == "3,inf"
     assert parse_vec("0") == (0,)
+    for text in ("", " ", "3,", ",inf"):
+        with pytest.raises(ValueError):
+            parse_vec(text)
+
+
+def test_grids_above_the_cap_are_refused_before_they_are_built():
+    cf = OrdinalCoframe(2)
+    with pytest.raises(TooLarge):
+        cf.box(10**8)
+    with pytest.raises(TooLarge):
+        cf.isolated_oracle((99999999, 1), 10**8 + 1)
+    assert cf._grids == {}
+    # the largest bounds under the cap still build
+    largest = max(b for b in range(400) if (b + 3) ** 2 <= MAX_GRID_POINTS)
+    assert len(cf._grid(largest)) == (largest + 3) ** 2
+    with pytest.raises(TooLarge):
+        cf._grid(largest + 1)
 
 
 def test_order_examples(cf2):
