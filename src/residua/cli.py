@@ -236,24 +236,15 @@ def _cmd_testbed(args) -> int:
                 [c.to_json() for c in pat] for pat in pats
             ] or "empty"
         doc["cb_levels"] = levels
-        sweep = []
-        for x in cf.box(bound):
+        box = cf.box(bound)
+        for x in box:
             preds = cf.characterization_predicates(x)
             oracle = cf.isolated_oracle(x, max(bound, cf.max_finite(x) + 2))
             if preds["corrected"] != oracle:
                 mismatches.append(fmt_vec(x))
             if preds["literal"] != preds["corrected"]:
                 discrepancies.append(fmt_vec(x))
-            sweep.append(
-                {
-                    "element": fmt_vec(x),
-                    "literal": preds["literal"],
-                    "corrected": preds["corrected"],
-                    "isolated": oracle,
-                    "cb_level": cf.cb_level(x),
-                }
-            )
-        doc["sweep_size"] = len(sweep)
+        doc["sweep_size"] = len(box)
         if args.cb:
             ladder = []
             for alpha in range(args.dims + 1):

@@ -434,50 +434,38 @@ def _check_minmax_bound(ctx):
     """Monotone-pair bound, sampled as constant pairs (every pair of
     elements, read as one-step monotone nets) plus ascending/descending
     chain pairs.  The constant-pair folds deliberately walk every join
-    entry and the table diagonals."""
+    entry and the table diagonals.
+
+    Each quantifier over z is a bit scan: ``checked`` counts the z below
+    the hypothesis up to the first (lowest) one that escapes the
+    conclusion, which is the witness."""
     L = ctx.L
+    down = L.poset.down
     for u, v in ctx.pairs():
         hyp = L.join2(u, v)
         conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
-        if ctx.finite:
-            # The element loop below as a bit scan: count the z <= hyp up
-            # to the first (lowest) one that escapes the conclusion.
-            under = L.poset.down[hyp]
-            escaped = under & ~L.poset.down[conclusion]
-            if not escaped:
-                ctx.checked += under.bit_count()
-                continue
-            first = escaped & -escaped
-            ctx.checked += (under & (2 * first - 1)).bit_count()
-            return False, ctx.witness(u=u, v=v, z=first.bit_length() - 1)
-        for z in ctx.elements:
-            if L.leq(z, hyp):
-                ctx.checked += 1
-                if not L.leq(z, conclusion):
-                    return False, ctx.witness(u=u, v=v, z=z)
+        under = down[hyp]
+        escaped = under & ~down[conclusion]
+        if not escaped:
+            ctx.checked += under.bit_count()
+            continue
+        first = escaped & -escaped
+        ctx.checked += (under & (2 * first - 1)).bit_count()
+        return False, ctx.witness(u=u, v=v, z=first.bit_length() - 1)
     for asc in _sample_chains(ctx):
         desc = list(reversed(asc))
         bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
-        if ctx.finite:
-            # The same bit scan: under holds the z below every a v d.
-            down = L.poset.down
-            under = L.full()
-            for a, d in zip(asc, desc):
-                under &= down[L.join2(a, d)]
-            escaped = under & ~down[bound]
-            if not escaped:
-                ctx.checked += under.bit_count()
-                continue
-            first = escaped & -escaped
-            ctx.checked += (under & (2 * first - 1)).bit_count()
-            return False, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=first.bit_length() - 1)
-        for z in ctx.elements:
-            if all(L.leq(z, L.join2(a, d)) for a, d in zip(asc, desc)):
-                ctx.checked += 1
-                if not L.leq(z, bound):
-                    return False, ctx.witness(
-                        {"chain": [ctx.name(c) for c in asc]}, z=z
-                    )
+        # under holds the z below every a v d
+        under = L.full()
+        for a, d in zip(asc, desc):
+            under &= down[L.join2(a, d)]
+        escaped = under & ~down[bound]
+        if not escaped:
+            ctx.checked += under.bit_count()
+            continue
+        first = escaped & -escaped
+        ctx.checked += (under & (2 * first - 1)).bit_count()
+        return False, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=first.bit_length() - 1)
     return True, None
 
 
@@ -628,19 +616,26 @@ def _check_downset_upper_complete(ctx):
         witness = ctx.witness({"set": [ctx.name(a), ctx.name(b)]}, join=L.join2(a, b), x=L.top)
         witness["indices"].update(a=a, b=b)
         return False, witness
-    budget = ctx.budget
     down, up, bottom = L.poset.down, L.poset.up, L.bottom
     for x in ctx.elements:
         d = down[x].bit_count()
-        if d > 2 and d > budget.subset_exhaustive_bits:
-            ctx.sampled_subsets = True
+        draws = _sampled_subset_draws(ctx, d)
         ctx.checked += 1
         if down[x] & ~up[bottom]:
             return False, ctx.witness({"subset": []}, x=x, join=bottom)
-        ctx.checked += d + d * (d - 1) // 2
-        if d > 2:
-            ctx.checked += min(budget.max_sampled_subsets, 1 << min(d, 20))
+        ctx.checked += d + d * (d - 1) // 2 + draws
     return True, None
+
+
+def _sampled_subset_draws(ctx, d: int) -> int:
+    """How many subsets of three or more members the downset law draws
+    from a d-element downset; marks the report sampled when the draws
+    cannot cover them all."""
+    if d <= 2:
+        return 0
+    if d > ctx.budget.subset_exhaustive_bits:
+        ctx.sampled_subsets = True
+    return min(ctx.budget.max_sampled_subsets, 1 << min(d, 20))
 
 
 def _join_table_witness(L):
@@ -664,12 +659,9 @@ def _fold_downset_subsets(ctx):
         subsets = [[]]
         subsets.extend([d] for d in down)
         subsets.extend(list(p) for p in itertools.combinations(down, 2))
-        if len(down) > 2:
-            if len(down) > ctx.budget.subset_exhaustive_bits:
-                ctx.sampled_subsets = True
-            for _ in range(min(ctx.budget.max_sampled_subsets, 1 << min(len(down), 20))):
-                k = ctx.rng.randint(3, len(down))
-                subsets.append(ctx.rng.sample(down, k))
+        for _ in range(_sampled_subset_draws(ctx, len(down))):
+            k = ctx.rng.randint(3, len(down))
+            subsets.append(ctx.rng.sample(down, k))
         for s in subsets:
             ctx.checked += 1
             try:

@@ -41,8 +41,10 @@ from .residual import OMEGA, RankValue
 from .topology import IsolatedBelowReport
 
 MAX_DIMS = 4
-# Largest search grid (vectors held at once) that box() and _grid() build.
-MAX_GRID_POINTS = 100_000
+# Largest grid that box() and _grid() build.  A grid vector takes about
+# 85 bytes, so one grid at the cap holds about 85 MB; the stable subspace
+# search keeps four grids.
+MAX_GRID_POINTS = 1_000_000
 
 
 def parse_vec(text: str) -> tuple:
@@ -386,9 +388,9 @@ class OrdinalCoframe:
         fins = [c for c in x if c != INF]
         return max(fins) if fins else 0
 
-    def _punctured_open(self, x: tuple, bound: int, points) -> list:
-        """The points other than x in the smallest basic open around x
-        with parameters <= bound.
+    def _open_box(self, x: tuple, bound: int) -> list:
+        """Per coordinate, the range [lo, hi] of the smallest basic open
+        around x with parameters <= bound.
 
         A basic open is the downset of an all-finite vector a (the
         positive part) minus finitely many such downsets (the negative
@@ -401,9 +403,13 @@ class OrdinalCoframe:
         the box of z with min(x_j, bound) <= z_j <= x_j where x_j < bound
         and z_j >= bound elsewhere; neither argument uses the closed forms.
         """
+        return [(min(c, bound), c if c < bound else INF) for c in x]
+
+    def _punctured_open(self, x: tuple, bound: int, points) -> list:
+        """The points other than x of ``points`` in the smallest basic open
+        around x with parameters <= bound (see ``_open_box``)."""
         near = points
-        for j, c in enumerate(x):
-            lo, hi = min(c, bound), c if c < bound else INF
+        for j, (lo, hi) in enumerate(self._open_box(x, bound)):
             near = [z for z in near if lo <= z[j] <= hi]
         return [z for z in near if z != x]
 
@@ -412,10 +418,15 @@ class OrdinalCoframe:
         ``members`` (default: the whole grid)?
 
         If any basic open does, the smallest one does, so the answer is
-        whether that open holds no other member.
+        whether that open holds no other member.  On the whole grid
+        nothing needs building: a coordinate whose range in
+        ``_open_box`` is not a single value admits bound, bound + 1 and
+        infinity, all grid values, so the open holds another grid point
+        iff some range is not a single value.
         """
-        points = self._grid(bound) if members is None else members
-        return not self._punctured_open(x, bound, points)
+        if members is not None:
+            return not self._punctured_open(x, bound, members)
+        return all(lo == hi for lo, hi in self._open_box(x, bound))
 
     def _stable_isolation(self, x: tuple, bound: int, member=None) -> bool:
         """Run the basic-open search at ``bound`` and at the next three

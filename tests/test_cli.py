@@ -101,6 +101,19 @@ def test_testbed_single_element(tmp_path):
     assert doc["element"]["isolated"] is False
 
 
+@pytest.mark.parametrize(
+    "dims, element, isolated",
+    [("4", "10,0,0,0", True), ("3", "40,0,0", True), ("2", "99999999,1", True), ("4", "99999999,inf,3,0", False)],
+)
+def test_testbed_large_element_is_answered(tmp_path, dims, element, isolated):
+    # the isolation search reads the box of its open instead of building a grid
+    out = tmp_path / "el.json"
+    assert run_cli("testbed", "--dims", dims, "--element", element, "--report", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["element"]["isolated"] is isolated
+    assert doc["oracle_mismatches"] == []
+
+
 def test_group_and_ring(tmp_path, capsys):
     assert run_cli("group", "--name", "q8", "--format", "text") == 0
     assert "6 subgroups" in capsys.readouterr().out
@@ -131,7 +144,6 @@ MALFORMED_INPUTS = {
     "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
     "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),
     "negative testbed bound": (["testbed", "--dims", "2", "--bound", "-1"], None),
-    "testbed coordinate beyond the grid cap": (["testbed", "--dims", "2", "--element", "99999999,1"], None),
     "testbed bound beyond the grid cap": (["testbed", "--dims", "4", "--bound", "99999999"], None),
     "testbed dims below 1": (["testbed", "--dims", "0"], None),
     "empty testbed vector": (["testbed", "--dims", "2", "--element", ""], None),

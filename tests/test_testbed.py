@@ -41,18 +41,26 @@ def test_parse_and_format():
             parse_vec(text)
 
 
-def test_grids_above_the_cap_are_refused_before_they_are_built():
+def test_grids_above_the_cap_are_refused_before_they_are_built(monkeypatch):
     cf = OrdinalCoframe(2)
     with pytest.raises(TooLarge):
         cf.box(10**8)
+    assert MAX_GRID_POINTS >= 18**4  # the bounds of --dims 4 --element 10,0,0,0
+    monkeypatch.setattr("residua.testbed.MAX_GRID_POINTS", 100)
+    assert len(cf._grid(7)) == (7 + 3) ** 2 == 100
     with pytest.raises(TooLarge):
-        cf.isolated_oracle((99999999, 1), 10**8 + 1)
+        cf._grid(8)
+    assert len(cf.box(8)) == (8 + 2) ** 2 == 100
+    with pytest.raises(TooLarge):
+        cf.box(9)
+    assert list(cf._grids) == [7]
+
+
+def test_isolation_search_builds_no_grid():
+    cf = OrdinalCoframe(2)
+    assert cf.isolated_oracle((99999999, 1), 10**8 + 1) is True
+    assert cf.isolated_oracle((99999999, INF), 10**8 + 1) is False
     assert cf._grids == {}
-    # the largest bounds under the cap still build
-    largest = max(b for b in range(400) if (b + 3) ** 2 <= MAX_GRID_POINTS)
-    assert len(cf._grid(largest)) == (largest + 3) ** 2
-    with pytest.raises(TooLarge):
-        cf._grid(largest + 1)
 
 
 def test_order_examples(cf2):
@@ -464,7 +472,8 @@ def test_separable_matches_exhaustive_search():
     for dims, bounds in ((1, range(8)), (2, range(8)), (3, range(5))):
         cf = OrdinalCoframe(dims)
         for bound in bounds:
-            for x in cf._grid(bound):
+            # x off the grid too: coordinates up to bound + 3
+            for x in cf._grid(bound + 2):
                 got = cf._separable(x, bound)
                 assert got == exhaustive_separable(cf, x, bound), (x, bound)
                 verdicts.add(got)
