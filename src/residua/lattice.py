@@ -6,9 +6,9 @@ Meet/join tables are materialized on lattice construction and every
 ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
-the order alone (lower covers, the completely co-irreducibles) are cached
-on the poset, facts that read the tables (residual derivatives) on the
-lattice, one row per element.
+the order alone (lower covers, the join-irreducibles, the completely
+co-irreducibles) are cached on the poset, facts that read the tables
+(residual derivatives) on the lattice, one row per element.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ class FinitePoset:
         return tuple(self.maximal_of(self.down[x] & ~(1 << x)) for x in range(self.n))
 
     @cached_property
+    def irreducibles(self) -> int:
+        """Bitmask of the join-irreducibles: the elements with exactly one
+        lower cover."""
+        return mask_of(x for x, row in enumerate(self.lower_covers) if row.bit_count() == 1)
+
+    @cached_property
     def coirreducibles(self) -> int:
         """Bitmask of the completely co-irreducible elements: x has a unique
         lower cover m and every element strictly below x is below m."""
@@ -92,11 +98,22 @@ class FinitePoset:
         return sorted((i, j) for j, row in enumerate(self.lower_covers) for i in bits(row))
 
     def maximal_of(self, mask: int) -> int:
-        """Bitmask of the maximal elements of the given subset."""
+        """Bitmask of the maximal elements of the given subset.
+
+        Each round climbs from the highest remaining bit through larger
+        remaining elements to a maximal one, keeps it and drops its
+        downset, which holds no other maximal element.  The work grows
+        with the maximal elements and the climbs, not with the subset."""
+        up, down = self.up, self.down
         out = 0
-        for i in bits(mask):
-            if self.up[i] & mask == 1 << i:
-                out |= 1 << i
+        while mask:
+            i = mask.bit_length() - 1
+            above = up[i] & mask & ~(1 << i)
+            while above:
+                i = above.bit_length() - 1
+                above = up[i] & mask & ~(1 << i)
+            out |= 1 << i
+            mask &= ~down[i]
         return out
 
     def to_json_dict(self) -> dict:
@@ -395,8 +412,8 @@ def _birkhoff_distributive(p: FinitePoset, join) -> bool:
     (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
     ch. 5).  O(n^2) mask operations against the O(n^3) triple scan.
     """
-    irreducible = mask_of(x for x, row in enumerate(p.lower_covers) if row.bit_count() == 1)
-    J = [row & irreducible for row in p.down]
+    irreducibles = p.irreducibles
+    J = [row & irreducibles for row in p.down]
     for x in range(p.n):
         jx, jrow = J[x], join[x]
         for y in range(x + 1, p.n):

@@ -20,6 +20,18 @@ On finite lattices the checkers read derived facts as cached rows
 lattice) and answer element quantifiers with mask operations, with the
 same verdicts, ``checked`` counts and witnesses as the per-element loops
 they replace; the tests keep those loops as references.
+
+Two corollaries bound what the finite checks can see.  Every core on a
+finite distributive lattice is the bottom (the derivative peels the
+join-irreducibles below x layer by layer until none is left), so there
+the core laws check the tables, not cores.  And the only zero-maximal
+element of a finite lattice is its bottom, so t0 = {bottom}, and
+``core_decomp``, ``core_union`` and ``t0_upper_semilattice`` quantify
+over the bottom only.  On a distributive lattice the residues x - z are
+folds of join-irreducibles through the join table (see
+``residual.co_heyting_sub``) and read no meet entry; the meet table
+reaches the laws through the derivatives, and ``k_lower_semilattice``
+checks every meet pair.
 """
 
 from __future__ import annotations
@@ -29,11 +41,12 @@ import random
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
-from .errors import LatticeIntegrityError
-from .lattice import FiniteLattice, FinitePoset
+from .errors import LatticeIntegrityError, NoBottom, NotALattice
+from .lattice import FiniteLattice, FinitePoset, as_lattice
 from .residual import (
     classify_t,
     co_heyting_sub,
@@ -131,12 +144,18 @@ class _Ctx:
             self.elements = list(L.elements())
         else:
             self.elements = L.box(budget.testbed_bound)
-        self.rng = random.Random(f"{budget.seed}:{law.value}")
+        self._rng_seed = f"{budget.seed}:{law.value}"
         share = profiles is not None and family is None
         self.profiles = profiles if share else {}
         self.exhaustive = True
         self.sampled_subsets = False
         self.checked = 0
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The law's seeded sampler, built on first use: most laws never
+        draw."""
+        return random.Random(self._rng_seed)
 
     def name(self, x) -> str:
         if self.finite:
@@ -154,14 +173,33 @@ class _Ctx:
         return self.profiles[x]
 
     def pairs(self):
-        n = len(self.elements)
+        """Every ordered pair within ``max_pairs``, else ``max_pairs``
+        distinct pairs drawn without replacement."""
+        els = self.elements
+        n = len(els)
         if n * n <= self.budget.max_pairs:
-            return itertools.product(self.elements, self.elements)
+            return itertools.product(els, els)
         self.exhaustive = False
-        return (
-            (self.rng.choice(self.elements), self.rng.choice(self.elements))
-            for _ in range(self.budget.max_pairs)
-        )
+        return self._distinct_pairs(els, self.budget.max_pairs)
+
+    def _distinct_pairs(self, els, k):
+        """Draw k distinct ordered pairs, one at a time, keeping a bitmap
+        of the pairs drawn so far (n^2 / 8 bytes).  ``random.sample`` would
+        copy all n^2 pair numbers into a list whenever n^2 is below about
+        4 * k: 36 MB at n = 1024."""
+        n = len(els)
+        count = n * n
+        width, draw = (count - 1).bit_length(), self.rng.getrandbits
+        taken = bytearray(count // 8 + 1)
+        while k:
+            d = draw(width)  # uniform below 2^width; keep it if below count
+            if d >= count:
+                continue
+            byte, bit = d >> 3, 1 << (d & 7)
+            if not taken[byte] & bit:
+                taken[byte] |= bit
+                k -= 1
+                yield els[d // n], els[d % n]
 
     def below(self, x):
         if self.finite:
@@ -316,7 +354,15 @@ def _check_outcast_trichotomy(ctx):
 
 
 def _check_strata_ranked(ctx):
-    L = ctx.L
+    """Each stratum is an antichain, and s < t in the boundary poset puts
+    s in a later stratum than t.
+
+    Both quantifiers over t are masks: a later member t of the stratum of
+    s is comparable with it iff t is in up(s) | down(s), and s < t breaks
+    the rank order iff t is in up(s) among the members whose stratum is
+    not earlier than that of s.  The lowest such bit is the t that the
+    pair loops over sorted strata would reach first."""
+    up, down = ctx.L.poset.up, ctx.L.poset.down
     for x in ctx.elements:
         ctx.checked += 1
         p = ctx.profile(x)
@@ -326,13 +372,22 @@ def _check_strata_ranked(ctx):
                 if s in seen:
                     return False, ctx.witness({"strata": [seen[s], a]}, x=x, s=s)
                 seen[s] = a
-            for s, t in itertools.combinations(stratum, 2):
-                if L.leq(s, t) or L.leq(t, s):
-                    return False, ctx.witness({"violated": "antichain"}, x=x, s=s, t=t)
+            later = mask_of(stratum)
+            for s in stratum:
+                later ^= 1 << s
+                hit = (up[s] | down[s]) & later
+                if hit:
+                    return False, ctx.witness({"violated": "antichain"}, x=x, s=s, t=next(bits(hit)))
+        # from_stratum[a]: the members whose stratum index is a or more
+        from_stratum = [0] * (len(p.strata) + 1)
+        for s, a in p.rho.items():
+            from_stratum[a] |= 1 << s
+        for a in range(len(p.strata) - 1, -1, -1):
+            from_stratum[a] |= from_stratum[a + 1]
         for s in p.boundary_poset:
-            for t in p.boundary_poset:
-                if L.lt(s, t) and not p.rho[s] > p.rho[t]:
-                    return False, ctx.witness({"violated": "rank order"}, x=x, s=s, t=t)
+            hit = up[s] & from_stratum[p.rho[s]] & ~(1 << s)
+            if hit:
+                return False, ctx.witness({"violated": "rank order"}, x=x, s=s, t=next(bits(hit)))
     return True, None
 
 
@@ -396,13 +451,13 @@ def _check_type_subadditive(ctx):
 
 def _check_subelement_decomp(ctx):
     L = ctx.L
+    down, meet = L.poset.down, L.meet
     for x in ctx.elements:
         p = ctx.profile(x)
-        for z in bits(L.down_set(x)):
+        core, boundary = p.core, mask_of(p.boundary_poset)
+        for z in bits(down[x]):
             ctx.checked += 1
-            parts = [L.meet2(z, p.core)]
-            parts.extend(s for s in p.boundary_poset if L.leq(s, z))
-            if L.join_of_set(parts) != z:
+            if L.join_of_set([meet[z][core], *bits(boundary & down[z])]) != z:
                 return False, ctx.witness(x=x, z=z)
     return True, None
 
@@ -420,10 +475,13 @@ def _check_mu_monotone(ctx):
 
 def _check_mu_join_hom(ctx):
     L = ctx.L
+    join2, profile, profiles = L.join2, ctx.profile, ctx.profiles
     for x, z in ctx.pairs():
         ctx.checked += 1
-        j = L.join2(x, z)
-        expected = L.join2(ctx.profile(x).mu, ctx.profile(z).mu)
+        j = join2(x, z)
+        px = profiles.get(x) or profile(x)
+        pz = profiles.get(z) or profile(z)
+        expected = join2(px.mu, pz.mu)
         got = residual_derivative(L, j)
         if got != expected:
             return False, ctx.witness(x=x, z=z, join=j, mu=got, mu_of_parts=expected)
@@ -435,6 +493,11 @@ def _check_minmax_bound(ctx):
     elements, read as one-step monotone nets) plus ascending/descending
     chain pairs.  The constant-pair folds deliberately walk every join
     entry and the table diagonals.
+
+    The chain half fails only through a verified fold: its bound
+    ``join[a_k][a_0]`` is also the last term of ``under``, so only a
+    ``LatticeIntegrityError`` from ``join_of_set``/``meet_of_set`` can
+    fail it while the folds verify.
 
     Each quantifier over z is a bit scan: ``checked`` counts the z below
     the hypothesis up to the first (lowest) one that escapes the
@@ -495,17 +558,26 @@ def _check_boundary_removal_descent(ctx):
     the size of the interval [target, x] builds the chain of lower covers.
     Each step only goes down, so a descent never reaches an element that
     is not below x.  The test is therefore one order bit per target.
+
+    It fails only through a verified fold: each target is the checked
+    join of the core and boundary members, all below x, so it is below x
+    whenever its fold passes.  Within ``subset_exhaustive_bits`` the
+    folds of all kept sets come from one pass (``_removal_folds_pass``);
+    only when one of them fails are the removals replayed one by one, in
+    the order below, to report the first failure.
     """
     L = ctx.L
     budget = ctx.budget
+    up, down = L.poset.up, L.poset.down
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
         if len(delta) <= budget.subset_exhaustive_bits:
-            removals = list(
-                itertools.chain.from_iterable(
-                    itertools.combinations(delta, k) for k in range(len(delta) + 1)
-                )
+            if _removal_folds_pass(up, down[x], L.join, p.core, delta):
+                ctx.checked += 1 << len(delta)
+                continue
+            removals = itertools.chain.from_iterable(
+                itertools.combinations(delta, k) for k in range(len(delta) + 1)
             )
         else:
             ctx.sampled_subsets = True
@@ -523,7 +595,35 @@ def _check_boundary_removal_descent(ctx):
     return True, None
 
 
+def _removal_folds_pass(up, below_x: int, join, core: int, delta: list) -> bool:
+    """Do the folds of ``[core, *kept]`` pass ``join_of_set``'s check and
+    land below x (``below_x`` is down(x)) for every kept subset of delta?
+
+    The folds share prefixes: with kept in delta order, the fold of
+    ``[core, *kept]`` is the join entry of the fold of kept minus its last
+    member with that member, and the running AND of up rows extends the
+    same way.  After the i-th member, entry k of ``accs``/``uppers`` is
+    the kept set whose bits are those of k, for every k below 2^(i+1).
+    The empty kept set folds to the core.
+    """
+    if not below_x >> core & 1:
+        return False
+    accs, uppers = [core], [up[core]]
+    for s in delta:
+        row_s = up[s]
+        new_accs = [join[a][s] for a in accs]
+        new_uppers = [u & row_s for u in uppers]
+        for a, u in zip(new_accs, new_uppers):
+            if u != up[a] or not below_x >> a & 1:
+                return False
+        accs += new_accs
+        uppers += new_uppers
+    return True
+
+
 def _check_core_union(ctx):
+    """The core is the join of the zero-maximal elements below x; on a
+    finite lattice that set is {bottom}."""
     L = ctx.L
     t0 = [x for x in ctx.elements if classify_t(L, x) == 0]
     for x in ctx.elements:
@@ -536,15 +636,24 @@ def _check_core_union(ctx):
 
 
 def _check_core_decomp(ctx):
+    """Zero-maximal y below x v z is the join of the cores of x ^ y and
+    z ^ y.  The only zero-maximal element of a finite lattice is the
+    bottom, so on finite instances each pair checks one y."""
     L = ctx.L
     t0 = mask_of(y for y in ctx.elements if classify_t(L, y) == 0)
     down = L.poset.down
+    join2, meet2 = L.join2, L.meet2
+    profile, profiles = ctx.profile, ctx.profiles
     for x, z in ctx.pairs():
-        for y in bits(t0 & down[L.join2(x, z)]):
+        ys = t0 & down[join2(x, z)]
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
             ctx.checked += 1
-            got = L.join2(
-                ctx.profile(L.meet2(x, y)).core, ctx.profile(L.meet2(z, y)).core
-            )
+            a, b = meet2(x, y), meet2(z, y)
+            core_a = (profiles.get(a) or profile(a)).core
+            got = join2(core_a, (profiles.get(b) or profile(b)).core)
             if got != y:
                 return False, ctx.witness(x=x, z=z, y=y, got=got)
     return True, None
@@ -552,10 +661,14 @@ def _check_core_decomp(ctx):
 
 def _check_core_join_hom(ctx):
     L = ctx.L
+    join2, profile, profiles = L.join2, ctx.profile, ctx.profiles
     for x, z in ctx.pairs():
         ctx.checked += 1
-        got = ctx.profile(L.join2(x, z)).core
-        expected = L.join2(ctx.profile(x).core, ctx.profile(z).core)
+        j = join2(x, z)
+        got = (profiles.get(j) or profile(j)).core
+        px = profiles.get(x) or profile(x)
+        pz = profiles.get(z) or profile(z)
+        expected = join2(px.core, pz.core)
         if got != expected:
             return False, ctx.witness(x=x, z=z, got=got, expected=expected)
     return True, None
@@ -563,7 +676,8 @@ def _check_core_join_hom(ctx):
 
 def _check_t0_upper_semilattice(ctx):
     """Finite reduction of completeness: the zero-maximal family contains
-    the bottom and is closed under binary join."""
+    the bottom and is closed under binary join.  On a finite lattice the
+    family is {bottom}, so one pair is checked."""
     L = ctx.L
     t0 = [x for x in ctx.elements if classify_t(L, x) == 0]
     if L.bottom not in t0:
@@ -856,7 +970,13 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
     join = tuple(tuple(pos[L.join[a][b]] for b in keep) for a in keep)
     bottom = next((i for i in range(n) if up[i] == full_mask(n)), 0)
     top = next((i for i in range(n) if down[i] == full_mask(n)), n - 1)
-    distributive = _distributivity_witness(n, meet, join) is None
+    # The flag is read off the order rows, as for every other lattice:
+    # co_heyting_sub's closed form relies on it, and the kept tables may
+    # be corrupted.  An order that is no lattice counts as not distributive.
+    try:
+        distributive = as_lattice(poset).distributive
+    except (NotALattice, NoBottom):
+        distributive = False
     return FiniteLattice(
         poset=poset,
         meet=meet,
@@ -867,24 +987,6 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
         coframe=distributive,
         provenance=f"shrunk({L.provenance})",
     )
-
-
-def _distributivity_witness(n: int, meet, join):
-    """First triple with x ^ (y v z) != (x ^ y) v (x ^ z), or None.
-
-    Reads only the tables, never the order, so it also judges tables
-    that disagree with the order (the shrinker's corrupted sublattices).
-    """
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            mxy = mx[y]
-            jrow = join[mxy]
-            jy = join[y]
-            for z in range(n):
-                if mx[jy[z]] != jrow[mx[z]]:
-                    return (x, y, z)
-    return None
 
 
 def _table_closure(L: FiniteLattice, seed: set) -> set:

@@ -103,13 +103,25 @@ def _derivative(L, x, family):
 
 
 def co_heyting_sub(L, x, z):
-    """Co-Heyting subtraction x - z: the least y <= x with z v y = x."""
+    """Co-Heyting subtraction x - z: the least y <= x with z v y = x.
+
+    On a finite distributive lattice it has Birkhoff's closed form: the
+    join-irreducibles below z v y are those below z or below y, so
+    z v y = x with y <= x iff y is above every join-irreducible below x
+    and not below z, and x - z is the join of those, one verified fold.
+    ``distributive`` is decided from the order rows alone.  A
+    non-distributive finite lattice (a subgroup lattice, say) scans
+    down(x) for the y with z v y = x and folds their meet.
+    """
     if hasattr(L, "co_heyting_sub"):
         return L.co_heyting_sub(x, z)
     if not L.leq(z, x):
         raise NotBelow(f"{L.names[z]} is not below {L.names[x]}")
+    down = L.poset.down
+    if L.distributive:
+        return L.join_of_set(bits(L.poset.irreducibles & down[x] & ~down[z]))
     jz = L.join[z]
-    return L.meet_of_set([y for y in bits(L.down_set(x)) if jz[y] == x])
+    return L.meet_of_set([y for y in bits(down[x]) if jz[y] == x])
 
 
 def mu_iterates(L, x, family=None, limit=None) -> list:
@@ -220,8 +232,8 @@ class ResidualProfile:
         lengths = _maximal_chain_lengths(L, self.boundary_poset)
         return {
             "elements": len(self.boundary_poset),
-            "maximal_chain_lengths": sorted(set(lengths)),
-            "all_maximal_chains_equal_length": len(set(lengths)) <= 1,
+            "maximal_chain_lengths": sorted(lengths),
+            "all_maximal_chains_equal_length": len(lengths) <= 1,
         }
 
     def boundary_dot(self, L) -> str:
@@ -354,38 +366,31 @@ def relative_strata(L, x, z) -> RelativeStrata:
 
 
 def _cover_pairs(L, members: Iterable[int]) -> list:
+    """Hasse edges (i, j) among the members: the members j covers are the
+    maximal members strictly below j."""
     members = list(members)
-    mset = set(members)
-    out = []
-    for i in members:
-        above = [j for j in members if L.lt(i, j)]
-        for j in above:
-            if not any(L.lt(i, k) and L.lt(k, j) for k in above):
-                out.append((i, j))
-    return sorted(out)
+    inside, down = mask_of(members), L.poset.down
+    lower = L.poset.maximal_of
+    return sorted((i, j) for j in members for i in bits(lower(down[j] & ~(1 << j) & inside)))
 
 
-def _maximal_chain_lengths(L, members) -> list:
+def _maximal_chain_lengths(L, members) -> set:
+    """The set of lengths, in elements, of the maximal chains among the
+    members: one pass over the cover graph from the top down, each member
+    collecting the lengths of the maximal chains that start at it."""
     members = list(members)
-    if not members:
-        return []
-    covers = _cover_pairs(L, members)
-    ups = {i: [j for a, j in covers if a == i] for i in members}
-    downs = {j: [i for i, b in covers if b == j] for j in members}
-    minimal = [i for i in members if not downs[i]]
-    lengths = []
-
-    def walk(node, depth):
-        nxt = ups[node]
-        if not nxt:
-            lengths.append(depth)
-            return
-        for j in nxt:
-            walk(j, depth + 1)
-
-    for m in minimal:
-        walk(m, 1)
-    return lengths
+    ups = {i: [] for i in members}
+    bottoms = set(members)
+    for i, j in _cover_pairs(L, members):
+        ups[i].append(j)
+        bottoms.discard(j)
+    down = L.poset.down
+    # A member strictly below another has a smaller downset, so this
+    # order puts every member after all the members above it.
+    from_here = {}
+    for i in sorted(members, key=lambda m: -down[m].bit_count()):
+        from_here[i] = {k + 1 for j in ups[i] for k in from_here[j]} if ups[i] else {1}
+    return set().union(*(from_here[i] for i in bottoms))
 
 
 __all__ = [

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from residua.bitset import full_mask
+from residua.bitset import bits, full_mask
+from residua.errors import NotBelow
 from residua.lattice import as_lattice, build_poset, inclusion_lattice
 from residua.generators import (
     CATALOG_NAMES,
@@ -79,3 +80,14 @@ def lattice_corpus():
         names = [f"p{i}" for i in range(points)]
         corpus.append(inclusion_lattice(moore_family(rng, points), names, f"moore#{k}"))
     return corpus
+
+
+def co_heyting_scan(L, x, z):
+    """x - z on any finite lattice by its definition: the meet of the
+    y <= x with z v y = x, one verified fold.  ``co_heyting_sub`` takes
+    this scan on non-distributive lattices only; it is the reference for
+    the closed form it uses on distributive ones."""
+    if not L.leq(z, x):
+        raise NotBelow(f"{L.names[z]} is not below {L.names[x]}")
+    jz = L.join[z]
+    return L.meet_of_set([y for y in bits(L.down_set(x)) if jz[y] == x])

@@ -1,10 +1,13 @@
 import functools
 import itertools
 import json
+import random
 from dataclasses import fields, replace
 
-from residua.bitset import contains
-from residua.errors import LatticeIntegrityError
+import residua.laws
+import residua.residual
+from residua.bitset import bits, contains
+from residua.errors import LatticeIntegrityError, NoBottom, NotALattice
 from residua.generators import (
     boolean,
     chain,
@@ -12,7 +15,7 @@ from residua.generators import (
     downset_lattice,
     random_distributive,
 )
-from residua.lattice import FiniteLattice, build_poset, canonical_json
+from residua.lattice import FiniteLattice, as_lattice, build_poset, canonical_json, lattice_from_json
 from residua.laws import (
     DEFAULT_BUDGET,
     Budget,
@@ -20,13 +23,16 @@ from residua.laws import (
     REGISTRY,
     _Ctx,
     _fold_downset_subsets,
+    _removal_folds_pass,
     _sample_chains,
     mutate_entry,
     run_all,
     run_law,
     shrink,
 )
-from residua.residual import maximal_subelements
+from residua.residual import classify_t, maximal_subelements, residual_derivative
+
+from conftest import co_heyting_scan
 
 # The one-checker-per-invariant table: every invariant of the residual
 # calculus and every structural law has exactly one registry entry.
@@ -155,14 +161,16 @@ def single_entry_mutations(L, tables=("meet", "join"), entries=None):
 
 
 def test_every_single_entry_mutation_fails_some_law(b2, b3):
-    # On boolean:3 every entry, and on divisor:60 the join entries [i][j]
-    # with i > j, which only sampled subsets fold, so that only the check
-    # of the whole join table catches some of them, such as
-    # ("join", 5, 4, v) on boolean:3 and ("join", 6, 1, 1) on divisor:60.
+    # On boolean:3 every entry; on divisor:60 every meet entry, which the
+    # residues no longer read on a distributive lattice, and the join
+    # entries [i][j] with i > j, which only sampled subsets fold, so that
+    # only the check of the whole join table catches some of them, such
+    # as ("join", 5, 4, v) on boolean:3 and ("join", 6, 1, 1) on divisor:60.
     d60 = divisor(60)
     cases = itertools.chain(
         single_entry_mutations(b2),
         single_entry_mutations(b3),
+        single_entry_mutations(d60, ("meet",)),
         single_entry_mutations(
             d60, ("join",), [(i, j) for i, j in itertools.product(d60.elements(), repeat=2) if i > j]
         ),
@@ -374,3 +382,298 @@ def test_report_json_schema(div12):
     doc = run_law(div12, LawId.COHEYTING_JOIN).to_json_dict()
     assert {"law", "instance", "verdict", "checked", "exhaustive", "sampled_subsets", "elapsed_ms"} <= set(doc)
     json.dumps(doc)
+
+
+# -- reference checkers -------------------------------------------------------
+# The element- and pair-loop bodies that the registry's mask scans, shared
+# removal folds and hoisted pair loops replace; whole reports must agree.
+
+
+def boundary_removal_reference(ctx):
+    """Fold every removal subset through ``join_of_set``, one by one."""
+    L = ctx.L
+    budget = ctx.budget
+    for x in ctx.elements:
+        p = ctx.profile(x)
+        delta = list(p.boundary_poset)
+        if len(delta) <= budget.subset_exhaustive_bits:
+            removals = list(
+                itertools.chain.from_iterable(
+                    itertools.combinations(delta, k) for k in range(len(delta) + 1)
+                )
+            )
+        else:
+            ctx.sampled_subsets = True
+            removals = [(), *((s,) for s in delta)]
+            for _ in range(budget.max_sampled_subsets):
+                k = ctx.rng.randint(0, len(delta))
+                removals.append(tuple(ctx.rng.sample(delta, k)))
+        for removed in removals:
+            ctx.checked += 1
+            target = L.join_of_set([p.core, *[s for s in delta if s not in removed]])
+            if not L.leq(target, x):
+                return False, ctx.witness(
+                    {"removed": [ctx.name(s) for s in removed]}, x=x, target=target
+                )
+    return True, None
+
+
+def strata_ranked_reference(ctx):
+    """Antichain and rank order by loops over element pairs."""
+    L = ctx.L
+    for x in ctx.elements:
+        ctx.checked += 1
+        p = ctx.profile(x)
+        seen = {}
+        for a, stratum in enumerate(p.strata):
+            for s in stratum:
+                if s in seen:
+                    return False, ctx.witness({"strata": [seen[s], a]}, x=x, s=s)
+                seen[s] = a
+            for s, t in itertools.combinations(stratum, 2):
+                if L.leq(s, t) or L.leq(t, s):
+                    return False, ctx.witness({"violated": "antichain"}, x=x, s=s, t=t)
+        for s in p.boundary_poset:
+            for t in p.boundary_poset:
+                if L.lt(s, t) and not p.rho[s] > p.rho[t]:
+                    return False, ctx.witness({"violated": "rank order"}, x=x, s=s, t=t)
+    return True, None
+
+
+def subelement_decomp_reference(ctx):
+    L = ctx.L
+    for x in ctx.elements:
+        p = ctx.profile(x)
+        for z in bits(L.down_set(x)):
+            ctx.checked += 1
+            parts = [L.meet2(z, p.core)]
+            parts.extend(s for s in p.boundary_poset if L.leq(s, z))
+            if L.join_of_set(parts) != z:
+                return False, ctx.witness(x=x, z=z)
+    return True, None
+
+
+def mu_join_hom_reference(ctx):
+    L = ctx.L
+    for x, z in ctx.pairs():
+        ctx.checked += 1
+        j = L.join2(x, z)
+        expected = L.join2(ctx.profile(x).mu, ctx.profile(z).mu)
+        got = residual_derivative(L, j)
+        if got != expected:
+            return False, ctx.witness(x=x, z=z, join=j, mu=got, mu_of_parts=expected)
+    return True, None
+
+
+def core_decomp_reference(ctx):
+    L = ctx.L
+    t0 = [y for y in ctx.elements if classify_t(L, y) == 0]
+    for x, z in ctx.pairs():
+        for y in t0:
+            if L.leq(y, L.join2(x, z)):
+                ctx.checked += 1
+                got = L.join2(ctx.profile(L.meet2(x, y)).core, ctx.profile(L.meet2(z, y)).core)
+                if got != y:
+                    return False, ctx.witness(x=x, z=z, y=y, got=got)
+    return True, None
+
+
+def core_join_hom_reference(ctx):
+    L = ctx.L
+    for x, z in ctx.pairs():
+        ctx.checked += 1
+        got = ctx.profile(L.join2(x, z)).core
+        expected = L.join2(ctx.profile(x).core, ctx.profile(z).core)
+        if got != expected:
+            return False, ctx.witness(x=x, z=z, got=got, expected=expected)
+    return True, None
+
+
+REFERENCE_CHECKERS = {
+    LawId.BOUNDARY_REMOVAL_DESCENT: boundary_removal_reference,
+    LawId.STRATA_RANKED: strata_ranked_reference,
+    LawId.SUBELEMENT_DECOMP: subelement_decomp_reference,
+    LawId.MU_JOIN_HOM: mu_join_hom_reference,
+    LawId.CORE_DECOMP: core_decomp_reference,
+    LawId.CORE_JOIN_HOM: core_join_hom_reference,
+}
+
+
+def report_docs(L) -> list:
+    docs = [r.to_json_dict() for r in run_all(L)]
+    for d in docs:
+        d.pop("elapsed_ms")
+    return docs
+
+
+def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
+    """Whole run_all reports of the registry equal those of the reference
+    checkers: on every corpus lattice with the definitional x - z scan in
+    place of the closed form, and on every single-entry mutation of
+    boolean:3, where the failures show that each reference is reached."""
+    mutations = [m for _, m in single_entry_mutations(b3)]
+    fast_corpus = [report_docs(L) for L in lattice_corpus]
+    fast_mutations = [report_docs(m) for m in mutations]
+    for law, fn in REFERENCE_CHECKERS.items():
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=fn))
+    failing = set()
+    for m, fast in zip(mutations, fast_mutations):
+        assert report_docs(m) == fast, m.provenance
+        failing.update(d["law"] for d in fast if d["verdict"] == "fail")
+    assert {law.value for law in REFERENCE_CHECKERS} <= failing
+    monkeypatch.setattr(residua.residual, "co_heyting_sub", co_heyting_scan)
+    monkeypatch.setattr(residua.laws, "co_heyting_sub", co_heyting_scan)
+    for L, fast in zip(lattice_corpus, fast_corpus):
+        assert report_docs(L) == fast, L.provenance
+
+
+def removal_folds_reference(L, x, core, delta) -> bool:
+    for k in range(len(delta) + 1):
+        for kept in itertools.combinations(delta, k):
+            try:
+                target = L.join_of_set([core, *kept])
+            except LatticeIntegrityError:
+                return False
+            if not L.leq(target, x):
+                return False
+    return True
+
+
+def test_removal_folds_match_one_fold_per_kept_set(lattice_corpus, b3):
+    """The shared-prefix pass against one ``join_of_set`` per kept set, on
+    cores that need not lie below x (an empty delta leaves only the core)
+    and on join-corrupted copies of boolean:3."""
+    rng = random.Random(5)
+    cases = [L for L in lattice_corpus if L.n <= 24]
+    cases += [m for _, m in single_entry_mutations(b3, ("join",))]
+    outcomes = set()
+    for L in cases:
+        for _ in range(12):
+            x, core = rng.randrange(L.n), rng.randrange(L.n)
+            delta = rng.sample(range(L.n), rng.randint(0, min(3, L.n)))
+            expected = removal_folds_reference(L, x, core, delta)
+            assert _removal_folds_pass(L.poset.up, L.down_set(x), L.join, core, delta) == expected
+            outcomes.add((expected, bool(delta)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_pair_sampler_draws_distinct_pairs():
+    L = chain(5)
+    ctx = _Ctx(L, Budget(max_pairs=24), LawId.TYPE_SUBADDITIVE)
+    pairs = list(ctx.pairs())
+    assert len(pairs) == len(set(pairs)) == 24
+    assert not ctx.exhaustive
+    assert set(pairs) <= set(itertools.product(L.elements(), repeat=2))
+    ctx = _Ctx(L, Budget(max_pairs=25), LawId.TYPE_SUBADDITIVE)
+    assert len(set(ctx.pairs())) == 25 and ctx.exhaustive
+
+
+def order_distributive(L) -> bool:
+    try:
+        return as_lattice(L.poset).distributive
+    except (NotALattice, NoBottom):
+        return False
+
+
+def test_shrink_of_corrupted_coframe_law_judges_distributivity_by_the_order(b3):
+    """A corrupted join table makes the shrunk tables fail the triple
+    scan while their order stays distributive; the flag, which the closed
+    form of x - z relies on, follows the order, so the coframe law keeps
+    running on the shrunk candidates and the failure shrinks to 2 elements."""
+    mutated = mutate_entry(b3, "join", 0, 0, 3)
+    law = LawId.COHEYTING_JOIN
+    rep = run_law(mutated, law)
+    assert rep.verdict == "fail"
+    small, small_rep = shrink(mutated, law, rep)
+    assert small_rep.verdict == "fail" and run_law(small, law).verdict == "fail"
+    assert small.n == 2
+    assert small.distributive == order_distributive(small)
+    for key, m in single_entry_mutations(b3):
+        rep = run_law(m, LawId.MU_JOIN_HOM)
+        if rep.verdict == "fail":
+            small, _ = shrink(m, LawId.MU_JOIN_HOM, rep)
+            assert small.distributive == order_distributive(small), key
+
+
+def relabeled(L, seed):
+    """L with its elements renumbered at random, so that index 0 is
+    usually not the bottom."""
+    doc = L.to_json_dict()
+    random.Random(seed).shuffle(doc["elements"])
+    return lattice_from_json(doc, provenance=f"{L.provenance}~{seed}")
+
+
+def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkeypatch):
+    """Profiles with flattened or reversed strata make strata_ranked fail
+    through its antichain and rank-order scans; the reports, witnesses
+    included, equal those of the pair loops."""
+    law = LawId.STRATA_RANKED
+    rng = random.Random(8)
+    flatten = lambda p: replace(p, strata=(p.boundary_poset,), rho=dict.fromkeys(p.boundary_poset, 0))
+    reverse = lambda p: replace(
+        p,
+        strata=p.strata[::-1],
+        rho={s: len(p.strata) - 1 - a for s, a in p.rho.items()},
+    )
+    cases = []
+    for L in lattice_corpus:
+        if not L.distributive:
+            continue
+        run_all(L, laws=[law])
+        for craft in (flatten, reverse):
+            profiles = {x: residua.residual.residual_profile(L, x) for x in L.elements()}
+            for x in rng.sample(range(L.n), L.n // 3):
+                profiles[x] = craft(profiles[x])
+            cases.append((L, profiles))
+    fast = [run_law(L, law, _profiles=dict(profiles)).to_json_dict() for L, profiles in cases]
+    monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=strata_ranked_reference))
+    violated = set()
+    for (L, profiles), doc in zip(cases, fast):
+        ref = run_law(L, law, _profiles=dict(profiles)).to_json_dict()
+        ref.pop("elapsed_ms"), doc.pop("elapsed_ms")
+        assert doc == ref, L.provenance
+        violated.add((doc.get("witness") or {}).get("violated"))
+    assert {"antichain", "rank order"} <= violated
+
+
+def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypatch):
+    """With profiles that raise at chosen elements, the hoisted pair loops
+    fail at the same pair, with the same witness, as the reference loops.
+    The order of the profile calls within a pair shows on relabeled
+    lattices, which keep index 0 off the bottom, and on sampled pairs."""
+    real = residua.residual.residual_profile
+
+    def raising_at(elements):
+        def profile(L, x, family=None):
+            if x in elements:
+                raise LatticeIntegrityError("injected", witness={"x": L.names[x]})
+            return real(L, x, family)
+
+        return profile
+
+    lattices = [relabeled(L, seed) for L in (b3, div12, divisor(60)) for seed in range(4)]
+    rng = random.Random(4)
+    # corrupted x ^ bottom entries give core_decomp two different meets
+    lattices += [
+        mutate_entry(L, "meet", x, L.bottom, rng.randrange(L.n))
+        for L in lattices[:4]
+        for x in rng.sample(range(L.n), 3)
+    ]
+    cases = [(L, frozenset(rng.sample(range(L.n), rng.randint(1, 3)))) for L in lattices for _ in range(6)]
+    laws = [LawId.MU_JOIN_HOM, LawId.CORE_JOIN_HOM, LawId.CORE_DECOMP]
+
+    def docs():
+        out = []
+        for L, elements in cases:
+            monkeypatch.setattr(residua.laws, "residual_profile", raising_at(elements))
+            for law, budget in itertools.product(laws, (DEFAULT_BUDGET, Budget(max_pairs=20))):
+                doc = run_law(L, law, budget).to_json_dict()
+                doc.pop("elapsed_ms")
+                out.append(doc)
+        return out
+
+    fast = docs()
+    for law in laws:
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    assert docs() == fast
+    assert {doc["law"] for doc in fast if doc["verdict"] == "fail"} == {law.value for law in laws}

@@ -19,7 +19,23 @@ from residua.lattice import (
     poset_from_json,
 )
 from residua.generators import boolean, chain
-from residua.laws import _distributivity_witness, mutate_entry
+from residua.laws import mutate_entry
+
+
+def _distributivity_witness(n: int, meet, join):
+    """First triple with x ^ (y v z) != (x ^ y) v (x ^ z), or None.
+
+    Reads only the tables, never the order."""
+    for x in range(n):
+        mx = meet[x]
+        for y in range(n):
+            mxy = mx[y]
+            jrow = join[mxy]
+            jy = join[y]
+            for z in range(n):
+                if mx[jy[z]] != jrow[mx[z]]:
+                    return (x, y, z)
+    return None
 
 
 def closure_oracle(names, pairs):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,10 @@ from residua.residual import (
     residual_profile,
 )
 from residua.laws import mutate_entry
+from residua.residual import ResidualProfile, _cover_pairs, _maximal_chain_lengths
 from residua.testbed import INF, OrdinalCoframe
+
+from conftest import co_heyting_scan
 
 
 def coheyting_oracle(L, x, z):
@@ -87,6 +92,151 @@ def test_co_heyting_examples(b2, chain3):
             assert co_heyting_sub(L, x, x) == L.bottom
     with pytest.raises(NotBelow):
         co_heyting_sub(chain3, 1, 2)
+
+
+class BirkhoffOracle:
+    """Closed forms on a finite distributive lattice, read off the order
+    rows only, never the tables (Birkhoff's representation).
+
+    Every element x is the join of J(x), the join-irreducibles below it,
+    and J(x) is a downset of the join-irreducibles.  A lower cover of x
+    drops one maximal member of J(x), so the derivative drops all of them
+    and the iterates peel J(x) layer by layer from the top: the rank is
+    the number of layers, the core is the bottom, the residue at the lower
+    cover that drops j is j, stratum a is the a-th layer and the boundary
+    poset is J(x) itself.  x - z is the element whose join-irreducibles
+    are those generated by J(x) minus down(z).
+    """
+
+    def __init__(self, L):
+        self.L = L
+        down = L.poset.down
+        self.J = mask_of(y for y in L.elements() if len(self.maxima(down[y] & ~(1 << y))) == 1)
+        self.by_jset = {down[y] & self.J: y for y in L.elements()}
+
+    def maxima(self, mask) -> list:
+        up = self.L.poset.up
+        return [i for i in bits(mask) if up[i] & mask == 1 << i]
+
+    def jset(self, x) -> int:
+        return self.L.poset.down[x] & self.J
+
+    def element(self, jmask) -> int:
+        """The element whose join-irreducibles are generated by jmask."""
+        closure = 0
+        for j in bits(jmask):
+            closure |= self.jset(j)
+        return self.by_jset[closure]
+
+    def sub(self, x, z) -> int:
+        return self.element(self.jset(x) & ~self.L.poset.down[z])
+
+    def profile(self, x) -> ResidualProfile:
+        jx = self.jset(x)
+        layers, rest = [], jx
+        while rest:
+            layers.append(mask_of(self.maxima(rest)))
+            rest &= ~layers[-1]
+        iterates, peeled = [x], jx
+        for layer in layers:
+            peeled &= ~layer
+            iterates.append(self.element(peeled))
+        residues = {self.element(jx & ~(1 << j)): j for j in bits(layers[0])} if layers else {}
+        return ResidualProfile(
+            element=x,
+            family=None,
+            maximal=tuple(sorted(residues)),
+            mu=iterates[1] if layers else x,
+            rank=RankValue.of(len(layers)),
+            core=self.L.bottom,
+            residues=residues,
+            boundary=x,
+            strata=tuple(tuple(bits(layer)) for layer in layers),
+            boundary_poset=tuple(bits(jx)),
+            rho={s: a for a, layer in enumerate(layers) for s in bits(layer)},
+            t_class=len(residues),
+            iterates=tuple(iterates),
+        )
+
+
+def test_birkhoff_oracle_matches_profiles_and_residues(lattice_corpus):
+    distributive = 0
+    for L in lattice_corpus:
+        if not L.distributive:
+            continue
+        distributive += 1
+        oracle = BirkhoffOracle(L)
+        for x in L.elements():
+            assert residual_profile(L, x) == oracle.profile(x), (L.provenance, x)
+            for z in bits(L.down_set(x)):
+                assert co_heyting_sub(L, x, z) == oracle.sub(x, z), (L.provenance, x, z)
+    assert distributive >= 100
+
+
+def test_co_heyting_sub_matches_scan(lattice_corpus):
+    """On every corpus lattice, distributive or not, x - z equals the
+    definitional scan for every z <= x."""
+    for L in lattice_corpus:
+        for x in L.elements():
+            for z in bits(L.down_set(x)):
+                assert co_heyting_sub(L, x, z) == co_heyting_scan(L, x, z), (L.provenance, x, z)
+
+
+def maximal_of_reference(L, mask) -> int:
+    """Filter the subset for members with nothing else of it above."""
+    return mask_of(i for i in bits(mask) if L.up_set(i) & mask == 1 << i)
+
+
+def test_maximal_of_matches_filter(lattice_corpus):
+    rng = random.Random(11)
+    for L in lattice_corpus:
+        for _ in range(20):
+            mask = rng.getrandbits(L.n)
+            assert L.poset.maximal_of(mask) == maximal_of_reference(L, mask), (L.provenance, mask)
+
+
+def cover_pairs_reference(L, members) -> list:
+    """Hasse edges among the members by a scan over triples."""
+    members = list(members)
+    out = []
+    for i in members:
+        above = [j for j in members if L.lt(i, j)]
+        for j in above:
+            if not any(L.lt(i, k) and L.lt(k, j) for k in above):
+                out.append((i, j))
+    return sorted(out)
+
+
+def chain_lengths_reference(L, members) -> list:
+    """Walk every maximal chain up the cover graph from each minimal
+    member; the length of each, in elements."""
+    members = list(members)
+    covers = cover_pairs_reference(L, members)
+    ups = {i: [j for a, j in covers if a == i] for i in members}
+    minimal = [i for i in members if not any(b == i for _, b in covers)]
+    lengths = []
+
+    def walk(node, depth):
+        if not ups[node]:
+            lengths.append(depth)
+        for j in ups[node]:
+            walk(j, depth + 1)
+
+    for m in minimal:
+        walk(m, 1)
+    return lengths
+
+
+def test_boundary_covers_and_chain_lengths_match_walk(lattice_corpus):
+    """On every boundary poset of the corpus, and on each whole lattice of
+    at most 24 elements."""
+    for L in lattice_corpus:
+        member_sets = [residual_profile(L, x).boundary_poset for x in L.elements()]
+        if L.n <= 24:
+            member_sets.append(tuple(L.elements()))
+        for members in member_sets:
+            assert _cover_pairs(L, members) == cover_pairs_reference(L, members), L.provenance
+            assert _maximal_chain_lengths(L, members) == set(chain_lengths_reference(L, members))
 
 
 def test_residual_derivative_examples(b2):
