@@ -9,7 +9,6 @@ from .errors import (
     NoBottom,
     NotALattice,
     NotBelow,
-    NoTop,
     NotT1,
     PreconditionFailed,
     ResiduaError,

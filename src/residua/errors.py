@@ -28,10 +28,6 @@ class NoBottom(ResiduaError):
     """The poset has no minimum element."""
 
 
-class NoTop(ResiduaError):
-    """An empty meet was requested in a structure without a top."""
-
-
 class NotBelow(ResiduaError):
     """A subtraction x - z was requested with z not below x."""
 

@@ -19,7 +19,9 @@ search over basic opens of the dual Lawson topology, kept independent of
 the closed forms so the two can be played against each other.  The
 search needs one basic open per point: the one with the maximal positive
 part and the maximal negative parts, which is the smallest basic open
-around the point (see ``OrdinalCoframe._punctured_open``).
+around the point.  Its points are enumerated directly, at most
+3^dims - 1 of them besides the point, so no search grid is ever built
+(see ``OrdinalCoframe._punctured_open``).
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .errors import (
 from .residual import OMEGA, RankValue
 from .topology import IsolatedBelowReport
 
+# Keeps the smallest basic open around a vector, which every isolation
+# verdict enumerates, at 3^dims - 1 <= 80 points besides the vector.
 MAX_DIMS = 4
-# Largest grid that box() and _grid() build.  A grid vector takes about
-# 85 bytes, so one grid at the cap holds about 85 MB; the stable subspace
-# search keeps four grids.
+# Largest box() that is built.  A box vector takes about 85 bytes, so a
+# box at the cap holds about 85 MB.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -185,7 +188,6 @@ class OrdinalCoframe:
         self.dims = dims
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
-        self._grids: dict = {}
 
     # -- lattice primitives ------------------------------------------------
 
@@ -355,42 +357,25 @@ class OrdinalCoframe:
             rank = OMEGA if endless else None
         return strata, rank
 
-    # -- grids and bounded searches ------------------------------------------
+    # -- boxes and bounded searches ------------------------------------------
 
     def box(self, bound: int) -> list:
         """All vectors with coordinates in {0..bound} or infinity."""
-        self._check_grid_size(bound, bound + 2)
-        values = list(range(bound + 1)) + [INF]
-        return [tuple(v) for v in itertools.product(values, repeat=self.dims)]
-
-    def _grid(self, bound: int) -> list:
-        # bound+1 represents every finite value beyond the search bound;
-        # all subbase constraints with parameters <= bound treat those
-        # values identically.
-        if bound not in self._grids:
-            self._check_grid_size(bound, bound + 3)
-            values = list(range(bound + 2)) + [INF]
-            self._grids[bound] = [
-                tuple(v) for v in itertools.product(values, repeat=self.dims)
-            ]
-        return self._grids[bound]
-
-    def _check_grid_size(self, bound: int, values: int) -> None:
-        """Raise TooLarge, before anything is built, when a grid of
-        ``values`` choices per coordinate exceeds MAX_GRID_POINTS."""
-        if values ** self.dims > MAX_GRID_POINTS:
+        if (bound + 2) ** self.dims > MAX_GRID_POINTS:
             raise TooLarge(
-                f"bound {bound} in dims {self.dims} needs a grid of {values}^{self.dims} "
+                f"bound {bound} in dims {self.dims} needs a box of {bound + 2}^{self.dims} "
                 f"vectors, above the cap of {MAX_GRID_POINTS}"
             )
+        values = list(range(bound + 1)) + [INF]
+        return [tuple(v) for v in itertools.product(values, repeat=self.dims)]
 
     def max_finite(self, x: tuple) -> int:
         fins = [c for c in x if c != INF]
         return max(fins) if fins else 0
 
-    def _open_box(self, x: tuple, bound: int) -> list:
-        """Per coordinate, the range [lo, hi] of the smallest basic open
-        around x with parameters <= bound.
+    def _punctured_open(self, x: tuple, bound: int):
+        """Yield the search-grid points other than x in the smallest basic
+        open around x with parameters <= bound.
 
         A basic open is the downset of an all-finite vector a (the
         positive part) minus finitely many such downsets (the negative
@@ -402,31 +387,30 @@ class OrdinalCoframe:
         every j, i.e. z_j <= x_j wherever x_j < bound.  The open is thus
         the box of z with min(x_j, bound) <= z_j <= x_j where x_j < bound
         and z_j >= bound elsewhere; neither argument uses the closed forms.
+
+        The search grid has the values 0..bound + 1 and infinity: every
+        subbase constraint with parameters <= bound treats all finite
+        values beyond bound alike, so bound + 1 stands for them.  On the
+        grid the box pins z_j = x_j where x_j < bound and leaves bound,
+        bound + 1 and infinity elsewhere, at most 3^dims - 1 points
+        besides x.
         """
-        return [(min(c, bound), c if c < bound else INF) for c in x]
+        axes = [(c,) if c < bound else (bound, bound + 1, INF) for c in x]
+        for z in itertools.product(*axes):
+            if z != x:
+                yield z
 
-    def _punctured_open(self, x: tuple, bound: int, points) -> list:
-        """The points other than x of ``points`` in the smallest basic open
-        around x with parameters <= bound (see ``_open_box``)."""
-        near = points
-        for j, (lo, hi) in enumerate(self._open_box(x, bound)):
-            near = [z for z in near if lo <= z[j] <= hi]
-        return [z for z in near if z != x]
-
-    def _separable(self, x: tuple, bound: int, members=None) -> bool:
-        """Is there a basic open with parameters <= bound isolating x among
-        ``members`` (default: the whole grid)?
+    def _separable(self, x: tuple, bound: int, member=None) -> bool:
+        """Is there a basic open with parameters <= bound isolating x inside
+        {z : member(z)} (default: the whole search grid)?
 
         If any basic open does, the smallest one does, so the answer is
-        whether that open holds no other member.  On the whole grid
-        nothing needs building: a coordinate whose range in
-        ``_open_box`` is not a single value admits bound, bound + 1 and
-        infinity, all grid values, so the open holds another grid point
-        iff some range is not a single value.
+        whether that open holds no other member.
         """
-        if members is not None:
-            return not self._punctured_open(x, bound, members)
-        return all(lo == hi for lo, hi in self._open_box(x, bound))
+        for z in self._punctured_open(x, bound):
+            if member is None or member(z):
+                return False
+        return True
 
     def _stable_isolation(self, x: tuple, bound: int, member=None) -> bool:
         """Run the basic-open search at ``bound`` and at the next three
@@ -435,10 +419,7 @@ class OrdinalCoframe:
             raise BoundTooSmall(
                 f"bound {bound} < max finite coordinate of {fmt_vec(x)} + 2"
             )
-        verdicts = set()
-        for b in range(bound, bound + 4):
-            members = None if member is None else [z for z in self._grid(b) if member(z)]
-            verdicts.add(self._separable(x, b, members))
+        verdicts = {self._separable(x, b, member) for b in range(bound, bound + 4)}
         if len(verdicts) != 1:
             what = "isolation" if member is None else "subspace isolation"
             raise UnstableVerdict(
@@ -468,17 +449,15 @@ class OrdinalCoframe:
         vector in the subspace.
 
         The basic-open search runs at bound + 2 (so the precondition holds
-        for every box vector) with a stability re-check one bound higher,
-        and shares the member grid across elements, which keeps
-        whole-ladder verification affordable.
+        for every box vector) with a stability re-check one bound higher.
+        Each verdict reads at most 3^dims - 1 points, so the sweep is
+        linear in the box.
         """
+        xs = [x for x in self.box(bound) if member(x)]
         out = {}
         for b in (bound + 2, bound + 3):
-            members = [z for z in self._grid(b) if member(z)]
-            for x in self.box(bound):
-                if not member(x):
-                    continue
-                verdict = self._separable(x, b, members)
+            for x in xs:
+                verdict = self._separable(x, b, member)
                 if x in out and out[x] != verdict:
                     raise UnstableVerdict(
                         f"subspace isolation verdict for {fmt_vec(x)} differs "
@@ -615,7 +594,7 @@ class OrdinalCoframe:
         core_x = self.profile(x).core
         return all(
             self.profile(z).core == core_x
-            for z in self._punctured_open(x, bound, self._grid(bound))
+            for z in self._punctured_open(x, bound)
             if not self.leq(z, x)
         )
 

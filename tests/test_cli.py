@@ -106,7 +106,7 @@ def test_testbed_single_element(tmp_path):
     [("4", "10,0,0,0", True), ("3", "40,0,0", True), ("2", "99999999,1", True), ("4", "99999999,inf,3,0", False)],
 )
 def test_testbed_large_element_is_answered(tmp_path, dims, element, isolated):
-    # the isolation search reads the box of its open instead of building a grid
+    # the isolation search enumerates its open instead of building a grid
     out = tmp_path / "el.json"
     assert run_cli("testbed", "--dims", dims, "--element", element, "--report", str(out)) == 0
     doc = json.loads(out.read_text())

@@ -45,22 +45,22 @@ def test_grids_above_the_cap_are_refused_before_they_are_built(monkeypatch):
     cf = OrdinalCoframe(2)
     with pytest.raises(TooLarge):
         cf.box(10**8)
-    assert MAX_GRID_POINTS >= 18**4  # the bounds of --dims 4 --element 10,0,0,0
+    # the largest --dims 2 box is --bound 998
+    assert (998 + 2) ** 2 <= MAX_GRID_POINTS < (999 + 2) ** 2
     monkeypatch.setattr("residua.testbed.MAX_GRID_POINTS", 100)
-    assert len(cf._grid(7)) == (7 + 3) ** 2 == 100
-    with pytest.raises(TooLarge):
-        cf._grid(8)
     assert len(cf.box(8)) == (8 + 2) ** 2 == 100
     with pytest.raises(TooLarge):
         cf.box(9)
-    assert list(cf._grids) == [7]
 
 
 def test_isolation_search_builds_no_grid():
+    # a search grid at these bounds would hold about 10^16 vectors
     cf = OrdinalCoframe(2)
     assert cf.isolated_oracle((99999999, 1), 10**8 + 1) is True
     assert cf.isolated_oracle((99999999, INF), 10**8 + 1) is False
-    assert cf._grids == {}
+    s1 = lambda z: cf.cb_level(z) >= 1
+    assert cf.isolated_in_subspace_oracle((99999999, INF), s1, 10**8 + 1) is True
+    assert cf.check_locally_constant_core((INF, 0), 10**8) is True
 
 
 def test_order_examples(cf2):
@@ -406,13 +406,20 @@ def test_characterization_matches_oracle_random(dims, coords):
 
 # -- the isolation search against its exhaustive form -----------------------
 #
-# OrdinalCoframe decides isolation at the largest positive part only.  The
-# references below are the searches as first written, trying every
-# positive part a <= min(x, bound); they must give the same verdicts.
+# OrdinalCoframe decides isolation at the largest positive part only and
+# enumerates that open without a grid.  The references below are the
+# searches as first written, trying every positive part a <= min(x, bound)
+# over the whole search grid; they must give the same verdicts.
+
+
+def search_grid(cf, bound):
+    """Every vector with coordinates in 0..bound + 1 or infinity."""
+    values = list(range(bound + 2)) + [INF]
+    return [tuple(v) for v in itertools.product(values, repeat=cf.dims)]
 
 
 def exhaustive_separable(cf, x, bound, members=None):
-    grid = cf._grid(bound) if members is None else members
+    grid = search_grid(cf, bound) if members is None else members
     bad = [
         z
         for z in grid
@@ -430,7 +437,7 @@ def exhaustive_separable(cf, x, bound, members=None):
 def exhaustive_sweep(cf, member, bound):
     out = {}
     for b in (bound + 2, bound + 3):
-        members = [z for z in cf._grid(b) if member(z)]
+        members = [z for z in search_grid(cf, b) if member(z)]
         capped = [tuple(min(c, b) for c in z) for z in members]
         for x in cf.box(bound):
             if not member(x):
@@ -450,7 +457,7 @@ def exhaustive_sweep(cf, member, bound):
 
 
 def exhaustive_locally_constant_core(cf, x, bound):
-    grid = cf._grid(bound)
+    grid = search_grid(cf, bound)
     core_x = cf.profile(x).core
     ranges = [range(int(min(c, bound)), -1, -1) for c in x]
     for a in itertools.product(*ranges):
@@ -473,7 +480,7 @@ def test_separable_matches_exhaustive_search():
         cf = OrdinalCoframe(dims)
         for bound in bounds:
             # x off the grid too: coordinates up to bound + 3
-            for x in cf._grid(bound + 2):
+            for x in search_grid(cf, bound + 2):
                 got = cf._separable(x, bound)
                 assert got == exhaustive_separable(cf, x, bound), (x, bound)
                 verdicts.add(got)
@@ -481,12 +488,39 @@ def test_separable_matches_exhaustive_search():
 
 
 def test_sweep_matches_exhaustive_sweep():
-    for dims, bound in ((1, 8), (2, 8), (3, 4)):
+    for dims, bound in ((1, 8), (2, 8), (3, 4), (4, 1)):
         cf = OrdinalCoframe(dims)
-        for alpha in range(dims + 1):
-            member = lambda z, a=alpha: cf.cb_level(z) >= a
+        members = [lambda z, a=alpha: cf.cb_level(z) >= a for alpha in range(dims + 1)]
+        if dims <= 3:
+            # these read the finite values too, not only which are infinite
+            members.append(lambda z: sum(c for c in z if c != INF) % 2 == 0)
+            members.append(lambda z: z[0] == INF or z[0] <= 3)
+        for i, member in enumerate(members):
             sweep = cf.subspace_isolation_sweep(member, bound)
-            assert sweep == exhaustive_sweep(cf, member, bound), (dims, alpha)
+            assert sweep == exhaustive_sweep(cf, member, bound), (dims, i)
+
+
+def test_isolation_depends_only_on_coordinate_types():
+    # Per coordinate: finite below the bound, finite at or above it, or
+    # infinite.  Both representatives of every type get the same verdict,
+    # so the closed forms below hold for every vector, not for one box.
+    bound = 5
+    reps = {"low": (0, bound - 1), "high": (bound, bound + 7), "inf": (INF,)}
+    for dims in range(1, 5):
+        cf = OrdinalCoframe(dims)
+        levels = [lambda z, a=alpha: cf.cb_level(z) >= a for alpha in range(dims + 1)]
+        for types in itertools.product(reps, repeat=dims):
+            xs = list(itertools.product(*(reps[t] for t in types)))
+            infinite = types.count("inf")
+            verdicts = {cf._separable(x, bound) for x in xs}
+            assert len(verdicts) == 1, types
+            if "high" not in types:
+                assert verdicts == {infinite == 0}, types
+            for alpha, member in enumerate(levels):
+                verdicts = {cf._separable(x, bound, member) for x in xs}
+                assert len(verdicts) == 1, (types, alpha)
+                if "high" not in types and infinite >= alpha:
+                    assert verdicts == {infinite == alpha}, (types, alpha)
 
 
 class _StepCore(OrdinalCoframe):
@@ -502,7 +536,7 @@ def test_locally_constant_core_matches_exhaustive_search():
     for dims, bounds in ((1, range(6)), (2, range(6)), (3, range(4))):
         cf = _StepCore(dims)
         for bound in bounds:
-            for x in cf._grid(bound):
+            for x in search_grid(cf, bound):
                 if cf.cb_level(x) != 1:
                     continue
                 got = cf.check_locally_constant_core(x, bound)
