@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -132,10 +132,25 @@ class LawReport:
         return out
 
 
-class _Ctx:
-    """Per-run state: element list, profile cache, deterministic sampler."""
+@dataclass
+class _RunMemo:
+    """What the laws of one ``run_all`` (or one ``run_law``) share; it is
+    dropped when the run returns, so an infinite lattice keeps no memory
+    of it and nothing is stored on the lattice.
 
-    def __init__(self, L, budget: Budget, law: LawId, family=None, profiles=None):
+    ``profiles`` holds default-family profiles.  ``derivatives`` holds the
+    testbed's default-family derivatives, each the definitional meet of
+    the maximal subelements; a finite lattice keeps those in
+    ``L.derivatives``."""
+
+    profiles: dict = field(default_factory=dict)
+    derivatives: dict = field(default_factory=dict)
+
+
+class _Ctx:
+    """Per-law state: element list, the run's memo, deterministic sampler."""
+
+    def __init__(self, L, budget: Budget, law: LawId, family=None, memo=None):
         self.L = L
         self.budget = budget
         self.family = family
@@ -145,8 +160,9 @@ class _Ctx:
         else:
             self.elements = L.box(budget.testbed_bound)
         self._rng_seed = f"{budget.seed}:{law.value}"
-        share = profiles is not None and family is None
-        self.profiles = profiles if share else {}
+        memo = memo or _RunMemo()
+        self.profiles = memo.profiles if family is None else {}
+        self.derivatives = memo.derivatives
         self.exhaustive = True
         self.sampled_subsets = False
         self.checked = 0
@@ -171,6 +187,16 @@ class _Ctx:
             else:
                 self.profiles[x] = self.L.profile(x)
         return self.profiles[x]
+
+    def derivative(self, x):
+        """``residual_derivative`` in the law's family, memoised for the
+        run on the testbed when the family is the default one."""
+        if self.finite or self.family is not None:
+            return residual_derivative(self.L, x, self.family)
+        mu = self.derivatives.get(x)
+        if mu is None:
+            mu = self.derivatives[x] = residual_derivative(self.L, x)
+        return mu
 
     def pairs(self):
         """Every ordered pair within ``max_pairs``, else ``max_pairs``
@@ -202,9 +228,10 @@ class _Ctx:
                 yield els[d // n], els[d % n]
 
     def below(self, x):
+        """The elements below x, in element order."""
         if self.finite:
             return list(bits(self.L.down_set(x)))
-        return [z for z in self.elements if self.L.leq(z, x)]
+        return self.L.box_below(x, self.budget.testbed_bound)
 
     def witness(self, _data: Optional[dict] = None, **elems) -> dict:
         out = {k: self.name(v) for k, v in elems.items()}
@@ -295,7 +322,7 @@ def _check_residue_unique_maximal(ctx):
             sub_max = maximal_subelements(L, r, ctx.family)
             if len(sub_max) != 1:
                 return False, ctx.witness({"count": len(sub_max)}, x=x, m=m, residue=r)
-            if not L.leq(residual_derivative(L, r, ctx.family), m):
+            if not L.leq(ctx.derivative(r), m):
                 return False, ctx.witness({"violated": "derivative bound"}, x=x, m=m, residue=r)
             if outcasts(L, r, ctx.family):
                 return False, ctx.witness({"violated": "no outcast"}, x=x, m=m, residue=r)
@@ -475,14 +502,14 @@ def _check_mu_monotone(ctx):
 
 def _check_mu_join_hom(ctx):
     L = ctx.L
-    join2, profile, profiles = L.join2, ctx.profile, ctx.profiles
+    join2, profile, profiles, derivative = L.join2, ctx.profile, ctx.profiles, ctx.derivative
     for x, z in ctx.pairs():
         ctx.checked += 1
         j = join2(x, z)
         px = profiles.get(x) or profile(x)
         pz = profiles.get(z) or profile(z)
         expected = join2(px.mu, pz.mu)
-        got = residual_derivative(L, j)
+        got = derivative(j)
         if got != expected:
             return False, ctx.witness(x=x, z=z, join=j, mu=got, mu_of_parts=expected)
     return True, None
@@ -803,8 +830,9 @@ def _check_k_lower_semilattice(ctx):
             if common != L.down_set(m):
                 return False, ctx.witness(x=x, z=z, meet=m)
         return True, None
+    compact = {x: L.dually_compact(x) for x in ctx.elements}
     for x, z in ctx.pairs():
-        if L.dually_compact(x) and L.dually_compact(z):
+        if compact[x] and compact[z]:
             ctx.checked += 1
             if not L.dually_compact(L.meet2(x, z)):
                 return False, ctx.witness(x=x, z=z)
@@ -879,7 +907,7 @@ def _family_skip_reason(L, law: LawId, family) -> Optional[str]:
     return None
 
 
-def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _profiles=None) -> LawReport:
+def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=None) -> LawReport:
     """Run one law on one instance; deterministic for fixed inputs."""
     spec = REGISTRY[law]
     finite = isinstance(L, FiniteLattice)
@@ -910,7 +938,7 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _profil
         why = _family_skip_reason(L, law, use_family)
         if why is not None:
             return done("skipped", reason=why)
-    ctx = _Ctx(L, budget, law, family=use_family, profiles=_profiles)
+    ctx = _Ctx(L, budget, law, family=use_family, memo=_memo)
     try:
         ok, extra = spec.fn(ctx)
     except LatticeIntegrityError as e:
@@ -923,10 +951,11 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _profil
 
 
 def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, family=None) -> list:
-    """Run the registry (or a subset) in registry order, sharing profiles."""
+    """Run the registry (or a subset) in registry order, sharing one
+    ``_RunMemo``."""
     selected = list(REGISTRY) if laws is None else list(laws)
-    profiles: dict = {}
-    return [run_law(L, law, budget, family, profiles) for law in selected]
+    memo = _RunMemo()
+    return [run_law(L, law, budget, family, memo) for law in selected]
 
 
 def all_pass(reports) -> bool:

@@ -14,6 +14,16 @@ rank omega and core bottom.  A vector's residue at a finite coordinate j
 keeps coordinate j and forgets the rest, its boundary is itself, and it
 never has outcasts.
 
+The law registry (``laws.run_all``) runs 16 of its 26 laws here, over
+box(``Budget.testbed_bound``); the other 10 need finite enumeration.
+``mu_join_hom`` plays the closed-form mu against the definitional
+derivative, the meet of the maximal subelements, and
+``residue_unique_maximal`` bounds that derivative on every residue; the
+other laws check the closed forms (maximal subelements, mu, cores,
+residues, x - z) against the pointwise order, meets and joins.  Each run
+computes a vector's derivative once and drops the memo when it returns,
+so nothing is stored on the ``OrdinalCoframe``.
+
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
 the closed forms so the two can be played against each other.  The
@@ -29,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf as INF
+from operator import ge
 from typing import Iterable, Optional
 
 from .errors import (
@@ -176,6 +187,17 @@ def _unit(dims: int, j: int, value) -> tuple:
     return tuple(value if i == j else INF for i in range(dims))
 
 
+def _box_values(bound: int) -> list:
+    return list(range(bound + 1)) + [INF]
+
+
+def _check_bound(bound: int) -> None:
+    """Bounds are naturals: below 0 the searches would walk vectors with
+    negative coordinates, outside the carrier."""
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative; bounds are naturals")
+
+
 class OrdinalCoframe:
     """The testbed lattice in a given dimension (1 <= dims <= 4)."""
 
@@ -198,12 +220,16 @@ class OrdinalCoframe:
                     f"expected {self.dims} coordinates, got {len(v)}"
                 )
 
+    # The primitives below compare lengths once and leave the message to
+    # _check; they are the inner loop of every testbed law.
+
     def leq(self, x: tuple, y: tuple) -> bool:
-        self._check(x, y)
-        return all(a >= b for a, b in zip(x, y))
+        if not len(x) == len(y) == self.dims:
+            self._check(x, y)
+        return all(map(ge, x, y))
 
     def lt(self, x: tuple, y: tuple) -> bool:
-        return x != y and self.leq(x, y)
+        return self.leq(x, y) and x != y
 
     def order(self, x: tuple, y: tuple) -> str:
         """One of 'equal', 'below', 'above', 'incomparable'."""
@@ -216,12 +242,14 @@ class OrdinalCoframe:
         return "incomparable"
 
     def meet2(self, x: tuple, y: tuple) -> tuple:
-        self._check(x, y)
-        return tuple(max(a, b) for a, b in zip(x, y))
+        if not len(x) == len(y) == self.dims:
+            self._check(x, y)
+        return tuple(map(max, x, y))
 
     def join2(self, x: tuple, y: tuple) -> tuple:
-        self._check(x, y)
-        return tuple(min(a, b) for a, b in zip(x, y))
+        if not len(x) == len(y) == self.dims:
+            self._check(x, y)
+        return tuple(map(min, x, y))
 
     def meet_of_set(self, vs: Iterable[tuple]) -> tuple:
         vs = list(vs)
@@ -361,13 +389,25 @@ class OrdinalCoframe:
 
     def box(self, bound: int) -> list:
         """All vectors with coordinates in {0..bound} or infinity."""
+        _check_bound(bound)
         if (bound + 2) ** self.dims > MAX_GRID_POINTS:
             raise TooLarge(
                 f"bound {bound} in dims {self.dims} needs a box of {bound + 2}^{self.dims} "
                 f"vectors, above the cap of {MAX_GRID_POINTS}"
             )
-        values = list(range(bound + 1)) + [INF]
-        return [tuple(v) for v in itertools.product(values, repeat=self.dims)]
+        return list(itertools.product(_box_values(bound), repeat=self.dims))
+
+    def box_below(self, x: tuple, bound: int) -> list:
+        """The box(bound) vectors below x, in box order.
+
+        z <= x iff z_j >= x_j for every j, so coordinate j ranges over the
+        box values from x_j on, and the product of those suffixes lists
+        the same vectors in the same order as filtering box(bound).
+        """
+        self._check(x)
+        _check_bound(bound)
+        values = _box_values(bound)
+        return list(itertools.product(*[[v for v in values if v >= c] for c in x]))
 
     def max_finite(self, x: tuple) -> int:
         fins = [c for c in x if c != INF]
@@ -435,11 +475,13 @@ class OrdinalCoframe:
         trusting an unproved search radius.
         """
         self._check(x)
+        _check_bound(bound)
         return self._stable_isolation(x, bound)
 
     def isolated_in_subspace_oracle(self, x: tuple, member, bound: int) -> bool:
         """Isolation of x inside {z : member(z)}, by the same bounded search."""
         self._check(x)
+        _check_bound(bound)
         if not member(x):
             raise PreconditionFailed(f"{fmt_vec(x)} is not in the subspace")
         return self._stable_isolation(x, bound, member)
@@ -517,6 +559,7 @@ class OrdinalCoframe:
         <= bound and asks the isolation oracle about each.
         """
         self._check(x, z)
+        _check_bound(bound)
         if self.cb_level(x) != 1:
             raise PreconditionFailed(f"{fmt_vec(x)} is not in S1 minus S2")
         if not self.dually_compact(z):
@@ -589,6 +632,7 @@ class OrdinalCoframe:
         open (see ``_punctured_open``) decides.
         """
         self._check(x)
+        _check_bound(bound)
         if self.cb_level(x) != 1:
             raise PreconditionFailed(f"{fmt_vec(x)} is not in S1 minus S2")
         core_x = self.profile(x).core
@@ -608,6 +652,7 @@ class OrdinalCoframe:
         the bottom is empty) without asserting anything.
         """
         self._check(x)
+        _check_bound(bound)
         if x != self.bottom:
             raise PreconditionFailed(
                 "the testbed's zero-maximal-subelement family is {bottom}"
@@ -623,19 +668,15 @@ class OrdinalCoframe:
         # delta x is empty, so the net over finite subsets is the constant bottom.
         clauses["net_strictly_below_with_join_x"] = False
         clauses["every_subelement_dominated"] = True  # vacuous: nothing below bottom
-        clauses["base_point_isolated_with_matching_core"] = bool(
-            self._separable_if_bounded(x, bound)
+        # The bottom has no finite coordinate, so the search is conclusive
+        # at every bound and an unstable verdict would be a fault.
+        clauses["base_point_isolated_with_matching_core"] = self.isolated_oracle(
+            x, max(bound, self.max_finite(x) + 2)
         )
         clauses["tail_dually_compact"] = True
         clauses["relative_strata_finite"] = True
         clauses["tails_enter_every_neighborhood"] = True  # empty tail set
         return IsolatedBelowReport(x=fmt_vec(x), vacuous=False, reason=None, clauses=clauses)
-
-    def _separable_if_bounded(self, x: tuple, bound: int) -> bool:
-        try:
-            return self.isolated_oracle(x, max(bound, self.max_finite(x) + 2))
-        except UnstableVerdict:
-            return False
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from residua.laws import (
     LawId,
     REGISTRY,
     _Ctx,
+    _RunMemo,
     _fold_downset_subsets,
     _removal_folds_pass,
     _sample_chains,
@@ -625,11 +626,11 @@ def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkey
             for x in rng.sample(range(L.n), L.n // 3):
                 profiles[x] = craft(profiles[x])
             cases.append((L, profiles))
-    fast = [run_law(L, law, _profiles=dict(profiles)).to_json_dict() for L, profiles in cases]
+    fast = [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases]
     monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=strata_ranked_reference))
     violated = set()
     for (L, profiles), doc in zip(cases, fast):
-        ref = run_law(L, law, _profiles=dict(profiles)).to_json_dict()
+        ref = run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict()
         ref.pop("elapsed_ms"), doc.pop("elapsed_ms")
         assert doc == ref, L.provenance
         violated.add((doc.get("witness") or {}).get("violated"))
@@ -677,3 +678,123 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
         monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
     assert docs() == fast
     assert {doc["law"] for doc in fast if doc["verdict"] == "fail"} == {law.value for law in laws}
+
+
+# -- the law registry on the testbed ------------------------------------------
+# run_all on an OrdinalCoframe memoises default-family derivatives for the
+# run and enumerates downsets; the references below are the memo-free
+# checker above and the leq filter that ``_Ctx.below`` replaced.
+
+# The laws that quantify over finite enumerations, as the benchmark's
+# oracle lists them; the testbed skips exactly these.
+LAWS_FINITE_ONLY = {
+    "strata_ranked",
+    "stratum0_characterization",
+    "delta_equals_delta_plus",
+    "subelement_decomp",
+    "minmax_bound",
+    "boundary_removal_descent",
+    "core_union",
+    "core_decomp",
+    "t0_upper_semilattice",
+    "downset_upper_complete",
+}
+
+
+def test_testbed_run_all_dims3_matches_the_oracle():
+    from residua.testbed import OrdinalCoframe
+
+    reports = run_all(OrdinalCoframe(3))
+    assert len(reports) == len(LawId) == 26
+    for r in reports:
+        want = "skipped" if r.law in LAWS_FINITE_ONLY else "pass"
+        assert r.verdict == want, r.law
+        assert r.exhaustive and not r.sampled_subsets, r.law
+    assert sum(r.verdict == "pass" for r in reports) == 16
+    checked = {r.law: r.checked for r in reports}
+    # 6^3 box vectors: every pair, and every pair z <= x (21 values of
+    # z_j >= x_j summed over the 6 values of x_j, per coordinate)
+    assert checked["mu_join_hom"] == checked["core_join_hom"] == 216**2
+    assert checked["coheyting_join"] == checked["mu_monotone"] == 21**3
+
+
+def test_testbed_below_is_the_leq_filter():
+    from residua.testbed import OrdinalCoframe
+
+    for dims, bound in ((1, 4), (2, 4), (3, 4), (4, 3)):
+        cf = OrdinalCoframe(dims)
+        ctx = _Ctx(cf, Budget(testbed_bound=bound), LawId.COHEYTING_JOIN)
+        for x in ctx.elements:
+            assert ctx.below(x) == [z for z in ctx.elements if cf.leq(z, x)], x
+
+
+def _testbed_fault(dims, **overrides):
+    """An OrdinalCoframe subclass with the given methods replaced."""
+    from residua.testbed import OrdinalCoframe
+
+    return type("FaultyCoframe", (OrdinalCoframe,), overrides)(dims)
+
+
+def test_testbed_derivative_memo_hides_no_fault(monkeypatch):
+    """A wrong closed-form mu at one vector, or a wrong meet on one pair
+    (which only the derivative's meet fold reads), fails mu_join_hom with
+    the memo-free checker's witness and count."""
+    from residua.testbed import INF, OrdinalCoframe
+
+    bad_x = (1, 2, INF)
+    real_profile, real_meet2 = OrdinalCoframe.profile, OrdinalCoframe.meet2
+
+    def wrong_mu(self, x):
+        p = real_profile(self, x)
+        return replace(p, mu=(9, 9, 9)) if x == bad_x else p
+
+    # (1, 1, INF) has maximal subelements (1, 2, INF) and (2, 1, INF)
+    bad_pair = {(1, 2, INF), (2, 1, INF)}
+
+    def wrong_meet(self, x, y):
+        return (3, 3, INF) if {x, y} == bad_pair else real_meet2(self, x, y)
+
+    def doc(cf):
+        d = run_law(cf, LawId.MU_JOIN_HOM).to_json_dict()
+        d.pop("elapsed_ms")
+        return d
+
+    lattices = [_testbed_fault(3, profile=wrong_mu), _testbed_fault(3, meet2=wrong_meet)]
+    fast = [doc(cf) for cf in lattices]
+    monkeypatch.setitem(
+        REGISTRY, LawId.MU_JOIN_HOM, replace(REGISTRY[LawId.MU_JOIN_HOM], fn=mu_join_hom_reference)
+    )
+    assert [doc(cf) for cf in lattices] == fast
+    assert [d["verdict"] for d in fast] == ["fail", "fail"]
+    assert fast[1]["witness"]["join"] == "1,1,inf" and fast[1]["witness"]["mu"] == "3,3,inf"
+    assert 0 < fast[0]["checked"] < 216**2 and 0 < fast[1]["checked"] < 216**2
+
+
+def test_testbed_memo_lasts_one_run(monkeypatch):
+    """Each run computes every derivative it needs once, cold, and leaves
+    nothing on the lattice."""
+    from residua.testbed import OrdinalCoframe
+
+    cf = OrdinalCoframe(2)
+    before = dict(vars(cf))
+    calls = []
+    real = residua.laws.residual_derivative
+
+    def counting(L, x, family=None):
+        calls.append(x)
+        return real(L, x, family)
+
+    monkeypatch.setattr(residua.laws, "residual_derivative", counting)
+
+    def docs():
+        out = [r.to_json_dict() for r in run_all(cf)]
+        for d in out:
+            d.pop("elapsed_ms")
+        return out
+
+    first = docs()
+    first_calls, calls[:] = list(calls), []
+    assert docs() == first
+    assert calls == first_calls
+    assert len(calls) == len(set(calls)) > 0
+    assert vars(cf) == before

@@ -79,8 +79,39 @@ def test_meet_join_examples(cf2):
 
 
 def test_dimension_mismatch(cf2):
-    with pytest.raises(DimensionMismatch):
-        cf2.leq((1, 2, 3), (0, 0))
+    # the primitives compare lengths once; a wrong length in either
+    # argument must still reach DimensionMismatch
+    right = (INF, INF)  # below every vector, so co_heyting_sub reaches its check
+    binary = [cf2.leq, cf2.lt, cf2.meet2, cf2.join2, cf2.co_heyting_sub]
+    for wrong in ((1,), (1, 2, 3), ()):
+        for op in binary:
+            for args in ((wrong, right), (right, wrong), (wrong, wrong)):
+                with pytest.raises(DimensionMismatch):
+                    op(*args)
+        with pytest.raises(DimensionMismatch):
+            cf2.profile(wrong)
+
+
+def test_negative_bounds_are_rejected():
+    # bounds are naturals: a negative one would walk vectors with negative
+    # coordinates, outside the carrier
+    cf1, cf2 = OrdinalCoframe(1), OrdinalCoframe(2)
+    s1 = lambda z: cf2.cb_level(z) >= 1
+    calls = [
+        lambda: cf2.box(-1),
+        lambda: cf2.box_below((1, 1), -1),
+        lambda: cf2.isolated_oracle((1, 1), -1),
+        lambda: cf2.isolated_in_subspace_oracle((INF, 0), s1, -1),
+        lambda: cf2.subspace_isolation_sweep(s1, -3),
+        lambda: cf2.check_locally_constant_core((INF, 0), -1),
+        lambda: cf2.check_s1s2_above((INF, 0), (0, 0), -1),
+        lambda: cf2.check_isolated_below_conditions(cf2.bottom, -1),
+        lambda: cf1.check_isolated_below_conditions(cf1.bottom, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="negative"):
+            call()
+    assert cf2.box(0) == [(0, 0), (0, INF), (INF, 0), (INF, INF)]
 
 
 def test_lattice_laws_on_box(cf2):
