@@ -9,6 +9,7 @@ failure or characterization mismatch, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_instance_flags(p):
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--gen", help="generator spec, e.g. divisor:12 or random:seed=7,size=50")
+        src.add_argument("--gen", help="generator spec, e.g. divisor:12 or random:seed=7,size=50 (size is only a cap)")
         src.add_argument("--input", help="lattice JSON file")
 
     def add_output_flags(p, formats=("json", "text")):
@@ -213,46 +214,40 @@ def _cmd_testbed(args) -> int:
     mismatches = []
     discrepancies = []
     if args.element is not None:
-        x = parse_vec(args.element)
-        p = cf.profile(x)
+        xs = [parse_vec(args.element)]
+    else:
+        doc["cb_levels"] = {
+            str(alpha): [
+                ["inf" if i in infs else "any" for i in range(args.dims)]
+                for infs in itertools.combinations(range(args.dims), alpha)
+            ] or "empty"
+            for alpha in range(args.dims + 2)
+        }
+        xs = cf.box(bound)
+        doc["sweep_size"] = len(xs)
+    for x in xs:
         preds = cf.characterization_predicates(x)
         oracle = cf.isolated_oracle(x, max(bound, cf.max_finite(x) + 2))
+        if preds["corrected"] != oracle:
+            mismatches.append(fmt_vec(x))
+        if preds["literal"] != preds["corrected"]:
+            discrepancies.append(fmt_vec(x))
+    if args.element is not None:
         doc["element"] = {
-            "profile": p.to_json_dict(),
+            "profile": cf.profile(x).to_json_dict(),
             "dually_compact": cf.dually_compact(x),
             "characterization": preds,
             "isolated": oracle,
             "cb_level": cf.cb_level(x),
         }
-        if preds["corrected"] != oracle:
-            mismatches.append(fmt_vec(x))
-        if preds["literal"] != preds["corrected"]:
-            discrepancies.append(fmt_vec(x))
-    else:
-        levels = {}
-        for alpha in range(args.dims + 2):
-            pats = cf.cb_level_patterns(alpha)
-            levels[str(alpha)] = [
-                [c.to_json() for c in pat] for pat in pats
-            ] or "empty"
-        doc["cb_levels"] = levels
-        box = cf.box(bound)
-        for x in box:
-            preds = cf.characterization_predicates(x)
-            oracle = cf.isolated_oracle(x, max(bound, cf.max_finite(x) + 2))
-            if preds["corrected"] != oracle:
-                mismatches.append(fmt_vec(x))
-            if preds["literal"] != preds["corrected"]:
-                discrepancies.append(fmt_vec(x))
-        doc["sweep_size"] = len(box)
-        if args.cb:
-            ladder = []
-            for alpha in range(args.dims + 1):
-                ok = _verify_cb_level(cf, alpha, bound)
-                ladder.append({"alpha": alpha, "matches_oracle": ok})
-                if not ok:
-                    mismatches.append(f"cb_level_{alpha}")
-            doc["cb_ladder"] = ladder
+    elif args.cb:
+        ladder = []
+        for alpha in range(args.dims + 1):
+            ok = _verify_cb_level(cf, alpha, bound)
+            ladder.append({"alpha": alpha, "matches_oracle": ok})
+            if not ok:
+                mismatches.append(f"cb_level_{alpha}")
+        doc["cb_ladder"] = ladder
     doc["literal_vs_corrected_discrepancies"] = sorted(discrepancies)
     doc["oracle_mismatches"] = sorted(mismatches)
     if args.format == "json":

@@ -384,8 +384,10 @@ def random_poset(rng: random.Random, size: int) -> FinitePoset:
 def random_distributive(seed: int, target_size: int) -> FiniteLattice:
     """Seeded random downset lattice with at most target_size elements.
 
-    Distributive by construction (and the flag is recomputed, not
-    assumed).  Identical seeds give identical lattices.
+    target_size is only a cap: the poset has 0-9 points, drawn
+    uniformly, so target_size=50 mostly gives lattices under 16
+    elements.  Distributive by construction (and the flag is
+    recomputed, not assumed).  Identical seeds give identical lattices.
     """
     if target_size > LATTICE_SIZE_CAP:
         raise TooLarge(f"target size exceeds {LATTICE_SIZE_CAP}")

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -113,7 +112,6 @@ class LawReport:
     sampled_subsets: bool = False
     reason: Optional[str] = None
     witness: Optional[dict] = None
-    elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -123,7 +121,6 @@ class LawReport:
             "checked": self.checked,
             "exhaustive": self.exhaustive,
             "sampled_subsets": self.sampled_subsets,
-            "elapsed_ms": self.elapsed_ms,
         }
         if self.reason is not None:
             out["reason"] = self.reason
@@ -912,7 +909,6 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
     spec = REGISTRY[law]
     finite = isinstance(L, FiniteLattice)
     instance = L.describe() if finite else f"testbed(dims={L.dims})"
-    start = time.perf_counter()
 
     def done(verdict, ctx=None, reason=None, witness=None):
         return LawReport(
@@ -924,7 +920,6 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
             sampled_subsets=ctx.sampled_subsets if ctx else False,
             reason=reason,
             witness=witness,
-            elapsed_ms=int((time.perf_counter() - start) * 1000),
         )
 
     if spec.finite_only and not finite:

@@ -7,7 +7,8 @@ lower covers, a cached row of the order, and derivatives are cached one
 element at a time on the lattice); an instance that instead
 supplies its own ``maximal_subelements``/``co_heyting_sub``/``outcasts``
 closed forms (the ordinal testbed) is used through those, so there is a
-single copy of the derivative/rank/stratum machinery.
+single copy of the derivative/rank/stratum machinery.  Those three are
+the only closed forms dispatched; the other functions read finite rows.
 
 Set-valued results are returned in canonical index order.  Degenerate
 input: the bottom element has no maximal subelements, derivative itself,
@@ -185,8 +186,6 @@ def outcasts(L, x, family=None) -> list:
 
 def completely_coirreducibles(L) -> list:
     """Elements with a unique maximal subelement dominating every proper subelement."""
-    if hasattr(L, "completely_coirreducibles"):
-        return L.completely_coirreducibles()
     return list(bits(L.poset.coirreducibles))
 
 
@@ -331,8 +330,6 @@ def _verify_profile(L, p: ResidualProfile) -> None:
 
 def delta_plus(L, x, core=None) -> list:
     """Co-irreducible subelements of x not below its core."""
-    if hasattr(L, "delta_plus"):
-        return L.delta_plus(x)
     if core is None:
         core = mu_iterates(L, x)[-1]
     return list(bits(L.poset.coirreducibles & L.down_set(x) & ~L.down_set(core)))
@@ -349,8 +346,6 @@ class RelativeStrata:
 
 def relative_strata(L, x, z) -> RelativeStrata:
     """Relative strata of index x inside the boundary poset of z (x <= z)."""
-    if hasattr(L, "relative_strata"):
-        return L.relative_strata(x, z)
     if not L.leq(x, z):
         raise NotBelow(f"{L.names[x]} is not below {L.names[z]}")
     prof = residual_profile(L, z)

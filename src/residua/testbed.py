@@ -31,7 +31,10 @@ search needs one basic open per point: the one with the maximal positive
 part and the maximal negative parts, which is the smallest basic open
 around the point.  Its points are enumerated directly, at most
 3^dims - 1 of them besides the point, so no search grid is ever built
-(see ``OrdinalCoframe._punctured_open``).
+(see ``OrdinalCoframe._punctured_open``).  Whole-space isolation is one
+search; the subspace searches re-check at higher bounds, because a member
+predicate can tell apart finite values at or beyond the bound.
+``cb_level`` is the one description of the CB levels.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from math import inf as INF
 from operator import ge
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     BoundTooSmall,
@@ -82,49 +85,12 @@ def fmt_vec(v: tuple) -> str:
 
 
 @dataclass(frozen=True)
-class CoordConstraint:
-    """One coordinate of a definable pattern."""
-
-    kind: str  # "inf" | "eq" | "fin_at_least" | "any_fin" | "any"
-    value: Optional[int] = None
-
-    def matches(self, c) -> bool:
-        if self.kind == "inf":
-            return c == INF
-        if self.kind == "eq":
-            return c == self.value
-        if self.kind == "fin_at_least":
-            return c != INF and c >= self.value
-        if self.kind == "any_fin":
-            return c != INF
-        return True
-
-    def to_json(self):
-        if self.kind in ("eq", "fin_at_least"):
-            return {self.kind: self.value}
-        return self.kind
-
-
-IS_INF = CoordConstraint("inf")
-ANY = CoordConstraint("any")
-ANY_FIN = CoordConstraint("any_fin")
-
-
-def pattern_matches(pattern: tuple, v: tuple) -> bool:
-    return all(c.matches(x) for c, x in zip(pattern, v))
-
-
-def any_pattern_matches(patterns, v: tuple) -> bool:
-    return any(pattern_matches(p, v) for p in patterns)
-
-
-@dataclass(frozen=True)
 class TestbedProfile:
     """Closed-form residual data for one vector.
 
     Strata are infinite in number (one per natural), so they are exposed
-    through ``stratum(k)`` and the boundary poset through per-coordinate
-    patterns rather than a materialized set.
+    through ``stratum(k)``, and the boundary poset, their union, through
+    ``rho``, rather than as a materialized set.
     """
 
     element: tuple
@@ -156,19 +122,6 @@ class TestbedProfile:
                 if k >= 0:
                     return k
         raise ValueError(f"{fmt_vec(s)} is not in the boundary poset of {fmt_vec(self.element)}")
-
-    def delta_patterns(self) -> tuple:
-        """Patterns describing the boundary poset, one per finite coordinate."""
-        dims = len(self.element)
-        out = []
-        for j in self.finite_coords:
-            out.append(
-                tuple(
-                    CoordConstraint("fin_at_least", self.element[j]) if i == j else IS_INF
-                    for i in range(dims)
-                )
-            )
-        return tuple(out)
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,16 +183,6 @@ class OrdinalCoframe:
 
     def lt(self, x: tuple, y: tuple) -> bool:
         return self.leq(x, y) and x != y
-
-    def order(self, x: tuple, y: tuple) -> str:
-        """One of 'equal', 'below', 'above', 'incomparable'."""
-        if x == y:
-            return "equal"
-        if self.leq(x, y):
-            return "below"
-        if self.leq(y, x):
-            return "above"
-        return "incomparable"
 
     def meet2(self, x: tuple, y: tuple) -> tuple:
         if not len(x) == len(y) == self.dims:
@@ -346,21 +289,6 @@ class OrdinalCoframe:
             finite_coords=fin,
         )
 
-    def completely_coirreducibles_pattern(self) -> tuple:
-        """Patterns for the single-finite-coordinate vectors."""
-        return tuple(
-            tuple(ANY_FIN if i == j else IS_INF for i in range(self.dims))
-            for j in range(self.dims)
-        )
-
-    def delta_plus_bounded(self, x: tuple, bound: int) -> list:
-        """delta+ members with finite coordinate <= bound."""
-        out = []
-        for j in self.finite_coords(x):
-            for v in range(x[j], bound + 1):
-                out.append(_unit(self.dims, j, v))
-        return sorted(out)
-
     def relative_strata_closed_form(self, x: tuple, z: tuple, upto: int):
         """Relative strata s_k(x, z) for k <= upto, plus the relative rank.
 
@@ -452,60 +380,67 @@ class OrdinalCoframe:
                 return False
         return True
 
-    def _stable_isolation(self, x: tuple, bound: int, member=None) -> bool:
-        """Run the basic-open search at ``bound`` and at the next three
-        bounds, inside {z : member(z)} unless ``member`` is None."""
+    def _check_search_bound(self, x: tuple, bound: int) -> None:
         if bound < self.max_finite(x) + 2:
             raise BoundTooSmall(
                 f"bound {bound} < max finite coordinate of {fmt_vec(x)} + 2"
             )
-        verdicts = {self._separable(x, b, member) for b in range(bound, bound + 4)}
-        if len(verdicts) != 1:
-            what = "isolation" if member is None else "subspace isolation"
-            raise UnstableVerdict(
-                f"{what} verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
-            )
-        return verdicts.pop()
 
     def isolated_oracle(self, x: tuple, bound: int) -> bool:
         """Search-based isolation verdict, independent of the closed forms.
 
-        Runs the basic-open search at ``bound`` and re-runs it at the next
-        three bounds; disagreement raises UnstableVerdict rather than
-        trusting an unproved search radius.
+        One search decides it.  Once bound >= max_finite(x) + 2, the
+        smallest basic open (see ``_punctured_open``) pins every finite
+        coordinate and offers bound, bound + 1 and infinity at every
+        infinite one, so x is isolated iff all its coordinates are finite,
+        at this bound and at every larger one; a re-check at higher bounds
+        could not disagree.
         """
         self._check(x)
         _check_bound(bound)
-        return self._stable_isolation(x, bound)
+        self._check_search_bound(x, bound)
+        return self._separable(x, bound)
 
     def isolated_in_subspace_oracle(self, x: tuple, member, bound: int) -> bool:
-        """Isolation of x inside {z : member(z)}, by the same bounded search."""
+        """Isolation of x inside {z : member(z)}, by the same bounded search.
+
+        The search runs at ``bound`` and at the next three bounds, and
+        disagreement raises UnstableVerdict: unlike the whole space, a
+        member predicate can tell apart finite values at or beyond the
+        bound, which the search grid lumps together.
+        """
         self._check(x)
         _check_bound(bound)
         if not member(x):
             raise PreconditionFailed(f"{fmt_vec(x)} is not in the subspace")
-        return self._stable_isolation(x, bound, member)
+        self._check_search_bound(x, bound)
+        verdicts = {self._separable(x, b, member) for b in range(bound, bound + 4)}
+        if len(verdicts) != 1:
+            raise UnstableVerdict(
+                f"subspace isolation verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
+            )
+        return verdicts.pop()
 
     def subspace_isolation_sweep(self, member, bound: int) -> dict:
         """Isolation verdicts inside {z : member(z)} for every box(bound)
         vector in the subspace.
 
         The basic-open search runs at bound + 2 (so the precondition holds
-        for every box vector) with a stability re-check one bound higher.
+        for every box vector) with a stability re-check one bound higher,
+        for the reason given in ``isolated_in_subspace_oracle``.
         Each verdict reads at most 3^dims - 1 points, so the sweep is
         linear in the box.
         """
-        xs = [x for x in self.box(bound) if member(x)]
         out = {}
-        for b in (bound + 2, bound + 3):
-            for x in xs:
-                verdict = self._separable(x, b, member)
-                if x in out and out[x] != verdict:
+        for x in self.box(bound):
+            if member(x):
+                verdicts = {self._separable(x, b, member) for b in (bound + 2, bound + 3)}
+                if len(verdicts) != 1:
                     raise UnstableVerdict(
                         f"subspace isolation verdict for {fmt_vec(x)} differs "
-                        f"between bounds {b - 1} and {b}"
+                        f"between bounds {bound + 2} and {bound + 3}"
                     )
-                out[x] = verdict
+                out[x] = verdicts.pop()
         return out
 
     # -- characterizations and CB ladder --------------------------------------
@@ -529,23 +464,6 @@ class OrdinalCoframe:
         """Greatest a with x in S_a: the number of infinite coordinates."""
         self._check(x)
         return sum(1 for c in x if c == INF)
-
-    def cb_level_patterns(self, alpha: int) -> tuple:
-        """Patterns whose union is S_alpha = {x : #infinite coords >= alpha}.
-
-        The level sets are unions of per-coordinate patterns, one per
-        choice of alpha coordinates forced infinite.
-        """
-        if alpha > self.dims + 1:
-            raise ValueError("levels beyond dims+1 are not defined")
-        if alpha > self.dims:
-            return ()
-        out = []
-        for infs in itertools.combinations(range(self.dims), alpha):
-            out.append(
-                tuple(IS_INF if i in infs else ANY for i in range(self.dims))
-            )
-        return tuple(out)
 
     # -- section-6 checkers ----------------------------------------------------
 
@@ -668,8 +586,6 @@ class OrdinalCoframe:
         # delta x is empty, so the net over finite subsets is the constant bottom.
         clauses["net_strictly_below_with_join_x"] = False
         clauses["every_subelement_dominated"] = True  # vacuous: nothing below bottom
-        # The bottom has no finite coordinate, so the search is conclusive
-        # at every bound and an unstable verdict would be a fault.
         clauses["base_point_isolated_with_matching_core"] = self.isolated_oracle(
             x, max(bound, self.max_finite(x) + 2)
         )
@@ -731,12 +647,6 @@ __all__ = [
     "MAX_DIMS",
     "OrdinalCoframe",
     "TestbedProfile",
-    "CoordConstraint",
-    "IS_INF",
-    "ANY",
-    "ANY_FIN",
-    "pattern_matches",
-    "any_pattern_matches",
     "parse_vec",
     "fmt_vec",
     "S1S2Report",

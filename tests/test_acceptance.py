@@ -262,7 +262,7 @@ def test_criterion_7_testbed_cb_ladder():
                 for x, isolated in sweep.items():
                     assert isolated == (cf.cb_level(x) == alpha), (alpha, x)
             # the level above the dimension count is empty
-            assert cf.cb_level_patterns(dims + 1) == ()
+            assert cf.subspace_isolation_sweep(lambda z: cf.cb_level(z) >= dims + 1, 8) == {}
             assert all(cf.cb_level(x) <= dims for x in cf.box(3))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from residua import cli
 from residua.lattice import canonical_json, lattice_from_json
 from residua.laws import LawReport
+from residua.testbed import INF, OrdinalCoframe
 
 
 def run_cli(*argv):
@@ -78,6 +79,40 @@ def test_testbed_sweep_lists_discrepancies(tmp_path):
     assert "inf,0" in doc["literal_vs_corrected_discrepancies"]
     assert doc["oracle_mismatches"] == []
     assert doc["sweep_size"] == 36
+
+
+# Each level's patterns as strings, one letter per coordinate: i = inf,
+# a = any; the levels run 0..dims + 1 and the last one is empty.
+CB_LEVELS = {
+    1: [["a"], ["i"]],
+    2: [["aa"], ["ia", "ai"], ["ii"]],
+    3: [["aaa"], ["iaa", "aia", "aai"], ["iia", "iai", "aii"], ["iii"]],
+    4: [
+        ["aaaa"],
+        ["iaaa", "aiaa", "aaia", "aaai"],
+        ["iiaa", "iaia", "iaai", "aiia", "aiai", "aaii"],
+        ["iiia", "iiai", "iaii", "aiii"],
+        ["iiii"],
+    ],
+}
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_testbed_cb_levels(tmp_path, dims):
+    out = tmp_path / "tb.json"
+    assert run_cli("testbed", "--dims", str(dims), "--bound", "0", "--report", str(out)) == 0
+    levels = json.loads(out.read_text())["cb_levels"]
+    letters = {"i": "inf", "a": "any"}
+    expected = {str(a): [[letters[c] for c in p] for p in pats] for a, pats in enumerate(CB_LEVELS[dims])}
+    expected[str(dims + 1)] = "empty"
+    assert levels == expected
+    # each level's patterns describe the vectors with at least that many
+    # infinite coordinates
+    cf = OrdinalCoframe(dims)
+    for alpha, pats in enumerate(CB_LEVELS[dims] + [[]]):
+        for x in cf.box(1):
+            matched = any(all(c == "a" or v == INF for c, v in zip(p, x)) for p in pats)
+            assert matched == (cf.cb_level(x) >= alpha), (alpha, x)
 
 
 def test_testbed_cb_flag(tmp_path):
@@ -302,10 +337,4 @@ def test_reports_deterministic(tmp_path):
     for path in (a, b):
         assert run_cli("laws", "--gen", "divisor:30", "--seed", "5", "--report", str(path)) == 0
 
-    def stripped(path):
-        docs = json.loads(path.read_text())
-        for d in docs:
-            d.pop("elapsed_ms")
-        return docs
-
-    assert stripped(a) == stripped(b)
+    assert a.read_text() == b.read_text()

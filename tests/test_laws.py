@@ -121,13 +121,10 @@ def test_m3_skips_coframe_laws_passes_rest(m3):
 
 
 def test_reports_are_deterministic(div12):
-    def strip(reports):
-        docs = [r.to_json_dict() for r in reports]
-        for d in docs:
-            d.pop("elapsed_ms")
-        return canonical_json(docs)
+    def dump(reports):
+        return canonical_json([r.to_json_dict() for r in reports])
 
-    assert strip(run_all(div12, Budget(seed=3))) == strip(run_all(div12, Budget(seed=3)))
+    assert dump(run_all(div12, Budget(seed=3))) == dump(run_all(div12, Budget(seed=3)))
 
 
 def test_family_hypothesis_gate(b3):
@@ -381,7 +378,8 @@ def test_testbed_instance_supported():
 
 def test_report_json_schema(div12):
     doc = run_law(div12, LawId.COHEYTING_JOIN).to_json_dict()
-    assert {"law", "instance", "verdict", "checked", "exhaustive", "sampled_subsets", "elapsed_ms"} <= set(doc)
+    assert {"law", "instance", "verdict", "checked", "exhaustive", "sampled_subsets"} <= set(doc)
+    assert "elapsed_ms" not in doc  # no clock readings: reports are byte-deterministic
     json.dumps(doc)
 
 
@@ -501,10 +499,7 @@ REFERENCE_CHECKERS = {
 
 
 def report_docs(L) -> list:
-    docs = [r.to_json_dict() for r in run_all(L)]
-    for d in docs:
-        d.pop("elapsed_ms")
-    return docs
+    return [r.to_json_dict() for r in run_all(L)]
 
 
 def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
@@ -631,7 +626,6 @@ def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkey
     violated = set()
     for (L, profiles), doc in zip(cases, fast):
         ref = run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict()
-        ref.pop("elapsed_ms"), doc.pop("elapsed_ms")
         assert doc == ref, L.provenance
         violated.add((doc.get("witness") or {}).get("violated"))
     assert {"antichain", "rank order"} <= violated
@@ -668,9 +662,7 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
         for L, elements in cases:
             monkeypatch.setattr(residua.laws, "residual_profile", raising_at(elements))
             for law, budget in itertools.product(laws, (DEFAULT_BUDGET, Budget(max_pairs=20))):
-                doc = run_law(L, law, budget).to_json_dict()
-                doc.pop("elapsed_ms")
-                out.append(doc)
+                out.append(run_law(L, law, budget).to_json_dict())
         return out
 
     fast = docs()
@@ -755,9 +747,7 @@ def test_testbed_derivative_memo_hides_no_fault(monkeypatch):
         return (3, 3, INF) if {x, y} == bad_pair else real_meet2(self, x, y)
 
     def doc(cf):
-        d = run_law(cf, LawId.MU_JOIN_HOM).to_json_dict()
-        d.pop("elapsed_ms")
-        return d
+        return run_law(cf, LawId.MU_JOIN_HOM).to_json_dict()
 
     lattices = [_testbed_fault(3, profile=wrong_mu), _testbed_fault(3, meet2=wrong_meet)]
     fast = [doc(cf) for cf in lattices]
@@ -787,10 +777,7 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
     monkeypatch.setattr(residua.laws, "residual_derivative", counting)
 
     def docs():
-        out = [r.to_json_dict() for r in run_all(cf)]
-        for d in out:
-            d.pop("elapsed_ms")
-        return out
+        return [r.to_json_dict() for r in run_all(cf)]
 
     first = docs()
     first_calls, calls[:] = list(calls), []

@@ -12,18 +12,15 @@ from residua.errors import (
     NotBelow,
     PreconditionFailed,
     TooLarge,
+    UnstableVerdict,
 )
 from residua.residual import OMEGA, RankValue, mu_iterates
 from residua.testbed import (
-    ANY,
     INF,
-    IS_INF,
     MAX_GRID_POINTS,
-    CoordConstraint,
     OrdinalCoframe,
     fmt_vec,
     parse_vec,
-    pattern_matches,
 )
 
 
@@ -64,10 +61,9 @@ def test_isolation_search_builds_no_grid():
 
 
 def test_order_examples(cf2):
-    assert cf2.order((3, INF), (1, 0)) == "below"
-    assert cf2.order((1, 0), (3, INF)) == "above"
-    assert cf2.order((1, 0), (1, 0)) == "equal"
-    assert cf2.order((0, 1), (1, 0)) == "incomparable"
+    assert cf2.lt((3, INF), (1, 0)) and not cf2.leq((1, 0), (3, INF))
+    assert cf2.leq((1, 0), (1, 0)) and not cf2.lt((1, 0), (1, 0))
+    assert not cf2.leq((0, 1), (1, 0)) and not cf2.leq((1, 0), (0, 1))
 
 
 def test_meet_join_examples(cf2):
@@ -188,11 +184,11 @@ def test_profile_dim1():
     assert p.core == cf.bottom
     for k in range(5):
         assert p.stratum(k) == ((3 + k,),)
-    pat = p.delta_patterns()
-    assert pat == ((CoordConstraint("fin_at_least", 3),),)
-    assert pattern_matches(pat[0], (7,))
-    assert not pattern_matches(pat[0], (2,))
-    assert not pattern_matches(pat[0], (INF,))
+        assert p.rho((3 + k,)) == k
+    # the boundary poset is the finite values from 3 on
+    for s in [(2,), (INF,)]:
+        with pytest.raises(ValueError):
+            p.rho(s)
 
 
 def test_profile_dim2(cf2):
@@ -260,20 +256,9 @@ def test_cb_level_examples(cf2):
     assert cf2.cb_level((5, 1)) == 0
     assert cf2.cb_level((INF, 7)) == 1
     assert cf2.cb_level(cf2.bottom) == 2
-    assert cf2.cb_level_patterns(3) == ()
     cf1 = OrdinalCoframe(1)
-    pats = cf1.cb_level_patterns(1)
-    assert pats == ((IS_INF,),)
-    assert cf1.cb_level_patterns(0) == ((ANY,),)
-
-
-def test_cb_level_patterns_match_membership(cf2):
-    from residua.testbed import any_pattern_matches
-
-    for alpha in range(3):
-        pats = cf2.cb_level_patterns(alpha)
-        for x in cf2.box(3):
-            assert any_pattern_matches(pats, x) == (cf2.cb_level(x) >= alpha)
+    assert cf1.cb_level((INF,)) == 1
+    assert cf1.cb_level((0,)) == 0
 
 
 def test_inf0_isolated_within_first_layer(cf2):
@@ -293,12 +278,10 @@ def test_cb_ladder_small_dims():
                 assert isolated == (cf.cb_level(x) == alpha)
 
 
-def test_coirreducible_patterns_match_bounded_scan(cf2):
+def test_coirreducibles_have_one_finite_coordinate(cf2):
     # bounded definitional scan: exactly one maximal subelement, and every
     # strictly smaller box vector sits below the derivative
-    from residua.testbed import any_pattern_matches
-
-    pats = cf2.completely_coirreducibles_pattern()
+    verdicts = set()
     box = cf2.box(4)
     for x in box:
         maxes = cf2.maximal_subelements(x)
@@ -307,24 +290,28 @@ def test_coirreducible_patterns_match_bounded_scan(cf2):
             for z in box
             if cf2.lt(z, x)
         )
-        assert any_pattern_matches(pats, x) == definitional, x
+        assert (len(cf2.finite_coords(x)) == 1) == definitional, x
+        verdicts.add(definitional)
+    assert verdicts == {True, False}
 
 
-def test_delta_plus_bounded(cf2):
-    got = cf2.delta_plus_bounded((2, 3), 5)
+def test_boundary_members_come_from_strata(cf2):
+    x, bound = (2, 3), 5
+    p = cf2.profile(x)
+    # each member has one finite coordinate, its min
+    got = sorted(s for k in range(bound + 1) for s in p.stratum(k) if min(s) <= bound)
     expected = sorted(
         [(v, INF) for v in range(2, 6)] + [(INF, v) for v in range(3, 6)]
     )
     assert got == expected
-    # members are exactly the box vectors matching the boundary patterns
-    pats = cf2.profile((2, 3)).delta_patterns()
-    from residua.testbed import any_pattern_matches
-
-    for s in got:
-        assert any_pattern_matches(pats, s)
-    for z in cf2.box(5):
-        if any_pattern_matches(pats, z):
-            assert z in got
+    # the boundary poset inside box(5): a single finite coordinate, at
+    # least x's there, and rho names its stratum
+    for z in cf2.box(bound):
+        j = cf2.finite_coords(z)
+        if len(j) == 1 and z[j[0]] >= x[j[0]]:
+            assert z in got and z in p.stratum(p.rho(z))
+        else:
+            assert z not in got
 
 
 def test_rank_realization_bounded_iterates(cf2):
@@ -421,6 +408,46 @@ def test_stability_machinery(cf2):
         v1 = cf2.isolated_oracle(x, bound)
         v2 = cf2.isolated_oracle(x, bound + 1)
         assert v1 == v2
+
+
+def test_whole_space_verdict_is_stable_across_bounds():
+    # isolated_oracle searches once; this is the re-check it no longer
+    # runs: from max finite + 2 on, every bound gives "all finite"
+    reps = {"fin": (0, 3), "inf": (INF,)}
+    for dims in range(1, 5):
+        cf = OrdinalCoframe(dims)
+        for types in itertools.product(reps, repeat=dims):
+            for x in itertools.product(*(reps[t] for t in types)):
+                for start in range(cf.max_finite(x) + 2, cf.max_finite(x) + 5):
+                    verdicts = {cf._separable(x, b) for b in range(start, start + 4)}
+                    assert verdicts == {"inf" not in types}, (x, start)
+
+
+def test_isolated_oracle_searches_once(monkeypatch):
+    calls = []
+    search = OrdinalCoframe._separable
+
+    def counted(self, *args):
+        calls.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(OrdinalCoframe, "_separable", counted)
+    cf = OrdinalCoframe(2)
+    for x in [(1, 1), (INF, 2), (INF, INF)]:
+        calls.clear()
+        assert cf.isolated_oracle(x, 6) == (INF not in x)
+        assert calls == [(x, 6)]
+
+
+def test_subspace_searches_raise_unstable_verdict():
+    # the member predicate tells 7 and 8 apart from the other finite
+    # values, which the search grid at bound 6 lumps into 7
+    cf = OrdinalCoframe(1)
+    member = lambda z: z[0] == INF or z[0] not in (7, 8)
+    with pytest.raises(UnstableVerdict):
+        cf.isolated_in_subspace_oracle((INF,), member, 6)
+    with pytest.raises(UnstableVerdict):
+        cf.subspace_isolation_sweep(member, 5)
 
 
 @settings(max_examples=80, deadline=None)
