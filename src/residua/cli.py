@@ -9,6 +9,7 @@ failure or characterization mismatch, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -35,7 +36,10 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused:
+    ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="residua",
         description="Residual derivatives, boundary posets and CB layers on finite lattices",

@@ -23,6 +23,7 @@ from .residual import residual_derivative
 LATTICE_SIZE_CAP = 4096
 GROUP_ORDER_CAP = 64
 ZN_CAP = 10**6
+_ORDER_CAP_MESSAGE = f"subgroup enumeration capped at order {GROUP_ORDER_CAP}"
 
 CATALOG_NAMES = tuple(
     [f"z{n}" for n in range(1, 33)] + ["s3", "d4", "q8", "a4", "z2xz4", "z2xz2xz2"]
@@ -48,7 +49,8 @@ class CayleyTable:
         """Group from ``{"order": n, "identity": e, "table": [[...], ...]}``.
 
         A document of the wrong shape raises ``InvalidGroup`` naming the
-        field; the group axioms are then checked by ``validate``.
+        field, and an order above ``GROUP_ORDER_CAP`` is refused; the group
+        axioms are then checked by ``validate``.
         """
         if not isinstance(doc, dict):
             raise InvalidGroup(f"{name}: Cayley JSON must be an object, got {type(doc).__name__}")
@@ -62,6 +64,9 @@ class CayleyTable:
             and all(isinstance(row, list) and all(map(_is_index, row)) for row in table)
         ):
             raise InvalidGroup(f"{name}: Cayley JSON field 'table' must be a list of rows of elements")
+        if order > GROUP_ORDER_CAP:
+            # Refused before the O(n^3) associativity scan of validate().
+            raise InvalidGroup(_ORDER_CAP_MESSAGE)
         c = cls(
             order=order,
             table=tuple(tuple(row) for row in table),
@@ -131,37 +136,60 @@ def _abelian_group(moduli: list[int]) -> dict:
     return {"order": len(elems), "identity": 0, "table": table}
 
 
-def _closure(c: CayleyTable, seed_mask: int) -> int:
-    """Closure of a nonempty subset under the product (a subgroup, since
-    the group is finite)."""
-    members = seed_mask | 1 << c.identity
-    frontier = list(bits(members))
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in bits(members):
-                for prod in (c.mul(a, b), c.mul(b, a)):
-                    if not members >> prod & 1:
-                        members |= 1 << prod
-                        nxt.append(prod)
-        frontier = nxt
+def _extend(c: CayleyTable, h: int, g: int) -> int:
+    """The subgroup generated by the subgroup ``h`` (a bitmask) and ``g``.
+
+    The result is grown as a union of left cosets of ``h``, starting from
+    ``h`` itself.  Each member ``x`` is multiplied by ``g`` once; when
+    ``x·g`` lies outside, the whole coset ``(x·g)h`` joins and its members
+    are multiplied in turn.  That is O(|<h, g>|) table reads.
+
+    Why this is <h, g>: the result S contains e, is a union of left cosets
+    of h and so is closed under right multiplication by h, and is closed
+    under right multiplication by g.  Every element of the finite group
+    <h, g> is a product of elements of h and of g (inverses are positive
+    powers), so S contains <h, g>; and every member of S is such a product,
+    so S lies inside <h, g>.
+    """
+    t = c.table
+    hs = list(bits(h))
+    members = h
+    todo = hs.copy()
+    while todo:
+        y = t[todo.pop()][g]
+        if not members >> y & 1:
+            row = t[y]
+            coset = [row[k] for k in hs]
+            for z in coset:
+                members |= 1 << z
+            todo += coset
     return members
 
 
 def subgroups(c: CayleyTable) -> list[int]:
-    """All subgroups as element bitmasks, by closing generator extensions."""
+    """All subgroups as element bitmasks: from the trivial subgroup, extend
+    each subgroup found by the elements outside it.
+
+    Every element of a left coset ``gh`` gives the same extension
+    ``<h, g>``, so one element per coset is tried.
+    """
     if c.order > GROUP_ORDER_CAP:
-        raise InvalidGroup(f"subgroup enumeration capped at order {GROUP_ORDER_CAP}")
+        raise InvalidGroup(_ORDER_CAP_MESSAGE)
     trivial = 1 << c.identity
     found = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for h in frontier:
+            hs = list(bits(h))
+            tried = h
             for g in range(c.order):
-                if h >> g & 1:
+                if tried >> g & 1:
                     continue
-                extended = _closure(c, h | 1 << g)
+                row = c.table[g]
+                for k in hs:
+                    tried |= 1 << row[k]
+                extended = _extend(c, h, g)
                 if extended not in found:
                     found.add(extended)
                     nxt.append(extended)

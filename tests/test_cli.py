@@ -166,6 +166,17 @@ def test_group_from_file(tmp_path):
     assert json.loads(out.read_text())["subgroups"] == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert run_cli("group", "--name", "q8") == 0
+    alone = capsys.readouterr().out
+    for before, code in ((["group", "--nosuch"], 2), (["--help"], 0), (["group", "--help"], 0)):
+        assert run_cli(*before) == code
+        capsys.readouterr()
+        assert run_cli("group", "--name", "q8") == 0
+        assert capsys.readouterr().out == alone, before
+
+
 def test_usage_errors():
     assert run_cli("analyze") == 2  # missing input source
     assert run_cli("nosuch") == 2
@@ -193,6 +204,10 @@ MALFORMED_INPUTS = {
     "Cayley JSON with identity out of range": (
         ["group", "--input", "{file}"],
         {"order": 2, "identity": 5, "table": [[0, 1], [1, 0]]},
+    ),
+    "Cayley JSON above the order cap": (
+        ["group", "--input", "{file}"],
+        {"order": 100, "identity": 0, "table": [[(a + b) % 100 for b in range(100)] for a in range(100)]},
     ),
     "group spec file without identity": (
         ["analyze", "--gen", "group:@{file}"],

@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -6,6 +8,7 @@ from residua.bitset import bits, popcount
 from residua.errors import InvalidGroup, TooLarge
 from residua.generators import (
     CATALOG_NAMES,
+    GROUP_ORDER_CAP,
     CayleyTable,
     antichain_poset,
     boolean,
@@ -25,6 +28,7 @@ from residua.generators import (
     subgroup_lattice,
     subgroups,
 )
+from residua.generators import _extend
 from residua.laws import all_pass, run_all
 from residua.topology import FiniteTopology, closed_set_lattice
 import random
@@ -40,6 +44,35 @@ def brute_force_subgroups(c: CayleyTable):
         if all(c.mul(a, b) in members for a in members for b in members):
             out.add(mask)
     return sorted(out, key=lambda m: (popcount(m), m))
+
+
+def closure_reference(c: CayleyTable, seed_mask: int) -> int:
+    """Closure of a nonempty subset under the product, by multiplying every
+    new member with every member on both sides: the slow twin of
+    ``_extend``."""
+    members = seed_mask | 1 << c.identity
+    frontier = list(bits(members))
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in bits(members):
+                for prod in (c.mul(a, b), c.mul(b, a)):
+                    if not members >> prod & 1:
+                        members |= 1 << prod
+                        nxt.append(prod)
+        frontier = nxt
+    return members
+
+
+def s4_table() -> CayleyTable:
+    """S4 from permutation composition: elements are the permutations of
+    range(4) in lexicographic order, ``a·b`` applies b first, then a."""
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
+    return CayleyTable.from_json_dict(
+        {"order": 24, "identity": index[(0, 1, 2, 3)], "table": table}, name="s4"
+    )
 
 
 def cyclic_subgroups_oracle(c: CayleyTable):
@@ -75,6 +108,28 @@ def test_subgroups_match_brute_force_small():
     for name in ["z1", "z4", "z6", "z8", "s3", "q8", "d4", "z2xz4", "z2xz2xz2"]:
         g = load_catalog_group(name)
         assert subgroups(g) == brute_force_subgroups(g), name
+
+
+def assert_extend_matches_closure_reference(c: CayleyTable):
+    for h in subgroups(c):
+        for g in range(c.order):
+            assert _extend(c, h, g) == closure_reference(c, h | 1 << g), (h, g)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_extend_matches_closure_reference(name):
+    assert_extend_matches_closure_reference(load_catalog_group(name))
+
+
+def test_s4_subgroups_and_frattini():
+    s4 = s4_table()
+    assert_extend_matches_closure_reference(s4)
+    subs = subgroups(s4)
+    assert len(subs) == 30
+    assert sorted(popcount(m) for m in subs) == (
+        [1] + [2] * 9 + [3] * 4 + [4] * 7 + [6] * 4 + [8] * 3 + [12, 24]
+    )
+    assert frattini(s4).members == (s4.identity,)
 
 
 def test_subgroups_match_single_generator_oracle_for_cyclic():
@@ -236,8 +291,18 @@ def test_caps_enforced():
         table=tuple(tuple((a + b) % 65 for b in range(65)) for a in range(65)),
         identity=0,
     )
-    with pytest.raises(InvalidGroup):
+    with pytest.raises(InvalidGroup, match="capped at order 64"):
         subgroups(big)
+
+
+def test_oversized_cayley_json_refused_before_validation():
+    n = 400
+    doc = {"order": n, "identity": 0, "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+    start = time.perf_counter()
+    with pytest.raises(InvalidGroup, match=f"capped at order {GROUP_ORDER_CAP}"):
+        CayleyTable.from_json_dict(doc)
+    # validate() alone scans 64,000,000 triples here; the cap check does not.
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cayley_json_round_trip():
