@@ -21,17 +21,26 @@ lattice) and answer element quantifiers with mask operations, with the
 same verdicts, ``checked`` counts and witnesses as the per-element loops
 they replace; the tests keep those loops as references.
 
+The pair laws ``type_subadditive``, ``mu_join_hom`` and ``core_join_hom``
+walk one join table by position (``_Ctx.join_pairs``) and keep the
+per-element facts they read in position-indexed lists, filled on first
+use in the pair loop's order.  A finite lattice's ``L.join`` is that
+table.  On the testbed the run's ``_RunMemo`` builds it on first use,
+one ``join2`` per ordered box pair, and drops it with the run; while
+the pairs are sampled no table is built and each drawn pair is joined
+as it is drawn.
+
 Two corollaries bound what the finite checks can see.  Every core on a
-finite distributive lattice is the bottom (the derivative peels the
-join-irreducibles below x layer by layer until none is left), so there
-the core laws check the tables, not cores.  And the only zero-maximal
-element of a finite lattice is its bottom, so t0 = {bottom}, and
-``core_decomp``, ``core_union`` and ``t0_upper_semilattice`` quantify
-over the bottom only.  On a distributive lattice the residues x - z are
-folds of join-irreducibles through the join table (see
-``residual.co_heyting_sub``) and read no meet entry; the meet table
-reaches the laws through the derivatives, and ``k_lower_semilattice``
-checks every meet pair.
+finite lattice is the bottom (mu(x) lies below each lower cover of x, so
+mu(x) < x for every non-bottom x), so the core laws check the tables,
+not cores; the testbed's closed-form cores are the bottom too.  And the
+only zero-maximal element of a finite lattice is its bottom, so
+t0 = {bottom}, and ``core_decomp``, ``core_union`` and
+``t0_upper_semilattice`` quantify over the bottom only.  On a
+distributive lattice the residues x - z are folds of join-irreducibles
+through the join table (see ``residual.co_heyting_sub``) and read no
+meet entry; the meet table reaches the laws through the derivatives,
+and ``k_lower_semilattice`` checks every meet pair.
 """
 
 from __future__ import annotations
@@ -138,10 +147,13 @@ class _RunMemo:
     ``profiles`` holds default-family profiles.  ``derivatives`` holds the
     testbed's default-family derivatives, each the definitional meet of
     the maximal subelements; a finite lattice keeps those in
-    ``L.derivatives``."""
+    ``L.derivatives``.  ``joins`` is the testbed's join table over the
+    box (see ``_Ctx.join_table``); a finite lattice's ``L.join`` already
+    is that table."""
 
     profiles: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
+    joins: Optional[list] = None
 
 
 class _Ctx:
@@ -157,7 +169,7 @@ class _Ctx:
         else:
             self.elements = L.box(budget.testbed_bound)
         self._rng_seed = f"{budget.seed}:{law.value}"
-        memo = memo or _RunMemo()
+        self.memo = memo = memo or _RunMemo()
         self.profiles = memo.profiles if family is None else {}
         self.derivatives = memo.derivatives
         self.exhaustive = True
@@ -195,22 +207,66 @@ class _Ctx:
             mu = self.derivatives[x] = residual_derivative(self.L, x)
         return mu
 
-    def pairs(self):
-        """Every ordered pair within ``max_pairs``, else ``max_pairs``
-        distinct pairs drawn without replacement."""
-        els = self.elements
-        n = len(els)
-        if n * n <= self.budget.max_pairs:
-            return itertools.product(els, els)
-        self.exhaustive = False
-        return self._distinct_pairs(els, self.budget.max_pairs)
+    @cached_property
+    def index(self) -> dict:
+        """Position of each element in ``elements``; a finite lattice's
+        elements are their own positions."""
+        return {x: i for i, x in enumerate(self.elements)}
 
-    def _distinct_pairs(self, els, k):
-        """Draw k distinct ordered pairs, one at a time, keeping a bitmap
-        of the pairs drawn so far (n^2 / 8 bytes).  ``random.sample`` would
-        copy all n^2 pair numbers into a list whenever n^2 is below about
-        4 * k: 36 MB at n = 1024."""
-        n = len(els)
+    def _samples(self) -> bool:
+        n = len(self.elements)
+        return n * n > self.budget.max_pairs
+
+    def pair_positions(self):
+        """Positions (i, k) of every ordered pair within ``max_pairs``, else
+        of ``max_pairs`` distinct pairs drawn without replacement."""
+        n = len(self.elements)
+        if not self._samples():
+            return itertools.product(range(n), repeat=2)
+        self.exhaustive = False
+        return self._distinct_pairs(n, self.budget.max_pairs)
+
+    def pairs(self):
+        """The element pairs at ``pair_positions``."""
+        positions = self.pair_positions()
+        if self.finite:
+            return positions
+        els = self.elements
+        return ((els[i], els[k]) for i, k in positions)
+
+    def join_table(self):
+        """Row i, entry k: the position of ``elements[i] v elements[k]``.
+
+        A finite lattice's ``L.join`` is this table.  On the testbed it is
+        built on first use in a run, one ``join2`` per ordered box pair,
+        and kept in the run's memo; an entry is -1 when the join lies
+        outside the box, which only a faulty ``join2`` can produce.  While
+        ``pairs`` samples, no table is built and this is None."""
+        if self.finite:
+            return self.L.join
+        if self._samples():
+            return None
+        if self.memo.joins is None:
+            els, join2, index = self.elements, self.L.join2, self.index
+            self.memo.joins = [[index.get(join2(x, z), -1) for z in els] for x in els]
+        return self.memo.joins
+
+    def join_pairs(self):
+        """(i, k, j) for each pair at ``pair_positions``: the positions of
+        x, z and x v z, with j -1 when x v z is not in ``elements``.  The
+        exhaustive pairs walk the join table; a sampled pair is joined
+        with ``join2`` as it is drawn."""
+        if not self._samples():
+            table = self.join_table()
+            return ((i, k, j) for i, row in enumerate(table) for k, j in enumerate(row))
+        els, join2, index = self.elements, self.L.join2, self.index
+        return ((i, k, index.get(join2(els[i], els[k]), -1)) for i, k in self.pair_positions())
+
+    def _distinct_pairs(self, n, k):
+        """Draw k distinct ordered pairs of positions below n, one at a
+        time, keeping a bitmap of the pairs drawn so far (n^2 / 8 bytes).
+        ``random.sample`` would copy all n^2 pair numbers into a list
+        whenever n^2 is below about 4 * k: 36 MB at n = 1024."""
         count = n * n
         width, draw = (count - 1).bit_length(), self.rng.getrandbits
         taken = bytearray(count // 8 + 1)
@@ -222,7 +278,7 @@ class _Ctx:
             if not taken[byte] & bit:
                 taken[byte] |= bit
                 k -= 1
-                yield els[d // n], els[d % n]
+                yield d // n, d % n
 
     def below(self, x):
         """The elements below x, in element order."""
@@ -462,14 +518,15 @@ def _check_delta_equals_delta_plus(ctx):
 
 
 def _check_type_subadditive(ctx):
-    L = ctx.L
+    L, els = ctx.L, ctx.elements
     # One count per element; the testbed's box is closed under joins
-    # (coordinatewise minima), so every join has its count too.
-    t = {x: classify_t(L, x) for x in ctx.elements}
-    for x, z in ctx.pairs():
+    # (coordinatewise minima), so only a faulty join needs its own count.
+    t = [classify_t(L, x) for x in els]
+    for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        if t[L.join2(x, z)] > t[x] + t[z]:
-            return False, ctx.witness(x=x, z=z)
+        t_join = t[j] if j >= 0 else classify_t(L, L.join2(els[i], els[k]))
+        if t_join > t[i] + t[k]:
+            return False, ctx.witness(x=els[i], z=els[k])
     return True, None
 
 
@@ -498,17 +555,33 @@ def _check_mu_monotone(ctx):
 
 
 def _check_mu_join_hom(ctx):
-    L = ctx.L
-    join2, profile, profiles, derivative = L.join2, ctx.profile, ctx.profiles, ctx.derivative
-    for x, z in ctx.pairs():
+    """The closed-form mus (profiles) against the definitional derivative
+    of the join.  Mus and derivatives are kept by position and computed
+    on first use, in the pair loop's order, so a raising profile stops
+    the law at the same pair.  The mus are joined with ``join2``: on the
+    testbed most of them lie outside the box."""
+    L, els = ctx.L, ctx.elements
+    join2, profile, derivative = L.join2, ctx.profile, ctx.derivative
+    mus, derivatives = [None] * len(els), [None] * len(els)
+    for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        j = join2(x, z)
-        px = profiles.get(x) or profile(x)
-        pz = profiles.get(z) or profile(z)
-        expected = join2(px.mu, pz.mu)
-        got = derivative(j)
+        mu_x = mus[i]
+        if mu_x is None:
+            mu_x = mus[i] = profile(els[i]).mu
+        mu_z = mus[k]
+        if mu_z is None:
+            mu_z = mus[k] = profile(els[k]).mu
+        expected = join2(mu_x, mu_z)
+        if j >= 0:
+            join = els[j]
+            got = derivatives[j]
+            if got is None:
+                got = derivatives[j] = derivative(join)
+        else:
+            join = join2(els[i], els[k])
+            got = derivative(join)
         if got != expected:
-            return False, ctx.witness(x=x, z=z, join=j, mu=got, mu_of_parts=expected)
+            return False, ctx.witness(x=els[i], z=els[k], join=join, mu=got, mu_of_parts=expected)
     return True, None
 
 
@@ -684,17 +757,37 @@ def _check_core_decomp(ctx):
 
 
 def _check_core_join_hom(ctx):
-    L = ctx.L
-    join2, profile, profiles = L.join2, ctx.profile, ctx.profiles
-    for x, z in ctx.pairs():
+    """core(x v z) = core(x) v core(z).  Cores are kept by position and
+    computed on first use, in the pair loop's order.  core(x) v core(z)
+    is read from the join table when both cores are elements (the
+    testbed's closed-form cores always are), else joined with ``join2``."""
+    L, els = ctx.L, ctx.elements
+    join2, profile = L.join2, ctx.profile
+    table = ctx.join_table()
+    cores, core_at = [None] * len(els), [-1] * len(els)
+
+    def fill(i):
+        core = cores[i] = profile(els[i]).core
+        if table is not None:
+            core_at[i] = ctx.index.get(core, -1)
+
+    for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        j = join2(x, z)
-        got = (profiles.get(j) or profile(j)).core
-        px = profiles.get(x) or profile(x)
-        pz = profiles.get(z) or profile(z)
-        expected = join2(px.core, pz.core)
+        if j >= 0:
+            if cores[j] is None:
+                fill(j)
+            got = cores[j]
+        else:
+            got = profile(join2(els[i], els[k])).core
+        if cores[i] is None:
+            fill(i)
+        if cores[k] is None:
+            fill(k)
+        a, b = core_at[i], core_at[k]
+        e = table[a][b] if a >= 0 and b >= 0 else -1
+        expected = els[e] if e >= 0 else join2(cores[i], cores[k])
         if got != expected:
-            return False, ctx.witness(x=x, z=z, got=got, expected=expected)
+            return False, ctx.witness(x=els[i], z=els[k], got=got, expected=expected)
     return True, None
 
 
@@ -827,10 +920,12 @@ def _check_k_lower_semilattice(ctx):
             if common != L.down_set(m):
                 return False, ctx.witness(x=x, z=z, meet=m)
         return True, None
-    compact = {x: L.dually_compact(x) for x in ctx.elements}
-    for x, z in ctx.pairs():
-        if compact[x] and compact[z]:
+    els = ctx.elements
+    compact = [L.dually_compact(x) for x in els]
+    for i, k in ctx.pair_positions():
+        if compact[i] and compact[k]:
             ctx.checked += 1
+            x, z = els[i], els[k]
             if not L.dually_compact(L.meet2(x, z)):
                 return False, ctx.witness(x=x, z=z)
     return True, None

@@ -452,6 +452,15 @@ def subelement_decomp_reference(ctx):
     return True, None
 
 
+def type_subadditive_reference(ctx):
+    L = ctx.L
+    for x, z in ctx.pairs():
+        ctx.checked += 1
+        if classify_t(L, L.join2(x, z)) > classify_t(L, x) + classify_t(L, z):
+            return False, ctx.witness(x=x, z=z)
+    return True, None
+
+
 def mu_join_hom_reference(ctx):
     L = ctx.L
     for x, z in ctx.pairs():
@@ -492,6 +501,7 @@ REFERENCE_CHECKERS = {
     LawId.BOUNDARY_REMOVAL_DESCENT: boundary_removal_reference,
     LawId.STRATA_RANKED: strata_ranked_reference,
     LawId.SUBELEMENT_DECOMP: subelement_decomp_reference,
+    LawId.TYPE_SUBADDITIVE: type_subadditive_reference,
     LawId.MU_JOIN_HOM: mu_join_hom_reference,
     LawId.CORE_DECOMP: core_decomp_reference,
     LawId.CORE_JOIN_HOM: core_join_hom_reference,
@@ -673,9 +683,10 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
 
 
 # -- the law registry on the testbed ------------------------------------------
-# run_all on an OrdinalCoframe memoises default-family derivatives for the
-# run and enumerates downsets; the references below are the memo-free
-# checker above and the leq filter that ``_Ctx.below`` replaced.
+# run_all on an OrdinalCoframe memoises default-family derivatives and
+# one join table of the box for the run, and enumerates downsets; the
+# references below are the per-pair checkers above and the leq filter
+# that ``_Ctx.below`` replaced.
 
 # The laws that quantify over finite enumerations, as the benchmark's
 # oracle lists them; the testbed skips exactly these.
@@ -760,9 +771,97 @@ def test_testbed_derivative_memo_hides_no_fault(monkeypatch):
     assert 0 < fast[0]["checked"] < 216**2 and 0 < fast[1]["checked"] < 216**2
 
 
+PAIR_LAWS = [LawId.TYPE_SUBADDITIVE, LawId.MU_JOIN_HOM, LawId.CORE_JOIN_HOM]
+
+
+def _counting_join2(monkeypatch):
+    """Count ``OrdinalCoframe.join2`` calls from now on; returns the list
+    that collects them."""
+    from residua.testbed import OrdinalCoframe
+
+    calls = []
+    real = OrdinalCoframe.join2
+
+    def join2(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(OrdinalCoframe, "join2", join2)
+    return calls
+
+
+def test_testbed_join_table_matches_reference_laws(monkeypatch):
+    """The pair laws read the run's join table on the testbed, or join
+    each drawn pair when they sample, and report what the per-pair
+    reference loops report.  One join is wrong: at the bottom pair, whose
+    cores every pair joins, or at a pair of incomparable vectors, with a
+    value inside the box or outside it (the table's -1)."""
+    from residua.testbed import INF, OrdinalCoframe
+
+    real_join2 = OrdinalCoframe.join2
+
+    def wrong_join(pair, value):
+        def join2(self, x, y):
+            return value if (x, y) == pair else real_join2(self, x, y)
+
+        return join2
+
+    bottom = (INF, INF)
+    cases = [
+        (_testbed_fault(2, join2=wrong_join(pair, value)), DEFAULT_BUDGET)
+        for pair in ((bottom, bottom), ((1, 2), (2, 1)))
+        for value in ((0, 0), (9, 9))
+    ]
+    cases.append((OrdinalCoframe(2), Budget(max_pairs=20)))
+
+    def docs():
+        return [[r.to_json_dict() for r in run_all(cf, budget, laws=PAIR_LAWS)] for cf, budget in cases]
+
+    fast = docs()
+    for law in PAIR_LAWS:
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    assert docs() == fast
+    verdicts = [[d["verdict"] for d in case] for case in fast]
+    assert verdicts == [
+        ["fail", "fail", "fail"],
+        ["fail", "fail", "fail"],
+        ["pass", "fail", "pass"],
+        ["pass", "fail", "pass"],
+        ["pass", "pass", "pass"],
+    ]
+    assert fast[1][0]["witness"] == {"x": "inf,inf", "z": "inf,inf"}
+    assert fast[1][1]["witness"]["join"] == "9,9"
+    assert fast[3][1]["witness"]["mu_of_parts"] == "9,9"
+    assert all(not d["exhaustive"] and d["checked"] == 20 for d in fast[-1])
+
+
+def test_sampled_pair_laws_build_no_join_table(monkeypatch):
+    """When the pairs are sampled, each law joins each drawn pair once,
+    and the homomorphism laws also join its mus or cores; a join table
+    would take 36^2 joins."""
+    from residua.testbed import OrdinalCoframe
+
+    cf = OrdinalCoframe(2)
+    budget = Budget(max_pairs=20)
+    # profiles join their residues: compute them before counting
+    profiles = {x: cf.profile(x) for x in cf.box(budget.testbed_bound)}
+    calls = _counting_join2(monkeypatch)
+    counts = []
+    for law in PAIR_LAWS:
+        calls.clear()
+        memo = _RunMemo(dict(profiles))
+        assert run_law(cf, law, budget, _memo=memo).verdict == "pass"
+        assert memo.joins is None
+        counts.append(len(calls))
+    assert counts[0] == 20 and max(counts) <= 2 * 20
+
+
 def test_testbed_memo_lasts_one_run(monkeypatch):
     """Each run computes every derivative it needs once, cold, and leaves
-    nothing on the lattice."""
+    nothing on the lattice: a second run makes the same derivative and
+    join calls again.  The pair laws of one run share one join table, so
+    together they join each ordered box pair at most twice: once for the
+    table and once for its mus."""
     from residua.testbed import OrdinalCoframe
 
     cf = OrdinalCoframe(2)
@@ -775,13 +874,23 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
         return real(L, x, family)
 
     monkeypatch.setattr(residua.laws, "residual_derivative", counting)
+    joins = _counting_join2(monkeypatch)
 
     def docs():
         return [r.to_json_dict() for r in run_all(cf)]
 
     first = docs()
     first_calls, calls[:] = list(calls), []
+    first_joins, joins[:] = list(joins), []
     assert docs() == first
     assert calls == first_calls
+    assert joins == first_joins
     assert len(calls) == len(set(calls)) > 0
     assert vars(cf) == before
+
+    box = cf.box(DEFAULT_BUDGET.testbed_bound)
+    memo = _RunMemo({x: cf.profile(x) for x in box})
+    joins.clear()
+    for law in PAIR_LAWS:
+        assert run_law(cf, law, _memo=memo).verdict == "pass"
+    assert len(box) ** 2 <= len(joins) <= 2 * len(box) ** 2
