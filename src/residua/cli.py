@@ -120,11 +120,12 @@ def _emit(args, text: str) -> None:
 def _cmd_analyze(args) -> int:
     L = _load_lattice(args)
     family = _parse_family(L, args.family)
+    # An unknown name exits 2 before any analysis, whatever the format.
+    element = L.poset.index_of(args.element) if args.element is not None else None
     profiles = {x: residual_profile(L, x, family) for x in L.elements()}
     if args.format == "dot":
-        if args.element is not None:
-            x = L.poset.index_of(args.element)
-            _emit(args, profiles[x].boundary_dot(L))
+        if element is not None:
+            _emit(args, profiles[element].boundary_dot(L))
         else:
             _emit(args, L.to_dot())
         return 0

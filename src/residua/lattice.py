@@ -293,11 +293,16 @@ class FiniteLattice:
             acc = join[acc][x]
             upper &= up[x]
         if upper != up[acc]:
-            raise LatticeIntegrityError(
-                "join table violates the universal property",
-                witness={"set": [self.names[x] for x in xs], "folded": self.names[acc]},
-            )
+            raise self._join_violation(xs, acc)
         return acc
+
+    def _join_violation(self, xs: list, acc: int) -> LatticeIntegrityError:
+        """The error ``join_of_set(xs)`` raises when its fold ``acc`` fails
+        the check; the law registry's shared folds raise the same one."""
+        return LatticeIntegrityError(
+            "join table violates the universal property",
+            witness={"set": [self.names[x] for x in xs], "folded": self.names[acc]},
+        )
 
     @cached_property
     def derivatives(self) -> list:

@@ -195,6 +195,8 @@ MALFORMED_INPUTS = {
     "empty testbed vector": (["testbed", "--dims", "2", "--element", ""], None),
     "empty coordinate in a testbed vector": (["testbed", "--dims", "2", "--element", "3,"], None),
     "empty element name for DOT output": (["analyze", "--gen", "chain:3", "--format", "dot", "--element", ""], None),
+    "unknown element name, JSON output": (["analyze", "--gen", "chain:3", "--element", "nope"], None),
+    "unknown element name, text output": (["analyze", "--gen", "chain:3", "--format", "text", "--element", "nope"], None),
     "non-object Cayley JSON": (["group", "--input", "{file}"], [1, 2]),
     "Cayley JSON without order": (["group", "--input", "{file}"], {"elements": ["e"]}),
     "Cayley JSON with non-list table": (

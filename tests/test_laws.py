@@ -6,13 +6,14 @@ from dataclasses import fields, replace
 
 import residua.laws
 import residua.residual
-from residua.bitset import bits, contains
+from residua.bitset import bits, contains, mask_of
 from residua.errors import LatticeIntegrityError, NoBottom, NotALattice
 from residua.generators import (
     boolean,
     chain,
     divisor,
     downset_lattice,
+    generate,
     random_distributive,
 )
 from residua.lattice import FiniteLattice, as_lattice, build_poset, canonical_json, lattice_from_json
@@ -388,6 +389,19 @@ def test_report_json_schema(div12):
 # removal folds and hoisted pair loops replace; whole reports must agree.
 
 
+def coheyting_join_reference(ctx):
+    """One ``co_heyting_sub`` per pair z <= x, looked up at call time so
+    that a test can swap in the definitional scan."""
+    L = ctx.L
+    for x in ctx.elements:
+        for z in ctx.below(x):
+            ctx.checked += 1
+            s = residua.residual.co_heyting_sub(L, x, z)
+            if L.join2(z, s) != x:
+                return False, ctx.witness(x=x, z=z, sub=s)
+    return True, None
+
+
 def boundary_removal_reference(ctx):
     """Fold every removal subset through ``join_of_set``, one by one."""
     L = ctx.L
@@ -452,6 +466,32 @@ def subelement_decomp_reference(ctx):
     return True, None
 
 
+def stratum0_reference(ctx):
+    """One ``join_of_set`` per member of delta-plus left out."""
+    L = ctx.L
+    for x in ctx.elements:
+        ctx.checked += 1
+        p = ctx.profile(x)
+        dplus = residua.residual.delta_plus(L, x, core=p.core)
+        expected = {s for s in dplus if not L.leq(s, L.join_of_set([t for t in dplus if t != s]))}
+        s0 = set(p.strata[0]) if p.strata else set()
+        if s0 != expected:
+            return False, ctx.witness(
+                {
+                    "stratum0": [ctx.name(s) for s in sorted(s0)],
+                    "characterized": [ctx.name(s) for s in sorted(expected)],
+                },
+                x=x,
+            )
+        for s in s0:
+            m = L.join_of_set([p.core, *[t for t in dplus if t != s]])
+            if m not in p.maximal or L.join2(s, m) != x:
+                return False, ctx.witness(x=x, s=s, m=m)
+            if any(mm != m and L.join2(s, mm) == x for mm in p.maximal):
+                return False, ctx.witness({"violated": "uniqueness"}, x=x, s=s, m=m)
+    return True, None
+
+
 def type_subadditive_reference(ctx):
     L = ctx.L
     for x, z in ctx.pairs():
@@ -497,9 +537,24 @@ def core_join_hom_reference(ctx):
     return True, None
 
 
+def k_lower_semilattice_reference(ctx):
+    """The finite pair loop: down(x) & down(z) against down(x ^ z).  Only
+    finite lattices run it."""
+    L = ctx.L
+    for x, z in ctx.pairs():
+        ctx.checked += 1
+        m = L.meet2(x, z)
+        if L.down_set(x) & L.down_set(z) != L.down_set(m):
+            return False, ctx.witness(x=x, z=z, meet=m)
+    return True, None
+
+
 REFERENCE_CHECKERS = {
+    LawId.COHEYTING_JOIN: coheyting_join_reference,
+    LawId.K_LOWER_SEMILATTICE: k_lower_semilattice_reference,
     LawId.BOUNDARY_REMOVAL_DESCENT: boundary_removal_reference,
     LawId.STRATA_RANKED: strata_ranked_reference,
+    LawId.STRATUM0_CHARACTERIZATION: stratum0_reference,
     LawId.SUBELEMENT_DECOMP: subelement_decomp_reference,
     LawId.TYPE_SUBADDITIVE: type_subadditive_reference,
     LawId.MU_JOIN_HOM: mu_join_hom_reference,
@@ -680,6 +735,136 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
         monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
     assert docs() == fast
     assert {doc["law"] for doc in fast if doc["verdict"] == "fail"} == {law.value for law in laws}
+
+
+# The pair laws that decide whole table rows while the pairs of a finite
+# lattice run exhaustively, and replay their pair loops on a failing row.
+ROW_LAWS = [
+    LawId.TYPE_SUBADDITIVE,
+    LawId.MU_JOIN_HOM,
+    LawId.CORE_JOIN_HOM,
+    LawId.CORE_DECOMP,
+    LawId.K_LOWER_SEMILATTICE,
+]
+
+
+def late_row_mutations(rng, lattices, per_table=6):
+    """Copies of each lattice with one meet or join entry changed in its
+    last third of rows, where a row pass has already passed most rows;
+    every other entry is in the last column."""
+    for L in lattices:
+        for table in ("meet", "join"):
+            for k in range(per_table):
+                i, j = rng.randrange(L.n - L.n // 3, L.n), rng.randrange(L.n) if k % 2 else L.n - 1
+                orig = getattr(L, table)[i][j]
+                yield mutate_entry(L, table, i, j, rng.choice([v for v in L.elements() if v != orig]))
+
+
+def test_row_passes_replay_the_pair_loops_first_witness(b3, div12, monkeypatch):
+    """Mutations in late rows of relabeled lattices fail the row passes,
+    which replay the pair loops: whole reports, ``checked`` counts and
+    first witnesses included, equal those of the pair-loop references,
+    and several failures come after a full row has been counted."""
+    rng = random.Random(12)
+    lattices = [relabeled(L, seed) for L in (b3, div12, divisor(60), boolean(4)) for seed in range(2)]
+    cases = list(late_row_mutations(rng, lattices))
+    fast = [[run_law(m, law).to_json_dict() for law in ROW_LAWS] for m in cases]
+    minmax = [minmax_reference(m) for m in cases]
+    for m, expected in zip(cases, minmax):
+        rep = run_law(m, LawId.MINMAX_BOUND)
+        assert (rep.verdict, rep.checked, rep.witness) == expected, m.provenance
+    for law in ROW_LAWS:
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    late = set()
+    for m, docs in zip(cases, fast):
+        assert [run_law(m, law).to_json_dict() for law in ROW_LAWS] == docs, m.provenance
+        late.update(d["law"] for d in docs if d["verdict"] == "fail" and d["checked"] >= m.n)
+    assert {"type_subadditive", "mu_join_hom", "k_lower_semilattice"} <= late
+    assert sum(verdict == "fail" and checked >= m.n for m, (verdict, checked, _) in zip(cases, minmax)) >= 5
+
+
+def test_row_laws_sample_their_pairs_above_the_budget(div12, monkeypatch):
+    """Above ``max_pairs`` the row laws draw their pairs and run the pair
+    loops, with the references' reports."""
+    budget = Budget(max_pairs=20)
+    cases = [div12, *late_row_mutations(random.Random(13), [relabeled(div12, 0)], per_table=3)]
+    laws = [*ROW_LAWS, LawId.MINMAX_BOUND]
+    fast = [[run_law(L, law, budget).to_json_dict() for law in laws] for L in cases]
+    assert all(not d["exhaustive"] for docs in fast for d in docs)
+    assert [d["checked"] for d in fast[0][:3]] == [20, 20, 20]
+    for law in ROW_LAWS:
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    assert [[run_law(L, law, budget).to_json_dict() for law in laws] for L in cases] == fast
+
+
+def test_join_fold_memo_matches_join_of_set(lattice_corpus, b3):
+    """``_Ctx.join_fold`` against ``join_of_set([head, *bits(mask)])`` on
+    the prefixes of random member sets, in random order with repeats, so
+    that a fold is stored already, extends a stored prefix, or is folded
+    in full.  A failing fold raises the same message and witness, and is
+    not stored, so it raises again when asked again."""
+    rng = random.Random(11)
+    cases = [L for L in lattice_corpus if L.n <= 24]
+    cases += [m for _, m in single_entry_mutations(b3, ("join",))]
+    seen = set()
+
+    def outcome(fold, *args):
+        try:
+            return fold(*args)
+        except LatticeIntegrityError as e:
+            return str(e), e.witness
+
+    for L in cases:
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.SUBELEMENT_DECOMP)
+        calls = []
+        for _ in range(4):
+            head = rng.randrange(L.n)
+            members = sorted(rng.sample(range(L.n), rng.randint(0, min(5, L.n))))
+            calls += [(head, mask_of(members[:k])) for k in range(len(members) + 1)]
+        calls += rng.sample(calls, len(calls) // 2)
+        rng.shuffle(calls)
+        for head, mask in calls:
+            stored = ctx.folds.get(head, {})
+            state = (
+                "stored" if mask in stored
+                else "prefix" if mask and mask ^ (1 << (mask.bit_length() - 1)) in stored
+                else "full"
+            )
+            want = outcome(L.join_of_set, [head, *bits(mask)])
+            assert outcome(ctx.join_fold, head, mask) == want, (L.provenance, head, mask)
+            seen.add((state, isinstance(want, tuple)))
+    assert seen == {("stored", False), ("prefix", False), ("prefix", True), ("full", False), ("full", True)}
+
+
+FOLD_LAWS = [
+    LawId.COHEYTING_JOIN,
+    LawId.STRATUM0_CHARACTERIZATION,
+    LawId.SUBELEMENT_DECOMP,
+    LawId.BOUNDARY_REMOVAL_DESCENT,
+]
+
+
+def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monkeypatch):
+    """The laws that fold through ``join_fold`` report what one
+    ``join_of_set`` per fold reports, on relabeled lattices (index 0 is
+    usually not the bottom) and on their late-row mutations."""
+    lattices = [relabeled(L, seed) for L in (b3, div12, divisor(60), boolean(4)) for seed in range(2)]
+    cases = lattices + list(late_row_mutations(random.Random(14), lattices, per_table=4))
+    fast = [[r.to_json_dict() for r in run_all(L, laws=FOLD_LAWS)] for L in cases]
+    for law in FOLD_LAWS:
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    assert [[r.to_json_dict() for r in run_all(L, laws=FOLD_LAWS)] for L in cases] == fast
+    assert {d["law"] for docs in fast for d in docs if d["verdict"] == "fail"} == {law.value for law in FOLD_LAWS}
+
+
+def test_run_all_leaves_no_fold_state_on_the_lattice():
+    """The fold memo lives on each law's context: after ``run_all`` the
+    lattice holds only its derivative row, and the poset its order rows."""
+    L = generate("chain:40")
+    run_all(L)
+    cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
+    assert cached(L) == {"derivatives"}
+    assert cached(L.poset) <= {"lower_covers", "irreducibles", "coirreducibles"}
 
 
 # -- the law registry on the testbed ------------------------------------------
