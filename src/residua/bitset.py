@@ -35,13 +35,3 @@ def full_mask(n: int) -> int:
 
 def contains(mask: int, i: int) -> bool:
     return bool(mask >> i & 1)
-
-
-def subsets(mask: int) -> Iterator[int]:
-    """All subsets of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

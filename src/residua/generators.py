@@ -17,10 +17,16 @@ from dataclasses import dataclass
 
 from .bitset import bits, mask_of, popcount
 from .errors import InvalidGroup, TooLarge
-from .lattice import FiniteLattice, FinitePoset, as_lattice, build_poset, inclusion_lattice
+from .lattice import (
+    LATTICE_SIZE_CAP,
+    FiniteLattice,
+    FinitePoset,
+    as_lattice,
+    build_poset,
+    inclusion_lattice,
+)
 from .residual import residual_derivative
 
-LATTICE_SIZE_CAP = 4096
 GROUP_ORDER_CAP = 64
 ZN_CAP = 10**6
 _ORDER_CAP_MESSAGE = f"subgroup enumeration capped at order {GROUP_ORDER_CAP}"
@@ -353,6 +359,8 @@ def divisor(n: int) -> FiniteLattice:
     """Divisors of n under divisibility; meet is gcd, join is lcm."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > ZN_CAP:
+        raise TooLarge(f"n must be at most {ZN_CAP}")
     divs = divisors(n)
     if len(divs) > LATTICE_SIZE_CAP:
         raise TooLarge("too many divisors")

@@ -7,8 +7,9 @@ Meet/join tables are materialized on lattice construction and every
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
 the order alone (lower covers, the join-irreducibles, the completely
-co-irreducibles) are cached on the poset, facts that read the tables
-(residual derivatives) on the lattice, one row per element.
+co-irreducibles) are cached on the poset, facts that read the tables on
+the lattice: the residual derivatives and the first faulty entry of each
+table (``join_fault``, ``meet_fault``), each computed on first read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bitset import bits, full_mask, mask_of
 from .errors import (
@@ -24,8 +25,11 @@ from .errors import (
     LatticeIntegrityError,
     NoBottom,
     NotALattice,
+    TooLarge,
     UnknownElement,
 )
+
+LATTICE_SIZE_CAP = 4096  # elements, for every generator and for JSON input
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,8 @@ def build_poset(
 def poset_from_json(doc: dict) -> FinitePoset:
     """Poset from ``{"elements": [...], "relation": [[a, b], ...], "mode": ...}``.
 
-    A document of the wrong shape raises ``ValueError`` naming the field.
+    A document of the wrong shape raises ``ValueError`` naming the field,
+    and one of more than ``LATTICE_SIZE_CAP`` elements ``TooLarge``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"poset JSON must be an object, got {type(doc).__name__}")
@@ -190,6 +195,8 @@ def poset_from_json(doc: dict) -> FinitePoset:
         for p in doc["relation"]
     ):
         raise ValueError("poset JSON field 'relation' must hold [a, b] pairs of names")
+    if len(doc["elements"]) > LATTICE_SIZE_CAP:
+        raise TooLarge(f"poset JSON exceeds the size cap {LATTICE_SIZE_CAP}")
     pairs = [tuple(p) for p in doc["relation"]]
     return build_poset(doc["elements"], pairs, doc.get("mode", "covers"))
 
@@ -305,6 +312,18 @@ class FiniteLattice:
         )
 
     @cached_property
+    def join_fault(self) -> Optional[tuple[int, int]]:
+        """First pair (a, b), row-major, with ``up[join[a][b]] != up[a] &
+        up[b]`` (by the argument above, a wrong entry), or None.  Never
+        set by ``as_lattice``: a ``mutate_entry`` copy computes its own."""
+        return _table_fault(self.join, self.poset.up)
+
+    @cached_property
+    def meet_fault(self) -> Optional[tuple[int, int]]:
+        """The same for the meet table, on the down rows."""
+        return _table_fault(self.meet, self.poset.down)
+
+    @cached_property
     def derivatives(self) -> list:
         """Row of residual derivatives (default family), filled one element
         at a time by ``residual.residual_derivative``; None where not yet
@@ -410,6 +429,15 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     return replace(as_lattice(poset, provenance=provenance), sets=sets)
 
 
+def _table_fault(table, rows) -> Optional[tuple[int, int]]:
+    """One list comparison per row, then a scan of the first failing row."""
+    for a, entries in enumerate(table):
+        want = list(map(rows[a].__and__, rows))
+        if list(map(rows.__getitem__, entries)) != want:
+            return a, next(b for b, j in enumerate(entries) if rows[j] != want[b])
+    return None
+
+
 def _birkhoff_distributive(p: FinitePoset, join) -> bool:
     """Birkhoff's criterion: a finite lattice is distributive iff
     ``J(x v y) = J(x) | J(y)`` for all x, y, where ``J(x)`` is the set of
@@ -457,6 +485,7 @@ def _dot_escape(s: str) -> str:
 
 
 __all__ = [
+    "LATTICE_SIZE_CAP",
     "FinitePoset",
     "FiniteLattice",
     "build_poset",

@@ -8,12 +8,15 @@ exhaustively; subset-valued quantifiers enumerate exhaustively for small
 carriers and fall back to seeded sampling above, which the report
 records.
 
-Two structural laws verify the tables against the universal property on
-the order matrix.  Downset upper-completeness checks every join entry, in
-both argument orders, so any corrupted join entry fails it.  The
-lower-semilattice law of the dually compact elements checks every meet
-pair that ``_Ctx.pairs`` yields: every meet entry while the pair budget
-runs exhaustively, sampled pairs above it.
+Four laws can fail on a finite lattice only through a wrong table entry,
+and read the lattice's cached ``L.join_fault``/``L.meet_fault`` (the
+first pair whose entry breaks the universal property on the order rows)
+instead of scanning the tables.  ``downset_upper_complete`` fails at the
+join fault when no folded subset fails first, so any corrupted join
+entry fails it; ``k_lower_semilattice`` passes or fails at the meet
+fault while its pairs run exhaustively.  ``boundary_removal_descent``
+and the constant pairs of ``minmax_bound`` count by arithmetic while the
+tables they read have no fault, and run their loops otherwise.
 
 On finite lattices the checkers read derived facts as cached rows
 (lower covers and co-irreducibles on the poset, derivatives on the
@@ -21,17 +24,16 @@ lattice) and answer element quantifiers with mask operations, with the
 same verdicts, ``checked`` counts and witnesses as the per-element loops
 they replace; the tests keep those loops as references.
 
-Six pair quantifiers go by whole table rows while a finite lattice's
+Four pair quantifiers go by whole table rows while a finite lattice's
 pairs run exhaustively (n^2 <= ``max_pairs``): ``type_subadditive``,
-``mu_join_hom``, ``core_join_hom``, ``core_decomp``,
-``k_lower_semilattice`` and the constant pairs of ``minmax_bound``.
-Each row x is one comparison of lists built with ``map`` over
-``L.join[x]`` or ``L.meet[x]`` and per-element lists (down rows,
-popcounts, t counts, mus, derivatives, cores), and ``checked`` is added
-by arithmetic.  A failing row, or an error from the per-element facts,
-sends the law back to 0 checked with no sampler drawn, and its pair loop
-replays from the start to report the first failing pair (``_by_rows``).
-The pair loops also run whenever the pairs are sampled.
+``mu_join_hom``, ``core_join_hom`` and ``core_decomp``.  Each row x is
+one comparison of lists built with ``map`` over ``L.join[x]`` and
+per-element lists (t counts, mus, derivatives, cores), or, for
+``core_decomp``, one set of cores; ``checked`` is added by arithmetic.
+A failing row, or an error from the per-element facts, sends the law
+back to 0 checked with no sampler drawn, and its pair loop replays from
+the start to report the first failing pair (``_by_rows``).  The pair
+loops also run whenever the pairs are sampled.
 
 Those pair loops, and the testbed's, walk one join table by position
 (``_Ctx.join_pairs``) and keep the per-element facts they read in
@@ -58,8 +60,8 @@ t0 = {bottom}, and ``core_decomp``, ``core_union`` and
 ``t0_upper_semilattice`` quantify over the bottom only.  On a
 distributive lattice the residues x - z are folds of join-irreducibles
 through the join table (see ``residual.co_heyting_sub``) and read no
-meet entry; the meet table reaches the laws through the derivatives,
-and ``k_lower_semilattice`` checks every meet pair.
+meet entry; the meet table reaches the laws through the derivatives
+and through ``L.meet_fault``.
 """
 
 from __future__ import annotations
@@ -723,20 +725,27 @@ def _check_minmax_bound(ctx):
     chain pairs.  The constant-pair folds deliberately walk every join
     entry and the table diagonals.
 
-    The chain half fails only through a verified fold: its bound
-    ``join[a_k][a_0]`` is also the last term of ``under``, so only a
-    ``LatticeIntegrityError`` from ``join_of_set``/``meet_of_set`` can
-    fail it while the folds verify.
+    Both halves fail only through a wrong table entry.  With right
+    entries a constant pair (u, v) concludes (u v u) v (v ^ v) = u v v,
+    its hypothesis, so while the pairs run exhaustively and neither table
+    has a fault, the sizes of down(u v v) are summed as ``checked``.
+    The chain half's bound ``join[a_k][a_0]`` is also the last term of
+    ``under``, so only a ``LatticeIntegrityError`` from
+    ``join_of_set``/``meet_of_set`` can fail it while the folds verify.
 
     Each quantifier over z is a bit scan: ``checked`` counts the z below
     the hypothesis up to the first (lowest) one that escapes the
-    conclusion, which is the witness.  The constant pairs go by rows
-    (``_by_rows``); the sampler draws the chains after them either way."""
-    ok, witness = _by_rows(ctx, _minmax_constant_rows, _minmax_constant_pairs)
-    if not ok:
-        return ok, witness
+    conclusion, which is the witness.  The sampler draws the chains after
+    the constant pairs either way."""
     L = ctx.L
     down = L.poset.down
+    if not ctx._samples() and L.join_fault is None and L.meet_fault is None:
+        size = [d.bit_count() for d in down]
+        ctx.checked += sum(sum(map(size.__getitem__, row)) for row in L.join)
+    else:
+        ok, witness = _minmax_constant_pairs(ctx)
+        if not ok:
+            return ok, witness
     for asc in _sample_chains(ctx):
         desc = list(reversed(asc))
         bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
@@ -752,22 +761,6 @@ def _check_minmax_bound(ctx):
         ctx.checked += (under & (2 * first - 1)).bit_count()
         return False, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=first.bit_length() - 1)
     return True, None
-
-
-def _minmax_constant_rows(ctx):
-    """Row u: no z below u v v escapes (u v u) v (v ^ v), for every v."""
-    L = ctx.L
-    down, join = L.poset.down, L.join
-    size = [d.bit_count() for d in down]
-    outside = [~d for d in down]
-    diagonal = [L.meet[v][v] for v in ctx.elements]
-    for u in ctx.elements:
-        row = join[u]
-        conclusions = map(join[row[u]].__getitem__, diagonal)
-        if any(map(operator.and_, map(down.__getitem__, row), map(outside.__getitem__, conclusions))):
-            return False
-        ctx.checked += sum(map(size.__getitem__, row))
-    return True
 
 
 def _minmax_constant_pairs(ctx):
@@ -820,24 +813,24 @@ def _check_boundary_removal_descent(ctx):
     Each step only goes down, so a descent never reaches an element that
     is not below x.  The test is therefore one order bit per target.
 
-    It fails only through a verified fold: each target is the checked
+    It fails only through a wrong join entry: each target is the checked
     join of the core and boundary members, all below x, so it is below x
-    whenever its fold passes.  Within ``subset_exhaustive_bits`` the
-    folds of all kept sets come from one pass (``_removal_folds_pass``);
-    only when one of them fails are the removals replayed one by one, in
-    the order below, to report the first failure.  The replayed and the
-    sampled removals fold ``[core, *kept]`` through ``join_fold``, with
-    kept as a mask: the kept set of one x minus its highest member is
-    often a kept set of the x before (on a chain, every unsampled one).
+    whenever its fold passes, and every fold passes while
+    ``L.join_fault`` is None.  Then the removals are only counted, the
+    sampled ones as many as the sampler would draw.  Otherwise every
+    removal, from the first x on, folds ``[core, *kept]`` through
+    ``join_fold``, in the order below, with kept as a mask: the kept set
+    of one x minus its highest member is often a kept set of the x before
+    (on a chain, every unsampled one).
     """
     L = ctx.L
     budget = ctx.budget
-    up, down = L.poset.up, L.poset.down
+    count_only = L.join_fault is None
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
         if len(delta) <= budget.subset_exhaustive_bits:
-            if _removal_folds_pass(up, down[x], L.join, p.core, delta):
+            if count_only:
                 ctx.checked += 1 << len(delta)
                 continue
             removals = itertools.chain.from_iterable(
@@ -845,6 +838,9 @@ def _check_boundary_removal_descent(ctx):
             )
         else:
             ctx.sampled_subsets = True
+            if count_only:
+                ctx.checked += 1 + len(delta) + budget.max_sampled_subsets
+                continue
             removals = [(), *((s,) for s in delta)]
             for _ in range(budget.max_sampled_subsets):
                 k = ctx.rng.randint(0, len(delta))
@@ -858,32 +854,6 @@ def _check_boundary_removal_descent(ctx):
                     {"removed": [ctx.name(s) for s in removed]}, x=x, target=target
                 )
     return True, None
-
-
-def _removal_folds_pass(up, below_x: int, join, core: int, delta: list) -> bool:
-    """Do the folds of ``[core, *kept]`` pass ``join_of_set``'s check and
-    land below x (``below_x`` is down(x)) for every kept subset of delta?
-
-    The folds share prefixes: with kept in delta order, the fold of
-    ``[core, *kept]`` is the join entry of the fold of kept minus its last
-    member with that member, and the running AND of up rows extends the
-    same way.  After the i-th member, entry k of ``accs``/``uppers`` is
-    the kept set whose bits are those of k, for every k below 2^(i+1).
-    The empty kept set folds to the core.
-    """
-    if not below_x >> core & 1:
-        return False
-    accs, uppers = [core], [up[core]]
-    for s in delta:
-        row_s = up[s]
-        new_accs = [join[a][s] for a in accs]
-        new_uppers = [u & row_s for u in uppers]
-        for a, u in zip(new_accs, new_uppers):
-            if u != up[a] or not below_x >> a & 1:
-                return False
-        accs += new_accs
-        uppers += new_uppers
-    return True
 
 
 def _check_core_union(ctx):
@@ -1031,21 +1001,20 @@ def _check_downset_upper_complete(ctx):
     """Every subset of a downset has a least upper bound inside it.
 
     The quantifier runs over the empty set, all singletons and all pairs
-    of each downset, plus sampled larger subsets.  One pass over the join
-    table decides the non-empty ones: if up(a v b) = up(a) & up(b) for
-    every a and b, in both argument orders, each entry is a least upper
-    bound, so every fold of ``join_of_set`` returns the true join, which
-    lies in down(x) because x bounds the subset.  The subsets are then
-    only counted, the sampled ones as many as the sampler would draw.
-    The empty join, the bottom, is checked for every x.
+    of each downset, plus sampled larger subsets.  ``L.join_fault``
+    decides the non-empty ones: while it is None every join entry is a
+    least upper bound, so every fold of ``join_of_set`` returns the true
+    join, which lies in down(x) because x bounds the subset.  The subsets
+    are then only counted, the sampled ones as many as the sampler would
+    draw.  The empty join, the bottom, is checked for every x.
 
-    When the table check fails, the subsets are folded one by one to
-    report the first one that fails.  A bad entry that no folded subset
-    reaches (an entry join[i][j] with i > j is folded only by sampled
-    subsets) fails with the table check's pair, the top as x.
+    With a fault, the subsets are folded one by one to report the first
+    one that fails.  A bad entry that no folded subset reaches (an entry
+    join[i][j] with i > j is folded only by sampled subsets) fails with
+    the fault's pair, the top as x.
     """
     L = ctx.L
-    bad = _join_table_witness(L)
+    bad = L.join_fault
     if bad is not None:
         ok, witness = _fold_downset_subsets(ctx)
         if not ok:
@@ -1074,18 +1043,6 @@ def _sampled_subset_draws(ctx, d: int) -> int:
     if d > ctx.budget.subset_exhaustive_bits:
         ctx.sampled_subsets = True
     return min(ctx.budget.max_sampled_subsets, 1 << min(d, 20))
-
-
-def _join_table_witness(L):
-    """First pair (a, b) whose join entry is not the least upper bound, or
-    None when every entry is."""
-    up = L.poset.up
-    for a, row in enumerate(L.join):
-        ua = up[a]
-        for b, j in enumerate(row):
-            if up[j] != ua & up[b]:
-                return a, b
-    return None
 
 
 def _fold_downset_subsets(ctx):
@@ -1117,10 +1074,20 @@ def _check_k_lower_semilattice(ctx):
     On finite instances every element is dually compact and the induced
     meet is verified to be the true infimum, which makes the suite
     sensitive to any corrupted meet entry; on the testbed the closure of
-    the all-finite vectors under meets is a genuine statement."""
-    if ctx.finite:
-        return _by_rows(ctx, _k_lower_rows, _k_lower_pairs)
+    the all-finite vectors under meets is a genuine statement.  While a
+    finite lattice's pairs run exhaustively, ``L.meet_fault`` is the pair
+    loop's first witness: the law passes with every pair checked, or
+    fails at that pair with the pairs up to it checked."""
     L, els = ctx.L, ctx.elements
+    if ctx.finite and ctx._samples():
+        return _k_lower_pairs(ctx)
+    if ctx.finite:
+        if L.meet_fault is None:
+            ctx.checked = L.n * L.n
+            return True, None
+        x, z = L.meet_fault
+        ctx.checked = x * L.n + z + 1
+        return False, ctx.witness(x=x, z=z, meet=L.meet[x][z])
     compact = [L.dually_compact(x) for x in els]
     for i, k in ctx.pair_positions():
         if compact[i] and compact[k]:
@@ -1129,16 +1096,6 @@ def _check_k_lower_semilattice(ctx):
             if not L.dually_compact(L.meet2(x, z)):
                 return False, ctx.witness(x=x, z=z)
     return True, None
-
-
-def _k_lower_rows(ctx):
-    """Row x: down(x) & down(z) against down(x ^ z) for every z."""
-    down, meet = ctx.L.poset.down, ctx.L.meet
-    for x in ctx.elements:
-        if list(map(down[x].__and__, down)) != list(map(down.__getitem__, meet[x])):
-            return False
-    ctx.checked += len(down) ** 2
-    return True
 
 
 def _k_lower_pairs(ctx):

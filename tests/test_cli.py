@@ -184,6 +184,15 @@ def test_usage_errors():
     assert run_cli("analyze", "--input", "/nonexistent.json") == 2
 
 
+def test_inputs_above_the_caps_exit_2_naming_the_cap(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"elements": [f"e{i}" for i in range(4097)], "relation": []}))
+    assert run_cli("analyze", "--input", str(path)) == 2
+    assert "size cap 4096" in capsys.readouterr().err
+    assert run_cli("laws", "--gen", "divisor:1000001") == 2
+    assert "at most 1000000" in capsys.readouterr().err
+
+
 MALFORMED_INPUTS = {
     "random spec without size": (["laws", "--gen", "random:seed=1"], None),
     "lattice JSON without relation": (["analyze", "--input", "{file}"], {"elements": ["a", "b"]}),

@@ -9,6 +9,7 @@ from residua.errors import InvalidGroup, TooLarge
 from residua.generators import (
     CATALOG_NAMES,
     GROUP_ORDER_CAP,
+    ZN_CAP,
     CayleyTable,
     antichain_poset,
     boolean,
@@ -192,6 +193,17 @@ def test_ideal_lattice_and_jacobson():
     assert jacobson_zn(8).generator == 2
     with pytest.raises(TooLarge):
         ideal_lattice_zn(1)
+
+
+def test_divisor_is_capped_before_dividing(monkeypatch):
+    import residua.generators
+
+    def no_division(n):
+        raise AssertionError("divisors reached")
+
+    monkeypatch.setattr(residua.generators, "divisors", no_division)
+    with pytest.raises(TooLarge):
+        divisor(ZN_CAP + 1)
 
 
 def test_divisor_lattice(div12):

@@ -25,7 +25,6 @@ from residua.laws import (
     _Ctx,
     _RunMemo,
     _fold_downset_subsets,
-    _removal_folds_pass,
     _sample_chains,
     mutate_entry,
     run_all,
@@ -196,6 +195,37 @@ def join_table_is_correct(L) -> bool:
     return all(
         up[L.join2(a, b)] == up[a] & up[b] for a in L.elements() for b in L.elements()
     )
+
+
+def first_fault_reference(table, rows):
+    """The first pair, in row-major order, whose entry breaks the
+    condition of ``join_table_is_correct`` (down rows for the meet)."""
+    for a, b in itertools.product(range(len(rows)), repeat=2):
+        if rows[table[a][b]] != rows[a] & rows[b]:
+            return a, b
+    return None
+
+
+def test_table_faults_are_the_first_failing_pairs(lattice_corpus, b3, div12):
+    """``join_fault``/``meet_fault`` against a plain double loop on the
+    corpus, on relabeled copies and on every single-entry mutation of
+    boolean:3 and divisor:12, whose parents' facts are read first: each
+    copy computes its own, which is the mutated pair."""
+    relabeled_copies = [relabeled(L, seed) for L in (b3, div12, divisor(60)) for seed in range(3)]
+    for L in [*lattice_corpus, *relabeled_copies]:
+        assert L.join_fault == first_fault_reference(L.join, L.poset.up), L.provenance
+        assert L.meet_fault == first_fault_reference(L.meet, L.poset.down), L.provenance
+    assert (b3.join_fault, b3.meet_fault, div12.join_fault, div12.meet_fault) == (None,) * 4
+    for L in (b3, div12):
+        for (table, i, j, _), m in single_entry_mutations(L):
+            assert not {"join_fault", "meet_fault"} & set(vars(m)), m.provenance
+            faults = {
+                "join": first_fault_reference(m.join, m.poset.up),
+                "meet": first_fault_reference(m.meet, m.poset.down),
+            }
+            other = "meet" if table == "join" else "join"
+            assert (faults[table], faults[other]) == ((i, j), None), m.provenance
+            assert (m.join_fault, m.meet_fault) == (faults["join"], faults["meet"]), m.provenance
 
 
 def test_downset_count_path_matches_subset_loop(lattice_corpus, b3):
@@ -588,36 +618,6 @@ def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
         assert report_docs(L) == fast, L.provenance
 
 
-def removal_folds_reference(L, x, core, delta) -> bool:
-    for k in range(len(delta) + 1):
-        for kept in itertools.combinations(delta, k):
-            try:
-                target = L.join_of_set([core, *kept])
-            except LatticeIntegrityError:
-                return False
-            if not L.leq(target, x):
-                return False
-    return True
-
-
-def test_removal_folds_match_one_fold_per_kept_set(lattice_corpus, b3):
-    """The shared-prefix pass against one ``join_of_set`` per kept set, on
-    cores that need not lie below x (an empty delta leaves only the core)
-    and on join-corrupted copies of boolean:3."""
-    rng = random.Random(5)
-    cases = [L for L in lattice_corpus if L.n <= 24]
-    cases += [m for _, m in single_entry_mutations(b3, ("join",))]
-    outcomes = set()
-    for L in cases:
-        for _ in range(12):
-            x, core = rng.randrange(L.n), rng.randrange(L.n)
-            delta = rng.sample(range(L.n), rng.randint(0, min(3, L.n)))
-            expected = removal_folds_reference(L, x, core, delta)
-            assert _removal_folds_pass(L.poset.up, L.down_set(x), L.join, core, delta) == expected
-            outcomes.add((expected, bool(delta)))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
-
-
 def test_pair_sampler_draws_distinct_pairs():
     L = chain(5)
     ctx = _Ctx(L, Budget(max_pairs=24), LawId.TYPE_SUBADDITIVE)
@@ -738,7 +738,8 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
 
 
 # The pair laws that decide whole table rows while the pairs of a finite
-# lattice run exhaustively, and replay their pair loops on a failing row.
+# lattice run exhaustively, and replay their pair loops on a failing row;
+# k_lower_semilattice reads its first witness off ``L.meet_fault``.
 ROW_LAWS = [
     LawId.TYPE_SUBADDITIVE,
     LawId.MU_JOIN_HOM,
@@ -859,11 +860,12 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 
 def test_run_all_leaves_no_fold_state_on_the_lattice():
     """The fold memo lives on each law's context: after ``run_all`` the
-    lattice holds only its derivative row, and the poset its order rows."""
+    lattice holds only its derivative row and its two table faults, and
+    the poset its order rows."""
     L = generate("chain:40")
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
-    assert cached(L) == {"derivatives"}
+    assert cached(L) == {"derivatives", "join_fault", "meet_fault"}
     assert cached(L.poset) <= {"lower_covers", "irreducibles", "coirreducibles"}
 
 

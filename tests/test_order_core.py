@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residua.bitset import bits, contains, full_mask, mask_of, subsets
-from residua.errors import CycleDetected, LatticeIntegrityError, NotALattice, UnknownElement
+from residua.bitset import bits, contains, full_mask, mask_of
+from residua.errors import CycleDetected, LatticeIntegrityError, NotALattice, TooLarge, UnknownElement
 from residua.lattice import (
+    LATTICE_SIZE_CAP,
     _birkhoff_distributive,
     as_lattice,
     build_poset,
@@ -20,6 +21,16 @@ from residua.lattice import (
 )
 from residua.generators import boolean, chain
 from residua.laws import mutate_entry
+
+
+def subsets(mask: int):
+    """All subsets of ``mask``, including 0 and ``mask`` itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def _distributivity_witness(n: int, meet, join):
@@ -293,6 +304,22 @@ def test_poset_json_modes():
     doc = {"elements": ["a", "b", "c"], "relation": [["a", "b"], ["b", "c"]], "mode": "covers"}
     p = poset_from_json(doc)
     assert p.leq(0, 2)
+
+
+def test_poset_json_above_the_size_cap_is_refused_before_the_closure(monkeypatch):
+    import residua.lattice
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("build_poset reached")
+
+    names = [f"e{i}" for i in range(LATTICE_SIZE_CAP + 1)]
+    monkeypatch.setattr(residua.lattice, "build_poset", no_closure)
+    with pytest.raises(TooLarge, match=str(LATTICE_SIZE_CAP)):
+        poset_from_json({"elements": names, "relation": []})
+    with pytest.raises(ValueError, match="relation"):
+        poset_from_json({"elements": names})
+    with pytest.raises(AssertionError, match="build_poset reached"):
+        poset_from_json({"elements": names[:LATTICE_SIZE_CAP], "relation": []})
 
 
 def test_dot_export(b2, chain3):
