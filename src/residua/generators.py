@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -261,18 +262,31 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    r, m, p = 1, n, 2
+def _primes(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:
-            r *= p
+            out.append(p)
             while m % p == 0:
                 m //= p
         p += 1
     if m > 1:
-        r *= m
-    return r
+        out.append(m)
+    return out
+
+
+def radical(n: int) -> int:
+    """Product of the distinct primes dividing n."""
+    return math.prod(_primes(n))
+
+
+def _divisor_covers(n: int, divs: list[int]) -> list[tuple[int, int]]:
+    """The Hasse covers of divisibility on the divisors of n: index pairs
+    (d, d*p) for each prime p with d*p dividing n."""
+    at = {d: i for i, d in enumerate(divs)}
+    primes = _primes(n)
+    return [(i, at[d * p]) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
 
 
 def ideal_lattice_zn(n: int) -> FiniteLattice:
@@ -286,13 +300,9 @@ def ideal_lattice_zn(n: int) -> FiniteLattice:
         raise TooLarge(f"n must be between 2 and {ZN_CAP}")
     divs = divisors(n)
     names = tuple(f"({d})" for d in divs)
-    pairs = [
-        (names[i], names[j])
-        for i, di in enumerate(divs)
-        for j, dj in enumerate(divs)
-        if di % dj == 0
-    ]
-    poset = build_poset(names, pairs, mode="leq")
+    # (d*p) is covered by (d): the ideal order is reverse divisibility.
+    pairs = [(names[j], names[i]) for i, j in _divisor_covers(n, divs)]
+    poset = build_poset(names, pairs, mode="covers")
     return as_lattice(poset, provenance=f"ideal_lattice_zn({n})")
 
 
@@ -335,16 +345,17 @@ def antichain_poset(k: int, prefix: str = "a") -> FinitePoset:
 
 def downset_lattice(p: FinitePoset, provenance: str | None = None) -> FiniteLattice:
     """Lattice of downward-closed subsets of a poset, ordered by inclusion."""
-    if p.n > 20:
-        raise TooLarge("downset enumeration is capped at 20-element posets")
-    downsets = [
-        m
-        for m in range(1 << p.n)
-        if all(p.down[i] & ~m == 0 for i in bits(m))
-    ]
+    downsets = _downsets(p)
     if len(downsets) > LATTICE_SIZE_CAP:
         raise TooLarge(f"downset lattice exceeds the size cap {LATTICE_SIZE_CAP}")
     return inclusion_lattice(downsets, p.names, provenance or f"downset(poset n={p.n})")
+
+
+def _downsets(p: FinitePoset) -> list[int]:
+    """The downward-closed subsets of a poset, as bitmasks, ascending."""
+    if p.n > 20:
+        raise TooLarge("downset enumeration is capped at 20-element posets")
+    return [m for m in range(1 << p.n) if all(p.down[i] & ~m == 0 for i in bits(m))]
 
 
 def boolean(k: int) -> FiniteLattice:
@@ -365,39 +376,27 @@ def divisor(n: int) -> FiniteLattice:
     if len(divs) > LATTICE_SIZE_CAP:
         raise TooLarge("too many divisors")
     names = tuple(str(d) for d in divs)
-    pairs = [
-        (names[i], names[j])
-        for i in range(len(divs))
-        for j in range(len(divs))
-        if divs[j] % divs[i] == 0
-    ]
-    poset = build_poset(names, pairs, "leq")
+    pairs = [(names[i], names[j]) for i, j in _divisor_covers(n, divs)]
+    poset = build_poset(names, pairs, "covers")
     return as_lattice(poset, provenance=f"divisor({n})")
 
 
 def product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    """Componentwise-ordered product lattice."""
+    """Componentwise-ordered product lattice; element (i, j) has index
+    ``i * b.n + j``."""
     if a.n * b.n > LATTICE_SIZE_CAP:
         raise TooLarge(f"product exceeds the size cap {LATTICE_SIZE_CAP}")
-    names = []
-    up = []
-    down = []
-    n = a.n * b.n
-    for i in range(a.n):
-        for j in range(b.n):
-            names.append(f"({a.names[i]},{b.names[j]})")
-    for i in range(a.n):
-        for j in range(b.n):
-            u = d = 0
-            for k in range(a.n):
-                for l in range(b.n):
-                    if a.leq(i, k) and b.leq(j, l):
-                        u |= 1 << (k * b.n + l)
-                    if a.leq(k, i) and b.leq(l, j):
-                        d |= 1 << (k * b.n + l)
-            up.append(u)
-            down.append(d)
-    poset = FinitePoset(n=n, names=tuple(names), up=tuple(up), down=tuple(down))
+    names = tuple(f"({x},{y})" for x in a.names for y in b.names)
+
+    def rows(a_rows, b_rows):
+        # spread(m) has bit k*b.n for each k in m.  A row of b is below
+        # 2^b.n, so spread(m) * row is that row shifted into each of those
+        # blocks, without carries.
+        spread = [sum(1 << (k * b.n) for k in bits(m)) for m in a_rows]
+        return tuple(s * r for s in spread for r in b_rows)
+
+    up, down = rows(a.poset.up, b.poset.up), rows(a.poset.down, b.poset.down)
+    poset = FinitePoset(n=a.n * b.n, names=names, up=up, down=down)
     poset.verify_axioms()
     return as_lattice(
         poset, provenance=f"product({a.provenance},{b.provenance})"
@@ -433,13 +432,13 @@ def random_distributive(seed: int, target_size: int) -> FiniteLattice:
     while True:
         size = rng.randint(0, 9)
         p = random_poset(rng, size)
-        lat = downset_lattice(
-            p, provenance=f"random(seed={seed},size={target_size})"
-        )
-        if 1 <= lat.n <= target_size:
-            if not lat.distributive:
-                raise AssertionError("downset lattice must be distributive")
-            return lat
+        downsets = _downsets(p)
+        if len(downsets) <= target_size:  # the empty downset is always one
+            break
+    lat = inclusion_lattice(downsets, p.names, f"random(seed={seed},size={target_size})")
+    if not lat.distributive:
+        raise AssertionError("downset lattice must be distributive")
+    return lat
 
 
 # -- generator-spec strings ----------------------------------------------------

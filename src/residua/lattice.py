@@ -2,21 +2,27 @@
 
 Order relations are stored as full reflexive-transitive closures, one
 bit-packed row per element, so order queries are O(1) word operations.
-Meet/join tables are materialized on lattice construction and every
+The rows are built whole: ``build_poset`` closes a relation in one
+topological pass, and inclusion and product lattices form their rows
+from set and factor rows.  The join table is built with the lattice, as
+its certificate; the meet table on first read.  Every
 ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
 the order alone (lower covers, the join-irreducibles, the completely
 co-irreducibles) are cached on the poset, facts that read the tables on
-the lattice: the residual derivatives and the first faulty entry of each
-table (``join_fault``, ``meet_fault``), each computed on first read.
+the lattice: the meet table, the residual derivatives and the first
+faulty entry of each table (``join_fault``, ``meet_fault``), each
+computed on first read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .bitset import bits, full_mask, mask_of
@@ -145,7 +151,11 @@ def build_poset(
 
     ``mode="covers"`` treats pairs as Hasse edges, ``mode="leq"`` as arbitrary
     (a <= b) assertions; either way the reflexive-transitive closure is
-    computed and the poset axioms are verified.
+    computed and the poset axioms are verified.  The closure is one pass
+    in topological order: an up row is the OR of its successors' up rows,
+    taken in reverse order, and a down row the OR of its predecessors'
+    down rows, which is O(n + pairs) row ORs.  A cyclic relation raises
+    ``CycleDetected`` naming two elements on a cycle.
     """
     if mode not in ("covers", "leq"):
         raise ValueError(f"mode must be 'covers' or 'leq', got {mode!r}")
@@ -154,27 +164,67 @@ def build_poset(
         raise ValueError("element names must be distinct")
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    up = [1 << i for i in range(n)]
+    succ = [0] * n
     for a, b in relation_pairs:
         if a not in index:
             raise UnknownElement(f"unknown element {a!r}")
         if b not in index:
             raise UnknownElement(f"unknown element {b!r}")
-        up[index[a]] |= 1 << index[b]
-    # Warshall closure on bit rows.
-    for k in range(n):
-        row_k = up[k]
-        bit_k = 1 << k
-        for i in range(n):
-            if up[i] & bit_k:
-                up[i] |= row_k
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
+        succ[index[a]] |= 1 << index[b]
+    # A pair (a, a) asserts reflexivity, which every row has anyway.
+    succ = [row & ~(1 << i) for i, row in enumerate(succ)]
+    pred = [0] * n
+    for a, row in enumerate(succ):
+        for b in bits(row):
+            pred[b] |= 1 << a
+    order = _topological_order(names, succ, pred)
+    up = [1 << i for i in range(n)]
+    for a in reversed(order):
+        for b in bits(succ[a]):
+            up[a] |= up[b]
+    down = [1 << i for i in range(n)]
+    for b in order:
+        for a in bits(pred[b]):
+            down[b] |= down[a]
     poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
     poset.verify_axioms()
     return poset
+
+
+def _topological_order(names, succ, pred) -> list:
+    """Kahn's order of the edge graph: each element after all of its
+    predecessors.  When a cycle blocks it, raises ``CycleDetected`` for
+    the least element on a cycle and the least other element on its
+    cycles, the pair that the antisymmetry check of the closure names."""
+    indegree = [row.bit_count() for row in pred]
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for a in order:  # grows while it is read
+        for b in bits(succ[a]):
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                order.append(b)
+    if len(order) == len(names):
+        return order
+    # The elements left out lie on or above a cycle.  For each, in index
+    # order, the others that are both after and before it: its cycles.
+    blocked = full_mask(len(names)) & ~mask_of(order)
+    cycles = ((i, _reach(succ, succ[i]) & _reach(pred, pred[i]) & ~(1 << i)) for i in bits(blocked))
+    i, cycle = next((i, cycle) for i, cycle in cycles if cycle)
+    j = next(bits(cycle))
+    raise CycleDetected(f"antisymmetry fails: {names[i]} <= {names[j]} <= {names[i]}")
+
+
+def _reach(edges, mask: int) -> int:
+    """Bitmask of the elements reachable from ``mask`` along ``edges``,
+    ``mask`` included."""
+    seen = frontier = mask
+    while frontier:
+        step = 0
+        for k in bits(frontier):
+            step |= edges[k]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def poset_from_json(doc: dict) -> FinitePoset:
@@ -205,14 +255,16 @@ def poset_from_json(doc: dict) -> FinitePoset:
 class FiniteLattice:
     """A finite lattice: poset plus total meet/join tables and bottom.
 
-    Instances are immutable after construction; every operation is
-    read-only.  For a lattice of sets ordered by inclusion, ``sets[i]`` is
-    the set (a bitmask) that element ``i`` stands for; otherwise ``sets``
-    is empty.
+    The join table is built with the lattice, as its certificate; the
+    meet table (``meet``) is built from the down rows on first read,
+    unless the lattice was built with its own rows in ``meet_rows`` (a
+    copy that carries a corrupted or restricted table).  Instances are
+    otherwise immutable; every operation is read-only.  For a lattice of
+    sets ordered by inclusion, ``sets[i]`` is the set (a bitmask) that
+    element ``i`` stands for; otherwise ``sets`` is empty.
     """
 
     poset: FinitePoset
-    meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
@@ -220,6 +272,7 @@ class FiniteLattice:
     coframe: bool
     provenance: str = "lattice"
     sets: tuple = ()
+    meet_rows: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
 
     # -- order plumbing -------------------------------------------------
 
@@ -253,6 +306,15 @@ class FiniteLattice:
 
     def full(self) -> int:
         return full_mask(self.n)
+
+    @cached_property
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        """The meet table: ``meet_rows`` when given, else built from the
+        down rows on first read.  That cannot fail once the join table
+        exists (see ``as_lattice``)."""
+        if self.meet_rows is not None:
+            return self.meet_rows
+        return _bound_table(self.poset.down)
 
     def meet2(self, i: int, j: int) -> int:
         return self.meet[i][j]
@@ -353,54 +415,67 @@ class FiniteLattice:
 
 
 def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
-    """Compute meet/join tables from the order, or fail with a witness pair.
+    """Compute the join table from the order, or fail with a witness pair.
 
-    Minima/maxima of bound sets are located by hashing up/down rows: the
-    join of (i, j) exists iff the common upper bounds equal ``up[k]`` for
-    some k, which is then the unique minimum.
+    The join of (i, j) exists iff the common upper bounds equal ``up[k]``
+    for some k, which is then the unique minimum; k is found by hashing
+    the up rows.  The join table is the lattice certificate: in a finite
+    poset with a bottom where every pair has a join, the meet of a and b
+    is the join of their common lower bounds, a set holding the bottom.
+    So the meet table is left to ``FiniteLattice.meet``, built on first
+    read.  A poset that is no lattice raises ``NotALattice`` for the first
+    pair, row-major, without a join or a meet (the join checked first).
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NoBottom("an empty poset has no bottom")
-    up_index = {row: i for i, row in enumerate(up)}
-    down_index = {row: i for i, row in enumerate(down)}
-    join = []
-    meet = []
-    for i in range(n):
-        jrow = []
-        mrow = []
-        for j in range(n):
-            k = up_index.get(up[i] & up[j])
-            if k is None:
-                raise NotALattice(
-                    f"{p.names[i]} and {p.names[j]} have no join", pair=(i, j)
-                )
-            jrow.append(k)
-            k = down_index.get(down[i] & down[j])
-            if k is None:
-                raise NotALattice(
-                    f"{p.names[i]} and {p.names[j]} have no meet", pair=(i, j)
-                )
-            mrow.append(k)
-        join.append(tuple(jrow))
-        meet.append(tuple(mrow))
-    bottom = up_index.get(full_mask(n))
-    if bottom is None:
-        raise NoBottom("lattice has no bottom element")
-    top = down_index[full_mask(n)]
+    join = _bound_table(up)
+    gap = next(((i, row.index(None)) for i, row in enumerate(join) if None in row), None)
+    if gap is not None or full_mask(n) not in up:
+        raise _missing_bound(p, gap)
+    bottom = up.index(full_mask(n))
+    top = down.index(full_mask(n))
     distributive = _birkhoff_distributive(p, join)
     # For a finite lattice the coframe law (dual infinite distributivity)
     # reduces to plain distributivity: all meets/joins are finite.
     return FiniteLattice(
         poset=p,
-        meet=tuple(meet),
-        join=tuple(join),
+        join=join,
         bottom=bottom,
         top=top,
         distributive=distributive,
         coframe=distributive,
         provenance=provenance,
     )
+
+
+def _bound_table(rows) -> tuple[tuple[Optional[int], ...], ...]:
+    """``table[a][b]`` is the k with ``rows[k] == rows[a] & rows[b]``, or
+    None: the join table on up rows, the meet table on down rows.  The
+    table is symmetric, so row a is computed from column a on, and its
+    first a entries are column a of the rows above."""
+    index = {row: k for k, row in enumerate(rows)}
+    table = []
+    for a, row in enumerate(rows):
+        entries = list(map(getitem, table, repeat(a)))
+        entries += map(index.get, map(row.__and__, rows[a:]))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _missing_bound(p: FinitePoset, no_join: Optional[tuple[int, int]]):
+    """The error for a poset that is no lattice, given its first pair
+    without a join (None if every pair has one): ``NotALattice`` for the
+    first pair, row-major, without a meet or a join, else ``NoBottom``."""
+    n, names, down = p.n, p.names, p.down
+    rows = set(down)
+    for a in range(n):
+        for b in range(n):
+            if (a, b) == no_join:
+                return NotALattice(f"{names[a]} and {names[b]} have no join", pair=(a, b))
+            if down[a] & down[b] not in rows:
+                return NotALattice(f"{names[a]} and {names[b]} have no meet", pair=(a, b))
+    return NoBottom("lattice has no bottom element")
 
 
 def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenance: str) -> FiniteLattice:
@@ -412,18 +487,28 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     """
     sets = tuple(sorted(sets, key=lambda m: (m.bit_count(), m)))
     names = tuple("{" + ",".join(point_names[i] for i in bits(m)) + "}" for m in sets)
+    # holders[q]: the sets that hold point q.  A set's up row is the AND
+    # of its points' holders; its down row is every set but the holders
+    # of the points it lacks.
+    points = 0
+    for m in sets:
+        points |= m
+    holders = dict.fromkeys(bits(points), 0)
+    for j, m in enumerate(sets):
+        for q in bits(m):
+            holders[q] |= 1 << j
+    everything = full_mask(len(sets))
     up = []
     down = []
-    for a in sets:
-        u = d = 0
-        for j, b in enumerate(sets):
-            common = a & b
-            if common == a:
-                u |= 1 << j
-            if common == b:
-                d |= 1 << j
+    for m in sets:
+        u = everything
+        for q in bits(m):
+            u &= holders[q]
+        outside = 0
+        for q in bits(points & ~m):
+            outside |= holders[q]
         up.append(u)
-        down.append(d)
+        down.append(everything & ~outside)
     poset = FinitePoset(n=len(sets), names=names, up=tuple(up), down=tuple(down))
     poset.verify_axioms()
     return replace(as_lattice(poset, provenance=provenance), sets=sets)
@@ -447,11 +532,10 @@ def _birkhoff_distributive(p: FinitePoset, join) -> bool:
     """
     irreducibles = p.irreducibles
     J = [row & irreducibles for row in p.down]
-    for x in range(p.n):
-        jx, jrow = J[x], join[x]
-        for y in range(x + 1, p.n):
-            if J[jrow[y]] != jx | J[y]:
-                return False
+    for x, jx in enumerate(J):
+        # One list comparison per x over the pairs (x, y), y > x.
+        if list(map(J.__getitem__, join[x][x + 1 :])) != list(map(jx.__or__, J[x + 1 :])):
+            return False
     return True
 
 

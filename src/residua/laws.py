@@ -75,7 +75,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
-from .errors import LatticeIntegrityError, NoBottom, NotALattice
+from .errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow
 from .lattice import FiniteLattice, FinitePoset, as_lattice
 from .residual import (
     classify_t,
@@ -989,7 +989,12 @@ def _check_x_minus_boundary_t0(ctx):
     for x in ctx.elements:
         ctx.checked += 1
         p = ctx.profile(x)
-        r = co_heyting_sub(L, x, p.boundary)
+        try:
+            r = co_heyting_sub(L, x, p.boundary)
+        except NotBelow:
+            # The boundary is a join of elements below x, so it is below x
+            # unless the lattice's bottom (the empty join) is wrong.
+            return False, ctx.witness(x=x, boundary=p.boundary)
         if classify_t(L, r) != 0:
             return False, ctx.witness(x=x, sub=r)
         if not L.leq(r, p.core):
@@ -1234,12 +1239,16 @@ def all_pass(reports) -> bool:
 
 
 def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> FiniteLattice:
-    """Copy of L with one meet/join table entry replaced (not symmetrized)."""
+    """Copy of L with one meet/join table entry replaced (not symmetrized).
+
+    A meet-mutated copy carries its rows as ``meet_rows``; a join-mutated
+    one keeps L's ``meet_rows``, so without them it builds a clean meet
+    table from the down rows."""
     if table not in ("meet", "join"):
         raise ValueError("table must be 'meet' or 'join'")
     rows = [list(row) for row in getattr(L, table)]
     rows[i][j] = value
-    mutated = {table: tuple(tuple(r) for r in rows)}
+    mutated = {"join" if table == "join" else "meet_rows": tuple(tuple(r) for r in rows)}
     return replace(
         L, provenance=f"{L.provenance}+fault({table}[{i}][{j}]={value})", **mutated
     )
@@ -1276,7 +1285,7 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
         distributive = False
     return FiniteLattice(
         poset=poset,
-        meet=meet,
+        meet_rows=meet,
         join=join,
         bottom=bottom,
         top=top,

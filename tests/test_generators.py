@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+import residua.generators
+
 from residua.bitset import bits, popcount
 from residua.errors import InvalidGroup, TooLarge
 from residua.generators import (
@@ -30,6 +32,7 @@ from residua.generators import (
     subgroups,
 )
 from residua.generators import _extend
+from residua.lattice import inclusion_lattice
 from residua.laws import all_pass, run_all
 from residua.topology import FiniteTopology, closed_set_lattice
 import random
@@ -253,6 +256,36 @@ def test_random_distributive_deterministic_and_bounded():
     assert 1 <= a.n <= 32
     assert a.distributive
     assert random_distributive(3, 1).n == 1  # empty poset gives the one-point lattice
+
+
+def random_distributive_reference(seed: int, target_size: int):
+    """The generator's former loop: build every drawn downset lattice and
+    return the first one within the size cap."""
+    rng = random.Random(seed)
+    while True:
+        p = random_poset(rng, rng.randint(0, 9))
+        lat = downset_lattice(p, provenance=f"random(seed={seed},size={target_size})")
+        if 1 <= lat.n <= target_size:
+            return lat
+
+
+def test_random_distributive_builds_only_the_lattice_it_returns(monkeypatch):
+    """Counting the downsets first draws the same lattices as building
+    each one: the same JSON for seeds 0-199 at sizes 20, 50 and 200."""
+    for size in (20, 50, 200):
+        for seed in range(200):
+            want = random_distributive_reference(seed, size)
+            got = random_distributive(seed, size)
+            assert (got.to_json_dict(), got.provenance, got.sets) == (
+                want.to_json_dict(),
+                want.provenance,
+                want.sets,
+            ), (seed, size)
+    built = []
+    monkeypatch.setattr(
+        residua.generators, "inclusion_lattice", lambda *args: built.append(args) or inclusion_lattice(*args)
+    )
+    assert random_distributive(10, 200).n <= 200 and len(built) == 1
 
 
 def test_product_of_chains_is_grid():

@@ -261,6 +261,21 @@ def replace_bottom(L, bottom):
     return replace(L, bottom=bottom, provenance=f"{L.provenance}+bottom={bottom}")
 
 
+def test_wrong_bottom_copies_fail_laws_instead_of_raising():
+    """A wrong ``bottom`` field makes the empty join of residues, the
+    boundary of the true bottom, an element not below it: the registry
+    reports failures instead of raising ``NotBelow``."""
+    copies = 0
+    for L in (boolean(3), divisor(60), relabeled(divisor(60), 0)):
+        for bottom in L.elements():
+            if bottom == L.bottom:
+                continue
+            reports = run_all(replace_bottom(L, bottom))
+            assert len(reports) == 26 and any(r.verdict == "fail" for r in reports), bottom
+            copies += 1
+    assert copies == 29
+
+
 def descends_to_reference(L, x, target) -> bool:
     """Can target be reached from x by steps into maximal subelements?
     A breadth-first search over the lower covers inside up(target)."""
@@ -860,12 +875,12 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 
 def test_run_all_leaves_no_fold_state_on_the_lattice():
     """The fold memo lives on each law's context: after ``run_all`` the
-    lattice holds only its derivative row and its two table faults, and
-    the poset its order rows."""
+    lattice holds only its derivative row, its two table faults and its
+    meet table (built on first read), and the poset its order rows."""
     L = generate("chain:40")
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
-    assert cached(L) == {"derivatives", "join_fault", "meet_fault"}
+    assert cached(L) == {"derivatives", "join_fault", "meet_fault", "meet"}
     assert cached(L.poset) <= {"lower_covers", "irreducibles", "coirreducibles"}
 
 

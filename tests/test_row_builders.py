@@ -1,0 +1,252 @@
+"""Differential tests of the order-row builders against their per-pair
+references.
+
+``build_poset`` closes a relation in one topological pass, ``as_lattice``
+builds only the join table (the meet table is built on first read),
+``inclusion_lattice`` forms rows from per-point holder masks and
+``product`` shifts the factor rows.  The references below build the
+same rows and tables one pair at a time: the Warshall closure and its
+transposition, pairwise subset tests, the ``leq``-loop product and an
+``as_lattice`` that fills both tables eagerly.
+"""
+
+import random
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from residua.bitset import bits, full_mask
+from residua.errors import CycleDetected, NoBottom, NotALattice
+from residua.generators import (
+    boolean,
+    chain,
+    divisor,
+    ideal_lattice_zn,
+    load_catalog_group,
+    product,
+    subgroup_lattice,
+)
+from residua.lattice import FinitePoset, as_lattice, build_poset
+from residua.laws import _sublattice, mutate_entry
+
+
+def warshall_poset(names, pairs) -> FinitePoset:
+    """The reflexive-transitive closure by Warshall's loop on bit rows,
+    down rows by transposing the up rows, then the axiom scan."""
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    for k in range(n):
+        row_k = up[k]
+        bit_k = 1 << k
+        for i in range(n):
+            if up[i] & bit_k:
+                up[i] |= row_k
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    poset = FinitePoset(n=n, names=tuple(names), up=tuple(up), down=tuple(down))
+    poset.verify_axioms()
+    return poset
+
+
+def pairwise_inclusion_rows(sets):
+    """Up and down rows of sets under inclusion, one subset test per pair."""
+    up, down = [], []
+    for a in sets:
+        u = d = 0
+        for j, b in enumerate(sets):
+            common = a & b
+            if common == a:
+                u |= 1 << j
+            if common == b:
+                d |= 1 << j
+        up.append(u)
+        down.append(d)
+    return tuple(up), tuple(down)
+
+
+def leq_loop_product_rows(a, b):
+    """Up and down rows of the product, one ``leq`` pair per bit."""
+    up, down = [], []
+    for i in range(a.n):
+        for j in range(b.n):
+            u = d = 0
+            for k in range(a.n):
+                for l in range(b.n):
+                    if a.leq(i, k) and b.leq(j, l):
+                        u |= 1 << (k * b.n + l)
+                    if a.leq(k, i) and b.leq(l, j):
+                        d |= 1 << (k * b.n + l)
+            up.append(u)
+            down.append(d)
+    return tuple(up), tuple(down)
+
+
+def eager_tables(p: FinitePoset):
+    """Both tables filled together, one pair at a time, join before meet:
+    (join, meet, bottom, top), or the first pair's error."""
+    n, up, down = p.n, p.up, p.down
+    if n == 0:
+        raise NoBottom("an empty poset has no bottom")
+    up_index = {row: i for i, row in enumerate(up)}
+    down_index = {row: i for i, row in enumerate(down)}
+    join, meet = [], []
+    for i in range(n):
+        jrow, mrow = [], []
+        for j in range(n):
+            k = up_index.get(up[i] & up[j])
+            if k is None:
+                raise NotALattice(f"{p.names[i]} and {p.names[j]} have no join", pair=(i, j))
+            jrow.append(k)
+            k = down_index.get(down[i] & down[j])
+            if k is None:
+                raise NotALattice(f"{p.names[i]} and {p.names[j]} have no meet", pair=(i, j))
+            mrow.append(k)
+        join.append(tuple(jrow))
+        meet.append(tuple(mrow))
+    bottom = up_index.get(full_mask(n))
+    if bottom is None:
+        raise NoBottom("lattice has no bottom element")
+    return tuple(join), tuple(meet), bottom, down_index[full_mask(n)]
+
+
+def outcome(fn, *args):
+    """The result, or the error's type, message and pair."""
+    try:
+        return fn(*args)
+    except (CycleDetected, NotALattice, NoBottom) as e:
+        return type(e), str(e), getattr(e, "pair", None)
+
+
+def lattice_outcome(p):
+    def tables(p):
+        L = as_lattice(p)
+        return L.join, L.meet, L.bottom, L.top
+
+    return outcome(tables, p)
+
+
+def relation(forward_only: bool):
+    """(n, pairs) on elements 0..n-1; with ``forward_only`` every pair
+    goes from a lower index to a higher one, so the relation is acyclic."""
+
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(0, 8))
+        if n == 0:
+            return 0, []
+        index = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+        if forward_only:
+            pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+        return n, pairs
+
+    return draw()
+
+
+def compare_with_references(n, pairs):
+    names = [f"e{i}" for i in range(n)]
+    named = [(names[a], names[b]) for a, b in pairs]
+    got = outcome(build_poset, names, named, "leq")
+    want = outcome(warshall_poset, names, named)
+    assert got == want
+    if isinstance(got, FinitePoset):
+        assert lattice_outcome(got) == outcome(eager_tables, got)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation(forward_only=False))
+def test_closure_matches_warshall_on_fuzzed_relations(data):
+    """Cycles included: the error names the same two elements."""
+    compare_with_references(*data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation(forward_only=True))
+def test_tables_match_the_eager_pair_loop_on_fuzzed_posets(data):
+    """Mostly non-lattices: the error names the same pair, the join
+    checked before the meet at each pair."""
+    compare_with_references(*data)
+
+
+def test_fixed_relations_reach_every_outcome():
+    """Cycles, missing joins before missing meets and after them, the
+    empty poset and lattices all appear, and match the references."""
+    cases = [
+        (2, [(0, 1), (1, 0)]),
+        (5, [(0, 1), (3, 4), (4, 2), (2, 3), (1, 2)]),
+        (3, [(0, 2), (1, 2)]),  # two minimal elements: no meet of (0, 1)
+        (3, [(0, 1), (0, 2)]),  # two maximal elements: no join of (1, 2)
+        (4, [(1, 0), (2, 0), (3, 1), (3, 2), (3, 0)]),
+        (0, []),
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    ]
+    seen = set()
+    for n, pairs in cases:
+        got = compare_with_references(n, pairs)
+        result = lattice_outcome(got) if isinstance(got, FinitePoset) else got
+        seen.add(result[0] if isinstance(result[0], type) else "lattice")
+        if result[0] is NotALattice:
+            seen.add(result[1].split()[-1])
+    assert seen == {CycleDetected, NotALattice, NoBottom, "lattice", "join", "meet"}
+
+
+def test_rows_and_tables_match_the_references_on_the_corpus(lattice_corpus):
+    for L in lattice_corpus:
+        covers = [(L.names[i], L.names[j]) for i, j in L.poset.covers()]
+        rebuilt = build_poset(L.names, covers, "covers")
+        assert rebuilt == warshall_poset(L.names, covers) == L.poset, L.provenance
+        assert pairwise_inclusion_rows(L.sets) == (L.poset.up, L.poset.down), L.provenance
+        assert eager_tables(L.poset) == (L.join, L.meet, L.bottom, L.top), L.provenance
+
+
+def test_divisor_and_ideal_covers_give_the_divisibility_order():
+    """The Hasse covers d -> d*p close to exactly the divisibility pairs;
+    the ideal (d) lies below (e) when e divides d."""
+    for n in (1, 2, 12, 60, 97, 720, 5040):
+        lattices = [(divisor(n), lambda d, e: e % d == 0)]
+        if n >= 2:
+            lattices.append((ideal_lattice_zn(n), lambda d, e: d % e == 0))
+        for L, below in lattices:
+            divs = [int(name.strip("()")) for name in L.names]
+            pairs = [(L.names[i], L.names[j]) for i, d in enumerate(divs) for j, e in enumerate(divs) if below(d, e)]
+            assert L.poset == warshall_poset(L.names, pairs), L.provenance
+            assert eager_tables(L.poset) == (L.join, L.meet, L.bottom, L.top), L.provenance
+
+
+def test_product_rows_match_the_leq_loop():
+    factors = [chain(1), chain(3), boolean(2), divisor(12), subgroup_lattice(load_catalog_group("s3"))]
+    for a in factors:
+        for b in factors:
+            L = product(a, b)
+            assert (L.poset.up, L.poset.down) == leq_loop_product_rows(a, b), L.provenance
+            assert eager_tables(L.poset) == (L.join, L.meet, L.bottom, L.top), L.provenance
+
+
+def test_mutated_copies_keep_or_rebuild_the_meet_table():
+    """A join-mutated copy builds a clean meet table from the down rows; a
+    meet-mutated copy keeps its corrupted rows through later copies."""
+    L = divisor(60)
+    _, clean_meet, _, _ = eager_tables(L.poset)
+    rng = random.Random(5)
+    for _ in range(20):
+        i, j = rng.randrange(L.n), rng.randrange(L.n)
+        value = rng.choice([v for v in L.elements() if v != L.join[i][j]])
+        joined = mutate_entry(L, "join", i, j, value)
+        assert joined.join[i][j] == value
+        assert joined.meet_rows is None and joined.meet == clean_meet and joined.meet_fault is None
+
+        value = rng.choice([v for v in L.elements() if v != L.meet[i][j]])
+        met = mutate_entry(L, "meet", i, j, value)
+        assert met.meet[i][j] == value and met.meet_fault == (i, j)
+        assert met.join == L.join
+        for copy in (mutate_entry(met, "join", j, i, L.join[j][i]), replace(met, bottom=L.top)):
+            assert copy.meet == met.meet and copy.meet_fault == (i, j)
+        keep = sorted(range(L.n))
+        assert _sublattice(met, keep).meet == met.meet
