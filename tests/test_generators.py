@@ -340,6 +340,46 @@ def test_caps_enforced():
         subgroups(big)
 
 
+def _z_table(n: int) -> list:
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _swapped(table: list, cells) -> list:
+    """A copy of ``table`` with the entries of each pair of cells swapped."""
+    t = [list(row) for row in table]
+    for (a, b), (c, d) in cells:
+        t[a][b], t[c][d] = t[c][d], t[a][b]
+    return t
+
+
+def _twisted_z3_z2() -> list:
+    """Z3 x Z2 on its tuples in lexicographic order, with a carry into Z2
+    from (1, _) * (1, _) only, which is no cocycle.  Every triple with
+    (0, 1) in the middle associates, so only a test of the second
+    generator, (1, 0), finds the fault."""
+    el = [(a, b) for a in range(3) for b in range(2)]
+    return [[el.index(((a + c) % 3, (b + d + (a == c == 1)) % 2)) for c, d in el] for a, b in el]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # Z5 with the 2x2 block on rows and columns 1, 2 swapped left-right.
+        (_swapped(_z_table(5), [((1, 1), (1, 2)), ((2, 1), (2, 2))]), "associativity fails at (1,1,2)"),
+        (_swapped(_z_table(64), [((1, 1), (1, 2))]), "associativity fails at (1,1,2)"),
+        (_swapped(_z_table(64), [((63, 62), (63, 63))]), "associativity fails at (1,62,62)"),
+        (_twisted_z3_z2(), "associativity fails at (2,2,4)"),
+    ],
+)
+def test_non_associative_tables_with_identity_and_inverses_name_the_first_triple(table, message):
+    n = len(table)
+    assert table[0] == list(range(n)) and [row[0] for row in table] == list(range(n))
+    assert all(0 in row for row in table)
+    with pytest.raises(InvalidGroup) as raised:
+        CayleyTable.from_json_dict({"order": n, "identity": 0, "table": table}, name="t")
+    assert str(raised.value) == f"t: {message}"
+
+
 def test_oversized_cayley_json_refused_before_validation():
     n = 400
     doc = {"order": n, "identity": 0, "table": [[(a + b) % n for b in range(n)] for a in range(n)]}

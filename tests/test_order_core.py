@@ -10,6 +10,7 @@ from residua.bitset import bits, contains, full_mask, mask_of
 from residua.errors import CycleDetected, LatticeIntegrityError, NotALattice, TooLarge, UnknownElement
 from residua.lattice import (
     LATTICE_SIZE_CAP,
+    FinitePoset,
     _birkhoff_distributive,
     as_lattice,
     build_poset,
@@ -74,6 +75,28 @@ def test_two_cycle_raises():
         build_poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+@pytest.mark.parametrize(
+    "up, down, message",
+    [
+        # a <= b <= c without a <= c.
+        ((0b011, 0b110, 0b100), (0b001, 0b011, 0b110), "transitivity fails at (a,b,c)"),
+        # a and b form a 2-cycle in the up rows that diagonal down rows hide
+        # from the antisymmetry test, and c <= d is missing above a.  The
+        # up row of each of a and b is itself plus the other's: a cover test
+        # that did not also ask that no cover's up row holds the element
+        # below it would pass these rows.
+        ((0b0111, 0b0111, 0b1100, 0b1000), (1, 2, 4, 8), "transitivity fails at (a,c,d)"),
+        # The missing pair lies above an element of larger index.
+        ((0b1001, 0b0110, 0b0100, 0b1100), (0b0001, 0b0010, 0b0110, 0b1001), "transitivity fails at (a,d,c)"),
+    ],
+)
+def test_non_transitive_rows_raise_the_first_fault(up, down, message):
+    p = FinitePoset(n=len(up), names=tuple("abcd"[: len(up)]), up=up, down=down)
+    with pytest.raises(CycleDetected) as raised:
+        p.verify_axioms()
+    assert str(raised.value) == message
+
+
 def test_unknown_element_raises():
     with pytest.raises(UnknownElement):
         build_poset(["a"], [("a", "z")])
@@ -117,13 +140,22 @@ def test_pentagon_not_distributive_by_triple_scan(n5):
     assert not n5.distributive and not n5.coframe
 
 
+def birkhoff_all_pairs(p, join) -> bool:
+    """Birkhoff's criterion on every pair: ``J(x v y) = J(x) | J(y)``
+    for all x < y, where J(x) is the set of join-irreducibles below x."""
+    J = [row & p.irreducibles for row in p.down]
+    return all(J[join[x][y]] == J[x] | J[y] for x in range(p.n) for y in range(x + 1, p.n))
+
+
 def test_birkhoff_agrees_with_triple_scan(lattice_corpus):
-    """as_lattice decides distributivity by Birkhoff's criterion; the
-    table-based triple scan is its oracle."""
+    """as_lattice decides distributivity by Birkhoff's criterion on the
+    rows of the join-irreducibles; the criterion on all pairs and the
+    table-based triple scan are its oracles."""
     non_distributive = 0
     for L in lattice_corpus:
         by_scan = _distributivity_witness(L.n, L.meet, L.join) is None
-        assert _birkhoff_distributive(L.poset, L.join) == by_scan == L.distributive, L.provenance
+        by_pairs = birkhoff_all_pairs(L.poset, L.join)
+        assert _birkhoff_distributive(L.poset, L.join) == by_pairs == by_scan == L.distributive, L.provenance
         non_distributive += not by_scan
     assert non_distributive >= 100
 
