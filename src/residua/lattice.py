@@ -65,8 +65,8 @@ class FinitePoset:
             raise UnknownElement(f"unknown element {name!r}") from None
 
     def verify_axioms(self) -> None:
-        """Check reflexivity, antisymmetry and transitivity, with one row
-        OR per Hasse edge.
+        """Check that ``up`` is a partial order and ``down`` its transpose,
+        with one row OR per Hasse edge for each.
 
         Row i passes when ``up[i] & down[i]`` is ``{i}`` and ``up[i]``
         minus i is exactly the union of the up rows of the minimal
@@ -76,13 +76,20 @@ class FinitePoset:
         transitive, by induction on ``|up[i]|``: each ``up[c]`` lies in
         ``up[i]`` and misses i, so it is smaller and transitive, and every
         j above i lies in some ``up[c]``, so ``up[j]`` lies in ``up[c]``.
-        A partial order passes.  A row that fails replays the full scan
-        (``_axiom_scan``), which raises its first fault.  It returns when
-        the rows fail only the test that no ``up[c]`` holds i: a cycle in
-        ``up`` that ``down`` rows which are not its transpose hide from
-        the antisymmetry test.
+        It is antisymmetric for the same reason: j above i lies in some
+        ``up[c]``, which misses i.
+
+        Every c found is above i, and every element that covers i is
+        found.  So ``down`` is the transpose of ``up`` when each
+        ``down[c]`` is c plus the down rows of the i whose climb found c:
+        by induction from the minimal elements, every element below c lies
+        below one that c covers.  A partial order with its transpose
+        passes.  Rows that fail replay the full scan (``_axiom_scan``),
+        which raises their first fault.
         """
         up, down = self.up, self.down
+        # below[c]: c plus the down rows of the elements whose climb found c
+        below = [1 << c for c in range(self.n)]
         for i, row in enumerate(up):
             bit = 1 << i
             if row & down[i] != bit:
@@ -93,34 +100,47 @@ class FinitePoset:
                 cand = rest
                 while True:
                     c = (cand & -cand).bit_length() - 1
-                    below = down[c] & cand & ~(1 << c)
-                    if not below:
+                    lower = down[c] & cand & ~(1 << c)
+                    if not lower:
                         break
-                    cand = below
+                    cand = lower
                 covered |= up[c]
+                below[c] |= down[i]
                 rest &= ~(up[c] | 1 << c)
             if covered != row ^ bit:
                 return self._axiom_scan()
+        if below != list(down):
+            return self._axiom_scan()
 
     def _axiom_scan(self) -> None:
         """The full matrix scan for reflexivity, antisymmetry and
-        transitivity, one step per comparable pair: it names the first
-        fault, row by row."""
-        n, up, down = self.n, self.up, self.down
+        transitivity, one step per comparable pair, then a comparison of
+        ``down`` with the transpose of ``up``: it names the first fault,
+        row by row."""
+        n, names, up, down = self.n, self.names, self.up, self.down
         for i in range(n):
             if not up[i] >> i & 1:
-                raise CycleDetected(f"relation not reflexive at {self.names[i]}")
-            if up[i] & down[i] != 1 << i:
-                j = next(b for b in bits(up[i] & down[i]) if b != i)
-                raise CycleDetected(
-                    f"antisymmetry fails: {self.names[i]} <= {self.names[j]} <= {self.names[i]}"
-                )
+                raise CycleDetected(f"relation not reflexive at {names[i]}")
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = next(bits(both))
+                raise CycleDetected(f"antisymmetry fails: {names[i]} <= {names[j]} <= {names[i]}")
             for j in bits(up[i]):
                 if up[j] & ~up[i]:
                     k = next(bits(up[j] & ~up[i]))
-                    raise CycleDetected(
-                        f"transitivity fails at ({self.names[i]},{self.names[j]},{self.names[k]})"
-                    )
+                    raise CycleDetected(f"transitivity fails at ({names[i]},{names[j]},{names[k]})")
+        transpose = [0] * n
+        for i in range(n):
+            for j in bits(up[i]):
+                transpose[j] |= 1 << i
+        for j in range(n):
+            if down[j] != transpose[j]:
+                i = next(bits(down[j] ^ transpose[j]))
+                rows = "up" if transpose[j] >> i & 1 else "down"
+                raise CycleDetected(
+                    f"down rows are not the transpose of the up rows: "
+                    f"{names[i]} <= {names[j]} only in the {rows} rows"
+                )
 
     @cached_property
     def lower_covers(self) -> tuple[int, ...]:

@@ -148,13 +148,18 @@ def classify_t(L, x) -> int:
     return L.poset.lower_covers[x].bit_count()
 
 
-def outcasts(L, x, family=None) -> list:
+def outcasts(L, x, family=None, residues=None) -> list:
     """Elements of the family strictly below x that no maximal subelement covers.
 
-    On coframe instances with the default family the result is
-    cross-validated against the boundary criterion: outcasts exist iff the
-    boundary of x is strictly below x, and then they are exactly the
-    elements of up(boundary) minus {x} within down(x) minus {x}.
+    On a finite lattice the scan is one mask: the family below x minus
+    the down rows of the maximal subelements.  On coframe instances with
+    the default family the result is cross-validated against the boundary
+    criterion: outcasts exist iff the boundary of x is strictly below x,
+    and then they are exactly the elements of up(boundary) minus {x}
+    within down(x) minus {x}.  ``residues``, when given, is the dict of
+    x - m by maximal subelement m, in maximal order, as
+    ``residual_profile`` reads it; its keys are then the maximal
+    subelements and its values the residues the boundary joins.
     """
     if hasattr(L, "outcasts"):
         return L.outcasts(x, family)
@@ -162,26 +167,25 @@ def outcasts(L, x, family=None) -> list:
     cand = L.strictly_below(x)
     if fam is not None:
         cand &= fam
-    max_mask = mask_of(maximal_subelements(L, x, family))
-    out = [z for z in bits(cand) if L.up_set(z) & max_mask == 0]
+    maxes = maximal_subelements(L, x, family) if residues is None else list(residues)
+    down = L.poset.down
+    for m in maxes:
+        cand &= ~down[m]
     if family is None and L.coframe:
-        residues = [co_heyting_sub(L, x, m) for m in bits(max_mask)]
-        boundary = L.join_of_set(residues)
-        expected = (
-            sorted(bits(L.up_set(boundary) & L.strictly_below(x)))
-            if boundary != x
-            else []
-        )
-        if expected != out:
+        if residues is None:
+            residues = {m: co_heyting_sub(L, x, m) for m in maxes}
+        boundary = L.join_of_set(list(residues.values()))
+        expected = L.up_set(boundary) & L.strictly_below(x) if boundary != x else 0
+        if expected != cand:
             raise LatticeIntegrityError(
                 "outcast scan disagrees with the boundary criterion",
                 witness={
                     "x": L.names[x],
-                    "scan": [L.names[z] for z in out],
-                    "boundary_criterion": [L.names[z] for z in expected],
+                    "scan": [L.names[z] for z in bits(cand)],
+                    "boundary_criterion": [L.names[z] for z in bits(expected)],
                 },
             )
-    return out
+    return list(bits(cand))
 
 
 def completely_coirreducibles(L) -> list:
@@ -253,27 +257,32 @@ class ResidualProfile:
         return "\n".join(lines) + "\n"
 
 
-def residual_profile(L, x, family=None) -> ResidualProfile:
+def residual_profile(L, x, family=None, residues_of=None) -> ResidualProfile:
     """Iterate the derivative to its fixpoint and assemble the full record.
+
+    ``residues_of(y)`` gives the dict of y - m by maximal subelement m of
+    y, in maximal order, for x and each iterate; by default each is
+    computed with ``maximal_subelements`` and ``co_heyting_sub``.  The law
+    registry passes its per-run rows (``laws._Ctx.residues``).
 
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
     the join of its core and its residues.
     """
     fam = _family_mask(L, family)
+    if residues_of is None:
+        residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
     iterates = mu_iterates(L, x, fam)
     core = iterates[-1]
     rank = RankValue.of(len(iterates) - 1)
-    maxes = tuple(maximal_subelements(L, x, fam))
+    residues = residues_of(x)
+    maxes = tuple(residues)
     mu = iterates[1] if len(iterates) > 1 else x
-    residues = {m: co_heyting_sub(L, x, m) for m in maxes}
     boundary = L.join_of_set(list(residues.values()))
     strata = []
     rho = {}
     for a, xa in enumerate(iterates[:-1]):
-        stratum = tuple(
-            sorted({co_heyting_sub(L, xa, m) for m in maximal_subelements(L, xa, fam)})
-        )
+        stratum = tuple(sorted(set((residues if a == 0 else residues_of(xa)).values())))
         strata.append(stratum)
         for s in stratum:
             rho.setdefault(s, a)

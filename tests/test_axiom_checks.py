@@ -33,18 +33,28 @@ from residua.lattice import FinitePoset
 
 def axiom_scan(p: FinitePoset) -> None:
     """Reflexivity, antisymmetry and transitivity, one step per
-    comparable pair: the full scan ``verify_axioms`` replays."""
-    n, up, down = p.n, p.up, p.down
+    comparable pair, then the down rows against the transpose of the up
+    rows: the full scan ``verify_axioms`` replays."""
+    n, names, up, down = p.n, p.names, p.up, p.down
     for i in range(n):
         if not up[i] >> i & 1:
-            raise CycleDetected(f"relation not reflexive at {p.names[i]}")
-        if up[i] & down[i] != 1 << i:
-            j = next(b for b in bits(up[i] & down[i]) if b != i)
-            raise CycleDetected(f"antisymmetry fails: {p.names[i]} <= {p.names[j]} <= {p.names[i]}")
+            raise CycleDetected(f"relation not reflexive at {names[i]}")
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = next(bits(both))
+            raise CycleDetected(f"antisymmetry fails: {names[i]} <= {names[j]} <= {names[i]}")
         for j in bits(up[i]):
             if up[j] & ~up[i]:
                 k = next(bits(up[j] & ~up[i]))
-                raise CycleDetected(f"transitivity fails at ({p.names[i]},{p.names[j]},{p.names[k]})")
+                raise CycleDetected(f"transitivity fails at ({names[i]},{names[j]},{names[k]})")
+    for j in range(n):
+        for i in range(n):
+            in_up, in_down = bool(up[i] >> j & 1), bool(down[j] >> i & 1)
+            if in_up != in_down:
+                rows = "up" if in_up else "down"
+                raise CycleDetected(
+                    f"down rows are not the transpose of the up rows: {names[i]} <= {names[j]} only in the {rows} rows"
+                )
 
 
 def group_scan(c: CayleyTable) -> None:
@@ -161,8 +171,9 @@ def test_verify_axioms_matches_the_pair_scan_on_all_rows_up_to_two_elements():
 
 def test_fixed_rows_reach_every_outcome():
     """The fuzzed outcomes the pair scan can give, on fixed rows: a pass,
-    a transitivity fault, and a hidden 2-cycle that passes both checks
-    (the cover test refuses it, and the replay finds no fault)."""
+    a transitivity fault, and a 2-cycle in the up rows that diagonal down
+    rows hide from the antisymmetry test, which the transpose check
+    refuses."""
     cases = [
         ((0b011, 0b010), (0b001, 0b011)),
         ((0b011, 0b110, 0b100), (0b001, 0b011, 0b110)),
@@ -170,7 +181,28 @@ def test_fixed_rows_reach_every_outcome():
     ]
     got = [outcome(rows_poset(*rows).verify_axioms) for rows in cases]
     assert got == [outcome(axiom_scan, rows_poset(*rows)) for rows in cases]
-    assert got == [None, (CycleDetected, "transitivity fails at (a,b,c)"), None]
+    assert got == [
+        None,
+        (CycleDetected, "transitivity fails at (a,b,c)"),
+        (CycleDetected, "down rows are not the transpose of the up rows: b <= a only in the up rows"),
+    ]
+
+
+def test_down_rows_that_are_not_the_transpose_raise():
+    """Down rows that disagree with the up rows raise ``CycleDetected``
+    naming a pair on which they disagree: a 2-cycle with diagonal down
+    rows, a down row without its own element, and a chain whose top
+    down row misses the bottom (its lower covers would read empty)."""
+    cases = [
+        ((3, 3), (1, 2), "b <= a only in the up rows"),
+        ((1,), (0,), "a <= a only in the up rows"),
+        ((3, 2), (1, 2), "a <= b only in the up rows"),
+        ((1, 2), (3, 2), "b <= a only in the down rows"),
+    ]
+    for up, down, pair in cases:
+        p = rows_poset(up, down)
+        want = (CycleDetected, f"down rows are not the transpose of the up rows: {pair}")
+        assert outcome(p.verify_axioms) == outcome(axiom_scan, p) == want, (up, down)
 
 
 def test_catalog_groups_pass_light_test_without_the_replay(monkeypatch):

@@ -31,7 +31,14 @@ from residua.laws import (
     run_law,
     shrink,
 )
-from residua.residual import classify_t, maximal_subelements, residual_derivative
+from residua.residual import (
+    classify_t,
+    co_heyting_sub,
+    maximal_subelements,
+    outcasts,
+    residual_derivative,
+    residual_profile,
+)
 
 from conftest import co_heyting_scan
 
@@ -719,10 +726,10 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     real = residua.residual.residual_profile
 
     def raising_at(elements):
-        def profile(L, x, family=None):
+        def profile(L, x, family=None, residues_of=None):
             if x in elements:
                 raise LatticeIntegrityError("injected", witness={"x": L.names[x]})
-            return real(L, x, family)
+            return real(L, x, family, residues_of)
 
         return profile
 
@@ -882,6 +889,113 @@ def test_run_all_leaves_no_fold_state_on_the_lattice():
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
     assert cached(L) == {"derivatives", "join_fault", "meet_fault", "meet"}
     assert cached(L.poset) <= {"lower_covers", "irreducibles", "coirreducibles"}
+
+
+def test_run_all_reports_equal_each_law_run_alone(b3, div12):
+    """The laws of one run share their profiles and element rows, each
+    filled by whichever law reads it first.  On every single-entry
+    mutation of divisor:12 and every join mutation of boolean:3,
+    ``run_all`` reports what each law reports run alone with a fresh
+    memo: verdicts, ``checked`` counts and witnesses, indices included."""
+    cases = [m for _, m in single_entry_mutations(div12)]
+    cases += [m for _, m in single_entry_mutations(b3, ("join",))]
+    failing = set()
+    for m in cases:
+        reports = run_all(m)
+        assert reports == [run_law(m, law) for law in REGISTRY], m.provenance
+        failing.update(r.law for r in reports if r.verdict == "fail")
+    assert len(cases) == 360 + 448
+    # the laws besides the profiles' that read the rows and fail here
+    assert {"maximals_join", "maximals_meet_maximal", "mu_residue_bound", "outcast_trichotomy"} <= failing
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message and witness it raises."""
+    try:
+        return fn(*args)
+    except LatticeIntegrityError as e:
+        return str(e), e.witness
+
+
+def fresh_residues(L, x):
+    return {m: co_heyting_sub(L, x, m) for m in bits(L.poset.lower_covers[x])}
+
+
+def test_element_rows_match_fresh_computation(lattice_corpus):
+    """Every entry of the run's rows, read in a random order and read
+    twice, equals ``lower_covers``, ``co_heyting_sub`` and ``outcasts``
+    computed fresh; the residues come in maximal order, and the profiles
+    built on the rows equal those built without them."""
+    rng = random.Random(16)
+    for L in lattice_corpus:
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL)
+        reads = [(kind, x) for kind in ("maximals", "residue", "residues", "outcasts") for x in L.elements()]
+        rng.shuffle(reads)
+        for kind, x in reads + reads:
+            maxes = list(bits(L.poset.lower_covers[x]))
+            if kind == "maximals":
+                assert ctx.maximals(x) == maxes
+            elif kind == "residue" and maxes:
+                m = rng.choice(maxes)
+                assert ctx.residue(x, m) == co_heyting_sub(L, x, m)
+            elif kind == "residues":
+                assert list(ctx.residues(x).items()) == list(fresh_residues(L, x).items())
+            elif kind == "outcasts":
+                assert ctx.outcasts(x) == outcasts(L, x)
+        memo = ctx.memo
+        assert None not in memo.maximals + memo.residues + memo.outcasts, L.provenance
+        for x in L.elements():
+            assert residual_profile(L, x, residues_of=ctx.residues) == residual_profile(L, x)
+
+
+def test_laws_in_a_family_bypass_the_rows(lattice_corpus):
+    """A law run in a family reads maximal subelements, outcasts and
+    profiles in that family, and the run's rows stay unbuilt."""
+    rng = random.Random(17)
+    for L in lattice_corpus[::7]:
+        family = mask_of([L.bottom, *rng.sample(range(L.n), L.n // 2)])
+        memo = _RunMemo()
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL, family=family, memo=memo)
+        for x in L.elements():
+            assert ctx.maximals(x) == maximal_subelements(L, x, family)
+            assert ctx.outcasts(x) == outcasts(L, x, family)
+            assert outcome(ctx.profile, x) == outcome(residual_profile, L, x, family)
+        assert memo.maximals is memo.residues is memo.outcasts is None
+        assert not memo.profiles
+
+
+def test_element_rows_store_only_what_passes(b3, m3):
+    """On every single-entry mutation of boolean:3, and every meet
+    mutation of M3, each row read gives the fresh outcome, value or
+    error.  An entry whose fold or cross-check fails is never stored, so
+    each read raises the same error again.  On a distributive lattice
+    x - m is one join-irreducible when m is a lower cover of x, a fold
+    of one element, so boolean:3 fails through the boundary join of the
+    outcast cross-check; M3's residues fold meets over a scan of down(x)."""
+    cases = [m for _, m in single_entry_mutations(b3)]
+    cases += [m for _, m in single_entry_mutations(m3, ("meet",))]
+    failed = set()
+    for L in cases:
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL)
+        memo = ctx.memo
+        for x in L.elements():
+            maxes = list(bits(L.poset.lower_covers[x]))
+            whole = outcome(fresh_residues, L, x)
+            outs = outcome(outcasts, L, x)
+            for _ in range(2):
+                assert ctx.maximals(x) == maxes
+                assert outcome(ctx.residues, x) == whole, (L.provenance, x)
+                assert (list(memo.residues[x]) == maxes) == isinstance(whole, dict)
+                for m in maxes:
+                    single = outcome(co_heyting_sub, L, x, m)
+                    assert outcome(ctx.residue, x, m) == single
+                    assert memo.residues[x].get(m) == (single if isinstance(single, int) else None)
+                    failed.add(("residue", L.provenance.split("+")[0], isinstance(single, tuple)))
+                assert outcome(ctx.outcasts, x) == outs, (L.provenance, x)
+                assert (memo.outcasts[x] is not None) == isinstance(outs, list)
+                failed.add(("outcasts", L.provenance.split("+")[0], isinstance(outs, tuple)))
+    assert ("residue", "boolean(3)", True) not in failed
+    assert {("residue", "M3", True), ("outcasts", "boolean(3)", True)} <= failed
 
 
 # -- the law registry on the testbed ------------------------------------------

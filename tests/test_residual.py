@@ -325,6 +325,64 @@ def test_outcasts_with_family(chain3):
     assert outcasts(chain3, 2, fam) == []
 
 
+def outcasts_scan(L, x, family=None) -> list:
+    """The element scan ``outcasts`` replaced with one mask: each z below
+    x in the family whose up row misses every maximal subelement, then
+    the same boundary cross-check."""
+    cand = L.strictly_below(x) & (L.full() if family is None else mask_of(family))
+    max_mask = mask_of(maximal_subelements(L, x, family))
+    out = [z for z in bits(cand) if L.up_set(z) & max_mask == 0]
+    if family is None and L.coframe:
+        boundary = L.join_of_set([co_heyting_sub(L, x, m) for m in bits(max_mask)])
+        expected = sorted(bits(L.up_set(boundary) & L.strictly_below(x))) if boundary != x else []
+        if expected != out:
+            raise LatticeIntegrityError(
+                "outcast scan disagrees with the boundary criterion",
+                witness={
+                    "x": L.names[x],
+                    "scan": [L.names[z] for z in out],
+                    "boundary_criterion": [L.names[z] for z in expected],
+                },
+            )
+    return out
+
+
+def test_outcasts_mask_matches_the_element_scan(lattice_corpus, b3):
+    """The same list, or the same error and witness, as the element scan:
+    on corpus lattices with the default family and random families, and
+    on every join mutation of boolean:3, where the cross-check fails."""
+
+    def outcome(*args):
+        try:
+            return outcasts(*args)
+        except LatticeIntegrityError as e:
+            return str(e), e.witness
+
+    def reference(*args):
+        try:
+            return outcasts_scan(*args)
+        except LatticeIntegrityError as e:
+            return str(e), e.witness
+
+    rng = random.Random(21)
+    lattices = lattice_corpus[::5]
+    lattices += [
+        mutate_entry(b3, "join", i, j, v)
+        for i in b3.elements()
+        for j in b3.elements()
+        for v in b3.elements()
+        if v != b3.join[i][j]
+    ]
+    raised = 0
+    for L in lattices:
+        for x in L.elements():
+            for family in (None, rng.sample(range(L.n), rng.randint(1, L.n))):
+                got = outcome(L, x, family)
+                assert got == reference(L, x, family), (L.provenance, x, family)
+                raised += isinstance(got, tuple)
+    assert raised > 20
+
+
 def test_classify_t(b2, b3):
     assert classify_t(b2, b2.top) == 2
     assert classify_t(b2, b2.bottom) == 0
