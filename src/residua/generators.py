@@ -515,7 +515,13 @@ def generate(spec: str) -> FiniteLattice:
     if kind == "zn":
         return ideal_lattice_zn(int(arg))
     if kind == "random":
-        opts = dict(kv.partition("=")[::2] for kv in arg.split(","))
+        opts = {}
+        for kv in arg.split(","):
+            key, _, value = kv.partition("=")
+            if key in opts or key not in ("seed", "size"):
+                why = "repeated" if key in opts else "unknown"
+                raise ValueError(f"random spec is random:seed=S,size=T; key {key!r} is {why}")
+            opts[key] = value
         for field in ("seed", "size"):
             if field not in opts:
                 raise ValueError(f"random spec is random:seed=S,size=T; {field!r} is missing")

@@ -442,7 +442,11 @@ class FiniteLattice:
 
     @cached_property
     def meet_fault(self) -> Optional[tuple[int, int]]:
-        """The same for the meet table, on the down rows."""
+        """The same for the meet table, on the down rows.  A table built
+        from the down rows has none: ``_bound_table`` picks each entry by
+        its row, so only ``meet_rows`` are scanned."""
+        if self.meet_rows is None:
+            return None
         return _table_fault(self.meet, self.poset.down)
 
     @cached_property

@@ -3,10 +3,11 @@
 Each law is a checker that quantifies over one lattice instance and
 returns Pass, Fail (with a replayable witness) or Skipped (hypothesis
 not met: most laws require the coframe law, which for finite lattices is
-distributivity).  Element/pair quantifications within budget run
-exhaustively; subset-valued quantifiers enumerate exhaustively for small
-carriers and fall back to seeded sampling above, which the report
-records.
+distributivity).  On a finite lattice every element and pair quantifier
+runs exhaustively, at any size; on the testbed the box pairs are drawn
+by a seeded sampler above ``Budget.max_pairs``.  Subset-valued
+quantifiers enumerate exhaustively for small carriers and fall back to
+seeded sampling above.  The report records each sampling.
 
 Four laws can fail on a finite lattice only through a wrong table entry,
 and read the lattice's cached ``L.join_fault``/``L.meet_fault`` (the
@@ -14,9 +15,9 @@ first pair whose entry breaks the universal property on the order rows)
 instead of scanning the tables.  ``downset_upper_complete`` fails at the
 join fault when no folded subset fails first, so any corrupted join
 entry fails it; ``k_lower_semilattice`` passes or fails at the meet
-fault while its pairs run exhaustively.  ``boundary_removal_descent``
-and the constant pairs of ``minmax_bound`` count by arithmetic while the
-tables they read have no fault, and run their loops otherwise.
+fault.  ``boundary_removal_descent`` and the constant pairs of
+``minmax_bound`` count by arithmetic while the tables they read have no
+fault, and run their loops otherwise.
 
 On finite lattices the checkers read derived facts as cached rows
 (lower covers and co-irreducibles on the poset, derivatives on the
@@ -37,23 +38,22 @@ pass of the benchmark's ``laws`` workload (114 lattices) makes 4,640
 22,275 without the rows; 1,597 ``outcasts`` calls against 4,640; and
 1,653 ``maximal_subelements`` calls against 27,411.
 
-Four pair quantifiers go by whole table rows while a finite lattice's
-pairs run exhaustively (n^2 <= ``max_pairs``): ``type_subadditive``,
-``mu_join_hom``, ``core_join_hom`` and ``core_decomp``.  Each row x is
-one comparison of lists built with ``map`` over ``L.join[x]`` and
-per-element lists (t counts, mus, derivatives, cores), or, for
-``core_decomp``, one set of cores; ``checked`` is added by arithmetic.
-A failing row, or an error from the per-element facts, sends the law
-back to 0 checked with no sampler drawn, and its pair loop replays from
-the start to report the first failing pair (``_by_rows``).  The pair
-loops also run whenever the pairs are sampled.
+On a finite lattice four pair quantifiers go by whole table rows:
+``type_subadditive``, ``mu_join_hom``, ``core_join_hom`` and
+``core_decomp``.  Each row x is one comparison of lists built with
+``map`` over ``L.join[x]`` and per-element lists (t counts, mus,
+derivatives, cores), or, for ``core_decomp``, one set of cores;
+``checked`` is added by arithmetic.  A failing row, or an error from
+the per-element facts, sends the law back to 0 checked, and its pair
+loop replays every pair from the start to report the first failing one
+(``_by_rows``).  On the testbed the pair loops run alone.
 
 Those pair loops, and the testbed's, walk one join table by position
 (``_Ctx.join_pairs``) and keep the per-element facts they read in
 position-indexed lists, filled on first use in the pair loop's order.
 A finite lattice's ``L.join`` is that table.  On the testbed the run's
 ``_RunMemo`` builds it on first use, one ``join2`` per ordered box pair,
-and drops it with the run; while the pairs are sampled no table is built
+and drops it with the run; while its pairs are sampled no table is built
 and each drawn pair is joined as it is drawn.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
@@ -134,7 +134,10 @@ class LawId(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Bounds on enumeration; instances within bounds run exhaustively."""
+    """Bounds on enumeration.  ``max_pairs`` bounds the testbed's box
+    pairs, which are sampled above it; a finite lattice checks every pair
+    at any size.  The subset bounds cap the subset-valued quantifiers, and
+    ``seed`` seeds every sampler."""
 
     max_pairs: int = 250_000
     subset_exhaustive_bits: int = 12
@@ -322,11 +325,13 @@ class _Ctx:
         return {x: i for i, x in enumerate(self.elements)}
 
     def _samples(self) -> bool:
+        """Whether the pair loops draw their pairs: on the testbed only,
+        above ``max_pairs`` box pairs."""
         n = len(self.elements)
-        return n * n > self.budget.max_pairs
+        return not self.finite and n * n > self.budget.max_pairs
 
     def pair_positions(self):
-        """Positions (i, k) of every ordered pair within ``max_pairs``, else
+        """Positions (i, k) of every ordered pair, or, where ``_samples``,
         of ``max_pairs`` distinct pairs drawn without replacement."""
         n = len(self.elements)
         if not self._samples():
@@ -459,22 +464,20 @@ class LawSpec:
 def _by_rows(ctx, rows, pairs):
     """Decide a pair law by whole table rows, or replay its pair loop.
 
-    While the pairs of a finite lattice run exhaustively, ``rows(ctx)``
-    decides each row x at once and, when every row passes, adds the
-    pair loop's ``checked`` count.  It may reject a row that the pair
-    loop would pass, never the reverse.  On a rejected row, or on a
-    failed fold in the facts the rows read up front (a profile the pair
-    loop might never reach), ``checked`` goes back to 0, the law's
-    sampler is dropped so that nothing drawn survives, and ``pairs(ctx)``
-    runs from the start for the exact first witness."""
-    if ctx.finite and not ctx._samples():
+    On a finite lattice ``rows(ctx)`` decides each row x at once and,
+    when every row passes, adds the pair loop's ``checked`` count.  It may
+    reject a row that the pair loop would pass, never the reverse.  On a
+    rejected row, or on a failed fold in the facts the rows read up front
+    (a profile the pair loop might never reach), ``checked`` goes back to
+    0 and ``pairs(ctx)`` runs over every pair from the start for the exact
+    first witness.  The testbed runs ``pairs(ctx)`` alone."""
+    if ctx.finite:
         try:
             if rows(ctx):
                 return True, None
         except LatticeIntegrityError:
             pass
         ctx.checked = 0
-        vars(ctx).pop("rng", None)
     return pairs(ctx)
 
 
@@ -590,8 +593,7 @@ def _check_outcast_trichotomy(ctx):
     for x in ctx.elements:
         ctx.checked += 1
         p = ctx.profile(x)
-        outs = ctx.outcasts(x)
-        has = bool(outs)
+        has = bool(ctx.outcasts(x))
         core_escapes = not L.leq(p.core, p.boundary)
         boundary_strict = p.boundary != x
         if not (has == core_escapes == boundary_strict):
@@ -603,12 +605,6 @@ def _check_outcast_trichotomy(ctx):
                 },
                 x=x,
             )
-        if has and ctx.finite:
-            expected = sorted(bits(L.up_set(p.boundary) & L.strictly_below(x)))
-            if expected != outs:
-                return False, ctx.witness(
-                    {"outcasts": [ctx.name(o) for o in outs]}, x=x
-                )
     return True, None
 
 
@@ -800,26 +796,26 @@ def _mu_join_hom_pairs(ctx):
 
 
 def _check_minmax_bound(ctx):
-    """Monotone-pair bound, sampled as constant pairs (every pair of
-    elements, read as one-step monotone nets) plus ascending/descending
-    chain pairs.  The constant-pair folds deliberately walk every join
-    entry and the table diagonals.
+    """Monotone-pair bound, checked on constant pairs (every pair of
+    elements, read as one-step monotone nets) plus sampled
+    ascending/descending chain pairs.  The constant-pair folds
+    deliberately walk every join entry and the table diagonals.
 
     Both halves fail only through a wrong table entry.  With right
     entries a constant pair (u, v) concludes (u v u) v (v ^ v) = u v v,
-    its hypothesis, so while the pairs run exhaustively and neither table
-    has a fault, the sizes of down(u v v) are summed as ``checked``.
+    its hypothesis, so while neither table has a fault, the sizes of
+    down(u v v) are summed as ``checked``.
     The chain half's bound ``join[a_k][a_0]`` is also the last term of
     ``under``, so only a ``LatticeIntegrityError`` from
     ``join_of_set``/``meet_of_set`` can fail it while the folds verify.
 
     Each quantifier over z is a bit scan: ``checked`` counts the z below
     the hypothesis up to the first (lowest) one that escapes the
-    conclusion, which is the witness.  The sampler draws the chains after
-    the constant pairs either way."""
+    conclusion, which is the witness.  The sampler draws only the
+    chains."""
     L = ctx.L
     down = L.poset.down
-    if not ctx._samples() and L.join_fault is None and L.meet_fault is None:
+    if L.join_fault is None and L.meet_fault is None:
         size = [d.bit_count() for d in down]
         ctx.checked += sum(sum(map(size.__getitem__, row)) for row in L.join)
     else:
@@ -1159,13 +1155,11 @@ def _check_k_lower_semilattice(ctx):
     On finite instances every element is dually compact and the induced
     meet is verified to be the true infimum, which makes the suite
     sensitive to any corrupted meet entry; on the testbed the closure of
-    the all-finite vectors under meets is a genuine statement.  While a
-    finite lattice's pairs run exhaustively, ``L.meet_fault`` is the pair
-    loop's first witness: the law passes with every pair checked, or
-    fails at that pair with the pairs up to it checked."""
+    the all-finite vectors under meets is a genuine statement.  On a
+    finite lattice ``L.meet_fault`` is the first witness of the pair loop
+    over down(x) & down(z) against down(x ^ z): the law passes with every
+    pair checked, or fails at that pair with the pairs up to it checked."""
     L, els = ctx.L, ctx.elements
-    if ctx.finite and ctx._samples():
-        return _k_lower_pairs(ctx)
     if ctx.finite:
         if L.meet_fault is None:
             ctx.checked = L.n * L.n
@@ -1180,17 +1174,6 @@ def _check_k_lower_semilattice(ctx):
             x, z = els[i], els[k]
             if not L.dually_compact(L.meet2(x, z)):
                 return False, ctx.witness(x=x, z=z)
-    return True, None
-
-
-def _k_lower_pairs(ctx):
-    L = ctx.L
-    for x, z in ctx.pairs():
-        ctx.checked += 1
-        m = L.meet2(x, z)
-        common = L.down_set(x) & L.down_set(z)
-        if common != L.down_set(m):
-            return False, ctx.witness(x=x, z=z, meet=m)
     return True, None
 
 

@@ -195,6 +195,8 @@ def test_inputs_above_the_caps_exit_2_naming_the_cap(tmp_path, capsys):
 
 MALFORMED_INPUTS = {
     "random spec without size": (["laws", "--gen", "random:seed=1"], None),
+    "random spec with an unknown key": (["laws", "--gen", "random:seed=1,size=5,extra"], None),
+    "random spec with a repeated key": (["analyze", "--gen", "random:seed=1,size=5,seed=2"], None),
     "lattice JSON without relation": (["analyze", "--input", "{file}"], {"elements": ["a", "b"]}),
     "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
     "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),

@@ -641,14 +641,20 @@ def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
 
 
 def test_pair_sampler_draws_distinct_pairs():
-    L = chain(5)
-    ctx = _Ctx(L, Budget(max_pairs=24), LawId.TYPE_SUBADDITIVE)
+    """The testbed's 6-vector box at bound 4 has 36 ordered pairs: a
+    budget of 35 draws 35 distinct ones, a budget of 36 takes them all."""
+    from residua.testbed import OrdinalCoframe
+
+    cf = OrdinalCoframe(1)
+    box = cf.box(4)
+    assert len(box) == 6
+    ctx = _Ctx(cf, Budget(max_pairs=35, testbed_bound=4), LawId.TYPE_SUBADDITIVE)
     pairs = list(ctx.pairs())
-    assert len(pairs) == len(set(pairs)) == 24
+    assert len(pairs) == len(set(pairs)) == 35
     assert not ctx.exhaustive
-    assert set(pairs) <= set(itertools.product(L.elements(), repeat=2))
-    ctx = _Ctx(L, Budget(max_pairs=25), LawId.TYPE_SUBADDITIVE)
-    assert len(set(ctx.pairs())) == 25 and ctx.exhaustive
+    assert set(pairs) <= set(itertools.product(box, repeat=2))
+    ctx = _Ctx(cf, Budget(max_pairs=36, testbed_bound=4), LawId.TYPE_SUBADDITIVE)
+    assert len(set(ctx.pairs())) == 36 and ctx.exhaustive
 
 
 def order_distributive(L) -> bool:
@@ -722,7 +728,7 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     """With profiles that raise at chosen elements, the hoisted pair loops
     fail at the same pair, with the same witness, as the reference loops.
     The order of the profile calls within a pair shows on relabeled
-    lattices, which keep index 0 off the bottom, and on sampled pairs."""
+    lattices, which keep index 0 off the bottom."""
     real = residua.residual.residual_profile
 
     def raising_at(elements):
@@ -748,8 +754,7 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
         out = []
         for L, elements in cases:
             monkeypatch.setattr(residua.laws, "residual_profile", raising_at(elements))
-            for law, budget in itertools.product(laws, (DEFAULT_BUDGET, Budget(max_pairs=20))):
-                out.append(run_law(L, law, budget).to_json_dict())
+            out.extend(run_law(L, law).to_json_dict() for law in laws)
         return out
 
     fast = docs()
@@ -759,9 +764,9 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     assert {doc["law"] for doc in fast if doc["verdict"] == "fail"} == {law.value for law in laws}
 
 
-# The pair laws that decide whole table rows while the pairs of a finite
-# lattice run exhaustively, and replay their pair loops on a failing row;
-# k_lower_semilattice reads its first witness off ``L.meet_fault``.
+# The pair laws that decide a finite lattice's pairs by whole table rows,
+# and replay their pair loops on a failing row; k_lower_semilattice reads
+# its first witness off ``L.meet_fault``.
 ROW_LAWS = [
     LawId.TYPE_SUBADDITIVE,
     LawId.MU_JOIN_HOM,
@@ -806,18 +811,24 @@ def test_row_passes_replay_the_pair_loops_first_witness(b3, div12, monkeypatch):
     assert sum(verdict == "fail" and checked >= m.n for m, (verdict, checked, _) in zip(cases, minmax)) >= 5
 
 
-def test_row_laws_sample_their_pairs_above_the_budget(div12, monkeypatch):
-    """Above ``max_pairs`` the row laws draw their pairs and run the pair
-    loops, with the references' reports."""
-    budget = Budget(max_pairs=20)
+def test_finite_reports_ignore_the_pair_budget(div12):
+    """A finite lattice checks every pair whatever ``max_pairs`` says:
+    each law's report under a budget of 20 pairs is byte for byte the
+    default budget's, exhaustive, on div12 and on copies with a late
+    table fault, where ``mu_join_hom`` replays its pair loop,
+    ``minmax_bound`` walks its constant pairs and ``k_lower_semilattice``
+    fails at the meet fault."""
     cases = [div12, *late_row_mutations(random.Random(13), [relabeled(div12, 0)], per_table=3)]
-    laws = [*ROW_LAWS, LawId.MINMAX_BOUND]
-    fast = [[run_law(L, law, budget).to_json_dict() for law in laws] for L in cases]
-    assert all(not d["exhaustive"] for docs in fast for d in docs)
-    assert [d["checked"] for d in fast[0][:3]] == [20, 20, 20]
-    for law in ROW_LAWS:
-        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
-    assert [[run_law(L, law, budget).to_json_dict() for law in laws] for L in cases] == fast
+
+    def docs(budget):
+        return [json.dumps(run_law(L, law, budget).to_json_dict()) for L in cases for law in REGISTRY]
+
+    default = docs(DEFAULT_BUDGET)
+    assert docs(Budget(max_pairs=20)) == default
+    reports = [json.loads(doc) for doc in default]
+    assert all(d["exhaustive"] for d in reports)
+    failing = {d["law"] for d in reports if d["verdict"] == "fail"}
+    assert {"mu_join_hom", "k_lower_semilattice", "minmax_bound"} <= failing
 
 
 def test_join_fold_memo_matches_join_of_set(lattice_corpus, b3):

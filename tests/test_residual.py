@@ -312,8 +312,8 @@ def test_profile_with_explicit_family(b3):
     assert p2.maximal == tuple(atoms)
 
 
-def test_outcasts_empty_on_finite(b2, b3, chain3):
-    for L in (b2, b3, chain3):
+def test_outcasts_empty_on_finite(b2, b3, chain3, lattice_corpus):
+    for L in (b2, b3, chain3, *lattice_corpus):
         for x in L.elements():
             assert outcasts(L, x) == []
             if L.coframe:
