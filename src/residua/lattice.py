@@ -13,7 +13,8 @@ the order alone (lower covers, the join-irreducibles, the completely
 co-irreducibles) are cached on the poset, facts that read the tables on
 the lattice: the meet table, the residual derivatives and the first
 faulty entry of each table (``join_fault``, ``meet_fault``), each
-computed on first read.
+computed on first read, unless the table was built from the order rows
+and so has none.
 """
 
 from __future__ import annotations
@@ -436,8 +437,11 @@ class FiniteLattice:
     @cached_property
     def join_fault(self) -> Optional[tuple[int, int]]:
         """First pair (a, b), row-major, with ``up[join[a][b]] != up[a] &
-        up[b]`` (by the argument above, a wrong entry), or None.  Never
-        set by ``as_lattice``: a ``mutate_entry`` copy computes its own."""
+        up[b]`` (by the argument above, a wrong entry), or None.  A table
+        that ``as_lattice`` built from the up rows has none, and the
+        lattice it returns holds None here from the start (see
+        ``_fault_free_join``); any other lattice, a ``mutate_entry`` or
+        ``replace`` copy included, scans its own table on first read."""
         return _table_fault(self.join, self.poset.up)
 
     @cached_property
@@ -502,15 +506,27 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     distributive = _birkhoff_distributive(p, join)
     # For a finite lattice the coframe law (dual infinite distributivity)
     # reduces to plain distributivity: all meets/joins are finite.
-    return FiniteLattice(
-        poset=p,
-        join=join,
-        bottom=bottom,
-        top=top,
-        distributive=distributive,
-        coframe=distributive,
-        provenance=provenance,
+    return _fault_free_join(
+        FiniteLattice(
+            poset=p,
+            join=join,
+            bottom=bottom,
+            top=top,
+            distributive=distributive,
+            coframe=distributive,
+            provenance=provenance,
+        )
     )
+
+
+def _fault_free_join(L: FiniteLattice) -> FiniteLattice:
+    """Fill L's cached ``join_fault`` with None, for a join table built
+    from L's own up rows: ``_bound_table`` picks each entry as the k with
+    ``up[k] == up[a] & up[b]``, so no entry can fail the scan.  The
+    cache lives on L alone, so a ``replace`` copy, which may carry other
+    rows or another table, scans its own."""
+    vars(L)["join_fault"] = None
+    return L
 
 
 def _bound_table(rows) -> tuple[tuple[Optional[int], ...], ...]:
@@ -575,7 +591,7 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
         down.append(everything & ~outside)
     poset = FinitePoset(n=len(sets), names=names, up=tuple(up), down=tuple(down))
     poset.verify_axioms()
-    return replace(as_lattice(poset, provenance=provenance), sets=sets)
+    return _fault_free_join(replace(as_lattice(poset, provenance=provenance), sets=sets))
 
 
 def _table_fault(table, rows) -> Optional[tuple[int, int]]:

@@ -38,23 +38,32 @@ pass of the benchmark's ``laws`` workload (114 lattices) makes 4,640
 22,275 without the rows; 1,597 ``outcasts`` calls against 4,640; and
 1,653 ``maximal_subelements`` calls against 27,411.
 
-On a finite lattice four pair quantifiers go by whole table rows:
-``type_subadditive``, ``mu_join_hom``, ``core_join_hom`` and
-``core_decomp``.  Each row x is one comparison of lists built with
-``map`` over ``L.join[x]`` and per-element lists (t counts, mus,
-derivatives, cores), or, for ``core_decomp``, one set of cores;
-``checked`` is added by arithmetic.  A failing row, or an error from
-the per-element facts, sends the law back to 0 checked, and its pair
-loop replays every pair from the start to report the first failing one
-(``_by_rows``).  On the testbed the pair loops run alone.
+Pair quantifiers go by whole rows (``_by_rows``).  On both kinds of
+instance ``type_subadditive``, ``mu_join_hom`` and ``core_join_hom``
+compare, per row x, lists built with ``map`` over row x of the join
+table and per-element lists (t counts, mus, derivatives, core
+positions); ``mu_join_hom`` reads mu(x) v mu(z) off row mu(x) of a
+finite table and joins it with ``join2`` on the testbed, where most mus
+lie outside the box.  ``mu_monotone`` and, on the testbed,
+``coheyting_join`` map their primitives over the elements below x, and
+the testbed's ``k_lower_semilattice`` maps ``meet2`` and
+``dually_compact`` over the compact vectors; on a finite lattice
+``core_decomp`` compares one set of cores.  Every call a pair loop's
+verdict reads is still made, through the lattice's public methods, and
+``checked`` is added by arithmetic.  A failing row, a join table entry
+of -1, or any error while the rows gather their facts sends the law
+back to 0 checked, and its pair loop replays every pair from the start
+to report the first failing one, with the pair loop's count and errors.
+While the testbed samples its box pairs the sampled laws run their pair
+loops alone.
 
-Those pair loops, and the testbed's, walk one join table by position
-(``_Ctx.join_pairs``) and keep the per-element facts they read in
-position-indexed lists, filled on first use in the pair loop's order.
-A finite lattice's ``L.join`` is that table.  On the testbed the run's
-``_RunMemo`` builds it on first use, one ``join2`` per ordered box pair,
-and drops it with the run; while its pairs are sampled no table is built
-and each drawn pair is joined as it is drawn.
+The pair loops walk one join table by position (``_Ctx.join_pairs``)
+and keep the per-element facts they read in position-indexed lists,
+filled on first use in the pair loop's order.  A finite lattice's
+``L.join`` is that table.  On the testbed the run's ``_RunMemo`` builds
+it on first use, one ``join2`` per ordered box pair, and drops it with
+the run; while its pairs are sampled no table is built and each drawn
+pair is joined as it is drawn.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
@@ -85,6 +94,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
@@ -135,9 +145,10 @@ class LawId(Enum):
 @dataclass(frozen=True)
 class Budget:
     """Bounds on enumeration.  ``max_pairs`` bounds the testbed's box
-    pairs, which are sampled above it; a finite lattice checks every pair
-    at any size.  The subset bounds cap the subset-valued quantifiers, and
-    ``seed`` seeds every sampler."""
+    pairs: above it the pair laws draw that many pairs and run their pair
+    loops, and at or below it they check every pair by rows.  A finite
+    lattice checks every pair at any size.  The subset bounds cap the
+    subset-valued quantifiers, and ``seed`` seeds every sampler."""
 
     max_pairs: int = 250_000
     subset_exhaustive_bits: int = 12
@@ -351,17 +362,21 @@ class _Ctx:
         """Row i, entry k: the position of ``elements[i] v elements[k]``.
 
         A finite lattice's ``L.join`` is this table.  On the testbed it is
-        built on first use in a run, one ``join2`` per ordered box pair,
-        and kept in the run's memo; an entry is -1 when the join lies
-        outside the box, which only a faulty ``join2`` can produce.  While
-        ``pairs`` samples, no table is built and this is None."""
+        built on first use in a run, row by row with ``map``, one
+        ``join2`` per ordered box pair, and kept in the run's memo for the
+        row passes and pair loops of every pair law; an entry is -1 when
+        the join lies outside the box, which only a faulty ``join2`` can
+        produce.  While ``pairs`` samples, no table is built and this is
+        None."""
         if self.finite:
             return self.L.join
         if self._samples():
             return None
         if self.memo.joins is None:
-            els, join2, index = self.elements, self.L.join2, self.index
-            self.memo.joins = [[index.get(join2(x, z), -1) for z in els] for x in els]
+            els, join2, get = self.elements, self.L.join2, self.index.get
+            self.memo.joins = [
+                list(map(get, map(join2, repeat(x), els), repeat(-1))) for x in els
+            ]
         return self.memo.joins
 
     def join_pairs(self):
@@ -462,23 +477,33 @@ class LawSpec:
 
 
 def _by_rows(ctx, rows, pairs):
-    """Decide a pair law by whole table rows, or replay its pair loop.
+    """Decide a pair law by whole rows, or replay its pair loop.
 
-    On a finite lattice ``rows(ctx)`` decides each row x at once and,
-    when every row passes, adds the pair loop's ``checked`` count.  It may
-    reject a row that the pair loop would pass, never the reverse.  On a
-    rejected row, or on a failed fold in the facts the rows read up front
-    (a profile the pair loop might never reach), ``checked`` goes back to
-    0 and ``pairs(ctx)`` runs over every pair from the start for the exact
-    first witness.  The testbed runs ``pairs(ctx)`` alone."""
-    if ctx.finite:
-        try:
-            if rows(ctx):
-                return True, None
-        except LatticeIntegrityError:
-            pass
-        ctx.checked = 0
+    ``rows(ctx)`` decides each row x at once and, when every row passes,
+    adds the pair loop's ``checked`` count.  It may reject a row that the
+    pair loop would pass, never the reverse, and it rejects every row
+    while the testbed samples its pairs.  On a rejected row, or on any
+    error while the rows gather their facts (a profile or a primitive at
+    an element the pair loop might never reach), ``checked`` goes back to
+    0 and ``pairs(ctx)`` runs from the start, so the first witness, the
+    count and any error raised are the pair loop's."""
+    try:
+        if rows(ctx):
+            return True, None
+    except Exception:
+        pass  # the pair loop raises it again if it reaches it
+    ctx.checked = 0
     return pairs(ctx)
+
+
+def _row_table(ctx):
+    """The join table for a row pass, or None while the testbed samples
+    its pairs or when an entry is -1 (a join outside the box, which only
+    a faulty ``join2`` makes): the pair loop decides those."""
+    table = ctx.join_table()
+    if table is None or (not ctx.finite and any(-1 in row for row in table)):
+        return None
+    return table
 
 
 def _check_coheyting_join(ctx):
@@ -496,6 +521,25 @@ def _check_coheyting_join(ctx):
                 if join[z][s] != x:
                     return False, ctx.witness(x=x, z=z, sub=s)
         return True, None
+    return _by_rows(ctx, _coheyting_join_rows, _coheyting_join_pairs)
+
+
+def _coheyting_join_rows(ctx):
+    """Row x: z v (x - z) for every z below x, with the same
+    ``co_heyting_sub`` and ``join2`` calls as the pair loop."""
+    L = ctx.L
+    join2 = L.join2
+    for x in ctx.elements:
+        below = ctx.below(x)
+        subs = list(map(co_heyting_sub, repeat(L), repeat(x), below))
+        if list(map(join2, below, subs)) != [x] * len(below):
+            return False
+        ctx.checked += len(below)
+    return True
+
+
+def _coheyting_join_pairs(ctx):
+    L = ctx.L
     for x in ctx.elements:
         for z in ctx.below(x):
             ctx.checked += 1
@@ -698,7 +742,9 @@ def _check_type_subadditive(ctx):
 
 def _type_subadditive_rows(ctx):
     """Row x passes iff t(x v z) - t(z) <= t(x) for every z."""
-    join = ctx.L.join
+    join = _row_table(ctx)
+    if join is None:
+        return False
     t = [classify_t(ctx.L, x) for x in ctx.elements]
     for x, tx in enumerate(t):
         if max(map(operator.sub, map(t.__getitem__, join[x]), t)) > tx:
@@ -736,6 +782,22 @@ def _check_subelement_decomp(ctx):
 
 
 def _check_mu_monotone(ctx):
+    return _by_rows(ctx, _mu_monotone_rows, _mu_monotone_pairs)
+
+
+def _mu_monotone_rows(ctx):
+    """Row x: mu(z) <= mu(x) for every z below x, one ``leq`` each."""
+    leq = ctx.L.leq
+    mus = {x: ctx.profile(x).mu for x in ctx.elements}
+    for x in ctx.elements:
+        below = ctx.below(x)
+        if not all(map(leq, map(mus.__getitem__, below), repeat(mus[x]))):
+            return False
+        ctx.checked += len(below)
+    return True
+
+
+def _mu_monotone_pairs(ctx):
     L = ctx.L
     for x in ctx.elements:
         mu_x = ctx.profile(x).mu
@@ -753,13 +815,22 @@ def _check_mu_join_hom(ctx):
 
 
 def _mu_join_hom_rows(ctx):
-    """Row x: the derivatives along join[x] against join[mu(x)] read at
-    every mu(z)."""
-    join = ctx.L.join
+    """Row x: the derivatives along join[x] against mu(x) v mu(z) for
+    every z: row mu(x) of the table read at every mu(z) on a finite
+    lattice, ``join2`` over the mus on the testbed, where most mus lie
+    outside the box."""
+    join = _row_table(ctx)
+    if join is None:
+        return False
     mus = [ctx.profile(x).mu for x in ctx.elements]
     derivatives = [ctx.derivative(x) for x in ctx.elements]
+    join2 = ctx.L.join2
     for x, mu_x in enumerate(mus):
-        if list(map(derivatives.__getitem__, join[x])) != list(map(join[mu_x].__getitem__, mus)):
+        if ctx.finite:
+            expected = list(map(join[mu_x].__getitem__, mus))
+        else:
+            expected = list(map(join2, repeat(mu_x), mus))
+        if list(map(derivatives.__getitem__, join[x])) != expected:
             return False
     ctx.checked += len(mus) ** 2
     return True
@@ -998,14 +1069,20 @@ def _check_core_join_hom(ctx):
 
 
 def _core_join_hom_rows(ctx):
-    """Row x: the cores along join[x] against join[core(x)] read at every
-    core(z)."""
-    join = ctx.L.join
-    cores = [ctx.profile(x).core for x in ctx.elements]
-    for x, core in enumerate(cores):
-        if list(map(cores.__getitem__, join[x])) != list(map(join[core].__getitem__, cores)):
+    """Row x: the core positions along join[x] against row core(x) of the
+    table read at every core(z).  A core outside the elements, which only
+    a faulty profile gives, leaves the law to the pair loop."""
+    join = _row_table(ctx)
+    if join is None:
+        return False
+    get = ctx.index.get
+    at = [get(ctx.profile(x).core, -1) for x in ctx.elements]
+    if -1 in at:
+        return False
+    for x, core in enumerate(at):
+        if list(map(at.__getitem__, join[x])) != list(map(join[core].__getitem__, at)):
             return False
-    ctx.checked += len(cores) ** 2
+    ctx.checked += len(at) ** 2
     return True
 
 
@@ -1158,8 +1235,9 @@ def _check_k_lower_semilattice(ctx):
     the all-finite vectors under meets is a genuine statement.  On a
     finite lattice ``L.meet_fault`` is the first witness of the pair loop
     over down(x) & down(z) against down(x ^ z): the law passes with every
-    pair checked, or fails at that pair with the pairs up to it checked."""
-    L, els = ctx.L, ctx.elements
+    pair checked, or fails at that pair with the pairs up to it checked.
+    On the testbed the rows pass over the compact pairs runs first."""
+    L = ctx.L
     if ctx.finite:
         if L.meet_fault is None:
             ctx.checked = L.n * L.n
@@ -1167,6 +1245,26 @@ def _check_k_lower_semilattice(ctx):
         x, z = L.meet_fault
         ctx.checked = x * L.n + z + 1
         return False, ctx.witness(x=x, z=z, meet=L.meet[x][z])
+    return _by_rows(ctx, _k_lower_rows, _k_lower_pairs)
+
+
+def _k_lower_rows(ctx):
+    """Row x, for each compact x: the meets with every compact z are
+    compact, one ``meet2`` and one ``dually_compact`` each."""
+    if ctx._samples():
+        return False
+    L = ctx.L
+    meet2, compact = L.meet2, L.dually_compact
+    ks = [x for x in ctx.elements if compact(x)]
+    for x in ks:
+        if not all(map(compact, map(meet2, repeat(x), ks))):
+            return False
+    ctx.checked += len(ks) ** 2
+    return True
+
+
+def _k_lower_pairs(ctx):
+    L, els = ctx.L, ctx.elements
     compact = [L.dually_compact(x) for x in els]
     for i, k in ctx.pair_positions():
         if compact[i] and compact[k]:

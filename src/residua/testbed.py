@@ -22,7 +22,15 @@ derivative, the meet of the maximal subelements, and
 other laws check the closed forms (maximal subelements, mu, cores,
 residues, x - z) against the pointwise order, meets and joins.  Each run
 computes a vector's derivative once and drops the memo when it returns,
-so nothing is stored on the ``OrdinalCoframe``.
+so nothing is stored on the ``OrdinalCoframe``.  The pair laws decide
+whole rows of box pairs at a time, unless the box pairs are sampled.
+
+``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` check their
+lengths and then call a kernel unrolled for ``dims`` (see ``_kernels``),
+picked once per instance; ``run_all`` in dims 3 makes 170,372 calls of
+them and ``dually_compact``.  Every other method, and the law registry,
+calls the public methods, never a kernel, so a subclass that overrides
+one is seen by every use.
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -41,8 +49,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import inf as INF
-from operator import ge
 from typing import Iterable
 
 from .errors import (
@@ -151,6 +159,36 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound {bound} is negative; bounds are naturals")
 
 
+@cache
+def _kernels(dims: int) -> tuple:
+    """``leq``, ``meet``, ``join`` and ``sub`` (x - z) on two vectors of
+    length ``dims``, unrolled over the coordinates: one comparison per
+    coordinate, where ``tuple(map(min, x, y))`` pays a call of ``min``
+    and ``all(map(ge, x, y))`` an iterator step.  They take x's
+    coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...; the
+    lengths are checked by the methods that call them.  Each dims is
+    compiled once, by its first ``OrdinalCoframe``."""
+    a = [f"a{i}" for i in range(dims)]
+    b = [f"b{i}" for i in range(dims)]
+    unpack = f"    {', '.join(a)}, = x\n    {', '.join(b)}, = y\n"
+
+    def vector(term: str) -> str:
+        return "(" + "".join(term.format(a=ai, b=bi) + ", " for ai, bi in zip(a, b)) + ")"
+
+    bodies = {
+        "leq": " and ".join(f"{ai} >= {bi}" for ai, bi in zip(a, b)),
+        "meet": vector("{a} if {a} > {b} else {b}"),
+        "join": vector("{a} if {a} < {b} else {b}"),
+        "sub": vector("{a} if {b} > {a} else INF"),
+    }
+    source = "".join(
+        f"def {name}(x, y):\n{unpack}    return {body}\n" for name, body in bodies.items()
+    )
+    namespace = {"INF": INF}
+    exec(source, namespace)
+    return tuple(namespace[name] for name in bodies)
+
+
 class OrdinalCoframe:
     """The testbed lattice in a given dimension (1 <= dims <= 4)."""
 
@@ -161,6 +199,7 @@ class OrdinalCoframe:
         if not 1 <= dims <= MAX_DIMS:
             raise ValueError(f"dims must be between 1 and {MAX_DIMS}")
         self.dims = dims
+        self._leq, self._meet, self._join, self._sub = _kernels(dims)
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
 
@@ -174,12 +213,15 @@ class OrdinalCoframe:
                 )
 
     # The primitives below compare lengths once and leave the message to
-    # _check; they are the inner loop of every testbed law.
+    # _check; they are the inner loop of every testbed law.  Each then
+    # calls its kernel for ``self.dims`` (see ``_kernels``), never called
+    # from anywhere else, so that an override of the method is seen by
+    # every use.
 
     def leq(self, x: tuple, y: tuple) -> bool:
         if not len(x) == len(y) == self.dims:
             self._check(x, y)
-        return all(map(ge, x, y))
+        return self._leq(x, y)
 
     def lt(self, x: tuple, y: tuple) -> bool:
         return self.leq(x, y) and x != y
@@ -187,12 +229,12 @@ class OrdinalCoframe:
     def meet2(self, x: tuple, y: tuple) -> tuple:
         if not len(x) == len(y) == self.dims:
             self._check(x, y)
-        return tuple(map(max, x, y))
+        return self._meet(x, y)
 
     def join2(self, x: tuple, y: tuple) -> tuple:
         if not len(x) == len(y) == self.dims:
             self._check(x, y)
-        return tuple(map(min, x, y))
+        return self._join(x, y)
 
     def meet_of_set(self, vs: Iterable[tuple]) -> tuple:
         vs = list(vs)
@@ -220,7 +262,7 @@ class OrdinalCoframe:
         no member of which lies below it.
         """
         self._check(x)
-        return all(c != INF for c in x)
+        return INF not in x
 
     def truncations(self, x: tuple, upto: int) -> list:
         """The filtered family of finite truncations whose meet is x."""
@@ -250,9 +292,7 @@ class OrdinalCoframe:
         """x - z keeps the coordinates where z sits strictly deeper than x."""
         if not self.leq(z, x):
             raise NotBelow(f"{fmt_vec(z)} is not below {fmt_vec(x)}")
-        return tuple(
-            xc if zc > xc else INF for xc, zc in zip(x, z)
-        )
+        return self._sub(x, z)
 
     def outcasts(self, x: tuple, family=None) -> list:
         """No vector has outcasts: its boundary is itself."""

@@ -1117,49 +1117,142 @@ def _counting_join2(monkeypatch):
     return calls
 
 
+def k_lower_testbed_reference(ctx):
+    """The testbed's pair loop: every meet of two dually compact vectors
+    is dually compact."""
+    L = ctx.L
+    for x, z in ctx.pairs():
+        if L.dually_compact(x) and L.dually_compact(z):
+            ctx.checked += 1
+            if not L.dually_compact(L.meet2(x, z)):
+                return False, ctx.witness(x=x, z=z)
+    return True, None
+
+
+def mu_monotone_reference(ctx):
+    L = ctx.L
+    for x in ctx.elements:
+        mu_x = ctx.profile(x).mu
+        for z in ctx.below(x):
+            ctx.checked += 1
+            if not L.leq(ctx.profile(z).mu, mu_x):
+                return False, ctx.witness(x=x, z=z)
+    return True, None
+
+
+# The testbed laws that decide their pairs by rows unless the box pairs
+# are sampled, and the per-pair loops they replay.
+TESTBED_ROW_LAWS = [
+    LawId.COHEYTING_JOIN,
+    LawId.TYPE_SUBADDITIVE,
+    LawId.MU_MONOTONE,
+    LawId.MU_JOIN_HOM,
+    LawId.CORE_JOIN_HOM,
+    LawId.K_LOWER_SEMILATTICE,
+]
+TESTBED_REFERENCES = {
+    **{law: REFERENCE_CHECKERS[law] for law in TESTBED_ROW_LAWS if law in REFERENCE_CHECKERS},
+    LawId.MU_MONOTONE: mu_monotone_reference,
+    LawId.K_LOWER_SEMILATTICE: k_lower_testbed_reference,
+}
+
+
 def test_testbed_join_table_matches_reference_laws(monkeypatch):
-    """The pair laws read the run's join table on the testbed, or join
-    each drawn pair when they sample, and report what the per-pair
-    reference loops report.  One join is wrong: at the bottom pair, whose
-    cores every pair joins, or at a pair of incomparable vectors, with a
-    value inside the box or outside it (the table's -1)."""
+    """The testbed's row laws read the run's join table, or go by their
+    pair loops when they sample, and report what the per-pair reference
+    loops report, byte for byte.  One primitive is wrong at one argument:
+    ``join2`` at the bottom pair, whose cores every pair joins, or at a
+    pair of incomparable vectors, with a value inside the box or outside
+    it (the table's -1); ``meet2`` on two compact vectors, leaving the
+    compact ones; ``co_heyting_sub`` at one pair; the closed-form mu at
+    one vector, wrong or raising; ``dually_compact`` at one vector."""
     from residua.testbed import INF, OrdinalCoframe
 
-    real_join2 = OrdinalCoframe.join2
+    def wrong_at(name, args, value):
+        real = getattr(OrdinalCoframe, name)
 
-    def wrong_join(pair, value):
-        def join2(self, x, y):
-            return value if (x, y) == pair else real_join2(self, x, y)
+        def method(self, *given):
+            if given == args:
+                if isinstance(value, Exception):
+                    raise value
+                return value
+            return real(self, *given)
 
-        return join2
+        return method
 
     bottom = (INF, INF)
     cases = [
-        (_testbed_fault(2, join2=wrong_join(pair, value)), DEFAULT_BUDGET)
+        (_testbed_fault(2, join2=wrong_at("join2", pair, value)), DEFAULT_BUDGET)
         for pair in ((bottom, bottom), ((1, 2), (2, 1)))
         for value in ((0, 0), (9, 9))
     ]
     cases.append((OrdinalCoframe(2), Budget(max_pairs=20)))
+    real_profile = OrdinalCoframe.profile
+
+    def profile_at(x, mu):
+        def profile(self, v):
+            if v == x:
+                if isinstance(mu, Exception):
+                    raise mu
+                return replace(real_profile(self, v), mu=mu)
+            return real_profile(self, v)
+
+        return profile
+
+    cases += [
+        (_testbed_fault(2, **fault), DEFAULT_BUDGET)
+        for fault in (
+            {"meet2": wrong_at("meet2", ((1, 3), (3, 1)), (3, INF))},
+            {"co_heyting_sub": wrong_at("co_heyting_sub", ((1, 1), (2, 1)), bottom)},
+            {"profile": profile_at((2, 2), (9, 9))},
+            {"profile": profile_at((3, 1), LatticeIntegrityError("injected", witness={"x": "3,1"}))},
+            {"dually_compact": wrong_at("dually_compact", ((2, 2),), False)},
+        )
+    ]
+    cases.append((OrdinalCoframe(3), DEFAULT_BUDGET))
 
     def docs():
-        return [[r.to_json_dict() for r in run_all(cf, budget, laws=PAIR_LAWS)] for cf, budget in cases]
+        return [
+            [json.dumps(r.to_json_dict()) for r in run_all(cf, budget, laws=TESTBED_ROW_LAWS)]
+            for cf, budget in cases
+        ]
 
     fast = docs()
-    for law in PAIR_LAWS:
-        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=REFERENCE_CHECKERS[law]))
+    for law, fn in TESTBED_REFERENCES.items():
+        monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=fn))
     assert docs() == fast
-    verdicts = [[d["verdict"] for d in case] for case in fast]
+    fast = [[json.loads(doc) for doc in case] for case in fast]
+    verdicts = ["".join("F" if d["verdict"] == "fail" else "." for d in case) for case in fast]
+    # one column per law, in TESTBED_ROW_LAWS order
     assert verdicts == [
-        ["fail", "fail", "fail"],
-        ["fail", "fail", "fail"],
-        ["pass", "fail", "pass"],
-        ["pass", "fail", "pass"],
-        ["pass", "pass", "pass"],
+        "FF.FF.",
+        "FF.FF.",
+        "...F..",
+        "...F..",
+        "......",
+        ".....F",
+        "F.....",
+        "..FF..",
+        "..FFF.",
+        ".....F",
+        "......",
     ]
-    assert fast[1][0]["witness"] == {"x": "inf,inf", "z": "inf,inf"}
-    assert fast[1][1]["witness"]["join"] == "9,9"
-    assert fast[3][1]["witness"]["mu_of_parts"] == "9,9"
-    assert all(not d["exhaustive"] and d["checked"] == 20 for d in fast[-1])
+    assert fast[1][1]["witness"] == {"x": "inf,inf", "z": "inf,inf"}
+    assert fast[1][3]["witness"]["join"] == "9,9"
+    assert fast[3][3]["witness"]["mu_of_parts"] == "9,9"
+    assert [d["law"] for d in fast[4] if not d["exhaustive"]] == [
+        "type_subadditive", "mu_join_hom", "core_join_hom", "k_lower_semilattice"
+    ]
+    # k_lower_semilattice counts only the drawn pairs of compact vectors
+    assert [d["checked"] for d in fast[4] if not d["exhaustive"]][:3] == [20, 20, 20]
+    assert fast[4][5]["checked"] <= 20
+    assert fast[5][5]["witness"] == {"x": "1,3", "z": "3,1"}
+    assert fast[8][2]["reason"] == fast[8][3]["reason"] == fast[8][4]["reason"] == "injected"
+    assert fast[9][5]["witness"] == {"x": "0,2", "z": "2,0"}
+    # the meet, x - z, mu and compactness faults strike after whole rows
+    # of the 36-vector box have passed
+    late = [d["checked"] for case in fast[5:8] + fast[9:10] for d in case if d["verdict"] == "fail"]
+    assert len(late) == 5 and min(late) > 36
 
 
 def test_sampled_pair_laws_build_no_join_table(monkeypatch):

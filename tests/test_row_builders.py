@@ -250,3 +250,26 @@ def test_mutated_copies_keep_or_rebuild_the_meet_table():
             assert copy.meet == met.meet and copy.meet_fault == (i, j)
         keep = sorted(range(L.n))
         assert _sublattice(met, keep).meet == met.meet
+
+
+def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
+    """``as_lattice`` and ``inclusion_lattice`` build the join table from
+    the up rows, so it has no fault, and return a lattice that holds
+    ``join_fault`` None before any read.  Every copy scans its own table:
+    a ``replace`` copy, a join-mutated copy and a ``_sublattice`` copy,
+    and a ``replace`` copy with a corrupted table finds the fault."""
+    rng = random.Random(7)
+    for L in (chain(5), boolean(3), divisor(60), subgroup_lattice(load_catalog_group("s3"))):
+        assert vars(L)["join_fault"] is None, L.provenance
+        i, j = rng.randrange(L.n), rng.randrange(L.n)
+        value = rng.choice([v for v in L.elements() if v != L.join[i][j]])
+        rows = [list(row) for row in L.join]
+        rows[i][j] = value
+        copies = [
+            replace(L, provenance="copy"),
+            mutate_entry(L, "join", i, j, value),
+            _sublattice(L, list(L.elements())),
+            replace(L, join=tuple(map(tuple, rows))),
+        ]
+        assert not any("join_fault" in vars(copy) for copy in copies), L.provenance
+        assert [copy.join_fault for copy in copies] == [None, (i, j), None, (i, j)], L.provenance

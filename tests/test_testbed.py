@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ge
 from types import SimpleNamespace
 
 import pytest
@@ -86,6 +87,93 @@ def test_dimension_mismatch(cf2):
                     op(*args)
         with pytest.raises(DimensionMismatch):
             cf2.profile(wrong)
+
+
+# The generic forms of the primitives, which the unrolled kernels replaced.
+
+
+def join_reference(x, y):
+    return tuple(map(min, x, y))
+
+
+def meet_reference(x, y):
+    return tuple(map(max, x, y))
+
+
+def leq_reference(x, y):
+    return all(map(ge, x, y))
+
+
+def dually_compact_reference(x):
+    return all(c != INF for c in x)
+
+
+def co_heyting_sub_reference(x, z):
+    return tuple(xc if zc > xc else INF for xc, zc in zip(x, z))
+
+
+def test_kernels_match_the_generic_forms():
+    """Every primitive against its generic form on every pair of box(4)
+    in dims 1-3 and of box(2) in dims 4, and a wrong length in either
+    argument raises DimensionMismatch naming the expected and the given
+    length."""
+    for dims, bound in ((1, 4), (2, 4), (3, 4), (4, 2)):
+        cf = OrdinalCoframe(dims)
+        box = cf.box(bound)
+        for x in box:
+            assert cf.dually_compact(x) is dually_compact_reference(x), x
+            for y in box:
+                assert cf.join2(x, y) == join_reference(x, y), (x, y)
+                assert cf.meet2(x, y) == meet_reference(x, y), (x, y)
+                below = leq_reference(y, x)
+                assert cf.leq(y, x) is below, (x, y)
+                if below:
+                    assert cf.co_heyting_sub(x, y) == co_heyting_sub_reference(x, y), (x, y)
+        right = cf.bottom  # below every vector, so co_heyting_sub reaches its check
+        binary = [cf.leq, cf.lt, cf.meet2, cf.join2, cf.co_heyting_sub]
+        for wrong in {(), (0,) * (dims - 1), (0,) * (dims + 1)}:
+            message = f"^expected {dims} coordinates, got {len(wrong)}$"
+            for op in binary:
+                for args in ((wrong, right), (right, wrong)):
+                    with pytest.raises(DimensionMismatch, match=message):
+                        op(*args)
+            with pytest.raises(DimensionMismatch, match=message):
+                cf.dually_compact(wrong)
+
+
+def test_overrides_reach_every_use():
+    """A subclass that records its join2, meet2 and leq calls sees every
+    call that join_of_set, meet_of_set, lt, co_heyting_sub and profile
+    make: they reach the kernels only through those methods."""
+    calls = []
+
+    class Recording(OrdinalCoframe):
+        def join2(self, x, y):
+            calls.append(("join2", x, y))
+            return super().join2(x, y)
+
+        def meet2(self, x, y):
+            calls.append(("meet2", x, y))
+            return super().meet2(x, y)
+
+        def leq(self, x, y):
+            calls.append(("leq", x, y))
+            return super().leq(x, y)
+
+    cf = Recording(3)
+    x, y, z = (1, 2, INF), (0, 3, 4), (2, 2, INF)
+
+    def seen(call):
+        calls.clear()
+        call()
+        return list(calls)
+
+    assert seen(lambda: cf.join_of_set([x, y, z])) == [("join2", x, y), ("join2", (0, 2, 4), z)]
+    assert seen(lambda: cf.meet_of_set([x, y, z])) == [("meet2", x, y), ("meet2", (1, 3, INF), z)]
+    assert seen(lambda: cf.lt(z, x)) == [("leq", z, x)]
+    assert seen(lambda: cf.co_heyting_sub(x, z)) == [("leq", z, x)]
+    # the boundary is the join of the residues at coordinates 0 and 1
+    assert seen(lambda: cf.profile(x)) == [("join2", (1, INF, INF), (INF, 2, INF))]
 
 
 def test_negative_bounds_are_rejected():
