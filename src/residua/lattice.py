@@ -4,12 +4,25 @@ Order relations are stored as full reflexive-transitive closures, one
 bit-packed row per element, so order queries are O(1) word operations.
 The rows are built whole: ``build_poset`` closes a relation in one
 topological pass, and inclusion and product lattices form their rows
-from set and factor rows.  The join table is built with the lattice, as
-its certificate; the meet table on first read.  Every
-``meet_of_set``/``join_of_set`` answer is re-verified against the
+from set and factor rows.  The axiom check keeps the Hasse diagram it
+finds (``upper_covers``, ``lower_covers``).
+
+The join table is built with the lattice, as its certificate, and the
+meet table on first read, the same way on the down rows and upper
+covers.  The certificate rests on one fact: in a finite poset with a
+bottom, if ``j v y`` exists for every join-irreducible j and every y,
+every pair has a join.  By induction on height: an element x that is
+neither the bottom nor join-irreducible has two lower covers c1 and c2,
+and ``c1 v c2``, below x and strictly above c1, is x.  So the upper
+bounds of {x, y} are those of {c1, c2, y}, and ``x v y = c1 v (c2 v
+y)``.  Only the join-irreducible rows are looked up among the up rows;
+every other row is gathered from the rows of two lower covers, built
+before it, and is a row of true joins.
+
+Every ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
-the order alone (lower covers, the join-irreducibles, the completely
+the order alone (the covers, the join-irreducibles, the completely
 co-irreducibles) are cached on the poset, facts that read the tables on
 the lattice: the meet table, the residual derivatives and the first
 faulty entry of each table (``join_fault``, ``meet_fault``), each
@@ -23,7 +36,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .bitset import bits, full_mask, mask_of
@@ -67,7 +80,8 @@ class FinitePoset:
 
     def verify_axioms(self) -> None:
         """Check that ``up`` is a partial order and ``down`` its transpose,
-        with one row OR per Hasse edge for each.
+        with one row OR per Hasse edge for each, and keep the Hasse
+        diagram found on the way as ``upper_covers`` and ``lower_covers``.
 
         Row i passes when ``up[i] & down[i]`` is ``{i}`` and ``up[i]``
         minus i is exactly the union of the up rows of the minimal
@@ -85,18 +99,20 @@ class FinitePoset:
         ``down[c]`` is c plus the down rows of the i whose climb found c:
         by induction from the minimal elements, every element below c lies
         below one that c covers.  A partial order with its transpose
-        passes.  Rows that fail replay the full scan (``_axiom_scan``),
+        passes, and then the c found for i are exactly the upper covers
+        of i.  Rows that fail replay the full scan (``_axiom_scan``),
         which raises their first fault.
         """
-        up, down = self.up, self.down
+        n, up, down = self.n, self.up, self.down
         # below[c]: c plus the down rows of the elements whose climb found c
-        below = [1 << c for c in range(self.n)]
+        below = [1 << c for c in range(n)]
+        upper_covers, lower_covers = [0] * n, [0] * n
         for i, row in enumerate(up):
             bit = 1 << i
             if row & down[i] != bit:
                 return self._axiom_scan()
             rest = row ^ bit
-            covered = 0
+            covered = covers = 0
             while rest:
                 cand = rest
                 while True:
@@ -106,12 +122,17 @@ class FinitePoset:
                         break
                     cand = lower
                 covered |= up[c]
+                covers |= 1 << c
                 below[c] |= down[i]
+                lower_covers[c] |= bit
                 rest &= ~(up[c] | 1 << c)
             if covered != row ^ bit:
                 return self._axiom_scan()
+            upper_covers[i] = covers
         if below != list(down):
             return self._axiom_scan()
+        vars(self)["upper_covers"] = tuple(upper_covers)
+        vars(self)["lower_covers"] = tuple(lower_covers)
 
     def _axiom_scan(self) -> None:
         """The full matrix scan for reflexivity, antisymmetry and
@@ -144,9 +165,19 @@ class FinitePoset:
                 )
 
     @cached_property
+    def upper_covers(self) -> tuple[int, ...]:
+        """``upper_covers[x]`` is the bitmask of the elements that cover x.
+        ``verify_axioms`` keeps them; a poset made without it runs it on
+        first read, which raises on rows that are no partial order."""
+        self.verify_axioms()
+        return vars(self)["upper_covers"]
+
+    @cached_property
     def lower_covers(self) -> tuple[int, ...]:
-        """``lower_covers[x]`` is the bitmask of the elements x covers."""
-        return tuple(self.maximal_of(self.down[x] & ~(1 << x)) for x in range(self.n))
+        """``lower_covers[x]`` is the bitmask of the elements x covers, the
+        transpose of ``upper_covers``, kept by ``verify_axioms`` with it."""
+        self.verify_axioms()
+        return vars(self)["lower_covers"]
 
     @cached_property
     def irreducibles(self) -> int:
@@ -370,12 +401,19 @@ class FiniteLattice:
 
     @cached_property
     def meet(self) -> tuple[tuple[int, ...], ...]:
-        """The meet table: ``meet_rows`` when given, else built from the
-        down rows on first read.  That cannot fail once the join table
-        exists (see ``as_lattice``)."""
+        """The meet table: ``meet_rows`` when given, else built on first
+        read by the dual of ``as_lattice``'s construction, from the top
+        down.  The top row is the identity, each meet-irreducible row
+        (one upper cover) is looked up among the down rows, and the row
+        of an x with upper covers c1 and c2 is gathered from theirs, as
+        ``meet(x, y) = meet(c1, meet(c2, y))``.  The poset is a lattice (its join table
+        exists), so every lookup finds its row and, by the induction of
+        the module docstring read upside down, every row holds true
+        meets."""
         if self.meet_rows is not None:
             return self.meet_rows
-        return _bound_table(self.poset.down)
+        p = self.poset
+        return _composed_table(p.down, p.upper_covers, _linear_extension(p)[::-1])
 
     def meet2(self, i: int, j: int) -> int:
         return self.meet[i][j]
@@ -447,8 +485,8 @@ class FiniteLattice:
     @cached_property
     def meet_fault(self) -> Optional[tuple[int, int]]:
         """The same for the meet table, on the down rows.  A table built
-        from the down rows has none: ``_bound_table`` picks each entry by
-        its row, so only ``meet_rows`` are scanned."""
+        from the down rows (see ``meet``) holds only true meets, so only
+        ``meet_rows`` are scanned."""
         if self.meet_rows is None:
             return None
         return _table_fault(self.meet, self.poset.down)
@@ -485,21 +523,39 @@ class FiniteLattice:
 def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     """Compute the join table from the order, or fail with a witness pair.
 
-    The join of (i, j) exists iff the common upper bounds equal ``up[k]``
-    for some k, which is then the unique minimum; k is found by hashing
-    the up rows.  The join table is the lattice certificate: in a finite
-    poset with a bottom where every pair has a join, the meet of a and b
-    is the join of their common lower bounds, a set holding the bottom.
-    So the meet table is left to ``FiniteLattice.meet``, built on first
-    read.  A poset that is no lattice raises ``NotALattice`` for the first
-    pair, row-major, without a join or a meet (the join checked first).
+    The table is the lattice certificate.  It is built along a linear
+    extension, so the lower covers of each element come before it:
+
+    - the bottom row is the identity;
+    - the row of a join-irreducible j (one lower cover) is looked up:
+      ``j v y`` is the k with ``up[k] == up[j] & up[y]``, found by
+      hashing the up rows, and the entries for the y built before j are
+      column j of their rows;
+    - the row of any other x is ``x v y = c1 v (c2 v y)`` for two of its
+      lower covers c1 and c2, one gather from their rows.
+
+    Every row is then a row of true joins, by induction along the walk.
+    The join ``c1 v c2`` read from the rows of c1 lies below x and, as
+    two covers of x are incomparable, strictly above c1; so it is x, and
+    the upper bounds of {x, y} are those of {c1, c2, y}.  A finite poset
+    with a bottom in which every pair has a join is a lattice: the meet
+    of a and b is the join of their common lower bounds, a set holding
+    the bottom.  So the meet table is left to ``FiniteLattice.meet``,
+    built on first read.
+
+    A poset without a bottom, or with a join-irreducible row that misses
+    an entry, is no lattice.  It replays the lookup of every pair
+    (``_bound_table``) and raises ``NotALattice`` for the first pair,
+    row-major, without a join or a meet (the join checked first), or
+    ``NoBottom``.
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NoBottom("an empty poset has no bottom")
-    join = _bound_table(up)
-    gap = next(((i, row.index(None)) for i, row in enumerate(join) if None in row), None)
-    if gap is not None or full_mask(n) not in up:
+    join = _composed_table(up, p.lower_covers, _linear_extension(p))
+    if join is None:
+        probed = _bound_table(up)
+        gap = next(((i, row.index(None)) for i, row in enumerate(probed) if None in row), None)
         raise _missing_bound(p, gap)
     bottom = up.index(full_mask(n))
     top = down.index(full_mask(n))
@@ -520,20 +576,80 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
 
 
 def _fault_free_join(L: FiniteLattice) -> FiniteLattice:
-    """Fill L's cached ``join_fault`` with None, for a join table built
-    from L's own up rows: ``_bound_table`` picks each entry as the k with
-    ``up[k] == up[a] & up[b]``, so no entry can fail the scan.  The
-    cache lives on L alone, so a ``replace`` copy, which may carry other
-    rows or another table, scans its own."""
+    """Fill L's cached ``join_fault`` with None, for a join table that
+    ``as_lattice`` built from L's own order: each row it builds is a row
+    of true joins, by its induction along a linear extension, so no
+    entry can fail the scan.  The cache lives on L alone, so a
+    ``replace`` copy, which may carry other rows or another table, scans
+    its own."""
     vars(L)["join_fault"] = None
     return L
 
 
+def _linear_extension(p: FinitePoset) -> Sequence[int]:
+    """The elements, each after every element below it: index order when
+    it is one, as the inclusion, divisor, chain and product generators
+    build it, else by down-row size (the ideal lattices of Z/n list the
+    top first)."""
+    if all(row.bit_length() == x + 1 for x, row in enumerate(p.down)):
+        return range(p.n)
+    return sorted(range(p.n), key=lambda x: p.down[x].bit_count())
+
+
+def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]]:
+    """``table[a][b]``, the k with ``rows[k] == rows[a] & rows[b]``, built
+    along ``order`` (each element after its ``covers``), or None.
+
+    On up rows with lower covers this is the join table of
+    ``as_lattice``; on down rows with upper covers, walked the other way,
+    the meet table.  The first element must be the only one without
+    covers (the bottom, or the top), and its row is the identity.  An
+    element with one cover is looked up among the rows: the entries for
+    the elements walked before it are its column in their rows, the
+    rest are looked up, and a row that is not there gives None.  Any
+    other element's row is gathered from the rows of two of its covers.
+    """
+    n = len(rows)
+    index = {row: k for k, row in enumerate(rows)}
+    walk_rows = [rows[x] for x in order]
+    if order == range(n):
+        scatter = tuple
+    else:
+        # Looked-up rows come in walk order; put them back in index order.
+        at = [0] * n
+        for t, x in enumerate(order):
+            at[x] = t
+        scatter = itemgetter(*at)
+    table = [None] * n
+    walked = []
+    for t, x in enumerate(order):
+        cover_mask = covers[x]
+        if rest := cover_mask & (cover_mask - 1):
+            c1 = (cover_mask ^ rest).bit_length() - 1
+            c2 = (rest & -rest).bit_length() - 1
+            row = itemgetter(*table[c2])(table[c1])
+        elif cover_mask:
+            entries = list(map(getitem, walked, repeat(x)))
+            try:
+                entries += map(index.__getitem__, map(rows[x].__and__, walk_rows[t:]))
+            except KeyError:
+                return None
+            row = scatter(entries)
+        elif t == 0:
+            row = tuple(range(n))
+        else:
+            return None  # a second element without covers
+        table[x] = row
+        walked.append(row)
+    return tuple(table)
+
+
 def _bound_table(rows) -> tuple[tuple[Optional[int], ...], ...]:
     """``table[a][b]`` is the k with ``rows[k] == rows[a] & rows[b]``, or
-    None: the join table on up rows, the meet table on down rows.  The
-    table is symmetric, so row a is computed from column a on, and its
-    first a entries are column a of the rows above."""
+    None, looked up for every pair: the replay that finds the first gap
+    of a poset that is no lattice.  The table is symmetric, so row a is
+    looked up from column a on, and its first a entries are column a of
+    the rows above."""
     index = {row: k for k, row in enumerate(rows)}
     table = []
     for a, row in enumerate(rows):

@@ -894,12 +894,13 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 def test_run_all_leaves_no_fold_state_on_the_lattice():
     """The fold memo lives on each law's context: after ``run_all`` the
     lattice holds only its derivative row, its two table faults and its
-    meet table (built on first read), and the poset its order rows."""
+    meet table (built on first read), and the poset its order facts: the
+    Hasse diagram kept by its axiom check and the irreducibles."""
     L = generate("chain:40")
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
     assert cached(L) == {"derivatives", "join_fault", "meet_fault", "meet"}
-    assert cached(L.poset) <= {"lower_covers", "irreducibles", "coirreducibles"}
+    assert cached(L.poset) <= {"upper_covers", "lower_covers", "irreducibles", "coirreducibles"}
 
 
 def test_run_all_reports_equal_each_law_run_alone(b3, div12):

@@ -3,11 +3,14 @@ references.
 
 ``build_poset`` closes a relation in one topological pass, ``as_lattice``
 builds only the join table (the meet table is built on first read),
-``inclusion_lattice`` forms rows from per-point holder masks and
-``product`` shifts the factor rows.  The references below build the
-same rows and tables one pair at a time: the Warshall closure and its
-transposition, pairwise subset tests, the ``leq``-loop product and an
-``as_lattice`` that fills both tables eagerly.
+looking up the join-irreducible rows and gathering every other row from
+the rows of two lower covers, ``inclusion_lattice`` forms rows from
+per-point holder masks and ``product`` shifts the factor rows.  The
+references below build the same rows and tables one pair at a time: the
+Warshall closure and its transposition, pairwise subset tests, the
+``leq``-loop product, an ``as_lattice`` that fills both tables eagerly
+and one that looks up every pair (``_bound_table``, the replay of a
+poset that is no lattice).
 """
 
 import random
@@ -19,16 +22,27 @@ from hypothesis import strategies as st
 from residua.bitset import bits, full_mask
 from residua.errors import CycleDetected, NoBottom, NotALattice
 from residua.generators import (
+    CATALOG_NAMES,
     boolean,
     chain,
     divisor,
+    generate,
     ideal_lattice_zn,
     load_catalog_group,
     product,
     subgroup_lattice,
 )
-from residua.lattice import FinitePoset, as_lattice, build_poset
+from residua.lattice import (
+    FinitePoset,
+    _bound_table,
+    _linear_extension,
+    _missing_bound,
+    as_lattice,
+    build_poset,
+    lattice_from_json,
+)
 from residua.laws import _sublattice, mutate_entry
+from residua.topology import FiniteTopology, closed_set_lattice
 
 
 def warshall_poset(names, pairs) -> FinitePoset:
@@ -198,6 +212,7 @@ def test_fixed_relations_reach_every_outcome():
 
 
 def test_rows_and_tables_match_the_references_on_the_corpus(lattice_corpus):
+    """The composed tables equal the eager pair loop's on the corpus."""
     for L in lattice_corpus:
         covers = [(L.names[i], L.names[j]) for i, j in L.poset.covers()]
         rebuilt = build_poset(L.names, covers, "covers")
@@ -273,3 +288,168 @@ def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
         ]
         assert not any("join_fault" in vars(copy) for copy in copies), L.provenance
         assert [copy.join_fault for copy in copies] == [None, (i, j), None, (i, j)], L.provenance
+
+
+# -- composed tables against the lookup of every pair ----------------------------
+
+
+def probed_lattice(p: FinitePoset):
+    """``as_lattice`` with both tables looked up for every pair: (join,
+    meet, bottom, top), or the error for the first gap."""
+    if p.n == 0:
+        raise NoBottom("an empty poset has no bottom")
+    join = _bound_table(p.up)
+    gap = next(((i, row.index(None)) for i, row in enumerate(join) if None in row), None)
+    if gap is not None or full_mask(p.n) not in p.up:
+        raise _missing_bound(p, gap)
+    return join, _bound_table(p.down), p.up.index(full_mask(p.n)), p.down.index(full_mask(p.n))
+
+
+def assert_tables_match_the_lookups(L):
+    assert (L.join, L.meet, L.bottom, L.top) == probed_lattice(L.poset), L.provenance
+
+
+def build_workload_specs():
+    """Every spec of the benchmark's ``build`` workload: the fixed specs,
+    the catalog groups, one divisor and one ideal lattice per exponent
+    signature (every N of a signature gives the same shape) and the
+    seeded random lattices.  Its closed-set items are the Boolean
+    lattices of ``discrete_closed_sets``."""
+    specs = ["chain:256", "boolean:8", "divisor:720720", "zn:720720", "product:chain:16|chain:16"]
+    specs += [f"group:{name}" for name in CATALOG_NAMES]
+    signatures = ((2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (4, 1, 1, 1, 1),
+                  (3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (4, 2, 1, 1, 1), (3, 3, 1, 1, 1))
+    for signature in signatures:
+        n = 1
+        for p, e in zip((2, 3, 5, 7, 11), signature):
+            n *= p**e
+        specs += [f"divisor:{n}", f"zn:{n}"]
+    specs += [f"random:seed={s},size=200" for s in range(60)]
+    return specs
+
+
+def discrete_closed_sets(points):
+    return closed_set_lattice(FiniteTopology.from_subbase(points, [1 << i for i in range(points)]))
+
+
+def relabeled(L, seed):
+    """L read back from JSON with its elements shuffled: index order is
+    then rarely a linear extension."""
+    doc = L.to_json_dict()
+    random.Random(seed).shuffle(doc["elements"])
+    return lattice_from_json(doc, provenance=f"{L.provenance}~{seed}")
+
+
+def test_composed_tables_match_the_lookups_on_every_build_spec():
+    for spec in build_workload_specs():
+        assert_tables_match_the_lookups(generate(spec))
+    for points in range(1, 9):
+        assert_tables_match_the_lookups(discrete_closed_sets(points))
+
+
+def test_composed_tables_match_the_lookups_off_a_linear_extension():
+    """Relabeled lattices walk an order by down-row size, and their
+    looked-up rows are put back in index order; ideal lattices of Z/n
+    list the top first, so their index order runs downwards."""
+    bases = [boolean(4), divisor(360), ideal_lattice_zn(60), product(chain(3), boolean(2))]
+    bases += [subgroup_lattice(load_catalog_group(name)) for name in ("s3", "d4", "q8", "a4", "z2xz2xz2")]
+    off = 0
+    for L in bases + [relabeled(L, seed) for L in bases for seed in range(3)]:
+        off += _linear_extension(L.poset) != range(L.n)
+        assert_tables_match_the_lookups(L)
+    assert off >= 12
+
+
+def test_composed_tables_at_one_and_two_elements():
+    """A single looked-up row put back in index order stays a tuple."""
+    one = chain(1)
+    assert (one.join, one.meet, one.bottom, one.top) == (((0,),), ((0,),), 0, 0)
+    downward = as_lattice(build_poset(["top", "bottom"], [("bottom", "top")]))
+    for L in (chain(2), downward):
+        assert_tables_match_the_lookups(L)
+        assert all(isinstance(row, tuple) for row in L.join + L.meet)
+    assert (downward.join, downward.meet) == (((0, 0), (0, 1)), ((0, 1), (1, 1)))
+
+
+@st.composite
+def random_posets(draw):
+    """Random orders on up to 8 elements, relabeled, with a bottom added
+    or not and a top added or not: lattices and non-lattices of every
+    kind, in index orders that are or are not linear extensions."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
+    names = [f"e{i}" for i in range(n)]
+    if draw(st.booleans()):
+        pairs += [(n, i) for i in range(n)]
+        names.append("bot")
+    if draw(st.booleans()):
+        pairs += [(i, len(names)) for i in range(len(names))]
+        names.append("top")
+    relation = [(names[a], names[b]) for a, b in pairs]
+    elements = draw(st.permutations(names))
+    return build_poset(elements, relation, "leq")
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_posets())
+def test_composed_join_refuses_exactly_what_the_lookups_refuse(p):
+    """``as_lattice`` raises when and only when looking up every pair
+    finds a gap or no bottom, with the same exception, pair and
+    message, and on a lattice builds the same tables."""
+    got = lattice_outcome(p)
+    assert got == outcome(probed_lattice, p) == outcome(eager_tables, p)
+
+
+def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
+    """A copy never inherits the proof that the composed tables have no
+    fault.  On lattices built along index order and off it, an entry is
+    changed in a gathered row (two lower or upper covers) and in a
+    looked-up row: the join-mutated copy finds its join fault and builds
+    a clean meet table from the down rows, the meet-mutated copy finds
+    its meet fault and keeps a clean join table, and a ``replace`` copy
+    with a changed join table finds the fault too."""
+    rng = random.Random(11)
+    for L in (boolean(4), ideal_lattice_zn(360), relabeled(divisor(60), 1), relabeled(boolean(3), 2)):
+        _, clean_meet, _, _ = probed_lattice(L.poset)
+        lower, upper = L.poset.lower_covers, L.poset.upper_covers
+        for table, covers in (("join", lower), ("meet", upper)):
+            gathered = [x for x in L.elements() if covers[x].bit_count() >= 2]
+            looked_up = [x for x in L.elements() if covers[x].bit_count() == 1]
+            for i in (rng.choice(gathered), rng.choice(looked_up)):
+                j = rng.randrange(L.n)
+                value = rng.choice([v for v in L.elements() if v != getattr(L, table)[i][j]])
+                copy = mutate_entry(L, table, i, j, value)
+                if table == "join":
+                    assert copy.join_fault == (i, j), (L.provenance, i, j)
+                    assert copy.meet_rows is None and copy.meet == clean_meet and copy.meet_fault is None
+                    rows = [list(row) for row in L.join]
+                    rows[i][j] = value
+                    assert replace(L, join=tuple(map(tuple, rows))).join_fault == (i, j)
+                else:
+                    assert copy.meet_fault == (i, j) and copy.join == L.join and copy.join_fault is None
+                    assert mutate_entry(copy, "join", j, i, L.join[j][i]).meet_fault == (i, j)
+
+
+def test_the_axiom_check_keeps_the_hasse_diagram(lattice_corpus):
+    """``upper_covers`` holds the minimal elements strictly above each
+    element, and ``lower_covers`` is its transpose.  A poset made without
+    the check runs it on first read, and rows that are no partial order
+    raise there as in ``verify_axioms``."""
+    for L in lattice_corpus[:120]:
+        p = L.poset
+        want = tuple(
+            sum(1 << y for y in bits(p.up[x] & ~(1 << x)) if p.up[x] & p.down[y] == (1 << x) | (1 << y))
+            for x in range(p.n)
+        )
+        assert p.upper_covers == want, L.provenance
+        assert p.lower_covers == tuple(sum(1 << x for x in range(p.n) if want[x] >> y & 1) for y in range(p.n))
+        fresh = FinitePoset(n=p.n, names=p.names, up=p.up, down=p.down)
+        assert (fresh.lower_covers, fresh.upper_covers) == (p.lower_covers, p.upper_covers)
+    cyclic = FinitePoset(n=2, names=("a", "b"), up=(3, 3), down=(1, 2))
+    for read in (lambda: cyclic.upper_covers, lambda: cyclic.lower_covers, cyclic.verify_axioms):
+        assert outcome(read)[:2] == (
+            CycleDetected,
+            "down rows are not the transpose of the up rows: b <= a only in the up rows",
+        )
+    assert "upper_covers" not in vars(cyclic) and "lower_covers" not in vars(cyclic)
