@@ -544,19 +544,16 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     built on first read.
 
     A poset without a bottom, or with a join-irreducible row that misses
-    an entry, is no lattice.  It replays the lookup of every pair
-    (``_bound_table``) and raises ``NotALattice`` for the first pair,
-    row-major, without a join or a meet (the join checked first), or
-    ``NoBottom``.
+    an entry, is no lattice.  It raises ``NotALattice`` for the first
+    pair, row-major, without a join or a meet (the join checked first),
+    or ``NoBottom`` (see ``_missing_bound``).
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NoBottom("an empty poset has no bottom")
     join = _composed_table(up, p.lower_covers, _linear_extension(p))
     if join is None:
-        probed = _bound_table(up)
-        gap = next(((i, row.index(None)) for i, row in enumerate(probed) if None in row), None)
-        raise _missing_bound(p, gap)
+        raise _missing_bound(p)
     bottom = up.index(full_mask(n))
     top = down.index(full_mask(n))
     distributive = _birkhoff_distributive(p, join)
@@ -644,32 +641,19 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
     return tuple(table)
 
 
-def _bound_table(rows) -> tuple[tuple[Optional[int], ...], ...]:
-    """``table[a][b]`` is the k with ``rows[k] == rows[a] & rows[b]``, or
-    None, looked up for every pair: the replay that finds the first gap
-    of a poset that is no lattice.  The table is symmetric, so row a is
-    looked up from column a on, and its first a entries are column a of
-    the rows above."""
-    index = {row: k for k, row in enumerate(rows)}
-    table = []
-    for a, row in enumerate(rows):
-        entries = list(map(getitem, table, repeat(a)))
-        entries += map(index.get, map(row.__and__, rows[a:]))
-        table.append(tuple(entries))
-    return tuple(table)
-
-
-def _missing_bound(p: FinitePoset, no_join: Optional[tuple[int, int]]):
-    """The error for a poset that is no lattice, given its first pair
-    without a join (None if every pair has one): ``NotALattice`` for the
-    first pair, row-major, without a meet or a join, else ``NoBottom``."""
-    n, names, down = p.n, p.names, p.down
-    rows = set(down)
-    for a in range(n):
-        for b in range(n):
-            if (a, b) == no_join:
+def _missing_bound(p: FinitePoset):
+    """The error for a poset that is no lattice: ``NotALattice`` for the
+    first pair, row-major, without a join or a meet (the join checked
+    first), else ``NoBottom``.  A pair has a join iff the AND of its up
+    rows is an up row, and a meet iff the AND of its down rows is a down
+    row."""
+    names, up, down = p.names, p.up, p.down
+    up_rows, down_rows = set(up), set(down)
+    for a in range(p.n):
+        for b in range(p.n):
+            if up[a] & up[b] not in up_rows:
                 return NotALattice(f"{names[a]} and {names[b]} have no join", pair=(a, b))
-            if down[a] & down[b] not in rows:
+            if down[a] & down[b] not in down_rows:
                 return NotALattice(f"{names[a]} and {names[b]} have no meet", pair=(a, b))
     return NoBottom("lattice has no bottom element")
 

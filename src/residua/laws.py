@@ -3,11 +3,11 @@
 Each law is a checker that quantifies over one lattice instance and
 returns Pass, Fail (with a replayable witness) or Skipped (hypothesis
 not met: most laws require the coframe law, which for finite lattices is
-distributivity).  On a finite lattice every element and pair quantifier
-runs exhaustively, at any size; on the testbed the box pairs are drawn
-by a seeded sampler above ``Budget.max_pairs``.  Subset-valued
-quantifiers enumerate exhaustively for small carriers and fall back to
-seeded sampling above.  The report records each sampling.
+distributivity).  Every element and pair quantifier runs exhaustively,
+over a finite lattice at any size and over the testbed's box.
+Subset-valued quantifiers enumerate exhaustively for small carriers
+(up to ``SUBSET_EXHAUSTIVE_BITS`` members) and fall back to seeded
+sampling above, which the report's ``sampled_subsets`` records.
 
 Four laws can fail on a finite lattice only through a wrong table entry,
 and read the lattice's cached ``L.join_fault``/``L.meet_fault`` (the
@@ -54,16 +54,13 @@ verdict reads is still made, through the lattice's public methods, and
 of -1, or any error while the rows gather their facts sends the law
 back to 0 checked, and its pair loop replays every pair from the start
 to report the first failing one, with the pair loop's count and errors.
-While the testbed samples its box pairs the sampled laws run their pair
-loops alone.
 
 The pair loops walk one join table by position (``_Ctx.join_pairs``)
 and keep the per-element facts they read in position-indexed lists,
 filled on first use in the pair loop's order.  A finite lattice's
 ``L.join`` is that table.  On the testbed the run's ``_RunMemo`` builds
 it on first use, one ``join2`` per ordered box pair, and drops it with
-the run; while its pairs are sampled no table is built and each drawn
-pair is joined as it is drawn.
+the run.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
@@ -142,17 +139,18 @@ class LawId(Enum):
     MAXIMALS_DUALLY_COMPACT = "maximals_dually_compact"
 
 
+# Subset-valued quantifiers enumerate every subset of a carrier of up to
+# SUBSET_EXHAUSTIVE_BITS members, and draw MAX_SAMPLED_SUBSETS above.
+SUBSET_EXHAUSTIVE_BITS = 12
+MAX_SAMPLED_SUBSETS = 32
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Bounds on enumeration.  ``max_pairs`` bounds the testbed's box
-    pairs: above it the pair laws draw that many pairs and run their pair
-    loops, and at or below it they check every pair by rows.  A finite
-    lattice checks every pair at any size.  The subset bounds cap the
-    subset-valued quantifiers, and ``seed`` seeds every sampler."""
+    """How a run enumerates: the testbed's laws quantify over the box of
+    vectors with coordinates in {0..``testbed_bound``} or infinity, and
+    ``seed`` seeds every sampler."""
 
-    max_pairs: int = 250_000
-    subset_exhaustive_bits: int = 12
-    max_sampled_subsets: int = 32
     testbed_bound: int = 4
     seed: int = 0
 
@@ -166,7 +164,7 @@ class LawReport:
     instance: str
     verdict: str  # "pass" | "fail" | "skipped"
     checked: int = 0
-    exhaustive: bool = True
+    exhaustive: bool = True  # every element and pair quantifier runs in full
     sampled_subsets: bool = False
     reason: Optional[str] = None
     witness: Optional[dict] = None
@@ -237,7 +235,6 @@ class _Ctx:
             memo.maximals, memo.residues, memo.outcasts = [None] * L.n, [None] * L.n, [None] * L.n
         self.derivatives = memo.derivatives
         self.folds = {}  # head -> mask -> verified fold (see join_fold)
-        self.exhaustive = True
         self.sampled_subsets = False
         self.checked = 0
 
@@ -335,28 +332,9 @@ class _Ctx:
         elements are their own positions."""
         return {x: i for i, x in enumerate(self.elements)}
 
-    def _samples(self) -> bool:
-        """Whether the pair loops draw their pairs: on the testbed only,
-        above ``max_pairs`` box pairs."""
-        n = len(self.elements)
-        return not self.finite and n * n > self.budget.max_pairs
-
-    def pair_positions(self):
-        """Positions (i, k) of every ordered pair, or, where ``_samples``,
-        of ``max_pairs`` distinct pairs drawn without replacement."""
-        n = len(self.elements)
-        if not self._samples():
-            return itertools.product(range(n), repeat=2)
-        self.exhaustive = False
-        return self._distinct_pairs(n, self.budget.max_pairs)
-
     def pairs(self):
-        """The element pairs at ``pair_positions``."""
-        positions = self.pair_positions()
-        if self.finite:
-            return positions
-        els = self.elements
-        return ((els[i], els[k]) for i, k in positions)
+        """Every ordered element pair, row-major."""
+        return itertools.product(self.elements, repeat=2)
 
     def join_table(self):
         """Row i, entry k: the position of ``elements[i] v elements[k]``.
@@ -366,12 +344,9 @@ class _Ctx:
         ``join2`` per ordered box pair, and kept in the run's memo for the
         row passes and pair loops of every pair law; an entry is -1 when
         the join lies outside the box, which only a faulty ``join2`` can
-        produce.  While ``pairs`` samples, no table is built and this is
-        None."""
+        produce."""
         if self.finite:
             return self.L.join
-        if self._samples():
-            return None
         if self.memo.joins is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
             self.memo.joins = [
@@ -380,33 +355,10 @@ class _Ctx:
         return self.memo.joins
 
     def join_pairs(self):
-        """(i, k, j) for each pair at ``pair_positions``: the positions of
-        x, z and x v z, with j -1 when x v z is not in ``elements``.  The
-        exhaustive pairs walk the join table; a sampled pair is joined
-        with ``join2`` as it is drawn."""
-        if not self._samples():
-            table = self.join_table()
-            return ((i, k, j) for i, row in enumerate(table) for k, j in enumerate(row))
-        els, join2, index = self.elements, self.L.join2, self.index
-        return ((i, k, index.get(join2(els[i], els[k]), -1)) for i, k in self.pair_positions())
-
-    def _distinct_pairs(self, n, k):
-        """Draw k distinct ordered pairs of positions below n, one at a
-        time, keeping a bitmap of the pairs drawn so far (n^2 / 8 bytes).
-        ``random.sample`` would copy all n^2 pair numbers into a list
-        whenever n^2 is below about 4 * k: 36 MB at n = 1024."""
-        count = n * n
-        width, draw = (count - 1).bit_length(), self.rng.getrandbits
-        taken = bytearray(count // 8 + 1)
-        while k:
-            d = draw(width)  # uniform below 2^width; keep it if below count
-            if d >= count:
-                continue
-            byte, bit = d >> 3, 1 << (d & 7)
-            if not taken[byte] & bit:
-                taken[byte] |= bit
-                k -= 1
-                yield d // n, d % n
+        """(i, k, j) for every ordered pair, row-major: the positions of
+        x, z and x v z, read from the join table, with j -1 when x v z is
+        not in ``elements``."""
+        return ((i, k, j) for i, row in enumerate(self.join_table()) for k, j in enumerate(row))
 
     def join_fold(self, head: int, mask: int) -> int:
         """``L.join_of_set([head, *bits(mask)])`` on a finite lattice, with
@@ -481,8 +433,7 @@ def _by_rows(ctx, rows, pairs):
 
     ``rows(ctx)`` decides each row x at once and, when every row passes,
     adds the pair loop's ``checked`` count.  It may reject a row that the
-    pair loop would pass, never the reverse, and it rejects every row
-    while the testbed samples its pairs.  On a rejected row, or on any
+    pair loop would pass, never the reverse.  On a rejected row, or on any
     error while the rows gather their facts (a profile or a primitive at
     an element the pair loop might never reach), ``checked`` goes back to
     0 and ``pairs(ctx)`` runs from the start, so the first witness, the
@@ -497,11 +448,11 @@ def _by_rows(ctx, rows, pairs):
 
 
 def _row_table(ctx):
-    """The join table for a row pass, or None while the testbed samples
-    its pairs or when an entry is -1 (a join outside the box, which only
-    a faulty ``join2`` makes): the pair loop decides those."""
+    """The join table for a row pass, or None when an entry is -1 (a join
+    outside the box, which only a faulty ``join2`` makes): the pair loop
+    decides those."""
     table = ctx.join_table()
-    if table is None or (not ctx.finite and any(-1 in row for row in table)):
+    if not ctx.finite and any(-1 in row for row in table):
         return None
     return table
 
@@ -933,7 +884,7 @@ def _sample_chains(ctx) -> list:
     up = ctx.L.poset.up
     above = {}
     chains = []
-    for _ in range(min(ctx.budget.max_sampled_subsets, 2 * len(ctx.elements))):
+    for _ in range(min(MAX_SAMPLED_SUBSETS, 2 * len(ctx.elements))):
         x = ctx.rng.choice(ctx.elements)
         chain = [x]
         while True:
@@ -971,12 +922,11 @@ def _check_boundary_removal_descent(ctx):
     (on a chain, every unsampled one).
     """
     L = ctx.L
-    budget = ctx.budget
     count_only = L.join_fault is None
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
-        if len(delta) <= budget.subset_exhaustive_bits:
+        if len(delta) <= SUBSET_EXHAUSTIVE_BITS:
             if count_only:
                 ctx.checked += 1 << len(delta)
                 continue
@@ -986,10 +936,10 @@ def _check_boundary_removal_descent(ctx):
         else:
             ctx.sampled_subsets = True
             if count_only:
-                ctx.checked += 1 + len(delta) + budget.max_sampled_subsets
+                ctx.checked += 1 + len(delta) + MAX_SAMPLED_SUBSETS
                 continue
             removals = [(), *((s,) for s in delta)]
-            for _ in range(budget.max_sampled_subsets):
+            for _ in range(MAX_SAMPLED_SUBSETS):
                 k = ctx.rng.randint(0, len(delta))
                 removals.append(tuple(ctx.rng.sample(delta, k)))
         everything = mask_of(delta)
@@ -1093,13 +1043,12 @@ def _core_join_hom_pairs(ctx):
     testbed's closed-form cores always are), else joined with ``join2``."""
     L, els = ctx.L, ctx.elements
     join2, profile = L.join2, ctx.profile
-    table = ctx.join_table()
+    table, index = ctx.join_table(), ctx.index
     cores, core_at = [None] * len(els), [-1] * len(els)
 
     def fill(i):
         core = cores[i] = profile(els[i]).core
-        if table is not None:
-            core_at[i] = ctx.index.get(core, -1)
+        core_at[i] = index.get(core, -1)
 
     for i, k, j in ctx.join_pairs():
         ctx.checked += 1
@@ -1198,9 +1147,9 @@ def _sampled_subset_draws(ctx, d: int) -> int:
     cannot cover them all."""
     if d <= 2:
         return 0
-    if d > ctx.budget.subset_exhaustive_bits:
+    if d > SUBSET_EXHAUSTIVE_BITS:
         ctx.sampled_subsets = True
-    return min(ctx.budget.max_sampled_subsets, 1 << min(d, 20))
+    return min(MAX_SAMPLED_SUBSETS, 1 << min(d, 20))
 
 
 def _fold_downset_subsets(ctx):
@@ -1251,8 +1200,6 @@ def _check_k_lower_semilattice(ctx):
 def _k_lower_rows(ctx):
     """Row x, for each compact x: the meets with every compact z are
     compact, one ``meet2`` and one ``dually_compact`` each."""
-    if ctx._samples():
-        return False
     L = ctx.L
     meet2, compact = L.meet2, L.dually_compact
     ks = [x for x in ctx.elements if compact(x)]
@@ -1266,7 +1213,7 @@ def _k_lower_rows(ctx):
 def _k_lower_pairs(ctx):
     L, els = ctx.L, ctx.elements
     compact = [L.dually_compact(x) for x in els]
-    for i, k in ctx.pair_positions():
+    for i, k in itertools.product(range(len(els)), repeat=2):
         if compact[i] and compact[k]:
             ctx.checked += 1
             x, z = els[i], els[k]
@@ -1355,7 +1302,6 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
             instance=instance,
             verdict=verdict,
             checked=ctx.checked if ctx else 0,
-            exhaustive=ctx.exhaustive if ctx else True,
             sampled_subsets=ctx.sampled_subsets if ctx else False,
             reason=reason,
             witness=witness,

@@ -22,8 +22,8 @@ derivative, the meet of the maximal subelements, and
 other laws check the closed forms (maximal subelements, mu, cores,
 residues, x - z) against the pointwise order, meets and joins.  Each run
 computes a vector's derivative once and drops the memo when it returns,
-so nothing is stored on the ``OrdinalCoframe``.  The pair laws decide
-whole rows of box pairs at a time, unless the box pairs are sampled.
+so nothing is stored on the ``OrdinalCoframe``.  The pair laws check
+every box pair, deciding whole rows of pairs at a time.
 
 ``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` check their
 lengths and then call a kernel unrolled for ``dims`` (see ``_kernels``),

@@ -19,9 +19,11 @@ from residua.generators import (
 from residua.lattice import FiniteLattice, as_lattice, build_poset, canonical_json, lattice_from_json
 from residua.laws import (
     DEFAULT_BUDGET,
+    MAX_SAMPLED_SUBSETS,
+    REGISTRY,
+    SUBSET_EXHAUSTIVE_BITS,
     Budget,
     LawId,
-    REGISTRY,
     _Ctx,
     _RunMemo,
     _fold_downset_subsets,
@@ -248,11 +250,7 @@ def test_downset_count_path_matches_subset_loop(lattice_corpus, b3):
         rep = run_law(L, law)
         ctx = _Ctx(L, DEFAULT_BUDGET, law)
         ok, witness = _fold_downset_subsets(ctx)
-        assert (rep.checked, rep.exhaustive, rep.sampled_subsets) == (
-            ctx.checked,
-            ctx.exhaustive,
-            ctx.sampled_subsets,
-        ), L.provenance
+        assert (rep.checked, rep.sampled_subsets) == (ctx.checked, ctx.sampled_subsets), L.provenance
         if not ok:
             assert (rep.verdict, rep.witness) == ("fail", witness), L.provenance
         elif join_table_is_correct(L):
@@ -457,11 +455,10 @@ def coheyting_join_reference(ctx):
 def boundary_removal_reference(ctx):
     """Fold every removal subset through ``join_of_set``, one by one."""
     L = ctx.L
-    budget = ctx.budget
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
-        if len(delta) <= budget.subset_exhaustive_bits:
+        if len(delta) <= SUBSET_EXHAUSTIVE_BITS:
             removals = list(
                 itertools.chain.from_iterable(
                     itertools.combinations(delta, k) for k in range(len(delta) + 1)
@@ -470,7 +467,7 @@ def boundary_removal_reference(ctx):
         else:
             ctx.sampled_subsets = True
             removals = [(), *((s,) for s in delta)]
-            for _ in range(budget.max_sampled_subsets):
+            for _ in range(MAX_SAMPLED_SUBSETS):
                 k = ctx.rng.randint(0, len(delta))
                 removals.append(tuple(ctx.rng.sample(delta, k)))
         for removed in removals:
@@ -640,23 +637,6 @@ def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
         assert report_docs(L) == fast, L.provenance
 
 
-def test_pair_sampler_draws_distinct_pairs():
-    """The testbed's 6-vector box at bound 4 has 36 ordered pairs: a
-    budget of 35 draws 35 distinct ones, a budget of 36 takes them all."""
-    from residua.testbed import OrdinalCoframe
-
-    cf = OrdinalCoframe(1)
-    box = cf.box(4)
-    assert len(box) == 6
-    ctx = _Ctx(cf, Budget(max_pairs=35, testbed_bound=4), LawId.TYPE_SUBADDITIVE)
-    pairs = list(ctx.pairs())
-    assert len(pairs) == len(set(pairs)) == 35
-    assert not ctx.exhaustive
-    assert set(pairs) <= set(itertools.product(box, repeat=2))
-    ctx = _Ctx(cf, Budget(max_pairs=36, testbed_bound=4), LawId.TYPE_SUBADDITIVE)
-    assert len(set(ctx.pairs())) == 36 and ctx.exhaustive
-
-
 def order_distributive(L) -> bool:
     try:
         return as_lattice(L.poset).distributive
@@ -811,21 +791,13 @@ def test_row_passes_replay_the_pair_loops_first_witness(b3, div12, monkeypatch):
     assert sum(verdict == "fail" and checked >= m.n for m, (verdict, checked, _) in zip(cases, minmax)) >= 5
 
 
-def test_finite_reports_ignore_the_pair_budget(div12):
-    """A finite lattice checks every pair whatever ``max_pairs`` says:
-    each law's report under a budget of 20 pairs is byte for byte the
-    default budget's, exhaustive, on div12 and on copies with a late
+def test_late_table_faults_fail_with_exhaustive_reports(div12):
+    """Every report is exhaustive on div12 and on copies with a late
     table fault, where ``mu_join_hom`` replays its pair loop,
     ``minmax_bound`` walks its constant pairs and ``k_lower_semilattice``
     fails at the meet fault."""
     cases = [div12, *late_row_mutations(random.Random(13), [relabeled(div12, 0)], per_table=3)]
-
-    def docs(budget):
-        return [json.dumps(run_law(L, law, budget).to_json_dict()) for L in cases for law in REGISTRY]
-
-    default = docs(DEFAULT_BUDGET)
-    assert docs(Budget(max_pairs=20)) == default
-    reports = [json.loads(doc) for doc in default]
+    reports = [run_law(L, law).to_json_dict() for L in cases for law in REGISTRY]
     assert all(d["exhaustive"] for d in reports)
     failing = {d["law"] for d in reports if d["verdict"] == "fail"}
     assert {"mu_join_hom", "k_lower_semilattice", "minmax_bound"} <= failing
@@ -1049,6 +1021,15 @@ def test_testbed_run_all_dims3_matches_the_oracle():
     assert checked["coheyting_join"] == checked["mu_monotone"] == 21**3
 
 
+def test_testbed_k_lower_semilattice_checks_every_compact_pair_at_dims_4():
+    """At dims 4 the box has 6^4 vectors and 1296^2 pairs; the law checks
+    every pair of its 5^4 all-finite vectors."""
+    from residua.testbed import OrdinalCoframe
+
+    rep = run_law(OrdinalCoframe(4), LawId.K_LOWER_SEMILATTICE)
+    assert (rep.verdict, rep.exhaustive, rep.checked) == ("pass", True, 625**2)
+
+
 def test_testbed_below_is_the_leq_filter():
     from residua.testbed import OrdinalCoframe
 
@@ -1141,8 +1122,8 @@ def mu_monotone_reference(ctx):
     return True, None
 
 
-# The testbed laws that decide their pairs by rows unless the box pairs
-# are sampled, and the per-pair loops they replay.
+# The testbed laws that decide their pairs by rows, and the per-pair
+# loops they replay.
 TESTBED_ROW_LAWS = [
     LawId.COHEYTING_JOIN,
     LawId.TYPE_SUBADDITIVE,
@@ -1159,9 +1140,8 @@ TESTBED_REFERENCES = {
 
 
 def test_testbed_join_table_matches_reference_laws(monkeypatch):
-    """The testbed's row laws read the run's join table, or go by their
-    pair loops when they sample, and report what the per-pair reference
-    loops report, byte for byte.  One primitive is wrong at one argument:
+    """The testbed's row laws read the run's join table and report what
+    the per-pair reference loops report, byte for byte.  One primitive is wrong at one argument:
     ``join2`` at the bottom pair, whose cores every pair joins, or at a
     pair of incomparable vectors, with a value inside the box or outside
     it (the table's -1); ``meet2`` on two compact vectors, leaving the
@@ -1183,11 +1163,10 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
 
     bottom = (INF, INF)
     cases = [
-        (_testbed_fault(2, join2=wrong_at("join2", pair, value)), DEFAULT_BUDGET)
+        _testbed_fault(2, join2=wrong_at("join2", pair, value))
         for pair in ((bottom, bottom), ((1, 2), (2, 1)))
         for value in ((0, 0), (9, 9))
     ]
-    cases.append((OrdinalCoframe(2), Budget(max_pairs=20)))
     real_profile = OrdinalCoframe.profile
 
     def profile_at(x, mu):
@@ -1201,7 +1180,7 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
         return profile
 
     cases += [
-        (_testbed_fault(2, **fault), DEFAULT_BUDGET)
+        _testbed_fault(2, **fault)
         for fault in (
             {"meet2": wrong_at("meet2", ((1, 3), (3, 1)), (3, INF))},
             {"co_heyting_sub": wrong_at("co_heyting_sub", ((1, 1), (2, 1)), bottom)},
@@ -1210,13 +1189,10 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
             {"dually_compact": wrong_at("dually_compact", ((2, 2),), False)},
         )
     ]
-    cases.append((OrdinalCoframe(3), DEFAULT_BUDGET))
+    cases.append(OrdinalCoframe(3))
 
     def docs():
-        return [
-            [json.dumps(r.to_json_dict()) for r in run_all(cf, budget, laws=TESTBED_ROW_LAWS)]
-            for cf, budget in cases
-        ]
+        return [[json.dumps(r.to_json_dict()) for r in run_all(cf, laws=TESTBED_ROW_LAWS)] for cf in cases]
 
     fast = docs()
     for law, fn in TESTBED_REFERENCES.items():
@@ -1230,7 +1206,6 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
         "FF.FF.",
         "...F..",
         "...F..",
-        "......",
         ".....F",
         "F.....",
         "..FF..",
@@ -1241,40 +1216,13 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
     assert fast[1][1]["witness"] == {"x": "inf,inf", "z": "inf,inf"}
     assert fast[1][3]["witness"]["join"] == "9,9"
     assert fast[3][3]["witness"]["mu_of_parts"] == "9,9"
-    assert [d["law"] for d in fast[4] if not d["exhaustive"]] == [
-        "type_subadditive", "mu_join_hom", "core_join_hom", "k_lower_semilattice"
-    ]
-    # k_lower_semilattice counts only the drawn pairs of compact vectors
-    assert [d["checked"] for d in fast[4] if not d["exhaustive"]][:3] == [20, 20, 20]
-    assert fast[4][5]["checked"] <= 20
-    assert fast[5][5]["witness"] == {"x": "1,3", "z": "3,1"}
-    assert fast[8][2]["reason"] == fast[8][3]["reason"] == fast[8][4]["reason"] == "injected"
-    assert fast[9][5]["witness"] == {"x": "0,2", "z": "2,0"}
+    assert fast[4][5]["witness"] == {"x": "1,3", "z": "3,1"}
+    assert fast[7][2]["reason"] == fast[7][3]["reason"] == fast[7][4]["reason"] == "injected"
+    assert fast[8][5]["witness"] == {"x": "0,2", "z": "2,0"}
     # the meet, x - z, mu and compactness faults strike after whole rows
     # of the 36-vector box have passed
-    late = [d["checked"] for case in fast[5:8] + fast[9:10] for d in case if d["verdict"] == "fail"]
+    late = [d["checked"] for case in fast[4:7] + fast[8:9] for d in case if d["verdict"] == "fail"]
     assert len(late) == 5 and min(late) > 36
-
-
-def test_sampled_pair_laws_build_no_join_table(monkeypatch):
-    """When the pairs are sampled, each law joins each drawn pair once,
-    and the homomorphism laws also join its mus or cores; a join table
-    would take 36^2 joins."""
-    from residua.testbed import OrdinalCoframe
-
-    cf = OrdinalCoframe(2)
-    budget = Budget(max_pairs=20)
-    # profiles join their residues: compute them before counting
-    profiles = {x: cf.profile(x) for x in cf.box(budget.testbed_bound)}
-    calls = _counting_join2(monkeypatch)
-    counts = []
-    for law in PAIR_LAWS:
-        calls.clear()
-        memo = _RunMemo(dict(profiles))
-        assert run_law(cf, law, budget, _memo=memo).verdict == "pass"
-        assert memo.joins is None
-        counts.append(len(calls))
-    assert counts[0] == 20 and max(counts) <= 2 * 20
 
 
 def test_testbed_memo_lasts_one_run(monkeypatch):

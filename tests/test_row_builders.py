@@ -8,9 +8,8 @@ the rows of two lower covers, ``inclusion_lattice`` forms rows from
 per-point holder masks and ``product`` shifts the factor rows.  The
 references below build the same rows and tables one pair at a time: the
 Warshall closure and its transposition, pairwise subset tests, the
-``leq``-loop product, an ``as_lattice`` that fills both tables eagerly
-and one that looks up every pair (``_bound_table``, the replay of a
-poset that is no lattice).
+``leq``-loop product, and an ``as_lattice`` that fills both tables
+eagerly, looking up every pair.
 """
 
 import random
@@ -34,9 +33,7 @@ from residua.generators import (
 )
 from residua.lattice import (
     FinitePoset,
-    _bound_table,
     _linear_extension,
-    _missing_bound,
     as_lattice,
     build_poset,
     lattice_from_json,
@@ -293,20 +290,8 @@ def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
 # -- composed tables against the lookup of every pair ----------------------------
 
 
-def probed_lattice(p: FinitePoset):
-    """``as_lattice`` with both tables looked up for every pair: (join,
-    meet, bottom, top), or the error for the first gap."""
-    if p.n == 0:
-        raise NoBottom("an empty poset has no bottom")
-    join = _bound_table(p.up)
-    gap = next(((i, row.index(None)) for i, row in enumerate(join) if None in row), None)
-    if gap is not None or full_mask(p.n) not in p.up:
-        raise _missing_bound(p, gap)
-    return join, _bound_table(p.down), p.up.index(full_mask(p.n)), p.down.index(full_mask(p.n))
-
-
 def assert_tables_match_the_lookups(L):
-    assert (L.join, L.meet, L.bottom, L.top) == probed_lattice(L.poset), L.provenance
+    assert (L.join, L.meet, L.bottom, L.top) == eager_tables(L.poset), L.provenance
 
 
 def build_workload_specs():
@@ -397,8 +382,7 @@ def test_composed_join_refuses_exactly_what_the_lookups_refuse(p):
     """``as_lattice`` raises when and only when looking up every pair
     finds a gap or no bottom, with the same exception, pair and
     message, and on a lattice builds the same tables."""
-    got = lattice_outcome(p)
-    assert got == outcome(probed_lattice, p) == outcome(eager_tables, p)
+    assert lattice_outcome(p) == outcome(eager_tables, p)
 
 
 def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
@@ -411,7 +395,7 @@ def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
     with a changed join table finds the fault too."""
     rng = random.Random(11)
     for L in (boolean(4), ideal_lattice_zn(360), relabeled(divisor(60), 1), relabeled(boolean(3), 2)):
-        _, clean_meet, _, _ = probed_lattice(L.poset)
+        _, clean_meet, _, _ = eager_tables(L.poset)
         lower, upper = L.poset.lower_covers, L.poset.upper_covers
         for table, covers in (("join", lower), ("meet", upper)):
             gathered = [x for x in L.elements() if covers[x].bit_count() >= 2]
