@@ -15,9 +15,11 @@ every pair has a join.  By induction on height: an element x that is
 neither the bottom nor join-irreducible has two lower covers c1 and c2,
 and ``c1 v c2``, below x and strictly above c1, is x.  So the upper
 bounds of {x, y} are those of {c1, c2, y}, and ``x v y = c1 v (c2 v
-y)``.  Only the join-irreducible rows are looked up among the up rows;
+y)``.  Only the join-irreducible rows j are filled from the up rows,
+looking up just the y incomparable to j (``j v y = y`` for y above j);
 every other row is gathered from the rows of two lower covers, built
-before it, and is a row of true joins.
+before it, and is a row of true joins.  Distributivity reads the order
+rows alone.
 
 Every ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
@@ -404,8 +406,9 @@ class FiniteLattice:
         """The meet table: ``meet_rows`` when given, else built on first
         read by the dual of ``as_lattice``'s construction, from the top
         down.  The top row is the identity, each meet-irreducible row
-        (one upper cover) is looked up among the down rows, and the row
-        of an x with upper covers c1 and c2 is gathered from theirs, as
+        (one upper cover) is filled from the down rows, looking up only
+        the entries for elements incomparable to it, and the row of an x
+        with upper covers c1 and c2 is gathered from theirs, as
         ``meet(x, y) = meet(c1, meet(c2, y))``.  The poset is a lattice (its join table
         exists), so every lookup finds its row and, by the induction of
         the module docstring read upside down, every row holds true
@@ -527,10 +530,11 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     extension, so the lower covers of each element come before it:
 
     - the bottom row is the identity;
-    - the row of a join-irreducible j (one lower cover) is looked up:
-      ``j v y`` is the k with ``up[k] == up[j] & up[y]``, found by
-      hashing the up rows, and the entries for the y built before j are
-      column j of their rows;
+    - the row of a join-irreducible j (one lower cover) is filled from
+      the up rows: the entries for the y built before j are column j of
+      their rows, ``j v y`` is y for the y above j, and for the other
+      y it is the k with ``up[k] == up[j] & up[y]``, found by hashing
+      the up rows;
     - the row of any other x is ``x v y = c1 v (c2 v y)`` for two of its
       lower covers c1 and c2, one gather from their rows.
 
@@ -541,12 +545,13 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     with a bottom in which every pair has a join is a lattice: the meet
     of a and b is the join of their common lower bounds, a set holding
     the bottom.  So the meet table is left to ``FiniteLattice.meet``,
-    built on first read.
+    built on first read.  Distributivity reads the order rows alone
+    (``_join_prime_distributive``).
 
     A poset without a bottom, or with a join-irreducible row that misses
     an entry, is no lattice.  It raises ``NotALattice`` for the first
-    pair, row-major, without a join or a meet (the join checked first),
-    or ``NoBottom`` (see ``_missing_bound``).
+    pair, row-major, without a join or a meet (the join checked first;
+    see ``_missing_bound``).  The empty poset raises ``NoBottom``.
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
@@ -556,7 +561,7 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
         raise _missing_bound(p)
     bottom = up.index(full_mask(n))
     top = down.index(full_mask(n))
-    distributive = _birkhoff_distributive(p, join)
+    distributive = _join_prime_distributive(p)
     # For a finite lattice the coframe law (dual infinite distributivity)
     # reduces to plain distributivity: all meets/joins are finite.
     return _fault_free_join(
@@ -601,25 +606,26 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
     ``as_lattice``; on down rows with upper covers, walked the other way,
     the meet table.  The first element must be the only one without
     covers (the bottom, or the top), and its row is the identity.  An
-    element with one cover is looked up among the rows: the entries for
-    the elements walked before it are its column in their rows, the
-    rest are looked up, and a row that is not there gives None.  Any
-    other element's row is gathered from the rows of two of its covers.
+    element x with one cover is filled without gathering: the entries for
+    the elements walked before it are its column in their rows, the entry
+    for a later y in ``rows[x]`` is y (on an order, ``rows[x] & rows[y]
+    == rows[y]``), and only the later y outside ``rows[x]`` are looked up
+    among the rows; a row that is not there gives None.  So a chain looks
+    up nothing.  Any other element's row is gathered from the rows of two
+    of its covers.
     """
     n = len(rows)
     index = {row: k for k, row in enumerate(rows)}
-    walk_rows = [rows[x] for x in order]
-    if order == range(n):
-        scatter = tuple
-    else:
-        # Looked-up rows come in walk order; put them back in index order.
-        at = [0] * n
-        for t, x in enumerate(order):
-            at[x] = t
-        scatter = itemgetter(*at)
+    # Entries are filled in walk order; at[y] is y's place in the walk.
+    at = [0] * n
+    for t, x in enumerate(order):
+        at[x] = t
+    scatter = tuple if order == range(n) else itemgetter(*at)
     table = [None] * n
     walked = []
+    unwalked = full_mask(n)
     for t, x in enumerate(order):
+        unwalked ^= 1 << x
         cover_mask = covers[x]
         if rest := cover_mask & (cover_mask - 1):
             c1 = (cover_mask ^ rest).bit_length() - 1
@@ -627,10 +633,13 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
             row = itemgetter(*table[c2])(table[c1])
         elif cover_mask:
             entries = list(map(getitem, walked, repeat(x)))
-            try:
-                entries += map(index.__getitem__, map(rows[x].__and__, walk_rows[t:]))
-            except KeyError:
-                return None
+            entries += order[t:]
+            row_x = rows[x]
+            for y in bits(unwalked & ~row_x):
+                k = index.get(row_x & rows[y])
+                if k is None:
+                    return None
+                entries[at[y]] = k
             row = scatter(entries)
         elif t == 0:
             row = tuple(range(n))
@@ -641,12 +650,13 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
     return tuple(table)
 
 
-def _missing_bound(p: FinitePoset):
-    """The error for a poset that is no lattice: ``NotALattice`` for the
-    first pair, row-major, without a join or a meet (the join checked
-    first), else ``NoBottom``.  A pair has a join iff the AND of its up
-    rows is an up row, and a meet iff the AND of its down rows is a down
-    row."""
+def _missing_bound(p: FinitePoset) -> NotALattice:
+    """The first pair, row-major, without a join or a meet (the join
+    checked first) in a poset that ``_composed_table`` refused.  A pair
+    has a join iff the AND of its up rows is an up row, and a meet iff
+    the AND of its down rows is a down row.  Some pair has none: with
+    every meet the poset has a bottom, and then with every join the
+    composed table is built."""
     names, up, down = p.names, p.up, p.down
     up_rows, down_rows = set(up), set(down)
     for a in range(p.n):
@@ -655,7 +665,6 @@ def _missing_bound(p: FinitePoset):
                 return NotALattice(f"{names[a]} and {names[b]} have no join", pair=(a, b))
             if down[a] & down[b] not in down_rows:
                 return NotALattice(f"{names[a]} and {names[b]} have no meet", pair=(a, b))
-    return NoBottom("lattice has no bottom element")
 
 
 def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenance: str) -> FiniteLattice:
@@ -703,26 +712,16 @@ def _table_fault(table, rows) -> Optional[tuple[int, int]]:
     return None
 
 
-def _birkhoff_distributive(p: FinitePoset, join) -> bool:
-    """Birkhoff's criterion: a finite lattice is distributive iff
-    ``J(x v y) = J(x) | J(y)`` for all x, y, where ``J(x)`` is the set of
-    join-irreducibles (elements with exactly one lower cover) below x
-    (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
-    ch. 5).  Only the rows x in J are compared, |J|·n mask operations
-    against the n^2/2 of all pairs: every x is the join ``j1 v ... v jk``
-    of J(x), and if the law holds for each j in J and all y, then by
-    induction on k, ``J(x v y) = J(j1) | J(j2 v ... v jk v y) = ... =
-    J(j1) | ... | J(jk) | J(y) = J(x) | J(y)`` (the bottom is the empty
-    join, k = 0).  That needs a true join table, which ``as_lattice``
-    builds from the up rows.
-    """
-    irreducibles = p.irreducibles
-    J = [row & irreducibles for row in p.down]
-    for j in bits(irreducibles):
-        # One list comparison per join-irreducible j over all pairs (j, y).
-        if list(map(J.__getitem__, join[j])) != list(map(J[j].__or__, J)):
-            return False
-    return True
+def _join_prime_distributive(p: FinitePoset) -> bool:
+    """A finite lattice is distributive iff every join-irreducible j
+    (one lower cover) is join-prime: ``j <= x v y`` only if ``j <= x`` or
+    ``j <= y`` (Davey & Priestley, *Introduction to Lattices and Order*,
+    2nd ed., ch. 5).  The elements not above j form a down-set that holds
+    the bottom, and it is closed under joins, and so the down row of its
+    join, exactly when j is join-prime.  So the test reads the order rows
+    alone: one mask per join-irreducible, and no table."""
+    full, up, down_rows = full_mask(p.n), p.up, set(p.down)
+    return all(full & ~up[j] in down_rows for j in bits(p.irreducibles))
 
 
 def meet_of_set(L: FiniteLattice, mask_or_indices) -> int:

@@ -91,3 +91,18 @@ def co_heyting_scan(L, x, z):
         raise NotBelow(f"{L.names[z]} is not below {L.names[x]}")
     jz = L.join[z]
     return L.meet_of_set([y for y in bits(L.down_set(x)) if jz[y] == x])
+
+
+def birkhoff_rows(p, join) -> bool:
+    """Birkhoff's criterion: a finite lattice is distributive iff
+    ``J(x v y) = J(x) | J(y)`` for all x, y, where ``J(x)`` is the set of
+    join-irreducibles (elements with exactly one lower cover) below x.
+    Only the rows x in J are compared: every x is the join of J(x), so by
+    induction on |J(x)| the law for each j in J and all y gives it for
+    all x, y.  It reads a true join table; ``as_lattice`` decides
+    distributivity from the order rows alone, and this is its oracle."""
+    irreducibles = p.irreducibles
+    J = [row & irreducibles for row in p.down]
+    return all(
+        list(map(J.__getitem__, join[j])) == list(map(J[j].__or__, J)) for j in bits(irreducibles)
+    )

@@ -3,7 +3,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from residua.bitset import bits, contains, full_mask, mask_of
@@ -11,7 +11,7 @@ from residua.errors import CycleDetected, LatticeIntegrityError, NotALattice, To
 from residua.lattice import (
     LATTICE_SIZE_CAP,
     FinitePoset,
-    _birkhoff_distributive,
+    _join_prime_distributive,
     as_lattice,
     build_poset,
     canonical_json,
@@ -22,6 +22,8 @@ from residua.lattice import (
 )
 from residua.generators import boolean, chain
 from residua.laws import mutate_entry
+
+from conftest import birkhoff_rows
 
 
 def subsets(mask: int):
@@ -147,17 +149,57 @@ def birkhoff_all_pairs(p, join) -> bool:
     return all(J[join[x][y]] == J[x] | J[y] for x in range(p.n) for y in range(x + 1, p.n))
 
 
+def distributivity_verdicts(L):
+    """Five verdicts that must agree: the join-prime test on the order
+    rows, Birkhoff's criterion on the join-irreducible rows and on every
+    pair, the table-based triple scan, and ``L.distributive``."""
+    return (
+        _join_prime_distributive(L.poset),
+        birkhoff_rows(L.poset, L.join),
+        birkhoff_all_pairs(L.poset, L.join),
+        _distributivity_witness(L.n, L.meet, L.join) is None,
+        L.distributive,
+    )
+
+
 def test_birkhoff_agrees_with_triple_scan(lattice_corpus):
-    """as_lattice decides distributivity by Birkhoff's criterion on the
-    rows of the join-irreducibles; the criterion on all pairs and the
-    table-based triple scan are its oracles."""
+    """as_lattice decides distributivity by join-primes on the order rows;
+    Birkhoff's criterion on the rows and on all pairs and the triple scan
+    are its oracles."""
     non_distributive = 0
     for L in lattice_corpus:
-        by_scan = _distributivity_witness(L.n, L.meet, L.join) is None
-        by_pairs = birkhoff_all_pairs(L.poset, L.join)
-        assert _birkhoff_distributive(L.poset, L.join) == by_pairs == by_scan == L.distributive, L.provenance
-        non_distributive += not by_scan
+        verdicts = distributivity_verdicts(L)
+        assert len(set(verdicts)) == 1, (L.provenance, verdicts)
+        non_distributive += not verdicts[0]
     assert non_distributive >= 100
+
+
+@st.composite
+def bounded_posets(draw):
+    """Random orders on 1-6 elements with a bottom and a top added, in a
+    random index order: mostly lattices, half of them not distributive."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    names = [f"e{i}" for i in range(n)] + ["bot", "top"]
+    relation = [(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b]
+    relation += [("bot", name) for name in names[:n]] + [(name, "top") for name in names[: n + 1]]
+    return build_poset(draw(st.permutations(names)), relation, "leq")
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_posets())
+@example(build_poset(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")]))
+@example(build_poset(["1", "a", "0", "b", "c"], [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]))
+def test_join_primes_agree_with_birkhoff_on_random_lattices(p):
+    """The pentagon, the diamond M3 and random bounded posets that
+    ``as_lattice`` accepts, in index orders that are or are not linear
+    extensions."""
+    try:
+        L = as_lattice(p)
+    except NotALattice:
+        assume(False)
+    verdicts = distributivity_verdicts(L)
+    assert len(set(verdicts)) == 1, verdicts
 
 
 def test_antichain_is_not_a_lattice():

@@ -3,8 +3,9 @@ references.
 
 ``build_poset`` closes a relation in one topological pass, ``as_lattice``
 builds only the join table (the meet table is built on first read),
-looking up the join-irreducible rows and gathering every other row from
-the rows of two lower covers, ``inclusion_lattice`` forms rows from
+filling the join-irreducible rows from the up rows (looking up only the
+incomparable entries) and gathering every other row from the rows of
+two lower covers, ``inclusion_lattice`` forms rows from
 per-point holder masks and ``product`` shifts the factor rows.  The
 references below build the same rows and tables one pair at a time: the
 Warshall closure and its transposition, pairwise subset tests, the
@@ -40,6 +41,8 @@ from residua.lattice import (
 )
 from residua.laws import _sublattice, mutate_entry
 from residua.topology import FiniteTopology, closed_set_lattice
+
+from conftest import birkhoff_rows
 
 
 def warshall_poset(names, pairs) -> FinitePoset:
@@ -120,10 +123,8 @@ def eager_tables(p: FinitePoset):
             mrow.append(k)
         join.append(tuple(jrow))
         meet.append(tuple(mrow))
-    bottom = up_index.get(full_mask(n))
-    if bottom is None:
-        raise NoBottom("lattice has no bottom element")
-    return tuple(join), tuple(meet), bottom, down_index[full_mask(n)]
+    # Every pair has a meet, so the meet of all elements is a bottom.
+    return tuple(join), tuple(meet), up_index[full_mask(n)], down_index[full_mask(n)]
 
 
 def outcome(fn, *args):
@@ -326,10 +327,16 @@ def relabeled(L, seed):
 
 
 def test_composed_tables_match_the_lookups_on_every_build_spec():
-    for spec in build_workload_specs():
-        assert_tables_match_the_lookups(generate(spec))
-    for points in range(1, 9):
-        assert_tables_match_the_lookups(discrete_closed_sets(points))
+    """Chains fill every looked-up row from comparable entries alone;
+    relabeled, they walk it off index order.  Distributivity, decided on
+    the order rows, matches Birkhoff's criterion on the tables."""
+    chains = [generate(f"chain:{n}") for n in range(1, 9)]
+    lattices = [generate(spec) for spec in build_workload_specs()] + chains
+    lattices += [discrete_closed_sets(points) for points in range(1, 9)]
+    lattices += [relabeled(L, seed) for L in chains[2:] for seed in range(2)]
+    for L in lattices:
+        assert_tables_match_the_lookups(L)
+        assert L.distributive == birkhoff_rows(L.poset, L.join), L.provenance
 
 
 def test_composed_tables_match_the_lookups_off_a_linear_extension():
@@ -374,6 +381,39 @@ def random_posets(draw):
     relation = [(names[a], names[b]) for a, b in pairs]
     elements = draw(st.permutations(names))
     return build_poset(elements, relation, "leq")
+
+
+def seeded_poset(seed):
+    """A random order on 0-9 elements, with a bottom and a top added or
+    not, in a shuffled index order."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 9)
+    names = [f"e{i}" for i in range(n)]
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))] if n else []
+    relation = [(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b]
+    if n and rng.random() < 0.5:
+        relation += [("bot", x) for x in names]
+        names.append("bot")
+    if n and rng.random() < 0.5:
+        relation += [(x, "top") for x in names]
+        names.append("top")
+    rng.shuffle(names)
+    return build_poset(names, relation, "leq")
+
+
+def test_composed_tables_match_the_lookups_on_seeded_posets():
+    """On 20,000 seeded posets ``as_lattice`` gives the lookup of every
+    pair's outcome: the same tables, or the same exception class, pair
+    and message.  Every outcome class appears."""
+    seen = {}
+    for seed in range(20_000):
+        p = seeded_poset(seed)
+        got = lattice_outcome(p)
+        assert got == outcome(eager_tables, p), seed
+        kind = "lattice" if isinstance(got[0], tuple) else (got[0], got[1].split()[-1])
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"lattice", (NoBottom, "bottom"), (NotALattice, "join"), (NotALattice, "meet")}
+    assert min(seen.values()) >= 1_000, seen
 
 
 @settings(max_examples=300, deadline=None)
