@@ -28,7 +28,8 @@ they replace; the tests keep those loops as references.
 The laws of one run share the profiles and, on a finite lattice in the
 default family, three rows per element kept in the run's ``_RunMemo``:
 the maximal subelements, the residues x - m by maximal m, and the
-outcasts.  ``residual_profile`` builds the strata from the residue rows
+outcasts; on the testbed, the maximal subelements by vector.
+``residual_profile`` builds the strata from the residue rows
 of the iterates, and the laws that quantify over maximal subelements,
 residues or outcasts read the rows instead of calling the generic
 functions again.  An entry is stored only once its fold or cross-check
@@ -42,9 +43,9 @@ Pair quantifiers go by whole rows (``_by_rows``).  On both kinds of
 instance ``type_subadditive``, ``mu_join_hom`` and ``core_join_hom``
 compare, per row x, lists built with ``map`` over row x of the join
 table and per-element lists (t counts, mus, derivatives, core
-positions); ``mu_join_hom`` reads mu(x) v mu(z) off row mu(x) of a
-finite table and joins it with ``join2`` on the testbed, where most mus
-lie outside the box.  ``mu_monotone`` and, on the testbed,
+positions); ``mu_join_hom`` reads mu(x) v mu(z) off row mu(x) of the
+join table, and on the testbed joins it with ``join2`` when mu(x) or
+mu(z) lies outside the box.  ``mu_monotone`` and, on the testbed,
 ``coheyting_join`` map their primitives over the elements below x, and
 the testbed's ``k_lower_semilattice`` maps ``meet2`` and
 ``dually_compact`` over the compact vectors; on a finite lattice
@@ -203,8 +204,8 @@ class _RunMemo:
     (see ``_Ctx.maximals``): the maximal subelements of x, the dict of
     x - m by maximal m, and the outcasts of x.  An entry is stored only
     once its fold or cross-check has passed, so a faulty table raises
-    the same error at every read.  The testbed's closed forms bypass
-    them."""
+    the same error at every read.  On the testbed ``maximals`` is a dict
+    by vector, and the other two stay None."""
 
     profiles: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
@@ -233,6 +234,8 @@ class _Ctx:
         self.shared_rows = self.finite and family is None
         if self.shared_rows and memo.maximals is None:
             memo.maximals, memo.residues, memo.outcasts = [None] * L.n, [None] * L.n, [None] * L.n
+        elif family is None and memo.maximals is None:
+            memo.maximals = {}
         self.derivatives = memo.derivatives
         self.folds = {}  # head -> mask -> verified fold (see join_fold)
         self.sampled_subsets = False
@@ -268,12 +271,13 @@ class _Ctx:
     # must not change them.
 
     def maximals(self, x) -> list:
-        """``maximal_subelements`` in the law's family, kept in the run's
-        row on a finite lattice with the default family."""
-        if not self.shared_rows:
+        """``maximal_subelements`` in the law's family, kept for the run
+        with the default family: in a row by element on a finite lattice,
+        by vector on the testbed."""
+        if self.family is not None:
             return maximal_subelements(self.L, x, self.family)
         row = self.memo.maximals
-        got = row[x]
+        got = row[x] if self.finite else row.get(x)
         if got is None:
             got = row[x] = maximal_subelements(self.L, x)
         return got
@@ -768,19 +772,26 @@ def _check_mu_join_hom(ctx):
 def _mu_join_hom_rows(ctx):
     """Row x: the derivatives along join[x] against mu(x) v mu(z) for
     every z: row mu(x) of the table read at every mu(z) on a finite
-    lattice, ``join2`` over the mus on the testbed, where most mus lie
-    outside the box."""
+    lattice.  On the testbed it is read from the table when both mus
+    lie in the box, and is ``join2`` otherwise."""
     join = _row_table(ctx)
     if join is None:
         return False
-    mus = [ctx.profile(x).mu for x in ctx.elements]
-    derivatives = [ctx.derivative(x) for x in ctx.elements]
+    els = ctx.elements
+    mus = [ctx.profile(x).mu for x in els]
+    derivatives = [ctx.derivative(x) for x in els]
     join2 = ctx.L.join2
+    inside = None if ctx.finite else list(map(ctx.index.get, mus))
     for x, mu_x in enumerate(mus):
         if ctx.finite:
             expected = list(map(join[mu_x].__getitem__, mus))
-        else:
+        elif inside[x] is None:
             expected = list(map(join2, repeat(mu_x), mus))
+        else:
+            row = join[inside[x]]
+            expected = [
+                join2(mu_x, mu_z) if m is None else els[row[m]] for m, mu_z in zip(inside, mus)
+            ]
         if list(map(derivatives.__getitem__, join[x])) != expected:
             return False
     ctx.checked += len(mus) ** 2

@@ -25,12 +25,14 @@ computes a vector's derivative once and drops the memo when it returns,
 so nothing is stored on the ``OrdinalCoframe``.  The pair laws check
 every box pair, deciding whole rows of pairs at a time.
 
-``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` check their
-lengths and then call a kernel unrolled for ``dims`` (see ``_kernels``),
-picked once per instance; ``run_all`` in dims 3 makes 170,372 calls of
-them and ``dually_compact``.  Every other method, and the law registry,
-calls the public methods, never a kernel, so a subclass that overrides
-one is seen by every use.
+``leq``, ``meet2`` and ``join2``, read off an instance, are kernels
+unrolled for ``dims`` (see ``_kernels``) that check the lengths by
+unpacking them, so each call is one Python frame; ``co_heyting_sub``
+checks its order with ``leq`` and calls the x - z kernel.  ``run_all``
+in dims 3 makes 154,747 calls of them and ``dually_compact``.
+Every other method, and the law registry, reads the public names, never
+a kernel, so a subclass or class patch that overrides one is seen by
+every use.
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -159,18 +161,31 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound {bound} is negative; bounds are naturals")
 
 
+def _check_lengths(dims: int, vs) -> None:
+    """Raise DimensionMismatch at the first vector whose length is not
+    ``dims``."""
+    for v in vs:
+        if len(v) != dims:
+            raise DimensionMismatch(f"expected {dims} coordinates, got {len(v)}") from None
+
+
 @cache
 def _kernels(dims: int) -> tuple:
     """``leq``, ``meet``, ``join`` and ``sub`` (x - z) on two vectors of
     length ``dims``, unrolled over the coordinates: one comparison per
     coordinate, where ``tuple(map(min, x, y))`` pays a call of ``min``
     and ``all(map(ge, x, y))`` an iterator step.  They take x's
-    coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...; the
-    lengths are checked by the methods that call them.  Each dims is
-    compiled once, by its first ``OrdinalCoframe``."""
+    coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...  Each
+    checks the lengths by that tuple unpacking: when it fails, the
+    kernel raises ``_check_lengths``' DimensionMismatch, or the unpacking
+    error itself if both lengths are right.  Each dims is compiled once,
+    by its first ``OrdinalCoframe``."""
     a = [f"a{i}" for i in range(dims)]
     b = [f"b{i}" for i in range(dims)]
-    unpack = f"    {', '.join(a)}, = x\n    {', '.join(b)}, = y\n"
+    unpack = (
+        f"    try:\n        {', '.join(a)}, = x\n        {', '.join(b)}, = y\n"
+        f"    except (TypeError, ValueError):\n        check({dims}, (x, y))\n        raise\n"
+    )
 
     def vector(term: str) -> str:
         return "(" + "".join(term.format(a=ai, b=bi) + ", " for ai, bi in zip(a, b)) + ")"
@@ -184,9 +199,39 @@ def _kernels(dims: int) -> tuple:
     source = "".join(
         f"def {name}(x, y):\n{unpack}    return {body}\n" for name, body in bodies.items()
     )
-    namespace = {"INF": INF}
+    namespace = {"INF": INF, "check": _check_lengths}
     exec(source, namespace)
     return tuple(namespace[name] for name in bodies)
+
+
+class _Primitive:
+    """A binary lattice primitive that costs one Python frame per call.
+
+    Read off an instance it is that instance's kernel for its ``dims``
+    (see ``_kernels``), so a loop that binds ``L.join2`` once and maps it
+    runs the kernel alone.  Read off the class it is a plain method that
+    calls the kernel, which ``super().join2(x, y)`` and
+    ``OrdinalCoframe.join2(cf, x, y)`` reach too.  It defines no
+    ``__set__``, so a subclass method, a class patch (made before or
+    after the instance was built) or an instance attribute of the same
+    name takes its place at every use."""
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+        def method(cf, x: tuple, y: tuple):
+            return _kernels(cf.dims)[slot](x, y)
+
+        self.method = method
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.method.__name__ = name
+        self.method.__qualname__ = f"{owner.__qualname__}.{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.method
+        return _kernels(obj.dims)[self.slot]
 
 
 class OrdinalCoframe:
@@ -199,7 +244,7 @@ class OrdinalCoframe:
         if not 1 <= dims <= MAX_DIMS:
             raise ValueError(f"dims must be between 1 and {MAX_DIMS}")
         self.dims = dims
-        self._leq, self._meet, self._join, self._sub = _kernels(dims)
+        _kernels(dims)  # compiled here, not at the first primitive call
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
 
@@ -208,50 +253,37 @@ class OrdinalCoframe:
     def _check(self, *vs):
         for v in vs:
             if len(v) != self.dims:
-                raise DimensionMismatch(
-                    f"expected {self.dims} coordinates, got {len(v)}"
-                )
+                _check_lengths(self.dims, vs)
 
-    # The primitives below compare lengths once and leave the message to
-    # _check; they are the inner loop of every testbed law.  Each then
-    # calls its kernel for ``self.dims`` (see ``_kernels``), never called
-    # from anywhere else, so that an override of the method is seen by
-    # every use.
+    # leq, meet2 and join2 are the inner loop of every testbed law: read
+    # off an instance, each is the kernel for ``self.dims`` itself (see
+    # ``_Primitive``), which checks the lengths by unpacking them.  Every
+    # other method, and the law registry, reads them through the
+    # instance, never a kernel, so that an override is seen by every use.
 
-    def leq(self, x: tuple, y: tuple) -> bool:
-        if not len(x) == len(y) == self.dims:
-            self._check(x, y)
-        return self._leq(x, y)
+    leq = _Primitive(0)
+    meet2 = _Primitive(1)
+    join2 = _Primitive(2)
 
     def lt(self, x: tuple, y: tuple) -> bool:
         return self.leq(x, y) and x != y
-
-    def meet2(self, x: tuple, y: tuple) -> tuple:
-        if not len(x) == len(y) == self.dims:
-            self._check(x, y)
-        return self._meet(x, y)
-
-    def join2(self, x: tuple, y: tuple) -> tuple:
-        if not len(x) == len(y) == self.dims:
-            self._check(x, y)
-        return self._join(x, y)
 
     def meet_of_set(self, vs: Iterable[tuple]) -> tuple:
         vs = list(vs)
         if not vs:
             return self.top
-        out = vs[0]
+        out, meet2 = vs[0], self.meet2
         for v in vs[1:]:
-            out = self.meet2(out, v)
+            out = meet2(out, v)
         return out
 
     def join_of_set(self, vs: Iterable[tuple]) -> tuple:
         vs = list(vs)
         if not vs:
             return self.bottom
-        out = vs[0]
+        out, join2 = vs[0], self.join2
         for v in vs[1:]:
-            out = self.join2(out, v)
+            out = join2(out, v)
         return out
 
     def dually_compact(self, x: tuple) -> bool:
@@ -261,7 +293,8 @@ class OrdinalCoframe:
         filtered family obtained by running a counter up that coordinate,
         no member of which lies below it.
         """
-        self._check(x)
+        if len(x) != self.dims:
+            self._check(x)
         return INF not in x
 
     def truncations(self, x: tuple, upto: int) -> list:
@@ -292,7 +325,7 @@ class OrdinalCoframe:
         """x - z keeps the coordinates where z sits strictly deeper than x."""
         if not self.leq(z, x):
             raise NotBelow(f"{fmt_vec(z)} is not below {fmt_vec(x)}")
-        return self._sub(x, z)
+        return _kernels(self.dims)[3](x, z)
 
     def outcasts(self, x: tuple, family=None) -> list:
         """No vector has outcasts: its boundary is itself."""

@@ -1226,23 +1226,30 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
 
 
 def test_testbed_memo_lasts_one_run(monkeypatch):
-    """Each run computes every derivative it needs once, cold, and leaves
-    nothing on the lattice: a second run makes the same derivative and
-    join calls again.  The pair laws of one run share one join table, so
+    """Each run computes every derivative and every set of maximal
+    subelements it needs once, cold, and leaves nothing on the lattice: a
+    second run makes the same derivative, maximal-subelement and join
+    calls again.  The pair laws of one run share one join table, so
     together they join each ordered box pair at most twice: once for the
     table and once for its mus."""
     from residua.testbed import OrdinalCoframe
 
     cf = OrdinalCoframe(2)
     before = dict(vars(cf))
-    calls = []
+    calls, maximal_calls = [], []
     real = residua.laws.residual_derivative
+    real_maximals = residua.laws.maximal_subelements
 
     def counting(L, x, family=None):
         calls.append(x)
         return real(L, x, family)
 
+    def counting_maximals(L, x, family=None):
+        maximal_calls.append(x)
+        return real_maximals(L, x, family)
+
     monkeypatch.setattr(residua.laws, "residual_derivative", counting)
+    monkeypatch.setattr(residua.laws, "maximal_subelements", counting_maximals)
     joins = _counting_join2(monkeypatch)
 
     def docs():
@@ -1250,11 +1257,14 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
 
     first = docs()
     first_calls, calls[:] = list(calls), []
+    first_maximal_calls, maximal_calls[:] = list(maximal_calls), []
     first_joins, joins[:] = list(joins), []
     assert docs() == first
     assert calls == first_calls
+    assert maximal_calls == first_maximal_calls
     assert joins == first_joins
     assert len(calls) == len(set(calls)) > 0
+    assert len(maximal_calls) == len(set(maximal_calls)) > 0
     assert vars(cf) == before
 
     box = cf.box(DEFAULT_BUDGET.testbed_bound)

@@ -176,6 +176,79 @@ def test_overrides_reach_every_use():
     assert seen(lambda: cf.profile(x)) == [("join2", (1, INF, INF), (INF, 2, INF))]
 
 
+PRIMITIVES = (
+    ("join2", join_reference),
+    ("meet2", meet_reference),
+    ("leq", leq_reference),
+)
+
+
+def test_primitives_called_off_the_class():
+    """join2, meet2 and leq read off the class take the instance first
+    and give the kernel's answer, and a wrong length in either argument
+    raises the same DimensionMismatch message as through the instance."""
+    cf = OrdinalCoframe(3)
+    box = cf.box(2)
+    for name, reference in PRIMITIVES:
+        method = getattr(OrdinalCoframe, name)
+        for x, y in itertools.product(box, repeat=2):
+            assert method(cf, x, y) == getattr(cf, name)(x, y) == reference(x, y), (name, x, y)
+        for wrong in ((), (0, 0), (0, 0, 0, 0)):
+            message = f"^expected 3 coordinates, got {len(wrong)}$"
+            for args in ((wrong, cf.top), (cf.top, wrong)):
+                with pytest.raises(DimensionMismatch, match=message):
+                    method(cf, *args)
+                with pytest.raises(DimensionMismatch, match=message):
+                    getattr(cf, name)(*args)
+
+
+def test_patches_made_after_construction_reach_every_use(monkeypatch):
+    """A class patch of join2 made after the instance was built reaches
+    cf.join2 and run_all; undoing it restores the kernel.  An instance
+    patch reaches too, and a recording subclass sees as many joins in
+    run_all as the class patch."""
+    from residua.laws import run_all
+
+    cf = OrdinalCoframe(2)
+    kernel = cf.join2
+    joins = []
+    real = OrdinalCoframe.join2
+
+    def counting(self, x, y):
+        joins.append((x, y))
+        return real(self, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OrdinalCoframe, "join2", counting)
+        assert cf.join2((1, INF), (2, 0)) == (1, 0)
+        assert joins == [((1, INF), (2, 0))]
+        joins.clear()
+        reports = run_all(cf)
+        patched = len(joins)
+    docs = [r.to_json_dict() for r in reports]
+    assert docs == [r.to_json_dict() for r in run_all(cf)]
+    assert sum(r.verdict == "pass" for r in reports) == 16
+    assert patched >= len(cf.box(4)) ** 2
+    assert cf.join2 is kernel
+
+    seen = []
+    cf.join2 = lambda x, y: seen.append((x, y)) or kernel(x, y)
+    assert cf.join_of_set([(1, INF), (2, 0), (0, 3)]) == (0, 0)
+    assert seen == [((1, INF), (2, 0)), ((1, 0), (0, 3))]
+    del cf.join2
+    assert cf.join2 is kernel
+
+    recorded = []
+
+    class Recording(OrdinalCoframe):
+        def join2(self, x, y):
+            recorded.append((x, y))
+            return super().join2(x, y)
+
+    assert [r.to_json_dict() for r in run_all(Recording(2))] == docs
+    assert len(recorded) == patched
+
+
 def test_negative_bounds_are_rejected():
     # bounds are naturals: a negative one would walk vectors with negative
     # coordinates, outside the carrier
