@@ -398,6 +398,17 @@ class FiniteLattice:
     def elements(self) -> range:
         return range(self.n)
 
+    # The law registry's window (see ``laws``) is all of the lattice.
+
+    def box(self, bound: int) -> range:
+        return range(self.n)
+
+    def box_below(self, x: int, bound: int) -> list:
+        return list(bits(self.poset.down[x]))
+
+    def name(self, x: int) -> str:
+        return self.poset.names[x]
+
     def full(self) -> int:
         return full_mask(self.n)
 

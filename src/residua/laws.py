@@ -3,85 +3,75 @@
 Each law is a checker that quantifies over one lattice instance and
 returns Pass, Fail (with a replayable witness) or Skipped (hypothesis
 not met: most laws require the coframe law, which for finite lattices is
-distributivity).  Every element and pair quantifier runs exhaustively,
-over a finite lattice at any size and over the testbed's box.
-Subset-valued quantifiers enumerate exhaustively for small carriers
-(up to ``SUBSET_EXHAUSTIVE_BITS`` members) and fall back to seeded
-sampling above, which the report's ``sampled_subsets`` records.
+distributivity).  Every element and pair quantifier runs exhaustively
+over the instance's window.  Subset-valued quantifiers enumerate every
+subset of a carrier of up to ``SUBSET_EXHAUSTIVE_BITS`` members and
+draw seeded samples above, which the report's ``sampled_subsets``
+records.
 
-Four laws can fail on a finite lattice only through a wrong table entry,
-and read the lattice's cached ``L.join_fault``/``L.meet_fault`` (the
-first pair whose entry breaks the universal property on the order rows)
-instead of scanning the tables.  ``downset_upper_complete`` fails at the
-join fault when no folded subset fails first, so any corrupted join
-entry fails it; ``k_lower_semilattice`` passes or fails at the meet
-fault.  ``boundary_removal_descent`` and the constant pairs of
-``minmax_bound`` count by arithmetic while the tables they read have no
-fault, and run their loops otherwise.
+The registry reads an instance ``L`` through one protocol:
 
-On finite lattices the checkers read derived facts as cached rows
-(lower covers and co-irreducibles on the poset, derivatives on the
-lattice) and answer element quantifiers with mask operations, with the
-same verdicts, ``checked`` counts and witnesses as the per-element loops
-they replace; the tests keep those loops as references.
+- ``L.box(bound)``, a finite window of elements, and
+  ``L.box_below(x, bound)``, its elements below x in window order, with
+  ``Budget.testbed_bound`` as the bound;
+- ``L.name(x)`` for witnesses and ``L.describe()`` for the report;
+- the primitives ``leq``, ``meet2``, ``join2``, ``meet_of_set``,
+  ``join_of_set``, ``dually_compact``, ``bottom``, ``top``, ``coframe``
+  and ``distributive``;
+- optional closed forms ``maximal_subelements``, ``co_heyting_sub``,
+  ``outcasts`` and a default-family ``profile``, which ``residual``
+  uses when present.
 
-The laws of one run share the profiles and, on a finite lattice in the
-default family, three rows per element kept in the run's ``_RunMemo``:
-the maximal subelements, the residues x - m by maximal m, and the
-outcasts; on the testbed, the maximal subelements by vector.
-``residual_profile`` builds the strata from the residue rows
-of the iterates, and the laws that quantify over maximal subelements,
-residues or outcasts read the rows instead of calling the generic
-functions again.  An entry is stored only once its fold or cross-check
-has passed, so each law reports what it reports run alone.  One traced
-pass of the benchmark's ``laws`` workload (114 lattices) makes 4,640
-``co_heyting_sub`` calls, one per distinct argument pair, against
-22,275 without the rows; 1,597 ``outcasts`` calls against 4,640; and
-1,653 ``maximal_subelements`` calls against 27,411.
+A finite lattice's window is all of it at any bound, and the ordinal
+testbed's is its box.  The fast paths key on the facts they read:
 
-Pair quantifiers go by whole rows (``_by_rows``).  On both kinds of
-instance ``type_subadditive``, ``mu_join_hom`` and ``core_join_hom``
-compare, per row x, lists built with ``map`` over row x of the join
-table and per-element lists (t counts, mus, derivatives, core
-positions); ``mu_join_hom`` reads mu(x) v mu(z) off row mu(x) of the
-join table, and on the testbed joins it with ``join2`` when mu(x) or
-mu(z) lies outside the box.  ``mu_monotone`` and, on the testbed,
-``coheyting_join`` map their primitives over the elements below x, and
-the testbed's ``k_lower_semilattice`` maps ``meet2`` and
-``dually_compact`` over the compact vectors; on a finite lattice
-``core_decomp`` compares one set of cores.  Every call a pair loop's
-verdict reads is still made, through the lattice's public methods, and
-``checked`` is added by arithmetic.  A failing row, a join table entry
-of -1, or any error while the rows gather their facts sends the law
-back to 0 checked, and its pair loop replays every pair from the start
-to report the first failing one, with the pair loop's count and errors.
+- order rows, ``L.poset``, over elements that are their own positions.
+  Laws that need them skip without them, and a family, a set of
+  positions, raises ``ValueError`` without them.  The finite-only laws
+  read their element quantifiers off the rows as masks, and
+  ``coheyting_join`` folds x - z from the join-irreducibles.
+- a stored ``L.join`` table over those positions.  Without one the
+  run's ``_RunMemo`` builds it on first use from ``join2`` over the
+  window, with -1 for a join outside it.
+- ``L.join_fault`` and ``L.meet_fault``, the first pair whose entry
+  breaks the universal property on the order rows.  The laws that fail
+  only through a wrong table entry read them instead of scanning the
+  tables: ``k_lower_semilattice`` passes or fails at the meet fault,
+  ``downset_upper_complete`` fails at the join fault when no folded
+  subset fails first, and ``boundary_removal_descent`` and the constant
+  pairs of ``minmax_bound`` count by arithmetic while the tables they
+  read have no fault.
 
-The pair loops walk one join table by position (``_Ctx.join_pairs``)
-and keep the per-element facts they read in position-indexed lists,
-filled on first use in the pair loop's order.  A finite lattice's
-``L.join`` is that table.  On the testbed the run's ``_RunMemo`` builds
-it on first use, one ``join2`` per ordered box pair, and drops it with
-the run.
+The laws of one run share a ``_RunMemo``: default-family profiles and
+derivatives, and three rows by element, the maximal subelements, the
+residues x - m by maximal m and the outcasts.  ``residual_profile``
+builds the strata from the residue rows of the iterates, and the t-class
+of x is the length of its row of maximal subelements.  An entry is
+stored only once its fold or cross-check has passed, so each law reports
+what it reports run alone.
+
+Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
+with ``map`` over row x of the join table and per-element lists (t
+counts, mus, derivatives, core positions) are compared at once, and
+``mu_monotone`` and ``coheyting_join`` map their primitives over the
+elements below x.  Every call a pair loop's verdict reads is still made,
+and ``checked`` is added by arithmetic.  A failing row, a table entry of
+-1, or any error while the rows gather their facts sends the law back to
+0 checked, and its pair loop replays every pair from the start to report
+the first failing one, with the pair loop's count and errors.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
 ``_Ctx.join_fold``, whose memo lives on the law's context and goes with
 it.  A fold whose mask minus its highest bit is stored costs one join
 entry and one AND; every fold is verified as ``join_of_set`` verifies
-it, raises its error, and is stored only when it passes.  Kept for a
-whole run instead, the memo would hold the folds of every law at once.
+it, raises its error, and is stored only when it passes.
 
 Two corollaries bound what the finite checks can see.  Every core on a
-finite lattice is the bottom (mu(x) lies below each lower cover of x, so
-mu(x) < x for every non-bottom x), so the core laws check the tables,
-not cores; the testbed's closed-form cores are the bottom too.  And the
-only zero-maximal element of a finite lattice is its bottom, so
-t0 = {bottom}, and ``core_decomp``, ``core_union`` and
-``t0_upper_semilattice`` quantify over the bottom only.  On a
-distributive lattice the residues x - z are folds of join-irreducibles
-through the join table (see ``residual.co_heyting_sub``) and read no
-meet entry; the meet table reaches the laws through the derivatives
-and through ``L.meet_fault``.
+finite lattice is the bottom (mu(x) lies below each lower cover of x),
+so the core laws check the tables, not cores.  And its only zero-maximal
+element is the bottom, so ``core_decomp``, ``core_union`` and
+``t0_upper_semilattice`` quantify over the bottom only.
 """
 
 from __future__ import annotations
@@ -99,7 +89,6 @@ from .bitset import bits, contains, full_mask, mask_of
 from .errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow
 from .lattice import FiniteLattice, FinitePoset, as_lattice
 from .residual import (
-    classify_t,
     co_heyting_sub,
     delta_plus,
     family_is_lattice,
@@ -148,9 +137,8 @@ MAX_SAMPLED_SUBSETS = 32
 
 @dataclass(frozen=True)
 class Budget:
-    """How a run enumerates: the testbed's laws quantify over the box of
-    vectors with coordinates in {0..``testbed_bound``} or infinity, and
-    ``seed`` seeds every sampler."""
+    """How a run enumerates: ``testbed_bound`` is the bound of the
+    instance's window (``box``), and ``seed`` seeds every sampler."""
 
     testbed_bound: int = 4
     seed: int = 0
@@ -189,30 +177,23 @@ class LawReport:
 @dataclass
 class _RunMemo:
     """What the laws of one ``run_all`` (or one ``run_law``) share; it is
-    dropped when the run returns, so an infinite lattice keeps no memory
-    of it and nothing is stored on the lattice.
+    dropped when the run returns, so nothing is stored on the instance.
 
-    ``profiles`` holds default-family profiles.  ``derivatives`` holds the
-    testbed's default-family derivatives, each the definitional meet of
-    the maximal subelements; a finite lattice keeps those in
-    ``L.derivatives``.  ``joins`` is the testbed's join table over the
-    box (see ``_Ctx.join_table``); a finite lattice's ``L.join`` already
-    is that table.
-
-    ``maximals``, ``residues`` and ``outcasts`` are a finite lattice's
-    default-family rows, indexed by element and None until first read
-    (see ``_Ctx.maximals``): the maximal subelements of x, the dict of
-    x - m by maximal m, and the outcasts of x.  An entry is stored only
-    once its fold or cross-check has passed, so a faulty table raises
-    the same error at every read.  On the testbed ``maximals`` is a dict
-    by vector, and the other two stay None."""
+    ``profiles`` and ``derivatives`` hold the default-family profiles and
+    derivatives, and ``joins`` the join table of an instance that stores
+    none (see ``_Ctx.join_table``).  ``maximals``, ``residues`` and
+    ``outcasts`` are the default-family rows, by element (see
+    ``_Ctx.maximals``): the maximal subelements of x, the dict of x - m by
+    maximal m, and the outcasts of x.  An entry is stored only once its
+    fold or cross-check has passed, so a faulty table raises the same
+    error at every read."""
 
     profiles: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
     joins: Optional[list] = None
-    maximals: Optional[list] = None
-    residues: Optional[list] = None
-    outcasts: Optional[list] = None
+    maximals: dict = field(default_factory=dict)
+    residues: dict = field(default_factory=dict)
+    outcasts: dict = field(default_factory=dict)
 
 
 class _Ctx:
@@ -223,20 +204,11 @@ class _Ctx:
         self.L = L
         self.budget = budget
         self.family = family
-        self.finite = isinstance(L, FiniteLattice)
-        if self.finite:
-            self.elements = list(L.elements())
-        else:
-            self.elements = L.box(budget.testbed_bound)
+        self.elements = L.box(budget.testbed_bound)
+        self.name = L.name
         self._rng_seed = f"{budget.seed}:{law.value}"
         self.memo = memo = memo or _RunMemo()
         self.profiles = memo.profiles if family is None else {}
-        self.shared_rows = self.finite and family is None
-        if self.shared_rows and memo.maximals is None:
-            memo.maximals, memo.residues, memo.outcasts = [None] * L.n, [None] * L.n, [None] * L.n
-        elif family is None and memo.maximals is None:
-            memo.maximals = {}
-        self.derivatives = memo.derivatives
         self.folds = {}  # head -> mask -> verified fold (see join_fold)
         self.sampled_subsets = False
         self.checked = 0
@@ -247,47 +219,40 @@ class _Ctx:
         draw."""
         return random.Random(self._rng_seed)
 
-    def name(self, x) -> str:
-        if self.finite:
-            return self.L.names[x]
-        from .testbed import fmt_vec
-
-        return fmt_vec(x)
-
     def profile(self, x):
         if x not in self.profiles:
-            if self.shared_rows:
-                self.profiles[x] = residual_profile(self.L, x, residues_of=self.residues)
-            elif self.finite:
-                self.profiles[x] = residual_profile(self.L, x, self.family)
-            else:
-                self.profiles[x] = self.L.profile(x)
+            residues_of = self.residues if self.family is None else None
+            self.profiles[x] = residual_profile(self.L, x, self.family, residues_of=residues_of)
         return self.profiles[x]
 
-    # The run's element rows.  Each is filled through this module's
-    # ``maximal_subelements``, ``co_heyting_sub`` and ``outcasts``, looked
-    # up at call time, so a replacement bound there reaches every entry.
-    # The lists and dicts they return are the stored entries: readers
-    # must not change them.
+    # The run's element rows, used with the default family only.  Each is
+    # filled through this module's ``maximal_subelements``,
+    # ``co_heyting_sub`` and ``outcasts``, looked up at call time, so a
+    # replacement bound there reaches every entry.  The lists and dicts
+    # they return are the stored entries: readers must not change them.
 
     def maximals(self, x) -> list:
-        """``maximal_subelements`` in the law's family, kept for the run
-        with the default family: in a row by element on a finite lattice,
-        by vector on the testbed."""
+        """``maximal_subelements`` in the law's family, kept in the run's
+        row with the default family."""
         if self.family is not None:
             return maximal_subelements(self.L, x, self.family)
         row = self.memo.maximals
-        got = row[x] if self.finite else row.get(x)
+        got = row.get(x)
         if got is None:
             got = row[x] = maximal_subelements(self.L, x)
         return got
 
+    def t(self, x) -> int:
+        """The t-class of x: how many maximal subelements it has.  The
+        laws that read it take no family."""
+        return len(self.maximals(x))
+
     def residue(self, x, m):
         """``co_heyting_sub(L, x, m)`` for a maximal subelement m of x,
         kept in the run's residue row once its fold has passed."""
-        if not self.shared_rows:
+        if self.family is not None:
             return co_heyting_sub(self.L, x, m)
-        got = self.memo.residues[x]
+        got = self.memo.residues.get(x)
         if got is None:
             got = self.memo.residues[x] = {}
         r = got.get(m)
@@ -298,42 +263,40 @@ class _Ctx:
     def residues(self, x) -> dict:
         """The dict of x - m by maximal subelement m of x, in maximal
         order: the run's row entry, made whole and put in that order on
-        first read.  Read only where the rows are shared."""
+        first read."""
         maxes = self.maximals(x)
-        got = self.memo.residues[x]
+        got = self.memo.residues.get(x)
         if got is None or list(got) != maxes:
             residue = self.residue
             got = self.memo.residues[x] = {m: residue(x, m) for m in maxes}
         return got
 
     def outcasts(self, x) -> list:
-        """``outcasts`` in the law's family, kept in the run's row on a
-        finite lattice with the default family once its boundary
-        cross-check has passed.  On a coframe that check joins the
-        residue row of x; elsewhere it does not run."""
-        if not self.shared_rows:
+        """``outcasts`` in the law's family, kept in the run's row with the
+        default family once its boundary cross-check, which joins the
+        residue row of x, has passed."""
+        if self.family is not None:
             return outcasts(self.L, x, self.family)
         row = self.memo.outcasts
-        got = row[x]
+        got = row.get(x)
         if got is None:
-            residues = self.residues(x) if self.L.coframe else None
-            got = row[x] = outcasts(self.L, x, residues=residues)
+            got = row[x] = outcasts(self.L, x, residues_of=self.residues)
         return got
 
     def derivative(self, x):
-        """``residual_derivative`` in the law's family, memoised for the
-        run on the testbed when the family is the default one."""
-        if self.finite or self.family is not None:
+        """``residual_derivative`` in the law's family, kept for the run
+        with the default family."""
+        if self.family is not None:
             return residual_derivative(self.L, x, self.family)
-        mu = self.derivatives.get(x)
+        row = self.memo.derivatives
+        mu = row.get(x)
         if mu is None:
-            mu = self.derivatives[x] = residual_derivative(self.L, x)
+            mu = row[x] = residual_derivative(self.L, x)
         return mu
 
     @cached_property
     def index(self) -> dict:
-        """Position of each element in ``elements``; a finite lattice's
-        elements are their own positions."""
+        """Position of each element in ``elements``."""
         return {x: i for i, x in enumerate(self.elements)}
 
     def pairs(self):
@@ -343,14 +306,15 @@ class _Ctx:
     def join_table(self):
         """Row i, entry k: the position of ``elements[i] v elements[k]``.
 
-        A finite lattice's ``L.join`` is this table.  On the testbed it is
+        An instance's stored ``L.join`` is this table.  Otherwise it is
         built on first use in a run, row by row with ``map``, one
-        ``join2`` per ordered box pair, and kept in the run's memo for the
-        row passes and pair loops of every pair law; an entry is -1 when
-        the join lies outside the box, which only a faulty ``join2`` can
+        ``join2`` per ordered pair, and kept in the run's memo for the row
+        passes and pair loops of every pair law; an entry is -1 when the
+        join lies outside the elements, which only a faulty ``join2`` can
         produce."""
-        if self.finite:
-            return self.L.join
+        table = getattr(self.L, "join", None)
+        if table is not None:
+            return table
         if self.memo.joins is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
             self.memo.joins = [
@@ -365,7 +329,7 @@ class _Ctx:
         return ((i, k, j) for i, row in enumerate(self.join_table()) for k, j in enumerate(row))
 
     def join_fold(self, head: int, mask: int) -> int:
-        """``L.join_of_set([head, *bits(mask)])`` on a finite lattice, with
+        """``L.join_of_set([head, *bits(mask)])`` on order rows, with
         the same left fold, check, error and witness, through a memo that
         lives as long as the law's context.
 
@@ -406,8 +370,6 @@ class _Ctx:
 
     def below(self, x):
         """The elements below x, in element order."""
-        if self.finite:
-            return list(bits(self.L.down_set(x)))
         return self.L.box_below(x, self.budget.testbed_bound)
 
     def witness(self, _data: Optional[dict] = None, **elems) -> dict:
@@ -424,7 +386,7 @@ class LawSpec:
     invariant_key: str
     requires_coframe: bool
     requires_distributive: bool
-    finite_only: bool
+    needs_order_rows: bool
     fn: Callable
 
 
@@ -453,23 +415,24 @@ def _by_rows(ctx, rows, pairs):
 
 def _row_table(ctx):
     """The join table for a row pass, or None when an entry is -1 (a join
-    outside the box, which only a faulty ``join2`` makes): the pair loop
-    decides those."""
+    outside the elements, which only a faulty ``join2`` makes): the pair
+    loop decides those."""
     table = ctx.join_table()
-    if not ctx.finite and any(-1 in row for row in table):
+    if any(map(operator.contains, table, repeat(-1))):
         return None
     return table
 
 
 def _check_coheyting_join(ctx):
-    """z v (x - z) = x.  On a finite (distributive) lattice x - z is the
-    verified join of the join-irreducibles below x and not below z, as in
+    """z v (x - z) = x.  On distributive order rows x - z is the verified
+    join of the join-irreducibles below x and not below z, as in
     ``co_heyting_sub``; its folds share prefixes through ``join_fold``."""
     L = ctx.L
-    if ctx.finite and L.distributive:
-        down, join = L.poset.down, L.join
+    rows = getattr(L, "poset", None)
+    if rows is not None and L.distributive:
+        down, join = rows.down, L.join
         for x in ctx.elements:
-            under = L.poset.irreducibles & down[x]
+            under = rows.irreducibles & down[x]
             for z in bits(down[x]):
                 ctx.checked += 1
                 s = ctx.join_of_mask(under & ~down[z])
@@ -700,7 +663,7 @@ def _type_subadditive_rows(ctx):
     join = _row_table(ctx)
     if join is None:
         return False
-    t = [classify_t(ctx.L, x) for x in ctx.elements]
+    t = list(map(ctx.t, ctx.elements))
     for x, tx in enumerate(t):
         if max(map(operator.sub, map(t.__getitem__, join[x]), t)) > tx:
             return False
@@ -710,12 +673,12 @@ def _type_subadditive_rows(ctx):
 
 def _type_subadditive_pairs(ctx):
     L, els = ctx.L, ctx.elements
-    # One count per element; the testbed's box is closed under joins
-    # (coordinatewise minima), so only a faulty join needs its own count.
-    t = [classify_t(L, x) for x in els]
+    # One count per element; the elements are closed under joins, so only
+    # a faulty join needs its own count.
+    t = list(map(ctx.t, els))
     for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        t_join = t[j] if j >= 0 else classify_t(L, L.join2(els[i], els[k]))
+        t_join = t[j] if j >= 0 else ctx.t(L.join2(els[i], els[k]))
         if t_join > t[i] + t[k]:
             return False, ctx.witness(x=els[i], z=els[k])
     return True, None
@@ -771,9 +734,9 @@ def _check_mu_join_hom(ctx):
 
 def _mu_join_hom_rows(ctx):
     """Row x: the derivatives along join[x] against mu(x) v mu(z) for
-    every z: row mu(x) of the table read at every mu(z) on a finite
-    lattice.  On the testbed it is read from the table when both mus
-    lie in the box, and is ``join2`` otherwise."""
+    every z, read from row mu(x) of the table when both mus are elements,
+    and ``join2`` otherwise.  When every mu is an element, rows compare
+    positions: a derivative that is no element fails its row."""
     join = _row_table(ctx)
     if join is None:
         return False
@@ -781,12 +744,15 @@ def _mu_join_hom_rows(ctx):
     mus = [ctx.profile(x).mu for x in els]
     derivatives = [ctx.derivative(x) for x in els]
     join2 = ctx.L.join2
-    inside = None if ctx.finite else list(map(ctx.index.get, mus))
+    inside = list(map(ctx.index.get, mus))
+    every = None not in inside
+    if every:
+        derivatives = list(map(ctx.index.get, derivatives))
     for x, mu_x in enumerate(mus):
-        if ctx.finite:
-            expected = list(map(join[mu_x].__getitem__, mus))
-        elif inside[x] is None:
+        if inside[x] is None:
             expected = list(map(join2, repeat(mu_x), mus))
+        elif every:
+            expected = list(map(join[inside[x]].__getitem__, inside))
         else:
             row = join[inside[x]]
             expected = [
@@ -802,7 +768,7 @@ def _mu_join_hom_pairs(ctx):
     """The pair loop of ``mu_join_hom``.  Mus and derivatives are kept by
     position and computed on first use, in the pair loop's order, so a
     raising profile stops the law at the same pair.  The mus are joined
-    with ``join2``: on the testbed most of them lie outside the box."""
+    with ``join2``: they need not be elements."""
     L, els = ctx.L, ctx.elements
     join2, profile, derivative = L.join2, ctx.profile, ctx.derivative
     mus, derivatives = [None] * len(els), [None] * len(els)
@@ -859,7 +825,7 @@ def _check_minmax_bound(ctx):
         desc = list(reversed(asc))
         bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
         # under holds the z below every a v d
-        under = L.full()
+        under = full_mask(len(down))
         for a, d in zip(asc, desc):
             under &= down[L.join2(a, d)]
         escaped = under & ~down[bound]
@@ -968,7 +934,7 @@ def _check_core_union(ctx):
     """The core is the join of the zero-maximal elements below x; on a
     finite lattice that set is {bottom}."""
     L = ctx.L
-    t0 = [x for x in ctx.elements if classify_t(L, x) == 0]
+    t0 = [x for x in ctx.elements if ctx.t(x) == 0]
     for x in ctx.elements:
         ctx.checked += 1
         got = L.join_of_set([z for z in t0 if L.leq(z, x)])
@@ -992,7 +958,7 @@ def _core_decomp_rows(ctx):
     values c, c' that c takes; the rows of more than one y are left to
     the pair loop."""
     L = ctx.L
-    t0 = mask_of(y for y in ctx.elements if classify_t(L, y) == 0)
+    t0 = mask_of(y for y in ctx.elements if ctx.t(y) == 0)
     if t0.bit_count() != 1:
         return False
     y = t0.bit_length() - 1
@@ -1005,7 +971,7 @@ def _core_decomp_rows(ctx):
 
 def _core_decomp_pairs(ctx):
     L = ctx.L
-    t0 = mask_of(y for y in ctx.elements if classify_t(L, y) == 0)
+    t0 = mask_of(y for y in ctx.elements if ctx.t(y) == 0)
     down = L.poset.down
     join2, meet2 = L.join2, L.meet2
     profile, profiles = ctx.profile, ctx.profiles
@@ -1086,13 +1052,13 @@ def _check_t0_upper_semilattice(ctx):
     the bottom and is closed under binary join.  On a finite lattice the
     family is {bottom}, so one pair is checked."""
     L = ctx.L
-    t0 = [x for x in ctx.elements if classify_t(L, x) == 0]
+    t0 = [x for x in ctx.elements if ctx.t(x) == 0]
     if L.bottom not in t0:
         return False, ctx.witness(bottom=L.bottom)
     for a in t0:
         for b in t0:
             ctx.checked += 1
-            if classify_t(L, L.join2(a, b)) != 0:
+            if ctx.t(L.join2(a, b)) != 0:
                 return False, ctx.witness(a=a, b=b, join=L.join2(a, b))
     return True, None
 
@@ -1108,7 +1074,7 @@ def _check_x_minus_boundary_t0(ctx):
             # The boundary is a join of elements below x, so it is below x
             # unless the lattice's bottom (the empty join) is wrong.
             return False, ctx.witness(x=x, boundary=p.boundary)
-        if classify_t(L, r) != 0:
+        if ctx.t(r) != 0:
             return False, ctx.witness(x=x, sub=r)
         if not L.leq(r, p.core):
             return False, ctx.witness(x=x, sub=r, core=p.core)
@@ -1167,8 +1133,9 @@ def _fold_downset_subsets(ctx):
     """The subset loop of downset upper-completeness: fold each subset
     through the verified ``join_of_set``."""
     L = ctx.L
+    rows = L.poset
     for x in ctx.elements:
-        down = list(bits(L.down_set(x)))
+        down = ctx.below(x)
         subsets = [[]]
         subsets.extend([d] for d in down)
         subsets.extend(list(p) for p in itertools.combinations(down, 2))
@@ -1181,7 +1148,7 @@ def _fold_downset_subsets(ctx):
                 j = L.join_of_set(s)
             except LatticeIntegrityError as e:
                 return False, {**e.witness, "x": ctx.name(x)}
-            if not s and L.down_set(x) & ~L.up_set(j):
+            if not s and rows.down[x] & ~rows.up[j]:
                 return False, ctx.witness({"subset": []}, x=x, join=j)
     return True, None
 
@@ -1192,19 +1159,20 @@ def _check_k_lower_semilattice(ctx):
     On finite instances every element is dually compact and the induced
     meet is verified to be the true infimum, which makes the suite
     sensitive to any corrupted meet entry; on the testbed the closure of
-    the all-finite vectors under meets is a genuine statement.  On a
-    finite lattice ``L.meet_fault`` is the first witness of the pair loop
+    the all-finite vectors under meets is a genuine statement.  Where
+    ``L.meet_fault`` is kept it is the first witness of the pair loop
     over down(x) & down(z) against down(x ^ z): the law passes with every
     pair checked, or fails at that pair with the pairs up to it checked.
-    On the testbed the rows pass over the compact pairs runs first."""
+    Elsewhere the rows pass over the compact pairs runs first."""
     L = ctx.L
-    if ctx.finite:
+    if hasattr(L, "meet_fault"):
+        n = len(ctx.elements)
         if L.meet_fault is None:
-            ctx.checked = L.n * L.n
+            ctx.checked = n * n
             return True, None
         x, z = L.meet_fault
-        ctx.checked = x * L.n + z + 1
-        return False, ctx.witness(x=x, z=z, meet=L.meet[x][z])
+        ctx.checked = x * n + z + 1
+        return False, ctx.witness(x=x, z=z, meet=L.meet2(x, z))
     return _by_rows(ctx, _k_lower_rows, _k_lower_pairs)
 
 
@@ -1236,7 +1204,7 @@ def _k_lower_pairs(ctx):
 def _check_maximals_dually_compact(ctx):
     L = ctx.L
     for x in ctx.elements:
-        if not ctx.finite and not L.dually_compact(x):
+        if not L.dually_compact(x):
             continue
         for m in ctx.maximals(x):
             ctx.checked += 1
@@ -1288,8 +1256,6 @@ FAMILY_HYPOTHESES = {
 
 
 def _family_skip_reason(L, law: LawId, family) -> Optional[str]:
-    if family is None:
-        return None
     fam = family if isinstance(family, int) else mask_of(family)
     needs = FAMILY_HYPOTHESES.get(law, ())
     if "bottom" in needs and not contains(fam, L.bottom):
@@ -1302,10 +1268,13 @@ def _family_skip_reason(L, law: LawId, family) -> Optional[str]:
 
 
 def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=None) -> LawReport:
-    """Run one law on one instance; deterministic for fixed inputs."""
+    """Run one law on one instance; deterministic for fixed inputs.  A
+    family is a set of element positions, so it needs order rows."""
+    rows = hasattr(L, "poset")
+    if family is not None and not rows:
+        raise ValueError(f"{L.describe()} has no order rows, which a family of positions needs")
     spec = REGISTRY[law]
-    finite = isinstance(L, FiniteLattice)
-    instance = L.describe() if finite else f"testbed(dims={L.dims})"
+    instance = L.describe()
 
     def done(verdict, ctx=None, reason=None, witness=None):
         return LawReport(
@@ -1318,14 +1287,14 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
             witness=witness,
         )
 
-    if spec.finite_only and not finite:
+    if spec.needs_order_rows and not rows:
         return done("skipped", reason="requires finite enumeration")
     if spec.requires_coframe and not L.coframe:
         return done("skipped", reason="not a coframe")
     if spec.requires_distributive and not L.distributive:
         return done("skipped", reason="not distributive")
     use_family = family if law in FAMILY_HYPOTHESES else None
-    if use_family is not None and finite:
+    if use_family is not None:
         why = _family_skip_reason(L, law, use_family)
         if why is not None:
             return done("skipped", reason=why)

@@ -1,14 +1,14 @@
 """The residual calculus: maximal subelements, derivatives, cores, strata.
 
-Every function here is generic over an *effective lattice* instance.  A
-finite lattice exposes ``strictly_below``/``elements`` and the calculus
-computes everything definitionally (the maximal subelements of x are its
-lower covers, a cached row of the order, and derivatives are cached one
-element at a time on the lattice); an instance that instead
-supplies its own ``maximal_subelements``/``co_heyting_sub``/``outcasts``
-closed forms (the ordinal testbed) is used through those, so there is a
-single copy of the derivative/rank/stratum machinery.  Those three are
-the only closed forms dispatched; the other functions read finite rows.
+Every function here is generic over a lattice instance.  On a finite
+lattice's order rows (``poset``) the calculus computes everything
+definitionally: the maximal subelements of x are its lower covers, a
+cached row of the order, and derivatives are kept one element at a time
+in the lattice's ``derivatives`` row.  An instance that supplies its own
+``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` or
+default-family ``profile`` closed forms (the ordinal testbed) is used
+through those, so there is a single copy of the derivative/rank/stratum
+machinery.  The other functions read order rows.
 
 Set-valued results are returned in canonical index order.  Degenerate
 input: the bottom element has no maximal subelements, derivative itself,
@@ -77,23 +77,23 @@ def maximal_subelements(L, x, family=None) -> list:
     fam = _family_mask(L, family)
     if fam is None:
         return list(bits(L.poset.lower_covers[x]))
-    return list(bits(L.poset.maximal_of(L.strictly_below(x) & fam)))
+    return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
 
 
 def residual_derivative(L, x, family=None):
     """Meet of the maximal subelements; x itself when there are none.
 
-    On a finite lattice the default-family answer is kept in
-    ``L.derivatives``.  It is stored only after its verified fold
-    returns, so a corrupted meet entry raises at every call.
+    The default-family answer is kept in the instance's ``derivatives``
+    row, where it has one (a finite lattice does), only after its
+    verified fold returns, so a corrupted meet entry raises at every call.
     """
-    if family is None and isinstance(L, FiniteLattice):
-        row = L.derivatives
-        mu = row[x]
-        if mu is None:
-            mu = row[x] = _derivative(L, x, None)
-        return mu
-    return _derivative(L, x, family)
+    row = getattr(L, "derivatives", None) if family is None else None
+    if row is None:
+        return _derivative(L, x, family)
+    mu = row[x]
+    if mu is None:
+        mu = row[x] = _derivative(L, x, None)
+    return mu
 
 
 def _derivative(L, x, family):
@@ -117,7 +117,7 @@ def co_heyting_sub(L, x, z):
     if hasattr(L, "co_heyting_sub"):
         return L.co_heyting_sub(x, z)
     if not L.leq(z, x):
-        raise NotBelow(f"{L.names[z]} is not below {L.names[x]}")
+        raise NotBelow(f"{L.name(z)} is not below {L.name(x)}")
     down = L.poset.down
     if L.distributive:
         return L.join_of_set(bits(L.poset.irreducibles & down[x] & ~down[z]))
@@ -148,7 +148,7 @@ def classify_t(L, x) -> int:
     return L.poset.lower_covers[x].bit_count()
 
 
-def outcasts(L, x, family=None, residues=None) -> list:
+def outcasts(L, x, family=None, residues_of=None) -> list:
     """Elements of the family strictly below x that no maximal subelement covers.
 
     On a finite lattice the scan is one mask: the family below x minus
@@ -156,33 +156,35 @@ def outcasts(L, x, family=None, residues=None) -> list:
     the default family the result is cross-validated against the boundary
     criterion: outcasts exist iff the boundary of x is strictly below x,
     and then they are exactly the elements of up(boundary) minus {x}
-    within down(x) minus {x}.  ``residues``, when given, is the dict of
-    x - m by maximal subelement m, in maximal order, as
-    ``residual_profile`` reads it; its keys are then the maximal
-    subelements and its values the residues the boundary joins.
+    within down(x) minus {x}.  ``residues_of(x)``, read only by that
+    cross-check, gives the dict of x - m by maximal subelement m, in
+    maximal order, as ``residual_profile`` reads it; its keys are then
+    the maximal subelements and its values the residues the boundary
+    joins.
     """
     if hasattr(L, "outcasts"):
         return L.outcasts(x, family)
     fam = _family_mask(L, family)
-    cand = L.strictly_below(x)
-    if fam is not None:
-        cand &= fam
-    maxes = maximal_subelements(L, x, family) if residues is None else list(residues)
     down = L.poset.down
+    below = down[x] & ~(1 << x)
+    cand = below if fam is None else below & fam
+    cross_check = family is None and L.coframe
+    residues = residues_of(x) if cross_check and residues_of else None
+    maxes = maximal_subelements(L, x, family) if residues is None else list(residues)
     for m in maxes:
         cand &= ~down[m]
-    if family is None and L.coframe:
+    if cross_check:
         if residues is None:
             residues = {m: co_heyting_sub(L, x, m) for m in maxes}
         boundary = L.join_of_set(list(residues.values()))
-        expected = L.up_set(boundary) & L.strictly_below(x) if boundary != x else 0
+        expected = L.poset.up[boundary] & below if boundary != x else 0
         if expected != cand:
             raise LatticeIntegrityError(
                 "outcast scan disagrees with the boundary criterion",
                 witness={
-                    "x": L.names[x],
-                    "scan": [L.names[z] for z in bits(cand)],
-                    "boundary_criterion": [L.names[z] for z in bits(expected)],
+                    "x": L.name(x),
+                    "scan": [L.name(z) for z in bits(cand)],
+                    "boundary_criterion": [L.name(z) for z in bits(expected)],
                 },
             )
     return list(bits(cand))
@@ -263,12 +265,15 @@ def residual_profile(L, x, family=None, residues_of=None) -> ResidualProfile:
     ``residues_of(y)`` gives the dict of y - m by maximal subelement m of
     y, in maximal order, for x and each iterate; by default each is
     computed with ``maximal_subelements`` and ``co_heyting_sub``.  The law
-    registry passes its per-run rows (``laws._Ctx.residues``).
+    registry passes its per-run rows (``laws._Ctx.residues``).  A
+    closed-form ``profile`` answers the default family.
 
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
     the join of its core and its residues.
     """
+    if family is None and hasattr(L, "profile"):
+        return L.profile(x)
     fam = _family_mask(L, family)
     if residues_of is None:
         residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
@@ -310,12 +315,12 @@ def _verify_profile(L, p: ResidualProfile) -> None:
     if residual_derivative(L, p.core, p.family) != p.core:
         raise LatticeIntegrityError(
             "core is not a fixpoint of the derivative",
-            witness={"x": L.names[p.element], "core": L.names[p.core]},
+            witness={"x": L.name(p.element), "core": L.name(p.core)},
         )
     if not L.leq(p.mu, p.element):
         raise LatticeIntegrityError(
             "derivative escaped the downset of its argument",
-            witness={"x": L.names[p.element], "mu": L.names[p.mu]},
+            witness={"x": L.name(p.element), "mu": L.name(p.mu)},
         )
     hypotheses_ok = L.coframe and (
         p.family is None
@@ -330,9 +335,9 @@ def _verify_profile(L, p: ResidualProfile) -> None:
             raise LatticeIntegrityError(
                 "core-residue decomposition failed",
                 witness={
-                    "x": L.names[p.element],
-                    "core": L.names[p.core],
-                    "residues": [L.names[r] for r in p.residues.values()],
+                    "x": L.name(p.element),
+                    "core": L.name(p.core),
+                    "residues": [L.name(r) for r in p.residues.values()],
                 },
             )
 
@@ -341,7 +346,8 @@ def delta_plus(L, x, core=None) -> list:
     """Co-irreducible subelements of x not below its core."""
     if core is None:
         core = mu_iterates(L, x)[-1]
-    return list(bits(L.poset.coirreducibles & L.down_set(x) & ~L.down_set(core)))
+    down = L.poset.down
+    return list(bits(L.poset.coirreducibles & down[x] & ~down[core]))
 
 
 @dataclass(frozen=True)

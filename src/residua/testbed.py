@@ -14,8 +14,10 @@ rank omega and core bottom.  A vector's residue at a finite coordinate j
 keeps coordinate j and forgets the rest, its boundary is itself, and it
 never has outcasts.
 
-The law registry (``laws.run_all``) runs 16 of its 26 laws here, over
-box(``Budget.testbed_bound``); the other 10 need finite enumeration.
+The testbed meets the law registry's instance protocol (see ``laws``):
+its window is box(``Budget.testbed_bound``), ``name`` formats a vector,
+and its residual data are closed forms.  ``laws.run_all`` runs 16 of its
+26 laws here; the other 10 read order rows, which the testbed lacks.
 ``mu_join_hom`` plays the closed-form mu against the definitional
 derivative, the meet of the maximal subelements, and
 ``residue_unique_maximal`` bounds that derivative on every residue; the
@@ -29,7 +31,7 @@ every box pair, deciding whole rows of pairs at a time.
 unrolled for ``dims`` (see ``_kernels``) that check the lengths by
 unpacking them, so each call is one Python frame; ``co_heyting_sub``
 checks its order with ``leq`` and calls the x - z kernel.  ``run_all``
-in dims 3 makes 154,747 calls of them and ``dually_compact``.
+in dims 3 makes 154,147 calls of them and ``dually_compact``.
 Every other method, and the law registry, reads the public names, never
 a kernel, so a subclass or class patch that overrides one is seen by
 every use.
@@ -409,6 +411,12 @@ class OrdinalCoframe:
         _check_bound(bound)
         values = _box_values(bound)
         return list(itertools.product(*[[v for v in values if v >= c] for c in x]))
+
+    def name(self, x: tuple) -> str:
+        return fmt_vec(x)
+
+    def describe(self) -> str:
+        return f"testbed(dims={self.dims})"
 
     def max_finite(self, x: tuple) -> int:
         fins = [c for c in x if c != INF]

@@ -4,6 +4,8 @@ import json
 import random
 from dataclasses import fields, replace
 
+import pytest
+
 import residua.laws
 import residua.residual
 from residua.bitset import bits, contains, mask_of
@@ -927,7 +929,8 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
             elif kind == "outcasts":
                 assert ctx.outcasts(x) == outcasts(L, x)
         memo = ctx.memo
-        assert None not in memo.maximals + memo.residues + memo.outcasts, L.provenance
+        every = set(L.elements())
+        assert set(memo.maximals) == set(memo.residues) == set(memo.outcasts) == every, L.provenance
         for x in L.elements():
             assert residual_profile(L, x, residues_of=ctx.residues) == residual_profile(L, x)
 
@@ -944,7 +947,7 @@ def test_laws_in_a_family_bypass_the_rows(lattice_corpus):
             assert ctx.maximals(x) == maximal_subelements(L, x, family)
             assert ctx.outcasts(x) == outcasts(L, x, family)
             assert outcome(ctx.profile, x) == outcome(residual_profile, L, x, family)
-        assert memo.maximals is memo.residues is memo.outcasts is None
+        assert not (memo.maximals or memo.residues or memo.outcasts)
         assert not memo.profiles
 
 
@@ -976,7 +979,7 @@ def test_element_rows_store_only_what_passes(b3, m3):
                     assert memo.residues[x].get(m) == (single if isinstance(single, int) else None)
                     failed.add(("residue", L.provenance.split("+")[0], isinstance(single, tuple)))
                 assert outcome(ctx.outcasts, x) == outs, (L.provenance, x)
-                assert (memo.outcasts[x] is not None) == isinstance(outs, list)
+                assert (x in memo.outcasts) == isinstance(outs, list)
                 failed.add(("outcasts", L.provenance.split("+")[0], isinstance(outs, tuple)))
     assert ("residue", "boolean(3)", True) not in failed
     assert {("residue", "M3", True), ("outcasts", "boolean(3)", True)} <= failed
@@ -1273,3 +1276,68 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
     for law in PAIR_LAWS:
         assert run_law(cf, law, _memo=memo).verdict == "pass"
     assert len(box) ** 2 <= len(joins) <= 2 * len(box) ** 2
+
+
+# -- the instance protocol ------------------------------------------------------
+
+
+class ProtocolOnly:
+    """Delegates the law registry's instance protocol, its optional closed
+    forms and the facts its fast paths read to a wrapped instance, and
+    nothing else.  It is neither a ``FiniteLattice`` nor an
+    ``OrdinalCoframe``, so a registry that keyed on either class would
+    take the wrong branch for it, or miss an attribute."""
+
+    NAMES = {
+        # the protocol
+        "box", "box_below", "name", "describe", "bottom", "top", "coframe", "distributive",
+        "leq", "meet2", "join2", "meet_of_set", "join_of_set", "dually_compact",
+        # optional closed forms
+        "maximal_subelements", "co_heyting_sub", "outcasts", "profile",
+        # facts of the fast paths: order rows, stored tables, their faults,
+        # the derivative row, and the join fold's error
+        "poset", "join", "meet", "join_fault", "meet_fault", "derivatives", "_join_violation",
+    }
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name not in self.NAMES:
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+def test_registry_reads_instances_through_the_protocol():
+    """run_all on the wrapper gives the wrapped instance's reports byte for
+    byte: a finite lattice, with and without a family, one with a
+    corrupted join entry that fails 18 laws, and the testbed."""
+    from residua.testbed import OrdinalCoframe
+
+    d60 = divisor(60)
+    corrupted = mutate_entry(boolean(3), "join", 3, 2, 7)
+    family = mask_of([d60.bottom, *random.Random(23).sample(range(d60.n), 6)])
+    cases = [(d60, None), (d60, family), (corrupted, None), (OrdinalCoframe(2), None)]
+    for L, fam in cases:
+        want = [json.dumps(r.to_json_dict()) for r in run_all(L, family=fam)]
+        assert [json.dumps(r.to_json_dict()) for r in run_all(ProtocolOnly(L), family=fam)] == want
+    failing = [r for r in run_all(ProtocolOnly(corrupted)) if r.verdict == "fail"]
+    assert len(failing) == 18
+
+
+def test_a_family_needs_order_rows():
+    """A family is a set of element positions, so an instance without
+    order rows refuses one instead of running its laws without it.  On
+    a finite lattice the same family, which lacks the bottom, skips."""
+    from residua.testbed import OrdinalCoframe
+
+    family = [(0, 0), (1, 1)]
+    for run in (
+        lambda: run_law(OrdinalCoframe(2), LawId.MU_RESIDUE_DECOMP, family=family),
+        lambda: run_all(OrdinalCoframe(2), family=family),
+    ):
+        with pytest.raises(ValueError, match="no order rows"):
+            run()
+    b2 = boolean(2)
+    rep = run_law(b2, LawId.MU_RESIDUE_DECOMP, family=[b2.top])
+    assert (rep.verdict, rep.reason) == ("skipped", "family does not contain the bottom")
