@@ -42,11 +42,15 @@ testbed's is its box.  The fast paths key on the facts they read:
   pairs of ``minmax_bound`` count by arithmetic while the tables they
   read have no fault.
 
-The laws of one run share a ``_RunMemo``: default-family profiles and
-derivatives, and three rows by element, the maximal subelements, the
+The laws of one run share a ``_RunMemo``: the instance's description,
+order-rows flag and window, read once; default-family profiles and
+derivatives; and three rows by element, the maximal subelements, the
 residues x - m by maximal m and the outcasts.  ``residual_profile``
 builds the strata from the residue rows of the iterates, and the t-class
-of x is the length of its row of maximal subelements.  An entry is
+of x is the length of its row of maximal subelements.  On certified
+tables (``L.join_fault`` and ``L.meet_fault`` both None, as for every
+lattice ``as_lattice`` builds) each profile is instead built on that of
+its derivative, by a loop down the derivative chain.  An entry is
 stored only once its fold or cross-check has passed, so each law reports
 what it reports run alone.
 
@@ -55,17 +59,21 @@ with ``map`` over row x of the join table and per-element lists (t
 counts, mus, derivatives, core positions) are compared at once, and
 ``mu_monotone`` and ``coheyting_join`` map their primitives over the
 elements below x.  Every call a pair loop's verdict reads is still made,
-and ``checked`` is added by arithmetic.  A failing row, a table entry of
--1, or any error while the rows gather their facts sends the law back to
-0 checked, and its pair loop replays every pair from the start to report
-the first failing one, with the pair loop's count and errors.
+but for two theorems: on order rows ``mu_monotone`` compares lower
+covers only, as the order is transitive, and with a single core c
+``core_join_hom`` reads join[c][c] alone.  ``checked`` is added by
+arithmetic.  A failing row, a table entry of -1, or any error while the
+rows gather their facts sends the law back to 0 checked, and its pair
+loop replays every pair from the start to report the first failing one,
+with the pair loop's count and errors.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
-``_Ctx.join_fold``, whose memo lives on the law's context and goes with
-it.  A fold whose mask minus its highest bit is stored costs one join
-entry and one AND; every fold is verified as ``join_of_set`` verifies
-it, raises its error, and is stored only when it passes.
+``_Ctx.join_fold``, whose memo, keyed by ``_key(mask)``, is the run's
+on certified tables and the law's otherwise.  A fold whose mask minus
+its highest bit is stored costs one join entry and one AND; every fold
+is verified as ``join_of_set`` verifies it, raises its error, and is
+stored only when it passes.
 
 Two corollaries bound what the finite checks can see.  Every core on a
 finite lattice is the bottom (mu(x) lies below each lower cover of x),
@@ -93,6 +101,7 @@ from .residual import (
     delta_plus,
     family_is_lattice,
     family_is_upper_semilattice,
+    family_mask,
     maximal_subelements,
     outcasts,
     residual_derivative,
@@ -174,6 +183,17 @@ class LawReport:
         return out
 
 
+_EXACT_HASH = 1 << 61
+
+
+def _key(mask: int):
+    """A dict key for a mask that Python hashes well.  An int hashes to
+    itself modulo 2**61 - 1, so masks that differ only in bits i and
+    i + 61 collide (the 1,024 up rows of chain:1024 take 61 hashes);
+    from 2**61 up the key is the mask's bytes, whose hash mixes every bit."""
+    return mask if mask < _EXACT_HASH else mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+
+
 @dataclass
 class _RunMemo:
     """What the laws of one ``run_all`` (or one ``run_law``) share; it is
@@ -186,7 +206,9 @@ class _RunMemo:
     ``_Ctx.maximals``): the maximal subelements of x, the dict of x - m by
     maximal m, and the outcasts of x.  An entry is stored only once its
     fold or cross-check has passed, so a faulty table raises the same
-    error at every read."""
+    error at every read.  ``folds`` is the verified-fold memo of
+    ``_Ctx.join_fold`` on certified tables, ``facts`` what ``run_facts``
+    reads of the instance, and ``row_table`` what ``_row_table`` finds."""
 
     profiles: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
@@ -194,22 +216,37 @@ class _RunMemo:
     maximals: dict = field(default_factory=dict)
     residues: dict = field(default_factory=dict)
     outcasts: dict = field(default_factory=dict)
+    folds: dict = field(default_factory=dict)
+    facts: Optional[tuple] = None
+    row_table: Optional[tuple] = None
+
+    def run_facts(self, L, budget: Budget) -> tuple:
+        """``(L.describe(), order rows?, window, certified?)``, read by the
+        run's first law.  Tables are certified when order rows show no
+        join or meet fault, as for every lattice ``as_lattice`` builds."""
+        if self.facts is None:
+            rows = hasattr(L, "poset")
+            certified = rows and L.join_fault is None and L.meet_fault is None
+            self.facts = (L.describe(), rows, L.box(budget.testbed_bound), certified)
+        return self.facts
 
 
 class _Ctx:
     """Per-law state: element list, the run's memo, fold memo, deterministic
-    sampler."""
+    sampler.  On certified tables the folds are the run's, and each
+    default-family profile is built on that of its derivative."""
 
     def __init__(self, L, budget: Budget, law: LawId, family=None, memo=None):
         self.L = L
         self.budget = budget
         self.family = family
-        self.elements = L.box(budget.testbed_bound)
-        self.name = L.name
-        self._rng_seed = f"{budget.seed}:{law.value}"
+        self.law = law
         self.memo = memo = memo or _RunMemo()
+        _, _, self.elements, certified = memo.run_facts(L, budget)
+        self.name = L.name
         self.profiles = memo.profiles if family is None else {}
-        self.folds = {}  # head -> mask -> verified fold (see join_fold)
+        self.folds = memo.folds if certified else {}  # head -> _key(mask) -> verified fold
+        self.assemble = certified and family is None
         self.sampled_subsets = False
         self.checked = 0
 
@@ -217,13 +254,41 @@ class _Ctx:
     def rng(self) -> random.Random:
         """The law's seeded sampler, built on first use: most laws never
         draw."""
-        return random.Random(self._rng_seed)
+        return random.Random(f"{self.budget.seed}:{self.law.value}")
 
     def profile(self, x):
-        if x not in self.profiles:
-            residues_of = self.residues if self.family is None else None
-            self.profiles[x] = residual_profile(self.L, x, self.family, residues_of=residues_of)
-        return self.profiles[x]
+        got = self.profiles.get(x)
+        if got is None:
+            if self.assemble:
+                got = self._assembled(x)
+            else:
+                residues_of = self.residues if self.family is None else None
+                got = residual_profile(self.L, x, self.family, residues_of=residues_of)
+            self.profiles[x] = got
+        return got
+
+    def _assembled(self, x):
+        """The profile of x built on that of mu(x) (``residual_profile``'s
+        ``mu_profile``).  A loop walks the derivative chain of x down to a
+        kept profile or a fixpoint, then builds and keeps the profiles on
+        the way back up.  On any error x is profiled by iteration, which
+        raises the error again if it is one of x's own."""
+        L, profiles, residues = self.L, self.profiles, self.residues
+        chain, below = [x], None
+        try:
+            while True:
+                mu = self.derivative(chain[-1])
+                if mu == chain[-1]:
+                    break
+                below = profiles.get(mu)
+                if below is not None:
+                    break
+                chain.append(mu)
+            for y in reversed(chain[1:]):
+                below = profiles[y] = residual_profile(L, y, residues_of=residues, mu_profile=below)
+        except Exception:
+            below = None
+        return residual_profile(L, x, residues_of=residues, mu_profile=below)
 
     # The run's element rows, used with the default family only.  Each is
     # filled through this module's ``maximal_subelements``,
@@ -331,33 +396,37 @@ class _Ctx:
     def join_fold(self, head: int, mask: int) -> int:
         """``L.join_of_set([head, *bits(mask)])`` on order rows, with
         the same left fold, check, error and witness, through a memo that
-        lives as long as the law's context.
+        lives as long as the law's context, or the run's on certified
+        tables.
 
         Only verified folds are stored, and a verified fold's common upper
         bounds are up(acc), so the memo keeps acc alone, by head and then
-        by mask.  A fold whose mask minus its highest bit t is stored
-        extends it by one join entry and one AND: join[acc][t], with
-        up[acc] & up[t] as the upper bounds to check.  Any other fold is
-        folded in full."""
+        by ``_key(mask)``.  A fold whose mask minus its highest bit t is
+        stored extends it by one join entry and one AND: join[acc][t],
+        with up[acc] & up[t] as the upper bounds to check.  Any other fold
+        is folded in full."""
         folds = self.folds.get(head)
         if folds is None:
             folds = self.folds[head] = {}
-        acc = folds.get(mask)
+        key = _key(mask)
+        acc = folds.get(key)
         if acc is not None:
             return acc
         up, join = self.L.poset.up, self.L.join
         top = mask.bit_length() - 1
-        prefix = folds.get(mask ^ (1 << top)) if mask else None
+        prefix = folds.get(_key(mask ^ (1 << top))) if mask else None
         if prefix is not None:
             acc, upper = join[prefix][top], up[prefix] & up[top]
         else:
-            acc, upper = head, up[head]
-            for x in bits(mask):
-                acc = join[acc][x]
-                upper &= up[x]
+            acc, upper, rest = head, up[head], mask
+            while rest:  # the members in ascending order, as bits(mask)
+                low = rest & -rest
+                rest ^= low
+                low = low.bit_length() - 1
+                acc, upper = join[acc][low], upper & up[low]
         if upper != up[acc]:
             raise self.L._join_violation([head, *bits(mask)], acc)
-        folds[mask] = acc
+        folds[key] = acc
         return acc
 
     def join_of_mask(self, mask: int) -> int:
@@ -416,11 +485,12 @@ def _by_rows(ctx, rows, pairs):
 def _row_table(ctx):
     """The join table for a row pass, or None when an entry is -1 (a join
     outside the elements, which only a faulty ``join2`` makes): the pair
-    loop decides those."""
-    table = ctx.join_table()
-    if any(map(operator.contains, table, repeat(-1))):
-        return None
-    return table
+    loop decides those.  The table is scanned once per run."""
+    memo = ctx.memo
+    if memo.row_table is None:
+        table = ctx.join_table()
+        memo.row_table = (None if any(map(operator.contains, table, repeat(-1))) else table,)
+    return memo.row_table[0]
 
 
 def _check_coheyting_join(ctx):
@@ -704,9 +774,20 @@ def _check_mu_monotone(ctx):
 
 
 def _mu_monotone_rows(ctx):
-    """Row x: mu(z) <= mu(x) for every z below x, one ``leq`` each."""
+    """Row x: mu(z) <= mu(x) for every z below x, one ``leq`` each.  On
+    order rows only the lower covers z of x are compared: the verified
+    order is transitive, so mu is monotone on every pair once it is on
+    the covers."""
     leq = ctx.L.leq
     mus = {x: ctx.profile(x).mu for x in ctx.elements}
+    rows = getattr(ctx.L, "poset", None)
+    if rows is not None:
+        covers = rows.lower_covers
+        for x in ctx.elements:
+            if not all(map(leq, map(mus.__getitem__, bits(covers[x])), repeat(mus[x]))):
+                return False
+        ctx.checked += sum(map(int.bit_count, rows.down))
+        return True
     for x in ctx.elements:
         below = ctx.below(x)
         if not all(map(leq, map(mus.__getitem__, below), repeat(mus[x]))):
@@ -736,7 +817,8 @@ def _mu_join_hom_rows(ctx):
     """Row x: the derivatives along join[x] against mu(x) v mu(z) for
     every z, read from row mu(x) of the table when both mus are elements,
     and ``join2`` otherwise.  When every mu is an element, rows compare
-    positions: a derivative that is no element fails its row."""
+    positions, the rows of one mu share their expected row, and a
+    derivative that is no element fails its row."""
     join = _row_table(ctx)
     if join is None:
         return False
@@ -748,11 +830,14 @@ def _mu_join_hom_rows(ctx):
     every = None not in inside
     if every:
         derivatives = list(map(ctx.index.get, derivatives))
+    by_mu = {}
     for x, mu_x in enumerate(mus):
         if inside[x] is None:
             expected = list(map(join2, repeat(mu_x), mus))
         elif every:
-            expected = list(map(join[inside[x]].__getitem__, inside))
+            expected = by_mu.get(inside[x])
+            if expected is None:
+                expected = by_mu[inside[x]] = list(map(join[inside[x]].__getitem__, inside))
         else:
             row = join[inside[x]]
             expected = [
@@ -997,8 +1082,10 @@ def _check_core_join_hom(ctx):
 
 def _core_join_hom_rows(ctx):
     """Row x: the core positions along join[x] against row core(x) of the
-    table read at every core(z).  A core outside the elements, which only
-    a faulty profile gives, leaves the law to the pair loop."""
+    table read at every core(z).  With a single core c (every finite
+    lattice's bottom) each row is c throughout on both sides, the right
+    one being join[c][c].  A core outside the elements, which only a
+    faulty profile gives, leaves the law to the pair loop."""
     join = _row_table(ctx)
     if join is None:
         return False
@@ -1006,9 +1093,16 @@ def _core_join_hom_rows(ctx):
     at = [get(ctx.profile(x).core, -1) for x in ctx.elements]
     if -1 in at:
         return False
-    for x, core in enumerate(at):
-        if list(map(at.__getitem__, join[x])) != list(map(join[core].__getitem__, at)):
-            return False
+    c = at[0]
+    if at.count(c) == len(at):
+        ok = join[c][c] == c
+    else:
+        ok = all(
+            list(map(at.__getitem__, join[x])) == list(map(join[core].__getitem__, at))
+            for x, core in enumerate(at)
+        )
+    if not ok:
+        return False
     ctx.checked += len(at) ** 2
     return True
 
@@ -1255,8 +1349,7 @@ FAMILY_HYPOTHESES = {
 }
 
 
-def _family_skip_reason(L, law: LawId, family) -> Optional[str]:
-    fam = family if isinstance(family, int) else mask_of(family)
+def _family_skip_reason(L, law: LawId, fam: int) -> Optional[str]:
     needs = FAMILY_HYPOTHESES.get(law, ())
     if "bottom" in needs and not contains(fam, L.bottom):
         return "family does not contain the bottom"
@@ -1270,44 +1363,37 @@ def _family_skip_reason(L, law: LawId, family) -> Optional[str]:
 def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=None) -> LawReport:
     """Run one law on one instance; deterministic for fixed inputs.  A
     family is a set of element positions, so it needs order rows."""
-    rows = hasattr(L, "poset")
-    if family is not None and not rows:
-        raise ValueError(f"{L.describe()} has no order rows, which a family of positions needs")
+    if family is not None:
+        family = family_mask(L, family)
+    memo = _memo or _RunMemo()
+    instance, rows, _, _ = memo.run_facts(L, budget)
     spec = REGISTRY[law]
-    instance = L.describe()
-
-    def done(verdict, ctx=None, reason=None, witness=None):
-        return LawReport(
-            law=law.value,
-            instance=instance,
-            verdict=verdict,
-            checked=ctx.checked if ctx else 0,
-            sampled_subsets=ctx.sampled_subsets if ctx else False,
-            reason=reason,
-            witness=witness,
-        )
-
     if spec.needs_order_rows and not rows:
-        return done("skipped", reason="requires finite enumeration")
-    if spec.requires_coframe and not L.coframe:
-        return done("skipped", reason="not a coframe")
-    if spec.requires_distributive and not L.distributive:
-        return done("skipped", reason="not distributive")
-    use_family = family if law in FAMILY_HYPOTHESES else None
-    if use_family is not None:
-        why = _family_skip_reason(L, law, use_family)
-        if why is not None:
-            return done("skipped", reason=why)
-    ctx = _Ctx(L, budget, law, family=use_family, memo=_memo)
+        reason = "requires finite enumeration"
+    elif spec.requires_coframe and not L.coframe:
+        reason = "not a coframe"
+    elif spec.requires_distributive and not L.distributive:
+        reason = "not distributive"
+    elif family is not None and law in FAMILY_HYPOTHESES:
+        reason = _family_skip_reason(L, law, family)
+    else:
+        reason = None
+    if reason is not None:
+        return LawReport(law.value, instance, "skipped", 0, True, False, reason)
+    use_family = None if family is None or law not in FAMILY_HYPOTHESES else family
+    ctx = _Ctx(L, budget, law, family=use_family, memo=memo)
     try:
-        ok, extra = spec.fn(ctx)
+        ok, witness = spec.fn(ctx)
     except LatticeIntegrityError as e:
-        return done("fail", ctx, reason=str(e), witness=e.witness)
+        ok, reason, witness = False, str(e), e.witness
     if ok is None:
-        return done("skipped", ctx, reason=extra)
-    if ok:
-        return done("pass", ctx)
-    return done("fail", ctx, witness=extra)
+        verdict, reason, witness = "skipped", witness, None
+    elif ok:
+        verdict, witness = "pass", None
+    else:
+        verdict = "fail"
+    # positional arguments: keywords make this call about twice as dear
+    return LawReport(law.value, instance, verdict, ctx.checked, True, ctx.sampled_subsets, reason, witness)
 
 
 def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, family=None) -> list:

@@ -49,10 +49,14 @@ class RankValue:
 OMEGA = RankValue(finite=None)
 
 
-def _family_mask(L: FiniteLattice, family) -> Optional[int]:
-    """Normalize a family to a carrier bitmask (None means all of L)."""
+def family_mask(L, family) -> Optional[int]:
+    """Normalize a family to a carrier bitmask (None means all of L).  A
+    family is a set of element positions, so it needs order rows: without
+    them it raises ``ValueError``."""
     if family is None:
         return None
+    if not hasattr(L, "poset"):
+        raise ValueError(f"{L.describe()} has no order rows, which a family of positions needs")
     if isinstance(family, int):
         return family
     return mask_of(family)
@@ -74,7 +78,7 @@ def maximal_subelements(L, x, family=None) -> list:
     """Maximal elements of family /\\ (down(x) minus {x})."""
     if hasattr(L, "maximal_subelements"):
         return L.maximal_subelements(x, family)
-    fam = _family_mask(L, family)
+    fam = family_mask(L, family)
     if fam is None:
         return list(bits(L.poset.lower_covers[x]))
     return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
@@ -164,7 +168,7 @@ def outcasts(L, x, family=None, residues_of=None) -> list:
     """
     if hasattr(L, "outcasts"):
         return L.outcasts(x, family)
-    fam = _family_mask(L, family)
+    fam = family_mask(L, family)
     down = L.poset.down
     below = down[x] & ~(1 << x)
     cand = below if fam is None else below & fam
@@ -259,7 +263,7 @@ class ResidualProfile:
         return "\n".join(lines) + "\n"
 
 
-def residual_profile(L, x, family=None, residues_of=None) -> ResidualProfile:
+def residual_profile(L, x, family=None, residues_of=None, mu_profile=None) -> ResidualProfile:
     """Iterate the derivative to its fixpoint and assemble the full record.
 
     ``residues_of(y)`` gives the dict of y - m by maximal subelement m of
@@ -268,15 +272,26 @@ def residual_profile(L, x, family=None, residues_of=None) -> ResidualProfile:
     registry passes its per-run rows (``laws._Ctx.residues``).  A
     closed-form ``profile`` answers the default family.
 
+    ``mu_profile``, a default-family profile of mu(x) != x, lets the
+    record be built from it instead: the iterates, strata and rho of
+    mu(x) follow stratum 0 of x, and the core is that of mu(x).  Any
+    error while building it falls back to the iteration, which raises it
+    again if it is one of x's own.
+
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
     the join of its core and its residues.
     """
     if family is None and hasattr(L, "profile"):
         return L.profile(x)
-    fam = _family_mask(L, family)
+    fam = family_mask(L, family)
     if residues_of is None:
         residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
+    if mu_profile is not None and fam is None:
+        try:
+            return _profile_over(L, x, residues_of(x), mu_profile)
+        except Exception:
+            pass  # the iteration below raises it again if it is x's own
     iterates = mu_iterates(L, x, fam)
     core = iterates[-1]
     rank = RankValue.of(len(iterates) - 1)
@@ -306,6 +321,34 @@ def residual_profile(L, x, family=None, residues_of=None) -> ResidualProfile:
         rho=rho,
         t_class=len(maxes),
         iterates=tuple(iterates),
+    )
+    _verify_profile(L, profile)
+    return profile
+
+
+def _profile_over(L, x, residues: dict, below: ResidualProfile) -> ResidualProfile:
+    """The default-family profile of x from ``below``, that of mu(x) != x:
+    the record ``residual_profile`` iterates to, with the same checks."""
+    if below.family is not None or residual_derivative(L, x) != below.element or below.element == x:
+        raise ValueError("mu_profile is not the profile of the derivative of x")
+    stratum = tuple(sorted(set(residues.values())))
+    rho = dict.fromkeys(stratum, 0)
+    for s, a in below.rho.items():
+        rho.setdefault(s, a + 1)
+    profile = ResidualProfile(
+        element=x,
+        family=None,
+        maximal=tuple(residues),
+        mu=below.element,
+        rank=RankValue.of(below.rank.finite + 1),
+        core=below.core,
+        residues=residues,
+        boundary=L.join_of_set(list(residues.values())),
+        strata=(stratum, *below.strata),
+        boundary_poset=tuple(sorted(rho)),
+        rho=rho,
+        t_class=len(residues),
+        iterates=(x, *below.iterates),
     )
     _verify_profile(L, profile)
     return profile

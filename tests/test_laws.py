@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -29,6 +30,7 @@ from residua.laws import (
     _Ctx,
     _RunMemo,
     _fold_downset_subsets,
+    _key,
     _sample_chains,
     mutate_entry,
     run_all,
@@ -706,6 +708,26 @@ def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkey
     assert {"antichain", "rank order"} <= violated
 
 
+def test_mu_monotone_covers_report_the_pair_loops_first_witness(lattice_corpus, monkeypatch):
+    """Profiles whose mus are moved at random elements make mu_monotone
+    fail.  Its rows pass, which compares lower covers only, reports what
+    its pair loop reports, witnesses and counts included, on those
+    profiles and on the true ones."""
+    law = LawId.MU_MONOTONE
+    rng = random.Random(25)
+    cases = []
+    for L in lattice_corpus[::5]:
+        profiles = {x: residual_profile(L, x) for x in L.elements()}
+        cases.append((L, dict(profiles)))
+        for x in rng.sample(range(L.n), max(1, L.n // 8)):
+            profiles[x] = replace(profiles[x], mu=rng.randrange(L.n))
+        cases.append((L, profiles))
+    fast = [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases]
+    monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=residua.laws._mu_monotone_pairs))
+    assert [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases] == fast
+    assert {"pass", "fail"} <= {doc["verdict"] for doc in fast}
+
+
 def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypatch):
     """With profiles that raise at chosen elements, the hoisted pair loops
     fail at the same pair, with the same witness, as the reference loops.
@@ -714,10 +736,10 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     real = residua.residual.residual_profile
 
     def raising_at(elements):
-        def profile(L, x, family=None, residues_of=None):
+        def profile(L, x, family=None, residues_of=None, mu_profile=None):
             if x in elements:
                 raise LatticeIntegrityError("injected", witness={"x": L.names[x]})
-            return real(L, x, family, residues_of)
+            return real(L, x, family, residues_of, mu_profile)
 
         return profile
 
@@ -866,7 +888,8 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 
 
 def test_run_all_leaves_no_fold_state_on_the_lattice():
-    """The fold memo lives on each law's context: after ``run_all`` the
+    """The fold memo lives with the run, or with each law's context on a
+    copy with a table fault, never on the lattice: after ``run_all`` the
     lattice holds only its derivative row, its two table faults and its
     meet table (built on first read), and the poset its order facts: the
     Hasse diagram kept by its axiom check and the irreducibles."""
@@ -893,6 +916,59 @@ def test_run_all_reports_equal_each_law_run_alone(b3, div12):
     assert len(cases) == 360 + 448
     # the laws besides the profiles' that read the rows and fail here
     assert {"maximals_join", "maximals_meet_maximal", "mu_residue_bound", "outcast_trichotomy"} <= failing
+
+
+def test_certified_runs_match_laws_run_alone_and_definitional_profiles(lattice_corpus, b3, div12):
+    """On certified tables one run shares its verified folds among the
+    laws and builds each profile on that of its derivative.  On corpus
+    lattices and relabeled ones, whose index order is no linear
+    extension, ``run_all`` reports what each law reports run alone with
+    its own memo, and every profile of a run, asked in a random order,
+    equals the definitional ``residual_profile``.  A copy with a table
+    fault keeps one fold memo per law and iterates its profiles."""
+    rng = random.Random(24)
+    lattices = lattice_corpus[::6]
+    lattices += [relabeled(L, seed) for L in (b3, div12, divisor(60), boolean(4), chain(12)) for seed in range(3)]
+    for L in lattices:
+        assert run_all(L) == [run_law(L, law) for law in REGISTRY], L.provenance
+        memo = _RunMemo()
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MU_MONOTONE, memo=memo)
+        assert ctx.assemble and ctx.folds is memo.folds
+        for x in rng.sample(range(L.n), L.n):
+            assert ctx.profile(x) == residual_profile(L, x), (L.provenance, x)
+        if L.distributive:
+            run_law(L, LawId.SUBELEMENT_DECOMP, _memo=memo)
+            assert memo.folds
+    ctx = _Ctx(mutate_entry(b3, "join", 3, 2, 7), DEFAULT_BUDGET, LawId.MU_MONOTONE)
+    assert not ctx.assemble and ctx.folds is not ctx.memo.folds
+
+
+def test_profiles_walk_derivative_chains_without_recursion():
+    """Element 0 of a relabeled chain:300 lies high in the chain, so its
+    profile walks down a long derivative chain and builds every profile
+    below it.  With the recursion limit at 200 the walk still keeps all
+    300 profiles, and ``run_all`` passes every law."""
+    L = relabeled(generate("chain:300"), 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MU_MONOTONE)
+        top = ctx.profile(L.top)
+        reports = run_all(L)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (top.rank.finite, len(ctx.profiles)) == (299, 300)
+    assert all(r.verdict == "pass" for r in reports)
+
+
+def test_fold_keys_hash_wide_masks_apart():
+    """Python hashes an int modulo 2**61 - 1, so the 1,024 up rows of
+    chain:1024 take 61 hashes as ints and 1,024 as ``_key`` makes them.
+    A mask below 2**61 is its own key."""
+    up = generate("chain:1024").poset.up
+    assert len({hash(m) for m in up}) == 61
+    assert len({hash(_key(m)) for m in up}) == 1024
+    assert [_key(m) for m in (0, 5, (1 << 61) - 1)] == [0, 5, (1 << 61) - 1]
 
 
 def outcome(fn, *args):
@@ -1327,16 +1403,18 @@ def test_registry_reads_instances_through_the_protocol():
 
 def test_a_family_needs_order_rows():
     """A family is a set of element positions, so an instance without
-    order rows refuses one instead of running its laws without it.  On
-    a finite lattice the same family, which lacks the bottom, skips."""
+    order rows refuses one instead of running its laws without it, and
+    ``residual_profile`` refuses one with the same message.  On a finite
+    lattice the same family, which lacks the bottom, skips."""
     from residua.testbed import OrdinalCoframe
 
     family = [(0, 0), (1, 1)]
     for run in (
         lambda: run_law(OrdinalCoframe(2), LawId.MU_RESIDUE_DECOMP, family=family),
         lambda: run_all(OrdinalCoframe(2), family=family),
+        lambda: residual_profile(OrdinalCoframe(2), (2, 2), [(2, 2), (1, 2)]),
     ):
-        with pytest.raises(ValueError, match="no order rows"):
+        with pytest.raises(ValueError, match=r"^testbed\(dims=2\) has no order rows, which a family of positions needs$"):
             run()
     b2 = boolean(2)
     rep = run_law(b2, LawId.MU_RESIDUE_DECOMP, family=[b2.top])
