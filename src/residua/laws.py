@@ -89,7 +89,7 @@ import operator
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -356,7 +356,7 @@ class _Ctx:
         row = self.memo.derivatives
         mu = row.get(x)
         if mu is None:
-            mu = row[x] = residual_derivative(self.L, x)
+            mu = row[x] = residual_derivative(self.L, x, maximals_of=self.maximals)
         return mu
 
     @cached_property
@@ -513,13 +513,15 @@ def _check_coheyting_join(ctx):
 
 
 def _coheyting_join_rows(ctx):
-    """Row x: z v (x - z) for every z below x, with the same
-    ``co_heyting_sub`` and ``join2`` calls as the pair loop."""
+    """Row x: z v (x - z) for every z below x, with the same x - z and
+    ``join2`` calls as the pair loop; x - z is bound once, as
+    ``co_heyting_sub`` dispatches."""
     L = ctx.L
     join2 = L.join2
+    sub = getattr(L, "co_heyting_sub", None) or partial(co_heyting_sub, L)
     for x in ctx.elements:
         below = ctx.below(x)
-        subs = list(map(co_heyting_sub, repeat(L), repeat(x), below))
+        subs = list(map(sub, repeat(x), below))
         if list(map(join2, below, subs)) != [x] * len(below):
             return False
         ctx.checked += len(below)
@@ -1419,6 +1421,8 @@ def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> Fi
     table from the down rows."""
     if table not in ("meet", "join"):
         raise ValueError("table must be 'meet' or 'join'")
+    if not (i in range(L.n) and j in range(L.n) and value in range(L.n)):
+        raise ValueError(f"{table}[{i}][{j}]={value} is outside the carrier range({L.n})")
     rows = [list(row) for row in getattr(L, table)]
     rows[i][j] = value
     mutated = {"join" if table == "join" else "meet_rows": tuple(tuple(r) for r in rows)}

@@ -84,24 +84,28 @@ def maximal_subelements(L, x, family=None) -> list:
     return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
 
 
-def residual_derivative(L, x, family=None):
+def residual_derivative(L, x, family=None, maximals_of=None):
     """Meet of the maximal subelements; x itself when there are none.
 
     The default-family answer is kept in the instance's ``derivatives``
     row, where it has one (a finite lattice does), only after its
     verified fold returns, so a corrupted meet entry raises at every call.
+    An instance without that row reads the maximal subelements of x from
+    ``maximals_of(x)`` when it is given, as ``residual_profile`` reads
+    ``residues_of``: the law registry passes its per-run row
+    (``laws._Ctx.maximals``).
     """
     row = getattr(L, "derivatives", None) if family is None else None
     if row is None:
-        return _derivative(L, x, family)
+        return _derivative(L, x, family, maximals_of)
     mu = row[x]
     if mu is None:
         mu = row[x] = _derivative(L, x, None)
     return mu
 
 
-def _derivative(L, x, family):
-    maxes = maximal_subelements(L, x, family)
+def _derivative(L, x, family, maximals_of=None):
+    maxes = maximal_subelements(L, x, family) if maximals_of is None else maximals_of(x)
     if not maxes:
         return x
     return L.meet_of_set(maxes)
@@ -118,8 +122,9 @@ def co_heyting_sub(L, x, z):
     non-distributive finite lattice (a subgroup lattice, say) scans
     down(x) for the y with z v y = x and folds their meet.
     """
-    if hasattr(L, "co_heyting_sub"):
-        return L.co_heyting_sub(x, z)
+    closed_form = getattr(L, "co_heyting_sub", None)
+    if closed_form is not None:
+        return closed_form(x, z)
     if not L.leq(z, x):
         raise NotBelow(f"{L.name(z)} is not below {L.name(x)}")
     down = L.poset.down

@@ -29,12 +29,14 @@ every box pair, deciding whole rows of pairs at a time.
 
 ``leq``, ``meet2`` and ``join2``, read off an instance, are kernels
 unrolled for ``dims`` (see ``_kernels``) that check the lengths by
-unpacking them, so each call is one Python frame; ``co_heyting_sub``
-checks its order with ``leq`` and calls the x - z kernel.  ``run_all``
-in dims 3 makes 154,147 calls of them and ``dually_compact``.
-Every other method, and the law registry, reads the public names, never
-a kernel, so a subclass or class patch that overrides one is seen by
-every use.
+unpacking them, so each call is one Python frame.  So is
+``co_heyting_sub`` while ``leq`` is the kernel: it tests z <= x inline
+(see ``_OrderChecked``); under any other ``leq`` it is the method, which
+calls that ``leq``.  ``run_all`` in dims 3 makes 143,890 calls of them
+and ``dually_compact``; ``coheyting_join`` binds x - z once for its
+9,261.  Every other method, and the law registry, reads the public
+names, never a kernel, so a subclass or class patch that overrides one
+is seen by every use.
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -174,36 +176,49 @@ def _check_lengths(dims: int, vs) -> None:
 @cache
 def _kernels(dims: int) -> tuple:
     """``leq``, ``meet``, ``join`` and ``sub`` (x - z) on two vectors of
-    length ``dims``, unrolled over the coordinates: one comparison per
-    coordinate, where ``tuple(map(min, x, y))`` pays a call of ``min``
-    and ``all(map(ge, x, y))`` an iterator step.  They take x's
-    coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...  Each
-    checks the lengths by that tuple unpacking: when it fails, the
+    length ``dims``, and ``checked_sub``, unrolled over the coordinates:
+    one comparison per coordinate, where ``tuple(map(min, x, y))`` pays a
+    call of ``min`` and ``all(map(ge, x, y))`` an iterator step.  They
+    take x's coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...
+    Each checks the lengths by that tuple unpacking: when it fails, the
     kernel raises ``_check_lengths``' DimensionMismatch, or the unpacking
-    error itself if both lengths are right.  Each dims is compiled once,
-    by its first ``OrdinalCoframe``."""
+    error itself if both lengths are right.  ``checked_sub`` is x - z
+    with the method's order test z <= x done inline: it unpacks and
+    checks z before x, as ``leq(z, x)`` does, and raises the method's
+    NotBelow.  Each dims is compiled once, by its first
+    ``OrdinalCoframe``."""
     a = [f"a{i}" for i in range(dims)]
     b = [f"b{i}" for i in range(dims)]
-    unpack = (
-        f"    try:\n        {', '.join(a)}, = x\n        {', '.join(b)}, = y\n"
-        f"    except (TypeError, ValueError):\n        check({dims}, (x, y))\n        raise\n"
-    )
+
+    def unpack(first: str, second: str) -> str:
+        names = {"x": ", ".join(a), "y": ", ".join(b)}
+        return (
+            f"    try:\n        {names[first]}, = {first}\n        {names[second]}, = {second}\n"
+            f"    except (TypeError, ValueError):\n        check({dims}, ({first}, {second}))\n"
+            f"        raise\n"
+        )
 
     def vector(term: str) -> str:
         return "(" + "".join(term.format(a=ai, b=bi) + ", " for ai, bi in zip(a, b)) + ")"
 
+    sub = vector("{a} if {b} > {a} else INF")
     bodies = {
         "leq": " and ".join(f"{ai} >= {bi}" for ai, bi in zip(a, b)),
         "meet": vector("{a} if {a} > {b} else {b}"),
         "join": vector("{a} if {a} < {b} else {b}"),
-        "sub": vector("{a} if {b} > {a} else INF"),
+        "sub": sub,
     }
     source = "".join(
-        f"def {name}(x, y):\n{unpack}    return {body}\n" for name, body in bodies.items()
+        f"def {name}(x, y):\n{unpack('x', 'y')}    return {body}\n" for name, body in bodies.items()
     )
-    namespace = {"INF": INF, "check": _check_lengths}
+    source += (
+        f"def checked_sub(x, y):\n{unpack('y', 'x')}"
+        f"    if {' and '.join(f'{bi} >= {ai}' for ai, bi in zip(a, b))}:\n        return {sub}\n"
+        "    raise NotBelow(fmt(y) + ' is not below ' + fmt(x))\n"
+    )
+    namespace = {"INF": INF, "check": _check_lengths, "NotBelow": NotBelow, "fmt": fmt_vec}
     exec(source, namespace)
-    return tuple(namespace[name] for name in bodies)
+    return tuple(namespace[name] for name in (*bodies, "checked_sub"))
 
 
 class _Primitive:
@@ -216,7 +231,8 @@ class _Primitive:
     ``OrdinalCoframe.join2(cf, x, y)`` reach too.  It defines no
     ``__set__``, so a subclass method, a class patch (made before or
     after the instance was built) or an instance attribute of the same
-    name takes its place at every use."""
+    name takes its place at every use.  ``co_heyting_sub`` is the same
+    kind of descriptor (see ``_OrderChecked``)."""
 
     def __init__(self, slot: int):
         self.slot = slot
@@ -234,6 +250,35 @@ class _Primitive:
         if obj is None:
             return self.method
         return _kernels(obj.dims)[self.slot]
+
+
+class _OrderChecked:
+    """``co_heyting_sub``, whose order check reads ``leq``.
+
+    Read off an instance whose ``leq`` resolves to that instance's dims
+    kernel, it is the ``checked_sub`` kernel (see ``_kernels``), which
+    tests z <= x inline and raises the method's NotBelow and
+    DimensionMismatch.  The read costs two small frames (this one and
+    ``leq``'s), so a loop that binds it once pays one frame per call.  When ``leq`` resolves to anything
+    else (a subclass method, a class patch made before or after the
+    instance was built, or an instance attribute), it is the method bound
+    to the instance, which calls ``self.leq``.  The test only compares
+    ``obj.leq`` by identity, so it raises nothing that reading ``leq``
+    does not, and ``hasattr(obj, "co_heyting_sub")`` stays True.  Read
+    off the class it is the method.  Like ``_Primitive`` it defines no
+    ``__set__``, so an override of ``co_heyting_sub`` itself takes its
+    place at every use."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.method
+        kernels = _kernels(obj.dims)
+        if obj.leq is kernels[0]:
+            return kernels[4]
+        return self.method.__get__(obj, owner)
 
 
 class OrdinalCoframe:
@@ -259,7 +304,8 @@ class OrdinalCoframe:
 
     # leq, meet2 and join2 are the inner loop of every testbed law: read
     # off an instance, each is the kernel for ``self.dims`` itself (see
-    # ``_Primitive``), which checks the lengths by unpacking them.  Every
+    # ``_Primitive``), which checks the lengths by unpacking them, and so
+    # is co_heyting_sub below while leq is (see ``_OrderChecked``).  Every
     # other method, and the law registry, reads them through the
     # instance, never a kernel, so that an override is seen by every use.
 
@@ -312,17 +358,22 @@ class OrdinalCoframe:
 
     def maximal_subelements(self, x: tuple, family=None) -> list:
         """Bump one finite coordinate; empty exactly at the bottom."""
-        self._check(x)
+        if len(x) != self.dims:
+            self._check(x)
         if family is not None:
             cand = [z for z in family if self.lt(z, x)]
             return sorted(
                 z for z in cand if not any(self.lt(z, w) for w in cand)
             )
-        return sorted(
-            tuple(c + 1 if i == j else c for i, c in enumerate(x))
-            for j in self.finite_coords(x)
-        )
+        out = []
+        for j in range(len(x) - 1, -1, -1):  # the last bump sorts first
+            if x[j] != INF:
+                bumped = list(x)
+                bumped[j] += 1
+                out.append(tuple(bumped))
+        return out
 
+    @_OrderChecked
     def co_heyting_sub(self, x: tuple, z: tuple) -> tuple:
         """x - z keeps the coordinates where z sits strictly deeper than x."""
         if not self.leq(z, x):
@@ -342,20 +393,19 @@ class OrdinalCoframe:
         return []
 
     def profile(self, x: tuple) -> TestbedProfile:
-        self._check(x)
+        if len(x) != self.dims:
+            self._check(x)
         maxes = tuple(self.maximal_subelements(x))
         fin = self.finite_coords(x)
-        mu = tuple(c + 1 if c != INF else c for c in x)
-        residues = {
-            tuple(c + 1 if i == j else c for i, c in enumerate(x)): _unit(
-                self.dims, j, x[j]
-            )
-            for j in fin
-        }
+        residues = {}
+        for j in fin:  # the residue at bump j keeps coordinate j alone
+            bumped = list(x)
+            bumped[j] += 1
+            residues[tuple(bumped)] = _unit(self.dims, j, x[j])
         return TestbedProfile(
             element=x,
             maximal=maxes,
-            mu=mu if fin else x,
+            mu=tuple([c + 1 if c != INF else c for c in x]) if fin else x,
             rank=OMEGA if fin else RankValue.of(0),
             core=self.bottom if fin else x,
             residues=residues,

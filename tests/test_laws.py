@@ -384,6 +384,23 @@ def test_fault_reports_carry_witness(div12):
     assert all(r.witness is not None or r.reason for r in failing)
 
 
+def test_mutate_entry_rejects_values_outside_the_carrier(b3):
+    """A value, row or column outside range(n) is refused, naming the
+    table, the pair and the value; -1 used to be read as position n - 1."""
+    n = b3.n
+    for table, i, j, value in (
+        ("join", 3, 4, -1),
+        ("join", 3, 4, n),
+        ("meet", 3, 4, 99),
+        ("meet", -1, 4, 0),
+        ("join", 3, n, 0),
+    ):
+        message = rf"^{table}\[{i}\]\[{j}\]={value} is outside the carrier range\({n}\)$"
+        with pytest.raises(ValueError, match=message):
+            mutate_entry(b3, table, i, j, value)
+    assert mutate_entry(b3, "join", 3, 4, n - 1).join[3][4] == n - 1
+
+
 def test_shrink_of_passing_law_is_identity(b3):
     rep = run_law(b3, LawId.CORE_RESIDUE_DECOMP)
     lat, out = shrink(b3, LawId.CORE_RESIDUE_DECOMP, rep)
@@ -1319,9 +1336,9 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
     real = residua.laws.residual_derivative
     real_maximals = residua.laws.maximal_subelements
 
-    def counting(L, x, family=None):
+    def counting(L, x, family=None, **rows):
         calls.append(x)
-        return real(L, x, family)
+        return real(L, x, family, **rows)
 
     def counting_maximals(L, x, family=None):
         maximal_calls.append(x)

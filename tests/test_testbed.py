@@ -141,6 +141,68 @@ def test_kernels_match_the_generic_forms():
                 cf.dually_compact(wrong)
 
 
+def test_fused_co_heyting_sub_matches_the_method():
+    """Read off an instance, co_heyting_sub is the fused kernel, which
+    agrees with the class method and the generic form on every pair of
+    box(3) with z below x in dims 1-4, raises the method's NotBelow
+    message on every pair of box(1) with z not below x, and the method's
+    DimensionMismatch message for a wrong length in either argument or
+    both: the one of z when both are wrong, as leq(z, x) checks z first."""
+    method = OrdinalCoframe.co_heyting_sub
+
+    def outcome(sub, x, z):
+        try:
+            return sub(x, z)
+        except (NotBelow, DimensionMismatch) as e:
+            return type(e), str(e)
+
+    for dims in (1, 2, 3, 4):
+        cf = OrdinalCoframe(dims)
+        fused = cf.co_heyting_sub
+        assert fused is not method and fused.__name__ == "checked_sub"
+        for x in cf.box(3):
+            for z in cf.box_below(x, 3):
+                assert fused(x, z) == method(cf, x, z) == co_heyting_sub_reference(x, z), (x, z)
+        for x, z in itertools.product(cf.box(1), repeat=2):
+            if not leq_reference(z, x):
+                expected = NotBelow, f"{fmt_vec(z)} is not below {fmt_vec(x)}"
+                assert outcome(fused, x, z) == outcome(method.__get__(cf), x, z) == expected
+        for short, long in (((0,) * (dims - 1), (0,) * (dims + 1)), ((), (0,) * (dims + 2))):
+            for x, z, given in ((short, cf.bottom, short), (cf.top, long, long), (short, long, long)):
+                expected = DimensionMismatch, f"expected {dims} coordinates, got {len(given)}"
+                assert outcome(fused, x, z) == outcome(method.__get__(cf), x, z) == expected
+
+
+def test_patched_leq_reaches_co_heyting_sub(monkeypatch):
+    """A class patch of leq made after construction, and an instance
+    attribute leq, are each called once by cf.co_heyting_sub, which keeps
+    its closed form; undoing either restores the fused kernel."""
+    cf = OrdinalCoframe(3)
+    fused = cf.co_heyting_sub
+    x, z = (1, 2, INF), (2, 2, INF)
+    calls = []
+    real = OrdinalCoframe.leq
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OrdinalCoframe, "leq", counting)
+        assert hasattr(cf, "co_heyting_sub") and cf.co_heyting_sub is not fused
+        assert cf.co_heyting_sub(x, z) == co_heyting_sub_reference(x, z)
+        assert calls == [(z, x)]
+    assert cf.co_heyting_sub is fused
+    calls.clear()
+    cf.leq = lambda a, b: calls.append((a, b)) or real(cf, a, b)
+    assert hasattr(cf, "co_heyting_sub") and cf.co_heyting_sub is not fused
+    with pytest.raises(NotBelow):
+        cf.co_heyting_sub(z, x)
+    assert calls == [(x, z)]
+    del cf.leq
+    assert cf.co_heyting_sub is fused
+
+
 def test_overrides_reach_every_use():
     """A subclass that records its join2, meet2 and leq calls sees every
     call that join_of_set, meet_of_set, lt, co_heyting_sub and profile
