@@ -24,7 +24,7 @@ from .generators import (
     load_catalog_group,
 )
 from .lattice import FiniteLattice, canonical_json, lattice_from_json
-from .laws import Budget, LawId, all_pass, run_all
+from .laws import LawId, all_pass, run_all
 from .residual import residual_profile
 from .testbed import OrdinalCoframe, fmt_vec, parse_vec
 from .topology import cb_sequence, check_order_compatible, dual_lawson
@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_instance_flags(p)
     p.add_argument("--laws", default="all", help="all | comma list of law names")
     p.add_argument("--family", default="all")
-    p.add_argument("--seed", type=int, default=0)
     add_output_flags(p)
 
     p = sub.add_parser("topology", help="dual Lawson topology, CB sequence, order compatibility")
@@ -166,12 +165,7 @@ def _parse_laws(text: str):
 def _cmd_laws(args) -> int:
     L = _load_lattice(args)
     family = _parse_family(L, args.family)
-    reports = run_all(
-        L,
-        budget=Budget(seed=args.seed),
-        laws=_parse_laws(args.laws),
-        family=family,
-    )
+    reports = run_all(L, laws=_parse_laws(args.laws), family=family)
     doc = [r.to_json_dict() for r in reports]
     if args.format == "json":
         _emit(args, canonical_json(doc))

@@ -455,15 +455,15 @@ def product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
     )
 
 
-def random_poset(rng: random.Random, size: int) -> FinitePoset:
+def random_poset(rand: random.Random, size: int) -> FinitePoset:
     """Random poset: random upper-triangular covers, then closure."""
     names = tuple(f"p{i}" for i in range(size))
-    prob = rng.uniform(0.15, 0.7)
+    prob = rand.uniform(0.15, 0.7)
     pairs = [
         (names[i], names[j])
         for i in range(size)
         for j in range(i + 1, size)
-        if rng.random() < prob
+        if rand.random() < prob
     ]
     return build_poset(names, pairs, "leq")
 
@@ -480,10 +480,10 @@ def random_distributive(seed: int, target_size: int) -> FiniteLattice:
         raise TooLarge(f"target size exceeds {LATTICE_SIZE_CAP}")
     if target_size < 1:
         raise ValueError("target size must be positive")
-    rng = random.Random(seed)
+    rand = random.Random(seed)
     while True:
-        size = rng.randint(0, 9)
-        p = random_poset(rng, size)
+        size = rand.randint(0, 9)
+        p = random_poset(rand, size)
         downsets = _downsets(p)
         if len(downsets) <= target_size:  # the empty downset is always one
             break

@@ -403,9 +403,6 @@ class FiniteLattice:
     def box(self, bound: int) -> range:
         return range(self.n)
 
-    def box_below(self, x: int, bound: int) -> list:
-        return list(bits(self.poset.down[x]))
-
     def name(self, x: int) -> str:
         return self.poset.names[x]
 

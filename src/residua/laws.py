@@ -4,15 +4,13 @@ Each law is a checker that quantifies over one lattice instance and
 returns Pass, Fail (with a replayable witness) or Skipped (hypothesis
 not met: most laws require the coframe law, which for finite lattices is
 distributivity).  Every element and pair quantifier runs exhaustively
-over the instance's window.  Subset-valued quantifiers enumerate every
-subset of a carrier of up to ``SUBSET_EXHAUSTIVE_BITS`` members and
-draw seeded samples above, which the report's ``sampled_subsets``
-records.
+over the instance's window, and no law draws random numbers: a report
+depends on the instance alone.  A ``ResiduaError`` that an instance
+raises fails the law (see ``run_law``).
 
 The registry reads an instance ``L`` through one protocol:
 
-- ``L.box(bound)``, a finite window of elements, and
-  ``L.box_below(x, bound)``, its elements below x in window order, with
+- ``L.box(bound)``, a finite window of elements, with
   ``Budget.testbed_bound`` as the bound;
 - ``L.name(x)`` for witnesses and ``L.describe()`` for the report;
 - the primitives ``leq``, ``meet2``, ``join2``, ``meet_of_set``,
@@ -37,15 +35,16 @@ testbed's is its box.  The fast paths key on the facts they read:
   breaks the universal property on the order rows.  The laws that fail
   only through a wrong table entry read them instead of scanning the
   tables: ``k_lower_semilattice`` passes or fails at the meet fault,
-  ``downset_upper_complete`` fails at the join fault when no folded
-  subset fails first, and ``boundary_removal_descent`` and the constant
-  pairs of ``minmax_bound`` count by arithmetic while the tables they
-  read have no fault.
+  ``downset_upper_complete`` and ``boundary_removal_descent`` fail at
+  the join fault when no subset they fold fails first, and they and
+  ``minmax_bound`` count by arithmetic while the tables they read have
+  no fault.
 
 The laws of one run share a ``_RunMemo``: the instance's description,
 order-rows flag and window, read once; default-family profiles and
-derivatives; and three rows by element, the maximal subelements, the
-residues x - m by maximal m and the outcasts.  ``residual_profile``
+derivatives; the elements below each x, filtered with ``leq``; and three
+rows by element, the maximal subelements, the residues x - m by maximal
+m and the outcasts.  ``residual_profile``
 builds the strata from the residue rows of the iterates, and the t-class
 of x is the length of its row of maximal subelements.  On certified
 tables (``L.join_fault`` and ``L.meet_fault`` both None, as for every
@@ -86,15 +85,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
-from .errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow
+from .errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow, ResiduaError
 from .lattice import FiniteLattice, FinitePoset, as_lattice
 from .residual import (
     co_heyting_sub,
@@ -138,19 +136,17 @@ class LawId(Enum):
     MAXIMALS_DUALLY_COMPACT = "maximals_dually_compact"
 
 
-# Subset-valued quantifiers enumerate every subset of a carrier of up to
-# SUBSET_EXHAUSTIVE_BITS members, and draw MAX_SAMPLED_SUBSETS above.
+# boundary_removal_descent folds every removal set of a boundary poset of
+# up to SUBSET_EXHAUSTIVE_BITS members.
 SUBSET_EXHAUSTIVE_BITS = 12
-MAX_SAMPLED_SUBSETS = 32
 
 
 @dataclass(frozen=True)
 class Budget:
     """How a run enumerates: ``testbed_bound`` is the bound of the
-    instance's window (``box``), and ``seed`` seeds every sampler."""
+    instance's window (``box``)."""
 
     testbed_bound: int = 4
-    seed: int = 0
 
 
 DEFAULT_BUDGET = Budget()
@@ -163,7 +159,6 @@ class LawReport:
     verdict: str  # "pass" | "fail" | "skipped"
     checked: int = 0
     exhaustive: bool = True  # every element and pair quantifier runs in full
-    sampled_subsets: bool = False
     reason: Optional[str] = None
     witness: Optional[dict] = None
 
@@ -174,7 +169,6 @@ class LawReport:
             "verdict": self.verdict,
             "checked": self.checked,
             "exhaustive": self.exhaustive,
-            "sampled_subsets": self.sampled_subsets,
         }
         if self.reason is not None:
             out["reason"] = self.reason
@@ -200,18 +194,19 @@ class _RunMemo:
     dropped when the run returns, so nothing is stored on the instance.
 
     ``profiles`` and ``derivatives`` hold the default-family profiles and
-    derivatives, and ``joins`` the join table of an instance that stores
-    none (see ``_Ctx.join_table``).  ``maximals``, ``residues`` and
-    ``outcasts`` are the default-family rows, by element (see
-    ``_Ctx.maximals``): the maximal subelements of x, the dict of x - m by
-    maximal m, and the outcasts of x.  An entry is stored only once its
-    fold or cross-check has passed, so a faulty table raises the same
-    error at every read.  ``folds`` is the verified-fold memo of
+    derivatives, ``below`` the rows of ``_Ctx.below``, and ``joins`` the
+    join table of an instance that stores none (see ``_Ctx.join_table``).
+    ``maximals``, ``residues`` and ``outcasts`` are the default-family
+    rows, by element (see ``_Ctx.maximals``): the maximal subelements of
+    x, the dict of x - m by maximal m, and the outcasts of x.  An entry
+    is stored only once its fold or cross-check has passed, so a faulty
+    table raises the same error at every read.  ``folds`` is the verified-fold memo of
     ``_Ctx.join_fold`` on certified tables, ``facts`` what ``run_facts``
     reads of the instance, and ``row_table`` what ``_row_table`` finds."""
 
     profiles: dict = field(default_factory=dict)
     derivatives: dict = field(default_factory=dict)
+    below: dict = field(default_factory=dict)
     joins: Optional[list] = None
     maximals: dict = field(default_factory=dict)
     residues: dict = field(default_factory=dict)
@@ -232,29 +227,20 @@ class _RunMemo:
 
 
 class _Ctx:
-    """Per-law state: element list, the run's memo, fold memo, deterministic
-    sampler.  On certified tables the folds are the run's, and each
-    default-family profile is built on that of its derivative."""
+    """Per-law state: element list, the run's memo, fold memo.  On
+    certified tables the folds are the run's, and each default-family
+    profile is built on that of its derivative."""
 
-    def __init__(self, L, budget: Budget, law: LawId, family=None, memo=None):
+    def __init__(self, L, budget: Budget, family=None, memo=None):
         self.L = L
-        self.budget = budget
         self.family = family
-        self.law = law
         self.memo = memo = memo or _RunMemo()
         _, _, self.elements, certified = memo.run_facts(L, budget)
         self.name = L.name
         self.profiles = memo.profiles if family is None else {}
         self.folds = memo.folds if certified else {}  # head -> _key(mask) -> verified fold
         self.assemble = certified and family is None
-        self.sampled_subsets = False
         self.checked = 0
-
-    @cached_property
-    def rng(self) -> random.Random:
-        """The law's seeded sampler, built on first use: most laws never
-        draw."""
-        return random.Random(f"{self.budget.seed}:{self.law.value}")
 
     def profile(self, x):
         got = self.profiles.get(x)
@@ -438,8 +424,14 @@ class _Ctx:
         return self.join_fold(low.bit_length() - 1, mask ^ low)
 
     def below(self, x):
-        """The elements below x, in element order."""
-        return self.L.box_below(x, self.budget.testbed_bound)
+        """The elements z with ``leq(z, x)``, in element order, filtered
+        once per run, so that a wrong ``leq`` reaches the pair loops."""
+        row = self.memo.below
+        got = row.get(x)
+        if got is None:
+            els = self.elements
+            got = row[x] = list(compress(els, map(self.L.leq, els, repeat(x))))
+        return got
 
     def witness(self, _data: Optional[dict] = None, **elems) -> dict:
         out = {k: self.name(v) for k, v in elems.items()}
@@ -883,85 +875,49 @@ def _mu_join_hom_pairs(ctx):
 
 def _check_minmax_bound(ctx):
     """Monotone-pair bound, checked on constant pairs (every pair of
-    elements, read as one-step monotone nets) plus sampled
-    ascending/descending chain pairs.  The constant-pair folds
-    deliberately walk every join entry and the table diagonals.
+    elements, read as one-step monotone nets) and on the 2-chains a < b.
+    The constant-pair folds deliberately walk every join entry and the
+    table diagonals.
 
     Both halves fail only through a wrong table entry.  With right
     entries a constant pair (u, v) concludes (u v u) v (v ^ v) = u v v,
-    its hypothesis, so while neither table has a fault, the sizes of
-    down(u v v) are summed as ``checked``.
-    The chain half's bound ``join[a_k][a_0]`` is also the last term of
-    ``under``, so only a ``LatticeIntegrityError`` from
-    ``join_of_set``/``meet_of_set`` can fail it while the folds verify.
-
-    Each quantifier over z is a bit scan: ``checked`` counts the z below
-    the hypothesis up to the first (lowest) one that escapes the
-    conclusion, which is the witness.  The sampler draws only the
-    chains."""
+    its hypothesis, and a chain's bound ``join[b][a]`` is also the last
+    term of ``under``.  So while neither table has a fault, the sizes of
+    down(u v v) are summed as ``checked`` and the law passes.  Otherwise
+    the constant pairs, then the 2-chains in element order, are scanned
+    (``_first_escape``), and a chain's verified folds may raise."""
     L = ctx.L
     down = L.poset.down
     if L.join_fault is None and L.meet_fault is None:
         size = [d.bit_count() for d in down]
         ctx.checked += sum(sum(map(size.__getitem__, row)) for row in L.join)
-    else:
-        ok, witness = _minmax_constant_pairs(ctx)
-        if not ok:
-            return ok, witness
-    for asc in _sample_chains(ctx):
-        desc = list(reversed(asc))
-        bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
-        # under holds the z below every a v d
-        under = full_mask(len(down))
-        for a, d in zip(asc, desc):
-            under &= down[L.join2(a, d)]
-        escaped = under & ~down[bound]
-        if not escaped:
-            ctx.checked += under.bit_count()
-            continue
-        first = escaped & -escaped
-        ctx.checked += (under & (2 * first - 1)).bit_count()
-        return False, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=first.bit_length() - 1)
-    return True, None
-
-
-def _minmax_constant_pairs(ctx):
-    L = ctx.L
-    down = L.poset.down
+        return True, None
+    join2 = L.join2
     for u, v in ctx.pairs():
-        hyp = L.join2(u, v)
-        conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
-        under = down[hyp]
-        escaped = under & ~down[conclusion]
-        if not escaped:
-            ctx.checked += under.bit_count()
-            continue
-        first = escaped & -escaped
-        ctx.checked += (under & (2 * first - 1)).bit_count()
-        return False, ctx.witness(u=u, v=v, z=first.bit_length() - 1)
+        z = _first_escape(ctx, down[join2(u, v)], down[join2(join2(u, u), L.meet2(v, v))])
+        if z is not None:
+            return False, ctx.witness(u=u, v=v, z=z)
+    up = L.poset.up
+    for a in ctx.elements:
+        for b in bits(up[a] & ~(1 << a)):
+            bound = join2(L.join_of_set([a, b]), L.meet_of_set([b, a]))
+            z = _first_escape(ctx, down[join2(a, b)] & down[join2(b, a)], down[bound])
+            if z is not None:
+                return False, ctx.witness({"chain": [ctx.name(a), ctx.name(b)]}, z=z)
     return True, None
 
 
-def _sample_chains(ctx) -> list:
-    """Random chains climbing from random elements to a maximal one; each
-    element's list of strictly greater elements is built once."""
-    up = ctx.L.poset.up
-    above = {}
-    chains = []
-    for _ in range(min(MAX_SAMPLED_SUBSETS, 2 * len(ctx.elements))):
-        x = ctx.rng.choice(ctx.elements)
-        chain = [x]
-        while True:
-            c = chain[-1]
-            ups = above.get(c)
-            if ups is None:
-                ups = above[c] = list(bits(up[c] & ~(1 << c)))
-            if not ups:
-                break
-            chain.append(ctx.rng.choice(ups))
-        if len(chain) > 1:
-            chains.append(chain)
-    return chains
+def _first_escape(ctx, under: int, bound: int):
+    """A quantifier over the z in ``under`` as a bit scan: counts them as
+    checked up to the first (lowest) one outside ``bound`` and returns
+    it, or counts them all and returns None."""
+    escaped = under & ~bound
+    if not escaped:
+        ctx.checked += under.bit_count()
+        return None
+    first = escaped & -escaped
+    ctx.checked += (under & (2 * first - 1)).bit_count()
+    return first.bit_length() - 1
 
 
 def _check_boundary_removal_descent(ctx):
@@ -978,34 +934,34 @@ def _check_boundary_removal_descent(ctx):
     It fails only through a wrong join entry: each target is the checked
     join of the core and boundary members, all below x, so it is below x
     whenever its fold passes, and every fold passes while
-    ``L.join_fault`` is None.  Then the removals are only counted, the
-    sampled ones as many as the sampler would draw.  Otherwise every
-    removal, from the first x on, folds ``[core, *kept]`` through
-    ``join_fold``, in the order below, with kept as a mask: the kept set
-    of one x minus its highest member is often a kept set of the x before
-    (on a chain, every unsampled one).
+    ``L.join_fault`` is None.  Then the removals are only counted: every
+    subset of a boundary poset of up to ``SUBSET_EXHAUSTIVE_BITS``
+    members, and the empty and single removals of a larger one.
+    Otherwise every removal, from the first x on, folds
+    ``[core, *kept]`` through ``join_fold``, in the order below, with
+    kept as a mask: the kept set of one x minus its highest member is
+    often a kept set of the x before (on a chain, every one).  A larger
+    boundary poset folds its empty and single removals only, and when
+    none of the folds fails, the law fails with the fault's pair, as
+    ``downset_upper_complete`` does.
     """
     L = ctx.L
     count_only = L.join_fault is None
+    unfolded = None  # the first x whose removals were not all folded
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
-        if len(delta) <= SUBSET_EXHAUSTIVE_BITS:
-            if count_only:
-                ctx.checked += 1 << len(delta)
-                continue
+        large = len(delta) > SUBSET_EXHAUSTIVE_BITS
+        if count_only:
+            ctx.checked += 1 + len(delta) if large else 1 << len(delta)
+            continue
+        if large:
+            removals = [(), *((s,) for s in delta)]
+            unfolded = x if unfolded is None else unfolded
+        else:
             removals = itertools.chain.from_iterable(
                 itertools.combinations(delta, k) for k in range(len(delta) + 1)
             )
-        else:
-            ctx.sampled_subsets = True
-            if count_only:
-                ctx.checked += 1 + len(delta) + MAX_SAMPLED_SUBSETS
-                continue
-            removals = [(), *((s,) for s in delta)]
-            for _ in range(MAX_SAMPLED_SUBSETS):
-                k = ctx.rng.randint(0, len(delta))
-                removals.append(tuple(ctx.rng.sample(delta, k)))
         everything = mask_of(delta)
         for removed in removals:
             ctx.checked += 1
@@ -1014,6 +970,8 @@ def _check_boundary_removal_descent(ctx):
                 return False, ctx.witness(
                     {"removed": [ctx.name(s) for s in removed]}, x=x, target=target
                 )
+    if unfolded is not None:
+        return False, _join_fault_witness(ctx, unfolded)
     return True, None
 
 
@@ -1181,53 +1139,46 @@ def _check_downset_upper_complete(ctx):
     """Every subset of a downset has a least upper bound inside it.
 
     The quantifier runs over the empty set, all singletons and all pairs
-    of each downset, plus sampled larger subsets.  ``L.join_fault``
-    decides the non-empty ones: while it is None every join entry is a
-    least upper bound, so every fold of ``join_of_set`` returns the true
-    join, which lies in down(x) because x bounds the subset.  The subsets
-    are then only counted, the sampled ones as many as the sampler would
-    draw.  The empty join, the bottom, is checked for every x.
+    of each downset.  ``L.join_fault`` decides the non-empty ones: while
+    it is None every join entry is a least upper bound, so every fold of
+    ``join_of_set`` returns the true join, which lies in down(x) because
+    x bounds the subset.  The subsets are then only counted.  The empty
+    join, the bottom, is checked for every x.
 
     With a fault, the subsets are folded one by one to report the first
     one that fails.  A bad entry that no folded subset reaches (an entry
-    join[i][j] with i > j is folded only by sampled subsets) fails with
-    the fault's pair, the top as x.
+    join[i][j] with i > j) fails with the fault's pair, the top as x.
     """
     L = ctx.L
-    bad = L.join_fault
-    if bad is not None:
+    if L.join_fault is not None:
         ok, witness = _fold_downset_subsets(ctx)
-        if not ok:
-            return ok, witness
-        a, b = bad
-        witness = ctx.witness({"set": [ctx.name(a), ctx.name(b)]}, join=L.join2(a, b), x=L.top)
-        witness["indices"].update(a=a, b=b)
+        if ok:
+            witness = _join_fault_witness(ctx, L.top)
         return False, witness
     down, up, bottom = L.poset.down, L.poset.up, L.bottom
     for x in ctx.elements:
         d = down[x].bit_count()
-        draws = _sampled_subset_draws(ctx, d)
         ctx.checked += 1
         if down[x] & ~up[bottom]:
             return False, ctx.witness({"subset": []}, x=x, join=bottom)
-        ctx.checked += d + d * (d - 1) // 2 + draws
+        ctx.checked += d + d * (d - 1) // 2
     return True, None
 
 
-def _sampled_subset_draws(ctx, d: int) -> int:
-    """How many subsets of three or more members the downset law draws
-    from a d-element downset; marks the report sampled when the draws
-    cannot cover them all."""
-    if d <= 2:
-        return 0
-    if d > SUBSET_EXHAUSTIVE_BITS:
-        ctx.sampled_subsets = True
-    return min(MAX_SAMPLED_SUBSETS, 1 << min(d, 20))
+def _join_fault_witness(ctx, x) -> dict:
+    """The witness of a subset law whose folded subsets all pass on a
+    table with a join fault (a, b): the pair, its table join, and x."""
+    L = ctx.L
+    a, b = L.join_fault
+    witness = ctx.witness({"set": [ctx.name(a), ctx.name(b)]}, join=L.join2(a, b), x=x)
+    witness["indices"].update(a=a, b=b)
+    return witness
 
 
 def _fold_downset_subsets(ctx):
-    """The subset loop of downset upper-completeness: fold each subset
-    through the verified ``join_of_set``."""
+    """The subset loop of downset upper-completeness: fold the empty
+    set, each singleton and each pair of each downset through the
+    verified ``join_of_set``."""
     L = ctx.L
     rows = L.poset
     for x in ctx.elements:
@@ -1235,9 +1186,6 @@ def _fold_downset_subsets(ctx):
         subsets = [[]]
         subsets.extend([d] for d in down)
         subsets.extend(list(p) for p in itertools.combinations(down, 2))
-        for _ in range(_sampled_subset_draws(ctx, len(down))):
-            k = ctx.rng.randint(3, len(down))
-            subsets.append(ctx.rng.sample(down, k))
         for s in subsets:
             ctx.checked += 1
             try:
@@ -1364,7 +1312,11 @@ def _family_skip_reason(L, law: LawId, fam: int) -> Optional[str]:
 
 def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=None) -> LawReport:
     """Run one law on one instance; deterministic for fixed inputs.  A
-    family is a set of element positions, so it needs order rows."""
+    family is a set of element positions, so it needs order rows.
+
+    A ``ResiduaError`` raised while the law runs fails it, with the
+    error's message as the reason: a ``LatticeIntegrityError`` with its
+    own witness, any other with ``_error_witness``."""
     if family is not None:
         family = family_mask(L, family)
     memo = _memo or _RunMemo()
@@ -1381,13 +1333,15 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
     else:
         reason = None
     if reason is not None:
-        return LawReport(law.value, instance, "skipped", 0, True, False, reason)
+        return LawReport(law.value, instance, "skipped", 0, True, reason)
     use_family = None if family is None or law not in FAMILY_HYPOTHESES else family
-    ctx = _Ctx(L, budget, law, family=use_family, memo=memo)
+    ctx = _Ctx(L, budget, family=use_family, memo=memo)
     try:
         ok, witness = spec.fn(ctx)
     except LatticeIntegrityError as e:
         ok, reason, witness = False, str(e), e.witness
+    except ResiduaError as e:
+        ok, reason, witness = False, str(e), _error_witness(ctx, e)
     if ok is None:
         verdict, reason, witness = "skipped", witness, None
     elif ok:
@@ -1395,7 +1349,25 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
     else:
         verdict = "fail"
     # positional arguments: keywords make this call about twice as dear
-    return LawReport(law.value, instance, verdict, ctx.checked, True, ctx.sampled_subsets, reason, witness)
+    return LawReport(law.value, instance, verdict, ctx.checked, True, reason, witness)
+
+
+def _error_witness(ctx, e: ResiduaError) -> dict:
+    """The error's class and message, and the elements in hand when it
+    was raised: the arguments of the raising call that lie in the
+    window, by parameter name."""
+    tb = e.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code, local = tb.tb_frame.f_code, tb.tb_frame.f_locals
+    elems = {}
+    for name in code.co_varnames[: code.co_argcount]:
+        try:
+            if local[name] in ctx.index:
+                elems[name] = local[name]
+        except (KeyError, TypeError):
+            pass  # reassigned away, or unhashable: not an element
+    return ctx.witness({"error": type(e).__name__, "message": str(e)}, **elems)
 
 
 def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, family=None) -> list:

@@ -450,18 +450,6 @@ class OrdinalCoframe:
             )
         return list(itertools.product(_box_values(bound), repeat=self.dims))
 
-    def box_below(self, x: tuple, bound: int) -> list:
-        """The box(bound) vectors below x, in box order.
-
-        z <= x iff z_j >= x_j for every j, so coordinate j ranges over the
-        box values from x_j on, and the product of those suffixes lists
-        the same vectors in the same order as filtering box(bound).
-        """
-        self._check(x)
-        _check_bound(bound)
-        values = _box_values(bound)
-        return list(itertools.product(*[[v for v in values if v >= c] for c in x]))
-
     def name(self, x: tuple) -> str:
         return fmt_vec(x)
 

@@ -197,6 +197,7 @@ MALFORMED_INPUTS = {
     "random spec without size": (["laws", "--gen", "random:seed=1"], None),
     "random spec with an unknown key": (["laws", "--gen", "random:seed=1,size=5,extra"], None),
     "random spec with a repeated key": (["analyze", "--gen", "random:seed=1,size=5,seed=2"], None),
+    "laws --seed, which the registry does not take": (["laws", "--gen", "chain:3", "--seed", "5"], None),
     "lattice JSON without relation": (["analyze", "--input", "{file}"], {"elements": ["a", "b"]}),
     "non-object JSON document": (["analyze", "--input", "{file}"], [1, 2, 3]),
     "negative testbed coordinate": (["testbed", "--dims", "2", "--element=-1,2"], None),
@@ -363,6 +364,6 @@ def test_dot_outputs(tmp_path, capsys):
 def test_reports_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        assert run_cli("laws", "--gen", "divisor:30", "--seed", "5", "--report", str(path)) == 0
+        assert run_cli("laws", "--gen", "divisor:30", "--report", str(path)) == 0
 
     assert a.read_text() == b.read_text()

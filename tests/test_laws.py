@@ -10,7 +10,7 @@ import pytest
 import residua.laws
 import residua.residual
 from residua.bitset import bits, contains, mask_of
-from residua.errors import LatticeIntegrityError, NoBottom, NotALattice
+from residua.errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow
 from residua.generators import (
     boolean,
     chain,
@@ -19,10 +19,9 @@ from residua.generators import (
     generate,
     random_distributive,
 )
-from residua.lattice import FiniteLattice, as_lattice, build_poset, canonical_json, lattice_from_json
+from residua.lattice import FiniteLattice, as_lattice, build_poset, lattice_from_json
 from residua.laws import (
     DEFAULT_BUDGET,
-    MAX_SAMPLED_SUBSETS,
     REGISTRY,
     SUBSET_EXHAUSTIVE_BITS,
     Budget,
@@ -30,8 +29,8 @@ from residua.laws import (
     _Ctx,
     _RunMemo,
     _fold_downset_subsets,
+    _join_fault_witness,
     _key,
-    _sample_chains,
     mutate_entry,
     run_all,
     run_law,
@@ -133,13 +132,6 @@ def test_m3_skips_coframe_laws_passes_rest(m3):
     assert not any(r.verdict == "fail" for r in reports)
 
 
-def test_reports_are_deterministic(div12):
-    def dump(reports):
-        return canonical_json([r.to_json_dict() for r in reports])
-
-    assert dump(run_all(div12, Budget(seed=3))) == dump(run_all(div12, Budget(seed=3)))
-
-
 def test_family_hypothesis_gate(b3):
     # a family without the bottom is skipped, not asserted
     atoms = [x for x in b3.elements() if bin(b3.down_set(x)).count("1") == 2]
@@ -174,7 +166,7 @@ def single_entry_mutations(L, tables=("meet", "join"), entries=None):
 def test_every_single_entry_mutation_fails_some_law(b2, b3):
     # On boolean:3 every entry; on divisor:60 every meet entry, which the
     # residues no longer read on a distributive lattice, and the join
-    # entries [i][j] with i > j, which only sampled subsets fold, so that
+    # entries [i][j] with i > j, which no folded subset reaches, so that
     # only the check of the whole join table catches some of them, such
     # as ("join", 5, 4, v) on boolean:3 and ("join", 6, 1, 1) on divisor:60.
     d60 = divisor(60)
@@ -242,19 +234,20 @@ def test_table_faults_are_the_first_failing_pairs(lattice_corpus, b3, div12):
 
 
 def test_downset_count_path_matches_subset_loop(lattice_corpus, b3):
-    """Whole reports (verdict, checked, sampled flag, witness) of the
+    """Whole reports (verdict, checked, witness) of the
     table-check-and-count path equal those of the subset loop, which folds
-    every subset, except where the loop misses a bad join entry: there
-    the law fails with the table check's pair."""
+    the empty set, every singleton and every pair, except where the loop
+    misses a bad join entry: there the law fails with the table check's
+    pair."""
     law = LawId.DOWNSET_UPPER_COMPLETE
     wrong_bottom = replace_bottom(b3, b3.top)
     cases = [*lattice_corpus, wrong_bottom, *(m for _, m in single_entry_mutations(b3, ("join",)))]
     caught_by_table = 0
     for L in cases:
         rep = run_law(L, law)
-        ctx = _Ctx(L, DEFAULT_BUDGET, law)
+        ctx = _Ctx(L, DEFAULT_BUDGET)
         ok, witness = _fold_downset_subsets(ctx)
-        assert (rep.checked, rep.sampled_subsets) == (ctx.checked, ctx.sampled_subsets), L.provenance
+        assert rep.checked == ctx.checked, L.provenance
         if not ok:
             assert (rep.verdict, rep.witness) == ("fail", witness), L.provenance
         elif join_table_is_correct(L):
@@ -313,8 +306,9 @@ def test_descent_search_matches_order(lattice_corpus):
 
 def minmax_reference(L):
     """The minmax_bound law with both halves as per-element loops over
-    the same pairs and sampled chains: ``(verdict, checked, witness)``."""
-    ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MINMAX_BOUND)
+    the same pairs: every pair (u, v), then, on a table with a fault,
+    every 2-chain a < b in element order.  ``(verdict, checked, witness)``."""
+    ctx = _Ctx(L, DEFAULT_BUDGET)
     for u, v in ctx.pairs():
         hyp = L.join2(u, v)
         conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
@@ -323,17 +317,20 @@ def minmax_reference(L):
                 ctx.checked += 1
                 if not L.leq(z, conclusion):
                     return "fail", ctx.checked, ctx.witness(u=u, v=v, z=z)
-    for asc in _sample_chains(ctx):
-        desc = list(reversed(asc))
+    if L.join_fault is None and L.meet_fault is None:
+        return "pass", ctx.checked, None
+    for a, b in ctx.pairs():
+        if not L.lt(a, b):
+            continue
         try:
-            bound = L.join2(L.join_of_set(asc), L.meet_of_set(desc))
+            bound = L.join2(L.join_of_set([a, b]), L.meet_of_set([b, a]))
         except LatticeIntegrityError as e:
             return "fail", ctx.checked, e.witness
         for z in L.elements():
-            if all(L.leq(z, L.join2(a, d)) for a, d in zip(asc, desc)):
+            if L.leq(z, L.join2(a, b)) and L.leq(z, L.join2(b, a)):
                 ctx.checked += 1
                 if not L.leq(z, bound):
-                    return "fail", ctx.checked, ctx.witness({"chain": [ctx.name(c) for c in asc]}, z=z)
+                    return "fail", ctx.checked, ctx.witness({"chain": [ctx.name(a), ctx.name(b)]}, z=z)
     return "pass", ctx.checked, None
 
 
@@ -353,9 +350,10 @@ def test_minmax_bound_bit_scan_matches_element_loop(div12):
 
 class UncheckedFolds(FiniteLattice):
     """A lattice whose folds trust the tables.  With verified folds the
-    chain half of minmax_bound cannot fail: its bound is the join entry
-    of the chain's top and bottom, which its own last term reads too.
-    Unverified folds let a corrupted entry reach the bound."""
+    chain half of minmax_bound fails only through a fold's error: its
+    bound is the join entry of the chain's top and bottom, which its own
+    last term reads too.  Unverified folds let corrupted entries reach
+    the bound."""
 
     def meet_of_set(self, xs):
         return functools.reduce(lambda a, b: self.meet[a][b], xs)
@@ -365,14 +363,26 @@ class UncheckedFolds(FiniteLattice):
 
 
 def test_minmax_bound_chain_bit_scan_matches_element_loop(div12):
+    """The 2-chain a < b escapes its bound on unchecked folds with two
+    faults: meet[b][a] set to the bottom makes the bound join[b][bottom],
+    and that entry set to a v not above b leaves b itself escaping.  One
+    fault cannot do it: the bound join[join[a][b]][meet[b][a]] reads a
+    second entry that only a second fault makes wrong."""
     chain_failures = 0
     for L in (boolean(3), div12, chain(5)):
         unchecked = UncheckedFolds(**{f.name: getattr(L, f.name) for f in fields(L)})
-        for key, mutated in single_entry_mutations(unchecked):
-            expected = minmax_reference(mutated)
-            rep = run_law(mutated, LawId.MINMAX_BOUND)
-            assert (rep.verdict, rep.checked, rep.witness) == expected, key
-            chain_failures += expected[0] == "fail" and "chain" in expected[2]
+        for a, b in itertools.product(L.elements(), repeat=2):
+            if a == L.bottom or not L.lt(a, b):
+                continue
+            once = mutate_entry(unchecked, "meet", b, a, L.bottom)
+            for v in L.elements():
+                if L.leq(b, v):
+                    continue
+                mutated = mutate_entry(once, "join", b, L.bottom, v)
+                expected = minmax_reference(mutated)
+                rep = run_law(mutated, LawId.MINMAX_BOUND)
+                assert (rep.verdict, rep.checked, rep.witness) == expected, (a, b, v)
+                chain_failures += expected[0] == "fail" and "chain" in expected[2]
     assert chain_failures >= 20
 
 
@@ -450,7 +460,7 @@ def test_testbed_instance_supported():
 
 def test_report_json_schema(div12):
     doc = run_law(div12, LawId.COHEYTING_JOIN).to_json_dict()
-    assert {"law", "instance", "verdict", "checked", "exhaustive", "sampled_subsets"} <= set(doc)
+    assert set(doc) == {"law", "instance", "verdict", "checked", "exhaustive"}
     assert "elapsed_ms" not in doc  # no clock readings: reports are byte-deterministic
     json.dumps(doc)
 
@@ -474,8 +484,11 @@ def coheyting_join_reference(ctx):
 
 
 def boundary_removal_reference(ctx):
-    """Fold every removal subset through ``join_of_set``, one by one."""
+    """Fold every removal subset through ``join_of_set``, one by one; of
+    a boundary poset above ``SUBSET_EXHAUSTIVE_BITS`` members, the empty
+    and single removals, and then fail at a join fault."""
     L = ctx.L
+    unfolded = None
     for x in ctx.elements:
         p = ctx.profile(x)
         delta = list(p.boundary_poset)
@@ -486,11 +499,8 @@ def boundary_removal_reference(ctx):
                 )
             )
         else:
-            ctx.sampled_subsets = True
             removals = [(), *((s,) for s in delta)]
-            for _ in range(MAX_SAMPLED_SUBSETS):
-                k = ctx.rng.randint(0, len(delta))
-                removals.append(tuple(ctx.rng.sample(delta, k)))
+            unfolded = x if unfolded is None else unfolded
         for removed in removals:
             ctx.checked += 1
             target = L.join_of_set([p.core, *[s for s in delta if s not in removed]])
@@ -498,6 +508,8 @@ def boundary_removal_reference(ctx):
                 return False, ctx.witness(
                     {"removed": [ctx.name(s) for s in removed]}, x=x, target=target
                 )
+    if unfolded is not None and L.join_fault is not None:
+        return False, _join_fault_witness(ctx, unfolded)
     return True, None
 
 
@@ -641,8 +653,12 @@ def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
     """Whole run_all reports of the registry equal those of the reference
     checkers: on every corpus lattice with the definitional x - z scan in
     place of the closed form, and on every single-entry mutation of
-    boolean:3, where the failures show that each reference is reached."""
+    boolean:3, where the failures show that each reference is reached.
+    The mutations of two join entries of chain:14, whose top has a
+    boundary poset above ``SUBSET_EXHAUSTIVE_BITS`` members, reach the
+    removal law's fault-pair failure."""
     mutations = [m for _, m in single_entry_mutations(b3)]
+    mutations += [m for _, m in single_entry_mutations(chain(14), ("join",), [(13, 0), (13, 12)])]
     fast_corpus = [report_docs(L) for L in lattice_corpus]
     fast_mutations = [report_docs(m) for m in mutations]
     for law, fn in REFERENCE_CHECKERS.items():
@@ -691,6 +707,20 @@ def relabeled(L, seed):
     doc = L.to_json_dict()
     random.Random(seed).shuffle(doc["elements"])
     return lattice_from_json(doc, provenance=f"{L.provenance}~{seed}")
+
+
+def test_reports_do_not_depend_on_element_labels(lattice_corpus):
+    """run_all on three relabelings of each corpus lattice gives the
+    original's reports but for the instance name: no verdict, count or
+    witness (by element name) reads the order of the elements."""
+
+    def docs(L):
+        return [{k: v for k, v in r.to_json_dict().items() if k != "instance"} for r in run_all(L)]
+
+    for L in lattice_corpus:
+        want = docs(L)
+        for seed in range(3):
+            assert docs(relabeled(L, seed)) == want, (L.provenance, seed)
 
 
 def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkeypatch):
@@ -862,7 +892,7 @@ def test_join_fold_memo_matches_join_of_set(lattice_corpus, b3):
             return str(e), e.witness
 
     for L in cases:
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.SUBELEMENT_DECOMP)
+        ctx = _Ctx(L, DEFAULT_BUDGET)
         calls = []
         for _ in range(4):
             head = rng.randrange(L.n)
@@ -949,14 +979,14 @@ def test_certified_runs_match_laws_run_alone_and_definitional_profiles(lattice_c
     for L in lattices:
         assert run_all(L) == [run_law(L, law) for law in REGISTRY], L.provenance
         memo = _RunMemo()
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MU_MONOTONE, memo=memo)
+        ctx = _Ctx(L, DEFAULT_BUDGET, memo=memo)
         assert ctx.assemble and ctx.folds is memo.folds
         for x in rng.sample(range(L.n), L.n):
             assert ctx.profile(x) == residual_profile(L, x), (L.provenance, x)
         if L.distributive:
             run_law(L, LawId.SUBELEMENT_DECOMP, _memo=memo)
             assert memo.folds
-    ctx = _Ctx(mutate_entry(b3, "join", 3, 2, 7), DEFAULT_BUDGET, LawId.MU_MONOTONE)
+    ctx = _Ctx(mutate_entry(b3, "join", 3, 2, 7), DEFAULT_BUDGET)
     assert not ctx.assemble and ctx.folds is not ctx.memo.folds
 
 
@@ -969,7 +999,7 @@ def test_profiles_walk_derivative_chains_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.MU_MONOTONE)
+        ctx = _Ctx(L, DEFAULT_BUDGET)
         top = ctx.profile(L.top)
         reports = run_all(L)
     finally:
@@ -1007,7 +1037,7 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
     built on the rows equal those built without them."""
     rng = random.Random(16)
     for L in lattice_corpus:
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL)
+        ctx = _Ctx(L, DEFAULT_BUDGET)
         reads = [(kind, x) for kind in ("maximals", "residue", "residues", "outcasts") for x in L.elements()]
         rng.shuffle(reads)
         for kind, x in reads + reads:
@@ -1035,7 +1065,7 @@ def test_laws_in_a_family_bypass_the_rows(lattice_corpus):
     for L in lattice_corpus[::7]:
         family = mask_of([L.bottom, *rng.sample(range(L.n), L.n // 2)])
         memo = _RunMemo()
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL, family=family, memo=memo)
+        ctx = _Ctx(L, DEFAULT_BUDGET, family=family, memo=memo)
         for x in L.elements():
             assert ctx.maximals(x) == maximal_subelements(L, x, family)
             assert ctx.outcasts(x) == outcasts(L, x, family)
@@ -1056,7 +1086,7 @@ def test_element_rows_store_only_what_passes(b3, m3):
     cases += [m for _, m in single_entry_mutations(m3, ("meet",))]
     failed = set()
     for L in cases:
-        ctx = _Ctx(L, DEFAULT_BUDGET, LawId.RESIDUE_UNIQUE_MAXIMAL)
+        ctx = _Ctx(L, DEFAULT_BUDGET)
         memo = ctx.memo
         for x in L.elements():
             maxes = list(bits(L.poset.lower_covers[x]))
@@ -1108,7 +1138,7 @@ def test_testbed_run_all_dims3_matches_the_oracle():
     for r in reports:
         want = "skipped" if r.law in LAWS_FINITE_ONLY else "pass"
         assert r.verdict == want, r.law
-        assert r.exhaustive and not r.sampled_subsets, r.law
+        assert r.exhaustive, r.law
     assert sum(r.verdict == "pass" for r in reports) == 16
     checked = {r.law: r.checked for r in reports}
     # 6^3 box vectors: every pair, and every pair z <= x (21 values of
@@ -1131,7 +1161,7 @@ def test_testbed_below_is_the_leq_filter():
 
     for dims, bound in ((1, 4), (2, 4), (3, 4), (4, 3)):
         cf = OrdinalCoframe(dims)
-        ctx = _Ctx(cf, Budget(testbed_bound=bound), LawId.COHEYTING_JOIN)
+        ctx = _Ctx(cf, Budget(testbed_bound=bound))
         for x in ctx.elements:
             assert ctx.below(x) == [z for z in ctx.elements if cf.leq(z, x)], x
 
@@ -1235,57 +1265,74 @@ TESTBED_REFERENCES = {
 }
 
 
-def test_testbed_join_table_matches_reference_laws(monkeypatch):
-    """The testbed's row laws read the run's join table and report what
-    the per-pair reference loops report, byte for byte.  One primitive is wrong at one argument:
+def _wrong_at(name, args, value):
+    """``OrdinalCoframe.<name>`` with one wrong answer: ``value`` at
+    ``args``, raised when it is an exception."""
+    from residua.testbed import OrdinalCoframe
+
+    real = getattr(OrdinalCoframe, name)
+
+    def method(self, *given):
+        if given == args:
+            if isinstance(value, Exception):
+                raise value
+            return value
+        return real(self, *given)
+
+    return method
+
+
+def _profile_at(x, mu):
+    """``OrdinalCoframe.profile`` with mu replaced at x, or raising ``mu``
+    there when it is an exception."""
+    from residua.testbed import OrdinalCoframe
+
+    real = OrdinalCoframe.profile
+
+    def profile(self, v):
+        if v == x:
+            if isinstance(mu, Exception):
+                raise mu
+            return replace(real(self, v), mu=mu)
+        return real(self, v)
+
+    return profile
+
+
+def faulty_testbeds() -> list:
+    """Dims-2 testbeds with one primitive wrong at one argument:
     ``join2`` at the bottom pair, whose cores every pair joins, or at a
     pair of incomparable vectors, with a value inside the box or outside
     it (the table's -1); ``meet2`` on two compact vectors, leaving the
     compact ones; ``co_heyting_sub`` at one pair; the closed-form mu at
     one vector, wrong or raising; ``dually_compact`` at one vector."""
-    from residua.testbed import INF, OrdinalCoframe
-
-    def wrong_at(name, args, value):
-        real = getattr(OrdinalCoframe, name)
-
-        def method(self, *given):
-            if given == args:
-                if isinstance(value, Exception):
-                    raise value
-                return value
-            return real(self, *given)
-
-        return method
+    from residua.testbed import INF
 
     bottom = (INF, INF)
     cases = [
-        _testbed_fault(2, join2=wrong_at("join2", pair, value))
+        _testbed_fault(2, join2=_wrong_at("join2", pair, value))
         for pair in ((bottom, bottom), ((1, 2), (2, 1)))
         for value in ((0, 0), (9, 9))
     ]
-    real_profile = OrdinalCoframe.profile
-
-    def profile_at(x, mu):
-        def profile(self, v):
-            if v == x:
-                if isinstance(mu, Exception):
-                    raise mu
-                return replace(real_profile(self, v), mu=mu)
-            return real_profile(self, v)
-
-        return profile
-
-    cases += [
+    return cases + [
         _testbed_fault(2, **fault)
         for fault in (
-            {"meet2": wrong_at("meet2", ((1, 3), (3, 1)), (3, INF))},
-            {"co_heyting_sub": wrong_at("co_heyting_sub", ((1, 1), (2, 1)), bottom)},
-            {"profile": profile_at((2, 2), (9, 9))},
-            {"profile": profile_at((3, 1), LatticeIntegrityError("injected", witness={"x": "3,1"}))},
-            {"dually_compact": wrong_at("dually_compact", ((2, 2),), False)},
+            {"meet2": _wrong_at("meet2", ((1, 3), (3, 1)), (3, INF))},
+            {"co_heyting_sub": _wrong_at("co_heyting_sub", ((1, 1), (2, 1)), bottom)},
+            {"profile": _profile_at((2, 2), (9, 9))},
+            {"profile": _profile_at((3, 1), LatticeIntegrityError("injected", witness={"x": "3,1"}))},
+            {"dually_compact": _wrong_at("dually_compact", ((2, 2),), False)},
         )
     ]
-    cases.append(OrdinalCoframe(3))
+
+
+def test_testbed_join_table_matches_reference_laws(monkeypatch):
+    """The testbed's row laws read the run's join table and report what
+    the per-pair reference loops report, byte for byte, on each of
+    ``faulty_testbeds`` and on the dims-3 testbed."""
+    from residua.testbed import OrdinalCoframe
+
+    cases = [*faulty_testbeds(), OrdinalCoframe(3)]
 
     def docs():
         return [[json.dumps(r.to_json_dict()) for r in run_all(cf, laws=TESTBED_ROW_LAWS)] for cf in cases]
@@ -1319,6 +1366,57 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
     # of the 36-vector box have passed
     late = [d["checked"] for case in fast[4:7] + fast[8:9] for d in case if d["verdict"] == "fail"]
     assert len(late) == 5 and min(late) > 36
+
+
+def test_inconsistent_testbed_instances_fail_laws_instead_of_raising():
+    """An instance whose primitives disagree fails some law and raises
+    nothing: ``leq`` wrong either way at one pair, and each of
+    ``faulty_testbeds``.  In dims 2, (2, 1) <= (1, 1).  A ``leq``
+    that denies it makes x - m raise ``NotBelow`` at the maximal
+    subelement (2, 1) of (1, 1), which fails the law with the error and
+    the elements in hand as the witness.  A ``leq`` that also affirms the
+    converse puts (1, 1) below (2, 1) in the pair loops, where z v (x - z)
+    misses x."""
+    cases = [
+        _testbed_fault(2, leq=_wrong_at("leq", ((2, 1), (1, 1)), False)),
+        _testbed_fault(2, leq=_wrong_at("leq", ((1, 1), (2, 1)), True)),
+        *faulty_testbeds(),
+    ]
+    failing = [[r.law for r in run_all(cf) if r.verdict == "fail"] for cf in cases]
+    assert all(failing), failing
+    denied = run_law(cases[0], LawId.RESIDUE_UNIQUE_MAXIMAL)
+    assert (denied.verdict, denied.reason) == ("fail", "2,1 is not below 1,1")
+    assert denied.to_json_dict()["witness"] == {
+        "error": "NotBelow",
+        "message": "2,1 is not below 1,1",
+        "x": "1,1",
+        "z": "2,1",
+    }
+    assert "coheyting_join" in failing[1]
+
+
+def test_residua_errors_of_finite_instances_fail_and_others_propagate(b3):
+    """A ``ResiduaError`` that a finite instance's primitive raises fails
+    the law, an integrity error with its own witness; any other exception
+    is a bug of residua or of the instance and propagates."""
+
+    class Raising(FiniteLattice):
+        error = None
+
+        def meet2(self, a, b):
+            raise self.error
+
+    L = Raising(**{f.name: getattr(b3, f.name) for f in fields(b3)})
+    Raising.error = NotBelow("made up")
+    rep = run_law(L, LawId.MAXIMALS_MEET_MAXIMAL)
+    assert (rep.verdict, rep.reason, rep.witness["error"]) == ("fail", "made up", "NotBelow")
+    assert {"a", "b"} <= set(rep.witness["indices"])
+    Raising.error = LatticeIntegrityError("integrity", witness={"pair": [1, 2]})
+    rep = run_law(L, LawId.MAXIMALS_MEET_MAXIMAL)
+    assert (rep.verdict, rep.reason, rep.witness) == ("fail", "integrity", {"pair": [1, 2]})
+    Raising.error = ZeroDivisionError("a bug")
+    with pytest.raises(ZeroDivisionError):
+        run_law(L, LawId.MAXIMALS_MEET_MAXIMAL)
 
 
 def test_testbed_memo_lasts_one_run(monkeypatch):
@@ -1383,7 +1481,7 @@ class ProtocolOnly:
 
     NAMES = {
         # the protocol
-        "box", "box_below", "name", "describe", "bottom", "top", "coframe", "distributive",
+        "box", "name", "describe", "bottom", "top", "coframe", "distributive",
         "leq", "meet2", "join2", "meet_of_set", "join_of_set", "dually_compact",
         # optional closed forms
         "maximal_subelements", "co_heyting_sub", "outcasts", "profile",
