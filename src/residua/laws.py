@@ -18,7 +18,7 @@ The registry reads an instance ``L`` through one protocol:
   and ``distributive``;
 - optional closed forms ``maximal_subelements``, ``co_heyting_sub``,
   ``outcasts`` and a default-family ``profile``, which ``residual``
-  uses when present.
+  uses when present, and ``window_tables`` (see ``_Ctx.window``).
 
 A finite lattice's window is all of it at any bound, and the ordinal
 testbed's is its box.  The fast paths key on the facts they read:
@@ -29,8 +29,9 @@ testbed's is its box.  The fast paths key on the facts they read:
   read their element quantifiers off the rows as masks, and
   ``coheyting_join`` folds x - z from the join-irreducibles.
 - a stored ``L.join`` table over those positions.  Without one the
-  run's ``_RunMemo`` builds it on first use from ``join2`` over the
-  window, with -1 for a join outside it.
+  run's ``_RunMemo`` takes it from ``window_tables``, or builds it on
+  first use from ``join2`` over the window, with -1 for a join outside
+  it.
 - ``L.join_fault`` and ``L.meet_fault``, the first pair whose entry
   breaks the universal property on the order rows.  The laws that fail
   only through a wrong table entry read them instead of scanning the
@@ -42,29 +43,29 @@ testbed's is its box.  The fast paths key on the facts they read:
 
 The laws of one run share a ``_RunMemo``: the instance's description,
 order-rows flag and window, read once; default-family profiles and
-derivatives; the elements below each x, filtered with ``leq``; and three
-rows by element, the maximal subelements, the residues x - m by maximal
-m and the outcasts.  ``residual_profile``
-builds the strata from the residue rows of the iterates, and the t-class
-of x is the length of its row of maximal subelements.  On certified
-tables (``L.join_fault`` and ``L.meet_fault`` both None, as for every
-lattice ``as_lattice`` builds) each profile is instead built on that of
-its derivative, by a loop down the derivative chain.  An entry is
-stored only once its fold or cross-check has passed, so each law reports
-what it reports run alone.
+derivatives; the elements below each x, filtered with ``leq`` unless
+``window_tables`` gives them; and three rows by element, the maximal
+subelements, the residues x - m by maximal m and the outcasts.
+``residual_profile`` builds the strata from the residue rows of the
+iterates, and the t-class of x is the length of its row of maximal
+subelements.  On certified tables (``L.join_fault`` and ``L.meet_fault``
+both None, as for every lattice ``as_lattice`` builds) each profile is
+instead built on that of its derivative, by a loop down the derivative
+chain.  An entry is stored only once its fold or cross-check has passed,
+so each law reports what it reports run alone.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
 counts, mus, derivatives, core positions) are compared at once, and
 ``mu_monotone`` and ``coheyting_join`` map their primitives over the
 elements below x.  Every call a pair loop's verdict reads is still made,
-but for two theorems: on order rows ``mu_monotone`` compares lower
-covers only, as the order is transitive, and with a single core c
-``core_join_hom`` reads join[c][c] alone.  ``checked`` is added by
-arithmetic.  A failing row, a table entry of -1, or any error while the
-rows gather their facts sends the law back to 0 checked, and its pair
-loop replays every pair from the start to report the first failing one,
-with the pair loop's count and errors.
+but for the tables of ``window_tables`` and two theorems: on order rows
+``mu_monotone`` compares lower covers only, as the order is transitive,
+and with a single core c ``core_join_hom`` reads join[c][c] alone.
+``checked`` is added by arithmetic.  A failing row, a table entry of -1,
+or any error while the rows gather their facts sends the law back to 0
+checked, and its pair loop replays every pair from the start to report
+the first failing one, with the pair loop's count and errors.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
@@ -195,7 +196,8 @@ class _RunMemo:
 
     ``profiles`` and ``derivatives`` hold the default-family profiles and
     derivatives, ``below`` the rows of ``_Ctx.below``, and ``joins`` the
-    join table of an instance that stores none (see ``_Ctx.join_table``).
+    join table of an instance that stores none (see ``_Ctx.join_table``);
+    ``window`` is set once ``_Ctx.window`` has read ``L.window_tables``.
     ``maximals``, ``residues`` and ``outcasts`` are the default-family
     rows, by element (see ``_Ctx.maximals``): the maximal subelements of
     x, the dict of x - m by maximal m, and the outcasts of x.  An entry
@@ -214,6 +216,7 @@ class _RunMemo:
     folds: dict = field(default_factory=dict)
     facts: Optional[tuple] = None
     row_table: Optional[tuple] = None
+    window: bool = False
 
     def run_facts(self, L, budget: Budget) -> tuple:
         """``(L.describe(), order rows?, window, certified?)``, read by the
@@ -358,14 +361,15 @@ class _Ctx:
         """Row i, entry k: the position of ``elements[i] v elements[k]``.
 
         An instance's stored ``L.join`` is this table.  Otherwise it is
-        built on first use in a run, row by row with ``map``, one
-        ``join2`` per ordered pair, and kept in the run's memo for the row
-        passes and pair loops of every pair law; an entry is -1 when the
-        join lies outside the elements, which only a faulty ``join2`` can
-        produce."""
+        the closed form of ``window``, or built on first use in a run,
+        row by row with ``map``, one ``join2`` per ordered pair, and kept
+        in the run's memo for the row passes and pair loops of every pair
+        law; an entry is -1 when the join lies outside the elements, which
+        only a faulty ``join2`` can produce."""
         table = getattr(self.L, "join", None)
         if table is not None:
             return table
+        self.window()
         if self.memo.joins is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
             self.memo.joins = [
@@ -423,9 +427,24 @@ class _Ctx:
         low = mask & -mask
         return self.join_fold(low.bit_length() - 1, mask ^ low)
 
+    def window(self):
+        """Read ``L.window_tables(elements)`` once per run, for an
+        instance that stores no join table: the join table and below rows
+        that ``join2`` and ``leq`` would give, or None."""
+        memo = self.memo
+        if not memo.window:
+            memo.window = True
+            tables = getattr(self.L, "window_tables", None)
+            if tables is not None and getattr(self.L, "join", None) is None:
+                tables = tables(self.elements)
+                if tables is not None:
+                    memo.joins, memo.below = tables
+
     def below(self, x):
-        """The elements z with ``leq(z, x)``, in element order, filtered
-        once per run, so that a wrong ``leq`` reaches the pair loops."""
+        """The elements z with ``leq(z, x)``, in element order: ``window``'s
+        row, or filtered once per run, so that a wrong ``leq`` reaches the
+        pair loops."""
+        self.window()
         row = self.memo.below
         got = row.get(x)
         if got is None:

@@ -32,11 +32,15 @@ unrolled for ``dims`` (see ``_kernels``) that check the lengths by
 unpacking them, so each call is one Python frame.  So is
 ``co_heyting_sub`` while ``leq`` is the kernel: it tests z <= x inline
 (see ``_OrderChecked``); under any other ``leq`` it is the method, which
-calls that ``leq``.  ``run_all`` in dims 3 makes 143,890 calls of them
+calls that ``leq``.  ``run_all`` in dims 3 makes 97,234 calls of them
 and ``dually_compact``; ``coheyting_join`` binds x - z once for its
-9,261.  Every other method, and the law registry, reads the public
-names, never a kernel, so a subclass or class patch that overrides one
-is seen by every use.
+9,261.  It makes none for the box's join table and the rows of vectors
+below each vector: while ``join2`` and ``leq`` are the kernels,
+``window_tables`` gives both by arithmetic on coordinate positions
+(otherwise each takes one call per ordered pair: 46,656 in dims 3,
+1.68 M in dims 4).  Every other method, and the law registry, reads the
+public names, never a kernel, so a subclass or class patch that
+overrides one is seen by every use.
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -158,6 +162,28 @@ def _box_values(bound: int) -> list:
     return list(range(bound + 1)) + [INF]
 
 
+def _product_rows(sizes: list, segment):
+    """Position rows over a product of chains of the given sizes, in
+    ``itertools.product`` order, built one coordinate at a time.  Adding a
+    chain of size n to the product so far, the row of (x, a) joins
+    ``segment(n, a, p)`` over the entries p of the row of x, so each row
+    is one ``chain`` over short precomputed segments, with no Python-level
+    step per entry.  The rows of the whole product come from an iterator,
+    one at a time, so a reader that keeps something else per row never
+    holds them all."""
+    rows = [[0]]  # the product of no chains: one point, whose row is itself
+    for depth, n in enumerate(sizes, 1):
+        segments = [[segment(n, a, p) for p in range(len(rows))] for a in range(n)]
+        rows = (
+            list(itertools.chain.from_iterable(map(segments[a].__getitem__, row)))
+            for row in rows
+            for a in range(n)
+        )
+        if depth < len(sizes):
+            rows = list(rows)
+    return rows
+
+
 def _check_bound(bound: int) -> None:
     """Bounds are naturals: below 0 the searches would walk vectors with
     negative coordinates, outside the carrier."""
@@ -182,8 +208,10 @@ def _kernels(dims: int) -> tuple:
     take x's coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...
     Each checks the lengths by that tuple unpacking: when it fails, the
     kernel raises ``_check_lengths``' DimensionMismatch, or the unpacking
-    error itself if both lengths are right.  ``checked_sub`` is x - z
-    with the method's order test z <= x done inline: it unpacks and
+    error itself if both lengths are right.  ``sub`` and ``checked_sub``
+    name their parameters x and z, as the method does, so an error's
+    witness names the same arguments on either path.  ``checked_sub`` is
+    x - z with the method's order test z <= x done inline: it unpacks and
     checks z before x, as ``leq(z, x)`` does, and raises the method's
     NotBelow.  Each dims is compiled once, by its first
     ``OrdinalCoframe``."""
@@ -191,7 +219,7 @@ def _kernels(dims: int) -> tuple:
     b = [f"b{i}" for i in range(dims)]
 
     def unpack(first: str, second: str) -> str:
-        names = {"x": ", ".join(a), "y": ", ".join(b)}
+        names = {"x": ", ".join(a), "y": ", ".join(b), "z": ", ".join(b)}
         return (
             f"    try:\n        {names[first]}, = {first}\n        {names[second]}, = {second}\n"
             f"    except (TypeError, ValueError):\n        check({dims}, ({first}, {second}))\n"
@@ -208,13 +236,14 @@ def _kernels(dims: int) -> tuple:
         "join": vector("{a} if {a} < {b} else {b}"),
         "sub": sub,
     }
-    source = "".join(
-        f"def {name}(x, y):\n{unpack('x', 'y')}    return {body}\n" for name, body in bodies.items()
-    )
+    source = ""
+    for name, body in bodies.items():
+        second = "z" if name == "sub" else "y"
+        source += f"def {name}(x, {second}):\n{unpack('x', second)}    return {body}\n"
     source += (
-        f"def checked_sub(x, y):\n{unpack('y', 'x')}"
+        f"def checked_sub(x, z):\n{unpack('z', 'x')}"
         f"    if {' and '.join(f'{bi} >= {ai}' for ai, bi in zip(a, b))}:\n        return {sub}\n"
-        "    raise NotBelow(fmt(y) + ' is not below ' + fmt(x))\n"
+        "    raise NotBelow(fmt(z) + ' is not below ' + fmt(x))\n"
     )
     namespace = {"INF": INF, "check": _check_lengths, "NotBelow": NotBelow, "fmt": fmt_vec}
     exec(source, namespace)
@@ -449,6 +478,43 @@ class OrdinalCoframe:
                 f"vectors, above the cap of {MAX_GRID_POINTS}"
             )
         return list(itertools.product(_box_values(bound), repeat=self.dims))
+
+    def window_tables(self, elements: list):
+        """``(join, below)`` for a box-shaped window, by arithmetic on
+        positions: ``join[i][k]`` is the position of
+        ``elements[i] v elements[k]`` and ``below[x]`` lists the elements
+        z with z <= x, in element order, as the window's own tuples.  The
+        law registry reads these instead of calling ``join2`` and ``leq``
+        at every ordered pair (see ``laws._Ctx.join_table``).
+
+        A window that is the product of chains, one per coordinate, puts
+        x at the sum over i of rank(x_i) * stride_i.  Joins are pointwise
+        mins and z <= x iff z_i >= x_i at every i, so x v z sits at the
+        sum of min(rank(x_i), rank(z_i)) * stride_i, and the row below x
+        is the product of the ranks at or above those of x.  Both are
+        built one coordinate at a time (``_product_rows``).
+
+        None unless ``join2`` and ``leq`` are this dims' kernels, tested
+        by identity as ``_OrderChecked`` tests ``leq`` (so a subclass, a
+        class patch or an instance attribute gives way to the calls), and
+        ``elements`` is the ``itertools.product`` of its sorted
+        coordinate values, each a strict chain.  Every ``box`` is."""
+        kernels = _kernels(self.dims)
+        if self.join2 is not kernels[2] or self.leq is not kernels[0]:
+            return None
+        try:
+            axes = [sorted({v[i] for v in elements}) for i in range(self.dims)]
+            if list(itertools.product(*axes)) != elements:
+                return None
+        except (IndexError, TypeError):  # a short vector, or no vector
+            return None
+        if any(u >= v for axis in axes for u, v in zip(axis, axis[1:])):
+            return None
+        sizes = [len(axis) for axis in axes]
+        join = list(_product_rows(sizes, lambda n, a, p: [p * n + min(a, b) for b in range(n)]))
+        rows = _product_rows(sizes, lambda n, a, p: range(p * n + a, p * n + n))
+        at = elements.__getitem__
+        return join, {x: list(map(at, row)) for x, row in zip(elements, rows)}
 
     def name(self, x: tuple) -> str:
         return fmt_vec(x)

@@ -1395,6 +1395,113 @@ def test_inconsistent_testbed_instances_fail_laws_instead_of_raising():
     assert "coheyting_join" in failing[1]
 
 
+def test_x_minus_z_errors_name_x_and_z_on_both_paths():
+    """x - z raises ``NotBelow`` from the fused kernel while ``leq`` is the
+    kernel, and from the method under an overridden ``leq``; either way
+    the witness names the arguments x and z.  Here (1, 1) claims (0, 0),
+    which is not below it, as a maximal subelement."""
+    from residua.testbed import OrdinalCoframe
+
+    real = OrdinalCoframe.maximal_subelements
+
+    def maximals(self, x, family=None):
+        if x == (1, 1) and family is None:
+            return [(0, 0), (2, 1)]
+        return real(self, x, family)
+
+    fused = _testbed_fault(2, maximal_subelements=maximals)
+    method = _testbed_fault(2, maximal_subelements=maximals, leq=OrdinalCoframe.leq)
+    assert fused.co_heyting_sub.__name__ == "checked_sub"
+    assert method.co_heyting_sub.__name__ == "co_heyting_sub"
+    for cf in (fused, method):
+        rep = run_law(cf, LawId.RESIDUE_UNIQUE_MAXIMAL)
+        assert rep.to_json_dict()["witness"] == {
+            "x": "1,1",
+            "z": "0,0",
+            "error": "NotBelow",
+            "message": "0,0 is not below 1,1",
+        }
+
+
+def _without_window_tables(cf):
+    """A testbed of ``cf``'s class and dims whose ``join2`` calls the
+    class's own, so that its ``window_tables`` gives way and a run builds
+    the join table and below rows with ``join2`` and ``leq``."""
+
+    class Called(type(cf)):
+        def join2(self, x, y):
+            return super().join2(x, y)
+
+    return Called(cf.dims)
+
+
+def test_testbed_window_tables_match_the_called_tables():
+    """``window_tables(box)`` equals the join table and below rows that
+    ``_Ctx`` builds from ``join2`` and ``leq``, in dims 1-4 at every bound
+    up to 4 (3 in dims 4), and its rows hold the box's own tuples."""
+    from residua.testbed import OrdinalCoframe
+
+    for dims in (1, 2, 3, 4):
+        for bound in range(4 if dims == 4 else 5):
+            cf = OrdinalCoframe(dims)
+            box = cf.box(bound)
+            ctx = _Ctx(_without_window_tables(cf), Budget(testbed_bound=bound))
+            assert ctx.L.window_tables(box) is None
+            called = ctx.join_table(), {x: ctx.below(x) for x in ctx.elements}
+            join, below = cf.window_tables(box)
+            assert (join, below) == called, (dims, bound)
+            ids = set(map(id, box))
+            assert all(id(z) in ids for row in below.values() for z in row)
+
+
+def test_testbed_window_tables_give_way(monkeypatch):
+    """``window_tables`` returns None when ``join2`` or ``leq`` is not the
+    dims kernel (a subclass method, a class patch made after
+    construction, an instance attribute) and when the window is not a
+    box: shuffled, or with one vector dropped."""
+    from residua.testbed import OrdinalCoframe
+
+    cf = OrdinalCoframe(2)
+    box = cf.box(3)
+    assert cf.window_tables(box) is not None
+    for name in ("join2", "leq"):
+        real = getattr(OrdinalCoframe, name)
+
+        def calling(self, x, y):
+            return real(self, x, y)
+
+        assert _testbed_fault(2, **{name: calling}).window_tables(box) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(OrdinalCoframe, name, calling)
+            assert cf.window_tables(box) is None
+        setattr(cf, name, lambda x, y: real(cf, x, y))
+        assert cf.window_tables(box) is None
+        delattr(cf, name)
+        assert cf.window_tables(box) is not None
+    shuffled = list(box)
+    random.Random(5).shuffle(shuffled)
+    assert cf.window_tables(shuffled) is None
+    assert cf.window_tables(box[:7] + box[8:]) is None
+
+
+def test_testbed_reports_match_without_window_tables():
+    """``run_all`` gives the same JSON, byte for byte, with the window's
+    closed-form tables and with tables built from ``join2`` and ``leq``,
+    on the testbed in dims 1-3 and on each of ``faulty_testbeds``; every
+    case whose ``join2`` is the kernel takes the closed form."""
+    from residua.testbed import OrdinalCoframe
+
+    cases = [*map(OrdinalCoframe, (1, 2, 3)), *faulty_testbeds()]
+    closed = [cf.window_tables(cf.box(DEFAULT_BUDGET.testbed_bound)) is not None for cf in cases]
+    assert closed == [True] * 3 + [False] * 4 + [True] * 5
+
+    def doc(cf):
+        return json.dumps([r.to_json_dict() for r in run_all(cf)])
+
+    for cf in cases:
+        assert doc(_without_window_tables(cf)) == doc(cf), cf
+
+
 def test_residua_errors_of_finite_instances_fail_and_others_propagate(b3):
     """A ``ResiduaError`` that a finite instance's primitive raises fails
     the law, an integrity error with its own witness; any other exception
@@ -1484,7 +1591,7 @@ class ProtocolOnly:
         "box", "name", "describe", "bottom", "top", "coframe", "distributive",
         "leq", "meet2", "join2", "meet_of_set", "join_of_set", "dually_compact",
         # optional closed forms
-        "maximal_subelements", "co_heyting_sub", "outcasts", "profile",
+        "maximal_subelements", "co_heyting_sub", "outcasts", "profile", "window_tables",
         # facts of the fast paths: order rows, stored tables, their faults,
         # the derivative row, and the join fold's error
         "poset", "join", "meet", "join_fault", "meet_fault", "derivatives", "_join_violation",
