@@ -27,7 +27,7 @@ from .lattice import (
     meet_of_set,
     poset_from_json,
 )
-from .laws import Budget, LawId, LawReport, REGISTRY, all_pass, run_all, run_law, shrink
+from .laws import LawId, LawReport, REGISTRY, all_pass, run_all, run_law, shrink
 from .residual import (
     OMEGA,
     RankValue,

@@ -10,15 +10,14 @@ raises fails the law (see ``run_law``).
 
 The registry reads an instance ``L`` through one protocol:
 
-- ``L.box(bound)``, a finite window of elements, with
-  ``Budget.testbed_bound`` as the bound;
+- ``L.box(WINDOW_BOUND)``, a finite window of elements;
 - ``L.name(x)`` for witnesses and ``L.describe()`` for the report;
 - the primitives ``leq``, ``meet2``, ``join2``, ``meet_of_set``,
   ``join_of_set``, ``dually_compact``, ``bottom``, ``top``, ``coframe``
   and ``distributive``;
 - optional closed forms ``maximal_subelements``, ``co_heyting_sub``,
   ``outcasts`` and a default-family ``profile``, which ``residual``
-  uses when present, and ``window_tables`` (see ``_Ctx.window``).
+  uses when present, and ``window_tables`` (see ``_Ctx.join_table``).
 
 A finite lattice's window is all of it at any bound, and the ordinal
 testbed's is its box.  The fast paths key on the facts they read:
@@ -29,9 +28,8 @@ testbed's is its box.  The fast paths key on the facts they read:
   read their element quantifiers off the rows as masks, and
   ``coheyting_join`` folds x - z from the join-irreducibles.
 - a stored ``L.join`` table over those positions.  Without one the
-  run's ``_RunMemo`` takes it from ``window_tables``, or builds it on
-  first use from ``join2`` over the window, with -1 for a join outside
-  it.
+  run takes it from ``window_tables``, or builds it on first use from
+  ``join2`` over the window, with -1 for a join outside it.
 - ``L.join_fault`` and ``L.meet_fault``, the first pair whose entry
   breaks the universal property on the order rows.  The laws that fail
   only through a wrong table entry read them instead of scanning the
@@ -41,18 +39,20 @@ testbed's is its box.  The fast paths key on the facts they read:
   ``minmax_bound`` count by arithmetic while the tables they read have
   no fault.
 
-The laws of one run share a ``_RunMemo``: the instance's description,
-order-rows flag and window, read once; default-family profiles and
-derivatives; the elements below each x, filtered with ``leq`` unless
-``window_tables`` gives them; and three rows by element, the maximal
-subelements, the residues x - m by maximal m and the outcasts.
-``residual_profile`` builds the strata from the residue rows of the
-iterates, and the t-class of x is the length of its row of maximal
-subelements.  On certified tables (``L.join_fault`` and ``L.meet_fault``
-both None, as for every lattice ``as_lattice`` builds) each profile is
-instead built on that of its derivative, by a loop down the derivative
-chain.  An entry is stored only once its fold or cross-check has passed,
-so each law reports what it reports run alone.
+The laws of one run share one ``_Ctx``, and with a family the laws of
+``FAMILY_HYPOTHESES`` share a second one in that family: the instance's
+description, order-rows flag, window and certification, read once;
+profiles and derivatives; the elements below each x, filtered with
+``leq`` unless ``window_tables`` gives them; and three rows by element,
+the maximal subelements, the residues x - m by maximal m and the
+outcasts, each in the run's family.  ``residual_profile`` builds the
+strata from the residue rows of the iterates, and the t-class of x is
+the length of its row of maximal subelements.  On certified tables
+(``L.join_fault`` and ``L.meet_fault`` both None, as for every lattice
+``as_lattice`` builds) each default-family profile is instead built on
+that of its derivative, by a loop down the derivative chain.  An entry
+is stored only once its fold or cross-check has passed, so each law
+reports what it reports run alone.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, partial
 from itertools import compress, repeat
@@ -141,16 +141,8 @@ class LawId(Enum):
 # up to SUBSET_EXHAUSTIVE_BITS members.
 SUBSET_EXHAUSTIVE_BITS = 12
 
-
-@dataclass(frozen=True)
-class Budget:
-    """How a run enumerates: ``testbed_bound`` is the bound of the
-    instance's window (``box``)."""
-
-    testbed_bound: int = 4
-
-
-DEFAULT_BUDGET = Budget()
+# A run's window is ``L.box(WINDOW_BOUND)``.
+WINDOW_BOUND = 4
 
 
 @dataclass
@@ -189,60 +181,39 @@ def _key(mask: int):
     return mask if mask < _EXACT_HASH else mask.to_bytes((mask.bit_length() + 7) // 8, "little")
 
 
-@dataclass
-class _RunMemo:
-    """What the laws of one ``run_all`` (or one ``run_law``) share; it is
-    dropped when the run returns, so nothing is stored on the instance.
-
-    ``profiles`` and ``derivatives`` hold the default-family profiles and
-    derivatives, ``below`` the rows of ``_Ctx.below``, and ``joins`` the
-    join table of an instance that stores none (see ``_Ctx.join_table``);
-    ``window`` is set once ``_Ctx.window`` has read ``L.window_tables``.
-    ``maximals``, ``residues`` and ``outcasts`` are the default-family
-    rows, by element (see ``_Ctx.maximals``): the maximal subelements of
-    x, the dict of x - m by maximal m, and the outcasts of x.  An entry
-    is stored only once its fold or cross-check has passed, so a faulty
-    table raises the same error at every read.  ``folds`` is the verified-fold memo of
-    ``_Ctx.join_fold`` on certified tables, ``facts`` what ``run_facts``
-    reads of the instance, and ``row_table`` what ``_row_table`` finds."""
-
-    profiles: dict = field(default_factory=dict)
-    derivatives: dict = field(default_factory=dict)
-    below: dict = field(default_factory=dict)
-    joins: Optional[list] = None
-    maximals: dict = field(default_factory=dict)
-    residues: dict = field(default_factory=dict)
-    outcasts: dict = field(default_factory=dict)
-    folds: dict = field(default_factory=dict)
-    facts: Optional[tuple] = None
-    row_table: Optional[tuple] = None
-    window: bool = False
-
-    def run_facts(self, L, budget: Budget) -> tuple:
-        """``(L.describe(), order rows?, window, certified?)``, read by the
-        run's first law.  Tables are certified when order rows show no
-        join or meet fault, as for every lattice ``as_lattice`` builds."""
-        if self.facts is None:
-            rows = hasattr(L, "poset")
-            certified = rows and L.join_fault is None and L.meet_fault is None
-            self.facts = (L.describe(), rows, L.box(budget.testbed_bound), certified)
-        return self.facts
-
-
 class _Ctx:
-    """Per-law state: element list, the run's memo, fold memo.  On
-    certified tables the folds are the run's, and each default-family
-    profile is built on that of its derivative."""
+    """One run on an instance, its window and a family: what the laws of
+    one ``run_all`` (or one ``run_law``) share.  It is dropped when the
+    run returns, so nothing is stored on the instance.
 
-    def __init__(self, L, budget: Budget, family=None, memo=None):
+    ``family`` is a normalized mask, or None for the default family.
+    The instance's description, order-rows flag, window and certification
+    are read once; tables are certified when order rows show no join or
+    meet fault, as for every lattice ``as_lattice`` builds.  ``profiles``,
+    ``derivatives``, ``maximal_row``, ``residue_row`` and ``outcast_row``
+    hold, by element and in the run's family, the profile, the
+    derivative, the maximal subelements, the dict of x - m by maximal m,
+    and the outcasts.  An entry is stored only once its fold or
+    cross-check has passed, so a faulty table raises the same error at
+    every read.  On certified tables each default-family profile is built
+    on that of its derivative.
+
+    ``checked`` is the running law's count, and ``folds`` the
+    verified-fold memo of ``join_fold``.  ``run_law`` resets the count
+    before each law, and the folds too unless the tables are certified."""
+
+    def __init__(self, L, family=None):
         self.L = L
         self.family = family
-        self.memo = memo = memo or _RunMemo()
-        _, _, self.elements, certified = memo.run_facts(L, budget)
         self.name = L.name
-        self.profiles = memo.profiles if family is None else {}
-        self.folds = memo.folds if certified else {}  # head -> _key(mask) -> verified fold
-        self.assemble = certified and family is None
+        self.instance = L.describe()
+        self.order_rows = hasattr(L, "poset")
+        self.certified = self.order_rows and L.join_fault is None and L.meet_fault is None
+        self.elements = L.box(WINDOW_BOUND)
+        self.assemble = self.certified and family is None
+        self.profiles, self.derivatives = {}, {}
+        self.maximal_row, self.residue_row, self.outcast_row = {}, {}, {}
+        self.folds = {}  # head -> _key(mask) -> verified fold
         self.checked = 0
 
     def profile(self, x):
@@ -251,8 +222,7 @@ class _Ctx:
             if self.assemble:
                 got = self._assembled(x)
             else:
-                residues_of = self.residues if self.family is None else None
-                got = residual_profile(self.L, x, self.family, residues_of=residues_of)
+                got = residual_profile(self.L, x, self.family, residues_of=self.residues)
             self.profiles[x] = got
         return got
 
@@ -279,36 +249,31 @@ class _Ctx:
             below = None
         return residual_profile(L, x, residues_of=residues, mu_profile=below)
 
-    # The run's element rows, used with the default family only.  Each is
-    # filled through this module's ``maximal_subelements``,
-    # ``co_heyting_sub`` and ``outcasts``, looked up at call time, so a
-    # replacement bound there reaches every entry.  The lists and dicts
-    # they return are the stored entries: readers must not change them.
+    # The run's element rows.  Each is filled through this module's
+    # ``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` and
+    # ``residual_derivative``, looked up at call time, so a replacement
+    # bound there reaches every entry.  The lists and dicts they return
+    # are the stored entries: readers must not change them.
 
     def maximals(self, x) -> list:
-        """``maximal_subelements`` in the law's family, kept in the run's
-        row with the default family."""
-        if self.family is not None:
-            return maximal_subelements(self.L, x, self.family)
-        row = self.memo.maximals
+        """``maximal_subelements`` in the run's family."""
+        row = self.maximal_row
         got = row.get(x)
         if got is None:
-            got = row[x] = maximal_subelements(self.L, x)
+            got = row[x] = maximal_subelements(self.L, x, self.family)
         return got
 
     def t(self, x) -> int:
         """The t-class of x: how many maximal subelements it has.  The
-        laws that read it take no family."""
+        laws that read it run in the default family."""
         return len(self.maximals(x))
 
     def residue(self, x, m):
         """``co_heyting_sub(L, x, m)`` for a maximal subelement m of x,
         kept in the run's residue row once its fold has passed."""
-        if self.family is not None:
-            return co_heyting_sub(self.L, x, m)
-        got = self.memo.residues.get(x)
+        got = self.residue_row.get(x)
         if got is None:
-            got = self.memo.residues[x] = {}
+            got = self.residue_row[x] = {}
         r = got.get(m)
         if r is None:
             r = got[m] = co_heyting_sub(self.L, x, m)
@@ -319,33 +284,28 @@ class _Ctx:
         order: the run's row entry, made whole and put in that order on
         first read."""
         maxes = self.maximals(x)
-        got = self.memo.residues.get(x)
+        got = self.residue_row.get(x)
         if got is None or list(got) != maxes:
             residue = self.residue
-            got = self.memo.residues[x] = {m: residue(x, m) for m in maxes}
+            got = self.residue_row[x] = {m: residue(x, m) for m in maxes}
         return got
 
     def outcasts(self, x) -> list:
-        """``outcasts`` in the law's family, kept in the run's row with the
-        default family once its boundary cross-check, which joins the
-        residue row of x, has passed."""
-        if self.family is not None:
-            return outcasts(self.L, x, self.family)
-        row = self.memo.outcasts
+        """``outcasts`` in the run's family, kept once its boundary
+        cross-check, which joins the residue row of x and runs in the
+        default family only, has passed."""
+        row = self.outcast_row
         got = row.get(x)
         if got is None:
-            got = row[x] = outcasts(self.L, x, residues_of=self.residues)
+            got = row[x] = outcasts(self.L, x, self.family, residues_of=self.residues)
         return got
 
     def derivative(self, x):
-        """``residual_derivative`` in the law's family, kept for the run
-        with the default family."""
-        if self.family is not None:
-            return residual_derivative(self.L, x, self.family)
-        row = self.memo.derivatives
+        """``residual_derivative`` in the run's family."""
+        row = self.derivatives
         mu = row.get(x)
         if mu is None:
-            mu = row[x] = residual_derivative(self.L, x, maximals_of=self.maximals)
+            mu = row[x] = residual_derivative(self.L, x, self.family, maximals_of=self.maximals)
         return mu
 
     @cached_property
@@ -357,37 +317,52 @@ class _Ctx:
         """Every ordered element pair, row-major."""
         return itertools.product(self.elements, repeat=2)
 
+    @cached_property
+    def _window_tables(self) -> tuple:
+        """``L.window_tables(elements)`` for an instance that stores no
+        join table: the join table and below rows that ``join2`` and
+        ``leq`` would give.  (None, {}) when there are none."""
+        L = self.L
+        if getattr(L, "join", None) is None and hasattr(L, "window_tables"):
+            return L.window_tables(self.elements) or (None, {})
+        return None, {}
+
+    @cached_property
     def join_table(self):
         """Row i, entry k: the position of ``elements[i] v elements[k]``.
 
         An instance's stored ``L.join`` is this table.  Otherwise it is
-        the closed form of ``window``, or built on first use in a run,
-        row by row with ``map``, one ``join2`` per ordered pair, and kept
-        in the run's memo for the row passes and pair loops of every pair
-        law; an entry is -1 when the join lies outside the elements, which
-        only a faulty ``join2`` can produce."""
+        the closed form of ``window_tables``, or built on first use in a
+        run, row by row with ``map``, one ``join2`` per ordered pair, for
+        the row passes and pair loops of every pair law; an entry is -1
+        when the join lies outside the elements, which only a faulty
+        ``join2`` can produce."""
         table = getattr(self.L, "join", None)
-        if table is not None:
-            return table
-        self.window()
-        if self.memo.joins is None:
+        if table is None:
+            table = self._window_tables[0]
+        if table is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
-            self.memo.joins = [
-                list(map(get, map(join2, repeat(x), els), repeat(-1))) for x in els
-            ]
-        return self.memo.joins
+            table = [list(map(get, map(join2, repeat(x), els), repeat(-1))) for x in els]
+        return table
+
+    @cached_property
+    def row_table(self):
+        """The join table for a row pass, or None when an entry is -1 (a
+        join outside the elements, which only a faulty ``join2`` makes):
+        the pair loop decides those."""
+        table = self.join_table
+        return None if any(map(operator.contains, table, repeat(-1))) else table
 
     def join_pairs(self):
         """(i, k, j) for every ordered pair, row-major: the positions of
         x, z and x v z, read from the join table, with j -1 when x v z is
         not in ``elements``."""
-        return ((i, k, j) for i, row in enumerate(self.join_table()) for k, j in enumerate(row))
+        return ((i, k, j) for i, row in enumerate(self.join_table) for k, j in enumerate(row))
 
     def join_fold(self, head: int, mask: int) -> int:
         """``L.join_of_set([head, *bits(mask)])`` on order rows, with
         the same left fold, check, error and witness, through a memo that
-        lives as long as the law's context, or the run's on certified
-        tables.
+        lives as long as the law, or the run on certified tables.
 
         Only verified folds are stored, and a verified fold's common upper
         bounds are up(acc), so the memo keeps acc alone, by head and then
@@ -427,30 +402,27 @@ class _Ctx:
         low = mask & -mask
         return self.join_fold(low.bit_length() - 1, mask ^ low)
 
-    def window(self):
-        """Read ``L.window_tables(elements)`` once per run, for an
-        instance that stores no join table: the join table and below rows
-        that ``join2`` and ``leq`` would give, or None."""
-        memo = self.memo
-        if not memo.window:
-            memo.window = True
-            tables = getattr(self.L, "window_tables", None)
-            if tables is not None and getattr(self.L, "join", None) is None:
-                tables = tables(self.elements)
-                if tables is not None:
-                    memo.joins, memo.below = tables
-
     def below(self, x):
-        """The elements z with ``leq(z, x)``, in element order: ``window``'s
-        row, or filtered once per run, so that a wrong ``leq`` reaches the
-        pair loops."""
-        self.window()
-        row = self.memo.below
+        """The elements z with ``leq(z, x)``, in element order: the row of
+        ``window_tables``, or filtered once per run, so that a wrong
+        ``leq`` reaches the pair loops."""
+        row = self._window_tables[1]
         got = row.get(x)
         if got is None:
             els = self.elements
             got = row[x] = list(compress(els, map(self.L.leq, els, repeat(x))))
         return got
+
+    @cached_property
+    def family_holds(self) -> dict:
+        """Which hypotheses of ``FAMILY_HYPOTHESES`` the run's family
+        meets, checked once per run."""
+        L, fam = self.L, self.family
+        return {
+            "bottom": contains(fam, L.bottom),
+            "upper_semilattice": family_is_upper_semilattice(L, fam),
+            "lattice": family_is_lattice(L, fam),
+        }
 
     def witness(self, _data: Optional[dict] = None, **elems) -> dict:
         out = {k: self.name(v) for k, v in elems.items()}
@@ -491,17 +463,6 @@ def _by_rows(ctx, rows, pairs):
         pass  # the pair loop raises it again if it reaches it
     ctx.checked = 0
     return pairs(ctx)
-
-
-def _row_table(ctx):
-    """The join table for a row pass, or None when an entry is -1 (a join
-    outside the elements, which only a faulty ``join2`` makes): the pair
-    loop decides those.  The table is scanned once per run."""
-    memo = ctx.memo
-    if memo.row_table is None:
-        table = ctx.join_table()
-        memo.row_table = (None if any(map(operator.contains, table, repeat(-1))) else table,)
-    return memo.row_table[0]
 
 
 def _check_coheyting_join(ctx):
@@ -743,7 +704,7 @@ def _check_type_subadditive(ctx):
 
 def _type_subadditive_rows(ctx):
     """Row x passes iff t(x v z) - t(z) <= t(x) for every z."""
-    join = _row_table(ctx)
+    join = ctx.row_table
     if join is None:
         return False
     t = list(map(ctx.t, ctx.elements))
@@ -832,7 +793,7 @@ def _mu_join_hom_rows(ctx):
     and ``join2`` otherwise.  When every mu is an element, rows compare
     positions, the rows of one mu share their expected row, and a
     derivative that is no element fails its row."""
-    join = _row_table(ctx)
+    join = ctx.row_table
     if join is None:
         return False
     els = ctx.elements
@@ -1065,7 +1026,7 @@ def _core_join_hom_rows(ctx):
     lattice's bottom) each row is c throughout on both sides, the right
     one being join[c][c].  A core outside the elements, which only a
     faulty profile gives, leaves the law to the pair loop."""
-    join = _row_table(ctx)
+    join = ctx.row_table
     if join is None:
         return False
     get = ctx.index.get
@@ -1093,7 +1054,7 @@ def _core_join_hom_pairs(ctx):
     testbed's closed-form cores always are), else joined with ``join2``."""
     L, els = ctx.L, ctx.elements
     join2, profile = L.join2, ctx.profile
-    table, index = ctx.join_table(), ctx.index
+    table, index = ctx.join_table, ctx.index
     cores, core_at = [None] * len(els), [-1] * len(els)
 
     def fill(i):
@@ -1318,43 +1279,44 @@ FAMILY_HYPOTHESES = {
 }
 
 
-def _family_skip_reason(L, law: LawId, fam: int) -> Optional[str]:
-    needs = FAMILY_HYPOTHESES.get(law, ())
-    if "bottom" in needs and not contains(fam, L.bottom):
-        return "family does not contain the bottom"
-    if "upper_semilattice" in needs and not family_is_upper_semilattice(L, fam):
-        return "family is not an upper semilattice"
-    if "lattice" in needs and not family_is_lattice(L, fam):
-        return "family is not a lattice"
-    return None
+_FAMILY_SKIP_REASONS = {
+    "bottom": "family does not contain the bottom",
+    "upper_semilattice": "family is not an upper semilattice",
+    "lattice": "family is not a lattice",
+}
 
 
-def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=None) -> LawReport:
+def run_law(L, law: LawId, family=None, _ctx=None) -> LawReport:
     """Run one law on one instance; deterministic for fixed inputs.  A
-    family is a set of element positions, so it needs order rows.
+    family is a set of element positions, so it needs order rows; the
+    laws outside ``FAMILY_HYPOTHESES`` run in the default family.
+    ``_ctx`` is the run of ``run_all`` that the law joins, in place of a
+    run of its own.
 
     A ``ResiduaError`` raised while the law runs fails it, with the
     error's message as the reason: a ``LatticeIntegrityError`` with its
     own witness, any other with ``_error_witness``."""
-    if family is not None:
+    ctx = _ctx
+    if ctx is None:
         family = family_mask(L, family)
-    memo = _memo or _RunMemo()
-    instance, rows, _, _ = memo.run_facts(L, budget)
+        ctx = _Ctx(L, family if law in FAMILY_HYPOTHESES else None)
     spec = REGISTRY[law]
-    if spec.needs_order_rows and not rows:
+    if spec.needs_order_rows and not ctx.order_rows:
         reason = "requires finite enumeration"
     elif spec.requires_coframe and not L.coframe:
         reason = "not a coframe"
     elif spec.requires_distributive and not L.distributive:
         reason = "not distributive"
-    elif family is not None and law in FAMILY_HYPOTHESES:
-        reason = _family_skip_reason(L, law, family)
+    elif ctx.family is not None:
+        holds = ctx.family_holds
+        reason = next((_FAMILY_SKIP_REASONS[h] for h in FAMILY_HYPOTHESES[law] if not holds[h]), None)
     else:
         reason = None
     if reason is not None:
-        return LawReport(law.value, instance, "skipped", 0, True, reason)
-    use_family = None if family is None or law not in FAMILY_HYPOTHESES else family
-    ctx = _Ctx(L, budget, family=use_family, memo=memo)
+        return LawReport(law.value, ctx.instance, "skipped", 0, True, reason)
+    ctx.checked = 0
+    if not ctx.certified:
+        ctx.folds = {}
     try:
         ok, witness = spec.fn(ctx)
     except LatticeIntegrityError as e:
@@ -1368,7 +1330,7 @@ def run_law(L, law: LawId, budget: Budget = DEFAULT_BUDGET, family=None, _memo=N
     else:
         verdict = "fail"
     # positional arguments: keywords make this call about twice as dear
-    return LawReport(law.value, instance, verdict, ctx.checked, True, reason, witness)
+    return LawReport(law.value, ctx.instance, verdict, ctx.checked, True, reason, witness)
 
 
 def _error_witness(ctx, e: ResiduaError) -> dict:
@@ -1389,12 +1351,16 @@ def _error_witness(ctx, e: ResiduaError) -> dict:
     return ctx.witness({"error": type(e).__name__, "message": str(e)}, **elems)
 
 
-def run_all(L, budget: Budget = DEFAULT_BUDGET, laws=None, family=None) -> list:
-    """Run the registry (or a subset) in registry order, sharing one
-    ``_RunMemo``."""
+def run_all(L, laws=None, family=None) -> list:
+    """Run the registry (or a subset) in registry order as one run: the
+    laws share one ``_Ctx``, and with a family the laws of
+    ``FAMILY_HYPOTHESES`` share a second one in that family."""
     selected = list(REGISTRY) if laws is None else list(laws)
-    memo = _RunMemo()
-    return [run_law(L, law, budget, family, memo) for law in selected]
+    ctx = _Ctx(L)
+    if family is None:
+        return [run_law(L, law, _ctx=ctx) for law in selected]
+    in_family = _Ctx(L, family_mask(L, family))
+    return [run_law(L, law, _ctx=in_family if law in FAMILY_HYPOTHESES else ctx) for law in selected]
 
 
 def all_pass(reports) -> bool:
@@ -1487,7 +1453,7 @@ def _witness_indices(report: LawReport) -> set:
     return out
 
 
-def shrink(L: FiniteLattice, law: LawId, report: LawReport, budget: Budget = DEFAULT_BUDGET):
+def shrink(L: FiniteLattice, law: LawId, report: LawReport):
     """Greedily remove elements (re-closing under the tables) while the
     failure persists; a passing report is returned unchanged.
 
@@ -1502,7 +1468,7 @@ def shrink(L: FiniteLattice, law: LawId, report: LawReport, budget: Budget = DEF
         seed = _table_closure(L, witness_elems)
         if len(seed) < L.n:
             candidate = _sublattice(L, sorted(seed))
-            rep = run_law(candidate, law, budget)
+            rep = run_law(candidate, law)
             if rep.verdict == "fail":
                 current, current_report = candidate, rep
                 witness_elems = _witness_indices(rep)
@@ -1516,7 +1482,7 @@ def shrink(L: FiniteLattice, law: LawId, report: LawReport, budget: Budget = DEF
             if len(keep) >= current.n:
                 continue
             candidate = _sublattice(current, sorted(keep))
-            rep = run_law(candidate, law, budget)
+            rep = run_law(candidate, law)
             if rep.verdict == "fail":
                 current, current_report = candidate, rep
                 witness_elems = _witness_indices(rep)
@@ -1529,8 +1495,6 @@ __all__ = [
     "LawId",
     "LawSpec",
     "LawReport",
-    "Budget",
-    "DEFAULT_BUDGET",
     "REGISTRY",
     "FAMILY_HYPOTHESES",
     "run_law",

@@ -285,7 +285,8 @@ def residual_profile(L, x, family=None, residues_of=None, mu_profile=None) -> Re
 
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
-    the join of its core and its residues.
+    the join of its core and its residues, or in a family that holds the
+    bottom and is an upper semilattice, of its mu and its residues.
     """
     if family is None and hasattr(L, "profile"):
         return L.profile(x)
@@ -378,13 +379,16 @@ def _verify_profile(L, p: ResidualProfile) -> None:
         )
     )
     if hypotheses_ok:
-        parts = [p.core, *p.residues.values()]
-        if L.join_of_set(parts) != p.element:
+        # x = core v residues holds in the default family; in a family H
+        # the core of x may miss what mu_H(x) keeps, and x = mu_H(x) v
+        # residues is the decomposition the family's hypotheses grant.
+        label, base = ("core", p.core) if p.family is None else ("mu", p.mu)
+        if L.join_of_set([base, *p.residues.values()]) != p.element:
             raise LatticeIntegrityError(
-                "core-residue decomposition failed",
+                f"{label}-residue decomposition failed",
                 witness={
                     "x": L.name(p.element),
-                    "core": L.name(p.core),
+                    label: L.name(base),
                     "residues": [L.name(r) for r in p.residues.values()],
                 },
             )

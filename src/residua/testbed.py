@@ -15,7 +15,7 @@ keeps coordinate j and forgets the rest, its boundary is itself, and it
 never has outcasts.
 
 The testbed meets the law registry's instance protocol (see ``laws``):
-its window is box(``Budget.testbed_bound``), ``name`` formats a vector,
+its window is box(``laws.WINDOW_BOUND``), ``name`` formats a vector,
 and its residual data are closed forms.  ``laws.run_all`` runs 16 of its
 26 laws here; the other 10 read order rows, which the testbed lacks.
 ``mu_join_hom`` plays the closed-form mu against the definitional

@@ -213,12 +213,15 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
 
     nets_ok = True
     for x in L.elements():
+        if not nets_ok:
+            break
         for y in bits(L.up_set(x)):
             # Non-increasing net (y, x, x, ...) has meet x; tail {x} must
             # land in every open around x, and dually for the join y.
             if not contains(t.min_nbhd[x], x) or not contains(t.min_nbhd[y], y):
                 nets_ok = False
                 witness = {"condition": "nets", "pair": [L.names[x], L.names[y]]}
+                break
 
     join_ok = True
     for x in L.elements():

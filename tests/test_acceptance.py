@@ -26,7 +26,7 @@ from residua.generators import (
     subgroup_lattice,
 )
 from residua.lattice import build_poset
-from residua.laws import REGISTRY, Budget, all_pass, mutate_entry, run_all
+from residua.laws import REGISTRY, all_pass, mutate_entry, run_all
 from residua.residual import OMEGA, RankValue, mu_iterates
 from residua.testbed import INF, OrdinalCoframe
 from residua.topology import (

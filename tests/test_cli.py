@@ -35,6 +35,17 @@ def test_analyze_family_selector(tmp_path):
     assert len(doc["profiles"]) == 3
 
 
+def test_analyze_and_laws_run_in_a_join_closed_family(tmp_path):
+    """divisor:60 in a family that holds the bottom and is closed under
+    joins: every profile decomposes, and every law passes."""
+    out = tmp_path / "out.json"
+    family = "1,2,3,5,6,10,15,30,60"
+    assert run_cli("analyze", "--gen", "divisor:60", "--family", family, "--report", str(out)) == 0
+    assert run_cli("laws", "--gen", "divisor:60", "--family", family, "--report", str(out)) == 0
+    verdicts = {d["law"]: d["verdict"] for d in json.loads(out.read_text())}
+    assert set(verdicts.values()) == {"pass"} and len(verdicts) == 26
+
+
 def test_laws_random_all_pass(tmp_path):
     out = tmp_path / "laws.json"
     code = run_cli(

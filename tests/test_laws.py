@@ -21,13 +21,11 @@ from residua.generators import (
 )
 from residua.lattice import FiniteLattice, as_lattice, build_poset, lattice_from_json
 from residua.laws import (
-    DEFAULT_BUDGET,
     REGISTRY,
     SUBSET_EXHAUSTIVE_BITS,
-    Budget,
+    WINDOW_BOUND,
     LawId,
     _Ctx,
-    _RunMemo,
     _fold_downset_subsets,
     _join_fault_witness,
     _key,
@@ -245,7 +243,7 @@ def test_downset_count_path_matches_subset_loop(lattice_corpus, b3):
     caught_by_table = 0
     for L in cases:
         rep = run_law(L, law)
-        ctx = _Ctx(L, DEFAULT_BUDGET)
+        ctx = _Ctx(L)
         ok, witness = _fold_downset_subsets(ctx)
         assert rep.checked == ctx.checked, L.provenance
         if not ok:
@@ -308,7 +306,7 @@ def minmax_reference(L):
     """The minmax_bound law with both halves as per-element loops over
     the same pairs: every pair (u, v), then, on a table with a fault,
     every 2-chain a < b in element order.  ``(verdict, checked, witness)``."""
-    ctx = _Ctx(L, DEFAULT_BUDGET)
+    ctx = _Ctx(L)
     for u, v in ctx.pairs():
         hyp = L.join2(u, v)
         conclusion = L.join2(L.join2(u, u), L.meet2(v, v))
@@ -444,11 +442,12 @@ def test_law_subset_selection(div12):
     assert [r.law for r in reports] == ["coheyting_join", "core_union"]
 
 
-def test_testbed_instance_supported():
+def test_testbed_instance_supported(monkeypatch):
     from residua.testbed import OrdinalCoframe
 
     cf = OrdinalCoframe(2)
-    reports = run_all(cf, Budget(testbed_bound=3))
+    monkeypatch.setattr(residua.laws, "WINDOW_BOUND", 3)
+    reports = run_all(cf)
     verdicts = {r.law: r for r in reports}
     assert verdicts["k_lower_semilattice"].verdict == "pass"
     assert verdicts["maximals_dually_compact"].verdict == "pass"
@@ -723,6 +722,13 @@ def test_reports_do_not_depend_on_element_labels(lattice_corpus):
             assert docs(relabeled(L, seed)) == want, (L.provenance, seed)
 
 
+def with_profiles(L, profiles) -> _Ctx:
+    """A run on L whose profiles are ``profiles`` where they are given."""
+    ctx = _Ctx(L)
+    ctx.profiles.update(profiles)
+    return ctx
+
+
 def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkeypatch):
     """Profiles with flattened or reversed strata make strata_ranked fail
     through its antichain and rank-order scans; the reports, witnesses
@@ -745,11 +751,11 @@ def test_strata_masks_report_the_pair_loops_first_witness(lattice_corpus, monkey
             for x in rng.sample(range(L.n), L.n // 3):
                 profiles[x] = craft(profiles[x])
             cases.append((L, profiles))
-    fast = [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases]
+    fast = [run_law(L, law, _ctx=with_profiles(L, profiles)).to_json_dict() for L, profiles in cases]
     monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=strata_ranked_reference))
     violated = set()
     for (L, profiles), doc in zip(cases, fast):
-        ref = run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict()
+        ref = run_law(L, law, _ctx=with_profiles(L, profiles)).to_json_dict()
         assert doc == ref, L.provenance
         violated.add((doc.get("witness") or {}).get("violated"))
     assert {"antichain", "rank order"} <= violated
@@ -769,9 +775,9 @@ def test_mu_monotone_covers_report_the_pair_loops_first_witness(lattice_corpus, 
         for x in rng.sample(range(L.n), max(1, L.n // 8)):
             profiles[x] = replace(profiles[x], mu=rng.randrange(L.n))
         cases.append((L, profiles))
-    fast = [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases]
+    fast = [run_law(L, law, _ctx=with_profiles(L, profiles)).to_json_dict() for L, profiles in cases]
     monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=residua.laws._mu_monotone_pairs))
-    assert [run_law(L, law, _memo=_RunMemo(dict(profiles))).to_json_dict() for L, profiles in cases] == fast
+    assert [run_law(L, law, _ctx=with_profiles(L, profiles)).to_json_dict() for L, profiles in cases] == fast
     assert {"pass", "fail"} <= {doc["verdict"] for doc in fast}
 
 
@@ -892,7 +898,7 @@ def test_join_fold_memo_matches_join_of_set(lattice_corpus, b3):
             return str(e), e.witness
 
     for L in cases:
-        ctx = _Ctx(L, DEFAULT_BUDGET)
+        ctx = _Ctx(L)
         calls = []
         for _ in range(4):
             head = rng.randrange(L.n)
@@ -935,7 +941,7 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 
 
 def test_run_all_leaves_no_fold_state_on_the_lattice():
-    """The fold memo lives with the run, or with each law's context on a
+    """The fold memo lives with the run, or with each law on a
     copy with a table fault, never on the lattice: after ``run_all`` the
     lattice holds only its derivative row, its two table faults and its
     meet table (built on first read), and the poset its order facts: the
@@ -978,16 +984,19 @@ def test_certified_runs_match_laws_run_alone_and_definitional_profiles(lattice_c
     lattices += [relabeled(L, seed) for L in (b3, div12, divisor(60), boolean(4), chain(12)) for seed in range(3)]
     for L in lattices:
         assert run_all(L) == [run_law(L, law) for law in REGISTRY], L.provenance
-        memo = _RunMemo()
-        ctx = _Ctx(L, DEFAULT_BUDGET, memo=memo)
-        assert ctx.assemble and ctx.folds is memo.folds
+        ctx = _Ctx(L)
+        assert ctx.assemble
         for x in rng.sample(range(L.n), L.n):
             assert ctx.profile(x) == residual_profile(L, x), (L.provenance, x)
         if L.distributive:
-            run_law(L, LawId.SUBELEMENT_DECOMP, _memo=memo)
-            assert memo.folds
-    ctx = _Ctx(mutate_entry(b3, "join", 3, 2, 7), DEFAULT_BUDGET)
-    assert not ctx.assemble and ctx.folds is not ctx.memo.folds
+            folds = ctx.folds
+            run_law(L, LawId.SUBELEMENT_DECOMP, _ctx=ctx)
+            assert ctx.folds is folds and folds
+    faulty = mutate_entry(b3, "join", 3, 2, 7)
+    ctx = _Ctx(faulty)
+    folds = ctx.folds
+    run_law(faulty, LawId.SUBELEMENT_DECOMP, _ctx=ctx)
+    assert not ctx.assemble and ctx.folds is not folds
 
 
 def test_profiles_walk_derivative_chains_without_recursion():
@@ -999,7 +1008,7 @@ def test_profiles_walk_derivative_chains_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        ctx = _Ctx(L, DEFAULT_BUDGET)
+        ctx = _Ctx(L)
         top = ctx.profile(L.top)
         reports = run_all(L)
     finally:
@@ -1037,7 +1046,7 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
     built on the rows equal those built without them."""
     rng = random.Random(16)
     for L in lattice_corpus:
-        ctx = _Ctx(L, DEFAULT_BUDGET)
+        ctx = _Ctx(L)
         reads = [(kind, x) for kind in ("maximals", "residue", "residues", "outcasts") for x in L.elements()]
         rng.shuffle(reads)
         for kind, x in reads + reads:
@@ -1051,27 +1060,83 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
                 assert list(ctx.residues(x).items()) == list(fresh_residues(L, x).items())
             elif kind == "outcasts":
                 assert ctx.outcasts(x) == outcasts(L, x)
-        memo = ctx.memo
         every = set(L.elements())
-        assert set(memo.maximals) == set(memo.residues) == set(memo.outcasts) == every, L.provenance
+        assert set(ctx.maximal_row) == set(ctx.residue_row) == set(ctx.outcast_row) == every, L.provenance
         for x in L.elements():
             assert residual_profile(L, x, residues_of=ctx.residues) == residual_profile(L, x)
 
 
-def test_laws_in_a_family_bypass_the_rows(lattice_corpus):
-    """A law run in a family reads maximal subelements, outcasts and
-    profiles in that family, and the run's rows stay unbuilt."""
+def join_closed_family(L, rng) -> list:
+    """A random family that holds the bottom and is closed under joins."""
+    family = {L.bottom, *rng.sample(range(L.n), rng.randint(0, L.n // 2))}
+    while True:
+        closed = family | {L.join[a][b] for a in family for b in family}
+        if closed == family:
+            return sorted(family)
+        family = closed
+
+
+def test_laws_in_a_family_keep_their_own_rows(lattice_corpus, monkeypatch):
+    """``run_all`` in a family runs the laws of ``FAMILY_HYPOTHESES`` in
+    a second run of their own, whose rows hold the maximal subelements,
+    outcasts, derivatives and profiles in that family, and the other laws
+    in a run of the default family.  Every entry equals the fresh
+    computation in its run's family, value or error."""
+    runs = []
+
+    class Recorded(_Ctx):
+        def __init__(self, L, family=None):
+            super().__init__(L, family)
+            runs.append(self)
+
+    monkeypatch.setattr(residua.laws, "_Ctx", Recorded)
     rng = random.Random(17)
+    read = 0
     for L in lattice_corpus[::7]:
-        family = mask_of([L.bottom, *rng.sample(range(L.n), L.n // 2)])
-        memo = _RunMemo()
-        ctx = _Ctx(L, DEFAULT_BUDGET, family=family, memo=memo)
-        for x in L.elements():
-            assert ctx.maximals(x) == maximal_subelements(L, x, family)
-            assert ctx.outcasts(x) == outcasts(L, x, family)
-            assert outcome(ctx.profile, x) == outcome(residual_profile, L, x, family)
-        assert not (memo.maximals or memo.residues or memo.outcasts)
-        assert not memo.profiles
+        for members in ([L.bottom, *rng.sample(range(L.n), L.n // 2)], join_closed_family(L, rng)):
+            family = mask_of(members)
+            runs.clear()
+            run_all(L, family=family)
+            default, in_family = runs
+            assert (default.family, in_family.family) == (None, family)
+            assert in_family.maximal_row is not default.maximal_row
+            for x, got in in_family.maximal_row.items():
+                assert got == maximal_subelements(L, x, family), (L.provenance, x)
+            for x, got in in_family.outcast_row.items():
+                assert got == outcasts(L, x, family)
+            for x, got in in_family.derivatives.items():
+                assert got == residual_derivative(L, x, family)
+            for x, got in in_family.profiles.items():
+                assert got == residual_profile(L, x, family)
+            for x, got in default.maximal_row.items():
+                assert got == maximal_subelements(L, x)
+            read += bool(in_family.maximal_row and in_family.profiles)
+            for x in L.elements():
+                assert outcome(in_family.profile, x) == outcome(residual_profile, L, x, family)
+    assert read >= 10
+
+
+def test_family_runs_equal_each_law_run_alone(lattice_corpus, b3, div12):
+    """A family run shares its rows among the laws of ``FAMILY_HYPOTHESES``:
+    ``run_all`` in a family gives, byte for byte, what each law gives run
+    alone in that family, on every 6th corpus lattice with join-closed
+    families that hold the bottom, and on single-entry join and meet
+    mutants of divisor:12 and boolean:3."""
+    rng = random.Random(29)
+
+    def doc(reports):
+        return json.dumps([r.to_json_dict() for r in reports])
+
+    cases = [(L, join_closed_family(L, rng)) for L in lattice_corpus[::6] for _ in range(2)]
+    for L in (div12, b3):
+        mutants = [m for _, m in single_entry_mutations(L)]
+        cases += [(m, join_closed_family(L, rng)) for m in rng.sample(mutants, 12)]
+    verdicts = set()
+    for L, family in cases:
+        reports = run_all(L, family=family)
+        assert doc(reports) == doc(run_law(L, law, family=family) for law in REGISTRY), (L.provenance, family)
+        verdicts.update(r.verdict for r in reports if r.law == "mu_residue_decomp")
+    assert {"pass", "fail"} <= verdicts
 
 
 def test_element_rows_store_only_what_passes(b3, m3):
@@ -1086,8 +1151,7 @@ def test_element_rows_store_only_what_passes(b3, m3):
     cases += [m for _, m in single_entry_mutations(m3, ("meet",))]
     failed = set()
     for L in cases:
-        ctx = _Ctx(L, DEFAULT_BUDGET)
-        memo = ctx.memo
+        ctx = _Ctx(L)
         for x in L.elements():
             maxes = list(bits(L.poset.lower_covers[x]))
             whole = outcome(fresh_residues, L, x)
@@ -1095,14 +1159,14 @@ def test_element_rows_store_only_what_passes(b3, m3):
             for _ in range(2):
                 assert ctx.maximals(x) == maxes
                 assert outcome(ctx.residues, x) == whole, (L.provenance, x)
-                assert (list(memo.residues[x]) == maxes) == isinstance(whole, dict)
+                assert (list(ctx.residue_row[x]) == maxes) == isinstance(whole, dict)
                 for m in maxes:
                     single = outcome(co_heyting_sub, L, x, m)
                     assert outcome(ctx.residue, x, m) == single
-                    assert memo.residues[x].get(m) == (single if isinstance(single, int) else None)
+                    assert ctx.residue_row[x].get(m) == (single if isinstance(single, int) else None)
                     failed.add(("residue", L.provenance.split("+")[0], isinstance(single, tuple)))
                 assert outcome(ctx.outcasts, x) == outs, (L.provenance, x)
-                assert (x in memo.outcasts) == isinstance(outs, list)
+                assert (x in ctx.outcast_row) == isinstance(outs, list)
                 failed.add(("outcasts", L.provenance.split("+")[0], isinstance(outs, tuple)))
     assert ("residue", "boolean(3)", True) not in failed
     assert {("residue", "M3", True), ("outcasts", "boolean(3)", True)} <= failed
@@ -1156,12 +1220,13 @@ def test_testbed_k_lower_semilattice_checks_every_compact_pair_at_dims_4():
     assert (rep.verdict, rep.exhaustive, rep.checked) == ("pass", True, 625**2)
 
 
-def test_testbed_below_is_the_leq_filter():
+def test_testbed_below_is_the_leq_filter(monkeypatch):
     from residua.testbed import OrdinalCoframe
 
     for dims, bound in ((1, 4), (2, 4), (3, 4), (4, 3)):
         cf = OrdinalCoframe(dims)
-        ctx = _Ctx(cf, Budget(testbed_bound=bound))
+        monkeypatch.setattr(residua.laws, "WINDOW_BOUND", bound)
+        ctx = _Ctx(cf)
         for x in ctx.elements:
             assert ctx.below(x) == [z for z in ctx.elements if cf.leq(z, x)], x
 
@@ -1435,7 +1500,7 @@ def _without_window_tables(cf):
     return Called(cf.dims)
 
 
-def test_testbed_window_tables_match_the_called_tables():
+def test_testbed_window_tables_match_the_called_tables(monkeypatch):
     """``window_tables(box)`` equals the join table and below rows that
     ``_Ctx`` builds from ``join2`` and ``leq``, in dims 1-4 at every bound
     up to 4 (3 in dims 4), and its rows hold the box's own tuples."""
@@ -1445,9 +1510,10 @@ def test_testbed_window_tables_match_the_called_tables():
         for bound in range(4 if dims == 4 else 5):
             cf = OrdinalCoframe(dims)
             box = cf.box(bound)
-            ctx = _Ctx(_without_window_tables(cf), Budget(testbed_bound=bound))
+            monkeypatch.setattr(residua.laws, "WINDOW_BOUND", bound)
+            ctx = _Ctx(_without_window_tables(cf))
             assert ctx.L.window_tables(box) is None
-            called = ctx.join_table(), {x: ctx.below(x) for x in ctx.elements}
+            called = ctx.join_table, {x: ctx.below(x) for x in ctx.elements}
             join, below = cf.window_tables(box)
             assert (join, below) == called, (dims, bound)
             ids = set(map(id, box))
@@ -1492,7 +1558,7 @@ def test_testbed_reports_match_without_window_tables():
     from residua.testbed import OrdinalCoframe
 
     cases = [*map(OrdinalCoframe, (1, 2, 3)), *faulty_testbeds()]
-    closed = [cf.window_tables(cf.box(DEFAULT_BUDGET.testbed_bound)) is not None for cf in cases]
+    closed = [cf.window_tables(cf.box(WINDOW_BOUND)) is not None for cf in cases]
     assert closed == [True] * 3 + [False] * 4 + [True] * 5
 
     def doc(cf):
@@ -1568,11 +1634,11 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
     assert len(maximal_calls) == len(set(maximal_calls)) > 0
     assert vars(cf) == before
 
-    box = cf.box(DEFAULT_BUDGET.testbed_bound)
-    memo = _RunMemo({x: cf.profile(x) for x in box})
+    box = cf.box(WINDOW_BOUND)
+    ctx = with_profiles(cf, {x: cf.profile(x) for x in box})
     joins.clear()
     for law in PAIR_LAWS:
-        assert run_law(cf, law, _memo=memo).verdict == "pass"
+        assert run_law(cf, law, _ctx=ctx).verdict == "pass"
     assert len(box) ** 2 <= len(joins) <= 2 * len(box) ** 2
 
 

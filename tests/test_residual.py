@@ -9,6 +9,7 @@ from residua.errors import LatticeIntegrityError, NotBelow
 from residua.generators import (
     antichain_poset,
     downset_lattice,
+    generate,
     load_catalog_group,
     random_distributive,
     subgroup_lattice,
@@ -310,6 +311,33 @@ def test_profile_with_explicit_family(b3):
     atoms = [x for x in b3.elements() if classify_t(b3, x) == 1]
     p2 = residual_profile(b3, b3.top, mask_of(atoms))
     assert p2.maximal == tuple(atoms)
+
+
+def test_family_profiles_decompose_through_mu():
+    """In a family that holds the bottom and is closed under joins, x is
+    the join of mu(x) and its residues, not of its core and residues.  On
+    divisor:60 in the family of the divisors of 30 and 60 itself, 12 has
+    core 1 and one residue, 4, so the core form would join 4; mu(12) is
+    6, and 6 v 4 = 12.  Every element profiles without raising there and
+    in random such families on distributive lattices."""
+    L = generate("divisor:60")
+    family = mask_of(L.poset.index_of(n) for n in "1,2,3,5,6,10,15,30,60".split(","))
+    name = L.names.__getitem__
+    p = residual_profile(L, L.poset.index_of("12"), family)
+    assert (name(p.core), name(p.mu), [name(r) for r in p.residues.values()]) == ("1", "6", ["4"])
+    cases = [(L, family)]
+    rng = random.Random(29)
+    for spec in ("divisor:60", "divisor:210", "boolean:4", "chain:6", "product:chain:3|boolean:2"):
+        L = generate(spec)
+        for _ in range(10):
+            members = {L.bottom, *rng.sample(range(L.n), rng.randint(0, L.n))}
+            while not all(L.join2(a, b) in members for a in members for b in members):
+                members |= {L.join2(a, b) for a in members for b in members}
+            cases.append((L, mask_of(members)))
+    for L, family in cases:
+        for x in L.elements():
+            p = residual_profile(L, x, family)
+            assert L.join_of_set([p.mu, *p.residues.values()]) == x, (L.provenance, family, x)
 
 
 def test_outcasts_empty_on_finite(b2, b3, chain3, lattice_corpus):

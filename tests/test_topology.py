@@ -154,6 +154,17 @@ def test_order_compatible_join_continuity_failure():
     assert not rep.join_continuous
 
 
+def test_order_compatible_nets_report_the_first_failing_pair():
+    """A hand-built topology whose minimal neighbourhoods miss their own
+    points fails the nets condition at every pair; the witness is the
+    first pair, row-major, as for the other two conditions."""
+    L = chain(3)
+    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b010, 0b100, 0b001))
+    rep = check_order_compatible(L, t)
+    assert not rep.monotone_nets_converge
+    assert rep.witness == {"condition": "nets", "pair": [L.names[0], L.names[0]]}
+
+
 def test_residual_equals_cb_on_discrete():
     t = FiniteTopology.from_subbase(3, [[0], [1], [2]])
     rep = residual_equals_cb_closedsets(t)
