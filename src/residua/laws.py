@@ -17,7 +17,7 @@ The registry reads an instance ``L`` through one protocol:
   and ``distributive``;
 - optional closed forms ``maximal_subelements``, ``co_heyting_sub``,
   ``outcasts`` and a default-family ``profile``, which ``residual``
-  uses when present, and ``window_tables`` (see ``_Ctx.join_table``).
+  uses when present, and ``window_tables`` (see ``_Ctx.window``).
 
 A finite lattice's window is all of it at any bound, and the ordinal
 testbed's is its box.  The fast paths key on the facts they read:
@@ -59,7 +59,8 @@ with ``map`` over row x of the join table and per-element lists (t
 counts, mus, derivatives, core positions) are compared at once, and
 ``mu_monotone`` and ``coheyting_join`` map their primitives over the
 elements below x.  Every call a pair loop's verdict reads is still made,
-but for the tables of ``window_tables`` and two theorems: on order rows
+but for the position tables of ``window_tables`` (joins, the elements
+below, meets, x - z and the mus' joins) and two theorems: on order rows
 ``mu_monotone`` compares lower covers only, as the order is transitive,
 and with a single core c ``core_join_hom`` reads join[c][c] alone.
 ``checked`` is added by arithmetic.  A failing row, a table entry of -1,
@@ -318,14 +319,14 @@ class _Ctx:
         return itertools.product(self.elements, repeat=2)
 
     @cached_property
-    def _window_tables(self) -> tuple:
+    def window(self):
         """``L.window_tables(elements)`` for an instance that stores no
-        join table: the join table and below rows that ``join2`` and
-        ``leq`` would give.  (None, {}) when there are none."""
+        join table: position tables of what ``join2``, ``leq``, ``meet2``
+        and x - z would give.  None when there are none."""
         L = self.L
         if getattr(L, "join", None) is None and hasattr(L, "window_tables"):
-            return L.window_tables(self.elements) or (None, {})
-        return None, {}
+            return L.window_tables(self.elements)
+        return None
 
     @cached_property
     def join_table(self):
@@ -338,8 +339,8 @@ class _Ctx:
         when the join lies outside the elements, which only a faulty
         ``join2`` can produce."""
         table = getattr(self.L, "join", None)
-        if table is None:
-            table = self._window_tables[0]
+        if table is None and self.window is not None:
+            table = self.window.join
         if table is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
             table = [list(map(get, map(join2, repeat(x), els), repeat(-1))) for x in els]
@@ -402,11 +403,15 @@ class _Ctx:
         low = mask & -mask
         return self.join_fold(low.bit_length() - 1, mask ^ low)
 
+    @cached_property
+    def _below(self) -> dict:
+        return {} if self.window is None else self.window.below
+
     def below(self, x):
         """The elements z with ``leq(z, x)``, in element order: the row of
         ``window_tables``, or filtered once per run, so that a wrong
         ``leq`` reaches the pair loops."""
-        row = self._window_tables[1]
+        row = self._below
         got = row.get(x)
         if got is None:
             els = self.elements
@@ -485,9 +490,18 @@ def _check_coheyting_join(ctx):
 
 
 def _coheyting_join_rows(ctx):
-    """Row x: z v (x - z) for every z below x, with the same x - z and
-    ``join2`` calls as the pair loop; x - z is bound once, as
+    """Row x: z v (x - z) for every z below x.  With the window's x - z
+    rows, ``join[z][x - z] == x`` by position; otherwise the same x - z
+    and ``join2`` calls as the pair loop, x - z bound once, as
     ``co_heyting_sub`` dispatches."""
+    subs = ctx.window and ctx.window.sub_rows()
+    if subs is not None:
+        join = ctx.join_table
+        for x, (zs, sub) in enumerate(subs):
+            if list(map(operator.getitem, map(join.__getitem__, zs), sub)) != [x] * len(zs):
+                return False
+            ctx.checked += len(zs)
+        return True
     L = ctx.L
     join2 = L.join2
     sub = getattr(L, "co_heyting_sub", None) or partial(co_heyting_sub, L)
@@ -789,16 +803,27 @@ def _check_mu_join_hom(ctx):
 
 def _mu_join_hom_rows(ctx):
     """Row x: the derivatives along join[x] against mu(x) v mu(z) for
-    every z, read from row mu(x) of the table when both mus are elements,
-    and ``join2`` otherwise.  When every mu is an element, rows compare
-    positions, the rows of one mu share their expected row, and a
-    derivative that is no element fails its row."""
+    every z.  When the window has tables, so may the mus
+    (``window_tables(mus)``): rows then compare positions among the mus
+    with their join rows, and a derivative that is no mu fails its row.
+    Otherwise mu(x) v mu(z) is read from row mu(x) of the table when both
+    mus are elements, and ``join2`` otherwise.  When every mu is an
+    element, rows compare positions, the rows of one mu share their
+    expected row, and a derivative that is no element fails its row."""
     join = ctx.row_table
     if join is None:
         return False
     els = ctx.elements
     mus = [ctx.profile(x).mu for x in els]
     derivatives = [ctx.derivative(x) for x in els]
+    tables = ctx.window and ctx.L.window_tables(mus)
+    if tables is not None:
+        got = list(map({mu: i for i, mu in enumerate(mus)}.get, derivatives))
+        for row, expected in zip(join, tables.join_rows()):
+            if list(map(got.__getitem__, row)) != expected:
+                return False
+        ctx.checked += len(mus) ** 2
+        return True
     join2 = ctx.L.join2
     inside = list(map(ctx.index.get, mus))
     every = None not in inside
@@ -1202,8 +1227,19 @@ def _check_k_lower_semilattice(ctx):
 
 def _k_lower_rows(ctx):
     """Row x, for each compact x: the meets with every compact z are
-    compact, one ``meet2`` and one ``dually_compact`` each."""
+    compact.  With the window's meet rows, ``dually_compact`` is read once
+    per element and indexed with them (the rows cover the whole window,
+    so every meet checked is read); otherwise one ``meet2`` and one
+    ``dually_compact`` per pair."""
     L = ctx.L
+    meets = ctx.window and ctx.window.meet_rows()
+    if meets is not None:
+        flags = list(map(L.dually_compact, ctx.elements))
+        for row, compact in zip(meets, flags):
+            if compact and not all(map(flags.__getitem__, compress(row, flags))):
+                return False
+        ctx.checked += sum(flags) ** 2
+        return True
     meet2, compact = L.meet2, L.dually_compact
     ks = [x for x in ctx.elements if compact(x)]
     for x in ks:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bitset import bits, contains, mask_of
-from .errors import LatticeIntegrityError, NotBelow
+from .errors import LatticeIntegrityError, NotBelow, PreconditionFailed
 from .lattice import FiniteLattice, _dot_escape
 
 
@@ -414,8 +414,13 @@ class RelativeStrata:
 def relative_strata(L, x, z) -> RelativeStrata:
     """Relative strata of index x inside the boundary poset of z (x <= z)."""
     if not L.leq(x, z):
-        raise NotBelow(f"{L.names[x]} is not below {L.names[z]}")
+        raise NotBelow(f"{L.name(x)} is not below {L.name(z)}")
     prof = residual_profile(L, z)
+    if not hasattr(prof, "strata"):
+        raise PreconditionFailed(
+            f"{L.describe()} has no finite strata to thin; its relative strata "
+            "come from relative_strata_closed_form"
+        )
     strata = []
     rank = prof.rank
     for a, stratum in enumerate(prof.strata):

@@ -32,15 +32,16 @@ unrolled for ``dims`` (see ``_kernels``) that check the lengths by
 unpacking them, so each call is one Python frame.  So is
 ``co_heyting_sub`` while ``leq`` is the kernel: it tests z <= x inline
 (see ``_OrderChecked``); under any other ``leq`` it is the method, which
-calls that ``leq``.  ``run_all`` in dims 3 makes 97,234 calls of them
-and ``dually_compact``; ``coheyting_join`` binds x - z once for its
-9,261.  It makes none for the box's join table and the rows of vectors
-below each vector: while ``join2`` and ``leq`` are the kernels,
-``window_tables`` gives both by arithmetic on coordinate positions
-(otherwise each takes one call per ordered pair: 46,656 in dims 3,
-1.68 M in dims 4).  Every other method, and the law registry, reads the
-public names, never a kernel, so a subclass or class patch that
-overrides one is seen by every use.
+calls that ``leq``.  ``run_all`` in dims 3 makes 16,431 calls of them
+and ``dually_compact``.  While ``join2`` and ``leq`` are the kernels,
+``window_tables`` gives the box's join table, the rows of vectors below
+each vector and the join table of the box's mus by arithmetic on
+coordinate positions, plus the meet rows while ``meet2`` is the kernel
+and the x - z rows while ``co_heyting_sub`` is.  Every other method,
+and the law registry, reads the public names, never a kernel, so a
+subclass or class patch that overrides one is seen by every use, and
+each table gives way to its calls (one per ordered pair: 46,656 in dims
+3, 1.68 M in dims 4).
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import inf as INF
 from typing import Iterable
 
@@ -310,6 +311,62 @@ class _OrderChecked:
         return self.method.__get__(obj, owner)
 
 
+class WindowTables:
+    """Position tables of a window that is a product of chains, one per
+    coordinate (see ``OrdinalCoframe.window_tables``), each built on first
+    read and none by a primitive call.
+
+    The window puts x at the sum over i of rank(x_i) * stride_i.  Joins
+    are pointwise mins, meets pointwise maxes, and z <= x iff
+    rank(z_i) >= rank(x_i) at every i.  So x v z sits at the sum of
+    min(rank(x_i), rank(z_i)) * stride_i, x ^ z at that of the maxes, the
+    row below x is the product of the ranks at or above those of x, and
+    x - z keeps rank(x_i) where rank(z_i) > rank(x_i) and takes the
+    infinite rank elsewhere.  Every table is built one coordinate at a
+    time (``_product_rows``).  ``join`` and ``below`` are kept once read;
+    the ``*_rows`` methods stream their rows, for a reader that reads
+    them once."""
+
+    def __init__(self, cf, elements: list, axes: list):
+        self.cf, self.elements = cf, elements
+        self.sizes = [len(axis) for axis in axes]
+        self.has_inf = all(axis[-1] == INF for axis in axes)
+
+    def join_rows(self):
+        """Row i, entry k: the position of elements[i] v elements[k]."""
+        return _product_rows(self.sizes, lambda n, a, p: [p * n + min(a, b) for b in range(n)])
+
+    @cached_property
+    def join(self) -> list:
+        return list(self.join_rows())
+
+    def below_rows(self):
+        """Row i: the positions of the z <= elements[i], in element order."""
+        return _product_rows(self.sizes, lambda n, a, p: range(p * n + a, p * n + n))
+
+    @cached_property
+    def below(self) -> dict:
+        """The elements z <= x by x, as the window's own tuples."""
+        at = self.elements.__getitem__
+        return {x: list(map(at, row)) for x, row in zip(self.elements, self.below_rows())}
+
+    def meet_rows(self):
+        """Row i, entry k: the position of elements[i] ^ elements[k]; None
+        unless ``meet2`` is this dims' kernel."""
+        if self.cf.meet2 is not _kernels(self.cf.dims)[1]:
+            return None
+        return _product_rows(self.sizes, lambda n, a, p: [p * n + max(a, b) for b in range(n)])
+
+    def sub_rows(self):
+        """Row i: the pair (``below_rows`` row i, the positions of
+        elements[i] - z along it); None unless ``co_heyting_sub`` is this
+        dims' ``checked_sub`` and every axis ends at infinity."""
+        if self.cf.co_heyting_sub is not _kernels(self.cf.dims)[4] or not self.has_inf:
+            return None
+        subs = _product_rows(self.sizes, lambda n, a, p: [p * n + n - 1] + [p * n + a] * (n - 1 - a))
+        return zip(self.below_rows(), subs)
+
+
 class OrdinalCoframe:
     """The testbed lattice in a given dimension (1 <= dims <= 4)."""
 
@@ -480,25 +537,17 @@ class OrdinalCoframe:
         return list(itertools.product(_box_values(bound), repeat=self.dims))
 
     def window_tables(self, elements: list):
-        """``(join, below)`` for a box-shaped window, by arithmetic on
-        positions: ``join[i][k]`` is the position of
-        ``elements[i] v elements[k]`` and ``below[x]`` lists the elements
-        z with z <= x, in element order, as the window's own tuples.  The
-        law registry reads these instead of calling ``join2`` and ``leq``
-        at every ordered pair (see ``laws._Ctx.join_table``).
-
-        A window that is the product of chains, one per coordinate, puts
-        x at the sum over i of rank(x_i) * stride_i.  Joins are pointwise
-        mins and z <= x iff z_i >= x_i at every i, so x v z sits at the
-        sum of min(rank(x_i), rank(z_i)) * stride_i, and the row below x
-        is the product of the ranks at or above those of x.  Both are
-        built one coordinate at a time (``_product_rows``).
+        """The ``WindowTables`` of a box-shaped window: its join table,
+        below rows, meet rows and x - z rows by arithmetic on positions.
+        The law registry reads them instead of calling the primitives at
+        every ordered pair (see ``laws._Ctx.window``).
 
         None unless ``join2`` and ``leq`` are this dims' kernels, tested
         by identity as ``_OrderChecked`` tests ``leq`` (so a subclass, a
         class patch or an instance attribute gives way to the calls), and
         ``elements`` is the ``itertools.product`` of its sorted
-        coordinate values, each a strict chain.  Every ``box`` is."""
+        coordinate values, each a strict chain.  Every ``box`` is, and so
+        are the mus of a box."""
         kernels = _kernels(self.dims)
         if self.join2 is not kernels[2] or self.leq is not kernels[0]:
             return None
@@ -510,11 +559,7 @@ class OrdinalCoframe:
             return None
         if any(u >= v for axis in axes for u, v in zip(axis, axis[1:])):
             return None
-        sizes = [len(axis) for axis in axes]
-        join = list(_product_rows(sizes, lambda n, a, p: [p * n + min(a, b) for b in range(n)]))
-        rows = _product_rows(sizes, lambda n, a, p: range(p * n + a, p * n + n))
-        at = elements.__getitem__
-        return join, {x: list(map(at, row)) for x, row in zip(elements, rows)}
+        return WindowTables(self, elements, axes)
 
     def name(self, x: tuple) -> str:
         return fmt_vec(x)

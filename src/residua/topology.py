@@ -101,16 +101,6 @@ class FiniteTopology:
             found.add(acc)
         return tuple(sorted(found))
 
-    def verify_closure_properties(self) -> None:
-        """Exhaustively confirm closure under union and finite intersection."""
-        opens = set(self.opens)
-        if 0 not in opens or full_mask(self.n) not in opens:
-            raise AssertionError("topology must contain the empty set and the space")
-        for a in opens:
-            for b in opens:
-                if a | b not in opens or a & b not in opens:
-                    raise AssertionError("open family not closed under union/intersection")
-
     # -- isolation and CB -------------------------------------------------
 
     def isolated_points(self, s: int) -> int:

@@ -1502,8 +1502,11 @@ def _without_window_tables(cf):
 
 def test_testbed_window_tables_match_the_called_tables(monkeypatch):
     """``window_tables(box)`` equals the join table and below rows that
-    ``_Ctx`` builds from ``join2`` and ``leq``, in dims 1-4 at every bound
-    up to 4 (3 in dims 4), and its rows hold the box's own tuples."""
+    ``_Ctx`` builds from ``join2`` and ``leq``, its meet rows and x - z
+    rows equal the positions of ``meet2`` and ``co_heyting_sub``, and the
+    join table of the box's mus equals their ``join2`` positions, in dims
+    1-4 at every bound up to 4 (3 in dims 4); its rows hold the box's own
+    tuples."""
     from residua.testbed import OrdinalCoframe
 
     for dims in (1, 2, 3, 4):
@@ -1514,17 +1517,30 @@ def test_testbed_window_tables_match_the_called_tables(monkeypatch):
             ctx = _Ctx(_without_window_tables(cf))
             assert ctx.L.window_tables(box) is None
             called = ctx.join_table, {x: ctx.below(x) for x in ctx.elements}
-            join, below = cf.window_tables(box)
+            tables = cf.window_tables(box)
+            join, below = tables.join, tables.below
             assert (join, below) == called, (dims, bound)
             ids = set(map(id, box))
             assert all(id(z) in ids for row in below.values() for z in row)
+            at = {x: i for i, x in enumerate(box)}
+            assert list(tables.meet_rows()) == [[at[cf.meet2(x, z)] for z in box] for x in box]
+            assert list(tables.sub_rows()) == [
+                ([at[z] for z in below[x]], [at[cf.co_heyting_sub(x, z)] for z in below[x]]) for x in box
+            ], (dims, bound)
+            mus = [cf.profile(x).mu for x in box]
+            at = {mu: i for i, mu in enumerate(mus)}
+            mu_tables = cf.window_tables(mus)
+            assert mu_tables.join == [[at[cf.join2(a, b)] for b in mus] for a in mus], (dims, bound)
+            assert list(mu_tables.join_rows()) == mu_tables.join
 
 
 def test_testbed_window_tables_give_way(monkeypatch):
     """``window_tables`` returns None when ``join2`` or ``leq`` is not the
     dims kernel (a subclass method, a class patch made after
     construction, an instance attribute) and when the window is not a
-    box: shuffled, or with one vector dropped."""
+    box: shuffled, or with one vector dropped.  Its meet rows give way in
+    the same three ways to ``meet2``, and its x - z rows to
+    ``co_heyting_sub`` and to a window with no infinite coordinates."""
     from residua.testbed import OrdinalCoframe
 
     cf = OrdinalCoframe(2)
@@ -1549,12 +1565,99 @@ def test_testbed_window_tables_give_way(monkeypatch):
     assert cf.window_tables(shuffled) is None
     assert cf.window_tables(box[:7] + box[8:]) is None
 
+    for name, rows in (("meet2", "meet_rows"), ("co_heyting_sub", "sub_rows")):
+        real = getattr(OrdinalCoframe, name)
+
+        def calling(self, x, y):
+            return real(self, x, y)
+
+        def given_way(lattice):
+            tables = lattice.window_tables(box)
+            return tables is not None and getattr(tables, rows)() is None
+
+        assert given_way(_testbed_fault(2, **{name: calling}))
+        with monkeypatch.context() as patch:
+            tables = cf.window_tables(box)
+            patch.setattr(OrdinalCoframe, name, calling)
+            assert given_way(cf) and getattr(tables, rows)() is None
+            assert given_way(OrdinalCoframe(2))
+        setattr(cf, name, lambda x, y: real(cf, x, y))
+        assert given_way(cf)
+        delattr(cf, name)
+        assert not given_way(cf)
+    finite = list(itertools.product(range(3), repeat=2))
+    assert cf.window_tables(finite).sub_rows() is None
+    assert cf.window_tables(finite).meet_rows() is not None
+
+
+def test_testbed_row_passes_read_the_window_tables():
+    """With the window's tables, ``coheyting_join`` calls no primitive,
+    ``k_lower_semilattice`` calls ``dually_compact`` once per box vector
+    and ``meet2`` never, and ``mu_join_hom`` joins only inside the
+    closed-form profiles, not once per pair of mus.  Calls are counted
+    with ``sys.setprofile``, as a class patch would turn the tables off."""
+    from collections import Counter
+
+    from residua.testbed import OrdinalCoframe, _kernels
+
+    cf = OrdinalCoframe(3)
+    box = cf.box(WINDOW_BOUND)
+    leq, meet, join, _, checked_sub = _kernels(3)
+    names = {
+        leq.__code__: "leq",
+        meet.__code__: "meet2",
+        join.__code__: "join2",
+        checked_sub.__code__: "co_heyting_sub",
+        OrdinalCoframe.dually_compact.__code__: "dually_compact",
+    }
+
+    def calls(law):
+        seen = Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                seen[names[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            assert run_law(cf, law).verdict == "pass"
+        finally:
+            sys.setprofile(previous)
+        return seen
+
+    assert calls(LawId.COHEYTING_JOIN) == Counter()
+    assert calls(LawId.K_LOWER_SEMILATTICE) == Counter(dually_compact=len(box))
+    assert calls(LawId.MU_JOIN_HOM)["join2"] < 2 * len(box)
+
+
+def _with_one_table_off(cf) -> list:
+    """Testbeds of ``cf``'s class and dims that each turn off one table of
+    ``window_tables``: the meet rows (``meet2`` calls the class's own),
+    the x - z rows (so does ``co_heyting_sub``) and the mus' join table
+    (``window_tables`` of any window but the box is None)."""
+
+    class Meet(type(cf)):
+        def meet2(self, x, y):
+            return super().meet2(x, y)
+
+    class Sub(type(cf)):
+        def co_heyting_sub(self, x, z):
+            return super().co_heyting_sub(x, z)
+
+    class Mus(type(cf)):
+        def window_tables(self, elements):
+            return super().window_tables(elements) if elements == self.box(WINDOW_BOUND) else None
+
+    return [Meet(cf.dims), Sub(cf.dims), Mus(cf.dims)]
+
 
 def test_testbed_reports_match_without_window_tables():
     """``run_all`` gives the same JSON, byte for byte, with the window's
     closed-form tables and with tables built from ``join2`` and ``leq``,
-    on the testbed in dims 1-3 and on each of ``faulty_testbeds``; every
-    case whose ``join2`` is the kernel takes the closed form."""
+    and with each of the meet, x - z and mus' tables turned off alone, on
+    the testbed in dims 1-3 and on each of ``faulty_testbeds``; every case
+    whose ``join2`` is the kernel takes the closed form."""
     from residua.testbed import OrdinalCoframe
 
     cases = [*map(OrdinalCoframe, (1, 2, 3)), *faulty_testbeds()]
@@ -1564,8 +1667,14 @@ def test_testbed_reports_match_without_window_tables():
     def doc(cf):
         return json.dumps([r.to_json_dict() for r in run_all(cf)])
 
+    meet, sub, mus = _with_one_table_off(cases[1])
+    box = cases[1].box(WINDOW_BOUND)
+    assert meet.window_tables(box).meet_rows() is None and sub.window_tables(box).sub_rows() is None
+    assert mus.window_tables([mus.profile(x).mu for x in box]) is None
     for cf in cases:
         assert doc(_without_window_tables(cf)) == doc(cf), cf
+        for off in _with_one_table_off(cf):
+            assert doc(off) == doc(cf), (cf, type(off).__name__)
 
 
 def test_residua_errors_of_finite_instances_fail_and_others_propagate(b3):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residua.bitset import bits, mask_of
-from residua.errors import LatticeIntegrityError, NotBelow
+from residua.errors import LatticeIntegrityError, NotBelow, PreconditionFailed
 from residua.generators import (
     antichain_poset,
     downset_lattice,
@@ -488,6 +488,21 @@ def test_relative_strata(chain3):
     assert rs.rank == RankValue.of(2)
     with pytest.raises(NotBelow):
         relative_strata(chain3, 2, 0)
+
+
+def test_relative_strata_raises_residua_errors_on_the_testbed(chain3):
+    """On the testbed, ``relative_strata`` names the vectors of a pair
+    that is not in order, and refuses the infinitely many strata of a
+    vector with a ``ResiduaError`` that points to the closed form; on
+    ``chain3`` its errors and answers are as before."""
+    cf = OrdinalCoframe(2)
+    with pytest.raises(NotBelow, match=r"^0,0 is not below 1,1$"):
+        relative_strata(cf, (0, 0), (1, 1))
+    with pytest.raises(PreconditionFailed, match="relative_strata_closed_form"):
+        relative_strata(cf, (INF, 0), (0, 0))
+    with pytest.raises(NotBelow, match=r"^2 is not below 0$"):
+        relative_strata(chain3, 2, 0)
+    assert relative_strata(chain3, 0, 2).delta == (1, 2)
 
 
 def test_relative_strata_testbed_closed_form():

@@ -26,6 +26,17 @@ def isolated_oracle(t, s):
     return out
 
 
+def verify_closure_properties(t):
+    """Exhaustively confirm closure under union and finite intersection."""
+    opens = set(t.opens)
+    if 0 not in opens or full_mask(t.n) not in opens:
+        raise AssertionError("topology must contain the empty set and the space")
+    for a in opens:
+        for b in opens:
+            if a | b not in opens or a & b not in opens:
+                raise AssertionError("open family not closed under union/intersection")
+
+
 def test_sierpinski():
     t = FiniteTopology.from_subbase(2, [[0]])
     assert set(t.opens) == {0, 0b01, 0b11}
@@ -50,7 +61,7 @@ def test_discrete_from_singletons():
 def test_from_subbase_closure_properties():
     for subbase in ([], [[0]], [[0, 1], [1, 2]], [[0], [1], [2]]):
         t = FiniteTopology.from_subbase(3, subbase)
-        t.verify_closure_properties()
+        verify_closure_properties(t)
 
 
 def test_isolated_points_agree_with_open_family_scan():
