@@ -413,7 +413,7 @@ def _downsets(p: FinitePoset) -> list[int]:
 def boolean(k: int) -> FiniteLattice:
     """The Boolean lattice of subsets of a k-set."""
     if not 0 <= k <= 12:
-        raise TooLarge("boolean lattices are capped at 2^12 elements")
+        raise TooLarge("boolean exponent must be between 0 and 12 (2^12 elements)")
     lat = downset_lattice(antichain_poset(k), provenance=f"boolean({k})")
     return lat
 

@@ -56,11 +56,12 @@ reports what it reports run alone.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
-counts, mus, derivatives, core positions) are compared at once, and
-``mu_monotone`` and ``coheyting_join`` map their primitives over the
-elements below x.  Every call a pair loop's verdict reads is still made,
-but for the position tables of ``window_tables`` (joins, the elements
-below, meets, x - z and the mus' joins) and two theorems: on order rows
+counts, mus, derivatives, core positions) are compared at once.  A row
+pass reads tables only: order rows, the join table and the position
+tables of ``window_tables`` (the elements below, meets, x - z, and the
+mus' joins and the mus below).  Without the tables it needs, it decides
+nothing and the pair loop runs.  Every call a pair loop's verdict reads
+is still made, but for those tables and two theorems: on order rows
 ``mu_monotone`` compares lower covers only, as the order is transitive,
 and with a single core c ``core_join_hom`` reads join[c][c] alone.
 ``checked`` is added by arithmetic.  A failing row, a table entry of -1,
@@ -89,7 +90,7 @@ import itertools
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Optional
 
@@ -490,27 +491,17 @@ def _check_coheyting_join(ctx):
 
 
 def _coheyting_join_rows(ctx):
-    """Row x: z v (x - z) for every z below x.  With the window's x - z
-    rows, ``join[z][x - z] == x`` by position; otherwise the same x - z
-    and ``join2`` calls as the pair loop, x - z bound once, as
-    ``co_heyting_sub`` dispatches."""
+    """Row x: ``join[z][x - z] == x`` by position for every z below x,
+    read from the window's x - z rows; without them the pair loop
+    decides."""
     subs = ctx.window and ctx.window.sub_rows()
-    if subs is not None:
-        join = ctx.join_table
-        for x, (zs, sub) in enumerate(subs):
-            if list(map(operator.getitem, map(join.__getitem__, zs), sub)) != [x] * len(zs):
-                return False
-            ctx.checked += len(zs)
-        return True
-    L = ctx.L
-    join2 = L.join2
-    sub = getattr(L, "co_heyting_sub", None) or partial(co_heyting_sub, L)
-    for x in ctx.elements:
-        below = ctx.below(x)
-        subs = list(map(sub, repeat(x), below))
-        if list(map(join2, below, subs)) != [x] * len(below):
+    if subs is None:
+        return False
+    join = ctx.join_table
+    for x, (zs, sub) in enumerate(subs):
+        if list(map(operator.getitem, map(join.__getitem__, zs), sub)) != [x] * len(zs):
             return False
-        ctx.checked += len(below)
+        ctx.checked += len(zs)
     return True
 
 
@@ -762,25 +753,28 @@ def _check_mu_monotone(ctx):
 
 
 def _mu_monotone_rows(ctx):
-    """Row x: mu(z) <= mu(x) for every z below x, one ``leq`` each.  On
-    order rows only the lower covers z of x are compared: the verified
+    """Row x: mu(z) <= mu(x) for every z below x.  On order rows only
+    the lower covers z of x are compared, one ``leq`` each: the verified
     order is transitive, so mu is monotone on every pair once it is on
-    the covers."""
-    leq = ctx.L.leq
-    mus = {x: ctx.profile(x).mu for x in ctx.elements}
+    the covers.  On a window with tables whose mus have them too
+    (``window_tables(mus)``), the positions below x must lie among those
+    whose mus are below mu(x); otherwise the pair loop decides."""
+    mus = [ctx.profile(x).mu for x in ctx.elements]
     rows = getattr(ctx.L, "poset", None)
     if rows is not None:
-        covers = rows.lower_covers
+        leq, covers = ctx.L.leq, rows.lower_covers
         for x in ctx.elements:
             if not all(map(leq, map(mus.__getitem__, bits(covers[x])), repeat(mus[x]))):
                 return False
         ctx.checked += sum(map(int.bit_count, rows.down))
         return True
-    for x in ctx.elements:
-        below = ctx.below(x)
-        if not all(map(leq, map(mus.__getitem__, below), repeat(mus[x]))):
+    tables = ctx.window and ctx.L.window_tables(mus)
+    if tables is None:
+        return False
+    for zs, under in zip(ctx.window.below_rows(), tables.below_rows()):
+        if not set(under).issuperset(zs):
             return False
-        ctx.checked += len(below)
+        ctx.checked += len(zs)
     return True
 
 
@@ -806,10 +800,10 @@ def _mu_join_hom_rows(ctx):
     every z.  When the window has tables, so may the mus
     (``window_tables(mus)``): rows then compare positions among the mus
     with their join rows, and a derivative that is no mu fails its row.
-    Otherwise mu(x) v mu(z) is read from row mu(x) of the table when both
-    mus are elements, and ``join2`` otherwise.  When every mu is an
-    element, rows compare positions, the rows of one mu share their
-    expected row, and a derivative that is no element fails its row."""
+    Otherwise, when every mu is an element (as on a finite lattice),
+    mu(x) v mu(z) is read from row mu(x) of the table, the rows of one
+    mu share their expected row, and a derivative that is no element
+    fails its row; when some mu is not, the pair loop decides."""
     join = ctx.row_table
     if join is None:
         return False
@@ -824,24 +818,15 @@ def _mu_join_hom_rows(ctx):
                 return False
         ctx.checked += len(mus) ** 2
         return True
-    join2 = ctx.L.join2
     inside = list(map(ctx.index.get, mus))
-    every = None not in inside
-    if every:
-        derivatives = list(map(ctx.index.get, derivatives))
+    if None in inside:
+        return False
+    derivatives = list(map(ctx.index.get, derivatives))
     by_mu = {}
-    for x, mu_x in enumerate(mus):
-        if inside[x] is None:
-            expected = list(map(join2, repeat(mu_x), mus))
-        elif every:
-            expected = by_mu.get(inside[x])
-            if expected is None:
-                expected = by_mu[inside[x]] = list(map(join[inside[x]].__getitem__, inside))
-        else:
-            row = join[inside[x]]
-            expected = [
-                join2(mu_x, mu_z) if m is None else els[row[m]] for m, mu_z in zip(inside, mus)
-            ]
+    for x, m in enumerate(inside):
+        expected = by_mu.get(m)
+        if expected is None:
+            expected = by_mu[m] = list(map(join[m].__getitem__, inside))
         if list(map(derivatives.__getitem__, join[x])) != expected:
             return False
     ctx.checked += len(mus) ** 2
@@ -1227,25 +1212,17 @@ def _check_k_lower_semilattice(ctx):
 
 def _k_lower_rows(ctx):
     """Row x, for each compact x: the meets with every compact z are
-    compact.  With the window's meet rows, ``dually_compact`` is read once
-    per element and indexed with them (the rows cover the whole window,
-    so every meet checked is read); otherwise one ``meet2`` and one
-    ``dually_compact`` per pair."""
-    L = ctx.L
+    compact.  ``dually_compact`` is read once per element and indexed
+    with the window's meet rows (they cover the whole window, so every
+    meet checked is read); without them the pair loop decides."""
     meets = ctx.window and ctx.window.meet_rows()
-    if meets is not None:
-        flags = list(map(L.dually_compact, ctx.elements))
-        for row, compact in zip(meets, flags):
-            if compact and not all(map(flags.__getitem__, compress(row, flags))):
-                return False
-        ctx.checked += sum(flags) ** 2
-        return True
-    meet2, compact = L.meet2, L.dually_compact
-    ks = [x for x in ctx.elements if compact(x)]
-    for x in ks:
-        if not all(map(compact, map(meet2, repeat(x), ks))):
+    if meets is None:
+        return False
+    flags = list(map(ctx.L.dually_compact, ctx.elements))
+    for row, compact in zip(meets, flags):
+        if compact and not all(map(flags.__getitem__, compress(row, flags))):
             return False
-    ctx.checked += len(ks) ** 2
+    ctx.checked += sum(flags) ** 2
     return True
 
 

@@ -27,21 +27,19 @@ computes a vector's derivative once and drops the memo when it returns,
 so nothing is stored on the ``OrdinalCoframe``.  The pair laws check
 every box pair, deciding whole rows of pairs at a time.
 
-``leq``, ``meet2`` and ``join2``, read off an instance, are kernels
-unrolled for ``dims`` (see ``_kernels``) that check the lengths by
-unpacking them, so each call is one Python frame.  So is
-``co_heyting_sub`` while ``leq`` is the kernel: it tests z <= x inline
-(see ``_OrderChecked``); under any other ``leq`` it is the method, which
-calls that ``leq``.  ``run_all`` in dims 3 makes 16,431 calls of them
-and ``dually_compact``.  While ``join2`` and ``leq`` are the kernels,
-``window_tables`` gives the box's join table, the rows of vectors below
-each vector and the join table of the box's mus by arithmetic on
-coordinate positions, plus the meet rows while ``meet2`` is the kernel
-and the x - z rows while ``co_heyting_sub`` is.  Every other method,
-and the law registry, reads the public names, never a kernel, so a
-subclass or class patch that overrides one is seen by every use, and
-each table gives way to its calls (one per ordered pair: 46,656 in dims
-3, 1.68 M in dims 4).
+``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` are plain methods,
+each a call of a kernel compiled for ``dims`` (see ``_kernels``) that
+checks the lengths by unpacking them.  While ``join2`` and ``leq`` are
+the class's own, ``window_tables`` gives the box's join table, the rows
+of vectors below each vector and the join table and below rows of the
+box's mus by arithmetic on coordinate positions, plus the meet rows
+while ``meet2`` is the class's own and the x - z rows while
+``co_heyting_sub`` is.  ``run_all`` in dims 3 makes 8,166 calls of them
+and ``dually_compact``.  Every other method, and the law registry,
+reads the public names, never a kernel, so a subclass or class patch
+that overrides one is seen by every use, and each table gives way: the
+laws that read it replay their pair loops, with one call per pair
+(46,656 ordered pairs in dims 3, 1.68 M in dims 4).
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -203,18 +201,14 @@ def _check_lengths(dims: int, vs) -> None:
 @cache
 def _kernels(dims: int) -> tuple:
     """``leq``, ``meet``, ``join`` and ``sub`` (x - z) on two vectors of
-    length ``dims``, and ``checked_sub``, unrolled over the coordinates:
-    one comparison per coordinate, where ``tuple(map(min, x, y))`` pays a
-    call of ``min`` and ``all(map(ge, x, y))`` an iterator step.  They
-    take x's coordinates as a0, a1, ... and y's (or z's) as b0, b1, ...
-    Each checks the lengths by that tuple unpacking: when it fails, the
-    kernel raises ``_check_lengths``' DimensionMismatch, or the unpacking
-    error itself if both lengths are right.  ``sub`` and ``checked_sub``
-    name their parameters x and z, as the method does, so an error's
-    witness names the same arguments on either path.  ``checked_sub`` is
-    x - z with the method's order test z <= x done inline: it unpacks and
-    checks z before x, as ``leq(z, x)`` does, and raises the method's
-    NotBelow.  Each dims is compiled once, by its first
+    length ``dims``, unrolled over the coordinates: one comparison per
+    coordinate, where ``tuple(map(min, x, y))`` pays a call of ``min`` and
+    ``all(map(ge, x, y))`` an iterator step.  They take x's coordinates
+    as a0, a1, ... and y's (or z's) as b0, b1, ...  Each checks the
+    lengths by that tuple unpacking: when it fails, the kernel raises
+    ``_check_lengths``' DimensionMismatch, or the unpacking error itself
+    if both lengths are right.  ``sub`` names its parameters x and z, as
+    ``co_heyting_sub`` does.  Each dims is compiled once, by its first
     ``OrdinalCoframe``."""
     a = [f"a{i}" for i in range(dims)]
     b = [f"b{i}" for i in range(dims)]
@@ -230,85 +224,19 @@ def _kernels(dims: int) -> tuple:
     def vector(term: str) -> str:
         return "(" + "".join(term.format(a=ai, b=bi) + ", " for ai, bi in zip(a, b)) + ")"
 
-    sub = vector("{a} if {b} > {a} else INF")
     bodies = {
         "leq": " and ".join(f"{ai} >= {bi}" for ai, bi in zip(a, b)),
         "meet": vector("{a} if {a} > {b} else {b}"),
         "join": vector("{a} if {a} < {b} else {b}"),
-        "sub": sub,
+        "sub": vector("{a} if {b} > {a} else INF"),
     }
     source = ""
     for name, body in bodies.items():
         second = "z" if name == "sub" else "y"
         source += f"def {name}(x, {second}):\n{unpack('x', second)}    return {body}\n"
-    source += (
-        f"def checked_sub(x, z):\n{unpack('z', 'x')}"
-        f"    if {' and '.join(f'{bi} >= {ai}' for ai, bi in zip(a, b))}:\n        return {sub}\n"
-        "    raise NotBelow(fmt(z) + ' is not below ' + fmt(x))\n"
-    )
-    namespace = {"INF": INF, "check": _check_lengths, "NotBelow": NotBelow, "fmt": fmt_vec}
+    namespace = {"INF": INF, "check": _check_lengths}
     exec(source, namespace)
-    return tuple(namespace[name] for name in (*bodies, "checked_sub"))
-
-
-class _Primitive:
-    """A binary lattice primitive that costs one Python frame per call.
-
-    Read off an instance it is that instance's kernel for its ``dims``
-    (see ``_kernels``), so a loop that binds ``L.join2`` once and maps it
-    runs the kernel alone.  Read off the class it is a plain method that
-    calls the kernel, which ``super().join2(x, y)`` and
-    ``OrdinalCoframe.join2(cf, x, y)`` reach too.  It defines no
-    ``__set__``, so a subclass method, a class patch (made before or
-    after the instance was built) or an instance attribute of the same
-    name takes its place at every use.  ``co_heyting_sub`` is the same
-    kind of descriptor (see ``_OrderChecked``)."""
-
-    def __init__(self, slot: int):
-        self.slot = slot
-
-        def method(cf, x: tuple, y: tuple):
-            return _kernels(cf.dims)[slot](x, y)
-
-        self.method = method
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.method.__name__ = name
-        self.method.__qualname__ = f"{owner.__qualname__}.{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self.method
-        return _kernels(obj.dims)[self.slot]
-
-
-class _OrderChecked:
-    """``co_heyting_sub``, whose order check reads ``leq``.
-
-    Read off an instance whose ``leq`` resolves to that instance's dims
-    kernel, it is the ``checked_sub`` kernel (see ``_kernels``), which
-    tests z <= x inline and raises the method's NotBelow and
-    DimensionMismatch.  The read costs two small frames (this one and
-    ``leq``'s), so a loop that binds it once pays one frame per call.  When ``leq`` resolves to anything
-    else (a subclass method, a class patch made before or after the
-    instance was built, or an instance attribute), it is the method bound
-    to the instance, which calls ``self.leq``.  The test only compares
-    ``obj.leq`` by identity, so it raises nothing that reading ``leq``
-    does not, and ``hasattr(obj, "co_heyting_sub")`` stays True.  Read
-    off the class it is the method.  Like ``_Primitive`` it defines no
-    ``__set__``, so an override of ``co_heyting_sub`` itself takes its
-    place at every use."""
-
-    def __init__(self, method):
-        self.method = method
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self.method
-        kernels = _kernels(obj.dims)
-        if obj.leq is kernels[0]:
-            return kernels[4]
-        return self.method.__get__(obj, owner)
+    return tuple(map(namespace.__getitem__, bodies))
 
 
 class WindowTables:
@@ -352,16 +280,16 @@ class WindowTables:
 
     def meet_rows(self):
         """Row i, entry k: the position of elements[i] ^ elements[k]; None
-        unless ``meet2`` is this dims' kernel."""
-        if self.cf.meet2 is not _kernels(self.cf.dims)[1]:
+        unless ``meet2`` is the class's own (see ``_own``)."""
+        if not _own(self.cf, "meet2"):
             return None
         return _product_rows(self.sizes, lambda n, a, p: [p * n + max(a, b) for b in range(n)])
 
     def sub_rows(self):
         """Row i: the pair (``below_rows`` row i, the positions of
-        elements[i] - z along it); None unless ``co_heyting_sub`` is this
-        dims' ``checked_sub`` and every axis ends at infinity."""
-        if self.cf.co_heyting_sub is not _kernels(self.cf.dims)[4] or not self.has_inf:
+        elements[i] - z along it); None unless ``co_heyting_sub`` is the
+        class's own and every axis ends at infinity."""
+        if not _own(self.cf, "co_heyting_sub") or not self.has_inf:
             return None
         subs = _product_rows(self.sizes, lambda n, a, p: [p * n + n - 1] + [p * n + a] * (n - 1 - a))
         return zip(self.below_rows(), subs)
@@ -384,20 +312,22 @@ class OrdinalCoframe:
     # -- lattice primitives ------------------------------------------------
 
     def _check(self, *vs):
-        for v in vs:
-            if len(v) != self.dims:
-                _check_lengths(self.dims, vs)
+        _check_lengths(self.dims, vs)
 
-    # leq, meet2 and join2 are the inner loop of every testbed law: read
-    # off an instance, each is the kernel for ``self.dims`` itself (see
-    # ``_Primitive``), which checks the lengths by unpacking them, and so
-    # is co_heyting_sub below while leq is (see ``_OrderChecked``).  Every
-    # other method, and the law registry, reads them through the
-    # instance, never a kernel, so that an override is seen by every use.
+    # leq, meet2, join2 and co_heyting_sub each call the kernel for
+    # ``self.dims`` (see ``_kernels``), which checks the lengths by
+    # unpacking them.  Every other method, and the law registry, reads
+    # them through the instance, never a kernel, so that an override is
+    # seen by every use.
 
-    leq = _Primitive(0)
-    meet2 = _Primitive(1)
-    join2 = _Primitive(2)
+    def leq(self, x: tuple, y: tuple) -> bool:
+        return _kernels(self.dims)[0](x, y)
+
+    def meet2(self, x: tuple, y: tuple) -> tuple:
+        return _kernels(self.dims)[1](x, y)
+
+    def join2(self, x: tuple, y: tuple) -> tuple:
+        return _kernels(self.dims)[2](x, y)
 
     def lt(self, x: tuple, y: tuple) -> bool:
         return self.leq(x, y) and x != y
@@ -459,7 +389,6 @@ class OrdinalCoframe:
                 out.append(tuple(bumped))
         return out
 
-    @_OrderChecked
     def co_heyting_sub(self, x: tuple, z: tuple) -> tuple:
         """x - z keeps the coordinates where z sits strictly deeper than x."""
         if not self.leq(z, x):
@@ -542,14 +471,12 @@ class OrdinalCoframe:
         The law registry reads them instead of calling the primitives at
         every ordered pair (see ``laws._Ctx.window``).
 
-        None unless ``join2`` and ``leq`` are this dims' kernels, tested
-        by identity as ``_OrderChecked`` tests ``leq`` (so a subclass, a
-        class patch or an instance attribute gives way to the calls), and
-        ``elements`` is the ``itertools.product`` of its sorted
-        coordinate values, each a strict chain.  Every ``box`` is, and so
-        are the mus of a box."""
-        kernels = _kernels(self.dims)
-        if self.join2 is not kernels[2] or self.leq is not kernels[0]:
+        None unless ``join2`` and ``leq`` are the class's own (see
+        ``_own``: a subclass, a class patch or an instance attribute gives
+        way to the calls), and ``elements`` is the ``itertools.product``
+        of its sorted coordinate values, each a strict chain.  Every
+        ``box`` is, and so are the mus of a box."""
+        if not (_own(self, "join2") and _own(self, "leq")):
             return None
         try:
             axes = [sorted({v[i] for v in elements}) for i in range(self.dims)]
@@ -823,6 +750,19 @@ class OrdinalCoframe:
         clauses["relative_strata_finite"] = True
         clauses["tails_enter_every_neighborhood"] = True  # empty tail set
         return IsolatedBelowReport(x=fmt_vec(x), vacuous=False, reason=None, clauses=clauses)
+
+
+# The primitives as the class defines them, taken at import, so that a
+# class patch made before or after an instance was built reads as another
+# function.
+_OWN = {name: vars(OrdinalCoframe)[name] for name in ("leq", "meet2", "join2", "co_heyting_sub")}
+
+
+def _own(cf, name: str) -> bool:
+    """Is ``cf.<name>`` the class's own primitive?  A subclass method, a
+    class patch or an instance attribute is not, so the position table
+    that stands for its calls gives way to them."""
+    return getattr(getattr(cf, name), "__func__", None) is _OWN[name]
 
 
 @dataclass(frozen=True)

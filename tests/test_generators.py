@@ -329,8 +329,9 @@ def test_generate_spec_strings(tmp_path):
 def test_caps_enforced():
     with pytest.raises(TooLarge):
         chain(5000)
-    with pytest.raises(TooLarge):
-        boolean(13)
+    for k in (13, -1):
+        with pytest.raises(TooLarge, match=r"^boolean exponent must be between 0 and 12 \(2\^12 elements\)$"):
+            generate(f"boolean:{k}")
     big = CayleyTable(
         order=65,
         table=tuple(tuple((a + b) % 65 for b in range(65)) for a in range(65)),

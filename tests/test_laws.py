@@ -1461,10 +1461,11 @@ def test_inconsistent_testbed_instances_fail_laws_instead_of_raising():
 
 
 def test_x_minus_z_errors_name_x_and_z_on_both_paths():
-    """x - z raises ``NotBelow`` from the fused kernel while ``leq`` is the
-    kernel, and from the method under an overridden ``leq``; either way
-    the witness names the arguments x and z.  Here (1, 1) claims (0, 0),
-    which is not below it, as a maximal subelement."""
+    """x - z raises ``NotBelow`` under the class's own ``leq``, whose
+    window has tables, and under an overridden ``leq``, whose window has
+    none; either way the witness names the arguments x and z.  Here
+    (1, 1) claims (0, 0), which is not below it, as a maximal
+    subelement."""
     from residua.testbed import OrdinalCoframe
 
     real = OrdinalCoframe.maximal_subelements
@@ -1474,11 +1475,14 @@ def test_x_minus_z_errors_name_x_and_z_on_both_paths():
             return [(0, 0), (2, 1)]
         return real(self, x, family)
 
-    fused = _testbed_fault(2, maximal_subelements=maximals)
-    method = _testbed_fault(2, maximal_subelements=maximals, leq=OrdinalCoframe.leq)
-    assert fused.co_heyting_sub.__name__ == "checked_sub"
-    assert method.co_heyting_sub.__name__ == "co_heyting_sub"
-    for cf in (fused, method):
+    def leq(self, x, y):
+        return OrdinalCoframe.leq(self, x, y)
+
+    own = _testbed_fault(2, maximal_subelements=maximals)
+    overridden = _testbed_fault(2, maximal_subelements=maximals, leq=leq)
+    box = own.box(WINDOW_BOUND)
+    assert own.window_tables(box) is not None and overridden.window_tables(box) is None
+    for cf in (own, overridden):
         rep = run_law(cf, LawId.RESIDUE_UNIQUE_MAXIMAL)
         assert rep.to_json_dict()["witness"] == {
             "x": "1,1",
@@ -1592,26 +1596,24 @@ def test_testbed_window_tables_give_way(monkeypatch):
 
 def test_testbed_row_passes_read_the_window_tables():
     """With the window's tables, ``coheyting_join`` calls no primitive,
+    ``mu_monotone`` no ``leq`` (one per pair z <= x without them),
     ``k_lower_semilattice`` calls ``dually_compact`` once per box vector
     and ``meet2`` never, and ``mu_join_hom`` joins only inside the
-    closed-form profiles, not once per pair of mus.  Calls are counted
-    with ``sys.setprofile``, as a class patch would turn the tables off."""
+    closed-form profiles, not once per pair of mus.  Calls of the methods
+    are counted by their code objects with ``sys.setprofile``, as a class
+    patch would turn the tables off; a direct call of each counts once."""
     from collections import Counter
 
-    from residua.testbed import OrdinalCoframe, _kernels
+    from residua.testbed import INF, OrdinalCoframe
 
     cf = OrdinalCoframe(3)
     box = cf.box(WINDOW_BOUND)
-    leq, meet, join, _, checked_sub = _kernels(3)
     names = {
-        leq.__code__: "leq",
-        meet.__code__: "meet2",
-        join.__code__: "join2",
-        checked_sub.__code__: "co_heyting_sub",
-        OrdinalCoframe.dually_compact.__code__: "dually_compact",
+        getattr(OrdinalCoframe, name).__code__: name
+        for name in ("leq", "meet2", "join2", "co_heyting_sub", "dually_compact")
     }
 
-    def calls(law):
+    def calls(run):
         seen = Counter()
 
         def count(frame, event, arg):
@@ -1621,14 +1623,25 @@ def test_testbed_row_passes_read_the_window_tables():
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            assert run_law(cf, law).verdict == "pass"
+            run()
         finally:
             sys.setprofile(previous)
         return seen
 
-    assert calls(LawId.COHEYTING_JOIN) == Counter()
-    assert calls(LawId.K_LOWER_SEMILATTICE) == Counter(dually_compact=len(box))
-    assert calls(LawId.MU_JOIN_HOM)["join2"] < 2 * len(box)
+    def law(law_id):
+        reports = []
+        seen = calls(lambda: reports.append(run_law(cf, law_id)))
+        assert reports[0].verdict == "pass", law_id
+        return seen
+
+    x, z = (1, 2, INF), (2, 2, INF)
+    direct = calls(lambda: [cf.leq(z, x), cf.meet2(x, z), cf.join2(x, z), cf.dually_compact(x)])
+    assert direct == Counter(leq=1, meet2=1, join2=1, dually_compact=1)
+    assert calls(lambda: cf.co_heyting_sub(x, z)) == Counter(co_heyting_sub=1, leq=1)
+    assert law(LawId.COHEYTING_JOIN) == Counter()
+    assert law(LawId.MU_MONOTONE)["leq"] == 0
+    assert law(LawId.K_LOWER_SEMILATTICE) == Counter(dually_compact=len(box))
+    assert law(LawId.MU_JOIN_HOM)["join2"] < 2 * len(box)
 
 
 def _with_one_table_off(cf) -> list:

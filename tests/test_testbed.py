@@ -141,44 +141,40 @@ def test_kernels_match_the_generic_forms():
                 cf.dually_compact(wrong)
 
 
-def test_fused_co_heyting_sub_matches_the_method():
-    """Read off an instance, co_heyting_sub is the fused kernel, which
-    agrees with the class method and the generic form on every pair of
-    box(3) with z below x in dims 1-4, raises the method's NotBelow
-    message on every pair of box(1) with z not below x, and the method's
-    DimensionMismatch message for a wrong length in either argument or
-    both: the one of z when both are wrong, as leq(z, x) checks z first."""
-    method = OrdinalCoframe.co_heyting_sub
+def test_co_heyting_sub_matches_the_generic_form_and_checks_z_first():
+    """co_heyting_sub agrees with the generic form on every pair of
+    box(3) with z below x in dims 1-4, raises NotBelow naming z and x on
+    every pair of box(1) with z not below x, and raises DimensionMismatch
+    for a wrong length in either argument or both: the one of z when both
+    are wrong, as its order test leq(z, x) checks z first."""
 
-    def outcome(sub, x, z):
+    def outcome(x, z):
         try:
-            return sub(x, z)
+            return cf.co_heyting_sub(x, z)
         except (NotBelow, DimensionMismatch) as e:
             return type(e), str(e)
 
     for dims in (1, 2, 3, 4):
         cf = OrdinalCoframe(dims)
-        fused = cf.co_heyting_sub
-        assert fused is not method and fused.__name__ == "checked_sub"
         for x, z in itertools.product(cf.box(3), repeat=2):
-            if cf.leq(z, x):
-                assert fused(x, z) == method(cf, x, z) == co_heyting_sub_reference(x, z), (x, z)
+            if leq_reference(z, x):
+                assert cf.co_heyting_sub(x, z) == co_heyting_sub_reference(x, z), (x, z)
         for x, z in itertools.product(cf.box(1), repeat=2):
             if not leq_reference(z, x):
-                expected = NotBelow, f"{fmt_vec(z)} is not below {fmt_vec(x)}"
-                assert outcome(fused, x, z) == outcome(method.__get__(cf), x, z) == expected
+                assert outcome(x, z) == (NotBelow, f"{fmt_vec(z)} is not below {fmt_vec(x)}")
         for short, long in (((0,) * (dims - 1), (0,) * (dims + 1)), ((), (0,) * (dims + 2))):
             for x, z, given in ((short, cf.bottom, short), (cf.top, long, long), (short, long, long)):
                 expected = DimensionMismatch, f"expected {dims} coordinates, got {len(given)}"
-                assert outcome(fused, x, z) == outcome(method.__get__(cf), x, z) == expected
+                assert outcome(x, z) == expected
 
 
 def test_patched_leq_reaches_co_heyting_sub(monkeypatch):
     """A class patch of leq made after construction, and an instance
     attribute leq, are each called once by cf.co_heyting_sub, which keeps
-    its closed form; undoing either restores the fused kernel."""
+    its closed form, and each turns off the window's tables while it
+    holds; undoing either brings them back."""
     cf = OrdinalCoframe(3)
-    fused = cf.co_heyting_sub
+    box = cf.box(2)
     x, z = (1, 2, INF), (2, 2, INF)
     calls = []
     real = OrdinalCoframe.leq
@@ -189,18 +185,18 @@ def test_patched_leq_reaches_co_heyting_sub(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(OrdinalCoframe, "leq", counting)
-        assert hasattr(cf, "co_heyting_sub") and cf.co_heyting_sub is not fused
+        assert cf.window_tables(box) is None
         assert cf.co_heyting_sub(x, z) == co_heyting_sub_reference(x, z)
         assert calls == [(z, x)]
-    assert cf.co_heyting_sub is fused
+    assert cf.window_tables(box).sub_rows() is not None
     calls.clear()
     cf.leq = lambda a, b: calls.append((a, b)) or real(cf, a, b)
-    assert hasattr(cf, "co_heyting_sub") and cf.co_heyting_sub is not fused
+    assert cf.window_tables(box) is None
     with pytest.raises(NotBelow):
         cf.co_heyting_sub(z, x)
     assert calls == [(x, z)]
     del cf.leq
-    assert cf.co_heyting_sub is fused
+    assert cf.window_tables(box).sub_rows() is not None
 
 
 def test_overrides_reach_every_use():
@@ -266,13 +262,14 @@ def test_primitives_called_off_the_class():
 
 def test_patches_made_after_construction_reach_every_use(monkeypatch):
     """A class patch of join2 made after the instance was built reaches
-    cf.join2 and run_all; undoing it restores the kernel.  An instance
-    patch reaches too, and a recording subclass sees as many joins in
-    run_all as the class patch."""
+    cf.join2 and run_all, and turns off the window's tables while it
+    holds; undoing it brings them back.  An instance patch does the same,
+    and a recording subclass sees as many joins in run_all as the class
+    patch."""
     from residua.laws import run_all
 
     cf = OrdinalCoframe(2)
-    kernel = cf.join2
+    box = cf.box(4)
     joins = []
     real = OrdinalCoframe.join2
 
@@ -282,6 +279,7 @@ def test_patches_made_after_construction_reach_every_use(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(OrdinalCoframe, "join2", counting)
+        assert cf.window_tables(box) is None
         assert cf.join2((1, INF), (2, 0)) == (1, 0)
         assert joins == [((1, INF), (2, 0))]
         joins.clear()
@@ -290,15 +288,16 @@ def test_patches_made_after_construction_reach_every_use(monkeypatch):
     docs = [r.to_json_dict() for r in reports]
     assert docs == [r.to_json_dict() for r in run_all(cf)]
     assert sum(r.verdict == "pass" for r in reports) == 16
-    assert patched >= len(cf.box(4)) ** 2
-    assert cf.join2 is kernel
+    assert patched >= len(box) ** 2
+    assert cf.window_tables(box) is not None
 
     seen = []
-    cf.join2 = lambda x, y: seen.append((x, y)) or kernel(x, y)
+    cf.join2 = lambda x, y: seen.append((x, y)) or real(cf, x, y)
     assert cf.join_of_set([(1, INF), (2, 0), (0, 3)]) == (0, 0)
     assert seen == [((1, INF), (2, 0)), ((1, 0), (0, 3))]
+    assert cf.window_tables(box) is None
     del cf.join2
-    assert cf.join2 is kernel
+    assert cf.window_tables(box) is not None
 
     recorded = []
 
