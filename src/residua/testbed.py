@@ -24,8 +24,9 @@ derivative, the meet of the maximal subelements, and
 other laws check the closed forms (maximal subelements, mu, cores,
 residues, x - z) against the pointwise order, meets and joins.  Each run
 computes a vector's derivative once and drops the memo when it returns,
-so nothing is stored on the ``OrdinalCoframe``.  The pair laws check
-every box pair, deciding whole rows of pairs at a time.
+and the ``OrdinalCoframe`` holds its windows' rows only weakly, so
+nothing outlives the run.  The pair laws check every box pair, deciding
+whole rows of pairs at a time.
 
 ``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` are plain methods,
 each a call of a kernel compiled for ``dims`` (see ``_kernels``) that
@@ -34,12 +35,16 @@ the class's own, ``window_tables`` gives the box's join table, the rows
 of vectors below each vector and the join table and below rows of the
 box's mus by arithmetic on coordinate positions, plus the meet rows
 while ``meet2`` is the class's own and the x - z rows while
-``co_heyting_sub`` is.  ``run_all`` in dims 3 makes 8,166 calls of them
-and ``dually_compact``.  Every other method, and the law registry,
-reads the public names, never a kernel, so a subclass or class patch
-that overrides one is seen by every use, and each table gives way: the
-laws that read it replay their pair loops, with one call per pair
-(46,656 ordered pairs in dims 3, 1.68 M in dims 4).
+``co_heyting_sub`` is.  Each table is a head × tail product of the
+chains' tables, and the join and below rows belong to the window's
+shape, so the box and its mus read one copy, dropped with the run's
+last window: a dims-3 run builds four tables.  ``run_all`` in dims 3
+makes 8,166 calls of them and ``dually_compact``.  Every other method,
+and the law registry, reads the public names, never a kernel, so a
+subclass or class patch that overrides one is seen by every use, and
+each table gives way: the laws that read it replay their pair loops,
+with one call per pair (46,656 ordered pairs in dims 3, 1.68 M in dims
+4).
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -57,9 +62,11 @@ predicate can tell apart finite values at or beyond the bound.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import inf as INF
+from operator import iadd
 from typing import Iterable
 
 from .errors import (
@@ -161,26 +168,27 @@ def _box_values(bound: int) -> list:
     return list(range(bound + 1)) + [INF]
 
 
-def _product_rows(sizes: list, segment):
+def _product_rows(sizes, chain_row):
     """Position rows over a product of chains of the given sizes, in
-    ``itertools.product`` order, built one coordinate at a time.  Adding a
-    chain of size n to the product so far, the row of (x, a) joins
-    ``segment(n, a, p)`` over the entries p of the row of x, so each row
-    is one ``chain`` over short precomputed segments, with no Python-level
-    step per entry.  The rows of the whole product come from an iterator,
-    one at a time, so a reader that keeps something else per row never
-    holds them all."""
-    rows = [[0]]  # the product of no chains: one point, whose row is itself
-    for depth, n in enumerate(sizes, 1):
-        segments = [[segment(n, a, p) for p in range(len(rows))] for a in range(n)]
-        rows = (
-            list(itertools.chain.from_iterable(map(segments[a].__getitem__, row)))
-            for row in rows
-            for a in range(n)
-        )
-        if depth < len(sizes):
-            rows = list(rows)
-    return rows
+    ``itertools.product`` order, where ``chain_row(n, a)`` is row a over a
+    chain of n.  The product is head × tail, each the product of half the
+    axes (the head of one axis alone): with m positions in the tail, the
+    row of (h, t) concatenates the segments p * m + e, e along tail row t,
+    for the p along head row h.  The segments are precomputed over one
+    shared int per position, so a row is one ``reduce`` of list
+    extensions, one per head entry, with no Python-level step per entry.
+    The rows of the whole product come from an iterator, one at a time, so
+    a reader that keeps something else per row never holds them all."""
+    if len(sizes) > 1:
+        k = len(sizes) // 2
+        heads, tails = (list(_product_rows(part, chain_row)) for part in (sizes[:k], sizes[k:]))
+    else:  # one chain: the head, over the product of no chains
+        heads, tails = [chain_row(sizes[0], a) for a in range(sizes[0])], [[0]]
+    m = len(tails)
+    ints = list(range(len(heads) * m))
+    blocks = [ints[p * m:p * m + m] for p in range(len(heads))]
+    segments = [[list(map(block.__getitem__, tail)) for block in blocks] for tail in tails]
+    return (reduce(iadd, map(segs.__getitem__, head), []) for head in heads for segs in segments)
 
 
 def _check_bound(bound: int) -> None:
@@ -239,6 +247,25 @@ def _kernels(dims: int) -> tuple:
     return tuple(map(namespace.__getitem__, bodies))
 
 
+class _Shape:
+    """The join and below rows of the windows with these axis sizes, each
+    built on first read.  Every live ``WindowTables`` of the shape reads
+    the one copy in its coframe's ``_shapes``, a weak mapping, so the rows
+    go with the last of those windows and nothing outlives the run that
+    made them."""
+
+    def __init__(self, sizes: tuple):
+        self.sizes = sizes
+
+    @cached_property
+    def join(self) -> list:
+        return list(_product_rows(self.sizes, lambda n, a: [min(a, b) for b in range(n)]))
+
+    @cached_property
+    def below(self) -> list:
+        return list(_product_rows(self.sizes, lambda n, a: range(a, n)))
+
+
 class WindowTables:
     """Position tables of a window that is a product of chains, one per
     coordinate (see ``OrdinalCoframe.window_tables``), each built on first
@@ -250,27 +277,29 @@ class WindowTables:
     min(rank(x_i), rank(z_i)) * stride_i, x ^ z at that of the maxes, the
     row below x is the product of the ranks at or above those of x, and
     x - z keeps rank(x_i) where rank(z_i) > rank(x_i) and takes the
-    infinite rank elsewhere.  Every table is built one coordinate at a
-    time (``_product_rows``).  ``join`` and ``below`` are kept once read;
-    the ``*_rows`` methods stream their rows, for a reader that reads
-    them once."""
+    infinite rank elsewhere.  Every table is a head × tail product
+    (``_product_rows``).  The join and below rows belong to the window's
+    shape, so a box and its mus, whose axes have the same sizes, share
+    one copy; the ``*_rows`` methods of meets and x - z stream their
+    rows, for a reader that reads them once."""
 
     def __init__(self, cf, elements: list, axes: list):
         self.cf, self.elements = cf, elements
-        self.sizes = [len(axis) for axis in axes]
+        self.sizes = tuple(map(len, axes))
         self.has_inf = all(axis[-1] == INF for axis in axes)
+        self.shape = cf._shapes.setdefault(self.sizes, _Shape(self.sizes))
 
-    def join_rows(self):
-        """Row i, entry k: the position of elements[i] v elements[k]."""
-        return _product_rows(self.sizes, lambda n, a, p: [p * n + min(a, b) for b in range(n)])
-
-    @cached_property
+    @property
     def join(self) -> list:
-        return list(self.join_rows())
+        """Row i, entry k: the position of elements[i] v elements[k]."""
+        return self.shape.join
 
-    def below_rows(self):
+    def join_rows(self) -> list:
+        return self.shape.join
+
+    def below_rows(self) -> list:
         """Row i: the positions of the z <= elements[i], in element order."""
-        return _product_rows(self.sizes, lambda n, a, p: range(p * n + a, p * n + n))
+        return self.shape.below
 
     @cached_property
     def below(self) -> dict:
@@ -283,7 +312,7 @@ class WindowTables:
         unless ``meet2`` is the class's own (see ``_own``)."""
         if not _own(self.cf, "meet2"):
             return None
-        return _product_rows(self.sizes, lambda n, a, p: [p * n + max(a, b) for b in range(n)])
+        return _product_rows(self.sizes, lambda n, a: [max(a, b) for b in range(n)])
 
     def sub_rows(self):
         """Row i: the pair (``below_rows`` row i, the positions of
@@ -291,7 +320,7 @@ class WindowTables:
         class's own and every axis ends at infinity."""
         if not _own(self.cf, "co_heyting_sub") or not self.has_inf:
             return None
-        subs = _product_rows(self.sizes, lambda n, a, p: [p * n + n - 1] + [p * n + a] * (n - 1 - a))
+        subs = _product_rows(self.sizes, lambda n, a: [n - 1] + [a] * (n - 1 - a))
         return zip(self.below_rows(), subs)
 
 
@@ -308,6 +337,7 @@ class OrdinalCoframe:
         _kernels(dims)  # compiled here, not at the first primitive call
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
+        self._shapes = weakref.WeakValueDictionary()  # see _Shape
 
     # -- lattice primitives ------------------------------------------------
 
@@ -480,7 +510,7 @@ class OrdinalCoframe:
             return None
         try:
             axes = [sorted({v[i] for v in elements}) for i in range(self.dims)]
-            if list(itertools.product(*axes)) != elements:
+            if not elements or list(itertools.product(*axes)) != elements:
                 return None
         except (IndexError, TypeError):  # a short vector, or no vector
             return None

@@ -1542,8 +1542,8 @@ def test_testbed_window_tables_give_way(monkeypatch):
     """``window_tables`` returns None when ``join2`` or ``leq`` is not the
     dims kernel (a subclass method, a class patch made after
     construction, an instance attribute) and when the window is not a
-    box: shuffled, or with one vector dropped.  Its meet rows give way in
-    the same three ways to ``meet2``, and its x - z rows to
+    box: shuffled, with one vector dropped, or empty.  Its meet rows give
+    way in the same three ways to ``meet2``, and its x - z rows to
     ``co_heyting_sub`` and to a window with no infinite coordinates."""
     from residua.testbed import OrdinalCoframe
 
@@ -1592,6 +1592,92 @@ def test_testbed_window_tables_give_way(monkeypatch):
     finite = list(itertools.product(range(3), repeat=2))
     assert cf.window_tables(finite).sub_rows() is None
     assert cf.window_tables(finite).meet_rows() is not None
+    assert cf.window_tables([]) is None
+
+
+def test_testbed_window_tables_on_unequal_axes():
+    """On windows whose axes differ in size, so that the head and tail of
+    each product differ too, the join, below, meet and x - z rows are the
+    positions of ``join2``, ``leq``, ``meet2`` and ``co_heyting_sub``; a
+    window whose axes do not all end at infinity has no x - z rows."""
+    from residua.testbed import INF, OrdinalCoframe
+
+    windows = (
+        ([0, 1, 2, 3, 4, 5, 6, INF], [2, INF]),
+        ([0, 2, INF], [3, INF], [0, 1, 2, INF]),
+        ([1, INF], [0, 2, 5, INF], [0, 1, INF], [3, INF]),
+        ([0, 2, INF], [1, 3], [0, 1, 2, INF]),
+        ([0, 1], [2, 3, 5]),
+    )
+    for axes in windows:
+        cf = OrdinalCoframe(len(axes))
+        window = list(itertools.product(*axes))
+        at = {x: i for i, x in enumerate(window)}
+        tables = cf.window_tables(window)
+        assert tables.join == [[at[cf.join2(x, z)] for z in window] for x in window], axes
+        below = [[at[z] for z in window if cf.leq(z, x)] for x in window]
+        assert tables.below_rows() == below, axes
+        assert list(tables.meet_rows()) == [[at[cf.meet2(x, z)] for z in window] for x in window], axes
+        subs = tables.sub_rows()
+        if not all(INF in axis for axis in axes):
+            assert subs is None
+            continue
+        assert list(subs) == [
+            (row, [at[cf.co_heyting_sub(x, window[k])] for k in row]) for x, row in zip(window, below)
+        ], axes
+
+
+def test_testbed_run_builds_each_window_table_once(monkeypatch):
+    """One dims-3 ``run_all`` builds the join, below, meet and x - z rows
+    once each: the box's mus share the box's shape and so its join and
+    below rows.  No shape's rows outlive the run, even with the cycle
+    collector off."""
+    import gc
+    from collections import Counter
+
+    import residua.testbed
+    from residua.testbed import OrdinalCoframe
+
+    builds = Counter()
+    real = residua.testbed._product_rows
+
+    def counting(sizes, chain_row):
+        if len(sizes) == 3:  # a whole window, not a head or a tail
+            builds[tuple(chain_row(3, 1))] += 1
+        return real(sizes, chain_row)
+
+    monkeypatch.setattr(residua.testbed, "_product_rows", counting)
+    cf = OrdinalCoframe(3)
+    gc.disable()
+    try:
+        reports = run_all(cf)
+        assert not cf._shapes
+    finally:
+        gc.enable()
+    assert sum(r.verdict == "pass" for r in reports) == 16
+    # the chain row at 1 on a chain of 3: join, below, meet, x - z
+    assert builds == Counter({(0, 1, 1): 1, (1, 2): 1, (1, 1, 2): 1, (2, 1): 1})
+
+
+def test_testbed_verdicts_do_not_depend_on_the_window_bound(monkeypatch):
+    """Raising ``WINDOW_BOUND`` from 4 to 5 and 6 in dims 1-3 changes no
+    verdict, reason or witness of a testbed run; only ``checked`` may
+    grow.  The boxes of 7 and 8 values per axis are read through their
+    window tables, as the default box is."""
+    from residua.testbed import OrdinalCoframe
+
+    for dims in (1, 2, 3):
+        runs = []
+        for bound in (4, 5, 6):
+            cf = OrdinalCoframe(dims)
+            assert cf.window_tables(cf.box(bound)) is not None
+            monkeypatch.setattr(residua.laws, "WINDOW_BOUND", bound)
+            runs.append([r.to_json_dict() for r in run_all(cf)])
+        for smaller, larger in zip(runs, runs[1:]):
+            assert sum(a["checked"] for a in smaller) < sum(b["checked"] for b in larger), dims
+            for a, b in zip(smaller, larger):
+                assert a["checked"] <= b["checked"], (dims, a["law"])
+                assert {**a, "checked": 0} == {**b, "checked": 0}, (dims, a["law"])
 
 
 def test_testbed_row_passes_read_the_window_tables():
