@@ -141,8 +141,9 @@ def _cmd_analyze(args) -> int:
     else:
         lines = [f"instance: {doc['instance']}"]
         for p in doc["profiles"]:
+            rank = p["rank"] if p["rank"] == "omega" else p["rank"]["finite"]
             lines.append(
-                f"  {p['element']}: mu={p['mu']} rank={p['rank']} core={p['core']} "
+                f"  {p['element']}: mu={p['mu']} rank={rank} core={p['core']} "
                 f"boundary={p['boundary']}"
             )
         _emit(args, "\n".join(lines) + "\n")

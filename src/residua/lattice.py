@@ -25,11 +25,11 @@ Every ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
 the order alone (the covers, the join-irreducibles, the completely
-co-irreducibles) are cached on the poset, facts that read the tables on
-the lattice: the meet table, the residual derivatives and the first
-faulty entry of each table (``join_fault``, ``meet_fault``), each
-computed on first read, unless the table was built from the order rows
-and so has none.
+co-irreducibles) are cached on the poset, and facts about the tables on
+the lattice: the meet table and the first faulty entry of each table
+(``join_fault``, ``meet_fault``), each computed on first read, unless
+the table was built from the order rows and so has none.  Residual
+facts are kept by the run that derives them (``laws._Ctx``).
 """
 
 from __future__ import annotations
@@ -501,15 +501,6 @@ class FiniteLattice:
         if self.meet_rows is None:
             return None
         return _table_fault(self.meet, self.poset.down)
-
-    @cached_property
-    def derivatives(self) -> list:
-        """Row of residual derivatives (default family), filled one element
-        at a time by ``residual.residual_derivative``; None where not yet
-        computed.  It lives on the lattice, not the poset, because the
-        derivative reads the meet table: a ``mutate_entry`` copy starts
-        with its own empty row."""
-        return [None] * self.n
 
     # -- dual compactness -------------------------------------------------
 

@@ -42,25 +42,27 @@ testbed's is its box.  The fast paths key on the facts they read:
 The laws of one run share one ``_Ctx``, and with a family the laws of
 ``FAMILY_HYPOTHESES`` share a second one in that family: the instance's
 description, order-rows flag, window and certification, read once;
-profiles and derivatives; the elements below each x, filtered with
-``leq`` unless ``window_tables`` gives them; and three rows by element,
-the maximal subelements, the residues x - m by maximal m and the
-outcasts, each in the run's family.  ``residual_profile`` builds the
-strata from the residue rows of the iterates, and the t-class of x is
-the length of its row of maximal subelements.  On certified tables
-(``L.join_fault`` and ``L.meet_fault`` both None, as for every lattice
-``as_lattice`` builds) each default-family profile is instead built on
-that of its derivative, by a loop down the derivative chain.  An entry
-is stored only once its fold or cross-check has passed, so each law
-reports what it reports run alone.
+profiles and derivatives, which the instance does not keep; the
+elements below each x, filtered with ``leq`` unless ``window_tables``
+gives them; and three rows by element, the maximal subelements, the
+residues x - m by maximal m and the outcasts, each in the run's family.
+``residual_profile`` builds the strata from the residue rows of the
+iterates, and the t-class of x is the length of its row of maximal
+subelements.  On certified tables (``L.join_fault`` and
+``L.meet_fault`` both None, as for every lattice ``as_lattice`` builds)
+each default-family profile is instead built on that of its
+derivative, by a loop down the derivative chain.  An entry is stored
+only once its fold or cross-check has passed, so each law reports what
+it reports run alone.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
 counts, mus, derivatives, core positions) are compared at once.  A row
 pass reads tables only: order rows, the join table and the position
 tables of ``window_tables`` (the elements below, meets, x - z, and the
-mus' joins and the mus below).  Without the tables it needs, it decides
-nothing and the pair loop runs.  Every call a pair loop's verdict reads
+mus' joins and rows below, the box's own when the mus are a window of
+its shape).  Without the tables it needs, it decides nothing and the
+pair loop runs.  Every call a pair loop's verdict reads
 is still made, but for those tables and two theorems: on order rows
 ``mu_monotone`` compares lower covers only, as the order is transitive,
 and with a single core c ``core_join_hom`` reads join[c][c] alone.
@@ -198,7 +200,8 @@ class _Ctx:
     and the outcasts.  An entry is stored only once its fold or
     cross-check has passed, so a faulty table raises the same error at
     every read.  On certified tables each default-family profile is built
-    on that of its derivative.
+    on that of its derivative.  The row passes read ``mus`` and
+    ``mu_window``, the mus and their ``window_tables``, once per run.
 
     ``checked`` is the running law's count, and ``folds`` the
     verified-fold memo of ``join_fold``.  ``run_law`` resets the count
@@ -406,7 +409,11 @@ class _Ctx:
 
     @cached_property
     def _below(self) -> dict:
-        return {} if self.window is None else self.window.below
+        """The window's below rows as element rows, by element."""
+        if self.window is None:
+            return {}
+        at = self.elements.__getitem__
+        return {x: list(map(at, row)) for x, row in zip(self.elements, self.window.below)}
 
     def below(self, x):
         """The elements z with ``leq(z, x)``, in element order: the row of
@@ -418,6 +425,16 @@ class _Ctx:
             els = self.elements
             got = row[x] = list(compress(els, map(self.L.leq, els, repeat(x))))
         return got
+
+    @cached_property
+    def mus(self) -> list:
+        """Each element's mu; the row passes read it, the pair loops do not."""
+        return [self.profile(x).mu for x in self.elements]
+
+    @cached_property
+    def mu_window(self):
+        """``L.window_tables(mus)`` when the window has tables, else None."""
+        return self.window and self.L.window_tables(self.mus)
 
     @cached_property
     def family_holds(self) -> dict:
@@ -759,7 +776,7 @@ def _mu_monotone_rows(ctx):
     the covers.  On a window with tables whose mus have them too
     (``window_tables(mus)``), the positions below x must lie among those
     whose mus are below mu(x); otherwise the pair loop decides."""
-    mus = [ctx.profile(x).mu for x in ctx.elements]
+    mus = ctx.mus
     rows = getattr(ctx.L, "poset", None)
     if rows is not None:
         leq, covers = ctx.L.leq, rows.lower_covers
@@ -768,10 +785,10 @@ def _mu_monotone_rows(ctx):
                 return False
         ctx.checked += sum(map(int.bit_count, rows.down))
         return True
-    tables = ctx.window and ctx.L.window_tables(mus)
+    tables = ctx.mu_window
     if tables is None:
         return False
-    for zs, under in zip(ctx.window.below_rows(), tables.below_rows()):
+    for zs, under in zip(ctx.window.below, tables.below):
         if not set(under).issuperset(zs):
             return False
         ctx.checked += len(zs)
@@ -807,13 +824,12 @@ def _mu_join_hom_rows(ctx):
     join = ctx.row_table
     if join is None:
         return False
-    els = ctx.elements
-    mus = [ctx.profile(x).mu for x in els]
-    derivatives = [ctx.derivative(x) for x in els]
-    tables = ctx.window and ctx.L.window_tables(mus)
+    mus = ctx.mus
+    derivatives = list(map(ctx.derivative, ctx.elements))
+    tables = ctx.mu_window
     if tables is not None:
         got = list(map({mu: i for i, mu in enumerate(mus)}.get, derivatives))
-        for row, expected in zip(join, tables.join_rows()):
+        for row, expected in zip(join, tables.join):
             if list(map(got.__getitem__, row)) != expected:
                 return False
         ctx.checked += len(mus) ** 2

@@ -3,12 +3,14 @@
 Every function here is generic over a lattice instance.  On a finite
 lattice's order rows (``poset``) the calculus computes everything
 definitionally: the maximal subelements of x are its lower covers, a
-cached row of the order, and derivatives are kept one element at a time
-in the lattice's ``derivatives`` row.  An instance that supplies its own
-``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` or
-default-family ``profile`` closed forms (the ordinal testbed) is used
-through those, so there is a single copy of the derivative/rank/stratum
-machinery.  The other functions read order rows.
+cached row of the order, and the derivative of x is the meet of them.
+Nothing is kept on the instance: the law registry's run keeps each
+derived fact once (``laws._Ctx``).  An instance that supplies its own
+``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` or ``profile``
+closed forms (the ordinal testbed) is used through those in the default
+family, so there is a single copy of the derivative/rank/stratum
+machinery.  A family is a set of element positions, which only order
+rows answer (``family_mask``).  The other functions read order rows.
 
 Set-valued results are returned in canonical index order.  Degenerate
 input: the bottom element has no maximal subelements, derivative itself,
@@ -76,35 +78,22 @@ def family_is_lattice(L: FiniteLattice, fam_mask: int) -> bool:
 
 def maximal_subelements(L, x, family=None) -> list:
     """Maximal elements of family /\\ (down(x) minus {x})."""
-    if hasattr(L, "maximal_subelements"):
-        return L.maximal_subelements(x, family)
     fam = family_mask(L, family)
-    if fam is None:
-        return list(bits(L.poset.lower_covers[x]))
-    return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
+    if fam is not None:
+        return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
+    if hasattr(L, "maximal_subelements"):
+        return L.maximal_subelements(x)
+    return list(bits(L.poset.lower_covers[x]))
 
 
 def residual_derivative(L, x, family=None, maximals_of=None):
-    """Meet of the maximal subelements; x itself when there are none.
-
-    The default-family answer is kept in the instance's ``derivatives``
-    row, where it has one (a finite lattice does), only after its
-    verified fold returns, so a corrupted meet entry raises at every call.
-    An instance without that row reads the maximal subelements of x from
+    """Meet of the maximal subelements, a verified fold; x itself when
+    there are none.  The maximal subelements of x are read from
     ``maximals_of(x)`` when it is given, as ``residual_profile`` reads
     ``residues_of``: the law registry passes its per-run row
-    (``laws._Ctx.maximals``).
+    (``laws._Ctx.maximals``), and keeps the answer in its own row
+    (``laws._Ctx.derivative``).
     """
-    row = getattr(L, "derivatives", None) if family is None else None
-    if row is None:
-        return _derivative(L, x, family, maximals_of)
-    mu = row[x]
-    if mu is None:
-        mu = row[x] = _derivative(L, x, None)
-    return mu
-
-
-def _derivative(L, x, family, maximals_of=None):
     maxes = maximal_subelements(L, x, family) if maximals_of is None else maximals_of(x)
     if not maxes:
         return x
@@ -152,9 +141,7 @@ def mu_iterates(L, x, family=None, limit=None) -> list:
 
 def classify_t(L, x) -> int:
     """Cardinality of the set of maximal subelements of x."""
-    if hasattr(L, "maximal_subelements"):
-        return len(L.maximal_subelements(x, None))
-    return L.poset.lower_covers[x].bit_count()
+    return len(maximal_subelements(L, x))
 
 
 def outcasts(L, x, family=None, residues_of=None) -> list:
@@ -171,15 +158,15 @@ def outcasts(L, x, family=None, residues_of=None) -> list:
     the maximal subelements and its values the residues the boundary
     joins.
     """
-    if hasattr(L, "outcasts"):
-        return L.outcasts(x, family)
     fam = family_mask(L, family)
+    if fam is None and hasattr(L, "outcasts"):
+        return L.outcasts(x)
     down = L.poset.down
     below = down[x] & ~(1 << x)
     cand = below if fam is None else below & fam
-    cross_check = family is None and L.coframe
+    cross_check = fam is None and L.coframe
     residues = residues_of(x) if cross_check and residues_of else None
-    maxes = maximal_subelements(L, x, family) if residues is None else list(residues)
+    maxes = maximal_subelements(L, x, fam) if residues is None else list(residues)
     for m in maxes:
         cand &= ~down[m]
     if cross_check:

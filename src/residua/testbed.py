@@ -16,8 +16,10 @@ never has outcasts.
 
 The testbed meets the law registry's instance protocol (see ``laws``):
 its window is box(``laws.WINDOW_BOUND``), ``name`` formats a vector,
-and its residual data are closed forms.  ``laws.run_all`` runs 16 of its
-26 laws here; the other 10 read order rows, which the testbed lacks.
+and its residual data are closed forms, for the default family: a
+family is a set of element positions, which needs order rows.
+``laws.run_all`` runs 16 of its 26 laws here; the other 10 read order
+rows, which the testbed lacks.
 ``mu_join_hom`` plays the closed-form mu against the definitional
 derivative, the meet of the maximal subelements, and
 ``residue_unique_maximal`` bounds that derivative on every residue; the
@@ -31,20 +33,20 @@ whole rows of pairs at a time.
 ``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` are plain methods,
 each a call of a kernel compiled for ``dims`` (see ``_kernels``) that
 checks the lengths by unpacking them.  While ``join2`` and ``leq`` are
-the class's own, ``window_tables`` gives the box's join table, the rows
-of vectors below each vector and the join table and below rows of the
-box's mus by arithmetic on coordinate positions, plus the meet rows
-while ``meet2`` is the class's own and the x - z rows while
+the class's own, ``window_tables`` gives the position tables of a
+box-shaped window by arithmetic on coordinate positions: its join table
+and the positions below each position, plus the meet rows while
+``meet2`` is the class's own and the x - z rows while
 ``co_heyting_sub`` is.  Each table is a head × tail product of the
-chains' tables, and the join and below rows belong to the window's
-shape, so the box and its mus read one copy, dropped with the run's
-last window: a dims-3 run builds four tables.  ``run_all`` in dims 3
-makes 8,166 calls of them and ``dually_compact``.  Every other method,
-and the law registry, reads the public names, never a kernel, so a
-subclass or class patch that overrides one is seen by every use, and
-each table gives way: the laws that read it replay their pair loops,
-with one call per pair (46,656 ordered pairs in dims 3, 1.68 M in dims
-4).
+chains' tables.  The tables hold positions only, so one
+``WindowTables`` serves every window of its shape, the box and its mus
+alike, and goes with the run's last reader: a dims-3 run builds four
+tables.  ``run_all`` in dims 3 makes 8,166 calls of them and
+``dually_compact``.  Every other method, and the law registry, reads
+the public names, never a kernel, so a subclass or class patch that
+overrides one is seen by every use, and each table gives way: the laws
+that read it replay their pair loops, with one call per pair (46,656
+ordered pairs in dims 3, 1.68 M in dims 4).
 
 Topological questions (isolation, CB levels) are decided by a bounded
 search over basic opens of the dual Lawson topology, kept independent of
@@ -247,81 +249,55 @@ def _kernels(dims: int) -> tuple:
     return tuple(map(namespace.__getitem__, bodies))
 
 
-class _Shape:
-    """The join and below rows of the windows with these axis sizes, each
-    built on first read.  Every live ``WindowTables`` of the shape reads
-    the one copy in its coframe's ``_shapes``, a weak mapping, so the rows
-    go with the last of those windows and nothing outlives the run that
-    made them."""
-
-    def __init__(self, sizes: tuple):
-        self.sizes = sizes
-
-    @cached_property
-    def join(self) -> list:
-        return list(_product_rows(self.sizes, lambda n, a: [min(a, b) for b in range(n)]))
-
-    @cached_property
-    def below(self) -> list:
-        return list(_product_rows(self.sizes, lambda n, a: range(a, n)))
-
-
 class WindowTables:
-    """Position tables of a window that is a product of chains, one per
-    coordinate (see ``OrdinalCoframe.window_tables``), each built on first
-    read and none by a primitive call.
+    """Position tables of the windows that are a product of chains of
+    these sizes, one per coordinate (see ``OrdinalCoframe.window_tables``),
+    none built by a primitive call.  ``has_inf`` says whether every chain
+    ends at infinity.
 
-    The window puts x at the sum over i of rank(x_i) * stride_i.  Joins
+    A window puts x at the sum over i of rank(x_i) * stride_i.  Joins
     are pointwise mins, meets pointwise maxes, and z <= x iff
     rank(z_i) >= rank(x_i) at every i.  So x v z sits at the sum of
     min(rank(x_i), rank(z_i)) * stride_i, x ^ z at that of the maxes, the
     row below x is the product of the ranks at or above those of x, and
     x - z keeps rank(x_i) where rank(z_i) > rank(x_i) and takes the
     infinite rank elsewhere.  Every table is a head × tail product
-    (``_product_rows``).  The join and below rows belong to the window's
-    shape, so a box and its mus, whose axes have the same sizes, share
-    one copy; the ``*_rows`` methods of meets and x - z stream their
-    rows, for a reader that reads them once."""
+    (``_product_rows``).  The tables hold positions only, so the windows
+    of one shape, a box and its mus among them, share one copy in their
+    coframe's ``_shapes``, a weak mapping: the tables go with the last
+    reader and nothing outlives the run that made them.  ``join`` and
+    ``below`` are built on first read and kept; the ``*_rows`` methods
+    of meets and x - z stream their rows, for a reader that reads them
+    once."""
 
-    def __init__(self, cf, elements: list, axes: list):
-        self.cf, self.elements = cf, elements
-        self.sizes = tuple(map(len, axes))
-        self.has_inf = all(axis[-1] == INF for axis in axes)
-        self.shape = cf._shapes.setdefault(self.sizes, _Shape(self.sizes))
-
-    @property
-    def join(self) -> list:
-        """Row i, entry k: the position of elements[i] v elements[k]."""
-        return self.shape.join
-
-    def join_rows(self) -> list:
-        return self.shape.join
-
-    def below_rows(self) -> list:
-        """Row i: the positions of the z <= elements[i], in element order."""
-        return self.shape.below
+    def __init__(self, cf, sizes: tuple, has_inf: bool):
+        self.cf, self.sizes, self.has_inf = cf, sizes, has_inf
 
     @cached_property
-    def below(self) -> dict:
-        """The elements z <= x by x, as the window's own tuples."""
-        at = self.elements.__getitem__
-        return {x: list(map(at, row)) for x, row in zip(self.elements, self.below_rows())}
+    def join(self) -> list:
+        """Row i, entry k: the position of the join of elements i and k."""
+        return list(_product_rows(self.sizes, lambda n, a: [min(a, b) for b in range(n)]))
+
+    @cached_property
+    def below(self) -> list:
+        """Row i: the positions of the elements below element i, in order."""
+        return list(_product_rows(self.sizes, lambda n, a: range(a, n)))
 
     def meet_rows(self):
-        """Row i, entry k: the position of elements[i] ^ elements[k]; None
-        unless ``meet2`` is the class's own (see ``_own``)."""
+        """Row i, entry k: the position of the meet of elements i and k;
+        None unless ``meet2`` is the class's own (see ``_own``)."""
         if not _own(self.cf, "meet2"):
             return None
         return _product_rows(self.sizes, lambda n, a: [max(a, b) for b in range(n)])
 
     def sub_rows(self):
-        """Row i: the pair (``below_rows`` row i, the positions of
-        elements[i] - z along it); None unless ``co_heyting_sub`` is the
-        class's own and every axis ends at infinity."""
+        """Row i: the pair (``below`` row i, the positions of element i
+        minus each element along it); None unless ``co_heyting_sub`` is
+        the class's own and every axis ends at infinity."""
         if not _own(self.cf, "co_heyting_sub") or not self.has_inf:
             return None
         subs = _product_rows(self.sizes, lambda n, a: [n - 1] + [a] * (n - 1 - a))
-        return zip(self.below_rows(), subs)
+        return zip(self.below, subs)
 
 
 class OrdinalCoframe:
@@ -337,7 +313,7 @@ class OrdinalCoframe:
         _kernels(dims)  # compiled here, not at the first primitive call
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
-        self._shapes = weakref.WeakValueDictionary()  # see _Shape
+        self._shapes = weakref.WeakValueDictionary()  # see WindowTables
 
     # -- lattice primitives ------------------------------------------------
 
@@ -402,15 +378,10 @@ class OrdinalCoframe:
     def finite_coords(self, x: tuple) -> tuple:
         return tuple(j for j, c in enumerate(x) if c != INF)
 
-    def maximal_subelements(self, x: tuple, family=None) -> list:
+    def maximal_subelements(self, x: tuple) -> list:
         """Bump one finite coordinate; empty exactly at the bottom."""
         if len(x) != self.dims:
             self._check(x)
-        if family is not None:
-            cand = [z for z in family if self.lt(z, x)]
-            return sorted(
-                z for z in cand if not any(self.lt(z, w) for w in cand)
-            )
         out = []
         for j in range(len(x) - 1, -1, -1):  # the last bump sorts first
             if x[j] != INF:
@@ -425,16 +396,9 @@ class OrdinalCoframe:
             raise NotBelow(f"{fmt_vec(z)} is not below {fmt_vec(x)}")
         return _kernels(self.dims)[3](x, z)
 
-    def outcasts(self, x: tuple, family=None) -> list:
+    def outcasts(self, x: tuple) -> list:
         """No vector has outcasts: its boundary is itself."""
         self._check(x)
-        if family is not None:
-            maxes = self.maximal_subelements(x, family)
-            return sorted(
-                z
-                for z in family
-                if self.lt(z, x) and not any(self.leq(z, m) for m in maxes)
-            )
         return []
 
     def profile(self, x: tuple) -> TestbedProfile:
@@ -499,13 +463,14 @@ class OrdinalCoframe:
         """The ``WindowTables`` of a box-shaped window: its join table,
         below rows, meet rows and x - z rows by arithmetic on positions.
         The law registry reads them instead of calling the primitives at
-        every ordered pair (see ``laws._Ctx.window``).
+        every ordered pair (see ``laws._Ctx.window``).  Windows of one
+        shape share one ``WindowTables`` while any reader holds it.
 
         None unless ``join2`` and ``leq`` are the class's own (see
         ``_own``: a subclass, a class patch or an instance attribute gives
         way to the calls), and ``elements`` is the ``itertools.product``
-        of its sorted coordinate values, each a strict chain.  Every
-        ``box`` is, and so are the mus of a box."""
+        of its sorted coordinate values.  Every ``box`` is, and so are the
+        mus of a box."""
         if not (_own(self, "join2") and _own(self, "leq")):
             return None
         try:
@@ -514,9 +479,11 @@ class OrdinalCoframe:
                 return None
         except (IndexError, TypeError):  # a short vector, or no vector
             return None
-        if any(u >= v for axis in axes for u, v in zip(axis, axis[1:])):
-            return None
-        return WindowTables(self, elements, axes)
+        key = tuple(map(len, axes)), all(axis[-1] == INF for axis in axes)
+        tables = self._shapes.get(key)
+        if tables is None:
+            tables = self._shapes[key] = WindowTables(self, *key)
+        return tables
 
     def name(self, x: tuple) -> str:
         return fmt_vec(x)

