@@ -121,26 +121,27 @@ def _cmd_analyze(args) -> int:
     family = _parse_family(L, args.family)
     # An unknown name exits 2 before any analysis, whatever the format.
     element = L.poset.index_of(args.element) if args.element is not None else None
-    profiles = {x: residual_profile(L, x, family) for x in L.elements()}
+    # Each format computes only what it prints: dot one boundary poset or
+    # the Hasse diagram, text the profiles, json the grade stats too.
     if args.format == "dot":
         if element is not None:
-            _emit(args, profiles[element].boundary_dot(L))
+            _emit(args, residual_profile(L, element, family).boundary_dot(L))
         else:
             _emit(args, L.to_dot())
         return 0
-    doc = {
-        "instance": L.describe(),
-        "lattice": L.to_json_dict(),
-        "profiles": [profiles[x].to_json_dict(L) for x in L.elements()],
-        "grade_stats": {
-            L.names[x]: profiles[x].grade_stats(L) for x in L.elements()
-        },
-    }
+    profiles = [residual_profile(L, x, family) for x in L.elements()]
+    docs = [p.to_json_dict(L) for p in profiles]
     if args.format == "json":
+        doc = {
+            "instance": L.describe(),
+            "lattice": L.to_json_dict(),
+            "profiles": docs,
+            "grade_stats": {L.names[x]: p.grade_stats(L) for x, p in enumerate(profiles)},
+        }
         _emit(args, canonical_json(doc))
     else:
-        lines = [f"instance: {doc['instance']}"]
-        for p in doc["profiles"]:
+        lines = [f"instance: {L.describe()}"]
+        for p in docs:
             rank = p["rank"] if p["rank"] == "omega" else p["rank"]["finite"]
             lines.append(
                 f"  {p['element']}: mu={p['mu']} rank={rank} core={p['core']} "

@@ -65,9 +65,13 @@ class CayleyTable:
             raise InvalidGroup(f"{name}: Cayley JSON needs a non-negative integer field 'order'")
         if not (_is_index(identity) and identity < order):
             raise InvalidGroup(f"{name}: Cayley JSON field 'identity' must be an element below 'order'")
+        # One C-level pass per row: a bool has its own type, so it fails.
         if not (
             isinstance(table, list)
-            and all(isinstance(row, list) and all(map(_is_index, row)) for row in table)
+            and all(
+                isinstance(row, list) and set(map(type, row)) <= {int} and min(row, default=0) >= 0
+                for row in table
+            )
         ):
             raise InvalidGroup(f"{name}: Cayley JSON field 'table' must be a list of rows of elements")
         if order > GROUP_ORDER_CAP:
@@ -100,7 +104,7 @@ class CayleyTable:
         n, t, e = self.order, self.table, self.identity
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidGroup(f"{self.name}: table is not {n}x{n}")
-        if any(not 0 <= v < n for row in t for v in row):
+        if any(min(row) < 0 or max(row) >= n for row in t):
             raise InvalidGroup(f"{self.name}: table entry out of range")
         if any(t[e][a] != a or t[a][e] != a for a in range(n)):
             raise InvalidGroup(f"{self.name}: {e} is not an identity")
@@ -328,12 +332,25 @@ def radical(n: int) -> int:
     return math.prod(_primes(n))
 
 
-def _divisor_covers(n: int, divs: list[int]) -> list[tuple[int, int]]:
-    """The Hasse covers of divisibility on the divisors of n: index pairs
-    (d, d*p) for each prime p with d*p dividing n."""
+def _divisibility_rows(n: int, divs: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Up and down rows of divisibility on ``divs``, the divisors of n in
+    ascending order, which is a linear extension of it.  The up row of d
+    is its bit ORed with the up rows of the d*p, for each prime p with
+    d*p dividing n, built in reverse index order; the down row of d is
+    its bit ORed with the down rows of the d/p, built in index order."""
     at = {d: i for i, d in enumerate(divs)}
     primes = _primes(n)
-    return [(i, at[d * p]) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
+    up = [1 << i for i in range(len(divs))]
+    down = up.copy()
+    for i, d in reversed(list(enumerate(divs))):
+        for p in primes:
+            if n % (d * p) == 0:
+                up[i] |= up[at[d * p]]
+    for i, d in enumerate(divs):
+        for p in primes:
+            if d % p == 0:
+                down[i] |= down[at[d // p]]
+    return tuple(up), tuple(down)
 
 
 def ideal_lattice_zn(n: int) -> FiniteLattice:
@@ -341,15 +358,17 @@ def ideal_lattice_zn(n: int) -> FiniteLattice:
 
     dZ/n is contained in eZ/n iff e divides d, so the top is (1) = R and
     the bottom is (n) = {0}.  Element ``i`` is the ideal generated by
-    ``divisors(n)[i]``.
+    ``divisors(n)[i]``.  The ideal order is reverse divisibility, so its
+    up rows are the down rows of ``_divisibility_rows`` and its down rows
+    the up rows.
     """
     if not 2 <= n <= ZN_CAP:
         raise TooLarge(f"n must be between 2 and {ZN_CAP}")
     divs = divisors(n)
     names = tuple(f"({d})" for d in divs)
-    # (d*p) is covered by (d): the ideal order is reverse divisibility.
-    pairs = [(names[j], names[i]) for i, j in _divisor_covers(n, divs)]
-    poset = build_poset(names, pairs, mode="covers")
+    below, above = _divisibility_rows(n, divs)
+    poset = FinitePoset(n=len(divs), names=names, up=above, down=below)
+    poset.verify_axioms()
     return as_lattice(poset, provenance=f"ideal_lattice_zn({n})")
 
 
@@ -377,12 +396,16 @@ def jacobson_zn(n: int) -> JacobsonResult:
 
 
 def chain(k: int) -> FiniteLattice:
-    """The k-element chain 0 < 1 < ... < k-1."""
+    """The k-element chain 0 < 1 < ... < k-1.  Its rows are arithmetic:
+    ``up[i]`` holds the bits i..k-1 and ``down[i]`` the bits 0..i."""
     if not 1 <= k <= LATTICE_SIZE_CAP:
         raise TooLarge(f"chain size must be between 1 and {LATTICE_SIZE_CAP}")
-    names = tuple(str(i) for i in range(k))
-    pairs = [(names[i], names[i + 1]) for i in range(k - 1)]
-    return as_lattice(build_poset(names, pairs, "covers"), provenance=f"chain({k})")
+    full = (1 << k) - 1
+    up = tuple(full >> i << i for i in range(k))
+    down = tuple((2 << i) - 1 for i in range(k))
+    poset = FinitePoset(n=k, names=tuple(map(str, range(k))), up=up, down=down)
+    poset.verify_axioms()
+    return as_lattice(poset, provenance=f"chain({k})")
 
 
 def antichain_poset(k: int, prefix: str = "a") -> FinitePoset:
@@ -419,7 +442,8 @@ def boolean(k: int) -> FiniteLattice:
 
 
 def divisor(n: int) -> FiniteLattice:
-    """Divisors of n under divisibility; meet is gcd, join is lcm."""
+    """Divisors of n under divisibility; meet is gcd, join is lcm.  The
+    rows come from ``_divisibility_rows``."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ZN_CAP:
@@ -427,9 +451,9 @@ def divisor(n: int) -> FiniteLattice:
     divs = divisors(n)
     if len(divs) > LATTICE_SIZE_CAP:
         raise TooLarge("too many divisors")
-    names = tuple(str(d) for d in divs)
-    pairs = [(names[i], names[j]) for i, j in _divisor_covers(n, divs)]
-    poset = build_poset(names, pairs, "covers")
+    up, down = _divisibility_rows(n, divs)
+    poset = FinitePoset(n=len(divs), names=tuple(map(str, divs)), up=up, down=down)
+    poset.verify_axioms()
     return as_lattice(poset, provenance=f"divisor({n})")
 
 

@@ -7,18 +7,18 @@ topological pass, and inclusion and product lattices form their rows
 from set and factor rows.  The axiom check keeps the Hasse diagram it
 finds (``upper_covers``, ``lower_covers``).
 
-The join table is built with the lattice, as its certificate, and the
-meet table on first read, the same way on the down rows and upper
-covers.  The certificate rests on one fact: in a finite poset with a
-bottom, if ``j v y`` exists for every join-irreducible j and every y,
-every pair has a join.  By induction on height: an element x that is
-neither the bottom nor join-irreducible has two lower covers c1 and c2,
-and ``c1 v c2``, below x and strictly above c1, is x.  So the upper
-bounds of {x, y} are those of {c1, c2, y}, and ``x v y = c1 v (c2 v
-y)``.  Only the join-irreducible rows j are filled from the up rows,
-looking up just the y incomparable to j (``j v y = y`` for y above j);
-every other row is gathered from the rows of two lower covers, built
-before it, and is a row of true joins.  Distributivity reads the order
+A lattice is certified at construction, on its order rows, and both
+tables are built on first read.  The certificate rests on one fact: in
+a finite poset with a bottom, if ``j v y`` exists for every
+join-irreducible j and every y, every pair has a join.  By induction on
+height: an element x that is neither the bottom nor join-irreducible has
+two lower covers c1 and c2, and ``c1 v c2``, below x and strictly above
+c1, is x.  So the upper bounds of {x, y} are those of {c1, c2, y}, and
+``x v y = c1 v (c2 v y)``.  The join table follows the same induction:
+only the join-irreducible rows j are filled from the up rows, looking up
+just the y incomparable to j; every other row is gathered from the rows
+of two lower covers, built before it.  The meet table is built the same
+way on the down rows and upper covers.  Distributivity reads the order
 rows alone.
 
 Every ``meet_of_set``/``join_of_set`` answer is re-verified against the
@@ -26,7 +26,7 @@ universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
 the order alone (the covers, the join-irreducibles, the completely
 co-irreducibles) are cached on the poset, and facts about the tables on
-the lattice: the meet table and the first faulty entry of each table
+the lattice: the two tables and the first faulty entry of each table
 (``join_fault``, ``meet_fault``), each computed on first read, unless
 the table was built from the order rows and so has none.  Residual
 facts are kept by the run that derives them (``laws._Ctx``).
@@ -349,23 +349,23 @@ def poset_from_json(doc: dict) -> FinitePoset:
 class FiniteLattice:
     """A finite lattice: poset plus total meet/join tables and bottom.
 
-    The join table is built with the lattice, as its certificate; the
-    meet table (``meet``) is built from the down rows on first read,
-    unless the lattice was built with its own rows in ``meet_rows`` (a
-    copy that carries a corrupted or restricted table).  Instances are
-    otherwise immutable; every operation is read-only.  For a lattice of
-    sets ordered by inclusion, ``sets[i]`` is the set (a bitmask) that
-    element ``i`` stands for; otherwise ``sets`` is empty.
+    Both tables (``join``, ``meet``) are built from the order rows on
+    first read, unless the lattice was built with its own rows in
+    ``join_rows`` or ``meet_rows`` (a copy that carries a corrupted or
+    restricted table).  Instances are otherwise immutable; every
+    operation is read-only.  For a lattice of sets ordered by inclusion,
+    ``sets[i]`` is the set (a bitmask) that element ``i`` stands for;
+    otherwise ``sets`` is empty.
     """
 
     poset: FinitePoset
-    join: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
     distributive: bool
     coframe: bool
     provenance: str = "lattice"
     sets: tuple = ()
+    join_rows: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
     meet_rows: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
 
     # -- order plumbing -------------------------------------------------
@@ -410,21 +410,31 @@ class FiniteLattice:
         return full_mask(self.n)
 
     @cached_property
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        """The join table: ``join_rows`` when given, else built on first
+        read from the up rows along a linear extension, from the bottom
+        up (``_composed_table``).  The poset is certified (see
+        ``as_lattice``), so every lookup finds its row and, by the
+        induction of the module docstring, every row holds true joins."""
+        if self.join_rows is not None:
+            return self.join_rows
+        p = self.poset
+        return _composed_table(p.up, p.down, p.lower_covers, _linear_extension(p))
+
+    @cached_property
     def meet(self) -> tuple[tuple[int, ...], ...]:
         """The meet table: ``meet_rows`` when given, else built on first
-        read by the dual of ``as_lattice``'s construction, from the top
-        down.  The top row is the identity, each meet-irreducible row
-        (one upper cover) is filled from the down rows, looking up only
-        the entries for elements incomparable to it, and the row of an x
-        with upper covers c1 and c2 is gathered from theirs, as
-        ``meet(x, y) = meet(c1, meet(c2, y))``.  The poset is a lattice (its join table
-        exists), so every lookup finds its row and, by the induction of
-        the module docstring read upside down, every row holds true
-        meets."""
+        read by the dual of ``join``, from the top down.  The top row is
+        the identity, each meet-irreducible row (one upper cover) is
+        filled from the down rows, looking up only the entries for
+        elements incomparable to it, and the row of an x with upper
+        covers c1 and c2 is gathered from theirs, as ``meet(x, y) =
+        meet(c1, meet(c2, y))``.  By the induction of the module
+        docstring read upside down, every row holds true meets."""
         if self.meet_rows is not None:
             return self.meet_rows
         p = self.poset
-        return _composed_table(p.down, p.upper_covers, _linear_extension(p)[::-1])
+        return _composed_table(p.down, p.up, p.upper_covers, _linear_extension(p)[::-1])
 
     def meet2(self, i: int, j: int) -> int:
         return self.meet[i][j]
@@ -487,10 +497,11 @@ class FiniteLattice:
     def join_fault(self) -> Optional[tuple[int, int]]:
         """First pair (a, b), row-major, with ``up[join[a][b]] != up[a] &
         up[b]`` (by the argument above, a wrong entry), or None.  A table
-        that ``as_lattice`` built from the up rows has none, and the
-        lattice it returns holds None here from the start (see
-        ``_fault_free_join``); any other lattice, a ``mutate_entry`` or
-        ``replace`` copy included, scans its own table on first read."""
+        built from the up rows (see ``join``) holds only true joins, so
+        only ``join_rows`` are scanned, on first read: a ``mutate_entry``
+        or ``replace`` copy that carries its own table."""
+        if self.join_rows is None:
+            return None
         return _table_fault(self.join, self.poset.up)
 
     @cached_property
@@ -523,68 +534,46 @@ class FiniteLattice:
 
 
 def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
-    """Compute the join table from the order, or fail with a witness pair.
+    """Certify that the poset is a lattice, or fail with a witness pair.
 
-    The table is the lattice certificate.  It is built along a linear
-    extension, so the lower covers of each element come before it:
-
-    - the bottom row is the identity;
-    - the row of a join-irreducible j (one lower cover) is filled from
-      the up rows: the entries for the y built before j are column j of
-      their rows, ``j v y`` is y for the y above j, and for the other
-      y it is the k with ``up[k] == up[j] & up[y]``, found by hashing
-      the up rows;
-    - the row of any other x is ``x v y = c1 v (c2 v y)`` for two of its
-      lower covers c1 and c2, one gather from their rows.
-
-    Every row is then a row of true joins, by induction along the walk.
-    The join ``c1 v c2`` read from the rows of c1 lies below x and, as
-    two covers of x are incomparable, strictly above c1; so it is x, and
-    the upper bounds of {x, y} are those of {c1, c2, y}.  A finite poset
-    with a bottom in which every pair has a join is a lattice: the meet
-    of a and b is the join of their common lower bounds, a set holding
-    the bottom.  So the meet table is left to ``FiniteLattice.meet``,
-    built on first read.  Distributivity reads the order rows alone
+    The certificate is the fact of the module docstring, read off the
+    order rows: exactly one element has no lower covers (in a finite
+    poset, that is a bottom), and for every join-irreducible j (one
+    lower cover) and every y incomparable to j, ``up[j] & up[y]`` is an
+    up row, that of ``j v y``.  For y comparable to j the join is the
+    larger of the two.  That is one set lookup per such pair, in any
+    order.  A finite poset with a bottom in which every pair has a join
+    is a lattice: the meet of a and b is the join of their common lower
+    bounds, a set holding the bottom.  So no table is built here:
+    ``FiniteLattice.join`` and ``FiniteLattice.meet`` build theirs on
+    first read.  Distributivity reads the order rows alone
     (``_join_prime_distributive``).
 
-    A poset without a bottom, or with a join-irreducible row that misses
-    an entry, is no lattice.  It raises ``NotALattice`` for the first
-    pair, row-major, without a join or a meet (the join checked first;
-    see ``_missing_bound``).  The empty poset raises ``NoBottom``.
+    A poset that fails the certificate is no lattice.  It raises
+    ``NotALattice`` for the first pair, row-major, without a join or a
+    meet (the join checked first; see ``_missing_bound``).  The empty
+    poset raises ``NoBottom``.
     """
     n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NoBottom("an empty poset has no bottom")
-    join = _composed_table(up, p.lower_covers, _linear_extension(p))
-    if join is None:
+    full, up_rows = full_mask(n), set(up)
+    if p.lower_covers.count(0) != 1 or not all(
+        up_rows.issuperset(map(up[j].__and__, map(up.__getitem__, bits(full & ~(up[j] | down[j])))))
+        for j in bits(p.irreducibles)
+    ):
         raise _missing_bound(p)
-    bottom = up.index(full_mask(n))
-    top = down.index(full_mask(n))
     distributive = _join_prime_distributive(p)
     # For a finite lattice the coframe law (dual infinite distributivity)
     # reduces to plain distributivity: all meets/joins are finite.
-    return _fault_free_join(
-        FiniteLattice(
-            poset=p,
-            join=join,
-            bottom=bottom,
-            top=top,
-            distributive=distributive,
-            coframe=distributive,
-            provenance=provenance,
-        )
+    return FiniteLattice(
+        poset=p,
+        bottom=up.index(full),
+        top=down.index(full),
+        distributive=distributive,
+        coframe=distributive,
+        provenance=provenance,
     )
-
-
-def _fault_free_join(L: FiniteLattice) -> FiniteLattice:
-    """Fill L's cached ``join_fault`` with None, for a join table that
-    ``as_lattice`` built from L's own order: each row it builds is a row
-    of true joins, by its induction along a linear extension, so no
-    entry can fail the scan.  The cache lives on L alone, so a
-    ``replace`` copy, which may carry other rows or another table, scans
-    its own."""
-    vars(L)["join_fault"] = None
-    return L
 
 
 def _linear_extension(p: FinitePoset) -> Sequence[int]:
@@ -597,21 +586,21 @@ def _linear_extension(p: FinitePoset) -> Sequence[int]:
     return sorted(range(p.n), key=lambda x: p.down[x].bit_count())
 
 
-def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]]:
+def _composed_table(rows, dual, covers, order) -> tuple[tuple[int, ...], ...]:
     """``table[a][b]``, the k with ``rows[k] == rows[a] & rows[b]``, built
-    along ``order`` (each element after its ``covers``), or None.
+    along ``order`` (each element after its ``covers``) on a lattice.
 
-    On up rows with lower covers this is the join table of
-    ``as_lattice``; on down rows with upper covers, walked the other way,
-    the meet table.  The first element must be the only one without
-    covers (the bottom, or the top), and its row is the identity.  An
-    element x with one cover is filled without gathering: the entries for
-    the elements walked before it are its column in their rows, the entry
-    for a later y in ``rows[x]`` is y (on an order, ``rows[x] & rows[y]
-    == rows[y]``), and only the later y outside ``rows[x]`` are looked up
-    among the rows; a row that is not there gives None.  So a chain looks
-    up nothing.  Any other element's row is gathered from the rows of two
-    of its covers.
+    On up rows, with the down rows as ``dual`` and the lower covers, this
+    is the join table; on down rows, with the up rows and the upper
+    covers, walked the other way, the meet table.  The first element is
+    the only one without covers (the bottom, or the top), and its row is
+    the identity.  An element x with one cover is filled without
+    gathering: the entries for the elements walked before it are x when
+    all of them lie in ``dual[x]`` (as on a chain), else its column in
+    their rows; the entry for a later y in ``rows[x]`` is y (on an order,
+    ``rows[x] & rows[y] == rows[y]``), and only the later y outside
+    ``rows[x]`` are looked up among the rows.  Any other element's row
+    is gathered from the rows of two of its covers.
     """
     n = len(rows)
     index = {row: k for k, row in enumerate(rows)}
@@ -622,7 +611,7 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
     scatter = tuple if order == range(n) else itemgetter(*at)
     table = [None] * n
     walked = []
-    unwalked = full_mask(n)
+    unwalked = full = full_mask(n)
     for t, x in enumerate(order):
         unwalked ^= 1 << x
         cover_mask = covers[x]
@@ -631,19 +620,17 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
             c2 = (rest & -rest).bit_length() - 1
             row = itemgetter(*table[c2])(table[c1])
         elif cover_mask:
-            entries = list(map(getitem, walked, repeat(x)))
+            if unwalked | dual[x] == full:
+                entries = [x] * t
+            else:
+                entries = list(map(getitem, walked, repeat(x)))
             entries += order[t:]
             row_x = rows[x]
             for y in bits(unwalked & ~row_x):
-                k = index.get(row_x & rows[y])
-                if k is None:
-                    return None
-                entries[at[y]] = k
+                entries[at[y]] = index[row_x & rows[y]]
             row = scatter(entries)
-        elif t == 0:
-            row = tuple(range(n))
         else:
-            return None  # a second element without covers
+            row = tuple(range(n))
         table[x] = row
         walked.append(row)
     return tuple(table)
@@ -651,11 +638,11 @@ def _composed_table(rows, covers, order) -> Optional[tuple[tuple[int, ...], ...]
 
 def _missing_bound(p: FinitePoset) -> NotALattice:
     """The first pair, row-major, without a join or a meet (the join
-    checked first) in a poset that ``_composed_table`` refused.  A pair
-    has a join iff the AND of its up rows is an up row, and a meet iff
-    the AND of its down rows is a down row.  Some pair has none: with
-    every meet the poset has a bottom, and then with every join the
-    composed table is built."""
+    checked first) in a poset that ``as_lattice`` refused.  A pair has
+    a join iff the AND of its up rows is an up row, and a meet iff the
+    AND of its down rows is a down row.  Some pair has none: with every
+    meet the poset has a bottom, and then with every join it passes the
+    certificate."""
     names, up, down = p.names, p.up, p.down
     up_rows, down_rows = set(up), set(down)
     for a in range(p.n):
@@ -699,7 +686,7 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
         down.append(everything & ~outside)
     poset = FinitePoset(n=len(sets), names=names, up=tuple(up), down=tuple(down))
     poset.verify_axioms()
-    return _fault_free_join(replace(as_lattice(poset, provenance=provenance), sets=sets))
+    return replace(as_lattice(poset, provenance=provenance), sets=sets)
 
 
 def _table_fault(table, rows) -> Optional[tuple[int, int]]:

@@ -1402,16 +1402,16 @@ def all_pass(reports) -> bool:
 def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> FiniteLattice:
     """Copy of L with one meet/join table entry replaced (not symmetrized).
 
-    A meet-mutated copy carries its rows as ``meet_rows``; a join-mutated
-    one keeps L's ``meet_rows``, so without them it builds a clean meet
-    table from the down rows."""
+    The copy carries the mutated rows as ``join_rows`` or ``meet_rows``
+    and keeps L's rows of the other table, if any: without them it
+    builds a clean one."""
     if table not in ("meet", "join"):
         raise ValueError("table must be 'meet' or 'join'")
     if not (i in range(L.n) and j in range(L.n) and value in range(L.n)):
         raise ValueError(f"{table}[{i}][{j}]={value} is outside the carrier range({L.n})")
     rows = [list(row) for row in getattr(L, table)]
     rows[i][j] = value
-    mutated = {"join" if table == "join" else "meet_rows": tuple(tuple(r) for r in rows)}
+    mutated = {"join_rows" if table == "join" else "meet_rows": tuple(tuple(r) for r in rows)}
     return replace(
         L, provenance=f"{L.provenance}+fault({table}[{i}][{j}]={value})", **mutated
     )
@@ -1449,7 +1449,7 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
     return FiniteLattice(
         poset=poset,
         meet_rows=meet,
-        join=join,
+        join_rows=join,
         bottom=bottom,
         top=top,
         distributive=distributive,

@@ -27,6 +27,40 @@ def test_analyze_divisor12(tmp_path):
     assert set(doc["grade_stats"]) == set(by_element)
 
 
+def test_analyze_computes_only_the_profiles_each_format_prints(monkeypatch, capsys):
+    """``--format dot`` alone prints the Hasse diagram and builds no
+    profile, ``--format dot --element X`` builds X's alone, and text and
+    json one per element; each prints the bytes that the profiles of
+    every element give."""
+    real, calls = cli.residual_profile, []
+
+    def counting(L, x, family=None):
+        calls.append(x)
+        return real(L, x, family)
+
+    monkeypatch.setattr(cli, "residual_profile", counting)
+    L = cli.generate("divisor:12")
+    profiles = [real(L, x) for x in L.elements()]
+    docs = [p.to_json_dict(L) for p in profiles]
+    stats = {L.names[x]: p.grade_stats(L) for x, p in enumerate(profiles)}
+    doc = {"instance": L.describe(), "lattice": L.to_json_dict(), "profiles": docs, "grade_stats": stats}
+    rank = lambda p: p["rank"] if p["rank"] == "omega" else p["rank"]["finite"]
+    text = f"instance: {L.describe()}\n" + "".join(
+        f"  {p['element']}: mu={p['mu']} rank={rank(p)} core={p['core']} boundary={p['boundary']}\n" for p in docs
+    )
+    twelve = L.poset.index_of("12")
+    cases = [
+        (["--format", "dot"], [], L.to_dot()),
+        (["--format", "dot", "--element", "12"], [twelve], profiles[twelve].boundary_dot(L)),
+        (["--format", "text"], list(L.elements()), text),
+        (["--format", "json"], list(L.elements()), canonical_json(doc)),
+    ]
+    for flags, want_calls, want_out in cases:
+        calls.clear()
+        assert run_cli("analyze", "--gen", "divisor:12", *flags) == 0
+        assert (calls, capsys.readouterr().out) == (want_calls, want_out), flags
+
+
 def test_analyze_family_selector(tmp_path):
     out = tmp_path / "out.json"
     assert run_cli("analyze", "--gen", "chain:3", "--family", "t0", "--report", str(out)) == 0

@@ -381,6 +381,28 @@ def test_non_associative_tables_with_identity_and_inverses_name_the_first_triple
     assert str(raised.value) == f"t: {message}"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "Cayley JSON field 'table' must be a list of rows of elements"),
+        (False, "Cayley JSON field 'table' must be a list of rows of elements"),
+        (1.0, "Cayley JSON field 'table' must be a list of rows of elements"),
+        (-1, "Cayley JSON field 'table' must be a list of rows of elements"),
+        (3, "table entry out of range"),
+    ],
+)
+def test_cayley_entries_of_the_wrong_type_or_range_name_their_fault(entry, message):
+    """Each row is checked in C-level calls (the set of entry types, then
+    min and max), with the messages of the per-entry checks, at the first
+    entry and at a later one."""
+    for a, b in ((0, 0), (2, 1)):
+        table = _z_table(3)
+        table[a][b] = entry
+        with pytest.raises(InvalidGroup) as raised:
+            CayleyTable.from_json_dict({"order": 3, "identity": 0, "table": table}, name="t")
+        assert str(raised.value) == f"t: {message}"
+
+
 def test_oversized_cayley_json_refused_before_validation():
     n = 400
     doc = {"order": n, "identity": 0, "table": [[(a + b) % n for b in range(n)] for a in range(n)]}

@@ -943,13 +943,13 @@ def test_shared_folds_match_reference_laws_on_relabeled_lattices(b3, div12, monk
 def test_run_all_leaves_no_fold_state_on_the_lattice():
     """The fold memo and the derivatives live with the run, or with each
     law on a copy with a table fault, never on the lattice: after
-    ``run_all`` the lattice holds only its two table faults and its meet
-    table (built on first read), and the poset its order facts: the
+    ``run_all`` the lattice holds only its two table faults and its two
+    tables (built on first read), and the poset its order facts: the
     Hasse diagram kept by its axiom check and the irreducibles."""
     L = generate("chain:40")
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
-    assert cached(L) == {"join_fault", "meet_fault", "meet"}
+    assert cached(L) == {"join_fault", "meet_fault", "join", "meet"}
     assert cached(L.poset) <= {"upper_covers", "lower_covers", "irreducibles", "coirreducibles"}
 
 

@@ -2,17 +2,21 @@
 references.
 
 ``build_poset`` closes a relation in one topological pass, ``as_lattice``
-builds only the join table (the meet table is built on first read),
-filling the join-irreducible rows from the up rows (looking up only the
-incomparable entries) and gathering every other row from the rows of
-two lower covers, ``inclusion_lattice`` forms rows from
+certifies a lattice on its order rows and builds no table (each is built
+on first read, filling the irreducible rows from the order rows, looking
+up only the incomparable entries, and gathering every other row from the
+rows of two covers), ``chain``, ``divisor`` and ``ideal_lattice_zn`` form
+their rows by arithmetic, ``inclusion_lattice`` forms rows from
 per-point holder masks and ``product`` shifts the factor rows.  The
 references below build the same rows and tables one pair at a time: the
 Warshall closure and its transposition, pairwise subset tests, the
-``leq``-loop product, and an ``as_lattice`` that fills both tables
+``leq``-loop product, the Hasse covers closed by ``build_poset``, and
+an ``as_lattice`` that fills both tables
 eagerly, looking up every pair.
 """
 
+import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -26,6 +30,7 @@ from residua.generators import (
     boolean,
     chain,
     divisor,
+    divisors,
     generate,
     ideal_lattice_zn,
     load_catalog_group,
@@ -33,6 +38,7 @@ from residua.generators import (
     subgroup_lattice,
 )
 from residua.lattice import (
+    FiniteLattice,
     FinitePoset,
     _linear_extension,
     as_lattice,
@@ -161,6 +167,11 @@ def relation(forward_only: bool):
     return draw()
 
 
+def leq_poset(n, pairs):
+    """The poset of ``relation``'s (n, pairs) on elements e0..e(n-1)."""
+    return build_poset([f"e{i}" for i in range(n)], [(f"e{a}", f"e{b}") for a, b in pairs], "leq")
+
+
 def compare_with_references(n, pairs):
     names = [f"e{i}" for i in range(n)]
     named = [(names[a], names[b]) for a, b in pairs]
@@ -233,6 +244,66 @@ def test_divisor_and_ideal_covers_give_the_divisibility_order():
             assert eager_tables(L.poset) == (L.join, L.meet, L.bottom, L.top), L.provenance
 
 
+def covers_construction(kind, n, lattice=True):
+    """``chain``, ``divisor`` or ``ideal_lattice_zn`` as ``build_poset``
+    builds it from named Hasse covers: i -> i+1, and d -> d*p for each
+    prime p (reversed for the ideals, whose order is reverse
+    divisibility).  With ``lattice`` False, only the poset."""
+    if kind == "chain":
+        names = [str(i) for i in range(n)]
+        pairs = list(zip(names, names[1:]))
+    else:
+        divs = divisors(n)
+        names = [f"({d})" if kind == "zn" else str(d) for d in divs]
+        at = {d: i for i, d in enumerate(divs)}
+        primes = [p for p in divs[1:] if all(p % q for q in range(2, p))]
+        pairs = [(names[i], names[at[d * p]]) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
+        if kind == "zn":
+            pairs = [(b, a) for a, b in pairs]
+    poset = build_poset(names, pairs)
+    if not lattice:
+        return poset
+    return as_lattice(poset, provenance={"zn": "ideal_lattice_zn"}.get(kind, kind) + f"({n})")
+
+
+def build_workload_numbers():
+    """Every N <= 10^6 that the ``build`` workload can draw, at any seed:
+    one of its exponent signatures over distinct primes up to 19."""
+    out = {720720}
+    for signature in ((2, 1, 1, 1, 1), (3, 1, 1, 1, 1), (2, 2, 1, 1, 1), (4, 1, 1, 1, 1),
+                      (3, 2, 1, 1, 1), (2, 2, 2, 1, 1), (4, 2, 1, 1, 1), (3, 3, 1, 1, 1)):
+        for primes in itertools.permutations((2, 3, 5, 7, 11, 13, 17, 19), len(signature)):
+            n = math.prod(p**e for p, e in zip(primes, signature))
+            if n <= 10**6:
+                out.add(n)
+    return sorted(out)
+
+
+def assert_same_construction(got, want):
+    assert (got.poset, got.provenance, got.bottom, got.top) == (want.poset, want.provenance, want.bottom, want.top)
+    assert (got.distributive, got.coframe) == (want.distributive, want.coframe), got.provenance
+    assert "join" not in vars(got), got.provenance
+    assert (got.join, got.meet) == (want.join, want.meet), got.provenance
+
+
+def test_chain_divisor_and_ideal_rows_equal_the_covers_construction():
+    """The arithmetic rows of ``chain``, ``divisor`` and ``ideal_lattice_zn``
+    give the lattice that ``build_poset`` closes from the Hasse covers: the
+    same names, rows, provenance, bottom, top, distributivity and tables,
+    for small n (1, 2, primes and prime powers among them) and the
+    ``build`` workload's 720720.  Its other N, over a thousand, are
+    compared on the poset, which decides all the rest."""
+    for k in range(1, 301):
+        assert_same_construction(chain(k), covers_construction("chain", k))
+    for n in [*range(1, 2001), 720720]:
+        assert_same_construction(divisor(n), covers_construction("divisor", n))
+        if n >= 2:
+            assert_same_construction(ideal_lattice_zn(n), covers_construction("zn", n))
+    for n in build_workload_numbers():
+        assert divisor(n).poset == covers_construction("divisor", n, lattice=False), n
+        assert ideal_lattice_zn(n).poset == covers_construction("zn", n, lattice=False), n
+
+
 def test_product_rows_match_the_leq_loop():
     factors = [chain(1), chain(3), boolean(2), divisor(12), subgroup_lattice(load_catalog_group("s3"))]
     for a in factors:
@@ -266,14 +337,15 @@ def test_mutated_copies_keep_or_rebuild_the_meet_table():
 
 
 def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
-    """``as_lattice`` and ``inclusion_lattice`` build the join table from
-    the up rows, so it has no fault, and return a lattice that holds
-    ``join_fault`` None before any read.  Every copy scans its own table:
-    a ``replace`` copy, a join-mutated copy and a ``_sublattice`` copy,
-    and a ``replace`` copy with a corrupted table finds the fault."""
+    """``as_lattice`` and ``inclusion_lattice`` return a lattice whose join
+    table is built from the up rows on first read, so it has no fault:
+    ``join_fault`` is None without building or scanning it.  Every copy
+    with its own rows scans them: a join-mutated copy and a
+    ``_sublattice`` copy, and a ``replace`` copy with a corrupted table
+    finds the fault; a plain ``replace`` copy builds its table too."""
     rng = random.Random(7)
     for L in (chain(5), boolean(3), divisor(60), subgroup_lattice(load_catalog_group("s3"))):
-        assert vars(L)["join_fault"] is None, L.provenance
+        assert L.join_fault is None and "join" not in vars(L), L.provenance
         i, j = rng.randrange(L.n), rng.randrange(L.n)
         value = rng.choice([v for v in L.elements() if v != L.join[i][j]])
         rows = [list(row) for row in L.join]
@@ -282,7 +354,7 @@ def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
             replace(L, provenance="copy"),
             mutate_entry(L, "join", i, j, value),
             _sublattice(L, list(L.elements())),
-            replace(L, join=tuple(map(tuple, rows))),
+            replace(L, join_rows=tuple(map(tuple, rows))),
         ]
         assert not any("join_fault" in vars(copy) for copy in copies), L.provenance
         assert [copy.join_fault for copy in copies] == [None, (i, j), None, (i, j)], L.provenance
@@ -425,6 +497,20 @@ def test_composed_join_refuses_exactly_what_the_lookups_refuse(p):
     assert lattice_outcome(p) == outcome(eager_tables, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_posets(), relation(forward_only=True).map(lambda d: leq_poset(*d))))
+def test_the_certificate_builds_no_table_and_refuses_what_the_lookups_refuse(p):
+    """``as_lattice`` certifies on the order rows: it refuses exactly the
+    posets that looking up every pair refuses, with the same exception,
+    pair and message, and on a lattice it builds neither table; the
+    tables read later are the lookups'."""
+    got, want = outcome(as_lattice, p), outcome(eager_tables, p)
+    if isinstance(got, FiniteLattice):
+        assert "join" not in vars(got) and "meet" not in vars(got)
+        got = got.join, got.meet, got.bottom, got.top
+    assert got == want
+
+
 def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
     """A copy never inherits the proof that the composed tables have no
     fault.  On lattices built along index order and off it, an entry is
@@ -449,7 +535,7 @@ def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
                     assert copy.meet_rows is None and copy.meet == clean_meet and copy.meet_fault is None
                     rows = [list(row) for row in L.join]
                     rows[i][j] = value
-                    assert replace(L, join=tuple(map(tuple, rows))).join_fault == (i, j)
+                    assert replace(L, join_rows=tuple(map(tuple, rows))).join_fault == (i, j)
                 else:
                     assert copy.meet_fault == (i, j) and copy.join == L.join and copy.join_fault is None
                     assert mutate_entry(copy, "join", j, i, L.join[j][i]).meet_fault == (i, j)
