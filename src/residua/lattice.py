@@ -362,7 +362,6 @@ class FiniteLattice:
     bottom: int
     top: int
     distributive: bool
-    coframe: bool
     provenance: str = "lattice"
     sets: tuple = ()
     join_rows: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
@@ -373,6 +372,12 @@ class FiniteLattice:
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @property
+    def coframe(self) -> bool:
+        """The coframe law (dual infinite distributivity): on a finite
+        lattice every meet and join is finite, so it is distributivity."""
+        return self.distributive
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -563,15 +568,11 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
         for j in bits(p.irreducibles)
     ):
         raise _missing_bound(p)
-    distributive = _join_prime_distributive(p)
-    # For a finite lattice the coframe law (dual infinite distributivity)
-    # reduces to plain distributivity: all meets/joins are finite.
     return FiniteLattice(
         poset=p,
         bottom=up.index(full),
         top=down.index(full),
-        distributive=distributive,
-        coframe=distributive,
+        distributive=_join_prime_distributive(p),
         provenance=provenance,
     )
 

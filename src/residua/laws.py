@@ -46,14 +46,14 @@ profiles and derivatives, which the instance does not keep; the
 elements below each x, filtered with ``leq`` unless ``window_tables``
 gives them; and three rows by element, the maximal subelements, the
 residues x - m by maximal m and the outcasts, each in the run's family.
-``residual_profile`` builds the strata from the residue rows of the
-iterates, and the t-class of x is the length of its row of maximal
-subelements.  On certified tables (``L.join_fault`` and
-``L.meet_fault`` both None, as for every lattice ``as_lattice`` builds)
-each default-family profile is instead built on that of its
-derivative, by a loop down the derivative chain.  An entry is stored
-only once its fold or cross-check has passed, so each law reports what
-it reports run alone.
+``residual_profile`` builds each profile on the run's rows: it walks
+the derivative row of x down to a fixpoint or to an iterate whose
+profile the run keeps, takes everything below from that profile, and
+builds the strata from the residue rows of the iterates.  The t-class
+of x is the length of its row of maximal subelements.  An entry is
+stored only once its fold or cross-check has passed, so a kept profile
+holds what the iteration computes, only x's own steps raise, and each
+law reports what it reports run alone, on every table and in a family.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
@@ -199,8 +199,8 @@ class _Ctx:
     derivative, the maximal subelements, the dict of x - m by maximal m,
     and the outcasts.  An entry is stored only once its fold or
     cross-check has passed, so a faulty table raises the same error at
-    every read.  On certified tables each default-family profile is built
-    on that of its derivative.  The row passes read ``mus`` and
+    every read, and each profile is built on the profile kept for an
+    iterate of its element.  The row passes read ``mus`` and
     ``mu_window``, the mus and their ``window_tables``, once per run.
 
     ``checked`` is the running law's count, and ``folds`` the
@@ -215,44 +215,18 @@ class _Ctx:
         self.order_rows = hasattr(L, "poset")
         self.certified = self.order_rows and L.join_fault is None and L.meet_fault is None
         self.elements = L.box(WINDOW_BOUND)
-        self.assemble = self.certified and family is None
         self.profiles, self.derivatives = {}, {}
         self.maximal_row, self.residue_row, self.outcast_row = {}, {}, {}
         self.folds = {}  # head -> _key(mask) -> verified fold
         self.checked = 0
 
     def profile(self, x):
+        """``residual_profile`` in the run's family, built on the run's
+        rows and on the profile the run keeps for an iterate of x."""
         got = self.profiles.get(x)
         if got is None:
-            if self.assemble:
-                got = self._assembled(x)
-            else:
-                got = residual_profile(self.L, x, self.family, residues_of=self.residues)
-            self.profiles[x] = got
+            got = self.profiles[x] = residual_profile(self.L, x, self.family, rows=self)
         return got
-
-    def _assembled(self, x):
-        """The profile of x built on that of mu(x) (``residual_profile``'s
-        ``mu_profile``).  A loop walks the derivative chain of x down to a
-        kept profile or a fixpoint, then builds and keeps the profiles on
-        the way back up.  On any error x is profiled by iteration, which
-        raises the error again if it is one of x's own."""
-        L, profiles, residues = self.L, self.profiles, self.residues
-        chain, below = [x], None
-        try:
-            while True:
-                mu = self.derivative(chain[-1])
-                if mu == chain[-1]:
-                    break
-                below = profiles.get(mu)
-                if below is not None:
-                    break
-                chain.append(mu)
-            for y in reversed(chain[1:]):
-                below = profiles[y] = residual_profile(L, y, residues_of=residues, mu_profile=below)
-        except Exception:
-            below = None
-        return residual_profile(L, x, residues_of=residues, mu_profile=below)
 
     # The run's element rows.  Each is filled through this module's
     # ``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` and
@@ -1453,7 +1427,6 @@ def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
         bottom=bottom,
         top=top,
         distributive=distributive,
-        coframe=distributive,
         provenance=f"shrunk({L.provenance})",
     )
 

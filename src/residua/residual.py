@@ -89,10 +89,9 @@ def maximal_subelements(L, x, family=None) -> list:
 def residual_derivative(L, x, family=None, maximals_of=None):
     """Meet of the maximal subelements, a verified fold; x itself when
     there are none.  The maximal subelements of x are read from
-    ``maximals_of(x)`` when it is given, as ``residual_profile`` reads
-    ``residues_of``: the law registry passes its per-run row
-    (``laws._Ctx.maximals``), and keeps the answer in its own row
-    (``laws._Ctx.derivative``).
+    ``maximals_of(x)`` when it is given: the law registry passes its
+    per-run row (``laws._Ctx.maximals``), and keeps the answer in its own
+    row (``laws._Ctx.derivative``).
     """
     maxes = maximal_subelements(L, x, family) if maximals_of is None else maximals_of(x)
     if not maxes:
@@ -130,13 +129,27 @@ def mu_iterates(L, x, family=None, limit=None) -> list:
     stabilization (used to cross-check closed-form instances whose rank
     is the first infinite ordinal).
     """
-    out = [x]
-    while limit is None or len(out) <= limit:
-        nxt = residual_derivative(L, out[-1], family)
-        if nxt == out[-1]:
+    return _descend(x, lambda y: residual_derivative(L, y, family), limit=limit)[0]
+
+
+def _descend(x, derivative, kept=None, limit=None):
+    """The derivative chain x, mu(x), ... and the profile it stops at.
+
+    The chain stops at the fixpoint, which it ends with, or, when
+    ``kept`` (a dict of profiles by element) holds the profile of an
+    iterate, before that iterate, whose profile is returned with it; or
+    after ``limit + 1`` entries.
+    """
+    chain = [x]
+    while limit is None or len(chain) <= limit:
+        nxt = derivative(chain[-1])
+        if nxt == chain[-1]:
             break
-        out.append(nxt)
-    return out
+        below = kept.get(nxt) if kept else None
+        if below is not None:
+            return chain, below
+        chain.append(nxt)
+    return chain, None
 
 
 def classify_t(L, x) -> int:
@@ -255,20 +268,21 @@ class ResidualProfile:
         return "\n".join(lines) + "\n"
 
 
-def residual_profile(L, x, family=None, residues_of=None, mu_profile=None) -> ResidualProfile:
-    """Iterate the derivative to its fixpoint and assemble the full record.
+def residual_profile(L, x, family=None, rows=None) -> ResidualProfile:
+    """Iterate the derivative to its fixpoint and build the full record.
 
-    ``residues_of(y)`` gives the dict of y - m by maximal subelement m of
-    y, in maximal order, for x and each iterate; by default each is
-    computed with ``maximal_subelements`` and ``co_heyting_sub``.  The law
-    registry passes its per-run rows (``laws._Ctx.residues``).  A
-    closed-form ``profile`` answers the default family.
-
-    ``mu_profile``, a default-family profile of mu(x) != x, lets the
-    record be built from it instead: the iterates, strata and rho of
-    mu(x) follow stratum 0 of x, and the core is that of mu(x).  Any
-    error while building it falls back to the iteration, which raises it
-    again if it is one of x's own.
+    ``rows``, the law registry's run (``laws._Ctx``) in the same family,
+    gives the derivative of each element (``rows.derivative``), its dict
+    of residues y - m by maximal subelement m, in maximal order
+    (``rows.residues``), and the profiles the run keeps
+    (``rows.profiles``).  The derivative chain of x then stops at the
+    first iterate whose profile the run keeps, and the iterates, strata,
+    rho and core below come from that profile: the run keeps a profile
+    only once its checks have passed, so it holds what the iteration
+    would compute, and only x's own steps raise.  Without ``rows`` each
+    fact is computed fresh with ``residual_derivative``,
+    ``maximal_subelements`` and ``co_heyting_sub``.  A closed-form
+    ``profile`` answers the default family.
 
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
@@ -278,70 +292,43 @@ def residual_profile(L, x, family=None, residues_of=None, mu_profile=None) -> Re
     if family is None and hasattr(L, "profile"):
         return L.profile(x)
     fam = family_mask(L, family)
-    if residues_of is None:
+    if rows is None:
+        derivative = lambda y: residual_derivative(L, y, fam)
         residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
-    if mu_profile is not None and fam is None:
-        try:
-            return _profile_over(L, x, residues_of(x), mu_profile)
-        except Exception:
-            pass  # the iteration below raises it again if it is x's own
-    iterates = mu_iterates(L, x, fam)
-    core = iterates[-1]
-    rank = RankValue.of(len(iterates) - 1)
+        kept = None
+    else:
+        derivative, residues_of, kept = rows.derivative, rows.residues, rows.profiles
+    chain, below = _descend(x, derivative, kept)
     residues = residues_of(x)
     maxes = tuple(residues)
-    mu = iterates[1] if len(iterates) > 1 else x
     boundary = L.join_of_set(list(residues.values()))
     strata = []
     rho = {}
-    for a, xa in enumerate(iterates[:-1]):
+    for a, xa in enumerate(chain if below is not None else chain[:-1]):
         stratum = tuple(sorted(set((residues if a == 0 else residues_of(xa)).values())))
         strata.append(stratum)
         for s in stratum:
             rho.setdefault(s, a)
-    boundary_poset = tuple(sorted(rho))
+    iterates = chain
+    if below is not None:
+        for s, a in below.rho.items():
+            rho.setdefault(s, a + len(chain))
+        strata.extend(below.strata)
+        iterates = chain + list(below.iterates)
     profile = ResidualProfile(
         element=x,
         family=fam,
         maximal=maxes,
-        mu=mu,
-        rank=rank,
-        core=core,
+        mu=iterates[1] if len(iterates) > 1 else x,
+        rank=RankValue.of(len(iterates) - 1),
+        core=iterates[-1],
         residues=residues,
         boundary=boundary,
         strata=tuple(strata),
-        boundary_poset=boundary_poset,
+        boundary_poset=tuple(sorted(rho)),
         rho=rho,
         t_class=len(maxes),
         iterates=tuple(iterates),
-    )
-    _verify_profile(L, profile)
-    return profile
-
-
-def _profile_over(L, x, residues: dict, below: ResidualProfile) -> ResidualProfile:
-    """The default-family profile of x from ``below``, that of mu(x) != x:
-    the record ``residual_profile`` iterates to, with the same checks."""
-    if below.family is not None or residual_derivative(L, x) != below.element or below.element == x:
-        raise ValueError("mu_profile is not the profile of the derivative of x")
-    stratum = tuple(sorted(set(residues.values())))
-    rho = dict.fromkeys(stratum, 0)
-    for s, a in below.rho.items():
-        rho.setdefault(s, a + 1)
-    profile = ResidualProfile(
-        element=x,
-        family=None,
-        maximal=tuple(residues),
-        mu=below.element,
-        rank=RankValue.of(below.rank.finite + 1),
-        core=below.core,
-        residues=residues,
-        boundary=L.join_of_set(list(residues.values())),
-        strata=(stratum, *below.strata),
-        boundary_poset=tuple(sorted(rho)),
-        rho=rho,
-        t_class=len(residues),
-        iterates=(x, *below.iterates),
     )
     _verify_profile(L, profile)
     return profile

@@ -789,10 +789,10 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     real = residua.residual.residual_profile
 
     def raising_at(elements):
-        def profile(L, x, family=None, residues_of=None, mu_profile=None):
+        def profile(L, x, family=None, rows=None):
             if x in elements:
                 raise LatticeIntegrityError("injected", witness={"x": L.names[x]})
-            return real(L, x, family, residues_of, mu_profile)
+            return real(L, x, family, rows)
 
         return profile
 
@@ -973,19 +973,18 @@ def test_run_all_reports_equal_each_law_run_alone(b3, div12):
 
 def test_certified_runs_match_laws_run_alone_and_definitional_profiles(lattice_corpus, b3, div12):
     """On certified tables one run shares its verified folds among the
-    laws and builds each profile on that of its derivative.  On corpus
-    lattices and relabeled ones, whose index order is no linear
-    extension, ``run_all`` reports what each law reports run alone with
-    its own memo, and every profile of a run, asked in a random order,
-    equals the definitional ``residual_profile``.  A copy with a table
-    fault keeps one fold memo per law and iterates its profiles."""
+    laws.  On corpus lattices and relabeled ones, whose index order is no
+    linear extension, ``run_all`` reports what each law reports run alone
+    with its own memo, and every profile of a run, asked in a random
+    order, equals the definitional ``residual_profile``.  A copy with a
+    table fault keeps one fold memo per law, and its run's profiles equal
+    the standalone ones too."""
     rng = random.Random(24)
     lattices = lattice_corpus[::6]
     lattices += [relabeled(L, seed) for L in (b3, div12, divisor(60), boolean(4), chain(12)) for seed in range(3)]
     for L in lattices:
         assert run_all(L) == [run_law(L, law) for law in REGISTRY], L.provenance
         ctx = _Ctx(L)
-        assert ctx.assemble
         for x in rng.sample(range(L.n), L.n):
             assert ctx.profile(x) == residual_profile(L, x), (L.provenance, x)
         if L.distributive:
@@ -996,20 +995,25 @@ def test_certified_runs_match_laws_run_alone_and_definitional_profiles(lattice_c
     ctx = _Ctx(faulty)
     folds = ctx.folds
     run_law(faulty, LawId.SUBELEMENT_DECOMP, _ctx=ctx)
-    assert not ctx.assemble and ctx.folds is not folds
+    assert not ctx.certified and ctx.folds is not folds
+    for x in rng.sample(range(faulty.n), faulty.n):
+        assert outcome(ctx.profile, x) == outcome(residual_profile, faulty, x), x
 
 
 def test_profiles_walk_derivative_chains_without_recursion():
-    """Element 0 of a relabeled chain:300 lies high in the chain, so its
-    profile walks down a long derivative chain and builds every profile
-    below it.  With the recursion limit at 200 the walk still keeps all
-    300 profiles, and ``run_all`` passes every law."""
+    """The top of a relabeled chain:300 has rank 299, so its profile
+    walks down a derivative chain of 300 elements.  With the recursion
+    limit at 200 the walk still builds it, the run keeps all 300
+    profiles once each element is asked, and ``run_all`` passes every
+    law."""
     L = relabeled(generate("chain:300"), 0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
         ctx = _Ctx(L)
         top = ctx.profile(L.top)
+        for x in L.elements():
+            ctx.profile(x)
         reports = run_all(L)
     finally:
         sys.setrecursionlimit(limit)
@@ -1028,11 +1032,12 @@ def test_fold_keys_hash_wide_masks_apart():
 
 
 def outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the message and witness it raises."""
+    """What ``fn(*args)`` returns, or the class, message and witness of
+    the ``LatticeIntegrityError`` it raises."""
     try:
         return fn(*args)
     except LatticeIntegrityError as e:
-        return str(e), e.witness
+        return type(e), str(e), e.witness
 
 
 def fresh_residues(L, x):
@@ -1063,7 +1068,7 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
         every = set(L.elements())
         assert set(ctx.maximal_row) == set(ctx.residue_row) == set(ctx.outcast_row) == every, L.provenance
         for x in L.elements():
-            assert residual_profile(L, x, residues_of=ctx.residues) == residual_profile(L, x)
+            assert residual_profile(L, x, rows=ctx) == residual_profile(L, x)
 
 
 def join_closed_family(L, rng) -> list:
@@ -1074,6 +1079,29 @@ def join_closed_family(L, rng) -> list:
         if closed == family:
             return sorted(family)
         family = closed
+
+
+def test_run_profiles_on_faulty_tables_match_standalone_profiles(div12, b3):
+    """A run builds each profile on the profile it keeps for an iterate,
+    on faulty tables as on certified ones.  On every single-entry mutant
+    of divisor:12 and every join mutant of boolean:3, in the default
+    family and in a join-closed family holding the bottom, each run
+    profile, asked in a random order, equals the standalone
+    ``residual_profile`` or raises the same error class, message and
+    witness."""
+    rng = random.Random(37)
+    seen = set()
+    for L, tables in ((div12, ("meet", "join")), (b3, ("join",))):
+        family = mask_of(join_closed_family(L, rng))
+        assert contains(family, L.bottom) and family != L.full()
+        for _, m in single_entry_mutations(L, tables):
+            for fam in (None, family):
+                ctx = _Ctx(m, fam)
+                for x in rng.sample(range(m.n), m.n):
+                    got = outcome(ctx.profile, x)
+                    assert got == outcome(residual_profile, m, x, fam), (m.provenance, fam, x)
+                    seen.add((fam is None, isinstance(got, tuple)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_laws_in_a_family_keep_their_own_rows(lattice_corpus, monkeypatch):
