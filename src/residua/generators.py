@@ -194,8 +194,9 @@ def _abelian_group(moduli: list[int]) -> dict:
     return {"order": len(table), "identity": 0, "table": table}
 
 
-def _extend(c: CayleyTable, h: int, g: int) -> int:
-    """The subgroup generated by the subgroup ``h`` (a bitmask) and ``g``.
+def _extend(c: CayleyTable, hs: list[int], g: int) -> int:
+    """The subgroup <h, g> as a bitmask, for the subgroup h given by its
+    member list ``hs``.
 
     The result is grown as a union of left cosets of ``h``, starting from
     ``h`` itself.  Each member ``x`` is multiplied by ``g`` once; when
@@ -210,29 +211,52 @@ def _extend(c: CayleyTable, h: int, g: int) -> int:
     so S lies inside <h, g>.
     """
     t = c.table
-    hs = list(bits(h))
-    members = h
+    members = sum(map((1).__lshift__, hs))
     todo = hs.copy()
     while todo:
         y = t[todo.pop()][g]
         if not members >> y & 1:
-            row = t[y]
-            coset = [row[k] for k in hs]
-            for z in coset:
-                members |= 1 << z
+            # the coset yh, disjoint from the cosets in members: its
+            # elements are distinct, so their sum is their union
+            coset = list(map(t[y].__getitem__, hs))
+            members |= sum(map((1).__lshift__, coset))
             todo += coset
     return members
 
 
+def _cyclic_generators(c: CayleyTable) -> list[tuple[int, ...]]:
+    """``gens[g]``, the generators of the cyclic subgroup <g>: the powers
+    g^j with j prime to the order of g.  Each cyclic subgroup's powers are
+    walked once, and its generators share the tuple."""
+    t, e = c.table, c.identity
+    gens = [()] * c.order
+    for g in range(c.order):
+        if gens[g]:
+            continue
+        powers = [g]
+        while powers[-1] != e:
+            powers.append(t[powers[-1]][g])
+        order = len(powers)  # powers[j - 1] is g^j, and g^order is e
+        generators = tuple(x for j, x in enumerate(powers, 1) if math.gcd(j, order) == 1)
+        for x in generators:
+            gens[x] = generators
+    return gens
+
+
 def subgroups(c: CayleyTable) -> list[int]:
     """All subgroups as element bitmasks: from the trivial subgroup, extend
-    each subgroup found by the elements outside it.
+    each subgroup h found by the elements outside it, once per class.
 
-    Every element of a left coset ``gh`` gives the same extension
-    ``<h, g>``, so one element per coset is tried.
+    The class of g is the union of the left cosets ``g'h`` over the
+    generators g' of <g>.  Each of its elements gives the same extension
+    ``<h, g>``: <g'> = <g>, and for k in h, ``g'k`` and g' generate the
+    same subgroup together with h.  So every extension <h, g> is still
+    found, and on a cyclic group the trivial subgroup is extended once
+    per cyclic subgroup instead of once per element.
     """
     if c.order > GROUP_ORDER_CAP:
         raise InvalidGroup(_ORDER_CAP_MESSAGE)
+    gens = _cyclic_generators(c)
     trivial = 1 << c.identity
     found = {trivial}
     frontier = [trivial]
@@ -244,10 +268,12 @@ def subgroups(c: CayleyTable) -> list[int]:
             for g in range(c.order):
                 if tried >> g & 1:
                     continue
-                row = c.table[g]
-                for k in hs:
-                    tried |= 1 << row[k]
-                extended = _extend(c, h, g)
+                for x in gens[g]:
+                    if not tried >> x & 1:
+                        row = c.table[x]
+                        for k in hs:
+                            tried |= 1 << row[k]
+                extended = _extend(c, hs, g)
                 if extended not in found:
                     found.add(extended)
                     nxt.append(extended)

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import repeat
-from operator import getitem, itemgetter
+from functools import cached_property, reduce
+from itertools import compress, count, repeat
+from operator import and_, getitem, itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from .bitset import bits, full_mask, mask_of
@@ -185,7 +185,8 @@ class FinitePoset:
     def irreducibles(self) -> int:
         """Bitmask of the join-irreducibles: the elements with exactly one
         lower cover."""
-        return mask_of(x for x, row in enumerate(self.lower_covers) if row.bit_count() == 1)
+        one_cover = map((1).__eq__, map(int.bit_count, self.lower_covers))
+        return sum(map((1).__lshift__, compress(count(), one_cover)))
 
     @cached_property
     def coirreducibles(self) -> int:
@@ -562,12 +563,12 @@ def as_lattice(p: FinitePoset, provenance: str = "lattice") -> FiniteLattice:
     n, up, down = p.n, p.up, p.down
     if n == 0:
         raise NoBottom("an empty poset has no bottom")
-    full, up_rows = full_mask(n), set(up)
-    if p.lower_covers.count(0) != 1 or not all(
-        up_rows.issuperset(map(up[j].__and__, map(up.__getitem__, bits(full & ~(up[j] | down[j])))))
-        for j in bits(p.irreducibles)
-    ):
+    if p.lower_covers.count(0) != 1:
         raise _missing_bound(p)
+    full, is_up_row = full_mask(n), set(up).issuperset
+    for j in bits(p.irreducibles):
+        if not is_up_row(map(up[j].__and__, map(up.__getitem__, bits(full & ~(up[j] | down[j]))))):
+            raise _missing_bound(p)
     return FiniteLattice(
         poset=p,
         bottom=up.index(full),
@@ -659,35 +660,55 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
 
     The sets are put in (size, value) order; element ``i`` stands for
     ``sets[i]`` of the result and is named by the ``point_names`` of its
-    members.  Raises ``NotALattice`` if the family is not a lattice.
+    members.  A negative mask, a set holding a point past ``point_names``
+    or a set given twice raises ``ValueError`` naming the set, before any
+    row is built.  Raises ``NotALattice`` if the family is not a lattice.
+
+    Each set's member list is taken once.  It gives the set's name and
+    the holder masks: ``holders[q]``, the sets that hold point q.  A set's
+    up row is the AND of its points' holders, and its down row the AND of
+    the complements of the holders of the points it lacks, each one
+    ``reduce`` over the rows.
     """
-    sets = tuple(sorted(sets, key=lambda m: (m.bit_count(), m)))
-    names = tuple("{" + ",".join(point_names[i] for i in bits(m)) + "}" for m in sets)
-    # holders[q]: the sets that hold point q.  A set's up row is the AND
-    # of its points' holders; its down row is every set but the holders
-    # of the points it lacks.
-    points = 0
-    for m in sets:
-        points |= m
-    holders = dict.fromkeys(bits(points), 0)
-    for j, m in enumerate(sets):
-        for q in bits(m):
-            holders[q] |= 1 << j
+    sets = tuple(sorted(sorted(sets), key=int.bit_count))  # stable: (size, value) order
+    points = _union_of_sets(sets, point_names)
+    members = list(map(tuple, map(bits, sets)))
+    name_of = point_names.__getitem__
+    names = tuple([f"{{{','.join(map(name_of, ms))}}}" for ms in members])
     everything = full_mask(len(sets))
-    up = []
-    down = []
-    for m in sets:
-        u = everything
-        for q in bits(m):
-            u &= holders[q]
-        outside = 0
-        for q in bits(points & ~m):
-            outside |= holders[q]
-        up.append(u)
-        down.append(everything & ~outside)
-    poset = FinitePoset(n=len(sets), names=names, up=tuple(up), down=tuple(down))
+    holders = [0] * len(point_names)
+    for j, ms in enumerate(members):
+        bit = 1 << j
+        for q in ms:
+            holders[q] |= bit
+    lacking = [everything ^ row for row in holders]
+    up = tuple([reduce(and_, map(holders.__getitem__, ms), everything) for ms in members])
+    down = tuple([reduce(and_, map(lacking.__getitem__, bits(points & ~m)), everything) for m in sets])
+    poset = FinitePoset(n=len(sets), names=names, up=up, down=down)
     poset.verify_axioms()
     return replace(as_lattice(poset, provenance=provenance), sets=sets)
+
+
+def _union_of_sets(sets: tuple[int, ...], point_names: Sequence[str]) -> int:
+    """The union of the sets, once the family is known to name an
+    inclusion order on ``point_names``: the first negative mask, then the
+    first set with a point past the names, then the first set given
+    twice, in (size, value) order, raise ``ValueError``."""
+    if min(sets, default=0) < 0:
+        m = next(m for m in sets if m < 0)
+        raise ValueError(f"inclusion_lattice: set {m} is a negative mask")
+    named, points = len(point_names), reduce(or_, sets, 0)
+    if points >> named:
+        m = next(m for m in sets if m >> named)
+        q = next(bits(m >> named)) + named
+        raise ValueError(
+            f"inclusion_lattice: set {bin(m)} holds point {q}, but only {named} points are named"
+        )
+    if len(set(sets)) < len(sets):
+        m = next(m for m, after in zip(sets, sets[1:]) if m == after)
+        name = "{" + ",".join(map(point_names.__getitem__, bits(m))) + "}"
+        raise ValueError(f"inclusion_lattice: set {name} is given twice")
+    return points
 
 
 def _table_fault(table, rows) -> Optional[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -117,7 +118,7 @@ def test_subgroups_match_brute_force_small():
 def assert_extend_matches_closure_reference(c: CayleyTable):
     for h in subgroups(c):
         for g in range(c.order):
-            assert _extend(c, h, g) == closure_reference(c, h | 1 << g), (h, g)
+            assert _extend(c, list(bits(h)), g) == closure_reference(c, h | 1 << g), (h, g)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -141,6 +142,81 @@ def test_subgroups_match_single_generator_oracle_for_cyclic():
         g = load_catalog_group(f"z{n}")
         assert subgroups(g) == cyclic_subgroups_oracle(g)
         assert len(subgroups(g)) == len(divisors(n))
+
+
+def coset_subgroups_reference(c: CayleyTable):
+    """The subgroups by extending each subgroup h found by one element of
+    every left coset gh outside h: the loop ``subgroups`` ran before it
+    took one element per generator class."""
+    trivial = 1 << c.identity
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            hs = list(bits(h))
+            tried = h
+            for g in range(c.order):
+                if tried >> g & 1:
+                    continue
+                for k in hs:
+                    tried |= 1 << c.mul(g, k)
+                extended = residua.generators._extend(c, hs, g)
+                if extended not in found:
+                    found.add(extended)
+                    nxt.append(extended)
+        frontier = nxt
+    return sorted(found, key=lambda m: (popcount(m), m))
+
+
+def abelian_table(moduli) -> CayleyTable:
+    name = "x".join(f"z{m}" for m in moduli)
+    return CayleyTable.from_json_dict(residua.generators._abelian_group(list(moduli)), name=name)
+
+
+def seeded_abelian_tables(count, seed=38):
+    """Distinct tables of Z/m1 x ... x Z/mk of order at most 64."""
+    rng = random.Random(seed)
+    drawn = {}
+    while len(drawn) < count:
+        moduli = [rng.randint(2, 9)]
+        while rng.random() < 0.6 and math.prod(moduli) * 2 <= GROUP_ORDER_CAP:
+            moduli.append(rng.randint(2, GROUP_ORDER_CAP // math.prod(moduli)))
+        drawn.setdefault(tuple(moduli), None)
+    return [abelian_table(moduli) for moduli in drawn]
+
+
+ORDER_64_MODULI = [(2,) * 6, (2, 2, 4, 4), (4, 4, 4), (8, 8), (64,)]
+
+
+def test_subgroups_match_the_coset_loop():
+    groups = [load_catalog_group(name) for name in CATALOG_NAMES]
+    groups += [abelian_table(m) for m in ORDER_64_MODULI] + seeded_abelian_tables(20)
+    groups.append(s4_table())
+    for c in groups:
+        assert subgroups(c) == coset_subgroups_reference(c), c.name
+
+
+def test_subgroups_extend_once_per_generator_class(monkeypatch):
+    """On a cyclic group of prime order every element but e generates it:
+    one extension, where the coset loop makes one per element.  On Z2^6
+    each class is one coset, and no more extensions are made than by the
+    coset loop."""
+    calls = []
+    extend = residua.generators._extend
+    monkeypatch.setattr(residua.generators, "_extend", lambda *args: calls.append(args) or extend(*args))
+
+    def extensions(fn, c):
+        calls.clear()
+        fn(c)
+        return len(calls)
+
+    z31 = load_catalog_group("z31")
+    assert extensions(subgroups, z31) <= 2 < extensions(coset_subgroups_reference, z31) == 30
+    z64 = abelian_table((64,))
+    assert extensions(subgroups, z64) < extensions(coset_subgroups_reference, z64)
+    z2e6 = abelian_table((2,) * 6)
+    assert extensions(subgroups, z2e6) <= extensions(coset_subgroups_reference, z2e6)
 
 
 def test_z4_subgroup_chain():

@@ -20,9 +20,13 @@ import math
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import residua.generators
+import residua.lattice
+import residua.topology
 from residua.bitset import bits, full_mask
 from residua.errors import CycleDetected, NoBottom, NotALattice
 from residua.generators import (
@@ -43,6 +47,7 @@ from residua.lattice import (
     _linear_extension,
     as_lattice,
     build_poset,
+    inclusion_lattice,
     lattice_from_json,
 )
 from residua.laws import _sublattice, mutate_entry
@@ -563,3 +568,94 @@ def test_the_axiom_check_keeps_the_hasse_diagram(lattice_corpus):
             "down rows are not the transpose of the up rows: b <= a only in the up rows",
         )
     assert "upper_covers" not in vars(cyclic) and "lower_covers" not in vars(cyclic)
+
+
+def pairwise_inclusion_lattice(sets, point_names, provenance):
+    """The inclusion lattice by its definition: each name spelled point by
+    point, the rows by one subset test per pair, then the axiom check and
+    the certificate."""
+    sets = tuple(sorted(sets, key=lambda m: (m.bit_count(), m)))
+    names = tuple(
+        "{" + ",".join(name for q, name in enumerate(point_names) if m >> q & 1) + "}" for m in sets
+    )
+    up, down = pairwise_inclusion_rows(sets)
+    poset = FinitePoset(n=len(sets), names=names, up=up, down=down)
+    poset.verify_axioms()
+    return replace(as_lattice(poset, provenance=provenance), sets=sets)
+
+
+def inclusion_outcome(build, args):
+    """Everything the lattice is built from, or the error's type, message
+    and pair."""
+    try:
+        L = build(*args)
+    except (CycleDetected, NotALattice, NoBottom) as e:
+        return type(e), str(e), getattr(e, "pair", None)
+    p = L.poset
+    return L.sets, p.names, p.up, p.down, p.covers(), L.distributive, L.bottom, L.top, L.provenance
+
+
+def test_inclusion_rows_match_the_pairwise_construction(lattice_corpus, monkeypatch):
+    """Rows, names, sets, covers, the distributive flag and the
+    ``NotALattice`` witnesses equal the pairwise construction's, on the
+    corpus's Moore families, ``boolean:0`` to ``boolean:8``, the catalog
+    subgroup lattices, closed-set lattices of 1 to 8 points and seeded
+    families that are no lattice."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return inclusion_lattice(*args)
+
+    monkeypatch.setattr(residua.generators, "inclusion_lattice", spy)
+    monkeypatch.setattr(residua.topology, "inclusion_lattice", spy)
+    for k in range(9):
+        boolean(k)
+    for name in CATALOG_NAMES:
+        subgroup_lattice(load_catalog_group(name))
+    rng = random.Random(38)
+    for points in range(1, 9):
+        closed_set_lattice(FiniteTopology.from_subbase(points, [1 << i for i in range(points)]))
+        for _ in range(5):
+            subbase = [rng.getrandbits(points) for _ in range(rng.randint(1, points))]
+            closed_set_lattice(FiniteTopology.from_subbase(points, subbase))
+    assert len(calls) == 9 + len(CATALOG_NAMES) + 8 * 6
+    moore = [L for L in lattice_corpus if L.provenance.startswith("moore#")]
+    assert len(moore) == 600
+    calls += [(L.sets, [f"p{i}" for i in range(L.sets[-1].bit_length())], L.provenance) for L in moore]
+    for k in range(300):
+        points = rng.randint(3, 6)
+        family = {rng.getrandbits(points) for _ in range(rng.randint(2, 9))}
+        calls.append((family, [f"p{i}" for i in range(points)], f"family#{k}"))
+    witnesses = set()
+    for args in calls:
+        got = inclusion_outcome(inclusion_lattice, args)
+        assert got == inclusion_outcome(pairwise_inclusion_lattice, args), args[2]
+        if got[0] is NotALattice:
+            witnesses.add(got[1].split()[-1])
+    assert witnesses == {"join", "meet"}
+
+
+def test_inclusion_lattice_refuses_bad_sets_before_building_rows(monkeypatch):
+    """A negative mask, a point past the names and a repeated set each
+    raise ``ValueError`` naming the set, checked in that order, before
+    any row is built."""
+    built = []
+    monkeypatch.setattr(residua.lattice, "FinitePoset", lambda **rows: built.append(rows))
+    cases = [
+        (([0, 4], ["a", "b"]), "inclusion_lattice: set 0b100 holds point 2, but only 2 points are named"),
+        (
+            ([0, 1, 3, 1 << 70], ["a", "b"]),
+            f"inclusion_lattice: set {bin(1 << 70)} holds point 70, but only 2 points are named",
+        ),
+        (([0, 1, 1], ["a", "b"]), "inclusion_lattice: set {a} is given twice"),
+        (([3, 0, 3, 1, 1], ["a", "b"]), "inclusion_lattice: set {a} is given twice"),
+        (([0, -1], ["a"]), "inclusion_lattice: set -1 is a negative mask"),
+        (([4, -2, -2], ["a"]), "inclusion_lattice: set -2 is a negative mask"),
+        (([0, 5, 5], ["a", "b"]), "inclusion_lattice: set 0b101 holds point 2, but only 2 points are named"),
+    ]
+    for (sets, names), message in cases:
+        with pytest.raises(ValueError) as info:
+            inclusion_lattice(sets, names, "x")
+        assert str(info.value) == message
+    assert built == []
