@@ -174,24 +174,24 @@ def load_catalog_group(name: str) -> CayleyTable:
         raise InvalidGroup(f"unknown catalog group {name!r}; see CATALOG_NAMES")
     if name in _BUNDLED_GROUPS:
         ref = importlib.resources.files("residua.data.groups").joinpath(f"{name}.json")
-        doc = json.loads(ref.read_text())
-    else:
-        doc = _abelian_group([int(factor[1:]) for factor in name.split("x")])
-    return CayleyTable.from_json_dict(doc, name=name)
+        return CayleyTable.from_json_dict(json.loads(ref.read_text()), name=name)
+    return _abelian_group([int(factor[1:]) for factor in name.split("x")], name)
 
 
-def _abelian_group(moduli: list[int]) -> dict:
-    """Cayley JSON of Z/m1 x ... x Z/mk: elements are the tuples in
+def _abelian_group(moduli: list[int], name: str = "group") -> CayleyTable:
+    """Z/m1 x ... x Z/mk, validated: elements are the tuples in
     lexicographic order, the operation is componentwise addition, and the
     identity is 0.  The table is built one factor at a time: the element
     with index a in the first factors and r in Z/m has index a*m + r, a
     mixed-radix number, so the sum of a*m + r and b*m + s is
     ``table[a][b]*m + (r + s) % m``."""
-    table = [[0]]
+    table = [(0,)]
     for m in moduli:
         cyclic = [[(r + s) % m for s in range(m)] for r in range(m)]
-        table = [[x * m + y for x in row for y in sums] for row in table for sums in cyclic]
-    return {"order": len(table), "identity": 0, "table": table}
+        table = [tuple(x * m + y for x in row for y in sums) for row in table for sums in cyclic]
+    group = CayleyTable(order=len(table), table=tuple(table), identity=0, name=name)
+    group.validate()
+    return group
 
 
 def _extend(c: CayleyTable, hs: list[int], g: int) -> int:

@@ -352,8 +352,8 @@ class FiniteLattice:
 
     Both tables (``join``, ``meet``) are built from the order rows on
     first read, unless the lattice was built with its own rows in
-    ``join_rows`` or ``meet_rows`` (a copy that carries a corrupted or
-    restricted table).  Instances are otherwise immutable; every
+    ``join_rows`` or ``meet_rows`` (a ``mutate_entry`` or ``replace`` copy
+    that carries its own table).  Instances are otherwise immutable; every
     operation is read-only.  For a lattice of sets ordered by inclusion,
     ``sets[i]`` is the set (a bitmask) that element ``i`` stands for;
     otherwise ``sets`` is empty.

@@ -96,9 +96,9 @@ from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Optional
 
-from .bitset import bits, contains, full_mask, mask_of
-from .errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow, ResiduaError
-from .lattice import FiniteLattice, FinitePoset, as_lattice
+from .bitset import bits, contains, mask_of
+from .errors import LatticeIntegrityError, NotBelow, ResiduaError
+from .lattice import FiniteLattice
 from .residual import (
     co_heyting_sub,
     delta_plus,
@@ -1370,7 +1370,7 @@ def all_pass(reports) -> bool:
     return all(r.verdict != "fail" for r in reports)
 
 
-# -- fault injection and shrinking -----------------------------------------
+# -- fault injection -------------------------------------------------------
 
 
 def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> FiniteLattice:
@@ -1391,108 +1391,6 @@ def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> Fi
     )
 
 
-def _sublattice(L: FiniteLattice, keep: list) -> FiniteLattice:
-    """Restriction of L (tables included, as they are) to a table-closed subset."""
-    keep = sorted(keep)
-    pos = {e: i for i, e in enumerate(keep)}
-    n = len(keep)
-    up, down = [], []
-    for e in keep:
-        u = d = 0
-        for f in keep:
-            if L.leq(e, f):
-                u |= 1 << pos[f]
-            if L.leq(f, e):
-                d |= 1 << pos[f]
-        up.append(u)
-        down.append(d)
-    poset = FinitePoset(
-        n=n, names=tuple(L.names[e] for e in keep), up=tuple(up), down=tuple(down)
-    )
-    meet = tuple(tuple(pos[L.meet[a][b]] for b in keep) for a in keep)
-    join = tuple(tuple(pos[L.join[a][b]] for b in keep) for a in keep)
-    bottom = next((i for i in range(n) if up[i] == full_mask(n)), 0)
-    top = next((i for i in range(n) if down[i] == full_mask(n)), n - 1)
-    # The flag is read off the order rows, as for every other lattice:
-    # co_heyting_sub's closed form relies on it, and the kept tables may
-    # be corrupted.  An order that is no lattice counts as not distributive.
-    try:
-        distributive = as_lattice(poset).distributive
-    except (NotALattice, NoBottom):
-        distributive = False
-    return FiniteLattice(
-        poset=poset,
-        meet_rows=meet,
-        join_rows=join,
-        bottom=bottom,
-        top=top,
-        distributive=distributive,
-        provenance=f"shrunk({L.provenance})",
-    )
-
-
-def _table_closure(L: FiniteLattice, seed: set) -> set:
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (L.meet[a][b], L.join[a][b], L.meet[b][a], L.join[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return members
-
-
-def _witness_indices(report: LawReport) -> set:
-    out = set()
-    if report.witness and "indices" in report.witness:
-        for v in report.witness["indices"].values():
-            if isinstance(v, int):
-                out.add(v)
-    return out
-
-
-def shrink(L: FiniteLattice, law: LawId, report: LawReport):
-    """Greedily remove elements (re-closing under the tables) while the
-    failure persists; a passing report is returned unchanged.
-
-    Starts from the table closure of the witness elements when that
-    already reproduces the failure, then keeps dropping single elements
-    whose removal leaves a table-closed proper subset."""
-    if report.verdict != "fail":
-        return L, report
-    witness_elems = _witness_indices(report)
-    current, current_report = L, report
-    if witness_elems:
-        seed = _table_closure(L, witness_elems)
-        if len(seed) < L.n:
-            candidate = _sublattice(L, sorted(seed))
-            rep = run_law(candidate, law)
-            if rep.verdict == "fail":
-                current, current_report = candidate, rep
-                witness_elems = _witness_indices(rep)
-    improved = True
-    while improved:
-        improved = False
-        for e in sorted(range(current.n), reverse=True):
-            if e in witness_elems:
-                continue
-            keep = _table_closure(current, set(range(current.n)) - {e})
-            if len(keep) >= current.n:
-                continue
-            candidate = _sublattice(current, sorted(keep))
-            rep = run_law(candidate, law)
-            if rep.verdict == "fail":
-                current, current_report = candidate, rep
-                witness_elems = _witness_indices(rep)
-                improved = True
-                break
-    return current, current_report
-
-
 __all__ = [
     "LawId",
     "LawSpec",
@@ -1503,5 +1401,4 @@ __all__ = [
     "run_all",
     "all_pass",
     "mutate_entry",
-    "shrink",
 ]

@@ -192,26 +192,23 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
     (i) reduces on a finite lattice to eventually-constant monotone
     sequences: every chain, read as a monotone net, must converge to its
     meet/join, which is checked as "the minimal neighborhood of the limit
-    contains a tail".  (ii) is the preimage test for continuity of the
-    join map at every pair, with minimal neighborhoods standing in for
-    arbitrary opens.  (iii) asks that the complement of the order relation
-    be open in the product.
+    contains a tail", that is, the limit.  (ii) is the preimage test for
+    continuity of the join map at every pair, with minimal neighborhoods
+    standing in for arbitrary opens.  (iii) asks that the complement of
+    the order relation be open in the product.
     """
     if L.n != t.n:
         raise ValueError("topology and lattice have different carriers")
     witness = None
 
-    nets_ok = True
+    # The nets (y, x, x, ...) and (x, y, y, ...) of x <= y fail iff x or y is bad.
+    bad = sum(1 << x for x in L.elements() if not contains(t.min_nbhd[x], x))
     for x in L.elements():
-        if not nets_ok:
+        failing = L.up_set(x) if contains(bad, x) else L.up_set(x) & bad
+        if failing:
+            witness = {"condition": "nets", "pair": [L.names[x], L.names[next(bits(failing))]]}
             break
-        for y in bits(L.up_set(x)):
-            # Non-increasing net (y, x, x, ...) has meet x; tail {x} must
-            # land in every open around x, and dually for the join y.
-            if not contains(t.min_nbhd[x], x) or not contains(t.min_nbhd[y], y):
-                nets_ok = False
-                witness = {"condition": "nets", "pair": [L.names[x], L.names[y]]}
-                break
+    nets_ok = witness is None
 
     join_ok = True
     for x in L.elements():

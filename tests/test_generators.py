@@ -93,15 +93,23 @@ def cyclic_subgroups_oracle(c: CayleyTable):
     return sorted(out, key=lambda m: (popcount(m), m))
 
 
-def test_catalog_complete_and_valid():
+def test_catalog_complete_and_valid(monkeypatch):
+    """Every catalog group validates and equals its own Cayley JSON read
+    back, the generated abelian tables included, which are validated as
+    they are built."""
     assert len(CATALOG_NAMES) == 38
     for name in CATALOG_NAMES:
         g = load_catalog_group(name)
         g.validate()
+        assert g == CayleyTable.from_json_dict(g.to_json_dict(), name=name), name
     assert load_catalog_group("z12").order == 12
     assert load_catalog_group("q8").order == 8
     with pytest.raises(InvalidGroup):
         load_catalog_group("nosuch")
+    real = CayleyTable.validate
+    checked = []
+    monkeypatch.setattr(CayleyTable, "validate", lambda g: checked.append(g.name) or real(g))
+    assert load_catalog_group("z2xz4").name == "z2xz4" and checked == ["z2xz4"]
 
 
 def test_invalid_group_rejected():
@@ -171,7 +179,7 @@ def coset_subgroups_reference(c: CayleyTable):
 
 def abelian_table(moduli) -> CayleyTable:
     name = "x".join(f"z{m}" for m in moduli)
-    return CayleyTable.from_json_dict(residua.generators._abelian_group(list(moduli)), name=name)
+    return residua.generators._abelian_group(list(moduli), name)
 
 
 def seeded_abelian_tables(count, seed=38):

@@ -10,7 +10,7 @@ import pytest
 import residua.laws
 import residua.residual
 from residua.bitset import bits, contains, mask_of
-from residua.errors import LatticeIntegrityError, NoBottom, NotALattice, NotBelow
+from residua.errors import LatticeIntegrityError, NotBelow
 from residua.generators import (
     boolean,
     chain,
@@ -19,7 +19,7 @@ from residua.generators import (
     generate,
     random_distributive,
 )
-from residua.lattice import FiniteLattice, as_lattice, build_poset, lattice_from_json
+from residua.lattice import FiniteLattice, build_poset, lattice_from_json
 from residua.laws import (
     REGISTRY,
     SUBSET_EXHAUSTIVE_BITS,
@@ -32,7 +32,6 @@ from residua.laws import (
     mutate_entry,
     run_all,
     run_law,
-    shrink,
 )
 from residua.residual import (
     classify_t,
@@ -409,34 +408,6 @@ def test_mutate_entry_rejects_values_outside_the_carrier(b3):
     assert mutate_entry(b3, "join", 3, 4, n - 1).join[3][4] == n - 1
 
 
-def test_shrink_of_passing_law_is_identity(b3):
-    rep = run_law(b3, LawId.CORE_RESIDUE_DECOMP)
-    lat, out = shrink(b3, LawId.CORE_RESIDUE_DECOMP, rep)
-    assert lat is b3 and out is rep
-
-
-def test_shrink_fault_on_b3_reaches_small_witness(b3):
-    # corrupt one meet entry; the integrity-sensitive law fails, then shrinks
-    mutated = mutate_entry(b3, "meet", 1, 2, b3.join2(1, 2))
-    rep = run_law(mutated, LawId.K_LOWER_SEMILATTICE)
-    assert rep.verdict == "fail"
-    small, small_rep = shrink(mutated, LawId.K_LOWER_SEMILATTICE, rep)
-    assert small_rep.verdict == "fail"
-    assert small.n <= 4
-    # replaying the law on the shrunk instance still fails
-    assert run_law(small, LawId.K_LOWER_SEMILATTICE).verdict == "fail"
-
-
-def test_shrink_keeps_already_minimal_witness():
-    L = chain(3)
-    mutated = mutate_entry(L, "join", 0, 1, 2)
-    rep = run_law(mutated, LawId.DOWNSET_UPPER_COMPLETE)
-    assert rep.verdict == "fail"
-    small, small_rep = shrink(mutated, LawId.DOWNSET_UPPER_COMPLETE, rep)
-    assert small_rep.verdict == "fail"
-    assert small.n <= L.n
-
-
 def test_law_subset_selection(div12):
     reports = run_all(div12, laws=[LawId.COHEYTING_JOIN, LawId.CORE_UNION])
     assert [r.law for r in reports] == ["coheyting_join", "core_union"]
@@ -671,33 +642,6 @@ def test_fast_paths_match_reference_laws(lattice_corpus, b3, monkeypatch):
     monkeypatch.setattr(residua.laws, "co_heyting_sub", co_heyting_scan)
     for L, fast in zip(lattice_corpus, fast_corpus):
         assert report_docs(L) == fast, L.provenance
-
-
-def order_distributive(L) -> bool:
-    try:
-        return as_lattice(L.poset).distributive
-    except (NotALattice, NoBottom):
-        return False
-
-
-def test_shrink_of_corrupted_coframe_law_judges_distributivity_by_the_order(b3):
-    """A corrupted join table makes the shrunk tables fail the triple
-    scan while their order stays distributive; the flag, which the closed
-    form of x - z relies on, follows the order, so the coframe law keeps
-    running on the shrunk candidates and the failure shrinks to 2 elements."""
-    mutated = mutate_entry(b3, "join", 0, 0, 3)
-    law = LawId.COHEYTING_JOIN
-    rep = run_law(mutated, law)
-    assert rep.verdict == "fail"
-    small, small_rep = shrink(mutated, law, rep)
-    assert small_rep.verdict == "fail" and run_law(small, law).verdict == "fail"
-    assert small.n == 2
-    assert small.distributive == order_distributive(small)
-    for key, m in single_entry_mutations(b3):
-        rep = run_law(m, LawId.MU_JOIN_HOM)
-        if rep.verdict == "fail":
-            small, _ = shrink(m, LawId.MU_JOIN_HOM, rep)
-            assert small.distributive == order_distributive(small), key
 
 
 def relabeled(L, seed):

@@ -50,7 +50,7 @@ from residua.lattice import (
     inclusion_lattice,
     lattice_from_json,
 )
-from residua.laws import _sublattice, mutate_entry
+from residua.laws import mutate_entry
 from residua.topology import FiniteTopology, closed_set_lattice
 
 from conftest import birkhoff_rows
@@ -335,19 +335,21 @@ def test_mutated_copies_keep_or_rebuild_the_meet_table():
         met = mutate_entry(L, "meet", i, j, value)
         assert met.meet[i][j] == value and met.meet_fault == (i, j)
         assert met.join == L.join
-        for copy in (mutate_entry(met, "join", j, i, L.join[j][i]), replace(met, bottom=L.top)):
+        for copy in (
+            mutate_entry(met, "join", j, i, L.join[j][i]),
+            replace(met, bottom=L.top),
+            replace(met, join_rows=met.join, meet_rows=met.meet),
+        ):
             assert copy.meet == met.meet and copy.meet_fault == (i, j)
-        keep = sorted(range(L.n))
-        assert _sublattice(met, keep).meet == met.meet
 
 
 def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
     """``as_lattice`` and ``inclusion_lattice`` return a lattice whose join
     table is built from the up rows on first read, so it has no fault:
     ``join_fault`` is None without building or scanning it.  Every copy
-    with its own rows scans them: a join-mutated copy and a
-    ``_sublattice`` copy, and a ``replace`` copy with a corrupted table
-    finds the fault; a plain ``replace`` copy builds its table too."""
+    with its own rows scans them: a join-mutated copy and a ``replace``
+    copy with a corrupted table find the fault, and one with its own clean
+    rows finds none; a plain ``replace`` copy builds its table too."""
     rng = random.Random(7)
     for L in (chain(5), boolean(3), divisor(60), subgroup_lattice(load_catalog_group("s3"))):
         assert L.join_fault is None and "join" not in vars(L), L.provenance
@@ -358,7 +360,7 @@ def test_join_tables_built_from_the_up_rows_skip_the_fault_scan():
         copies = [
             replace(L, provenance="copy"),
             mutate_entry(L, "join", i, j, value),
-            _sublattice(L, list(L.elements())),
+            replace(L, join_rows=L.join, meet_rows=L.meet),
             replace(L, join_rows=tuple(map(tuple, rows))),
         ]
         assert not any("join_fault" in vars(copy) for copy in copies), L.provenance

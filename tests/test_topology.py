@@ -3,6 +3,7 @@ import pytest
 from residua.bitset import bits, full_mask
 from residua.errors import NotT1, PreconditionFailed, TooLarge
 from residua.generators import boolean, chain, divisor
+from residua.lattice import lattice_from_json
 from residua.topology import (
     FiniteTopology,
     cb_sequence,
@@ -179,6 +180,47 @@ def test_order_compatible_nets_report_the_first_failing_pair():
     rep = check_order_compatible(L, t)
     assert not rep.monotone_nets_converge
     assert rep.witness == {"condition": "nets", "pair": [L.names[0], L.names[0]]}
+
+
+def nets_pair_loop(L, t):
+    """The first pair x <= y, row-major, with x or y outside its own
+    minimal neighbourhood, by the loop over every such pair."""
+    for x in L.elements():
+        for y in bits(L.up_set(x)):
+            if not (t.min_nbhd[x] >> x & 1 and t.min_nbhd[y] >> y & 1):
+                return {"condition": "nets", "pair": [L.names[x], L.names[y]]}
+    return None
+
+
+def test_order_compatible_nets_witness_matches_the_pair_loop():
+    """The nets witness is the pair loop's first failing pair, also when
+    its y is not x: on a chain whose top alone misses its neighbourhood
+    it is (bottom, top), and on random neighbourhoods over relabeled
+    lattices the two agree."""
+    L = chain(3)
+    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b001, 0b010, 0b001))
+    rep = check_order_compatible(L, t)
+    assert not rep.monotone_nets_converge
+    assert rep.witness == {"condition": "nets", "pair": [L.names[0], L.names[2]]}
+    rng = random.Random(40)
+    distinct = 0
+    for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
+        for seed in range(3):
+            doc = L.to_json_dict()
+            rng.shuffle(doc["elements"])
+            M = lattice_from_json(doc)
+            for _ in range(30):
+                nbhd = tuple(
+                    rng.getrandbits(M.n) | (1 << x if rng.random() < 0.85 else 0) for x in M.elements()
+                )
+                t = FiniteTopology(n=M.n, subbase=(), min_nbhd=nbhd)
+                want = nets_pair_loop(M, t)
+                rep = check_order_compatible(M, t)
+                assert rep.monotone_nets_converge == (want is None), (M.names, nbhd)
+                if want is not None:
+                    assert rep.witness == want, (M.names, nbhd)
+                    distinct += want["pair"][0] != want["pair"][1]
+    assert distinct > 0
 
 
 def test_residual_equals_cb_on_discrete():
