@@ -685,7 +685,6 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     up = tuple([reduce(and_, map(holders.__getitem__, ms), everything) for ms in members])
     down = tuple([reduce(and_, map(lacking.__getitem__, bits(points & ~m)), everything) for m in sets])
     poset = FinitePoset(n=len(sets), names=names, up=up, down=down)
-    poset.verify_axioms()
     return replace(as_lattice(poset, provenance=provenance), sets=sets)
 
 

@@ -37,10 +37,6 @@ class RankValue:
     def of(cls, k: int) -> "RankValue":
         return cls(finite=k)
 
-    @property
-    def is_omega(self) -> bool:
-        return self.finite is None
-
     def to_json(self):
         return "omega" if self.finite is None else {"finite": self.finite}
 

@@ -788,10 +788,6 @@ class S1S2Report:
             and self.uniform_side_dichotomy
         )
 
-    @property
-    def converse_all_isolated(self) -> bool:
-        return all(v for _, v in self.converse_samples)
-
     def to_json_dict(self) -> dict:
         return {
             "x": fmt_vec(self.x),

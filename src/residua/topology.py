@@ -2,22 +2,25 @@
 
 A finite topology is fully determined by the minimal open neighborhood
 N(x) of each point (the intersection of all subbase members containing
-x).  Openness, isolation, CB derivatives and the order-compatibility
-conditions are all answered through N(x), so spaces whose full open-set
-family is astronomically large (the discrete topology on 64 points) stay
-cheap.  The explicit open-set family is materialized lazily and only for
-small point counts.
+x).  Isolation, CB derivatives, closed sets and the order-compatibility
+conditions are all answered through N(x) and its transpose, the closure
+rows, so spaces whose full open-set family is astronomically large (the
+discrete topology on 64 points) stay cheap.  No open-set family is
+built: the closed sets are the masks closed under the closure rows,
+enumerated only for small point counts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Optional
 
 from .bitset import bits, contains, full_mask, mask_of
-from .errors import NotT1, PreconditionFailed, TooLarge
+from .errors import NotT1, PreconditionFailed
+from .generators import _downsets
 from .lattice import FiniteLattice, inclusion_lattice
 from .residual import (
     classify_t,
@@ -27,8 +30,6 @@ from .residual import (
     outcasts,
     residual_derivative,
 )
-
-_OPENS_MATERIALIZATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -43,32 +44,32 @@ class FiniteTopology:
     def from_subbase(cls, n: int, subbase: Iterable) -> "FiniteTopology":
         """Smallest topology containing the subbase.
 
-        Finite intersections of subbase members give the minimal
-        neighborhoods; arbitrary unions are implicit.
+        Each member is ANDed into the rows of its own points, which
+        leaves the minimal neighborhoods; arbitrary unions are implicit.
         """
-        masks = []
         everything = full_mask(n)
+        masks = set()
+        nbhd = [everything] * n
         for s in subbase:
             m = s if isinstance(s, int) else mask_of(s)
             if m & ~everything:
                 raise ValueError("subbase member mentions a point outside 0..n-1")
-            masks.append(m)
-        nbhd = []
-        for x in range(n):
-            acc = everything
-            for m in masks:
-                if contains(m, x):
-                    acc &= m
-            nbhd.append(acc)
-        return cls(n=n, subbase=tuple(sorted(set(masks))), min_nbhd=tuple(nbhd))
+            masks.add(m)
+            for x in bits(m):
+                nbhd[x] &= m
+        return cls(n=n, subbase=tuple(sorted(masks)), min_nbhd=tuple(nbhd))
+
+    @cached_property
+    def closure(self) -> tuple[int, ...]:
+        """``closure[x]`` is the closure of {x}: the points whose minimal
+        neighborhood holds x, the transpose of ``min_nbhd``."""
+        rows = [0] * self.n
+        for y, row in enumerate(self.min_nbhd):
+            for x in bits(row):
+                rows[x] |= 1 << y
+        return tuple(rows)
 
     # -- basic queries ----------------------------------------------------
-
-    def is_open(self, mask: int) -> bool:
-        return all(self.min_nbhd[x] & ~mask == 0 for x in bits(mask))
-
-    def is_closed(self, mask: int) -> bool:
-        return self.is_open(full_mask(self.n) & ~mask)
 
     @property
     def is_discrete(self) -> bool:
@@ -76,30 +77,8 @@ class FiniteTopology:
 
     @property
     def is_t1(self) -> bool:
-        """All singletons closed, i.e. no point sits in another's every neighborhood."""
-        return all(
-            self.is_closed(1 << x) for x in range(self.n)
-        )
-
-    @cached_property
-    def opens(self) -> tuple[int, ...]:
-        """The full open-set family, deduplicated and canonically sorted.
-
-        Every open set is the union of the minimal neighborhoods of its
-        points, so the family is enumerated from point subsets.  Capped:
-        the family can have 2^n members.
-        """
-        if self.n > _OPENS_MATERIALIZATION_CAP:
-            raise TooLarge(
-                f"open-set family materialization is capped at {_OPENS_MATERIALIZATION_CAP} points"
-            )
-        found = {0}
-        for t in range(1 << self.n):
-            acc = 0
-            for x in bits(t):
-                acc |= self.min_nbhd[x]
-            found.add(acc)
-        return tuple(sorted(found))
+        """All singletons closed: no closure row holds a point other than its own."""
+        return all(row & ~(1 << x) == 0 for x, row in enumerate(self.closure))
 
     # -- isolation and CB -------------------------------------------------
 
@@ -154,11 +133,7 @@ def dual_lawson(L: FiniteLattice) -> FiniteTopology:
     compact, and the result is discrete: {x} is the downset of x minus the
     downsets of its maximal subelements."""
     everything = full_mask(L.n)
-    subbase = []
-    for x in L.elements():
-        d = L.down_set(x)
-        subbase.append(d)
-        subbase.append(everything & ~d)
+    subbase = [row for d in L.poset.down for row in (d, everything & ~d)]
     return FiniteTopology.from_subbase(L.n, subbase)
 
 
@@ -196,79 +171,62 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
     continuity of the join map at every pair, with minimal neighborhoods
     standing in for arbitrary opens.  (iii) asks that the complement of
     the order relation be open in the product.
+
+    Each condition is a first-hit search whose witness is its first
+    failing pair, row-major; the report's witness is that of the first
+    failing condition.  The nets of x <= y fail iff x or y is outside its
+    own minimal neighborhood.  Join continuity fails at (x, z) when some
+    (x2, z2) in N(x) x N(z) joins outside N(x v z).  Order-closedness
+    fails at (x, z), x not <= z, when N(z) meets U(x), the OR of the up
+    rows over N(x), that is when z is in the closure row of a point of
+    U(x).
     """
     if L.n != t.n:
         raise ValueError("topology and lattice have different carriers")
-    witness = None
+    nets, join, order = _nets_witness(L, t), _join_witness(L, t), _order_witness(L, t)
+    return OrderCompatReport(nets is None, join is None, order is None, nets or join or order)
 
-    # The nets (y, x, x, ...) and (x, y, y, ...) of x <= y fail iff x or y is bad.
+
+def _nets_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
     bad = sum(1 << x for x in L.elements() if not contains(t.min_nbhd[x], x))
     for x in L.elements():
         failing = L.up_set(x) if contains(bad, x) else L.up_set(x) & bad
         if failing:
-            witness = {"condition": "nets", "pair": [L.names[x], L.names[next(bits(failing))]]}
-            break
-    nets_ok = witness is None
+            return {"condition": "nets", "pair": [L.names[x], L.names[next(bits(failing))]]}
+    return None
 
-    join_ok = True
-    for x in L.elements():
-        if not join_ok:
-            break
-        for z in L.elements():
-            target = t.min_nbhd[L.join2(x, z)]
-            for x2 in bits(t.min_nbhd[x]):
-                for z2 in bits(t.min_nbhd[z]):
-                    if not contains(target, L.join2(x2, z2)):
-                        join_ok = False
-                        witness = witness or {
-                            "condition": "join_continuity",
-                            "pair": [L.names[x], L.names[z]],
-                            "at": [L.names[x2], L.names[z2]],
-                        }
-                        break
-                if not join_ok:
-                    break
-            if not join_ok:
-                break
 
-    order_ok = True
-    up_union = []
+def _join_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
+    nbhd, join = t.min_nbhd, L.join
+    members = [tuple(bits(row)) for row in nbhd]
     for x in L.elements():
-        acc = 0
-        for x2 in bits(t.min_nbhd[x]):
-            acc |= L.up_set(x2)
-        up_union.append(acc)
-    for x in L.elements():
-        if not order_ok:
-            break
-        for z in L.elements():
-            if L.leq(x, z):
-                continue
-            # (x, z) is in the complement of <=; its product neighborhood
-            # N(x) x N(z) must avoid <= entirely.
-            if t.min_nbhd[z] & up_union[x]:
-                order_ok = False
-                witness = witness or {
-                    "condition": "order_closed",
-                    "pair": [L.names[x], L.names[z]],
-                }
-                break
+        for z, xz in enumerate(join[x]):
+            target = nbhd[xz]
+            for x2 in members[x]:
+                row = join[x2]
+                for z2 in members[z]:
+                    if not target >> row[z2] & 1:
+                        pair, at = [L.names[x], L.names[z]], [L.names[x2], L.names[z2]]
+                        return {"condition": "join_continuity", "pair": pair, "at": at}
+    return None
 
-    return OrderCompatReport(
-        monotone_nets_converge=nets_ok,
-        join_continuous=join_ok,
-        order_closed=order_ok,
-        witness=witness,
-    )
+
+def _order_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
+    up, closure = L.poset.up, t.closure
+    for x in L.elements():
+        near = reduce(or_, map(up.__getitem__, bits(t.min_nbhd[x])), 0)
+        failing = reduce(or_, map(closure.__getitem__, bits(near)), 0) & ~up[x]
+        if failing:
+            return {"condition": "order_closed", "pair": [L.names[x], L.names[next(bits(failing))]]}
+    return None
 
 
 def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
     """The lattice of closed sets ordered by inclusion; ``sets[i]`` is the
-    closed set (a point bitmask) that element ``i`` stands for."""
-    everything = full_mask(t.n)
+    closed set (a point bitmask) that element ``i`` stands for.  A set is
+    closed iff it holds the closure row of each of its points."""
     points = tuple(str(x) for x in range(t.n))
-    closeds = {everything & ~o for o in t.opens}
-    return inclusion_lattice(closeds, points, f"closed_sets(points={t.n})")
+    return inclusion_lattice(_downsets(t.closure), points, f"closed_sets(points={t.n})")
 
 
 @dataclass(frozen=True)

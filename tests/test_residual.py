@@ -524,7 +524,7 @@ def test_generic_engine_cross_checks_testbed_closed_form():
 def test_rank_value_json():
     assert RankValue.of(3).to_json() == {"finite": 3}
     assert OMEGA.to_json() == "omega"
-    assert OMEGA.is_omega and not RankValue.of(0).is_omega
+    assert OMEGA.finite is None and RankValue.of(0).finite == 0
 
 
 def test_profile_json_schema(chain3):

@@ -586,7 +586,7 @@ def test_s1s2_above_full_pass(cf2):
     rep = cf2.check_s1s2_above((INF, 0), (0, 0), bound=8)
     assert rep.all_clauses_pass
     assert rep.outcast_clause_vacuous
-    assert rep.converse_all_isolated
+    assert all(v for _, v in rep.converse_samples)
     assert len(rep.converse_samples) == 9
     doc = rep.to_json_dict()
     assert doc["clauses"]["iii_relative_rank_omega"]

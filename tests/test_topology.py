@@ -1,6 +1,6 @@
 import pytest
 
-from residua.bitset import bits, full_mask
+from residua.bitset import bits, contains, full_mask
 from residua.errors import NotT1, PreconditionFailed, TooLarge
 from residua.generators import boolean, chain, divisor
 from residua.lattice import lattice_from_json
@@ -18,35 +18,49 @@ from residua.topology import (
 import random
 
 
+def opens(t):
+    """The full open-set family, sorted.  Every open set is the union of
+    the minimal neighborhoods of its points, so the family is enumerated
+    from point subsets: 2^n of them."""
+    found = {0}
+    for s in range(1 << t.n):
+        acc = 0
+        for x in bits(s):
+            acc |= t.min_nbhd[x]
+        found.add(acc)
+    return tuple(sorted(found))
+
+
 def isolated_oracle(t, s):
     """Per-point scan over the materialized open family."""
     out = 0
+    family = opens(t)
     for x in bits(s):
-        if any(o & s == 1 << x for o in t.opens):
+        if any(o & s == 1 << x for o in family):
             out |= 1 << x
     return out
 
 
 def verify_closure_properties(t):
     """Exhaustively confirm closure under union and finite intersection."""
-    opens = set(t.opens)
-    if 0 not in opens or full_mask(t.n) not in opens:
+    family = set(opens(t))
+    if 0 not in family or full_mask(t.n) not in family:
         raise AssertionError("topology must contain the empty set and the space")
-    for a in opens:
-        for b in opens:
-            if a | b not in opens or a & b not in opens:
+    for a in family:
+        for b in family:
+            if a | b not in family or a & b not in family:
                 raise AssertionError("open family not closed under union/intersection")
 
 
 def test_sierpinski():
     t = FiniteTopology.from_subbase(2, [[0]])
-    assert set(t.opens) == {0, 0b01, 0b11}
+    assert set(opens(t)) == {0, 0b01, 0b11}
     assert t.isolated_points(0b11) == 0b01
 
 
 def test_indiscrete():
     t = FiniteTopology.from_subbase(3, [])
-    assert set(t.opens) == {0, 0b111}
+    assert set(opens(t)) == {0, 0b111}
     assert t.isolated_points(0b111) == 0
     assert cb_sequence(t).rank == 0
     assert cb_sequence(t).levels == (0b111,)
@@ -54,7 +68,7 @@ def test_indiscrete():
 
 def test_discrete_from_singletons():
     t = FiniteTopology.from_subbase(4, [[i] for i in range(4)])
-    assert len(t.opens) == 16
+    assert len(opens(t)) == 16
     assert t.is_discrete
     assert t.isolated_points(full_mask(4)) == full_mask(4)
 
@@ -106,8 +120,8 @@ def test_dual_lawson_discrete_small(b2, chain3):
     for L in (b2, chain3, divisor(12), boolean(3)):
         t = dual_lawson(L)
         assert t.is_discrete
-    assert len(dual_lawson(chain3).opens) == 8
-    assert len(dual_lawson(b2).opens) == 16
+    assert len(opens(dual_lawson(chain3))) == 8
+    assert len(opens(dual_lawson(b2))) == 16
 
 
 def test_dual_lawson_discrete_on_64_elements():
@@ -131,7 +145,7 @@ def test_downset_compact_by_finite_subcover(chain3, b2):
         t = dual_lawson(L)
         for x in L.elements():
             target = L.down_set(x)
-            cover = [o for o in t.opens if o & target]
+            cover = [o for o in opens(t) if o & target]
             chosen = []
             remaining = target
             for o in cover:
@@ -192,6 +206,91 @@ def nets_pair_loop(L, t):
     return None
 
 
+def order_compat_pair_loops(L, t):
+    """The three conditions by loops over every pair, each stopping at its
+    first failing pair, row-major: the flags (nets, join continuity,
+    order-closedness) and the first failing condition's witness."""
+    nbhd = t.min_nbhd
+    nets = nets_pair_loop(L, t)
+    join = next(
+        (
+            {
+                "condition": "join_continuity",
+                "pair": [L.names[x], L.names[z]],
+                "at": [L.names[x2], L.names[z2]],
+            }
+            for x in L.elements()
+            for z in L.elements()
+            for x2 in bits(nbhd[x])
+            for z2 in bits(nbhd[z])
+            if not contains(nbhd[L.join2(x, z)], L.join2(x2, z2))
+        ),
+        None,
+    )
+    up_union = [0] * L.n
+    for x in L.elements():
+        for x2 in bits(nbhd[x]):
+            up_union[x] |= L.up_set(x2)
+    order = next(
+        (
+            {"condition": "order_closed", "pair": [L.names[x], L.names[z]]}
+            for x in L.elements()
+            for z in L.elements()
+            if not L.leq(x, z) and nbhd[z] & up_union[x]
+        ),
+        None,
+    )
+    return (nets is None, join is None, order is None), nets or join or order
+
+
+def relabeled(L, rng):
+    doc = L.to_json_dict()
+    rng.shuffle(doc["elements"])
+    return lattice_from_json(doc)
+
+
+def test_order_compatible_matches_the_pair_loops():
+    """All three flags and the witness agree with the pair loops on
+    relabeled lattices, over random neighbourhood tuples (some missing
+    their own point) and over topologies from random subbases drawn from
+    random masks, up sets, down sets and their complements."""
+    rng = random.Random(41)
+    flags, conditions, cases = set(), set(), 0
+    for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
+        for _ in range(3):
+            M = relabeled(L, rng)
+            full = full_mask(M.n)
+            rows = [row for x in M.elements() for row in (M.up_set(x), M.down_set(x))]
+            rows += [full & ~row for row in rows]
+            for k in range(360):
+                if k % 2:
+                    nbhd = tuple(
+                        rng.getrandbits(M.n) | (1 << x if rng.random() < 0.9 else 0)
+                        for x in M.elements()
+                    )
+                    t = FiniteTopology(n=M.n, subbase=(), min_nbhd=nbhd)
+                else:
+                    members = rng.sample(rows, rng.randint(0, len(rows) // 2))
+                    members += [rng.getrandbits(M.n) for _ in range(rng.randint(0, 2))]
+                    t = FiniteTopology.from_subbase(M.n, members)
+                want_flags, want = order_compat_pair_loops(M, t)
+                rep = check_order_compatible(M, t)
+                got = (rep.monotone_nets_converge, rep.join_continuous, rep.order_closed)
+                assert got == want_flags and rep.witness == want, (M.names, t.min_nbhd)
+                flags.add(got)
+                conditions.add(want and want["condition"])
+                cases += 1
+    assert cases >= 5000
+    assert conditions == {None, "nets", "join_continuity", "order_closed"}
+    assert flags >= {
+        (True, True, True),
+        (True, True, False),
+        (True, False, False),
+        (False, True, False),
+        (False, False, False),
+    }, flags
+
+
 def test_order_compatible_nets_witness_matches_the_pair_loop():
     """The nets witness is the pair loop's first failing pair, also when
     its y is not x: on a chain whose top alone misses its neighbourhood
@@ -206,9 +305,7 @@ def test_order_compatible_nets_witness_matches_the_pair_loop():
     distinct = 0
     for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
         for seed in range(3):
-            doc = L.to_json_dict()
-            rng.shuffle(doc["elements"])
-            M = lattice_from_json(doc)
+            M = relabeled(L, rng)
             for _ in range(30):
                 nbhd = tuple(
                     rng.getrandbits(M.n) | (1 << x if rng.random() < 0.85 else 0) for x in M.elements()
@@ -254,10 +351,34 @@ def test_closed_set_lattice_matches_powerset_on_discrete():
             assert closeds[lat.join2(index[a], index[b])] == a | b
 
 
-def test_opens_materialization_cap():
-    t = FiniteTopology.from_subbase(30, [[i] for i in range(30)])
-    with pytest.raises(TooLarge):
-        t.opens
+def test_closed_sets_agree_with_the_open_family():
+    """The closed sets, enumerated on the closure rows, are the
+    complements of the open family, and the space is T1 iff each
+    singleton's complement is open, on random subbases over 0-6 points."""
+    rng = random.Random(41)
+    t1 = 0
+    for _ in range(1200):
+        n = rng.randint(0, 6)
+        subbase = [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))]
+        if rng.random() < 0.3:
+            subbase += [1 << x for x in range(n) if rng.random() < 0.8]
+        t = FiniteTopology.from_subbase(n, subbase)
+        family = opens(t)
+        want = {full_mask(n) & ~o for o in family}
+        sets = closed_set_lattice(t).sets
+        assert len(sets) == len(want) and set(sets) == want, (n, subbase)
+        assert list(sets) == sorted(want, key=lambda m: (m.bit_count(), m))
+        is_t1 = all(full_mask(n) & ~(1 << x) in family for x in range(n))
+        assert t.is_t1 == is_t1, (n, subbase)
+        t1 += is_t1 and n > 1
+    assert 100 < t1 < 1100
+
+
+def test_closed_set_enumeration_cap():
+    for n in (21, 30):
+        t = FiniteTopology.from_subbase(n, [[i] for i in range(n)])
+        with pytest.raises(TooLarge):
+            closed_set_lattice(t)
 
 
 def test_locally_constant_core_on_discrete(chain3):
