@@ -10,10 +10,12 @@ seeded random distributive lattices for fuzzing the law suite.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bitset import bits, mask_of, popcount
 from .errors import InvalidGroup, TooLarge
@@ -21,6 +23,7 @@ from .lattice import (
     LATTICE_SIZE_CAP,
     FiniteLattice,
     FinitePoset,
+    _hasse_poset,
     as_lattice,
     build_poset,
     inclusion_lattice,
@@ -145,26 +148,39 @@ def _is_index(v) -> bool:
 def _generators(t, e: int) -> list[int]:
     """A generating set of the magma with table ``t`` and identity ``e``,
     picked greedily in index order: each element outside the closure of
-    those picked so far joins them.  The closure grows in O(n^2) reads
-    over the whole run, since each ordered pair of members is multiplied
-    once: a new member x is multiplied by every earlier member u and by
-    itself, both ways (x·u and u·x)."""
-    members, inside, picked = [e], 1 << e, []
+    those picked so far joins them.
+
+    The closure is grown under right multiplication by the picks: each
+    member x is multiplied by each pick s once, as x·s, which is O(n·|S|)
+    reads over the run.  That gives the left-normed products
+    ``((e·s1)·s2)···sk`` of picks, and each lies in the submagma the
+    picks generate, so once the members cover the table the picks
+    generate it.  After each pick the members are checked closed under
+    all products, one C-level gather per member; a product found outside
+    joins them and is grown in turn, so the members are exactly the
+    submagma that e and the picks generate, on any table.  On an
+    associative table the check finds nothing: for members x and
+    ``y = ((e·s1)···)·sk``, ``x·y = ((x·s1)···)·sk`` is a member."""
+    members, inside, picked = [e], {e}, []
     for g in range(len(t)):
-        if inside >> g & 1:
+        if g in inside:
             continue
         picked.append(g)
-        inside |= 1 << g
-        todo = [g]
-        while todo:
-            x = todo.pop()
-            members.append(x)
-            row = t[x]
-            for u in members:
-                for v in (row[u], t[u][x]):
-                    if not inside >> v & 1:
-                        inside |= 1 << v
-                        todo.append(v)
+        fresh = {t[x][g] for x in members} - inside
+        while fresh:
+            inside |= fresh
+            members += fresh
+            todo = list(fresh)
+            while todo:
+                row = t[todo.pop()]
+                for s in picked:
+                    y = row[s]
+                    if y not in inside:
+                        inside.add(y)
+                        members.append(y)
+                        todo.append(y)
+            take = itemgetter(*members)
+            fresh = inside.union(*map(take, map(t.__getitem__, members))) - inside
     return picked
 
 
@@ -184,11 +200,13 @@ def _abelian_group(moduli: list[int], name: str = "group") -> CayleyTable:
     identity is 0.  The table is built one factor at a time: the element
     with index a in the first factors and r in Z/m has index a*m + r, a
     mixed-radix number, so the sum of a*m + r and b*m + s is
-    ``table[a][b]*m + (r + s) % m``."""
-    table = [(0,)]
+    ``table[a][b]*m + (r + s) % m``.  For c = table[a][b], those m
+    entries are the block c*m .. c*m + m - 1 rotated left by r: a slice
+    of that block written twice."""
+    table, concat = [(0,)], itertools.chain.from_iterable
     for m in moduli:
-        cyclic = [[(r + s) % m for s in range(m)] for r in range(m)]
-        table = [tuple(x * m + y for x in row for y in sums) for row in table for sums in cyclic]
+        doubled = [tuple(range(c * m, c * m + m)) * 2 for c in range(len(table))]
+        table = [tuple(concat([doubled[c][r : r + m] for c in row])) for row in table for r in range(m)]
     group = CayleyTable(order=len(table), table=tuple(table), identity=0, name=name)
     group.validate()
     return group
@@ -328,55 +346,75 @@ def frattini(c: CayleyTable) -> FrattiniResult:
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The divisors of a positive n, ascending, from its factorization;
+    none for n below 1."""
+    return _divisors(_factorization(n)) if n > 0 else []
 
 
-def _primes(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending, by trial division."""
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e), p ascending, with p^e the largest power of the
+    prime p dividing n, by trial division."""
     out, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:
-            out.append(p)
+            e = 0
             while m % p == 0:
                 m //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return out
+
+
+def _divisors(factors: list[tuple[int, int]]) -> list[int]:
+    """The divisors of the number with this factorization, ascending."""
+    divs = [1]
+    for p, e in factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n."""
-    return math.prod(_primes(n))
+    return math.prod(p for p, _ in _factorization(n))
 
 
-def _divisibility_rows(n: int, divs: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Up and down rows of divisibility on ``divs``, the divisors of n in
-    ascending order, which is a linear extension of it.  The up row of d
-    is its bit ORed with the up rows of the d*p, for each prime p with
-    d*p dividing n, built in reverse index order; the down row of d is
-    its bit ORed with the down rows of the d/p, built in index order."""
+def _divisibility_rows(n: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The divisors of n in ascending order, a linear extension of
+    divisibility, with their up and down rows and their lower and upper
+    covers under divisibility, all from one factorization of n.
+
+    d*p covers d for each prime p with d*p dividing n, and these are all
+    the covers: any divisor strictly between d and a multiple m of d is
+    d times a proper divisor of m/d, so only a prime m/d leaves none.  The
+    up row of d is its bit ORed with the up rows of its upper covers,
+    built in reverse index order; the down row is its bit ORed with the
+    down rows of its lower covers, the d/p, built in index order."""
+    factors = _factorization(n)
+    primes = [p for p, _ in factors]
+    divs = _divisors(factors)
     at = {d: i for i, d in enumerate(divs)}
-    primes = _primes(n)
-    up = [1 << i for i in range(len(divs))]
-    down = up.copy()
-    for i, d in reversed(list(enumerate(divs))):
+    size = len(divs)
+    up, down, lower, upper = [0] * size, [0] * size, [0] * size, [0] * size
+    below = [[] for _ in divs]  # below[j]: the indices of the d/p
+    for i in range(size - 1, -1, -1):
+        d, row, covers = divs[i], 1 << i, 0
         for p in primes:
-            if n % (d * p) == 0:
-                up[i] |= up[at[d * p]]
-    for i, d in enumerate(divs):
-        for p in primes:
-            if d % p == 0:
-                down[i] |= down[at[d // p]]
-    return tuple(up), tuple(down)
+            j = at.get(d * p)
+            if j is not None:
+                row |= up[j]
+                covers |= 1 << j
+                below[j].append(i)
+        up[i], upper[i] = row, covers
+    for j, covered in enumerate(below):
+        row, covers = 1 << j, 0
+        for i in covered:
+            row |= down[i]
+            covers |= 1 << i
+        down[j], lower[j] = row, covers
+    return divs, up, down, lower, upper
 
 
 def ideal_lattice_zn(n: int) -> FiniteLattice:
@@ -384,16 +422,16 @@ def ideal_lattice_zn(n: int) -> FiniteLattice:
 
     dZ/n is contained in eZ/n iff e divides d, so the top is (1) = R and
     the bottom is (n) = {0}.  Element ``i`` is the ideal generated by
-    ``divisors(n)[i]``.  The ideal order is reverse divisibility, so its
-    up rows are the down rows of ``_divisibility_rows`` and its down rows
-    the up rows.
+    ``divisors(n)[i]``.  The ideal order is reverse divisibility, so the
+    rows and covers of ``_divisibility_rows`` swap: its up rows are the
+    down rows of divisibility, and the ideals an ideal covers are the
+    d*p, the upper covers of d under divisibility.
     """
     if not 2 <= n <= ZN_CAP:
         raise TooLarge(f"n must be between 2 and {ZN_CAP}")
-    divs = divisors(n)
+    divs, below, above, _, covers = _divisibility_rows(n)
     names = tuple(f"({d})" for d in divs)
-    below, above = _divisibility_rows(n, divs)
-    poset = FinitePoset(n=len(divs), names=names, up=above, down=below)
+    poset = _hasse_poset(names, above, below, covers)
     return as_lattice(poset, provenance=f"ideal_lattice_zn({n})")
 
 
@@ -422,13 +460,15 @@ def jacobson_zn(n: int) -> JacobsonResult:
 
 def chain(k: int) -> FiniteLattice:
     """The k-element chain 0 < 1 < ... < k-1.  Its rows are arithmetic:
-    ``up[i]`` holds the bits i..k-1 and ``down[i]`` the bits 0..i."""
+    ``up[i]`` holds the bits i..k-1 and ``down[i]`` the bits 0..i, and
+    the one lower cover of i > 0 is i-1."""
     if not 1 <= k <= LATTICE_SIZE_CAP:
         raise TooLarge(f"chain size must be between 1 and {LATTICE_SIZE_CAP}")
     full = (1 << k) - 1
-    up = tuple(full >> i << i for i in range(k))
-    down = tuple((2 << i) - 1 for i in range(k))
-    poset = FinitePoset(n=k, names=tuple(map(str, range(k))), up=up, down=down)
+    up = [full >> i << i for i in range(k)]
+    down = [(2 << i) - 1 for i in range(k)]
+    covers = [0] + [1 << i for i in range(k - 1)]
+    poset = _hasse_poset(tuple(map(str, range(k))), up, down, covers)
     return as_lattice(poset, provenance=f"chain({k})")
 
 
@@ -469,35 +509,41 @@ def boolean(k: int) -> FiniteLattice:
 
 def divisor(n: int) -> FiniteLattice:
     """Divisors of n under divisibility; meet is gcd, join is lcm.  The
-    rows come from ``_divisibility_rows``."""
+    rows and covers come from ``_divisibility_rows``."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ZN_CAP:
         raise TooLarge(f"n must be at most {ZN_CAP}")
-    divs = divisors(n)
+    divs, up, down, covers, _ = _divisibility_rows(n)
     if len(divs) > LATTICE_SIZE_CAP:
         raise TooLarge("too many divisors")
-    up, down = _divisibility_rows(n, divs)
-    poset = FinitePoset(n=len(divs), names=tuple(map(str, divs)), up=up, down=down)
+    poset = _hasse_poset(tuple(map(str, divs)), up, down, covers)
     return as_lattice(poset, provenance=f"divisor({n})")
 
 
 def product(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
     """Componentwise-ordered product lattice; element (i, j) has index
-    ``i * b.n + j``."""
+    ``i * b.n + j``.  Its rows and its Hasse diagram come from the
+    factors': (i, j) covers (i', j) for each i' that i covers, and (i, j')
+    for each j' that j covers."""
     if a.n * b.n > LATTICE_SIZE_CAP:
         raise TooLarge(f"product exceeds the size cap {LATTICE_SIZE_CAP}")
     names = tuple(f"({x},{y})" for x in a.names for y in b.names)
 
-    def rows(a_rows, b_rows):
+    def spread(rows):
         # spread(m) has bit k*b.n for each k in m.  A row of b is below
         # 2^b.n, so spread(m) * row is that row shifted into each of those
-        # blocks, without carries.
-        spread = [sum(1 << (k * b.n) for k in bits(m)) for m in a_rows]
-        return tuple(s * r for s in spread for r in b_rows)
+        # blocks, without carries, and spread(m) << j is bit j of each.
+        return [sum(1 << (k * b.n) for k in bits(m)) for m in rows]
 
-    up, down = rows(a.poset.up, b.poset.up), rows(a.poset.down, b.poset.down)
-    poset = FinitePoset(n=a.n * b.n, names=names, up=up, down=down)
+    up = [s * r for s in spread(a.poset.up) for r in b.poset.up]
+    down = [s * r for s in spread(a.poset.down) for r in b.poset.down]
+    covers = [
+        s << j | c << (i * b.n)
+        for i, s in enumerate(spread(a.poset.lower_covers))
+        for j, c in enumerate(b.poset.lower_covers)
+    ]
+    poset = _hasse_poset(names, up, down, covers)
     return as_lattice(
         poset, provenance=f"product({a.provenance},{b.provenance})"
     )

@@ -4,8 +4,13 @@ Order relations are stored as full reflexive-transitive closures, one
 bit-packed row per element, so order queries are O(1) word operations.
 The rows are built whole: ``build_poset`` closes a relation in one
 topological pass, and inclusion and product lattices form their rows
-from set and factor rows.  The axiom check keeps the Hasse diagram it
-finds (``upper_covers``, ``lower_covers``).
+from set and factor rows.  A generator whose rows are a partial order
+by construction hands over its Hasse diagram (``lower_covers``) with
+them (``_hasse_poset``), and so does ``inclusion_lattice`` for a family
+that is the closed sets of a preorder on its points; no axiom check
+runs on those rows.  Any other poset derives its lower covers with the
+axiom check (``verify_axioms``) on first read.  ``upper_covers`` is
+their transpose.
 
 A lattice is certified at construction, on its order rows, and both
 tables are built on first read.  The certificate rests on one fact: in
@@ -83,7 +88,7 @@ class FinitePoset:
     def verify_axioms(self) -> None:
         """Check that ``up`` is a partial order and ``down`` its transpose,
         with one row OR per Hasse edge for each, and keep the Hasse
-        diagram found on the way as ``upper_covers`` and ``lower_covers``.
+        diagram found on the way as ``lower_covers``.
 
         Row i passes when ``up[i] & down[i]`` is ``{i}`` and ``up[i]``
         minus i is exactly the union of the up rows of the minimal
@@ -108,13 +113,13 @@ class FinitePoset:
         n, up, down = self.n, self.up, self.down
         # below[c]: c plus the down rows of the elements whose climb found c
         below = [1 << c for c in range(n)]
-        upper_covers, lower_covers = [0] * n, [0] * n
+        lower_covers = [0] * n
         for i, row in enumerate(up):
             bit = 1 << i
             if row & down[i] != bit:
                 return self._axiom_scan()
             rest = row ^ bit
-            covered = covers = 0
+            covered = 0
             while rest:
                 cand = rest
                 while True:
@@ -124,16 +129,13 @@ class FinitePoset:
                         break
                     cand = lower
                 covered |= up[c]
-                covers |= 1 << c
                 below[c] |= down[i]
                 lower_covers[c] |= bit
                 rest &= ~(up[c] | 1 << c)
             if covered != row ^ bit:
                 return self._axiom_scan()
-            upper_covers[i] = covers
         if below != list(down):
             return self._axiom_scan()
-        vars(self)["upper_covers"] = tuple(upper_covers)
         vars(self)["lower_covers"] = tuple(lower_covers)
 
     def _axiom_scan(self) -> None:
@@ -167,19 +169,26 @@ class FinitePoset:
                 )
 
     @cached_property
-    def upper_covers(self) -> tuple[int, ...]:
-        """``upper_covers[x]`` is the bitmask of the elements that cover x.
-        ``verify_axioms`` keeps them; a poset made without it runs it on
-        first read, which raises on rows that are no partial order."""
-        self.verify_axioms()
-        return vars(self)["upper_covers"]
-
-    @cached_property
     def lower_covers(self) -> tuple[int, ...]:
-        """``lower_covers[x]`` is the bitmask of the elements x covers, the
-        transpose of ``upper_covers``, kept by ``verify_axioms`` with it."""
+        """``lower_covers[x]`` is the bitmask of the elements x covers.  A
+        poset built by construction holds them from the start
+        (``_hasse_poset``); any other runs ``verify_axioms`` on first
+        read, which keeps them, or raises on rows that are no partial
+        order."""
         self.verify_axioms()
         return vars(self)["lower_covers"]
+
+    @cached_property
+    def upper_covers(self) -> tuple[int, ...]:
+        """``upper_covers[x]`` is the bitmask of the elements that cover x:
+        the transpose of ``lower_covers``, built on first read.  Only the
+        meet table reads it."""
+        upper = [0] * self.n
+        for y, row in enumerate(self.lower_covers):
+            bit = 1 << y
+            for x in bits(row):
+                upper[x] |= bit
+        return tuple(upper)
 
     @cached_property
     def irreducibles(self) -> int:
@@ -283,6 +292,16 @@ def build_poset(
             down[b] |= down[a]
     poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
     poset.verify_axioms()
+    return poset
+
+
+def _hasse_poset(names: tuple[str, ...], up, down, lower_covers=None) -> FinitePoset:
+    """A poset on rows that are a partial order by construction, holding
+    the Hasse diagram its builder knows as ``lower_covers``: no axiom
+    check runs on it.  Without covers it is a plain ``FinitePoset``."""
+    poset = FinitePoset(n=len(names), names=names, up=tuple(up), down=tuple(down))
+    if lower_covers is not None:
+        vars(poset)["lower_covers"] = tuple(lower_covers)
     return poset
 
 
@@ -669,6 +688,12 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     up row is the AND of its points' holders, and its down row the AND of
     the complements of the holders of the points it lacks, each one
     ``reduce`` over the rows.
+
+    When the family is the closed sets of a preorder on the points, as
+    every downset and closed-set family is, its Hasse diagram is read
+    off the family (``_closed_set_covers``) and no axiom check runs on
+    its rows; any other family, such as a subgroup lattice, derives it
+    with the axiom check.
     """
     sets = tuple(sorted(sorted(sets), key=int.bit_count))  # stable: (size, value) order
     points = _union_of_sets(sets, point_names)
@@ -684,8 +709,64 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     lacking = [everything ^ row for row in holders]
     up = tuple([reduce(and_, map(holders.__getitem__, ms), everything) for ms in members])
     down = tuple([reduce(and_, map(lacking.__getitem__, bits(points & ~m)), everything) for m in sets])
-    poset = FinitePoset(n=len(sets), names=names, up=up, down=down)
+    covers = _closed_set_covers(sets, members, holders)
+    poset = _hasse_poset(names, up, down, covers)
     return replace(as_lattice(poset, provenance=provenance), sets=sets)
+
+
+def _closed_set_covers(sets, members, holders) -> Optional[list[int]]:
+    """The lower covers of a family of distinct sets in (size, value)
+    order, read off the family when it is the closed sets of a preorder
+    on its points, or None.  ``holders[q]`` is the mask of the sets that
+    hold point q.
+
+    The row ``r(q)`` of a point q is the first set holding q, and U(x)
+    is the set of points whose rows hold x.  Call y strictly above x when
+    x lies in r(y) but y not in r(x): then r(x) comes strictly before
+    r(y), so the relation has no cycle, and every nonempty set has a top
+    point, one with no point of the set strictly above it.  The rule: C
+    covers ``C - U(x)`` for each top point x of C.  It is read when the
+    first set is empty and every such ``C - U(x)`` is in the family;
+    otherwise this returns None and the axiom check derives the covers.
+
+    Why it holds.  (1) Every set C holds the rows of its points, by
+    induction in family order.  For a top point x of C, a point of C
+    outside U(x) lies in ``C - U(x)``, an earlier set; a point y of C in
+    U(x) has r(y) = r(x), as each row holds the other point.  To see
+    that r(x), an earlier set unless it is C, lies in C, take from the
+    current set, starting at C, the U(t) of a top point t outside r(x),
+    while it has points outside r(x).  Such a t exists: going up from a
+    point outside r(x) stays outside it, since r(x) holds the rows of its
+    points.  Each step keeps x, which is in U(t) only if t is in r(x),
+    and gives a set of the family; the last one holds x and lies in
+    r(x), the first set holding x, so it is r(x).  (2) So each row, a set, holds the rows of its points: the rows are a
+    preorder.  (3) A set strictly between ``C - U(x)`` and C holds a
+    point of U(x) in C, so its row r(x), so all of C.  And a set E just
+    below C is one of them: a top point x of C outside E, reached from a
+    point of ``C - E`` by going up, has no point of U(x) in E, which
+    would bring x in with its row, so E lies in ``C - U(x)``.  The work
+    is one mask test per member and one dict lookup per top point.
+    """
+    if not sets or sets[0]:
+        return None
+    rows = [sets[(h & -h).bit_length() - 1] if h else 0 for h in holders]
+    up = [0] * len(rows)
+    for y, row in enumerate(rows):
+        for x in bits(row):
+            up[x] |= 1 << y
+    above = [u & ~row for u, row in zip(up, rows)]  # strictly above x
+    at = {m: i for i, m in enumerate(sets)}
+    lower = []
+    for m, ms in zip(sets, members):
+        row = 0
+        for x in ms:
+            if not above[x] & m:  # a top point of m
+                j = at.get(m & ~up[x])
+                if j is None:
+                    return None
+                row |= 1 << j
+        lower.append(row)
+    return lower
 
 
 def _union_of_sets(sets: tuple[int, ...], point_names: Sequence[str]) -> int:

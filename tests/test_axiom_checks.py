@@ -6,9 +6,10 @@ above each element, and ``CayleyTable.validate`` runs Light's
 associativity test on a generating set; each replays its full scan on a
 failure, so the first fault it names is the scan's.  ``_downsets`` and
 ``_abelian_group`` build their lists by an OR closure over masks and a
-product of cyclic tables.  The references below are the bodies they
-replaced.  (Birkhoff's criterion on the join-irreducible rows is checked
-against the all-pairs form in ``test_order_core``.)
+product of cyclic tables, and ``_generators`` grows its closure under
+right multiplication by the picks.  The references below are the
+bodies they replaced.  (Birkhoff's criterion on the join-irreducible
+rows is checked against the all-pairs form in ``test_order_core``.)
 """
 
 import itertools
@@ -111,6 +112,29 @@ def closure(t, gens) -> int:
         if not more:
             return sum(1 << m for m in members)
         members |= more
+
+
+def two_sided_generators(t, e: int) -> list[int]:
+    """The greedy generating set with its closure grown by multiplying
+    each new member x by every earlier member u and by itself, both ways
+    (x·u and u·x), O(n^2) reads: the loop ``_generators`` replaced."""
+    members, inside, picked = [e], 1 << e, []
+    for g in range(len(t)):
+        if inside >> g & 1:
+            continue
+        picked.append(g)
+        inside |= 1 << g
+        todo = [g]
+        while todo:
+            x = todo.pop()
+            members.append(x)
+            row = t[x]
+            for u in members:
+                for v in (row[u], t[u][x]):
+                    if not inside >> v & 1:
+                        inside |= 1 << v
+                        todo.append(v)
+    return picked
 
 
 def rows_poset(up, down) -> FinitePoset:
@@ -247,6 +271,24 @@ def test_generators_each_lie_outside_the_closure_of_the_ones_before():
         for k, x in enumerate(picked):
             assert not closure(c.table, [c.identity, *picked[:k]]) >> x & 1, (c.name, c.table, picked)
         assert closure(c.table, [c.identity, *picked]) == (1 << c.order) - 1, (c.name, c.table)
+
+
+def test_generators_match_the_two_sided_closure():
+    """The same picks as the two-sided closure on every catalog group and
+    on every single-entry mutation of the catalog tables of order at most
+    12 that keeps the identity and inverses, which ``validate`` tests;
+    the right closure alone picks differently on 510 of those 6,336."""
+    tables = [load_catalog_group(name) for name in CATALOG_NAMES]
+    for g in small_catalog_groups():
+        e = g.identity
+        tables += [
+            c
+            for c in single_entry_mutations(g)
+            if all(c.table[e][x] == x == c.table[x][e] and e in c.table[x] for x in range(c.order))
+        ]
+    assert len(tables) == len(CATALOG_NAMES) + 6336
+    for c in tables:
+        assert _generators(c.table, c.identity) == two_sided_generators(c.table, c.identity), (c.name, c.table)
 
 
 def test_validate_matches_the_triple_scan_on_every_single_entry_mutation():

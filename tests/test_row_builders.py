@@ -12,12 +12,15 @@ references below build the same rows and tables one pair at a time: the
 Warshall closure and its transposition, pairwise subset tests, the
 ``leq``-loop product, the Hasse covers closed by ``build_poset``, and
 an ``as_lattice`` that fills both tables
-eagerly, looking up every pair.
+eagerly, looking up every pair.  The Hasse diagrams that the generators
+and ``inclusion_lattice`` hand over are checked against the axiom check
+on fresh posets with the same rows.
 """
 
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -31,6 +34,7 @@ from residua.bitset import bits, full_mask
 from residua.errors import CycleDetected, NoBottom, NotALattice
 from residua.generators import (
     CATALOG_NAMES,
+    _downsets,
     boolean,
     chain,
     divisor,
@@ -44,6 +48,7 @@ from residua.generators import (
 from residua.lattice import (
     FiniteLattice,
     FinitePoset,
+    _closed_set_covers,
     _linear_extension,
     as_lattice,
     build_poset,
@@ -551,9 +556,9 @@ def test_copies_scan_their_own_tables_in_composed_and_looked_up_rows():
 def test_the_axiom_check_keeps_the_hasse_diagram(lattice_corpus):
     """``upper_covers`` holds the minimal elements strictly above each
     element, and ``lower_covers`` is its transpose.  A poset made without
-    the check runs it on first read, and rows that are no partial order
-    raise there as in ``verify_axioms``."""
-    for L in lattice_corpus[:120]:
+    covers runs the check on first read, and rows that are no partial
+    order raise there as in ``verify_axioms``."""
+    for L in lattice_corpus:
         p = L.poset
         want = tuple(
             sum(1 << y for y in bits(p.up[x] & ~(1 << x)) if p.up[x] & p.down[y] == (1 << x) | (1 << y))
@@ -570,6 +575,111 @@ def test_the_axiom_check_keeps_the_hasse_diagram(lattice_corpus):
             "down rows are not the transpose of the up rows: b <= a only in the up rows",
         )
     assert "upper_covers" not in vars(cyclic) and "lower_covers" not in vars(cyclic)
+
+
+def axiom_check_callers(monkeypatch) -> list:
+    """The name of the function that made each ``verify_axioms`` call from
+    now on, in call order."""
+    callers, real = [], FinitePoset.verify_axioms
+
+    def spy(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self)
+
+    monkeypatch.setattr(FinitePoset, "verify_axioms", spy)
+    return callers
+
+
+def all_preorders(n: int) -> list:
+    """Every preorder on n points, as its up rows: each reflexive
+    relation, kept when it is transitive."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    out = []
+    for k in range(1 << len(pairs)):
+        up = [1 << x for x in range(n)]
+        for b, (x, y) in enumerate(pairs):
+            if k >> b & 1:
+                up[x] |= 1 << y
+        if all(up[y] & ~up[x] == 0 for x in range(n) for y in bits(up[x])):
+            out.append(up)
+    return out
+
+
+def assert_covers_match_the_axiom_check(L):
+    """The lattice's covers equal those ``verify_axioms`` finds on a fresh
+    poset with the same rows, and that check passes."""
+    p = L.poset
+    fresh = FinitePoset(n=p.n, names=p.names, up=p.up, down=p.down)
+    fresh.verify_axioms()
+    assert (p.lower_covers, p.upper_covers) == (fresh.lower_covers, fresh.upper_covers), L.provenance
+
+
+def test_handed_over_covers_match_the_axiom_check(lattice_corpus, monkeypatch):
+    """Every Hasse diagram a generator hands over equals the one the axiom
+    check finds on the same rows: on the corpus, every spec of the
+    ``build`` workload (each N it can draw, as ``divisor`` and ``zn``),
+    the catalog subgroup lattices and the closed-set lattices of every
+    topology on at most 4 points, each preorder's up-closures as the
+    subbase (355 on 4 points, not T0 ones included).  Only ``build_poset``
+    and the subgroup lattices run the axiom check while they are built."""
+    for L in lattice_corpus:
+        assert_covers_match_the_axiom_check(L)
+    callers = axiom_check_callers(monkeypatch)
+    specs = ["chain:256", "boolean:8", "divisor:720720", "zn:720720", "product:chain:16|chain:16"]
+    specs += [f"{kind}:{n}" for n in build_workload_numbers() for kind in ("divisor", "zn")]
+    specs += [f"random:seed={seed},size=200" for seed in range(60)]
+    built = [generate(spec) for spec in specs]
+    assert set(callers) == {"build_poset"}
+    del callers[:]
+    groups = [subgroup_lattice(load_catalog_group(name)) for name in CATALOG_NAMES]
+    assert callers == ["lower_covers"] * len(CATALOG_NAMES)
+    del callers[:]
+    preorders = [(n, up) for n in range(5) for up in all_preorders(n)]
+    assert [n for n, _ in preorders].count(4) == 355 and len(preorders) == 1 + 1 + 4 + 29 + 355
+    closed = [closed_set_lattice(FiniteTopology.from_subbase(n, up)) for n, up in preorders]
+    assert callers == []
+    for L in built + groups + closed:
+        assert_covers_match_the_axiom_check(L)
+
+
+def test_inclusion_covers_are_read_off_closed_set_families_only():
+    """``inclusion_lattice`` builds what the pairwise construction builds
+    (rows, names, sets, covers, or the same error) on every family of
+    sets on at most 3 points and on seeded families on up to 5: the
+    closed sets of seeded rows, a preorder or not, as they are, with a
+    set dropped (the empty set among them) and with a set added.  The
+    covers are read off the family on some and left to the axiom check
+    on others."""
+    families = [
+        ({m for m in range(1 << points) if k >> m & 1}, points)
+        for points in range(4)
+        for k in range(1, 1 << (1 << points))
+    ]
+    rng = random.Random(42)
+    for _ in range(3000):
+        points = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            up = rng.choice(all_preorders(min(points, 3))) + [1 << x for x in range(3, points)]
+            rows = [sum(1 << y for y in range(points) if up[y] >> x & 1) for x in range(points)]
+        else:
+            rows = [rng.getrandbits(points) | (rng.random() < 0.9) << x for x in range(points)]
+        family = set(_downsets(rows))
+        change = rng.randrange(3)
+        if change == 1 and len(family) > 1:
+            family.discard(rng.choice(sorted(family)))
+        elif change == 2:
+            family.add(rng.getrandbits(points))
+        families.append((family, points))
+    handed = derived = 0
+    for k, (family, points) in enumerate(families):
+        sets = sorted(sorted(family), key=int.bit_count)
+        holders = [sum(1 << j for j, m in enumerate(sets) if m >> q & 1) for q in range(points)]
+        covers = _closed_set_covers(sets, [tuple(bits(m)) for m in sets], holders)
+        handed += covers is not None
+        derived += covers is None
+        args = (family, [f"p{i}" for i in range(points)], f"family#{k}")
+        assert inclusion_outcome(inclusion_lattice, args) == inclusion_outcome(pairwise_inclusion_lattice, args), k
+    assert handed > 1000 and derived > 500, (handed, derived)
 
 
 def pairwise_inclusion_lattice(sets, point_names, provenance):

@@ -374,6 +374,17 @@ def test_closed_sets_agree_with_the_open_family():
     assert 100 < t1 < 1100
 
 
+def test_closed_sets_on_neighbourhood_rows_that_no_topology_has():
+    """Rows with y in N(x) but N(y) not within N(x) give closure rows that
+    are not transitive.  The closed sets they give are a chain, and the
+    lattice keeps the sets and covers it had when every closed-set
+    lattice ran the axiom check."""
+    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b011, 0b110, 0b100))
+    assert t.closure == (0b001, 0b011, 0b110)
+    lat = closed_set_lattice(t)
+    assert (lat.sets, lat.poset.lower_covers, lat.poset.upper_covers) == ((0, 1, 3, 7), (0, 1, 2, 4), (2, 4, 8, 0))
+
+
 def test_closed_set_enumeration_cap():
     for n in (21, 30):
         t = FiniteTopology.from_subbase(n, [[i] for i in range(n)])
