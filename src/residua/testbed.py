@@ -80,7 +80,6 @@ from .errors import (
     UnstableVerdict,
 )
 from .residual import OMEGA, RankValue
-from .topology import IsolatedBelowReport
 
 # Keeps the smallest basic open around a vector, which every isolation
 # verdict enumerates, at 3^dims - 1 <= 80 points besides the vector.
@@ -714,40 +713,6 @@ class OrdinalCoframe:
             if not self.leq(z, x)
         )
 
-    def check_isolated_below_conditions(self, x: tuple, bound: int = 6) -> IsolatedBelowReport:
-        """Clause-by-clause evaluation of the isolated-from-below conditions.
-
-        Only the bottom vector has no maximal subelements here, so the
-        hypothesis set is {bottom}; in dimension >= 2 the bottom is not in
-        the second CB layer and the report is vacuous, in dimension 1 the
-        clauses are enumerated (several fail: the hypothesis family below
-        the bottom is empty) without asserting anything.
-        """
-        self._check(x)
-        _check_bound(bound)
-        if x != self.bottom:
-            raise PreconditionFailed(
-                "the testbed's zero-maximal-subelement family is {bottom}"
-            )
-        if self.dims >= 2:
-            return IsolatedBelowReport(
-                x=fmt_vec(x), vacuous=True, reason="bottom is not in S1 minus S2", clauses={}
-            )
-        # dims == 1: bottom = (inf,) is in S1 minus S2.
-        clauses = {}
-        clauses["unique_maximal_t0_subelement"] = False  # the family below x is empty
-        clauses["no_t0_outcast"] = True
-        # delta x is empty, so the net over finite subsets is the constant bottom.
-        clauses["net_strictly_below_with_join_x"] = False
-        clauses["every_subelement_dominated"] = True  # vacuous: nothing below bottom
-        clauses["base_point_isolated_with_matching_core"] = self.isolated_oracle(
-            x, max(bound, self.max_finite(x) + 2)
-        )
-        clauses["tail_dually_compact"] = True
-        clauses["relative_strata_finite"] = True
-        clauses["tails_enter_every_neighborhood"] = True  # empty tail set
-        return IsolatedBelowReport(x=fmt_vec(x), vacuous=False, reason=None, clauses=clauses)
-
 
 # The primitives as the class defines them, taken at import, so that a
 # class patch made before or after an instance was built reads as another
@@ -813,5 +778,4 @@ __all__ = [
     "parse_vec",
     "fmt_vec",
     "S1S2Report",
-    "IsolatedBelowReport",
 ]

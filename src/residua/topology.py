@@ -1,35 +1,40 @@
 """Finite topological spaces, Cantor-Bendixson machinery, dual Lawson topology.
 
-A finite topology is fully determined by the minimal open neighborhood
-N(x) of each point (the intersection of all subbase members containing
-x).  Isolation, CB derivatives, closed sets and the order-compatibility
-conditions are all answered through N(x) and its transpose, the closure
-rows, so spaces whose full open-set family is astronomically large (the
-discrete topology on 64 points) stay cheap.  No open-set family is
-built: the closed sets are the masks closed under the closure rows,
-enumerated only for small point counts.
+A topology is given by a subbase, and is fully determined by the
+minimal open neighborhood N(x) of each point: the intersection of the
+subbase members containing x.  These rows are derived from the subbase
+and nowhere else, so they are always a preorder: each point lies in its
+own row, and y in N(x) puts N(y) within N(x).  Isolation, CB
+derivatives, closed sets and the order-compatibility conditions are all
+answered through N(x) and its transpose, the closure rows, so spaces
+whose full open-set family is astronomically large (the discrete
+topology on 64 points) stay cheap.  No open-set family is built: the
+closed sets are the masks closed under the closure rows, enumerated only
+for small point counts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .bitset import bits, contains, full_mask, mask_of
-from .errors import NotT1, PreconditionFailed
+from .bitset import bits, full_mask, mask_of
+from .errors import NotT1
 from .generators import _downsets
 from .lattice import FiniteLattice, inclusion_lattice
-from .residual import (
-    classify_t,
-    completely_coirreducibles,
-    maximal_subelements,
-    mu_iterates,
-    outcasts,
-    residual_derivative,
-)
+from .residual import residual_derivative
+
+
+def _in_carrier(n: int, m: int) -> int:
+    """``m`` when it holds only points of 0..n-1; otherwise a ValueError
+    naming its lowest point outside them."""
+    extra = m >> n
+    if extra:
+        x = n + (extra & -extra).bit_length() - 1
+        raise ValueError(f"point {x} is outside the carrier 0..{n - 1}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -38,26 +43,32 @@ class FiniteTopology:
 
     n: int
     subbase: tuple[int, ...]
-    min_nbhd: tuple[int, ...]
 
     @classmethod
     def from_subbase(cls, n: int, subbase: Iterable) -> "FiniteTopology":
-        """Smallest topology containing the subbase.
-
-        Each member is ANDed into the rows of its own points, which
-        leaves the minimal neighborhoods; arbitrary unions are implicit.
-        """
-        everything = full_mask(n)
+        """Smallest topology containing the subbase, whose members are
+        masks or iterables of points; arbitrary unions are implicit."""
+        if n < 0:
+            raise ValueError(f"a space has n >= 0 points, not n = {n}")
         masks = set()
-        nbhd = [everything] * n
         for s in subbase:
-            m = s if isinstance(s, int) else mask_of(s)
-            if m & ~everything:
-                raise ValueError("subbase member mentions a point outside 0..n-1")
-            masks.add(m)
+            if not isinstance(s, int):
+                s = list(s)
+                if s and min(s) < 0:
+                    raise ValueError(f"point {min(s)} is outside the carrier 0..{n - 1}")
+                s = mask_of(s)
+            masks.add(_in_carrier(n, s))
+        return cls(n=n, subbase=tuple(sorted(masks)))
+
+    @cached_property
+    def min_nbhd(self) -> tuple[int, ...]:
+        """``min_nbhd[x]`` is the minimal neighborhood of x: the AND of the
+        subbase members that hold x, the whole space if none does."""
+        rows = [full_mask(self.n)] * self.n
+        for m in self.subbase:
             for x in bits(m):
-                nbhd[x] &= m
-        return cls(n=n, subbase=tuple(sorted(masks)), min_nbhd=tuple(nbhd))
+                rows[x] &= m
+        return tuple(rows)
 
     @cached_property
     def closure(self) -> tuple[int, ...]:
@@ -89,7 +100,7 @@ class FiniteTopology:
         exact.
         """
         out = 0
-        for x in bits(s):
+        for x in bits(_in_carrier(self.n, s)):
             if self.min_nbhd[x] & s == 1 << x:
                 out |= 1 << x
         return out
@@ -115,10 +126,9 @@ class CBSequence:
         }
 
 
-def cb_sequence(t: FiniteTopology, s0: Optional[int] = None) -> CBSequence:
+def cb_sequence(t: FiniteTopology) -> CBSequence:
     """Remove isolated points (in the subspace topology) until nothing changes."""
-    s = full_mask(t.n) if s0 is None else s0
-    levels = [s]
+    levels = [full_mask(t.n)]
     while True:
         nxt = levels[-1] & ~t.isolated_points(levels[-1])
         if nxt == levels[-1]:
@@ -141,14 +151,18 @@ def dual_lawson(L: FiniteLattice) -> FiniteTopology:
 class OrderCompatReport:
     """Per-condition verdicts for order-compatibility of a topology."""
 
-    monotone_nets_converge: bool
     join_continuous: bool
     order_closed: bool
     witness: Optional[dict] = None
 
     @property
+    def monotone_nets_converge(self) -> bool:
+        """Always true: see ``check_order_compatible``."""
+        return True
+
+    @property
     def all_pass(self) -> bool:
-        return self.monotone_nets_converge and self.join_continuous and self.order_closed
+        return self.join_continuous and self.order_closed
 
     def to_json_dict(self) -> dict:
         out = {
@@ -166,34 +180,26 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
 
     (i) reduces on a finite lattice to eventually-constant monotone
     sequences: every chain, read as a monotone net, must converge to its
-    meet/join, which is checked as "the minimal neighborhood of the limit
-    contains a tail", that is, the limit.  (ii) is the preimage test for
-    continuity of the join map at every pair, with minimal neighborhoods
-    standing in for arbitrary opens.  (iii) asks that the complement of
-    the order relation be open in the product.
+    meet/join, that is, the minimal neighborhood of the limit must hold
+    a tail, which the limit itself is.  Every point lies in its own
+    minimal neighborhood, so (i) holds on every topology and is not
+    searched.  (ii) is the preimage test for continuity of the join map
+    at every pair, with minimal neighborhoods standing in for arbitrary
+    opens.  (iii) asks that the complement of the order relation be open
+    in the product.
 
-    Each condition is a first-hit search whose witness is its first
-    failing pair, row-major; the report's witness is that of the first
-    failing condition.  The nets of x <= y fail iff x or y is outside its
-    own minimal neighborhood.  Join continuity fails at (x, z) when some
-    (x2, z2) in N(x) x N(z) joins outside N(x v z).  Order-closedness
-    fails at (x, z), x not <= z, when N(z) meets U(x), the OR of the up
-    rows over N(x), that is when z is in the closure row of a point of
-    U(x).
+    Each searched condition is a first-hit search whose witness is its
+    first failing pair, row-major; the report's witness is that of join
+    continuity if it fails, else that of order-closedness.  Join
+    continuity fails at (x, z) when some (x2, z2) in N(x) x N(z) joins
+    outside N(x v z).  Order-closedness fails at (x, z), x not <= z,
+    when N(z) meets U(x), the OR of the up rows over N(x), that is when
+    z is in the closure row of a point of U(x).
     """
     if L.n != t.n:
         raise ValueError("topology and lattice have different carriers")
-    nets, join, order = _nets_witness(L, t), _join_witness(L, t), _order_witness(L, t)
-    return OrderCompatReport(nets is None, join is None, order is None, nets or join or order)
-
-
-def _nets_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
-    bad = sum(1 << x for x in L.elements() if not contains(t.min_nbhd[x], x))
-    for x in L.elements():
-        failing = L.up_set(x) if contains(bad, x) else L.up_set(x) & bad
-        if failing:
-            return {"condition": "nets", "pair": [L.names[x], L.names[next(bits(failing))]]}
-    return None
+    join, order = _join_witness(L, t), _order_witness(L, t)
+    return OrderCompatReport(join is None, order is None, join or order)
 
 
 def _join_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
@@ -227,9 +233,7 @@ def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
     closed iff it holds the closure row of each of its points.  The
     closed sets of a topology are the downsets of its specialization
     preorder, so ``inclusion_lattice`` reads the Hasse diagram off them:
-    a closed set covers itself minus a top class.  On neighbourhood rows
-    that no topology has, it reads the preorder off the family it is
-    given, or leaves the covers to the axiom check."""
+    a closed set covers itself minus a top class."""
     points = tuple(str(x) for x in range(t.n))
     return inclusion_lattice(_downsets(t.closure), points, f"closed_sets(points={t.n})")
 
@@ -268,110 +272,6 @@ def residual_equals_cb_closedsets(t: FiniteTopology) -> CBResidualReport:
     return CBResidualReport(checked=len(closeds), mismatches=tuple(mismatches))
 
 
-def is_order_convex(L: FiniteLattice, mask: int) -> bool:
-    """x <= y <= z with x, z in the set forces y in the set."""
-    for x in bits(mask):
-        for z in bits(L.up_set(x) & mask):
-            between = L.up_set(x) & L.down_set(z)
-            if between & ~mask:
-                return False
-    return True
-
-
-def locally_constant_core(L: FiniteLattice, t: FiniteTopology, x: int, cores) -> bool:
-    """Is the core operator constant on some neighborhood of x outside its downset?
-
-    The minimal neighborhood is the best possible witness, so the check
-    is exact on finite spaces.  ``cores`` maps each element to its core.
-    """
-    region = t.min_nbhd[x] & ~L.down_set(x)
-    return all(cores[z] == cores[x] for z in bits(region))
-
-
-@dataclass(frozen=True)
-class IsolatedBelowReport:
-    """Clause verdicts of the isolated-from-below conditions at one
-    element; ``x`` is the element as printed (a name or a vector)."""
-
-    x: str
-    vacuous: bool
-    reason: Optional[str]
-    clauses: dict
-
-    def to_json_dict(self) -> dict:
-        out = {"x": self.x, "vacuous": self.vacuous}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.clauses:
-            out["clauses"] = dict(sorted(self.clauses.items()))
-        return out
-
-
-def check_isolated_below_conditions_finite(
-    L: FiniteLattice, t: FiniteTopology, x: int
-) -> IsolatedBelowReport:
-    """Clause-by-clause isolated-from-below evaluation on a finite lattice
-    with an arbitrary finite topology on its carrier.
-
-    Real finite lattices under the dual Lawson topology are discrete, so
-    the second CB layer is empty and the precondition fails; the checker
-    is exercised through hand-built topologies in fixtures.  Clauses are
-    evaluated exhaustively and reported, never assumed.
-    """
-    seq = cb_sequence(t)
-    s1 = seq.levels[1] if len(seq.levels) > 1 else 0
-    s2 = seq.levels[2] if len(seq.levels) > 2 else 0
-    if not contains(s1, x) or contains(s2, x):
-        raise PreconditionFailed(
-            f"{L.names[x]} is not in S1 minus S2 for this topology"
-        )
-    t0 = [z for z in L.elements() if classify_t(L, z) == 0]
-    if x not in t0:
-        if not outcasts(L, x):
-            raise PreconditionFailed(
-                f"{L.names[x]} is outside the zero-maximal family and has no outcast"
-            )
-        raise PreconditionFailed("outcast variant needs an infinite instance")
-    m_t0 = maximal_subelements(L, x, t0)
-    mu_t0 = L.meet_of_set(m_t0) if m_t0 else x
-    delta_x = [
-        s
-        for s in completely_coirreducibles(L)
-        if L.leq(s, x) and not L.leq(s, mu_t0)
-    ]
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(delta_x, k) for k in range(len(delta_x) + 1)
-        )
-    )
-    h = {p: L.join_of_set(list(p)) for p in subsets}
-    full = h[tuple(delta_x)]
-    isolated = lambda z: t.min_nbhd[z] == 1 << z
-    cores = {z: mu_iterates(L, z)[-1] for z in set(h.values())}
-    clauses = {}
-    clauses["net_strictly_below"] = all(v != x for v in h.values())
-    clauses["net_joins_to_x"] = full == x or (not delta_x and x == L.bottom)
-    clauses["every_subelement_dominated"] = all(
-        L.leq(z, full) for z in bits(L.strictly_below(x))
-    )
-    stars = [p for p in subsets if isolated(h[p]) and cores[h[p]] == mu_t0]
-    clauses["base_point_isolated_with_matching_core"] = bool(stars)
-    clauses["tail_dually_compact"] = all(L.dually_compact(v) for v in h.values())
-    clauses["relative_strata_finite"] = True  # finite instance
-    # Against the minimal neighborhood of x, the hardest open.
-    nbhd = t.min_nbhd[x]
-    clauses["tails_enter_every_neighborhood"] = any(
-        all(contains(nbhd, s) for s in delta_x if s not in p) for p in subsets
-    )
-    if stars:
-        p_star = stars[0]
-        rest = [s for s in delta_x if s not in p_star]
-        clauses["late_members_dominate_mu"] = all(L.leq(mu_t0, s) for s in rest)
-    clauses["unique_maximal_t0_subelement"] = len(m_t0) == 1
-    clauses["no_t0_outcast"] = not outcasts(L, x, t0)
-    return IsolatedBelowReport(x=L.names[x], vacuous=False, reason=None, clauses=clauses)
-
-
 __all__ = [
     "FiniteTopology",
     "CBSequence",
@@ -382,8 +282,4 @@ __all__ = [
     "closed_set_lattice",
     "CBResidualReport",
     "residual_equals_cb_closedsets",
-    "is_order_convex",
-    "locally_constant_core",
-    "IsolatedBelowReport",
-    "check_isolated_below_conditions_finite",
 ]

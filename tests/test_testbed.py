@@ -324,7 +324,7 @@ def test_window_tables_refuse_short_vectors_and_non_vectors():
 def test_negative_bounds_are_rejected():
     # bounds are naturals: a negative one would walk vectors with negative
     # coordinates, outside the carrier
-    cf1, cf2 = OrdinalCoframe(1), OrdinalCoframe(2)
+    cf2 = OrdinalCoframe(2)
     s1 = lambda z: cf2.cb_level(z) >= 1
     calls = [
         lambda: cf2.box(-1),
@@ -333,8 +333,6 @@ def test_negative_bounds_are_rejected():
         lambda: cf2.subspace_isolation_sweep(s1, -3),
         lambda: cf2.check_locally_constant_core((INF, 0), -1),
         lambda: cf2.check_s1s2_above((INF, 0), (0, 0), -1),
-        lambda: cf2.check_isolated_below_conditions(cf2.bottom, -1),
-        lambda: cf1.check_isolated_below_conditions(cf1.bottom, -1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="negative"):
@@ -614,23 +612,6 @@ def test_locally_constant_core(cf2):
     assert cf2.check_locally_constant_core((INF, 0), 8)
     with pytest.raises(PreconditionFailed):
         cf2.check_locally_constant_core((2, 3), 8)
-
-
-def test_isolated_below_vacuous_dims2(cf2):
-    rep = cf2.check_isolated_below_conditions(cf2.bottom)
-    assert rep.vacuous
-    assert rep.to_json_dict()["x"] == "inf,inf"
-    with pytest.raises(PreconditionFailed):
-        cf2.check_isolated_below_conditions((2, 3))
-
-
-def test_isolated_below_dims1_enumerates_clauses():
-    cf1 = OrdinalCoframe(1)
-    rep = cf1.check_isolated_below_conditions(cf1.bottom)
-    assert not rep.vacuous
-    assert rep.clauses["unique_maximal_t0_subelement"] is False
-    assert rep.clauses["no_t0_outcast"] is True
-    assert rep.clauses["base_point_isolated_with_matching_core"] is False
 
 
 def test_stability_machinery(cf2):

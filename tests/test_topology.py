@@ -1,18 +1,15 @@
 import pytest
 
 from residua.bitset import bits, contains, full_mask
-from residua.errors import NotT1, PreconditionFailed, TooLarge
+from residua.errors import NotT1, TooLarge
 from residua.generators import boolean, chain, divisor
 from residua.lattice import lattice_from_json
 from residua.topology import (
     FiniteTopology,
     cb_sequence,
-    check_isolated_below_conditions_finite,
     check_order_compatible,
     closed_set_lattice,
     dual_lawson,
-    is_order_convex,
-    locally_constant_core,
     residual_equals_cb_closedsets,
 )
 import random
@@ -77,6 +74,15 @@ def test_from_subbase_closure_properties():
     for subbase in ([], [[0]], [[0, 1], [1, 2]], [[0], [1], [2]]):
         t = FiniteTopology.from_subbase(3, subbase)
         verify_closure_properties(t)
+    # Inputs outside the carrier are rejected, naming the bad n or point.
+    with pytest.raises(ValueError, match="n = -1"):
+        FiniteTopology.from_subbase(-1, [])
+    for subbase, point in (([[-1]], -1), ([[0, 3]], 3), ([0b1001], 3), ([-1], 3)):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside the carrier 0\.\.2$"):
+            FiniteTopology.from_subbase(3, subbase)
+    for s, point in ((1 << t.n, 3), (0b10111, 4), (-1, 3)):
+        with pytest.raises(ValueError, match=rf"^point {point} is outside the carrier 0\.\.2$"):
+            t.isolated_points(s)
 
 
 def test_isolated_points_agree_with_open_family_scan():
@@ -132,13 +138,6 @@ def test_dual_lawson_discrete_on_64_elements():
     assert check_order_compatible(L, t).all_pass
 
 
-def test_dual_lawson_base_is_order_convex(div12):
-    everything = full_mask(div12.n)
-    for x in div12.elements():
-        assert is_order_convex(div12, div12.down_set(x))
-        assert is_order_convex(div12, everything & ~div12.down_set(x))
-
-
 def test_downset_compact_by_finite_subcover(chain3, b2):
     # finite plumbing check: every open cover of a downset has a finite subcover
     for L in (chain3, b2):
@@ -183,17 +182,6 @@ def test_order_compatible_join_continuity_failure():
     t = FiniteTopology.from_subbase(4, [[L.top]])
     rep = check_order_compatible(L, t)
     assert not rep.join_continuous
-
-
-def test_order_compatible_nets_report_the_first_failing_pair():
-    """A hand-built topology whose minimal neighbourhoods miss their own
-    points fails the nets condition at every pair; the witness is the
-    first pair, row-major, as for the other two conditions."""
-    L = chain(3)
-    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b010, 0b100, 0b001))
-    rep = check_order_compatible(L, t)
-    assert not rep.monotone_nets_converge
-    assert rep.witness == {"condition": "nets", "pair": [L.names[0], L.names[0]]}
 
 
 def nets_pair_loop(L, t):
@@ -251,9 +239,12 @@ def relabeled(L, rng):
 
 def test_order_compatible_matches_the_pair_loops():
     """All three flags and the witness agree with the pair loops on
-    relabeled lattices, over random neighbourhood tuples (some missing
-    their own point) and over topologies from random subbases drawn from
-    random masks, up sets, down sets and their complements."""
+    relabeled lattices, over subbases of one random mask per point and
+    over random subbases drawn from random masks, up sets, down sets and
+    their complements.  Every point lies in its own minimal
+    neighbourhood, so the nets never fail; and an order-closed topology
+    has a closed diagonal, so on a finite space it is order-closed iff
+    it is discrete."""
     rng = random.Random(41)
     flags, conditions, cases = set(), set(), 0
     for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
@@ -268,7 +259,7 @@ def test_order_compatible_matches_the_pair_loops():
                         rng.getrandbits(M.n) | (1 << x if rng.random() < 0.9 else 0)
                         for x in M.elements()
                     )
-                    t = FiniteTopology(n=M.n, subbase=(), min_nbhd=nbhd)
+                    t = FiniteTopology.from_subbase(M.n, nbhd)
                 else:
                     members = rng.sample(rows, rng.randint(0, len(rows) // 2))
                     members += [rng.getrandbits(M.n) for _ in range(rng.randint(0, 2))]
@@ -276,48 +267,15 @@ def test_order_compatible_matches_the_pair_loops():
                 want_flags, want = order_compat_pair_loops(M, t)
                 rep = check_order_compatible(M, t)
                 got = (rep.monotone_nets_converge, rep.join_continuous, rep.order_closed)
-                assert got == want_flags and rep.witness == want, (M.names, t.min_nbhd)
+                assert got == want_flags and rep.witness == want, (M.names, t.subbase)
+                assert nets_pair_loop(M, t) is None, (M.names, t.subbase)
+                assert rep.order_closed == t.is_discrete, (M.names, t.subbase)
                 flags.add(got)
                 conditions.add(want and want["condition"])
                 cases += 1
     assert cases >= 5000
-    assert conditions == {None, "nets", "join_continuity", "order_closed"}
-    assert flags >= {
-        (True, True, True),
-        (True, True, False),
-        (True, False, False),
-        (False, True, False),
-        (False, False, False),
-    }, flags
-
-
-def test_order_compatible_nets_witness_matches_the_pair_loop():
-    """The nets witness is the pair loop's first failing pair, also when
-    its y is not x: on a chain whose top alone misses its neighbourhood
-    it is (bottom, top), and on random neighbourhoods over relabeled
-    lattices the two agree."""
-    L = chain(3)
-    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b001, 0b010, 0b001))
-    rep = check_order_compatible(L, t)
-    assert not rep.monotone_nets_converge
-    assert rep.witness == {"condition": "nets", "pair": [L.names[0], L.names[2]]}
-    rng = random.Random(40)
-    distinct = 0
-    for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
-        for seed in range(3):
-            M = relabeled(L, rng)
-            for _ in range(30):
-                nbhd = tuple(
-                    rng.getrandbits(M.n) | (1 << x if rng.random() < 0.85 else 0) for x in M.elements()
-                )
-                t = FiniteTopology(n=M.n, subbase=(), min_nbhd=nbhd)
-                want = nets_pair_loop(M, t)
-                rep = check_order_compatible(M, t)
-                assert rep.monotone_nets_converge == (want is None), (M.names, nbhd)
-                if want is not None:
-                    assert rep.witness == want, (M.names, nbhd)
-                    distinct += want["pair"][0] != want["pair"][1]
-    assert distinct > 0
+    assert conditions == {None, "join_continuity", "order_closed"}
+    assert flags >= {(True, True, True), (True, True, False), (True, False, False)}, flags
 
 
 def test_residual_equals_cb_on_discrete():
@@ -353,16 +311,26 @@ def test_closed_set_lattice_matches_powerset_on_discrete():
 
 def test_closed_sets_agree_with_the_open_family():
     """The closed sets, enumerated on the closure rows, are the
-    complements of the open family, and the space is T1 iff each
-    singleton's complement is open, on random subbases over 0-6 points."""
+    complements of the open family, the space is T1 iff each singleton's
+    complement is open, and the minimal neighbourhood rows are a preorder
+    (each point in its own row, each row holding the rows of its points),
+    on random subbases over 0-6 points and on members whose hand-built
+    rows (0b011, 0b110, 0b100) would not be one."""
     rng = random.Random(41)
-    t1 = 0
+    cases = []
     for _ in range(1200):
         n = rng.randint(0, 6)
         subbase = [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))]
         if rng.random() < 0.3:
             subbase += [1 << x for x in range(n) if rng.random() < 0.8]
+        cases.append((n, subbase))
+    cases.append((3, [0b011, 0b110, 0b100]))
+    t1 = 0
+    for n, subbase in cases:
         t = FiniteTopology.from_subbase(n, subbase)
+        rows = t.min_nbhd
+        for x, row in enumerate(rows):
+            assert contains(row, x) and all(rows[y] & ~row == 0 for y in bits(row)), (n, subbase)
         family = opens(t)
         want = {full_mask(n) & ~o for o in family}
         sets = closed_set_lattice(t).sets
@@ -374,54 +342,8 @@ def test_closed_sets_agree_with_the_open_family():
     assert 100 < t1 < 1100
 
 
-def test_closed_sets_on_neighbourhood_rows_that_no_topology_has():
-    """Rows with y in N(x) but N(y) not within N(x) give closure rows that
-    are not transitive.  The closed sets they give are a chain, and the
-    lattice keeps the sets and covers it had when every closed-set
-    lattice ran the axiom check."""
-    t = FiniteTopology(n=3, subbase=(), min_nbhd=(0b011, 0b110, 0b100))
-    assert t.closure == (0b001, 0b011, 0b110)
-    lat = closed_set_lattice(t)
-    assert (lat.sets, lat.poset.lower_covers, lat.poset.upper_covers) == ((0, 1, 3, 7), (0, 1, 2, 4), (2, 4, 8, 0))
-
-
 def test_closed_set_enumeration_cap():
     for n in (21, 30):
         t = FiniteTopology.from_subbase(n, [[i] for i in range(n)])
         with pytest.raises(TooLarge):
             closed_set_lattice(t)
-
-
-def test_locally_constant_core_on_discrete(chain3):
-    from residua.residual import mu_iterates
-
-    t = dual_lawson(chain3)
-    cores = {x: mu_iterates(chain3, x)[-1] for x in chain3.elements()}
-    for x in chain3.elements():
-        assert locally_constant_core(chain3, t, x, cores)
-
-
-def test_isolated_below_finite_precondition(b3):
-    t = dual_lawson(b3)
-    with pytest.raises(PreconditionFailed):
-        check_isolated_below_conditions_finite(b3, t, b3.top)
-
-
-def test_isolated_below_finite_fixture():
-    # pretend topology on a 3-chain putting the bottom in the second layer
-    L = chain(3)
-    t = FiniteTopology.from_subbase(3, [[1], [2], [0, 1]])
-    rep = check_isolated_below_conditions_finite(L, t, 0)
-    assert not rep.vacuous
-    assert rep.clauses["no_t0_outcast"] is True
-    assert rep.clauses["tail_dually_compact"] is True
-    assert "net_strictly_below" in rep.clauses
-
-
-def test_isolated_below_finite_report_names_the_element():
-    L = chain(3)
-    t = FiniteTopology.from_subbase(3, [[1], [2], [0, 1]])
-    doc = check_isolated_below_conditions_finite(L, t, 0).to_json_dict()
-    assert doc["x"] == L.names[0]
-    assert doc["vacuous"] is False
-    assert list(doc["clauses"]) == sorted(doc["clauses"])
