@@ -34,7 +34,6 @@ from .residual import (
     ResidualProfile,
     classify_t,
     co_heyting_sub,
-    completely_coirreducibles,
     delta_plus,
     maximal_subelements,
     mu_iterates,

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_lattice(args) -> FiniteLattice:
-    if getattr(args, "gen", None):
+    if args.gen is not None:
         return generate(args.gen)
     with open(args.input) as f:
         return lattice_from_json(json.load(f), provenance=args.input)
@@ -270,7 +270,7 @@ def _verify_cb_level(cf: OrdinalCoframe, alpha: int, bound: int) -> bool:
 
 
 def _cmd_group(args) -> int:
-    if args.name:
+    if args.name is not None:
         table = load_catalog_group(args.name.strip().lower())
     else:
         with open(args.input) as f:

@@ -865,7 +865,10 @@ def _check_minmax_bound(ctx):
     term of ``under``.  So while neither table has a fault, the sizes of
     down(u v v) are summed as ``checked`` and the law passes.  Otherwise
     the constant pairs, then the 2-chains in element order, are scanned
-    (``_first_escape``), and a chain's verified folds may raise."""
+    (``_first_escape``), and a chain's verified folds may raise.  The
+    2-chain scan finds an escape only when the instance's own
+    ``join_of_set`` and ``meet_of_set`` trust the tables, as a subclass
+    may, since the registry reads folds through the instance."""
     L = ctx.L
     down = L.poset.down
     if L.join_fault is None and L.meet_fault is None:

@@ -195,19 +195,13 @@ def outcasts(L, x, family=None, residues_of=None) -> list:
     return list(bits(cand))
 
 
-def completely_coirreducibles(L) -> list:
-    """Elements with a unique maximal subelement dominating every proper subelement."""
-    return list(bits(L.poset.coirreducibles))
-
-
 @dataclass(frozen=True)
 class ResidualProfile:
     """Everything the calculus derives about one element.
 
     ``strata[a]`` lists the residues of the a-th derivative iterate;
     ``boundary_poset`` is their union and ``rho`` maps each of its members
-    to its stratum index.  ``t_class`` is the number of maximal
-    subelements of the element itself.
+    to its stratum index.
     """
 
     element: int
@@ -221,7 +215,6 @@ class ResidualProfile:
     strata: tuple
     boundary_poset: tuple
     rho: dict
-    t_class: int
     iterates: tuple
 
     def to_json_dict(self, L) -> dict:
@@ -323,7 +316,6 @@ def residual_profile(L, x, family=None, rows=None) -> ResidualProfile:
         strata=tuple(strata),
         boundary_poset=tuple(sorted(rho)),
         rho=rho,
-        t_class=len(maxes),
         iterates=tuple(iterates),
     )
     _verify_profile(L, profile)
@@ -442,7 +434,6 @@ __all__ = [
     "residual_profile",
     "outcasts",
     "classify_t",
-    "completely_coirreducibles",
     "delta_plus",
     "relative_strata",
     "family_is_upper_semilattice",

@@ -125,7 +125,6 @@ class TestbedProfile:
     core: tuple
     residues: dict
     boundary: tuple
-    t_class: int
     finite_coords: tuple
 
     def iterate(self, k: int) -> tuple:
@@ -418,7 +417,6 @@ class OrdinalCoframe:
             core=self.bottom if fin else x,
             residues=residues,
             boundary=self.join_of_set(list(residues.values())) if residues else x,
-            t_class=len(maxes),
             finite_coords=fin,
         )
 
@@ -554,33 +552,14 @@ class OrdinalCoframe:
         self._check_search_bound(x, bound)
         return self._separable(x, bound)
 
-    def isolated_in_subspace_oracle(self, x: tuple, member, bound: int) -> bool:
-        """Isolation of x inside {z : member(z)}, by the same bounded search.
-
-        The search runs at ``bound`` and at the next three bounds, and
-        disagreement raises UnstableVerdict: unlike the whole space, a
-        member predicate can tell apart finite values at or beyond the
-        bound, which the search grid lumps together.
-        """
-        self._check(x)
-        _check_bound(bound)
-        if not member(x):
-            raise PreconditionFailed(f"{fmt_vec(x)} is not in the subspace")
-        self._check_search_bound(x, bound)
-        verdicts = {self._separable(x, b, member) for b in range(bound, bound + 4)}
-        if len(verdicts) != 1:
-            raise UnstableVerdict(
-                f"subspace isolation verdicts for {fmt_vec(x)} differ on bounds {bound}..{bound + 3}"
-            )
-        return verdicts.pop()
-
     def subspace_isolation_sweep(self, member, bound: int) -> dict:
         """Isolation verdicts inside {z : member(z)} for every box(bound)
         vector in the subspace.
 
         The basic-open search runs at bound + 2 (so the precondition holds
-        for every box vector) with a stability re-check one bound higher,
-        for the reason given in ``isolated_in_subspace_oracle``.
+        for every box vector) with a stability re-check one bound higher:
+        unlike the whole space, a member predicate can tell apart finite
+        values at or beyond the bound, which the search grid lumps together.
         Each verdict reads at most 3^dims - 1 points, so the sweep is
         linear in the box.
         """
@@ -693,24 +672,6 @@ class OrdinalCoframe:
             outcast_clause_vacuous=not has_outcast,
             uniform_side_dichotomy=dichotomy,
             converse_samples=tuple(converse),
-        )
-
-    def check_locally_constant_core(self, x: tuple, bound: int) -> bool:
-        """Is there a basic open around x on which the core is constant
-        away from the downset of x?
-
-        A larger positive part gives a smaller open, so the smallest basic
-        open (see ``_punctured_open``) decides.
-        """
-        self._check(x)
-        _check_bound(bound)
-        if self.cb_level(x) != 1:
-            raise PreconditionFailed(f"{fmt_vec(x)} is not in S1 minus S2")
-        core_x = self.profile(x).core
-        return all(
-            self.profile(z).core == core_x
-            for z in self._punctured_open(x, bound)
-            if not self.leq(z, x)
         )
 
 

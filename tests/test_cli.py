@@ -287,6 +287,10 @@ MALFORMED_INPUTS = {
     "negative testbed bound": (["testbed", "--dims", "2", "--bound", "-1"], None),
     "testbed bound beyond the grid cap": (["testbed", "--dims", "4", "--bound", "99999999"], None),
     "testbed dims below 1": (["testbed", "--dims", "0"], None),
+    "empty generator spec, analyze": (["analyze", "--gen", ""], None),
+    "empty generator spec, laws": (["laws", "--gen", ""], None),
+    "empty generator spec, topology": (["topology", "--gen", ""], None),
+    "empty catalog group name": (["group", "--name", ""], None),
     "empty testbed vector": (["testbed", "--dims", "2", "--element", ""], None),
     "empty coordinate in a testbed vector": (["testbed", "--dims", "2", "--element", "3,"], None),
     "empty element name for DOT output": (["analyze", "--gen", "chain:3", "--format", "dot", "--element", ""], None),

@@ -19,7 +19,6 @@ from residua.residual import (
     RankValue,
     classify_t,
     co_heyting_sub,
-    completely_coirreducibles,
     delta_plus,
     maximal_subelements,
     mu_iterates,
@@ -155,7 +154,6 @@ class BirkhoffOracle:
             strata=tuple(tuple(bits(layer)) for layer in layers),
             boundary_poset=tuple(bits(jx)),
             rho={s: a for a, layer in enumerate(layers) for s in bits(layer)},
-            t_class=len(residues),
             iterates=tuple(iterates),
         )
 
@@ -269,7 +267,7 @@ def test_profile_b2(b2):
     assert p.residues == {a: b, b: a}
     assert p.boundary == b2.top
     assert p.strata == ((a, b),)
-    assert p.t_class == 2
+    assert len(p.maximal) == 2
 
 
 def test_profile_bottom_degenerate(b2):
@@ -446,7 +444,7 @@ def test_cached_rows_match_recomputation(lattice_corpus):
         expected = [derivative_oracle(L, x) for x in L.elements()]
         assert [residual_derivative(L, x) for x in L.elements()] == expected, L.provenance
         coirreducibles = coirreducibles_oracle(L)
-        assert completely_coirreducibles(L) == coirreducibles, L.provenance
+        assert list(bits(L.poset.coirreducibles)) == coirreducibles, L.provenance
         for x in L.elements():
             core = mu_iterates(L, x)[-1]
             assert delta_plus(L, x) == [
@@ -467,9 +465,9 @@ def test_derivative_row_is_per_lattice_and_never_holds_a_failure(b3):
 
 
 def test_completely_coirreducibles(chain3, b2):
-    assert completely_coirreducibles(chain3) == [1, 2]
+    assert list(bits(chain3.poset.coirreducibles)) == [1, 2]
     a, b = b2.names.index("{a0}"), b2.names.index("{a1}")
-    assert completely_coirreducibles(b2) == [a, b]
+    assert list(bits(b2.poset.coirreducibles)) == [a, b]
     assert sorted(delta_plus(chain3, 2)) == [1, 2]
     assert sorted(delta_plus(b2, b2.top)) == [a, b]
 

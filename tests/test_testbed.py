@@ -1,7 +1,6 @@
 import itertools
 import random
 from operator import ge
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -57,8 +56,7 @@ def test_isolation_search_builds_no_grid():
     assert cf.isolated_oracle((99999999, 1), 10**8 + 1) is True
     assert cf.isolated_oracle((99999999, INF), 10**8 + 1) is False
     s1 = lambda z: cf.cb_level(z) >= 1
-    assert cf.isolated_in_subspace_oracle((99999999, INF), s1, 10**8 + 1) is True
-    assert cf.check_locally_constant_core((INF, 0), 10**8) is True
+    assert cf._separable((99999999, INF), 10**8 + 1, s1) is True
 
 
 def test_order_examples(cf2):
@@ -329,9 +327,7 @@ def test_negative_bounds_are_rejected():
     calls = [
         lambda: cf2.box(-1),
         lambda: cf2.isolated_oracle((1, 1), -1),
-        lambda: cf2.isolated_in_subspace_oracle((INF, 0), s1, -1),
         lambda: cf2.subspace_isolation_sweep(s1, -3),
-        lambda: cf2.check_locally_constant_core((INF, 0), -1),
         lambda: cf2.check_s1s2_above((INF, 0), (0, 0), -1),
     ]
     for call in calls:
@@ -427,7 +423,7 @@ def test_profile_dim2(cf2):
     assert p.boundary == (2, 3)
     assert cf2.outcasts((2, 3)) == []
     assert p.mu == (3, 4)
-    assert p.t_class == 2
+    assert len(p.maximal) == 2
     assert p.rho((2, INF)) == 0
     assert p.rho((4, INF)) == 2
 
@@ -493,8 +489,9 @@ def test_cb_level_examples(cf2):
 
 def test_inf0_isolated_within_first_layer(cf2):
     member = lambda z: cf2.cb_level(z) >= 1
-    assert cf2.isolated_in_subspace_oracle((INF, 0), member, 6)
-    assert not cf2.isolated_in_subspace_oracle(cf2.bottom, member, 6)
+    sweep = cf2.subspace_isolation_sweep(member, 6)
+    assert sweep[(INF, 0)]
+    assert not sweep[cf2.bottom]
 
 
 def test_cb_ladder_small_dims():
@@ -608,12 +605,6 @@ def test_s1s2_above_clauses_can_fail_for_bad_pair():
     assert good.all_clauses_pass
 
 
-def test_locally_constant_core(cf2):
-    assert cf2.check_locally_constant_core((INF, 0), 8)
-    with pytest.raises(PreconditionFailed):
-        cf2.check_locally_constant_core((2, 3), 8)
-
-
 def test_stability_machinery(cf2):
     # verdicts are stable across the re-check window by construction here
     for x in [(1, 1), (INF, 2), (0, INF)]:
@@ -653,12 +644,10 @@ def test_isolated_oracle_searches_once(monkeypatch):
 
 
 def test_subspace_searches_raise_unstable_verdict():
-    # the member predicate tells 7 and 8 apart from the other finite
-    # values, which the search grid at bound 6 lumps into 7
+    # the member predicate tells 7 and 8 apart from the larger finite
+    # values, which the sweep's search grid at bound 7 lumps into 8
     cf = OrdinalCoframe(1)
     member = lambda z: z[0] == INF or z[0] not in (7, 8)
-    with pytest.raises(UnstableVerdict):
-        cf.isolated_in_subspace_oracle((INF,), member, 6)
     with pytest.raises(UnstableVerdict):
         cf.subspace_isolation_sweep(member, 5)
 
@@ -727,24 +716,6 @@ def exhaustive_sweep(cf, member, bound):
     return out
 
 
-def exhaustive_locally_constant_core(cf, x, bound):
-    grid = search_grid(cf, bound)
-    core_x = cf.profile(x).core
-    ranges = [range(int(min(c, bound)), -1, -1) for c in x]
-    for a in itertools.product(*ranges):
-        zone = [
-            z
-            for z in grid
-            if z != x
-            and cf.leq(z, a)
-            and all(min(zc, bound) <= xc for zc, xc in zip(z, x))
-            and not cf.leq(z, x)
-        ]
-        if all(cf.profile(z).core == core_x for z in zone):
-            return True
-    return False
-
-
 def test_separable_matches_exhaustive_search():
     verdicts = set()
     for dims, bounds in ((1, range(8)), (2, range(8)), (3, range(5))):
@@ -792,25 +763,3 @@ def test_isolation_depends_only_on_coordinate_types():
                 assert len(verdicts) == 1, (types, alpha)
                 if "high" not in types and infinite >= alpha:
                     assert verdicts == {infinite == alpha}, (types, alpha)
-
-
-class _StepCore(OrdinalCoframe):
-    """The testbed with a made-up core that changes across the grid, so the
-    zone searches have something to find; the real core is constant."""
-
-    def profile(self, x):
-        return SimpleNamespace(core=tuple(c >= 3 for c in x))
-
-
-def test_locally_constant_core_matches_exhaustive_search():
-    verdicts = set()
-    for dims, bounds in ((1, range(6)), (2, range(6)), (3, range(4))):
-        cf = _StepCore(dims)
-        for bound in bounds:
-            for x in search_grid(cf, bound):
-                if cf.cb_level(x) != 1:
-                    continue
-                got = cf.check_locally_constant_core(x, bound)
-                assert got == exhaustive_locally_constant_core(cf, x, bound), (x, bound)
-                verdicts.add(got)
-    assert verdicts == {True, False}
