@@ -9,7 +9,6 @@ seeded random distributive lattices for fuzzing the law suite.
 
 from __future__ import annotations
 
-import importlib.resources
 import itertools
 import json
 import math
@@ -37,8 +36,6 @@ _ORDER_CAP_MESSAGE = f"subgroup enumeration capped at order {GROUP_ORDER_CAP}"
 CATALOG_NAMES = tuple(
     [f"z{n}" for n in range(1, 33)] + ["s3", "d4", "q8", "a4", "z2xz4", "z2xz2xz2"]
 )
-# Catalog groups whose tables ship as JSON; the abelian ones are generated.
-_BUNDLED_GROUPS = ("s3", "d4", "q8", "a4")
 
 
 # -- finite groups -----------------------------------------------------------
@@ -188,10 +185,57 @@ def load_catalog_group(name: str) -> CayleyTable:
     """One of the catalog groups by name (e.g. 'q8' or 'z2xz4')."""
     if name not in CATALOG_NAMES:
         raise InvalidGroup(f"unknown catalog group {name!r}; see CATALOG_NAMES")
-    if name in _BUNDLED_GROUPS:
-        ref = importlib.resources.files("residua.data.groups").joinpath(f"{name}.json")
-        return CayleyTable.from_json_dict(json.loads(ref.read_text()), name=name)
+    if name in _NONABELIAN_GROUPS:
+        return _tabulate(*_NONABELIAN_GROUPS[name], name)
     return _abelian_group([int(factor[1:]) for factor in name.split("x")], name)
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a·b, which maps i to a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _is_even(p: tuple) -> bool:
+    return sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0
+
+
+def _dihedral(a: tuple, b: tuple) -> tuple:
+    """(s, i)(t, j) = (s xor t, i + (-1)^s j mod 4): s is a reflection,
+    i a rotation of the square."""
+    (s, i), (t, j) = a, b
+    return s ^ t, (i - j if s else i + j) % 4
+
+
+# The sign of u·v for quaternion units u, v in 1, i, j, k (0..3), 1 when
+# negative; the unit itself is u xor v (i·j = k, j·i = -k, i·i = -1).
+_QUATERNION_SIGN = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+
+
+def _quaternion(a: tuple, b: tuple) -> tuple:
+    """(u, s)(v, t) for units u, v and signs s, t (1 when negative)."""
+    (u, s), (v, t) = a, b
+    return u ^ v, s ^ t ^ _QUATERNION_SIGN[u][v]
+
+
+# The non-abelian catalog groups: each one's elements, in table order,
+# and its product.
+_NONABELIAN_GROUPS = {
+    "s3": (list(itertools.permutations(range(3))), _compose),
+    "d4": (list(itertools.product(range(2), range(4))), _dihedral),
+    "q8": (list(itertools.product(range(4), range(2))), _quaternion),
+    "a4": (list(filter(_is_even, itertools.permutations(range(4)))), _compose),
+}
+
+
+def _tabulate(elements: list, mul, name: str) -> CayleyTable:
+    """The group on ``elements`` under ``mul``, validated: element i is
+    ``elements[i]``, ``table[a][b]`` is the index of ``mul(elements[a],
+    elements[b])``, and the identity is ``elements[0]``."""
+    index = {x: i for i, x in enumerate(elements)}
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    group = CayleyTable(order=len(table), table=table, identity=0, name=name)
+    group.validate()
+    return group
 
 
 def _abelian_group(moduli: list[int], name: str = "group") -> CayleyTable:

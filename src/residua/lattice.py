@@ -35,6 +35,13 @@ the lattice: the two tables and the first faulty entry of each table
 (``join_fault``, ``meet_fault``), each computed on first read, unless
 the table was built from the order rows and so has none.  Residual
 facts are kept by the run that derives them (``laws._Ctx``).
+
+The table primitives (``leq``, ``join2``, ``meet2``, ``join_of_set``
+and ``meet_of_set``) do not check their positions, since the law
+registry calls them tens of thousands of times per run: a position
+outside 0..n-1 gives a wrong answer or an unrelated error there.  The
+residual calculus checks each position at its public functions
+(``residual._position``).
 """
 
 from __future__ import annotations

@@ -1384,7 +1384,7 @@ def mutate_entry(L: FiniteLattice, table: str, i: int, j: int, value: int) -> Fi
     builds a clean one."""
     if table not in ("meet", "join"):
         raise ValueError("table must be 'meet' or 'join'")
-    if not (i in range(L.n) and j in range(L.n) and value in range(L.n)):
+    if not all(type(v) is int and 0 <= v < L.n for v in (i, j, value)):
         raise ValueError(f"{table}[{i}][{j}]={value} is outside the carrier range({L.n})")
     rows = [list(row) for row in getattr(L, table)]
     rows[i][j] = value

@@ -12,6 +12,11 @@ family, so there is a single copy of the derivative/rank/stratum
 machinery.  A family is a set of element positions, which only order
 rows answer (``family_mask``).  The other functions read order rows.
 
+On order rows an element is a position: an ``int``, not a ``bool``, in
+0..n-1.  Each public function here refuses any other argument, and
+``family_mask`` any other family member, with a ``ValueError`` naming
+it (``_position``); the table primitives they call do not check.
+
 Set-valued results are returned in canonical index order.  Degenerate
 input: the bottom element has no maximal subelements, derivative itself,
 rank 0, empty boundary data.
@@ -47,16 +52,33 @@ class RankValue:
 OMEGA = RankValue(finite=None)
 
 
+def _position(L, x) -> None:
+    """Refuse x unless it is a position of the carrier of L's order rows."""
+    n = L.poset.n
+    if type(x) is not int or not 0 <= x < n:
+        raise ValueError(f"position {x!r} is outside the carrier 0..{n - 1}")
+
+
 def family_mask(L, family) -> Optional[int]:
     """Normalize a family to a carrier bitmask (None means all of L).  A
-    family is a set of element positions, so it needs order rows: without
-    them it raises ``ValueError``."""
+    family is a set of element positions, or their bitmask, so it needs
+    order rows: without them, or with a member outside the carrier, it
+    raises ``ValueError``."""
     if family is None:
         return None
     if not hasattr(L, "poset"):
         raise ValueError(f"{L.describe()} has no order rows, which a family of positions needs")
-    if isinstance(family, int):
+    if type(family) is bool:
+        _position(L, family)
+    if type(family) is int:
+        n = L.poset.n
+        extra = family >> n
+        if extra:  # name the lowest member past the carrier
+            _position(L, n + (extra & -extra).bit_length() - 1)
         return family
+    family = list(family)
+    for x in family:
+        _position(L, x)
     return mask_of(family)
 
 
@@ -75,11 +97,12 @@ def family_is_lattice(L: FiniteLattice, fam_mask: int) -> bool:
 def maximal_subelements(L, x, family=None) -> list:
     """Maximal elements of family /\\ (down(x) minus {x})."""
     fam = family_mask(L, family)
-    if fam is not None:
-        return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
-    if hasattr(L, "maximal_subelements"):
+    if fam is None and hasattr(L, "maximal_subelements"):
         return L.maximal_subelements(x)
-    return list(bits(L.poset.lower_covers[x]))
+    _position(L, x)
+    if fam is None:
+        return list(bits(L.poset.lower_covers[x]))
+    return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
 
 
 def residual_derivative(L, x, family=None, maximals_of=None):
@@ -89,7 +112,12 @@ def residual_derivative(L, x, family=None, maximals_of=None):
     per-run row (``laws._Ctx.maximals``), and keeps the answer in its own
     row (``laws._Ctx.derivative``).
     """
-    maxes = maximal_subelements(L, x, family) if maximals_of is None else maximals_of(x)
+    if maximals_of is None:
+        maxes = maximal_subelements(L, x, family)
+    else:
+        if hasattr(L, "poset"):
+            _position(L, x)
+        maxes = maximals_of(x)
     if not maxes:
         return x
     return L.meet_of_set(maxes)
@@ -109,6 +137,8 @@ def co_heyting_sub(L, x, z):
     closed_form = getattr(L, "co_heyting_sub", None)
     if closed_form is not None:
         return closed_form(x, z)
+    _position(L, x)
+    _position(L, z)
     if not L.leq(z, x):
         raise NotBelow(f"{L.name(z)} is not below {L.name(x)}")
     down = L.poset.down
@@ -125,6 +155,8 @@ def mu_iterates(L, x, family=None, limit=None) -> list:
     stabilization (used to cross-check closed-form instances whose rank
     is the first infinite ordinal).
     """
+    if hasattr(L, "poset"):
+        _position(L, x)
     return _descend(x, lambda y: residual_derivative(L, y, family), limit=limit)[0]
 
 
@@ -170,6 +202,7 @@ def outcasts(L, x, family=None, residues_of=None) -> list:
     fam = family_mask(L, family)
     if fam is None and hasattr(L, "outcasts"):
         return L.outcasts(x)
+    _position(L, x)
     down = L.poset.down
     below = down[x] & ~(1 << x)
     cand = below if fam is None else below & fam
@@ -281,6 +314,7 @@ def residual_profile(L, x, family=None, rows=None) -> ResidualProfile:
     if family is None and hasattr(L, "profile"):
         return L.profile(x)
     fam = family_mask(L, family)
+    _position(L, x)
     if rows is None:
         derivative = lambda y: residual_derivative(L, y, fam)
         residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
@@ -359,7 +393,10 @@ def _verify_profile(L, p: ResidualProfile) -> None:
 def delta_plus(L, x, core=None) -> list:
     """Co-irreducible subelements of x not below its core."""
     if core is None:
-        core = mu_iterates(L, x)[-1]
+        core = mu_iterates(L, x)[-1]  # which checks x
+    else:
+        _position(L, x)
+        _position(L, core)
     down = L.poset.down
     return list(bits(L.poset.coirreducibles & down[x] & ~down[core]))
 
@@ -375,6 +412,9 @@ class RelativeStrata:
 
 def relative_strata(L, x, z) -> RelativeStrata:
     """Relative strata of index x inside the boundary poset of z (x <= z)."""
+    if hasattr(L, "poset"):
+        _position(L, x)
+        _position(L, z)
     if not L.leq(x, z):
         raise NotBelow(f"{L.name(x)} is not below {L.name(z)}")
     prof = residual_profile(L, z)

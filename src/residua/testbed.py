@@ -316,7 +316,14 @@ class OrdinalCoframe:
     # -- lattice primitives ------------------------------------------------
 
     def _check(self, *vs):
+        """Refuse a vector of the wrong length (``DimensionMismatch``) or
+        with a coordinate that is neither inf nor a natural, an ``int``
+        but not a ``bool`` (``ValueError``, worded as ``parse_vec``'s)."""
         _check_lengths(self.dims, vs)
+        for v in vs:
+            for c in v:
+                if c != INF and (type(c) is not int or c < 0):
+                    raise ValueError(f"coordinate {c!r} is not a natural; coordinates are naturals or inf")
 
     # leq, meet2, join2 and co_heyting_sub each call the kernel for
     # ``self.dims`` (see ``_kernels``), which checks the lengths by
@@ -400,8 +407,7 @@ class OrdinalCoframe:
         return []
 
     def profile(self, x: tuple) -> TestbedProfile:
-        if len(x) != self.dims:
-            self._check(x)
+        self._check(x)
         maxes = tuple(self.maximal_subelements(x))
         fin = self.finite_coords(x)
         residues = {}
@@ -583,9 +589,8 @@ class OrdinalCoframe:
         The literal predicate (no outcast and finitely many maximal
         subelements) holds for every vector here; the corrected predicate
         adds dual compactness.  They disagree exactly on the vectors with
-        an infinite coordinate.
+        an infinite coordinate.  ``outcasts`` checks x.
         """
-        self._check(x)
         no_outcast = not self.outcasts(x)
         m_finite = True
         literal = no_outcast and m_finite

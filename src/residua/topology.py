@@ -195,9 +195,16 @@ def check_order_compatible(L: FiniteLattice, t: FiniteTopology) -> OrderCompatRe
     outside N(x v z).  Order-closedness fails at (x, z), x not <= z,
     when N(z) meets U(x), the OR of the up rows over N(x), that is when
     z is in the closure row of a point of U(x).
+
+    On a discrete space neither search can fail, so neither runs: every
+    N(x) is {x}, so join continuity compares ``join[x][z]`` with itself,
+    and every closure row is a singleton, so U(x) is up(x) and
+    order-closedness finds no z outside it.
     """
     if L.n != t.n:
         raise ValueError("topology and lattice have different carriers")
+    if t.is_discrete:
+        return OrderCompatReport(True, True)
     join, order = _join_witness(L, t), _order_witness(L, t)
     return OrderCompatReport(join is None, order is None, join or order)
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import time
 
 import pytest
@@ -110,6 +111,24 @@ def test_catalog_complete_and_valid(monkeypatch):
     checked = []
     monkeypatch.setattr(CayleyTable, "validate", lambda g: checked.append(g.name) or real(g))
     assert load_catalog_group("z2xz4").name == "z2xz4" and checked == ["z2xz4"]
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "data", "groups")
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4"])
+def test_nonabelian_catalog_groups_equal_their_fixtures(name, monkeypatch):
+    """s3, d4, q8 and a4 are built in code, validated once, and equal the
+    Cayley JSON fixture of the same name entry for entry."""
+    real = CayleyTable.validate
+    checked = []
+    monkeypatch.setattr(CayleyTable, "validate", lambda g: checked.append(g.name) or real(g))
+    g = load_catalog_group(name)
+    with open(os.path.join(FIXTURES, f"{name}.json")) as f:
+        doc = json.load(f)
+    assert checked == [name]
+    assert (g.name, g.order, g.identity) == (name, doc["order"], doc["identity"])
+    assert [list(row) for row in g.table] == doc["table"]
 
 
 def test_invalid_group_rejected():

@@ -392,8 +392,9 @@ def test_fault_reports_carry_witness(div12):
 
 
 def test_mutate_entry_rejects_values_outside_the_carrier(b3):
-    """A value, row or column outside range(n) is refused, naming the
-    table, the pair and the value; -1 used to be read as position n - 1."""
+    """A value, row or column outside range(n), or a bool, is refused,
+    naming the table, the pair and the value; -1 used to be read as
+    position n - 1, and True as 1."""
     n = b3.n
     for table, i, j, value in (
         ("join", 3, 4, -1),
@@ -401,6 +402,9 @@ def test_mutate_entry_rejects_values_outside_the_carrier(b3):
         ("meet", 3, 4, 99),
         ("meet", -1, 4, 0),
         ("join", 3, n, 0),
+        ("join", 0, 0, True),
+        ("join", True, 4, 0),
+        ("meet", 3, False, 0),
     ):
         message = rf"^{table}\[{i}\]\[{j}\]={value} is outside the carrier range\({n}\)$"
         with pytest.raises(ValueError, match=message):

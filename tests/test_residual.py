@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from residua.residual import (
     residual_derivative,
     residual_profile,
 )
-from residua.laws import mutate_entry
+from residua.laws import mutate_entry, run_all
 from residua.residual import ResidualProfile, _cover_pairs, _maximal_chain_lengths
 from residua.testbed import INF, OrdinalCoframe
 
@@ -413,6 +414,42 @@ def test_classify_t(b2, b3):
     assert classify_t(b2, b2.top) == 2
     assert classify_t(b2, b2.bottom) == 0
     assert classify_t(b3, b3.top) == 3
+
+
+def test_positions_outside_the_carrier_are_rejected(div12):
+    """On order rows an element is an int, not a bool, in 0..n-1, and so
+    is each member of a family; anything else is refused, named, before
+    a row is read.  -1 used to be read as position n - 1, or raised a
+    negative shift count, and n an IndexError."""
+    L = div12
+    assert L.n == 6
+    calls = [
+        (lambda: residual_derivative(L, -1), -1),
+        (lambda: residual_derivative(L, -1, maximals_of=lambda x: []), -1),
+        (lambda: maximal_subelements(L, -2), -2),
+        (lambda: maximal_subelements(L, 6, family=[0, 1]), 6),
+        (lambda: co_heyting_sub(L, 5, -1), -1),
+        (lambda: co_heyting_sub(L, 6, 0), 6),
+        (lambda: delta_plus(L, -1), -1),
+        (lambda: delta_plus(L, 5, core=7), 7),
+        (lambda: classify_t(L, -1), -1),
+        (lambda: classify_t(L, True), True),
+        (lambda: outcasts(L, 1.0), 1.0),
+        (lambda: mu_iterates(L, 6, limit=0), 6),
+        (lambda: relative_strata(L, 0, -1), -1),
+        (lambda: residual_profile(L, -1), -1),
+        (lambda: residual_profile(L, 6), 6),
+        (lambda: residual_profile(L, 0, family=[0, True]), True),
+        (lambda: run_all(L, family=[-1]), -1),
+        (lambda: run_all(L, family=[0, 9]), 9),
+        (lambda: run_all(L, family=1 << 9 | 1), 9),
+        (lambda: run_all(L, family=True), True),
+    ]
+    for call, x in calls:
+        message = rf"^position {re.escape(repr(x))} is outside the carrier 0\.\.5$"
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert residual_profile(L, 5, family=[0, 5]).element == 5
 
 
 def derivative_oracle(L, x):

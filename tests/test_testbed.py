@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from operator import ge
 
 import pytest
@@ -334,6 +335,19 @@ def test_negative_bounds_are_rejected():
         with pytest.raises(ValueError, match="negative"):
             call()
     assert cf2.box(0) == [(0, 0), (0, INF), (INF, 0), (INF, INF)]
+    # so are coordinates: each is inf or a natural, an int but not a bool
+    outside = [
+        (lambda: cf2.isolated_oracle((-1, 0), 5), -1),
+        (lambda: cf2.cb_level((1.5, 0)), 1.5),
+        (lambda: cf2.profile((0.5, 2)), 0.5),
+        (lambda: cf2.characterization_predicates((True, 0)), True),
+        (lambda: cf2.outcasts((0, -2)), -2),
+        (lambda: cf2.check_s1s2_above((INF, 0), (0, 0.0)), 0.0),
+    ]
+    for call, c in outside:
+        message = rf"^coordinate {re.escape(repr(c))} is not a natural; coordinates are naturals or inf$"
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_lattice_laws_on_box(cf2):

@@ -6,6 +6,9 @@ from residua.generators import boolean, chain, divisor
 from residua.lattice import lattice_from_json
 from residua.topology import (
     FiniteTopology,
+    OrderCompatReport,
+    _join_witness,
+    _order_witness,
     cb_sequence,
     check_order_compatible,
     closed_set_lattice,
@@ -244,17 +247,21 @@ def test_order_compatible_matches_the_pair_loops():
     their complements.  Every point lies in its own minimal
     neighbourhood, so the nets never fail; and an order-closed topology
     has a closed diagonal, so on a finite space it is order-closed iff
-    it is discrete."""
+    it is discrete.  On every discrete space, drawn or the one of
+    singletons added per lattice, the report, which is then decided
+    without a search, equals the two searches' verdicts."""
     rng = random.Random(41)
-    flags, conditions, cases = set(), set(), 0
+    flags, conditions, cases, discrete = set(), set(), 0, 0
     for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
         for _ in range(3):
             M = relabeled(L, rng)
             full = full_mask(M.n)
             rows = [row for x in M.elements() for row in (M.up_set(x), M.down_set(x))]
             rows += [full & ~row for row in rows]
-            for k in range(360):
-                if k % 2:
+            for k in range(361):
+                if k == 360:
+                    t = FiniteTopology.from_subbase(M.n, [1 << x for x in M.elements()])
+                elif k % 2:
                     nbhd = tuple(
                         rng.getrandbits(M.n) | (1 << x if rng.random() < 0.9 else 0)
                         for x in M.elements()
@@ -270,10 +277,14 @@ def test_order_compatible_matches_the_pair_loops():
                 assert got == want_flags and rep.witness == want, (M.names, t.subbase)
                 assert nets_pair_loop(M, t) is None, (M.names, t.subbase)
                 assert rep.order_closed == t.is_discrete, (M.names, t.subbase)
+                if t.is_discrete:
+                    join, order = _join_witness(M, t), _order_witness(M, t)
+                    assert rep == OrderCompatReport(join is None, order is None, join or order)
+                    discrete += 1
                 flags.add(got)
                 conditions.add(want and want["condition"])
                 cases += 1
-    assert cases >= 5000
+    assert cases >= 5000 and discrete >= 15
     assert conditions == {None, "join_continuity", "order_closed"}
     assert flags >= {(True, True, True), (True, True, False), (True, False, False)}, flags
 
