@@ -1,16 +1,15 @@
-"""Explicit finite posets and lattices with verified axioms.
+"""Explicit finite posets, built with their Hasse diagrams, and certified lattices.
 
 Order relations are stored as full reflexive-transitive closures, one
 bit-packed row per element, so order queries are O(1) word operations.
 The rows are built whole: ``build_poset`` closes a relation in one
 topological pass, and inclusion and product lattices form their rows
-from set and factor rows.  A generator whose rows are a partial order
-by construction hands over its Hasse diagram (``lower_covers``) with
-them (``_hasse_poset``), and so does ``inclusion_lattice`` for a family
-that is the closed sets of a preorder on its points; no axiom check
-runs on those rows.  Any other poset derives its lower covers with the
-axiom check (``verify_axioms``) on first read.  ``upper_covers`` is
-their transpose.
+from set and factor rows.  Every constructor's rows are a partial order
+by construction, and each builds its Hasse diagram (``lower_covers``)
+with them and hands it over (``_hasse_poset``), so no axiom check runs
+on them.  Only a ``FinitePoset`` made by hand derives its lower covers
+with the axiom check (``verify_axioms``), on first read.
+``upper_covers`` is their transpose.
 
 A lattice is certified at construction, on its order rows, and both
 tables are built on first read.  The certificate rests on one fact: in
@@ -177,11 +176,11 @@ class FinitePoset:
 
     @cached_property
     def lower_covers(self) -> tuple[int, ...]:
-        """``lower_covers[x]`` is the bitmask of the elements x covers.  A
-        poset built by construction holds them from the start
-        (``_hasse_poset``); any other runs ``verify_axioms`` on first
-        read, which keeps them, or raises on rows that are no partial
-        order."""
+        """``lower_covers[x]`` is the bitmask of the elements x covers.
+        Every constructor of this module hands them over with the rows
+        (``_hasse_poset``); a poset made by hand runs ``verify_axioms`` on
+        first read, which keeps them, or raises on rows that are no
+        partial order."""
         self.verify_axioms()
         return vars(self)["lower_covers"]
 
@@ -258,15 +257,23 @@ class FinitePoset:
 def build_poset(
     names: Sequence[str], relation_pairs: Iterable[tuple[str, str]], mode: str = "covers"
 ) -> FinitePoset:
-    """Build a verified poset from named pairs.
+    """Build a poset from named pairs.
 
     ``mode="covers"`` treats pairs as Hasse edges, ``mode="leq"`` as arbitrary
     (a <= b) assertions; either way the reflexive-transitive closure is
-    computed and the poset axioms are verified.  The closure is one pass
-    in topological order: an up row is the OR of its successors' up rows,
-    taken in reverse order, and a down row the OR of its predecessors'
-    down rows, which is O(n + pairs) row ORs.  A cyclic relation raises
-    ``CycleDetected`` naming two elements on a cycle.
+    computed.  The closure is one pass in topological order: an up row is
+    the OR of its successors' up rows, taken in reverse order, and a down
+    row the OR of its predecessors' down rows, which is O(n + pairs) row
+    ORs.  A cyclic relation raises ``CycleDetected`` naming two elements
+    on a cycle; the closure of an acyclic one is a partial order, so no
+    axiom check runs on it.
+
+    The lower covers of b are built in the same pass: the predecessors
+    of b that lie strictly below no other predecessor of b.  Every
+    element strictly below b lies at or below a predecessor of b, so each
+    lower cover is a predecessor, and a predecessor a is one unless some
+    c lies strictly between a and b, which puts a strictly below the
+    predecessor at or above c.
     """
     if mode not in ("covers", "leq"):
         raise ValueError(f"mode must be 'covers' or 'leq', got {mode!r}")
@@ -294,21 +301,23 @@ def build_poset(
         for b in bits(succ[a]):
             up[a] |= up[b]
     down = [1 << i for i in range(n)]
+    lower = [0] * n
     for b in order:
+        row, strict = down[b], 0
         for a in bits(pred[b]):
-            down[b] |= down[a]
-    poset = FinitePoset(n=n, names=names, up=tuple(up), down=tuple(down))
-    poset.verify_axioms()
-    return poset
+            row |= down[a]
+            strict |= down[a] ^ 1 << a
+        down[b] = row
+        lower[b] = pred[b] & ~strict
+    return _hasse_poset(names, up, down, lower)
 
 
-def _hasse_poset(names: tuple[str, ...], up, down, lower_covers=None) -> FinitePoset:
+def _hasse_poset(names: tuple[str, ...], up, down, lower_covers) -> FinitePoset:
     """A poset on rows that are a partial order by construction, holding
     the Hasse diagram its builder knows as ``lower_covers``: no axiom
-    check runs on it.  Without covers it is a plain ``FinitePoset``."""
+    check runs on it."""
     poset = FinitePoset(n=len(names), names=names, up=tuple(up), down=tuple(down))
-    if lower_covers is not None:
-        vars(poset)["lower_covers"] = tuple(lower_covers)
+    vars(poset)["lower_covers"] = tuple(lower_covers)
     return poset
 
 
@@ -696,11 +705,13 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     the complements of the holders of the points it lacks, each one
     ``reduce`` over the rows.
 
-    When the family is the closed sets of a preorder on the points, as
-    every downset and closed-set family is, its Hasse diagram is read
-    off the family (``_closed_set_covers``) and no axiom check runs on
-    its rows; any other family, such as a subgroup lattice, derives it
-    with the axiom check.
+    Inclusion of distinct sets is a partial order, so no axiom check
+    runs on the rows, and the lower covers are read off the down rows.
+    A strict subset is smaller, so it comes earlier.  So the highest
+    element left in a set's strict down row lies strictly below no other
+    element left, nor below a cover already kept, whose down row was
+    cleared: it is a lower cover.  Keep it, clear its down row, and
+    repeat until nothing is left.
     """
     sets = tuple(sorted(sorted(sets), key=int.bit_count))  # stable: (size, value) order
     points = _union_of_sets(sets, point_names)
@@ -716,64 +727,16 @@ def inclusion_lattice(sets: Iterable[int], point_names: Sequence[str], provenanc
     lacking = [everything ^ row for row in holders]
     up = tuple([reduce(and_, map(holders.__getitem__, ms), everything) for ms in members])
     down = tuple([reduce(and_, map(lacking.__getitem__, bits(points & ~m)), everything) for m in sets])
-    covers = _closed_set_covers(sets, members, holders)
-    poset = _hasse_poset(names, up, down, covers)
-    return replace(as_lattice(poset, provenance=provenance), sets=sets)
-
-
-def _closed_set_covers(sets, members, holders) -> Optional[list[int]]:
-    """The lower covers of a family of distinct sets in (size, value)
-    order, read off the family when it is the closed sets of a preorder
-    on its points, or None.  ``holders[q]`` is the mask of the sets that
-    hold point q.
-
-    The row ``r(q)`` of a point q is the first set holding q, and U(x)
-    is the set of points whose rows hold x.  Call y strictly above x when
-    x lies in r(y) but y not in r(x): then r(x) comes strictly before
-    r(y), so the relation has no cycle, and every nonempty set has a top
-    point, one with no point of the set strictly above it.  The rule: C
-    covers ``C - U(x)`` for each top point x of C.  It is read when the
-    first set is empty and every such ``C - U(x)`` is in the family;
-    otherwise this returns None and the axiom check derives the covers.
-
-    Why it holds.  (1) Every set C holds the rows of its points, by
-    induction in family order.  For a top point x of C, a point of C
-    outside U(x) lies in ``C - U(x)``, an earlier set; a point y of C in
-    U(x) has r(y) = r(x), as each row holds the other point.  To see
-    that r(x), an earlier set unless it is C, lies in C, take from the
-    current set, starting at C, the U(t) of a top point t outside r(x),
-    while it has points outside r(x).  Such a t exists: going up from a
-    point outside r(x) stays outside it, since r(x) holds the rows of its
-    points.  Each step keeps x, which is in U(t) only if t is in r(x),
-    and gives a set of the family; the last one holds x and lies in
-    r(x), the first set holding x, so it is r(x).  (2) So each row, a set, holds the rows of its points: the rows are a
-    preorder.  (3) A set strictly between ``C - U(x)`` and C holds a
-    point of U(x) in C, so its row r(x), so all of C.  And a set E just
-    below C is one of them: a top point x of C outside E, reached from a
-    point of ``C - E`` by going up, has no point of U(x) in E, which
-    would bring x in with its row, so E lies in ``C - U(x)``.  The work
-    is one mask test per member and one dict lookup per top point.
-    """
-    if not sets or sets[0]:
-        return None
-    rows = [sets[(h & -h).bit_length() - 1] if h else 0 for h in holders]
-    up = [0] * len(rows)
-    for y, row in enumerate(rows):
-        for x in bits(row):
-            up[x] |= 1 << y
-    above = [u & ~row for u, row in zip(up, rows)]  # strictly above x
-    at = {m: i for i, m in enumerate(sets)}
     lower = []
-    for m, ms in zip(sets, members):
-        row = 0
-        for x in ms:
-            if not above[x] & m:  # a top point of m
-                j = at.get(m & ~up[x])
-                if j is None:
-                    return None
-                row |= 1 << j
-        lower.append(row)
-    return lower
+    for x, row in enumerate(down):
+        rest, covers = row ^ 1 << x, 0
+        while rest:
+            c = rest.bit_length() - 1
+            covers |= 1 << c
+            rest &= ~down[c]
+        lower.append(covers)
+    poset = _hasse_poset(names, up, down, lower)
+    return replace(as_lattice(poset, provenance=provenance), sets=sets)
 
 
 def _union_of_sets(sets: tuple[int, ...], point_names: Sequence[str]) -> int:

@@ -237,10 +237,8 @@ def _order_witness(L: FiniteLattice, t: FiniteTopology) -> Optional[dict]:
 def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
     """The lattice of closed sets ordered by inclusion; ``sets[i]`` is the
     closed set (a point bitmask) that element ``i`` stands for.  A set is
-    closed iff it holds the closure row of each of its points.  The
-    closed sets of a topology are the downsets of its specialization
-    preorder, so ``inclusion_lattice`` reads the Hasse diagram off them:
-    a closed set covers itself minus a top class."""
+    closed iff it holds the closure row of each of its points, and
+    ``inclusion_lattice`` builds the rows and the Hasse diagram."""
     points = tuple(str(x) for x in range(t.n))
     return inclusion_lattice(_downsets(t.closure), points, f"closed_sets(points={t.n})")
 

@@ -12,9 +12,10 @@ references below build the same rows and tables one pair at a time: the
 Warshall closure and its transposition, pairwise subset tests, the
 ``leq``-loop product, the Hasse covers closed by ``build_poset``, and
 an ``as_lattice`` that fills both tables
-eagerly, looking up every pair.  The Hasse diagrams that the generators
-and ``inclusion_lattice`` hand over are checked against the axiom check
-on fresh posets with the same rows.
+eagerly, looking up every pair.  The Hasse diagrams that every
+constructor hands over are checked against the axiom check on fresh
+posets with the same rows, and ``build_poset``'s also against the
+definition of a cover.
 """
 
 import itertools
@@ -48,7 +49,6 @@ from residua.generators import (
 from residua.lattice import (
     FiniteLattice,
     FinitePoset,
-    _closed_set_covers,
     _linear_extension,
     as_lattice,
     build_poset,
@@ -182,13 +182,29 @@ def leq_poset(n, pairs):
     return build_poset([f"e{i}" for i in range(n)], [(f"e{a}", f"e{b}") for a, b in pairs], "leq")
 
 
+def definitional_lower_covers(p: FinitePoset) -> tuple:
+    """The x < y with no z strictly between, one triple at a time."""
+    return tuple(
+        sum(
+            1 << x
+            for x in range(p.n)
+            if x != y and p.leq(x, y) and not any(p.lt(x, z) and p.lt(z, y) for z in range(p.n))
+        )
+        for y in range(p.n)
+    )
+
+
 def compare_with_references(n, pairs):
+    """``build_poset`` against Warshall's closure: the rows or the error,
+    the covers it hands over against the axiom check's and the
+    definition's, and the lattice tables against the eager pair loop."""
     names = [f"e{i}" for i in range(n)]
     named = [(names[a], names[b]) for a, b in pairs]
     got = outcome(build_poset, names, named, "leq")
     want = outcome(warshall_poset, names, named)
     assert got == want
     if isinstance(got, FinitePoset):
+        assert got.lower_covers == want.lower_covers == definitional_lower_covers(got)
         assert lattice_outcome(got) == outcome(eager_tables, got)
     return got
 
@@ -620,8 +636,8 @@ def test_handed_over_covers_match_the_axiom_check(lattice_corpus, monkeypatch):
     ``build`` workload (each N it can draw, as ``divisor`` and ``zn``),
     the catalog subgroup lattices and the closed-set lattices of every
     topology on at most 4 points, each preorder's up-closures as the
-    subbase (355 on 4 points, not T0 ones included).  Only ``build_poset``
-    and the subgroup lattices run the axiom check while they are built."""
+    subbase (355 on 4 points, not T0 ones included).  None of them runs
+    the axiom check while it is built."""
     for L in lattice_corpus:
         assert_covers_match_the_axiom_check(L)
     callers = axiom_check_callers(monkeypatch)
@@ -629,11 +645,9 @@ def test_handed_over_covers_match_the_axiom_check(lattice_corpus, monkeypatch):
     specs += [f"{kind}:{n}" for n in build_workload_numbers() for kind in ("divisor", "zn")]
     specs += [f"random:seed={seed},size=200" for seed in range(60)]
     built = [generate(spec) for spec in specs]
-    assert set(callers) == {"build_poset"}
-    del callers[:]
+    assert callers == []
     groups = [subgroup_lattice(load_catalog_group(name)) for name in CATALOG_NAMES]
-    assert callers == ["lower_covers"] * len(CATALOG_NAMES)
-    del callers[:]
+    assert callers == []
     preorders = [(n, up) for n in range(5) for up in all_preorders(n)]
     assert [n for n, _ in preorders].count(4) == 355 and len(preorders) == 1 + 1 + 4 + 29 + 355
     closed = [closed_set_lattice(FiniteTopology.from_subbase(n, up)) for n, up in preorders]
@@ -642,14 +656,12 @@ def test_handed_over_covers_match_the_axiom_check(lattice_corpus, monkeypatch):
         assert_covers_match_the_axiom_check(L)
 
 
-def test_inclusion_covers_are_read_off_closed_set_families_only():
+def test_inclusion_lattice_matches_the_pairwise_construction_on_small_families():
     """``inclusion_lattice`` builds what the pairwise construction builds
     (rows, names, sets, covers, or the same error) on every family of
     sets on at most 3 points and on seeded families on up to 5: the
     closed sets of seeded rows, a preorder or not, as they are, with a
-    set dropped (the empty set among them) and with a set added.  The
-    covers are read off the family on some and left to the axiom check
-    on others."""
+    set dropped (the empty set among them) and with a set added."""
     families = [
         ({m for m in range(1 << points) if k >> m & 1}, points)
         for points in range(4)
@@ -670,16 +682,9 @@ def test_inclusion_covers_are_read_off_closed_set_families_only():
         elif change == 2:
             family.add(rng.getrandbits(points))
         families.append((family, points))
-    handed = derived = 0
     for k, (family, points) in enumerate(families):
-        sets = sorted(sorted(family), key=int.bit_count)
-        holders = [sum(1 << j for j, m in enumerate(sets) if m >> q & 1) for q in range(points)]
-        covers = _closed_set_covers(sets, [tuple(bits(m)) for m in sets], holders)
-        handed += covers is not None
-        derived += covers is None
         args = (family, [f"p{i}" for i in range(points)], f"family#{k}")
         assert inclusion_outcome(inclusion_lattice, args) == inclusion_outcome(pairwise_inclusion_lattice, args), k
-    assert handed > 1000 and derived > 500, (handed, derived)
 
 
 def pairwise_inclusion_lattice(sets, point_names, provenance):
