@@ -7,9 +7,10 @@ topological pass, and inclusion and product lattices form their rows
 from set and factor rows.  Every constructor's rows are a partial order
 by construction, and each builds its Hasse diagram (``lower_covers``)
 with them and hands it over (``_hasse_poset``), so no axiom check runs
-on them.  Only a ``FinitePoset`` made by hand derives its lower covers
-with the axiom check (``verify_axioms``), on first read.
-``upper_covers`` is their transpose.
+on them.  Only a ``FinitePoset`` made by hand runs the axiom check
+(``verify_axioms``), on the first read of its lower covers, which it
+then reads off its checked down rows.  ``upper_covers`` is their
+transpose.
 
 A lattice is certified at construction, on its order rows, and both
 tables are built on first read.  The certificate rests on one fact: in
@@ -92,63 +93,10 @@ class FinitePoset:
             raise UnknownElement(f"unknown element {name!r}") from None
 
     def verify_axioms(self) -> None:
-        """Check that ``up`` is a partial order and ``down`` its transpose,
-        with one row OR per Hasse edge for each, and keep the Hasse
-        diagram found on the way as ``lower_covers``.
-
-        Row i passes when ``up[i] & down[i]`` is ``{i}`` and ``up[i]``
-        minus i is exactly the union of the up rows of the minimal
-        elements c of ``up[i]`` minus i, none of which holds i.  Each c
-        is found by climbing down rows through a shrinking candidate set,
-        so the climb ends on any rows.  If every row passes, the order is
-        transitive, by induction on ``|up[i]|``: each ``up[c]`` lies in
-        ``up[i]`` and misses i, so it is smaller and transitive, and every
-        j above i lies in some ``up[c]``, so ``up[j]`` lies in ``up[c]``.
-        It is antisymmetric for the same reason: j above i lies in some
-        ``up[c]``, which misses i.
-
-        Every c found is above i, and every element that covers i is
-        found.  So ``down`` is the transpose of ``up`` when each
-        ``down[c]`` is c plus the down rows of the i whose climb found c:
-        by induction from the minimal elements, every element below c lies
-        below one that c covers.  A partial order with its transpose
-        passes, and then the c found for i are exactly the upper covers
-        of i.  Rows that fail replay the full scan (``_axiom_scan``),
-        which raises their first fault.
-        """
-        n, up, down = self.n, self.up, self.down
-        # below[c]: c plus the down rows of the elements whose climb found c
-        below = [1 << c for c in range(n)]
-        lower_covers = [0] * n
-        for i, row in enumerate(up):
-            bit = 1 << i
-            if row & down[i] != bit:
-                return self._axiom_scan()
-            rest = row ^ bit
-            covered = 0
-            while rest:
-                cand = rest
-                while True:
-                    c = (cand & -cand).bit_length() - 1
-                    lower = down[c] & cand & ~(1 << c)
-                    if not lower:
-                        break
-                    cand = lower
-                covered |= up[c]
-                below[c] |= down[i]
-                lower_covers[c] |= bit
-                rest &= ~(up[c] | 1 << c)
-            if covered != row ^ bit:
-                return self._axiom_scan()
-        if below != list(down):
-            return self._axiom_scan()
-        vars(self)["lower_covers"] = tuple(lower_covers)
-
-    def _axiom_scan(self) -> None:
-        """The full matrix scan for reflexivity, antisymmetry and
-        transitivity, one step per comparable pair, then a comparison of
-        ``down`` with the transpose of ``up``: it names the first fault,
-        row by row."""
+        """Check that ``up`` is a partial order and ``down`` its transpose:
+        reflexivity, antisymmetry and transitivity row by row, one step
+        per comparable pair, then ``down`` against the transpose of
+        ``up``.  Raises ``CycleDetected`` naming the first fault."""
         n, names, up, down = self.n, self.names, self.up, self.down
         for i in range(n):
             if not up[i] >> i & 1:
@@ -176,13 +124,13 @@ class FinitePoset:
 
     @cached_property
     def lower_covers(self) -> tuple[int, ...]:
-        """``lower_covers[x]`` is the bitmask of the elements x covers.
-        Every constructor of this module hands them over with the rows
-        (``_hasse_poset``); a poset made by hand runs ``verify_axioms`` on
-        first read, which keeps them, or raises on rows that are no
-        partial order."""
+        """``lower_covers[x]`` is the bitmask of the elements x covers:
+        the maximal elements strictly below x.  Every constructor of this
+        module hands them over with the rows (``_hasse_poset``); a poset
+        made by hand runs ``verify_axioms`` on first read, which raises on
+        rows that are no partial order, and reads them off its down rows."""
         self.verify_axioms()
-        return vars(self)["lower_covers"]
+        return tuple(self.maximal_of(row ^ 1 << x) for x, row in enumerate(self.down))
 
     @cached_property
     def upper_covers(self) -> tuple[int, ...]:

@@ -169,6 +169,32 @@ def test_testbed_cb_flag(tmp_path):
     assert all(level["matches_oracle"] for level in doc["cb_ladder"])
 
 
+def test_testbed_oracle_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    """An oracle that disagrees with the characterization on one vector
+    of the sweep is listed, in JSON and in text, and the command exits 1;
+    so is a CB level whose subspace sweep disagrees with ``cb_level``."""
+    oracle = OrdinalCoframe.isolated_oracle
+    monkeypatch.setattr(OrdinalCoframe, "isolated_oracle", lambda cf, x, b: oracle(cf, x, b) != (x == (1, 0)))
+    out = tmp_path / "tb.json"
+    assert run_cli("testbed", "--dims", "2", "--bound", "1", "--report", str(out)) == 1
+    assert json.loads(out.read_text())["oracle_mismatches"] == ["1,0"]
+    assert run_cli("testbed", "--dims", "2", "--bound", "1", "--format", "text") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "oracle mismatches: 1,0"
+    monkeypatch.undo()
+    sweep = OrdinalCoframe.subspace_isolation_sweep
+
+    def flipped(cf, member, bound):
+        return {x: v != (x == (INF,)) for x, v in sweep(cf, member, bound).items()}
+
+    monkeypatch.setattr(OrdinalCoframe, "subspace_isolation_sweep", flipped)
+    assert run_cli("testbed", "--dims", "1", "--bound", "5", "--cb", "--report", str(out)) == 1
+    doc = json.loads(out.read_text())
+    assert doc["oracle_mismatches"] == ["cb_level_0", "cb_level_1"]
+    assert [level["matches_oracle"] for level in doc["cb_ladder"]] == [False, False]
+    assert run_cli("testbed", "--dims", "1", "--bound", "5", "--cb", "--format", "text") == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "oracle mismatches: cb_level_0, cb_level_1"
+
+
 def test_testbed_single_element(tmp_path):
     out = tmp_path / "el.json"
     assert (
@@ -325,6 +351,16 @@ MALFORMED_INPUTS = {
     "downset spec file with integer names": (
         ["analyze", "--gen", "downset:@{file}"],
         {"elements": [1, 2], "relation": [[1, 2]]},
+    ),
+    "product above the size cap": (["analyze", "--gen", "product:chain:100|chain:100"], None),
+    "random spec above the size cap": (["analyze", "--gen", "random:seed=1,size=5000"], None),
+    "downset spec file of a 13-point antichain": (
+        ["analyze", "--gen", "downset:@{file}"],
+        {"elements": [f"p{i}" for i in range(13)], "relation": []},
+    ),
+    "lattice JSON relation with an unknown first element": (
+        ["analyze", "--input", "{file}"],
+        {"elements": ["a", "b"], "relation": [["z", "b"]]},
     ),
 }
 

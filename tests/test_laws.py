@@ -394,7 +394,8 @@ def test_fault_reports_carry_witness(div12):
 def test_mutate_entry_rejects_values_outside_the_carrier(b3):
     """A value, row or column outside range(n), or a bool, is refused,
     naming the table, the pair and the value; -1 used to be read as
-    position n - 1, and True as 1."""
+    position n - 1, and True as 1.  A table other than meet or join is
+    refused by name."""
     n = b3.n
     for table, i, j, value in (
         ("join", 3, 4, -1),
@@ -409,6 +410,8 @@ def test_mutate_entry_rejects_values_outside_the_carrier(b3):
         message = rf"^{table}\[{i}\]\[{j}\]={value} is outside the carrier range\({n}\)$"
         with pytest.raises(ValueError, match=message):
             mutate_entry(b3, table, i, j, value)
+    with pytest.raises(ValueError, match=r"^table must be 'meet' or 'join'$"):
+        mutate_entry(b3, "leq", 3, 4, 0)
     assert mutate_entry(b3, "join", 3, 4, n - 1).join[3][4] == n - 1
 
 

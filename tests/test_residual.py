@@ -28,6 +28,7 @@ from residua.residual import (
     residual_derivative,
     residual_profile,
 )
+from residua.lattice import lattice_from_json
 from residua.laws import mutate_entry, run_all
 from residua.residual import ResidualProfile, _cover_pairs, _maximal_chain_lengths
 from residua.testbed import INF, OrdinalCoframe
@@ -237,6 +238,52 @@ def test_boundary_covers_and_chain_lengths_match_walk(lattice_corpus):
         for members in member_sets:
             assert _cover_pairs(L, members) == cover_pairs_reference(L, members), L.provenance
             assert _maximal_chain_lengths(L, members) == set(chain_lengths_reference(L, members))
+
+
+def climbs(L, mask) -> bool:
+    """Whether ``maximal_of`` must climb on the subset: its highest index
+    is not maximal in it."""
+    top = mask.bit_length() - 1
+    return bool(mask) and L.up_set(top) & mask != 1 << top
+
+
+def test_maximal_of_climbs_off_index_order(lattice_corpus):
+    """Where index order is no linear extension, ``maximal_of`` climbs
+    from the highest index to a maximal member: on ``zn:360``, whose
+    ideal (1) has index 0, and on relabeled corpus lattices.  There the
+    maximal subelements in seeded families, and the cover pairs and
+    chain lengths that ``grade_stats`` and ``boundary_dot`` read, equal
+    the filter that keeps the members with no other member above them."""
+    rng = random.Random(360)
+    lattices = [generate("zn:360")]
+    for L in lattice_corpus[::4]:
+        doc = L.to_json_dict()
+        rng.shuffle(doc["elements"])
+        lattices.append(lattice_from_json(doc, provenance=f"{L.provenance}~"))
+    climbed = 0
+    for L in lattices:
+        for _ in range(3):
+            family = [x for x in L.elements() if rng.random() < 0.6]
+            fam = mask_of(family)
+            for x in L.elements():
+                below = L.down_set(x) & ~(1 << x) & fam
+                climbed += climbs(L, below)
+                want = maximal_of_reference(L, below)
+                assert mask_of(maximal_subelements(L, x, family)) == want, (L.provenance, x, family)
+        for x in L.elements():
+            prof = residual_profile(L, x)
+            members = prof.boundary_poset
+            edges = cover_pairs_reference(L, members)
+            assert _cover_pairs(L, members) == edges, (L.provenance, x)
+            lengths = sorted(set(chain_lengths_reference(L, members)))
+            assert prof.grade_stats(L)["maximal_chain_lengths"] == lengths, (L.provenance, x)
+            dot_edges = [line for line in prof.boundary_dot(L).splitlines() if "->" in line]
+            assert dot_edges == [f"  n{i} -> n{j};" for i, j in edges], (L.provenance, x)
+        if L.n <= 24:
+            everything = tuple(L.elements())
+            assert _cover_pairs(L, everything) == cover_pairs_reference(L, everything), L.provenance
+            climbed += sum(climbs(L, L.down_set(x) & ~(1 << x)) for x in L.elements())
+    assert climbed > 1000, climbed
 
 
 def test_residual_derivative_examples(b2):

@@ -622,8 +622,8 @@ def all_preorders(n: int) -> list:
 
 
 def assert_covers_match_the_axiom_check(L):
-    """The lattice's covers equal those ``verify_axioms`` finds on a fresh
-    poset with the same rows, and that check passes."""
+    """``verify_axioms`` passes on a fresh poset with the lattice's rows,
+    and the covers it reads off them equal the lattice's."""
     p = L.poset
     fresh = FinitePoset(n=p.n, names=p.names, up=p.up, down=p.down)
     fresh.verify_axioms()

@@ -241,15 +241,15 @@ def relabeled(L, rng):
 
 
 def test_order_compatible_matches_the_pair_loops():
-    """All three flags and the witness agree with the pair loops on
-    relabeled lattices, over subbases of one random mask per point and
-    over random subbases drawn from random masks, up sets, down sets and
-    their complements.  Every point lies in its own minimal
-    neighbourhood, so the nets never fail; and an order-closed topology
-    has a closed diagonal, so on a finite space it is order-closed iff
-    it is discrete.  On every discrete space, drawn or the one of
-    singletons added per lattice, the report, which is then decided
-    without a search, equals the two searches' verdicts."""
+    """All three flags and the witness, in the report and in its JSON
+    form, agree with the pair loops on relabeled lattices, over subbases
+    of one random mask per point and over random subbases drawn from
+    random masks, up sets, down sets and their complements.  Every point
+    lies in its own minimal neighbourhood, so the nets never fail; and an
+    order-closed topology has a closed diagonal, so on a finite space it
+    is order-closed iff it is discrete.  On every discrete space, drawn
+    or the one of singletons added per lattice, the report, which is
+    then decided without a search, equals the two searches' verdicts."""
     rng = random.Random(41)
     flags, conditions, cases, discrete = set(), set(), 0, 0
     for L in (chain(4), boolean(2), boolean(3), divisor(12), divisor(30)):
@@ -275,6 +275,7 @@ def test_order_compatible_matches_the_pair_loops():
                 rep = check_order_compatible(M, t)
                 got = (rep.monotone_nets_converge, rep.join_continuous, rep.order_closed)
                 assert got == want_flags and rep.witness == want, (M.names, t.subbase)
+                assert rep.to_json_dict().get("witness") == want, (M.names, t.subbase)
                 assert nets_pair_loop(M, t) is None, (M.names, t.subbase)
                 assert rep.order_closed == t.is_discrete, (M.names, t.subbase)
                 if t.is_discrete:
