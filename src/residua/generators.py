@@ -523,44 +523,51 @@ def antichain_poset(k: int, prefix: str = "a") -> FinitePoset:
 
 def downset_lattice(p: FinitePoset, provenance: str | None = None) -> FiniteLattice:
     """Lattice of downward-closed subsets of a poset, ordered by inclusion."""
-    downsets = _downsets(p.down)
-    if len(downsets) > LATTICE_SIZE_CAP:
-        raise TooLarge(f"downset lattice exceeds the size cap {LATTICE_SIZE_CAP}")
-    return inclusion_lattice(downsets, p.names, provenance or f"downset(poset n={p.n})")
+    return inclusion_lattice(_downsets(p.down), p.names, provenance or f"downset(poset n={p.n})")
 
 
 def _downsets(rows: tuple[int, ...]) -> list[int]:
-    """The point sets closed under the rows (m holds ``rows[i]`` whenever
-    it holds i), as bitmasks, ascending.  On a poset's down rows these
-    are its downsets; on a topology's closure rows, its closed sets."""
-    if len(rows) > 20:
-        raise TooLarge("closed-set enumeration is capped at 20 points")
-    # closure[m] is the OR of the rows of the members of m: the masks
-    # with bit i are those without it, each ORed with rows[i].
-    closure = [0]
-    for row in rows:
-        closure += [c | row for c in closure]
-    return [m for m, c in enumerate(closure) if c & ~m == 0]
+    """The point sets closed under the rows of a preorder (m holds
+    ``rows[i]`` whenever it holds i), as bitmasks, ascending.  On a
+    poset's down rows these are its downsets; on a topology's closure
+    rows, its closed sets.  ``TooLarge`` is raised as soon as there are
+    more than ``LATTICE_SIZE_CAP`` of them.
+
+    The points with equal rows form a class, and the distinct rows join
+    the family in order of size: row r of class c joins every set found
+    so far that holds r outside c.  Each closed set m > 0 comes out once,
+    from the class c of m that joined last and the closed set m minus c:
+    a point whose row met c would have a row strictly larger than r, so
+    its class would have joined after c.
+    """
+    classes: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << i
+    family = [0]
+    for row in sorted(classes, key=int.bit_count):
+        need = row & ~classes[row]
+        family += [m | row for m in family if m & need == need]
+        if len(family) > LATTICE_SIZE_CAP:
+            raise TooLarge(f"downset lattice exceeds the size cap {LATTICE_SIZE_CAP}")
+    return sorted(family)
 
 
 def boolean(k: int) -> FiniteLattice:
     """The Boolean lattice of subsets of a k-set."""
     if not 0 <= k <= 12:
         raise TooLarge("boolean exponent must be between 0 and 12 (2^12 elements)")
-    lat = downset_lattice(antichain_poset(k), provenance=f"boolean({k})")
-    return lat
+    return downset_lattice(antichain_poset(k), provenance=f"boolean({k})")
 
 
 def divisor(n: int) -> FiniteLattice:
     """Divisors of n under divisibility; meet is gcd, join is lcm.  The
-    rows and covers come from ``_divisibility_rows``."""
+    rows and covers come from ``_divisibility_rows``.  No n up to
+    ``ZN_CAP`` has more than 240 divisors, far under the size cap."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ZN_CAP:
         raise TooLarge(f"n must be at most {ZN_CAP}")
     divs, up, down, covers, _ = _divisibility_rows(n)
-    if len(divs) > LATTICE_SIZE_CAP:
-        raise TooLarge("too many divisors")
     poset = _hasse_poset(tuple(map(str, divs)), up, down, covers)
     return as_lattice(poset, provenance=f"divisor({n})")
 
@@ -625,10 +632,7 @@ def random_distributive(seed: int, target_size: int) -> FiniteLattice:
         downsets = _downsets(p.down)
         if len(downsets) <= target_size:  # the empty downset is always one
             break
-    lat = inclusion_lattice(downsets, p.names, f"random(seed={seed},size={target_size})")
-    if not lat.distributive:
-        raise AssertionError("downset lattice must be distributive")
-    return lat
+    return inclusion_lattice(downsets, p.names, f"random(seed={seed},size={target_size})")
 
 
 # -- generator-spec strings ----------------------------------------------------

@@ -151,16 +151,6 @@ class FinitePoset:
         one_cover = map((1).__eq__, map(int.bit_count, self.lower_covers))
         return sum(map((1).__lshift__, compress(count(), one_cover)))
 
-    @cached_property
-    def coirreducibles(self) -> int:
-        """Bitmask of the completely co-irreducible elements: x has a unique
-        lower cover m and every element strictly below x is below m."""
-        down, out = self.down, 0
-        for x, row in enumerate(self.lower_covers):
-            if row.bit_count() == 1 and down[x] & ~(1 << x) & ~down[row.bit_length() - 1] == 0:
-                out |= 1 << x
-        return out
-
     def covers(self) -> list[tuple[int, int]]:
         """Edges (i, j) of the Hasse diagram, sorted: j covers i."""
         return sorted((i, j) for j, row in enumerate(self.lower_covers) for i in bits(row))

@@ -440,7 +440,8 @@ class LawSpec:
 
 
 # -- checkers -------------------------------------------------------------
-# Each returns (ok, witness): ok True/False, or None with a skip reason.
+# Each returns (ok, witness) with ok True or False; a skip comes from the
+# spec's gates in ``run_law``, before the checker runs.
 
 
 def _by_rows(ctx, rows, pairs):
@@ -1329,9 +1330,7 @@ def run_law(L, law: LawId, family=None, _ctx=None) -> LawReport:
         ok, reason, witness = False, str(e), e.witness
     except ResiduaError as e:
         ok, reason, witness = False, str(e), _error_witness(ctx, e)
-    if ok is None:
-        verdict, reason, witness = "skipped", witness, None
-    elif ok:
+    if ok:
         verdict, witness = "pass", None
     else:
         verdict = "fail"

@@ -188,44 +188,38 @@ def classify_t(L, x) -> int:
 def outcasts(L, x, family=None, residues_of=None) -> list:
     """Elements of the family strictly below x that no maximal subelement covers.
 
-    On a finite lattice the scan is one mask: the family below x minus
-    the down rows of the maximal subelements.  On coframe instances with
-    the default family the result is cross-validated against the boundary
-    criterion: outcasts exist iff the boundary of x is strictly below x,
-    and then they are exactly the elements of up(boundary) minus {x}
-    within down(x) minus {x}.  ``residues_of(x)``, read only by that
-    cross-check, gives the dict of x - m by maximal subelement m, in
-    maximal order, as ``residual_profile`` reads it; its keys are then
-    the maximal subelements and its values the residues the boundary
-    joins.
+    On a finite lattice there are none: every z < x lies below a lower
+    cover of x, and every family member below x below a maximal one.  On
+    coframe instances with the default family that empty answer is
+    cross-validated against the boundary criterion: outcasts exist iff
+    the boundary of x is strictly below x, and then they are exactly the
+    elements of up(boundary) minus {x} within down(x) minus {x}.
+    ``residues_of(x)``, read only by that cross-check, gives the dict of
+    x - m by maximal subelement m, in maximal order, as
+    ``residual_profile`` reads it; its keys are then the maximal
+    subelements and its values the residues the boundary joins.
     """
     fam = family_mask(L, family)
     if fam is None and hasattr(L, "outcasts"):
         return L.outcasts(x)
     _position(L, x)
-    down = L.poset.down
-    below = down[x] & ~(1 << x)
-    cand = below if fam is None else below & fam
-    cross_check = fam is None and L.coframe
-    residues = residues_of(x) if cross_check and residues_of else None
-    maxes = maximal_subelements(L, x, fam) if residues is None else list(residues)
-    for m in maxes:
-        cand &= ~down[m]
-    if cross_check:
-        if residues is None:
-            residues = {m: co_heyting_sub(L, x, m) for m in maxes}
+    if fam is None and L.coframe:
+        if residues_of is not None:
+            residues = residues_of(x)
+        else:
+            residues = {m: co_heyting_sub(L, x, m) for m in maximal_subelements(L, x)}
         boundary = L.join_of_set(list(residues.values()))
-        expected = L.poset.up[boundary] & below if boundary != x else 0
-        if expected != cand:
+        expected = L.poset.up[boundary] & L.poset.down[x] & ~(1 << x) if boundary != x else 0
+        if expected:
             raise LatticeIntegrityError(
                 "outcast scan disagrees with the boundary criterion",
                 witness={
                     "x": L.name(x),
-                    "scan": [L.name(z) for z in bits(cand)],
+                    "scan": [],
                     "boundary_criterion": [L.name(z) for z in bits(expected)],
                 },
             )
-    return list(bits(cand))
+    return []
 
 
 @dataclass(frozen=True)
@@ -391,14 +385,17 @@ def _verify_profile(L, p: ResidualProfile) -> None:
 
 
 def delta_plus(L, x, core=None) -> list:
-    """Co-irreducible subelements of x not below its core."""
+    """Co-irreducible subelements of x not below its core.  On a finite
+    lattice these are the join-irreducibles: every z < s lies below a
+    lower cover of s, so s with one lower cover m has all of down(s)
+    minus {s} below m."""
     if core is None:
         core = mu_iterates(L, x)[-1]  # which checks x
     else:
         _position(L, x)
         _position(L, core)
     down = L.poset.down
-    return list(bits(L.poset.coirreducibles & down[x] & ~down[core]))
+    return list(bits(L.poset.irreducibles & down[x] & ~down[core]))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ derivatives, closed sets and the order-compatibility conditions are all
 answered through N(x) and its transpose, the closure rows, so spaces
 whose full open-set family is astronomically large (the discrete
 topology on 64 points) stay cheap.  No open-set family is built: the
-closed sets are the masks closed under the closure rows, enumerated only
-for small point counts.
+closed sets are the masks closed under the closure rows, enumerated set
+by set and refused as soon as they pass the lattice size cap.
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
     """The lattice of closed sets ordered by inclusion; ``sets[i]`` is the
     closed set (a point bitmask) that element ``i`` stands for.  A set is
     closed iff it holds the closure row of each of its points, and
-    ``inclusion_lattice`` builds the rows and the Hasse diagram."""
+    ``inclusion_lattice`` builds the rows and the Hasse diagram.  More
+    than ``LATTICE_SIZE_CAP`` closed sets raise ``TooLarge``."""
     points = tuple(str(x) for x in range(t.n))
     return inclusion_lattice(_downsets(t.closure), points, f"closed_sets(points={t.n})")
 

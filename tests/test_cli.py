@@ -358,6 +358,14 @@ MALFORMED_INPUTS = {
         ["analyze", "--gen", "downset:@{file}"],
         {"elements": [f"p{i}" for i in range(13)], "relation": []},
     ),
+    "poset JSON with an unknown mode": (
+        ["analyze", "--input", "{file}"],
+        {"elements": ["a", "b"], "relation": [["a", "b"]], "mode": "x"},
+    ),
+    "poset JSON with a repeated element": (
+        ["analyze", "--input", "{file}"],
+        {"elements": ["a", "b", "a"], "relation": []},
+    ),
     "lattice JSON relation with an unknown first element": (
         ["analyze", "--input", "{file}"],
         {"elements": ["a", "b"], "relation": [["z", "b"]]},

@@ -34,7 +34,7 @@ from residua.generators import (
     subgroups,
 )
 from residua.generators import _extend
-from residua.lattice import inclusion_lattice
+from residua.lattice import build_poset, inclusion_lattice
 from residua.laws import all_pass, run_all
 from residua.topology import FiniteTopology, closed_set_lattice
 import random
@@ -329,6 +329,19 @@ def test_downset_of_antichain_is_diamond():
     lat = downset_lattice(antichain_poset(2))
     assert lat.n == 4
     assert lat.distributive
+
+
+def test_downset_lattice_grows_with_its_downsets():
+    """A 30-point chain poset has 31 downsets, the initial segments, and
+    builds; antichains of 13 points or more pass the size cap and are
+    refused by the enumeration, with one message at every size."""
+    names = [f"p{i}" for i in range(30)]
+    lat = downset_lattice(build_poset(names, list(zip(names, names[1:])), "covers"))
+    assert lat.n == 31
+    assert lat.sets == tuple((1 << k) - 1 for k in range(31))
+    for k in (13, 20, 40):
+        with pytest.raises(TooLarge, match="^downset lattice exceeds the size cap 4096$"):
+            downset_lattice(antichain_poset(k))
 
 
 def antichain_count(p) -> int:

@@ -901,7 +901,7 @@ def test_run_all_leaves_no_fold_state_on_the_lattice():
     run_all(L)
     cached = lambda obj: set(vars(obj)) - {f.name for f in fields(obj)}
     assert cached(L) == {"join_fault", "meet_fault", "join", "meet"}
-    assert cached(L.poset) <= {"upper_covers", "lower_covers", "irreducibles", "coirreducibles"}
+    assert cached(L.poset) <= {"upper_covers", "lower_covers", "irreducibles"}
 
 
 def test_run_all_reports_equal_each_law_run_alone(b3, div12):

@@ -528,7 +528,7 @@ def test_cached_rows_match_recomputation(lattice_corpus):
         expected = [derivative_oracle(L, x) for x in L.elements()]
         assert [residual_derivative(L, x) for x in L.elements()] == expected, L.provenance
         coirreducibles = coirreducibles_oracle(L)
-        assert list(bits(L.poset.coirreducibles)) == coirreducibles, L.provenance
+        assert list(bits(L.poset.irreducibles)) == coirreducibles, L.provenance
         for x in L.elements():
             core = mu_iterates(L, x)[-1]
             assert delta_plus(L, x) == [
@@ -549,11 +549,17 @@ def test_derivative_row_is_per_lattice_and_never_holds_a_failure(b3):
 
 
 def test_completely_coirreducibles(chain3, b2):
-    assert list(bits(chain3.poset.coirreducibles)) == [1, 2]
+    """On a finite lattice the co-irreducibles are the join-irreducibles."""
+    assert list(bits(chain3.poset.irreducibles)) == [1, 2]
     a, b = b2.names.index("{a0}"), b2.names.index("{a1}")
-    assert list(bits(b2.poset.coirreducibles)) == [a, b]
+    assert list(bits(b2.poset.irreducibles)) == [a, b]
     assert sorted(delta_plus(chain3, 2)) == [1, 2]
     assert sorted(delta_plus(b2, b2.top)) == [a, b]
+
+
+def test_rank_value_repr():
+    assert repr(RankValue.of(3)) == "Finite(3)"
+    assert repr(OMEGA) == "omega"
 
 
 def test_relative_strata(chain3):

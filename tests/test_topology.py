@@ -355,7 +355,10 @@ def test_closed_sets_agree_with_the_open_family():
 
 
 def test_closed_set_enumeration_cap():
-    for n in (21, 30):
+    """The discrete space on 13 points has 8,192 closed sets, past the
+    lattice size cap, and is refused like the larger ones."""
+    for n in (13, 21, 30):
         t = FiniteTopology.from_subbase(n, [[i] for i in range(n)])
         with pytest.raises(TooLarge):
             closed_set_lattice(t)
+    assert closed_set_lattice(FiniteTopology.from_subbase(12, [[i] for i in range(12)])).n == 4096
