@@ -10,6 +10,7 @@ from .errors import (
     NotALattice,
     NotBelow,
     NotT1,
+    OracleMismatch,
     PreconditionFailed,
     ResiduaError,
     TooLarge,
@@ -32,6 +33,7 @@ from .residual import (
     OMEGA,
     RankValue,
     ResidualProfile,
+    Rows,
     classify_t,
     co_heyting_sub,
     delta_plus,

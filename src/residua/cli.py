@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bitset import bits
-from .errors import ResiduaError
+from .errors import OracleMismatch, ResiduaError
 from .generators import (
     CayleyTable,
     frattini,
@@ -25,7 +25,7 @@ from .generators import (
 )
 from .lattice import FiniteLattice, canonical_json, lattice_from_json
 from .laws import LawId, all_pass, run_all
-from .residual import residual_profile
+from .residual import Rows
 from .testbed import OrdinalCoframe, fmt_vec, parse_vec
 from .topology import cb_sequence, check_order_compatible, dual_lawson
 
@@ -122,14 +122,16 @@ def _cmd_analyze(args) -> int:
     # An unknown name exits 2 before any analysis, whatever the format.
     element = L.poset.index_of(args.element) if args.element is not None else None
     # Each format computes only what it prints: dot one boundary poset or
-    # the Hasse diagram, text the profiles, json the grade stats too.
+    # the Hasse diagram, text the profiles, json the grade stats too.  The
+    # profiles share one set of rows, each built on those kept below it.
+    rows = Rows(L, family)
     if args.format == "dot":
         if element is not None:
-            _emit(args, residual_profile(L, element, family).boundary_dot(L))
+            _emit(args, rows.profile(element).boundary_dot(L))
         else:
             _emit(args, L.to_dot())
         return 0
-    profiles = [residual_profile(L, x, family) for x in L.elements()]
+    profiles = [rows.profile(x) for x in L.elements()]
     docs = [p.to_json_dict(L) for p in profiles]
     if args.format == "json":
         doc = {
@@ -332,7 +334,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ResiduaError, OSError, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, OracleMismatch) else 2
 
 
 if __name__ == "__main__":

@@ -70,3 +70,8 @@ class UnstableVerdict(ResiduaError):
 
 class PreconditionFailed(ResiduaError):
     """A checker was invoked on an element outside its stated hypotheses."""
+
+
+class OracleMismatch(ResiduaError):
+    """A characterization computed through the derivative disagrees with
+    its independent oracle."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .bitset import bits, mask_of, popcount
-from .errors import InvalidGroup, TooLarge
+from .errors import InvalidGroup, OracleMismatch, TooLarge
 from .lattice import (
     LATTICE_SIZE_CAP,
     FiniteLattice,
@@ -364,7 +364,8 @@ def frattini(c: CayleyTable) -> FrattiniResult:
 
     Route one intersects the maximal proper subgroups directly on element
     bitmasks; route two takes the residual derivative of the top of the
-    subgroup lattice.  The two must agree exactly.
+    subgroup lattice.  The two must agree exactly, or ``OracleMismatch``
+    is raised.
     """
     lat = subgroup_lattice(c)
     subs = lat.sets
@@ -379,7 +380,7 @@ def frattini(c: CayleyTable) -> FrattiniResult:
         direct &= m
     mu = residual_derivative(lat, lat.top)
     if subs[mu] != direct:
-        raise InvalidGroup(
+        raise OracleMismatch(
             f"{c.name}: derivative route {sorted(bits(subs[mu]))} disagrees "
             f"with maximal-subgroup intersection {sorted(bits(direct))}"
         )
@@ -487,13 +488,14 @@ class JacobsonResult:
 
 
 def jacobson_zn(n: int) -> JacobsonResult:
-    """Jacobson radical of Z/n via the derivative, checked against rad(n)."""
+    """Jacobson radical of Z/n via the derivative, checked against rad(n);
+    a disagreement raises ``OracleMismatch``."""
     lat = ideal_lattice_zn(n)
     gens = divisors(n)
     mu = residual_derivative(lat, lat.top)
     expected = radical(n)
     if gens[mu] != expected:
-        raise AssertionError(
+        raise OracleMismatch(
             f"Z/{n}: derivative gives ({gens[mu]}), radical arithmetic gives ({expected})"
         )
     return JacobsonResult(lattice=lat, index=mu, generator=gens[mu])
@@ -526,12 +528,12 @@ def downset_lattice(p: FinitePoset, provenance: str | None = None) -> FiniteLatt
     return inclusion_lattice(_downsets(p.down), p.names, provenance or f"downset(poset n={p.n})")
 
 
-def _downsets(rows: tuple[int, ...]) -> list[int]:
+def _downsets(rows: tuple[int, ...], what: str = "downset lattice") -> list[int]:
     """The point sets closed under the rows of a preorder (m holds
     ``rows[i]`` whenever it holds i), as bitmasks, ascending.  On a
     poset's down rows these are its downsets; on a topology's closure
-    rows, its closed sets.  ``TooLarge`` is raised as soon as there are
-    more than ``LATTICE_SIZE_CAP`` of them.
+    rows, its closed sets.  ``TooLarge``, naming the lattice as ``what``,
+    is raised as soon as there are more than ``LATTICE_SIZE_CAP`` of them.
 
     The points with equal rows form a class, and the distinct rows join
     the family in order of size: row r of class c joins every set found
@@ -548,7 +550,7 @@ def _downsets(rows: tuple[int, ...]) -> list[int]:
         need = row & ~classes[row]
         family += [m | row for m in family if m & need == need]
         if len(family) > LATTICE_SIZE_CAP:
-            raise TooLarge(f"downset lattice exceeds the size cap {LATTICE_SIZE_CAP}")
+            raise TooLarge(f"{what} exceeds the size cap {LATTICE_SIZE_CAP}")
     return sorted(family)
 
 

@@ -29,12 +29,13 @@ rows alone.
 Every ``meet_of_set``/``join_of_set`` answer is re-verified against the
 universal property read off the order matrix; a corrupted table entry
 can therefore never produce a silently wrong answer.  Facts derived from
-the order alone (the covers, the join-irreducibles, the completely
-co-irreducibles) are cached on the poset, and facts about the tables on
-the lattice: the two tables and the first faulty entry of each table
-(``join_fault``, ``meet_fault``), each computed on first read, unless
-the table was built from the order rows and so has none.  Residual
-facts are kept by the run that derives them (``laws._Ctx``).
+the order alone (the covers and the join-irreducibles, which on a
+finite lattice are also its completely co-irreducibles) are cached on
+the poset, and facts about the tables on the lattice: the two tables
+and the first faulty entry of each table (``join_fault``,
+``meet_fault``), each computed on first read, unless the table was
+built from the order rows and so has none.  Residual facts are kept by
+the ``residual.Rows`` that derives them.
 
 The table primitives (``leq``, ``join2``, ``meet2``, ``join_of_set``
 and ``meet_of_set``) do not check their positions, since the law

@@ -41,18 +41,11 @@ testbed's is its box.  The fast paths key on the facts they read:
 
 The laws of one run share one ``_Ctx``, and with a family the laws of
 ``FAMILY_HYPOTHESES`` share a second one in that family: the instance's
-description, order-rows flag, window and certification, read once;
-profiles and derivatives, which the instance does not keep; the
+description, order-rows flag, window and certification, read once; the
 elements below each x, filtered with ``leq`` unless ``window_tables``
-gives them; and three rows by element, the maximal subelements, the
-residues x - m by maximal m and the outcasts, each in the run's family.
-``residual_profile`` builds each profile on the run's rows: it walks
-the derivative row of x down to a fixpoint or to an iterate whose
-profile the run keeps, takes everything below from that profile, and
-builds the strata from the residue rows of the iterates.  The t-class
-of x is the length of its row of maximal subelements.  An entry is
-stored only once its fold or cross-check has passed, so a kept profile
-holds what the iteration computes, only x's own steps raise, and each
+gives them; and the run's element rows, a ``residual.Rows`` in the
+run's family, which keeps each profile, derivative, maximal-subelement
+row, residue row and outcast row once it has passed its checks, so each
 law reports what it reports run alone, on every table and in a family.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
@@ -100,15 +93,12 @@ from .bitset import bits, contains, mask_of
 from .errors import LatticeIntegrityError, NotBelow, ResiduaError
 from .lattice import FiniteLattice
 from .residual import (
+    Rows,
     co_heyting_sub,
     delta_plus,
     family_is_lattice,
     family_is_upper_semilattice,
     family_mask,
-    maximal_subelements,
-    outcasts,
-    residual_derivative,
-    residual_profile,
 )
 
 
@@ -185,22 +175,17 @@ def _key(mask: int):
     return mask if mask < _EXACT_HASH else mask.to_bytes((mask.bit_length() + 7) // 8, "little")
 
 
-class _Ctx:
+class _Ctx(Rows):
     """One run on an instance, its window and a family: what the laws of
     one ``run_all`` (or one ``run_law``) share.  It is dropped when the
     run returns, so nothing is stored on the instance.
 
-    ``family`` is a normalized mask, or None for the default family.
-    The instance's description, order-rows flag, window and certification
-    are read once; tables are certified when order rows show no join or
-    meet fault, as for every lattice ``as_lattice`` builds.  ``profiles``,
-    ``derivatives``, ``maximal_row``, ``residue_row`` and ``outcast_row``
-    hold, by element and in the run's family, the profile, the
-    derivative, the maximal subelements, the dict of x - m by maximal m,
-    and the outcasts.  An entry is stored only once its fold or
-    cross-check has passed, so a faulty table raises the same error at
-    every read, and each profile is built on the profile kept for an
-    iterate of its element.  The row passes read ``mus`` and
+    The run's element rows and their readers (``profile``, ``maximals``,
+    ``t``, ``residue``, ``residues``, ``derivative``, ``outcasts``) are
+    those of ``Rows`` in the run's family.  The instance's description,
+    order-rows flag, window and certification are read once; tables are
+    certified when order rows show no join or meet fault, as for every
+    lattice ``as_lattice`` builds.  The row passes read ``mus`` and
     ``mu_window``, the mus and their ``window_tables``, once per run.
 
     ``checked`` is the running law's count, and ``folds`` the
@@ -208,84 +193,14 @@ class _Ctx:
     before each law, and the folds too unless the tables are certified."""
 
     def __init__(self, L, family=None):
-        self.L = L
-        self.family = family
+        super().__init__(L, family)
         self.name = L.name
         self.instance = L.describe()
         self.order_rows = hasattr(L, "poset")
         self.certified = self.order_rows and L.join_fault is None and L.meet_fault is None
         self.elements = L.box(WINDOW_BOUND)
-        self.profiles, self.derivatives = {}, {}
-        self.maximal_row, self.residue_row, self.outcast_row = {}, {}, {}
         self.folds = {}  # head -> _key(mask) -> verified fold
         self.checked = 0
-
-    def profile(self, x):
-        """``residual_profile`` in the run's family, built on the run's
-        rows and on the profile the run keeps for an iterate of x."""
-        got = self.profiles.get(x)
-        if got is None:
-            got = self.profiles[x] = residual_profile(self.L, x, self.family, rows=self)
-        return got
-
-    # The run's element rows.  Each is filled through this module's
-    # ``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` and
-    # ``residual_derivative``, looked up at call time, so a replacement
-    # bound there reaches every entry.  The lists and dicts they return
-    # are the stored entries: readers must not change them.
-
-    def maximals(self, x) -> list:
-        """``maximal_subelements`` in the run's family."""
-        row = self.maximal_row
-        got = row.get(x)
-        if got is None:
-            got = row[x] = maximal_subelements(self.L, x, self.family)
-        return got
-
-    def t(self, x) -> int:
-        """The t-class of x: how many maximal subelements it has.  The
-        laws that read it run in the default family."""
-        return len(self.maximals(x))
-
-    def residue(self, x, m):
-        """``co_heyting_sub(L, x, m)`` for a maximal subelement m of x,
-        kept in the run's residue row once its fold has passed."""
-        got = self.residue_row.get(x)
-        if got is None:
-            got = self.residue_row[x] = {}
-        r = got.get(m)
-        if r is None:
-            r = got[m] = co_heyting_sub(self.L, x, m)
-        return r
-
-    def residues(self, x) -> dict:
-        """The dict of x - m by maximal subelement m of x, in maximal
-        order: the run's row entry, made whole and put in that order on
-        first read."""
-        maxes = self.maximals(x)
-        got = self.residue_row.get(x)
-        if got is None or list(got) != maxes:
-            residue = self.residue
-            got = self.residue_row[x] = {m: residue(x, m) for m in maxes}
-        return got
-
-    def outcasts(self, x) -> list:
-        """``outcasts`` in the run's family, kept once its boundary
-        cross-check, which joins the residue row of x and runs in the
-        default family only, has passed."""
-        row = self.outcast_row
-        got = row.get(x)
-        if got is None:
-            got = row[x] = outcasts(self.L, x, self.family, residues_of=self.residues)
-        return got
-
-    def derivative(self, x):
-        """``residual_derivative`` in the run's family."""
-        row = self.derivatives
-        mu = row.get(x)
-        if mu is None:
-            mu = row[x] = residual_derivative(self.L, x, self.family, maximals_of=self.maximals)
-        return mu
 
     @cached_property
     def index(self) -> dict:

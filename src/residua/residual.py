@@ -4,13 +4,16 @@ Every function here is generic over a lattice instance.  On a finite
 lattice's order rows (``poset``) the calculus computes everything
 definitionally: the maximal subelements of x are its lower covers, a
 cached row of the order, and the derivative of x is the meet of them.
-Nothing is kept on the instance: the law registry's run keeps each
-derived fact once (``laws._Ctx``).  An instance that supplies its own
-``maximal_subelements``, ``co_heyting_sub``, ``outcasts`` or ``profile``
-closed forms (the ordinal testbed) is used through those in the default
-family, so there is a single copy of the derivative/rank/stratum
-machinery.  A family is a set of element positions, which only order
-rows answer (``family_mask``).  The other functions read order rows.
+Nothing is kept on the instance: a ``Rows`` keeps each derived fact of
+one instance and family once.  ``residual_profile``, ``outcasts`` and
+``mu_iterates`` answer from a fresh one; the law registry's run
+(``laws._Ctx``, a ``Rows``) and ``residua analyze`` share one.  An
+instance that supplies its own ``maximal_subelements``,
+``co_heyting_sub``, ``outcasts`` or ``profile`` closed forms (the
+ordinal testbed) is used through those in the default family, so there
+is a single copy of the derivative/rank/stratum machinery.  A family is
+a set of element positions, which only order rows answer
+(``family_mask``).  The other functions read order rows.
 
 On order rows an element is a position: an ``int``, not a ``bool``, in
 0..n-1.  Each public function here refuses any other argument, and
@@ -105,19 +108,10 @@ def maximal_subelements(L, x, family=None) -> list:
     return list(bits(L.poset.maximal_of(L.poset.down[x] & ~(1 << x) & fam)))
 
 
-def residual_derivative(L, x, family=None, maximals_of=None):
+def residual_derivative(L, x, family=None):
     """Meet of the maximal subelements, a verified fold; x itself when
-    there are none.  The maximal subelements of x are read from
-    ``maximals_of(x)`` when it is given: the law registry passes its
-    per-run row (``laws._Ctx.maximals``), and keeps the answer in its own
-    row (``laws._Ctx.derivative``).
-    """
-    if maximals_of is None:
-        maxes = maximal_subelements(L, x, family)
-    else:
-        if hasattr(L, "poset"):
-            _position(L, x)
-        maxes = maximals_of(x)
+    there are none."""
+    maxes = maximal_subelements(L, x, family)
     if not maxes:
         return x
     return L.meet_of_set(maxes)
@@ -157,7 +151,7 @@ def mu_iterates(L, x, family=None, limit=None) -> list:
     """
     if hasattr(L, "poset"):
         _position(L, x)
-    return _descend(x, lambda y: residual_derivative(L, y, family), limit=limit)[0]
+    return _descend(x, Rows(L, family).derivative, limit=limit)[0]
 
 
 def _descend(x, derivative, kept=None, limit=None):
@@ -185,41 +179,10 @@ def classify_t(L, x) -> int:
     return len(maximal_subelements(L, x))
 
 
-def outcasts(L, x, family=None, residues_of=None) -> list:
-    """Elements of the family strictly below x that no maximal subelement covers.
-
-    On a finite lattice there are none: every z < x lies below a lower
-    cover of x, and every family member below x below a maximal one.  On
-    coframe instances with the default family that empty answer is
-    cross-validated against the boundary criterion: outcasts exist iff
-    the boundary of x is strictly below x, and then they are exactly the
-    elements of up(boundary) minus {x} within down(x) minus {x}.
-    ``residues_of(x)``, read only by that cross-check, gives the dict of
-    x - m by maximal subelement m, in maximal order, as
-    ``residual_profile`` reads it; its keys are then the maximal
-    subelements and its values the residues the boundary joins.
-    """
-    fam = family_mask(L, family)
-    if fam is None and hasattr(L, "outcasts"):
-        return L.outcasts(x)
-    _position(L, x)
-    if fam is None and L.coframe:
-        if residues_of is not None:
-            residues = residues_of(x)
-        else:
-            residues = {m: co_heyting_sub(L, x, m) for m in maximal_subelements(L, x)}
-        boundary = L.join_of_set(list(residues.values()))
-        expected = L.poset.up[boundary] & L.poset.down[x] & ~(1 << x) if boundary != x else 0
-        if expected:
-            raise LatticeIntegrityError(
-                "outcast scan disagrees with the boundary criterion",
-                witness={
-                    "x": L.name(x),
-                    "scan": [],
-                    "boundary_criterion": [L.name(z) for z in bits(expected)],
-                },
-            )
-    return []
+def outcasts(L, x, family=None) -> list:
+    """Elements of the family strictly below x that no maximal subelement
+    covers: ``Rows(L, family).outcasts(x)``."""
+    return Rows(L, family).outcasts(x)
 
 
 @dataclass(frozen=True)
@@ -284,70 +247,170 @@ class ResidualProfile:
         return "\n".join(lines) + "\n"
 
 
-def residual_profile(L, x, family=None, rows=None) -> ResidualProfile:
-    """Iterate the derivative to its fixpoint and build the full record.
-
-    ``rows``, the law registry's run (``laws._Ctx``) in the same family,
-    gives the derivative of each element (``rows.derivative``), its dict
-    of residues y - m by maximal subelement m, in maximal order
-    (``rows.residues``), and the profiles the run keeps
-    (``rows.profiles``).  The derivative chain of x then stops at the
-    first iterate whose profile the run keeps, and the iterates, strata,
-    rho and core below come from that profile: the run keeps a profile
-    only once its checks have passed, so it holds what the iteration
-    would compute, and only x's own steps raise.  Without ``rows`` each
-    fact is computed fresh with ``residual_derivative``,
-    ``maximal_subelements`` and ``co_heyting_sub``.  A closed-form
-    ``profile`` answers the default family.
+def residual_profile(L, x, family=None) -> ResidualProfile:
+    """Iterate the derivative to its fixpoint and build the full record:
+    ``Rows(L, family).profile(x)``.
 
     Verifies before returning that the core is a fixpoint and, on coframe
     instances (where the decomposition lemmas apply), that the element is
     the join of its core and its residues, or in a family that holds the
     bottom and is an upper semilattice, of its mu and its residues.
     """
-    if family is None and hasattr(L, "profile"):
-        return L.profile(x)
-    fam = family_mask(L, family)
-    _position(L, x)
-    if rows is None:
-        derivative = lambda y: residual_derivative(L, y, fam)
-        residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, fam)}
-        kept = None
-    else:
-        derivative, residues_of, kept = rows.derivative, rows.residues, rows.profiles
-    chain, below = _descend(x, derivative, kept)
-    residues = residues_of(x)
-    maxes = tuple(residues)
-    boundary = L.join_of_set(list(residues.values()))
-    strata = []
-    rho = {}
-    for a, xa in enumerate(chain if below is not None else chain[:-1]):
-        stratum = tuple(sorted(set((residues if a == 0 else residues_of(xa)).values())))
-        strata.append(stratum)
-        for s in stratum:
-            rho.setdefault(s, a)
-    iterates = chain
-    if below is not None:
-        for s, a in below.rho.items():
-            rho.setdefault(s, a + len(chain))
-        strata.extend(below.strata)
-        iterates = chain + list(below.iterates)
-    profile = ResidualProfile(
-        element=x,
-        family=fam,
-        maximal=maxes,
-        mu=iterates[1] if len(iterates) > 1 else x,
-        rank=RankValue.of(len(iterates) - 1),
-        core=iterates[-1],
-        residues=residues,
-        boundary=boundary,
-        strata=tuple(strata),
-        boundary_poset=tuple(sorted(rho)),
-        rho=rho,
-        iterates=tuple(iterates),
-    )
-    _verify_profile(L, profile)
-    return profile
+    return Rows(L, family).profile(x)
+
+
+class Rows:
+    """The residual facts of one instance in one family, kept by element.
+
+    ``family`` is normalized with ``family_mask``; None is the default
+    family.  ``maximal_row``, ``residue_row``, ``outcast_row``,
+    ``derivatives`` and ``profiles`` hold, by element, the maximal
+    subelements, the dict of x - m by maximal m, the outcasts, the
+    derivative and the profile.  The rows are filled through this
+    module's ``maximal_subelements`` and ``co_heyting_sub``, looked up at
+    call time, so a replacement bound there reaches every entry.  An
+    entry is stored only once its fold or cross-check has passed, so a
+    faulty table raises the same error at every read, and a kept profile
+    holds what the iteration computes.  The lists and dicts the readers
+    return are the stored entries: callers must not change them.
+    Nothing is stored on the instance; the rows go with this object.
+    """
+
+    def __init__(self, L, family=None):
+        self.L = L
+        self.family = family_mask(L, family)
+        self.profiles, self.derivatives = {}, {}
+        self.maximal_row, self.residue_row, self.outcast_row = {}, {}, {}
+
+    def maximals(self, x) -> list:
+        """``maximal_subelements`` in the rows' family."""
+        row = self.maximal_row
+        got = row.get(x)
+        if got is None:
+            got = row[x] = maximal_subelements(self.L, x, self.family)
+        return got
+
+    def t(self, x) -> int:
+        """The t-class of x: how many maximal subelements it has.  The
+        laws that read it run in the default family."""
+        return len(self.maximals(x))
+
+    def residue(self, x, m):
+        """``co_heyting_sub(L, x, m)`` for a maximal subelement m of x,
+        kept in the residue row once its fold has passed."""
+        got = self.residue_row.get(x)
+        if got is None:
+            got = self.residue_row[x] = {}
+        r = got.get(m)
+        if r is None:
+            r = got[m] = co_heyting_sub(self.L, x, m)
+        return r
+
+    def residues(self, x) -> dict:
+        """The dict of x - m by maximal subelement m of x, in maximal
+        order: the row entry, made whole and put in that order on first
+        read."""
+        maxes = self.maximals(x)
+        got = self.residue_row.get(x)
+        if got is None or list(got) != maxes:
+            residue = self.residue
+            got = self.residue_row[x] = {m: residue(x, m) for m in maxes}
+        return got
+
+    def derivative(self, x):
+        """The meet of the maximal subelements of x, a verified fold; x
+        itself when there are none."""
+        row = self.derivatives
+        mu = row.get(x)
+        if mu is None:
+            maxes = self.maximals(x)
+            mu = row[x] = self.L.meet_of_set(maxes) if maxes else x
+        return mu
+
+    def outcasts(self, x) -> list:
+        """Elements of the family strictly below x that no maximal
+        subelement covers.
+
+        On a finite lattice there are none: every z < x lies below a lower
+        cover of x, and every family member below x below a maximal one.
+        On coframe instances with the default family that empty answer is
+        cross-validated against the boundary criterion, on the residue
+        row of x: outcasts exist iff the boundary of x is strictly below
+        x, and then they are exactly the elements of up(boundary) minus
+        {x} within down(x) minus {x}.  A closed-form ``outcasts`` answers
+        the default family."""
+        row = self.outcast_row
+        got = row.get(x)
+        if got is not None:
+            return got
+        L = self.L
+        if self.family is None and hasattr(L, "outcasts"):
+            got = row[x] = L.outcasts(x)
+            return got
+        _position(L, x)
+        if self.family is None and L.coframe:
+            boundary = L.join_of_set(list(self.residues(x).values()))
+            expected = L.poset.up[boundary] & L.poset.down[x] & ~(1 << x) if boundary != x else 0
+            if expected:
+                raise LatticeIntegrityError(
+                    "outcast scan disagrees with the boundary criterion",
+                    witness={
+                        "x": L.name(x),
+                        "scan": [],
+                        "boundary_criterion": [L.name(z) for z in bits(expected)],
+                    },
+                )
+        got = row[x] = []
+        return got
+
+    def profile(self, x) -> ResidualProfile:
+        """The profile of x; a closed-form ``profile`` answers the default
+        family.  A loop walks the derivative row of x down to a fixpoint
+        or to the first iterate whose profile is kept; the iterates,
+        strata, rho and core below come from that profile, and each other
+        stratum from the residue row of its iterate.  A kept profile
+        passed its checks, so only x's own steps raise."""
+        got = self.profiles.get(x)
+        if got is not None:
+            return got
+        L = self.L
+        if self.family is None and hasattr(L, "profile"):
+            got = self.profiles[x] = L.profile(x)
+            return got
+        _position(L, x)
+        chain, below = _descend(x, self.derivative, self.profiles)
+        residues = self.residues(x)
+        boundary = L.join_of_set(list(residues.values()))
+        strata = []
+        rho = {}
+        for a, xa in enumerate(chain if below is not None else chain[:-1]):
+            stratum = tuple(sorted(set((residues if a == 0 else self.residues(xa)).values())))
+            strata.append(stratum)
+            for s in stratum:
+                rho.setdefault(s, a)
+        iterates = chain
+        if below is not None:
+            for s, a in below.rho.items():
+                rho.setdefault(s, a + len(chain))
+            strata.extend(below.strata)
+            iterates = chain + list(below.iterates)
+        got = ResidualProfile(
+            element=x,
+            family=self.family,
+            maximal=tuple(residues),
+            mu=iterates[1] if len(iterates) > 1 else x,
+            rank=RankValue.of(len(iterates) - 1),
+            core=iterates[-1],
+            residues=residues,
+            boundary=boundary,
+            strata=tuple(strata),
+            boundary_poset=tuple(sorted(rho)),
+            rho=rho,
+            iterates=tuple(iterates),
+        )
+        _verify_profile(L, got)
+        self.profiles[x] = got
+        return got
 
 
 def _verify_profile(L, p: ResidualProfile) -> None:
@@ -464,6 +527,7 @@ __all__ = [
     "OMEGA",
     "ResidualProfile",
     "RelativeStrata",
+    "Rows",
     "maximal_subelements",
     "residual_derivative",
     "co_heyting_sub",

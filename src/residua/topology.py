@@ -241,7 +241,8 @@ def closed_set_lattice(t: FiniteTopology) -> FiniteLattice:
     ``inclusion_lattice`` builds the rows and the Hasse diagram.  More
     than ``LATTICE_SIZE_CAP`` closed sets raise ``TooLarge``."""
     points = tuple(str(x) for x in range(t.n))
-    return inclusion_lattice(_downsets(t.closure), points, f"closed_sets(points={t.n})")
+    sets = _downsets(t.closure, "closed-set lattice")
+    return inclusion_lattice(sets, points, f"closed_sets(points={t.n})")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,27 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import residua.generators
+import residua.residual
 from residua import cli
+from residua.bitset import mask_of
 from residua.lattice import canonical_json, lattice_from_json
 from residua.laws import LawReport
+from residua.residual import (
+    RankValue,
+    ResidualProfile,
+    Rows,
+    co_heyting_sub,
+    maximal_subelements,
+    residual_derivative,
+    residual_profile,
+)
 from residua.testbed import INF, OrdinalCoframe
 
 
@@ -28,19 +41,19 @@ def test_analyze_divisor12(tmp_path):
 
 
 def test_analyze_computes_only_the_profiles_each_format_prints(monkeypatch, capsys):
-    """``--format dot`` alone prints the Hasse diagram and builds no
-    profile, ``--format dot --element X`` builds X's alone, and text and
+    """``--format dot`` alone prints the Hasse diagram and asks for no
+    profile, ``--format dot --element X`` asks for X's alone, and text and
     json one per element; each prints the bytes that the profiles of
     every element give."""
-    real, calls = cli.residual_profile, []
+    real, calls = Rows.profile, []
 
-    def counting(L, x, family=None):
+    def counting(rows, x):
         calls.append(x)
-        return real(L, x, family)
+        return real(rows, x)
 
-    monkeypatch.setattr(cli, "residual_profile", counting)
     L = cli.generate("divisor:12")
-    profiles = [real(L, x) for x in L.elements()]
+    profiles = [residual_profile(L, x) for x in L.elements()]
+    monkeypatch.setattr(Rows, "profile", counting)
     docs = [p.to_json_dict(L) for p in profiles]
     stats = {L.names[x]: p.grade_stats(L) for x, p in enumerate(profiles)}
     doc = {"instance": L.describe(), "lattice": L.to_json_dict(), "profiles": docs, "grade_stats": stats}
@@ -59,6 +72,93 @@ def test_analyze_computes_only_the_profiles_each_format_prints(monkeypatch, caps
         calls.clear()
         assert run_cli("analyze", "--gen", "divisor:12", *flags) == 0
         assert (calls, capsys.readouterr().out) == (want_calls, want_out), flags
+
+
+def test_analyze_asks_for_each_maximal_row_once():
+    """One set of rows serves every profile of ``analyze``: on chain:64
+    each element's maximal subelements are computed at most twice, once
+    for the rows and once by the fixpoint check of its profile."""
+    real, calls = residua.residual.maximal_subelements, []
+
+    def counting(L, x, family=None):
+        calls.append(x)
+        return real(L, x, family)
+
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(sink):
+        mp.setattr(residua.residual, "maximal_subelements", counting)
+        assert cli.main(["analyze", "--gen", "chain:64", "--format", "text"]) == 0
+    assert sink.getvalue().count("\n") == 65
+    assert 64 <= len(calls) <= 2 * 64
+
+
+def fresh_profile(L, x, family):
+    """x's profile from the definitions, each fact computed anew: the
+    derivative chain down to its fixpoint, and one stratum of residues
+    per iterate below the core."""
+    chain = [x]
+    while (mu := residual_derivative(L, chain[-1], family)) != chain[-1]:
+        chain.append(mu)
+    residues_of = lambda y: {m: co_heyting_sub(L, y, m) for m in maximal_subelements(L, y, family)}
+    residues = residues_of(x)
+    strata = tuple(tuple(sorted(set(residues_of(y).values()))) for y in chain[:-1])
+    rho = {}
+    for a, stratum in enumerate(strata):
+        for s in stratum:
+            rho.setdefault(s, a)
+    return ResidualProfile(
+        element=x,
+        family=family,
+        maximal=tuple(residues),
+        mu=chain[1] if len(chain) > 1 else x,
+        rank=RankValue.of(len(chain) - 1),
+        core=chain[-1],
+        residues=residues,
+        boundary=L.join_of_set(list(residues.values())),
+        strata=strata,
+        boundary_poset=tuple(sorted(rho)),
+        rho=rho,
+        iterates=tuple(chain),
+    )
+
+
+def test_analyze_prints_what_fresh_profiles_give(lattice_corpus, tmp_path, capsys):
+    """``analyze`` builds its profiles on shared rows, each on those kept
+    below it; json, text and ``dot --element`` print byte for byte what
+    profiles computed fresh from the definitions give, on relabeled
+    corpus lattices, renamed so that a family is a comma list, whose
+    index order is rarely a linear extension, in the default family and
+    in a random one."""
+    rng = random.Random(52)
+    bases = lattice_corpus[:60:3] + lattice_corpus[60::40] + [cli.generate("chain:40"), cli.generate("divisor:720")]
+    for k, base in enumerate(bases):
+        doc = base.to_json_dict()
+        rename = dict(zip(doc["elements"], rng.sample([f"v{i}" for i in range(base.n)], base.n)))
+        doc["elements"] = sorted(rename.values(), key=lambda _: rng.random())
+        doc["relation"] = [[rename[a], rename[b]] for a, b in doc["relation"]]
+        path = tmp_path / f"l{k}.json"
+        path.write_text(json.dumps(doc))
+        L = lattice_from_json(doc, provenance=str(path))
+        names = rng.sample(L.names, rng.randint(1, L.n))
+        element = rng.choice(L.names)
+        for family in (None, names):
+            fam = None if family is None else mask_of(map(L.poset.index_of, family))
+            profiles = [fresh_profile(L, x, fam) for x in L.elements()]
+            docs = [p.to_json_dict(L) for p in profiles]
+            stats = {L.names[x]: p.grade_stats(L) for x, p in enumerate(profiles)}
+            report = {"instance": L.describe(), "lattice": L.to_json_dict(), "profiles": docs, "grade_stats": stats}
+            rank = lambda p: p["rank"] if p["rank"] == "omega" else p["rank"]["finite"]
+            text = f"instance: {L.describe()}\n" + "".join(
+                f"  {p['element']}: mu={p['mu']} rank={rank(p)} core={p['core']} boundary={p['boundary']}\n"
+                for p in docs
+            )
+            dot = profiles[L.poset.index_of(element)].boundary_dot(L)
+            flags = [] if family is None else ["--family", ",".join(family)]
+            cases = [(["--format", "json"], canonical_json(report)), (["--format", "text"], text)]
+            cases.append((["--format", "dot", "--element", element], dot))
+            for more, want in cases:
+                assert run_cli("analyze", "--input", str(path), *flags, *more) == 0
+                assert capsys.readouterr().out == want, (base.provenance, family, more)
 
 
 def test_analyze_family_selector(tmp_path):
@@ -226,6 +326,24 @@ def test_group_and_ring(tmp_path, capsys):
     out = tmp_path / "ring.json"
     assert run_cli("ring", "--n", "12", "--report", str(out)) == 0
     assert json.loads(out.read_text())["jacobson_radical_generator"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv, oracle",
+    [
+        (["group", "--name", "q8"], "maximal-subgroup intersection"),
+        (["ring", "--n", "12"], "radical arithmetic"),
+    ],
+)
+def test_group_and_ring_exit_1_when_the_derivative_disagrees(argv, oracle, monkeypatch, capsys):
+    """A derivative route that disagrees with its oracle is a
+    characterization mismatch: exit 1, one ``error:`` line naming it."""
+    monkeypatch.setattr(residua.generators, "residual_derivative", lambda L, x, family=None: L.bottom)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and oracle in lines[0]
 
 
 def test_group_from_file(tmp_path):

@@ -737,13 +737,13 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     fail at the same pair, with the same witness, as the reference loops.
     The order of the profile calls within a pair shows on relabeled
     lattices, which keep index 0 off the bottom."""
-    real = residua.residual.residual_profile
+    real = residua.residual.Rows.profile
 
     def raising_at(elements):
-        def profile(L, x, family=None, rows=None):
+        def profile(rows, x):
             if x in elements:
-                raise LatticeIntegrityError("injected", witness={"x": L.names[x]})
-            return real(L, x, family, rows)
+                raise LatticeIntegrityError("injected", witness={"x": rows.L.names[x]})
+            return real(rows, x)
 
         return profile
 
@@ -761,7 +761,7 @@ def test_pair_laws_reach_a_raising_profile_at_the_same_pair(b3, div12, monkeypat
     def docs():
         out = []
         for L, elements in cases:
-            monkeypatch.setattr(residua.laws, "residual_profile", raising_at(elements))
+            monkeypatch.setattr(residua.residual.Rows, "profile", raising_at(elements))
             out.extend(run_law(L, law).to_json_dict() for law in laws)
         return out
 
@@ -1019,7 +1019,7 @@ def test_element_rows_match_fresh_computation(lattice_corpus):
         every = set(L.elements())
         assert set(ctx.maximal_row) == set(ctx.residue_row) == set(ctx.outcast_row) == every, L.provenance
         for x in L.elements():
-            assert residual_profile(L, x, rows=ctx) == residual_profile(L, x)
+            assert ctx.profile(x) == residual_profile(L, x)
 
 
 def join_closed_family(L, rng) -> list:
@@ -1821,8 +1821,9 @@ def test_residua_errors_of_finite_instances_fail_and_others_propagate(b3):
 
 
 def test_testbed_memo_lasts_one_run(monkeypatch):
-    """Each run computes every derivative and every set of maximal
-    subelements it needs once, cold, and leaves nothing on the lattice: a
+    """Each run computes every derivative (a miss of its derivative row)
+    and every set of maximal subelements it needs once, cold, and leaves
+    nothing on the lattice: a
     second run makes the same derivative, maximal-subelement and join
     calls again.  The pair laws of one run share one join table, so
     together they join each ordered box pair at most twice: once for the
@@ -1832,19 +1833,20 @@ def test_testbed_memo_lasts_one_run(monkeypatch):
     cf = OrdinalCoframe(2)
     before = dict(vars(cf))
     calls, maximal_calls = [], []
-    real = residua.laws.residual_derivative
-    real_maximals = residua.laws.maximal_subelements
+    real = residua.residual.Rows.derivative
+    real_maximals = residua.residual.maximal_subelements
 
-    def counting(L, x, family=None, **rows):
-        calls.append(x)
-        return real(L, x, family, **rows)
+    def counting(rows, x):
+        if x not in rows.derivatives:
+            calls.append(x)
+        return real(rows, x)
 
     def counting_maximals(L, x, family=None):
         maximal_calls.append(x)
         return real_maximals(L, x, family)
 
-    monkeypatch.setattr(residua.laws, "residual_derivative", counting)
-    monkeypatch.setattr(residua.laws, "maximal_subelements", counting_maximals)
+    monkeypatch.setattr(residua.residual.Rows, "derivative", counting)
+    monkeypatch.setattr(residua.residual, "maximal_subelements", counting_maximals)
     joins = _counting_join2(monkeypatch)
 
     def docs():

@@ -18,6 +18,7 @@ from residua.generators import (
 from residua.residual import (
     OMEGA,
     RankValue,
+    Rows,
     classify_t,
     co_heyting_sub,
     delta_plus,
@@ -472,7 +473,7 @@ def test_positions_outside_the_carrier_are_rejected(div12):
     assert L.n == 6
     calls = [
         (lambda: residual_derivative(L, -1), -1),
-        (lambda: residual_derivative(L, -1, maximals_of=lambda x: []), -1),
+        (lambda: Rows(L).derivative(-1), -1),
         (lambda: maximal_subelements(L, -2), -2),
         (lambda: maximal_subelements(L, 6, family=[0, 1]), 6),
         (lambda: co_heyting_sub(L, 5, -1), -1),

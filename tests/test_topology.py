@@ -359,6 +359,6 @@ def test_closed_set_enumeration_cap():
     lattice size cap, and is refused like the larger ones."""
     for n in (13, 21, 30):
         t = FiniteTopology.from_subbase(n, [[i] for i in range(n)])
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="^closed-set lattice exceeds the size cap 4096$"):
             closed_set_lattice(t)
     assert closed_set_lattice(FiniteTopology.from_subbase(12, [[i] for i in range(12)])).n == 4096
