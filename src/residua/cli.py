@@ -74,8 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("testbed", help="ordinal-vector coframe checks")
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--bound", type=_natural, default=6)
-    p.add_argument("--element", help="single vector, e.g. 3,inf")
-    p.add_argument("--cb", action="store_true", help="verify the CB ladder against the subspace oracle")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--element", help="single vector, e.g. 3,inf")
+    one.add_argument("--cb", action="store_true", help="verify the CB ladder against the subspace oracle")
     add_output_flags(p)
 
     p = sub.add_parser("group", help="subgroup lattice and Frattini subgroup")

@@ -386,9 +386,6 @@ class FiniteLattice:
     def name(self, x: int) -> str:
         return self.poset.names[x]
 
-    def full(self) -> int:
-        return full_mask(self.n)
-
     @cached_property
     def join(self) -> tuple[tuple[int, ...], ...]:
         """The join table: ``join_rows`` when given, else built on first

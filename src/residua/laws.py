@@ -50,19 +50,23 @@ law reports what it reports run alone, on every table and in a family.
 
 Pair quantifiers go by whole rows (``_by_rows``): per row x, lists built
 with ``map`` over row x of the join table and per-element lists (t
-counts, mus, derivatives, core positions) are compared at once.  A row
-pass reads tables only: order rows, the join table and the position
-tables of ``window_tables`` (the elements below, meets, x - z, and the
-mus' joins and rows below, the box's own when the mus are a window of
-its shape).  Without the tables it needs, it decides nothing and the
-pair loop runs.  Every call a pair loop's verdict reads
-is still made, but for those tables and two theorems: on order rows
-``mu_monotone`` compares lower covers only, as the order is transitive,
-and with a single core c ``core_join_hom`` reads join[c][c] alone.
-``checked`` is added by arithmetic.  A failing row, a table entry of -1,
-or any error while the rows gather their facts sends the law back to 0
-checked, and its pair loop replays every pair from the start to report
-the first failing one, with the pair loop's count and errors.
+counts, and the derivatives, mus and cores by position) are compared at
+once; ``mu_join_hom`` and ``core_join_hom`` share one row pass,
+``_join_hom_rows``.  A row pass reads tables only: order rows, the join
+table and the position tables of ``window_tables`` (the elements below,
+meets and x - z).  Without the tables it needs, it decides nothing and
+the pair loop runs.  Every call a pair loop's verdict reads is still
+made, but for those tables and three theorems: on order rows
+``mu_monotone`` compares lower covers only, as the order is transitive;
+with a single part c (a finite lattice's cores) the rows of a join
+homomorphism pass when every value is join[c][c]; and mus that are the
+window itself (``mu_window``, as the box's mus are) keep its order and
+its joins, so ``mu_monotone`` holds and ``mu_join_hom`` holds iff every
+derivative is its mu.  ``checked`` is added by arithmetic.  A failing
+row, a table entry of -1, or any error while the rows gather their facts
+sends the law back to 0 checked, and its pair loop replays every pair
+from the start to report the first failing one, with the pair loop's
+count and errors.  The pair loops read each fact through the run's rows.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
@@ -322,7 +326,9 @@ class _Ctx(Rows):
 
     @cached_property
     def mu_window(self):
-        """``L.window_tables(mus)`` when the window has tables, else None."""
+        """``L.window_tables(mus)`` when the window has tables, else None.
+        The row passes of ``mu_monotone`` and ``mu_join_hom`` read it to
+        see whether the mus are the window itself."""
         return self.window and self.L.window_tables(self.mus)
 
     @cached_property
@@ -348,8 +354,7 @@ class _Ctx(Rows):
 class LawSpec:
     law: LawId
     invariant_key: str
-    requires_coframe: bool
-    requires_distributive: bool
+    hypothesis: Optional[str]  # None, "coframe" or "distributive": the instance flag it needs
     needs_order_rows: bool
     fn: Callable
 
@@ -423,26 +428,22 @@ def _coheyting_join_pairs(ctx):
     return True, None
 
 
-def _check_mu_residue_decomp(ctx):
-    L = ctx.L
-    for x in ctx.elements:
-        ctx.checked += 1
-        p = ctx.profile(x)
-        got = L.join_of_set([p.mu, *p.residues.values()])
-        if got != x:
-            return False, ctx.witness(x=x, mu=p.mu, got=got)
-    return True, None
+def _residue_decomp(part: str):
+    """The checker of x = part(x) v the join of the residues of x, with
+    part "mu" or "core" of the profile."""
 
+    def check(ctx):
+        L = ctx.L
+        for x in ctx.elements:
+            ctx.checked += 1
+            p = ctx.profile(x)
+            head = getattr(p, part)
+            got = L.join_of_set([head, *p.residues.values()])
+            if got != x:
+                return False, ctx.witness(x=x, **{part: head}, got=got)
+        return True, None
 
-def _check_core_residue_decomp(ctx):
-    L = ctx.L
-    for x in ctx.elements:
-        ctx.checked += 1
-        p = ctx.profile(x)
-        got = L.join_of_set([p.core, *p.residues.values()])
-        if got != x:
-            return False, ctx.witness(x=x, core=p.core, got=got)
-    return True, None
+    return check
 
 
 def _check_maximals_join(ctx):
@@ -663,25 +664,22 @@ def _mu_monotone_rows(ctx):
     """Row x: mu(z) <= mu(x) for every z below x.  On order rows only
     the lower covers z of x are compared, one ``leq`` each: the verified
     order is transitive, so mu is monotone on every pair once it is on
-    the covers.  On a window with tables whose mus have them too
-    (``window_tables(mus)``), the positions below x must lie among those
-    whose mus are below mu(x); otherwise the pair loop decides."""
-    mus = ctx.mus
+    the covers.  On a window with tables, every row holds when the mus
+    are that window itself (``mu_window``, as the box's mus are): mu then
+    maps each position to the same position of a window of the same
+    shape, which keeps the order.  Mus of any other shape, or without
+    tables, leave the law to the pair loop."""
     rows = getattr(ctx.L, "poset", None)
     if rows is not None:
-        leq, covers = ctx.L.leq, rows.lower_covers
+        mus, leq, covers = ctx.mus, ctx.L.leq, rows.lower_covers
         for x in ctx.elements:
             if not all(map(leq, map(mus.__getitem__, bits(covers[x])), repeat(mus[x]))):
                 return False
         ctx.checked += sum(map(int.bit_count, rows.down))
         return True
-    tables = ctx.mu_window
-    if tables is None:
+    if ctx.window is None or ctx.mu_window is not ctx.window:
         return False
-    for zs, under in zip(ctx.window.below, tables.below):
-        if not set(under).issuperset(zs):
-            return False
-        ctx.checked += len(zs)
+    ctx.checked += sum(map(len, ctx.window.below))
     return True
 
 
@@ -699,71 +697,68 @@ def _mu_monotone_pairs(ctx):
 def _check_mu_join_hom(ctx):
     """The closed-form mus (profiles) against the definitional derivative
     of the join."""
-    return _by_rows(ctx, _mu_join_hom_rows, _mu_join_hom_pairs)
+    return _by_rows(ctx, _derivative_rows, _mu_join_hom_pairs)
 
 
-def _mu_join_hom_rows(ctx):
-    """Row x: the derivatives along join[x] against mu(x) v mu(z) for
-    every z.  When the window has tables, so may the mus
-    (``window_tables(mus)``): rows then compare positions among the mus
-    with their join rows, and a derivative that is no mu fails its row.
-    Otherwise, when every mu is an element (as on a finite lattice),
-    mu(x) v mu(z) is read from row mu(x) of the table, the rows of one
-    mu share their expected row, and a derivative that is no element
-    fails its row; when some mu is not, the pair loop decides."""
+def _derivative_rows(ctx):
+    """When the mus are the window itself (``mu_window``, as the box's mus
+    are), the join table is theirs too, so every row holds iff each
+    derivative is its mu.  Otherwise ``_join_hom_rows`` decides, with the
+    derivatives against the mus."""
+    derivatives = list(map(ctx.derivative, ctx.elements))
+    if ctx.window is None or ctx.mu_window is not ctx.window:
+        return _join_hom_rows(ctx, derivatives, ctx.mus)
+    if derivatives != ctx.mus:
+        return False
+    ctx.checked += len(derivatives) ** 2
+    return True
+
+
+def _join_hom_rows(ctx, got, parts) -> bool:
+    """The row pass of a join homomorphism f: ``got`` and ``parts`` hold,
+    by element position, f(x) and the part whose joins f must give (the
+    mu for the derivative, the core itself for the core).  Row x compares
+    got along ``join[x]`` with ``join[parts[x]][parts[z]]`` for every z.
+    The rows of one part share one expected row, and with a single part c
+    (every core of a finite lattice is the bottom) every entry of got must
+    be ``join[c][c]``.  A value outside the elements, or a table entry of
+    -1, leaves the law to the pair loop."""
     join = ctx.row_table
     if join is None:
         return False
-    mus = ctx.mus
-    derivatives = list(map(ctx.derivative, ctx.elements))
-    tables = ctx.mu_window
-    if tables is not None:
-        got = list(map({mu: i for i, mu in enumerate(mus)}.get, derivatives))
-        for row, expected in zip(join, tables.join):
-            if list(map(got.__getitem__, row)) != expected:
-                return False
-        ctx.checked += len(mus) ** 2
-        return True
-    inside = list(map(ctx.index.get, mus))
-    if None in inside:
+    get = ctx.index.get
+    got = [get(v, -1) for v in got]
+    parts = [get(v, -1) for v in parts]
+    if -1 in got or -1 in parts:
         return False
-    derivatives = list(map(ctx.index.get, derivatives))
-    by_mu = {}
-    for x, m in enumerate(inside):
-        expected = by_mu.get(m)
-        if expected is None:
-            expected = by_mu[m] = list(map(join[m].__getitem__, inside))
-        if list(map(derivatives.__getitem__, join[x])) != expected:
+    c = parts[0]
+    if parts.count(c) == len(parts):
+        if got.count(join[c][c]) != len(got):
             return False
-    ctx.checked += len(mus) ** 2
+    else:
+        by_part = {}
+        for x, part in enumerate(parts):
+            expected = by_part.get(part)
+            if expected is None:
+                expected = by_part[part] = list(map(join[part].__getitem__, parts))
+            if list(map(got.__getitem__, join[x])) != expected:
+                return False
+    ctx.checked += len(parts) ** 2
     return True
 
 
 def _mu_join_hom_pairs(ctx):
-    """The pair loop of ``mu_join_hom``.  Mus and derivatives are kept by
-    position and computed on first use, in the pair loop's order, so a
-    raising profile stops the law at the same pair.  The mus are joined
-    with ``join2``: they need not be elements."""
+    """The pair loop of ``mu_join_hom``: the derivative of x v z against
+    mu(x) v mu(z), joined with ``join2`` since the mus need not be
+    elements.  The run's rows keep each profile and derivative, so a
+    raising profile stops the law at the pair that first reads it."""
     L, els = ctx.L, ctx.elements
     join2, profile, derivative = L.join2, ctx.profile, ctx.derivative
-    mus, derivatives = [None] * len(els), [None] * len(els)
     for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        mu_x = mus[i]
-        if mu_x is None:
-            mu_x = mus[i] = profile(els[i]).mu
-        mu_z = mus[k]
-        if mu_z is None:
-            mu_z = mus[k] = profile(els[k]).mu
-        expected = join2(mu_x, mu_z)
-        if j >= 0:
-            join = els[j]
-            got = derivatives[j]
-            if got is None:
-                got = derivatives[j] = derivative(join)
-        else:
-            join = join2(els[i], els[k])
-            got = derivative(join)
+        expected = join2(profile(els[i]).mu, profile(els[k]).mu)
+        join = els[j] if j >= 0 else join2(els[i], els[k])
+        got = derivative(join)
         if got != expected:
             return False, ctx.witness(x=els[i], z=els[k], join=join, mu=got, mu_of_parts=expected)
     return True, None
@@ -935,66 +930,30 @@ def _core_decomp_pairs(ctx):
 
 
 def _check_core_join_hom(ctx):
-    """core(x v z) = core(x) v core(z)."""
-    return _by_rows(ctx, _core_join_hom_rows, _core_join_hom_pairs)
+    """core(x v z) = core(x) v core(z): ``_join_hom_rows`` with the cores
+    as both lists."""
+    return _by_rows(ctx, _core_rows, _core_join_hom_pairs)
 
 
-def _core_join_hom_rows(ctx):
-    """Row x: the core positions along join[x] against row core(x) of the
-    table read at every core(z).  With a single core c (every finite
-    lattice's bottom) each row is c throughout on both sides, the right
-    one being join[c][c].  A core outside the elements, which only a
-    faulty profile gives, leaves the law to the pair loop."""
-    join = ctx.row_table
-    if join is None:
-        return False
-    get = ctx.index.get
-    at = [get(ctx.profile(x).core, -1) for x in ctx.elements]
-    if -1 in at:
-        return False
-    c = at[0]
-    if at.count(c) == len(at):
-        ok = join[c][c] == c
-    else:
-        ok = all(
-            list(map(at.__getitem__, join[x])) == list(map(join[core].__getitem__, at))
-            for x, core in enumerate(at)
-        )
-    if not ok:
-        return False
-    ctx.checked += len(at) ** 2
-    return True
+def _core_rows(ctx):
+    cores = [ctx.profile(x).core for x in ctx.elements]
+    return _join_hom_rows(ctx, cores, cores)
 
 
 def _core_join_hom_pairs(ctx):
-    """The pair loop of ``core_join_hom``.  Cores are kept by position and
-    computed on first use, in the pair loop's order.  core(x) v core(z)
-    is read from the join table when both cores are elements (the
-    testbed's closed-form cores always are), else joined with ``join2``."""
+    """The pair loop of ``core_join_hom``.  core(x) v core(z) is read from
+    the join table when both cores are elements (the testbed's
+    closed-form cores always are), else joined with ``join2``."""
     L, els = ctx.L, ctx.elements
     join2, profile = L.join2, ctx.profile
-    table, index = ctx.join_table, ctx.index
-    cores, core_at = [None] * len(els), [-1] * len(els)
-
-    def fill(i):
-        core = cores[i] = profile(els[i]).core
-        core_at[i] = index.get(core, -1)
-
+    table, get = ctx.join_table, ctx.index.get
     for i, k, j in ctx.join_pairs():
         ctx.checked += 1
-        if j >= 0:
-            if cores[j] is None:
-                fill(j)
-            got = cores[j]
-        else:
-            got = profile(join2(els[i], els[k])).core
-        if cores[i] is None:
-            fill(i)
-        if cores[k] is None:
-            fill(k)
-        a, b = core_at[i], core_at[k]
+        got = profile(els[j] if j >= 0 else join2(els[i], els[k])).core
+        core_x, core_z = profile(els[i]).core, profile(els[k]).core
+        a, b = get(core_x, -1), get(core_z, -1)
         e = table[a][b] if a >= 0 and b >= 0 else -1
-        expected = els[e] if e >= 0 else join2(cores[i], cores[k])
+        expected = els[e] if e >= 0 else join2(core_x, core_z)
         if got != expected:
             return False, ctx.witness(x=els[i], z=els[k], got=got, expected=expected)
     return True, None
@@ -1162,32 +1121,32 @@ def _check_maximals_dually_compact(ctx):
 REGISTRY: dict[LawId, LawSpec] = {
     spec.law: spec
     for spec in [
-        LawSpec(LawId.COHEYTING_JOIN, "z v (x-z) = x for z <= x", True, False, False, _check_coheyting_join),
-        LawSpec(LawId.MU_RESIDUE_DECOMP, "x = mu(x) v join of residues", True, False, False, _check_mu_residue_decomp),
-        LawSpec(LawId.CORE_RESIDUE_DECOMP, "x = core(x) v join of residues", True, False, False, _check_core_residue_decomp),
-        LawSpec(LawId.MAXIMALS_JOIN, "distinct maximal subelements join to x", False, False, False, _check_maximals_join),
-        LawSpec(LawId.MAXIMALS_MEET_MAXIMAL, "meet of distinct maximals is maximal in each", False, True, False, _check_maximals_meet_maximal),
-        LawSpec(LawId.RESIDUE_UNIQUE_MAXIMAL, "residues have one maximal, bounded derivative, no outcast", True, False, False, _check_residue_unique_maximal),
-        LawSpec(LawId.MAXIMAL_FORMULA, "m = mu(x) v join of other residues", True, False, False, _check_maximal_formula),
-        LawSpec(LawId.MU_RESIDUE_BOUND, "residues of mu(x) sit under the boundary", True, False, False, _check_mu_residue_bound),
-        LawSpec(LawId.OUTCAST_TRICHOTOMY, "outcast iff core escapes boundary iff boundary strict", True, False, False, _check_outcast_trichotomy),
-        LawSpec(LawId.STRATA_RANKED, "boundary poset is ranked; strata are antichains", True, False, True, _check_strata_ranked),
-        LawSpec(LawId.STRATUM0_CHARACTERIZATION, "stratum 0 via join-irredundancy in delta-plus", True, False, True, _check_stratum0_characterization),
-        LawSpec(LawId.DELTA_EQUALS_DELTA_PLUS, "boundary poset equals delta-plus", True, False, True, _check_delta_equals_delta_plus),
-        LawSpec(LawId.TYPE_SUBADDITIVE, "|M(x v z)| <= |M(x)| + |M(z)|", True, False, False, _check_type_subadditive),
-        LawSpec(LawId.SUBELEMENT_DECOMP, "z = (z ^ core) v boundary members under z", True, False, True, _check_subelement_decomp),
-        LawSpec(LawId.MU_MONOTONE, "derivative is monotone", True, False, False, _check_mu_monotone),
-        LawSpec(LawId.MU_JOIN_HOM, "derivative is a join homomorphism", True, False, False, _check_mu_join_hom),
-        LawSpec(LawId.MINMAX_BOUND, "monotone pair bound", True, False, True, _check_minmax_bound),
-        LawSpec(LawId.BOUNDARY_REMOVAL_DESCENT, "removing boundary members is a maximal descent", True, False, True, _check_boundary_removal_descent),
-        LawSpec(LawId.CORE_UNION, "core is the join of zero-maximal elements below", True, False, True, _check_core_union),
-        LawSpec(LawId.CORE_DECOMP, "zero-maximal y <= x v z splits into cores", True, False, True, _check_core_decomp),
-        LawSpec(LawId.CORE_JOIN_HOM, "core is a join homomorphism", True, False, False, _check_core_join_hom),
-        LawSpec(LawId.T0_UPPER_SEMILATTICE, "zero-maximal family closed under join with bottom", True, False, True, _check_t0_upper_semilattice),
-        LawSpec(LawId.X_MINUS_BOUNDARY_T0, "x minus boundary is zero-maximal under the core", True, False, False, _check_x_minus_boundary_t0),
-        LawSpec(LawId.DOWNSET_UPPER_COMPLETE, "downsets are upper complete", False, False, True, _check_downset_upper_complete),
-        LawSpec(LawId.K_LOWER_SEMILATTICE, "dually compact elements form a lower semilattice", False, False, False, _check_k_lower_semilattice),
-        LawSpec(LawId.MAXIMALS_DUALLY_COMPACT, "maximal subelements of compact elements are compact", True, False, False, _check_maximals_dually_compact),
+        LawSpec(LawId.COHEYTING_JOIN, "z v (x-z) = x for z <= x", "coframe", False, _check_coheyting_join),
+        LawSpec(LawId.MU_RESIDUE_DECOMP, "x = mu(x) v join of residues", "coframe", False, _residue_decomp("mu")),
+        LawSpec(LawId.CORE_RESIDUE_DECOMP, "x = core(x) v join of residues", "coframe", False, _residue_decomp("core")),
+        LawSpec(LawId.MAXIMALS_JOIN, "distinct maximal subelements join to x", None, False, _check_maximals_join),
+        LawSpec(LawId.MAXIMALS_MEET_MAXIMAL, "meet of distinct maximals is maximal in each", "distributive", False, _check_maximals_meet_maximal),
+        LawSpec(LawId.RESIDUE_UNIQUE_MAXIMAL, "residues have one maximal, bounded derivative, no outcast", "coframe", False, _check_residue_unique_maximal),
+        LawSpec(LawId.MAXIMAL_FORMULA, "m = mu(x) v join of other residues", "coframe", False, _check_maximal_formula),
+        LawSpec(LawId.MU_RESIDUE_BOUND, "residues of mu(x) sit under the boundary", "coframe", False, _check_mu_residue_bound),
+        LawSpec(LawId.OUTCAST_TRICHOTOMY, "outcast iff core escapes boundary iff boundary strict", "coframe", False, _check_outcast_trichotomy),
+        LawSpec(LawId.STRATA_RANKED, "boundary poset is ranked; strata are antichains", "coframe", True, _check_strata_ranked),
+        LawSpec(LawId.STRATUM0_CHARACTERIZATION, "stratum 0 via join-irredundancy in delta-plus", "coframe", True, _check_stratum0_characterization),
+        LawSpec(LawId.DELTA_EQUALS_DELTA_PLUS, "boundary poset equals delta-plus", "coframe", True, _check_delta_equals_delta_plus),
+        LawSpec(LawId.TYPE_SUBADDITIVE, "|M(x v z)| <= |M(x)| + |M(z)|", "coframe", False, _check_type_subadditive),
+        LawSpec(LawId.SUBELEMENT_DECOMP, "z = (z ^ core) v boundary members under z", "coframe", True, _check_subelement_decomp),
+        LawSpec(LawId.MU_MONOTONE, "derivative is monotone", "coframe", False, _check_mu_monotone),
+        LawSpec(LawId.MU_JOIN_HOM, "derivative is a join homomorphism", "coframe", False, _check_mu_join_hom),
+        LawSpec(LawId.MINMAX_BOUND, "monotone pair bound", "coframe", True, _check_minmax_bound),
+        LawSpec(LawId.BOUNDARY_REMOVAL_DESCENT, "removing boundary members is a maximal descent", "coframe", True, _check_boundary_removal_descent),
+        LawSpec(LawId.CORE_UNION, "core is the join of zero-maximal elements below", "coframe", True, _check_core_union),
+        LawSpec(LawId.CORE_DECOMP, "zero-maximal y <= x v z splits into cores", "coframe", True, _check_core_decomp),
+        LawSpec(LawId.CORE_JOIN_HOM, "core is a join homomorphism", "coframe", False, _check_core_join_hom),
+        LawSpec(LawId.T0_UPPER_SEMILATTICE, "zero-maximal family closed under join with bottom", "coframe", True, _check_t0_upper_semilattice),
+        LawSpec(LawId.X_MINUS_BOUNDARY_T0, "x minus boundary is zero-maximal under the core", "coframe", False, _check_x_minus_boundary_t0),
+        LawSpec(LawId.DOWNSET_UPPER_COMPLETE, "downsets are upper complete", None, True, _check_downset_upper_complete),
+        LawSpec(LawId.K_LOWER_SEMILATTICE, "dually compact elements form a lower semilattice", None, False, _check_k_lower_semilattice),
+        LawSpec(LawId.MAXIMALS_DUALLY_COMPACT, "maximal subelements of compact elements are compact", "coframe", False, _check_maximals_dually_compact),
     ]
 }
 
@@ -1200,6 +1159,8 @@ FAMILY_HYPOTHESES = {
     LawId.MU_RESIDUE_DECOMP: ("bottom", "upper_semilattice"),
 }
 
+
+_HYPOTHESIS_SKIP_REASONS = {"coframe": "not a coframe", "distributive": "not distributive"}
 
 _FAMILY_SKIP_REASONS = {
     "bottom": "family does not contain the bottom",
@@ -1225,10 +1186,8 @@ def run_law(L, law: LawId, family=None, _ctx=None) -> LawReport:
     spec = REGISTRY[law]
     if spec.needs_order_rows and not ctx.order_rows:
         reason = "requires finite enumeration"
-    elif spec.requires_coframe and not L.coframe:
-        reason = "not a coframe"
-    elif spec.requires_distributive and not L.distributive:
-        reason = "not distributive"
+    elif spec.hypothesis is not None and not getattr(L, spec.hypothesis):
+        reason = _HYPOTHESIS_SKIP_REASONS[spec.hypothesis]
     elif ctx.family is not None:
         holds = ctx.family_holds
         reason = next((_FAMILY_SKIP_REASONS[h] for h in FAMILY_HYPOTHESES[law] if not holds[h]), None)

@@ -127,9 +127,6 @@ class TestbedProfile:
     boundary: tuple
     finite_coords: tuple
 
-    def iterate(self, k: int) -> tuple:
-        return tuple(c if c == INF else c + k for c in self.element)
-
     def stratum(self, k: int) -> tuple:
         dims = len(self.element)
         return tuple(
@@ -371,12 +368,6 @@ class OrdinalCoframe:
         if len(x) != self.dims:
             self._check(x)
         return INF not in x
-
-    def truncations(self, x: tuple, upto: int) -> list:
-        """The filtered family of finite truncations whose meet is x."""
-        return [
-            tuple(k if c == INF else c for c in x) for k in range(upto + 1)
-        ]
 
     # -- residual closed forms ----------------------------------------------
 

@@ -436,6 +436,7 @@ MALFORMED_INPUTS = {
     "empty generator spec, topology": (["topology", "--gen", ""], None),
     "empty catalog group name": (["group", "--name", ""], None),
     "empty testbed vector": (["testbed", "--dims", "2", "--element", ""], None),
+    "testbed --element with --cb": (["testbed", "--dims", "2", "--element", "3,inf", "--cb"], None),
     "empty coordinate in a testbed vector": (["testbed", "--dims", "2", "--element", "3,"], None),
     "empty element name for DOT output": (["analyze", "--gen", "chain:3", "--format", "dot", "--element", ""], None),
     "unknown element name, JSON output": (["analyze", "--gen", "chain:3", "--element", "nope"], None),

@@ -1044,7 +1044,7 @@ def test_run_profiles_on_faulty_tables_match_standalone_profiles(div12, b3):
     seen = set()
     for L, tables in ((div12, ("meet", "join")), (b3, ("join",))):
         family = mask_of(join_closed_family(L, rng))
-        assert contains(family, L.bottom) and family != L.full()
+        assert contains(family, L.bottom) and family != (1 << L.n) - 1
         for _, m in single_entry_mutations(L, tables):
             for fam in (None, family):
                 ctx = _Ctx(m, fam)
@@ -1416,10 +1416,10 @@ def test_core_join_hom_rows_with_several_cores(monkeypatch):
     """Testbeds whose closed-form cores differ and all lie in the window:
     core(x) = (x_0, inf), a join homomorphism, and the bottom everywhere
     but a core of (1, 1) at the top, which first breaks the law at the
-    pair ((0, 1), (1, 0)).  The row pass decides the first alone and
-    rejects the second, and ``run_law`` reports what the pair loop
-    reports alone: verdict, ``checked`` count and witness, indices
-    included."""
+    pair ((0, 1), (1, 0)).  The shared join-homomorphism row pass, with
+    the cores as both lists, decides the first alone and rejects the
+    second, and ``run_law`` reports what the pair loop reports alone:
+    verdict, ``checked`` count and witness, indices included."""
     from residua.testbed import INF, OrdinalCoframe
 
     real = OrdinalCoframe.profile
@@ -1435,9 +1435,9 @@ def test_core_join_hom_rows_with_several_cores(monkeypatch):
     fast = {}
     for verdict, cf in cases.items():
         ctx = _Ctx(cf)
-        core_set = {ctx.profile(x).core for x in ctx.elements}
-        assert len(core_set) > 1 and core_set <= set(ctx.elements)
-        assert residua.laws._core_join_hom_rows(ctx) is (verdict == "pass")
+        cores = [ctx.profile(x).core for x in ctx.elements]
+        assert len(set(cores)) > 1 and set(cores) <= set(ctx.elements)
+        assert residua.laws._join_hom_rows(ctx, cores, cores) is (verdict == "pass")
         fast[verdict] = vars(run_law(cf, law))
     monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=residua.laws._core_join_hom_pairs))
     assert {verdict: vars(run_law(cf, law)) for verdict, cf in cases.items()} == fast
@@ -1446,6 +1446,60 @@ def test_core_join_hom_rows_with_several_cores(monkeypatch):
     assert fast["fail"]["witness"]["indices"] == {
         "x": (0, 1), "z": (1, 0), "got": (1, 1), "expected": (INF, INF)
     }
+
+
+def test_box_mus_are_the_box_window():
+    """The closed-form mus of a box bump every finite coordinate, so they
+    form a window of the box's shape, and ``window_tables`` hands the
+    run the box's own tables for them at dims 1-4."""
+    from residua.testbed import OrdinalCoframe
+
+    for dims in (1, 2, 3, 4):
+        ctx = _Ctx(OrdinalCoframe(dims))
+        assert ctx.window is not None and ctx.mu_window is ctx.window, dims
+
+
+def test_mus_of_another_window_shape_report_what_the_pair_loops_report(monkeypatch):
+    """Dims-2 testbeds whose closed-form mu sends the vector at box
+    position p to (p, 0), a window of 36 x 1 positions, or to
+    (p // 18, p % 18), one of 2 x 18: neither is the box's 6 x 6.  On
+    each, ``mu_monotone`` (which holds on the first, as below in the box
+    is later in it, and fails on the second) and ``mu_join_hom`` (which
+    fails on both) report exactly what their pair loops report alone:
+    verdict, ``checked`` count and witness, indices included."""
+    from residua.testbed import OrdinalCoframe
+
+    real = OrdinalCoframe.profile
+    box = OrdinalCoframe(2).box(WINDOW_BOUND)
+    at = {x: p for p, x in enumerate(box)}
+    mus = {(36, 1): lambda p: (p, 0), (2, 18): lambda p: (p // 18, p % 18)}
+    pair_loops = {
+        LawId.MU_MONOTONE: residua.laws._mu_monotone_pairs,
+        LawId.MU_JOIN_HOM: residua.laws._mu_join_hom_pairs,
+    }
+    fast = {}
+    for sizes, mu in mus.items():
+        cf = _testbed_fault(2, profile=lambda self, x, mu=mu: replace(real(self, x), mu=mu(at[x])))
+        ctx = _Ctx(cf)
+        assert ctx.mu_window is not ctx.window and ctx.mu_window.sizes == sizes
+        fast[sizes] = {law: vars(run_law(cf, law)) for law in pair_loops}
+        with monkeypatch.context() as patch:
+            for law, pairs in pair_loops.items():
+                patch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=pairs))
+            assert {law: vars(run_law(cf, law)) for law in pair_loops} == fast[sizes], sizes
+    monotone = {sizes: fast[sizes][LawId.MU_MONOTONE] for sizes in mus}
+    assert (monotone[36, 1]["verdict"], monotone[36, 1]["checked"]) == ("pass", 21**2)
+    assert monotone[2, 18]["verdict"] == "fail"
+    # (3, 0) <= (1, 0) sits at position 18, which mu sends to (1, 0), and
+    # (1, 0) at position 6, which mu sends to (0, 6)
+    assert monotone[2, 18]["witness"]["indices"] == {"x": (1, 0), "z": (3, 0)}
+    for sizes in mus:
+        # the first pair: the derivative of (0, 0) is (1, 1), its mu (0, 0)
+        join_hom = fast[sizes][LawId.MU_JOIN_HOM]
+        assert (join_hom["verdict"], join_hom["checked"]) == ("fail", 1)
+        assert join_hom["witness"]["indices"] == {
+            "x": (0, 0), "z": (0, 0), "join": (0, 0), "mu": (1, 1), "mu_of_parts": (0, 0)
+        }
 
 
 def test_inconsistent_testbed_instances_fail_laws_instead_of_raising():

@@ -339,7 +339,7 @@ def dual_distributivity_holds(L, subset_cap: int = 12, samples=None) -> bool:
     sample masks otherwise.
     """
     if L.n <= subset_cap:
-        candidate_masks = list(subsets(L.full()))
+        candidate_masks = list(subsets(full_mask(L.n)))
     else:
         candidate_masks = list(samples or [])
     for x in L.elements():

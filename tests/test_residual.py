@@ -404,7 +404,7 @@ def outcasts_scan(L, x, family=None) -> list:
     """The element scan ``outcasts`` replaced with one mask: each z below
     x in the family whose up row misses every maximal subelement, then
     the same boundary cross-check."""
-    cand = L.strictly_below(x) & (L.full() if family is None else mask_of(family))
+    cand = L.strictly_below(x) & ((1 << L.n) - 1 if family is None else mask_of(family))
     max_mask = mask_of(maximal_subelements(L, x, family))
     out = [z for z in bits(cand) if L.up_set(z) & max_mask == 0]
     if family is None and L.coframe:
@@ -506,7 +506,7 @@ def derivative_oracle(L, x):
     maxes = maximal_oracle(L, x)
     if not maxes:
         return x
-    common = L.full()
+    common = (1 << L.n) - 1
     for m in maxes:
         common &= L.down_set(m)
     return next(z for z in L.elements() if L.down_set(z) == common)
@@ -603,7 +603,7 @@ def test_generic_engine_cross_checks_testbed_closed_form():
         p = cf.profile(x)
         iterates = mu_iterates(cf, x, limit=20)
         for k, it in enumerate(iterates):
-            assert it == p.iterate(k)
+            assert it == tuple(c if c == INF else c + k for c in x)
         for k in range(len(iterates) - 1):
             assert cf.lt(iterates[k + 1], iterates[k])
         assert maximal_subelements(cf, x) == cf.maximal_subelements(x)

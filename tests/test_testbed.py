@@ -378,7 +378,7 @@ def test_dually_compact_witness_family(cf2):
     # explicit witness: the truncations of a vector with an infinite
     # coordinate form a filtered family whose members never drop below it
     x = (INF, 0)
-    family = cf2.truncations(x, 6)
+    family = [tuple(k if c == INF else c for c in x) for k in range(7)]
     for a, b in itertools.combinations(family, 2):
         assert cf2.leq(b, a) or cf2.leq(a, b)  # a chain, hence filtered
     assert all(not cf2.leq(f, x) for f in family)
@@ -562,13 +562,13 @@ def test_rank_realization_bounded_iterates(cf2):
         iterates = mu_iterates(cf2, x, limit=20)
         assert len(iterates) == 21
         for k in range(20):
-            assert iterates[k + 1] == p.iterate(k + 1)
+            assert iterates[k + 1] == tuple(c if c == INF else c + k + 1 for c in x)
             assert cf2.lt(iterates[k + 1], iterates[k])
 
 
 def test_dual_algebraicity_via_truncations(cf2):
     for x in [(INF, 0), (INF, INF), (2, INF)]:
-        fam = cf2.truncations(x, 8)
+        fam = [tuple(k if c == INF else c for c in x) for k in range(9)]
         assert all(cf2.dually_compact(f) for f in fam)
         # partial meets stabilize on the finite coordinates and grow
         # unboundedly on the infinite ones; the symbolic limit is x itself
