@@ -118,9 +118,10 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if args.element is not None and args.format != "dot":
+        raise ValueError(f"--element restricts DOT output; it needs --format dot, not {args.format}")
     L = _load_lattice(args)
     family = _parse_family(L, args.family)
-    # An unknown name exits 2 before any analysis, whatever the format.
     element = L.poset.index_of(args.element) if args.element is not None else None
     # Each format computes only what it prints: dot one boundary poset or
     # the Hasse diagram, text the profiles, json the grade stats too.  The

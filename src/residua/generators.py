@@ -518,9 +518,8 @@ def chain(k: int) -> FiniteLattice:
     return as_lattice(poset, provenance=f"chain({k})")
 
 
-def antichain_poset(k: int, prefix: str = "a") -> FinitePoset:
-    names = tuple(f"{prefix}{i}" for i in range(k))
-    return build_poset(names, [], "covers")
+def antichain_poset(k: int) -> FinitePoset:
+    return build_poset(tuple(f"a{i}" for i in range(k)), [], "covers")
 
 
 def downset_lattice(p: FinitePoset, provenance: str | None = None) -> FiniteLattice:

@@ -29,7 +29,8 @@ testbed's is its box.  The fast paths key on the facts they read:
   ``coheyting_join`` folds x - z from the join-irreducibles.
 - a stored ``L.join`` table over those positions.  Without one the
   run takes it from ``window_tables``, or builds it on first use from
-  ``join2`` over the window, with -1 for a join outside it.
+  ``join2`` over the window; a join outside the window leaves the run
+  with no join table.
 - ``L.join_fault`` and ``L.meet_fault``, the first pair whose entry
   breaks the universal property on the order rows.  The laws that fail
   only through a wrong table entry read them instead of scanning the
@@ -59,14 +60,16 @@ the pair loop runs.  Every call a pair loop's verdict reads is still
 made, but for those tables and three theorems: on order rows
 ``mu_monotone`` compares lower covers only, as the order is transitive;
 with a single part c (a finite lattice's cores) the rows of a join
-homomorphism pass when every value is join[c][c]; and mus that are the
-window itself (``mu_window``, as the box's mus are) keep its order and
-its joins, so ``mu_monotone`` holds and ``mu_join_hom`` holds iff every
-derivative is its mu.  ``checked`` is added by arithmetic.  A failing
-row, a table entry of -1, or any error while the rows gather their facts
-sends the law back to 0 checked, and its pair loop replays every pair
-from the start to report the first failing one, with the pair loop's
-count and errors.  The pair loops read each fact through the run's rows.
+homomorphism pass when every value is join[c][c]; and mus that form a
+window of the window's shape (``mus_keep_window``, as the box's mus do)
+keep its order and its joins, so ``mu_monotone`` holds and
+``mu_join_hom`` holds iff every derivative is its mu.  ``checked`` is
+added by arithmetic.  A failing row, a missing join table, or any error
+while the rows gather their facts sends the law back to 0 checked, and
+its pair loop replays every pair from the start to report the first
+failing one, with the pair loop's count and errors.  The pair loops read
+each pair's elements and join from ``join_pairs`` and each fact through
+the run's rows.
 
 ``coheyting_join``, ``stratum0_characterization``, ``subelement_decomp``
 and ``boundary_removal_descent`` fold ``[head, *bits(mask)]`` through
@@ -190,7 +193,7 @@ class _Ctx(Rows):
     order-rows flag, window and certification are read once; tables are
     certified when order rows show no join or meet fault, as for every
     lattice ``as_lattice`` builds.  The row passes read ``mus`` and
-    ``mu_window``, the mus and their ``window_tables``, once per run.
+    ``mus_keep_window``, the mus and their window's shape, once per run.
 
     ``checked`` is the running law's count, and ``folds`` the
     verified-fold memo of ``join_fold``.  ``run_law`` resets the count
@@ -227,35 +230,33 @@ class _Ctx(Rows):
 
     @cached_property
     def join_table(self):
-        """Row i, entry k: the position of ``elements[i] v elements[k]``.
+        """Row i, entry k: the position of ``elements[i] v elements[k]``,
+        or None when some join lies outside the elements, which only a
+        faulty ``join2`` makes.
 
         An instance's stored ``L.join`` is this table.  Otherwise it is
         the closed form of ``window_tables``, or built on first use in a
         run, row by row with ``map``, one ``join2`` per ordered pair, for
-        the row passes and pair loops of every pair law; an entry is -1
-        when the join lies outside the elements, which only a faulty
-        ``join2`` can produce."""
+        the row passes and pair loops of every pair law."""
         table = getattr(self.L, "join", None)
         if table is None and self.window is not None:
             table = self.window.join
         if table is None:
             els, join2, get = self.elements, self.L.join2, self.index.get
-            table = [list(map(get, map(join2, repeat(x), els), repeat(-1))) for x in els]
+            table = [list(map(get, map(join2, repeat(x), els))) for x in els]
+            if any(map(operator.contains, table, repeat(None))):
+                return None
         return table
 
-    @cached_property
-    def row_table(self):
-        """The join table for a row pass, or None when an entry is -1 (a
-        join outside the elements, which only a faulty ``join2`` makes):
-        the pair loop decides those."""
-        table = self.join_table
-        return None if any(map(operator.contains, table, repeat(-1))) else table
-
     def join_pairs(self):
-        """(i, k, j) for every ordered pair, row-major: the positions of
-        x, z and x v z, read from the join table, with j -1 when x v z is
-        not in ``elements``."""
-        return ((i, k, j) for i, row in enumerate(self.join_table) for k, j in enumerate(row))
+        """(x, z, x v z) for every ordered element pair, row-major: the
+        join read from the join table, or a ``join2`` call when there is
+        none."""
+        els, table = self.elements, self.join_table
+        if table is None:
+            join2 = self.L.join2
+            return ((x, z, join2(x, z)) for x, z in self.pairs())
+        return ((x, z, els[j]) for x, row in zip(els, table) for z, j in zip(els, row))
 
     def join_fold(self, head: int, mask: int) -> int:
         """``L.join_of_set([head, *bits(mask)])`` on order rows, with
@@ -325,11 +326,16 @@ class _Ctx(Rows):
         return [self.profile(x).mu for x in self.elements]
 
     @cached_property
-    def mu_window(self):
-        """``L.window_tables(mus)`` when the window has tables, else None.
-        The row passes of ``mu_monotone`` and ``mu_join_hom`` read it to
-        see whether the mus are the window itself."""
-        return self.window and self.L.window_tables(self.mus)
+    def mus_keep_window(self) -> bool:
+        """Whether the mus form a window of the run's window's shape: the
+        window has tables, and ``L.window_tables(mus)`` gives tables of
+        the same ``sizes`` and ``has_inf``, as the box's mus do.  Mu then
+        sends each position to the same position of a window of that
+        shape, so it keeps the order and the joins.  The row passes of
+        ``mu_monotone`` and ``mu_join_hom`` read it."""
+        window = self.window
+        mus = window and self.L.window_tables(self.mus)
+        return mus is not None and (mus.sizes, mus.has_inf) == (window.sizes, window.has_inf)
 
     @cached_property
     def family_holds(self) -> dict:
@@ -556,7 +562,7 @@ def _check_strata_ranked(ctx):
         from_stratum = [0] * (len(p.strata) + 1)
         for s, a in p.rho.items():
             from_stratum[a] |= 1 << s
-        for a in range(len(p.strata) - 1, -1, -1):
+        for a in reversed(range(len(p.strata))):
             from_stratum[a] |= from_stratum[a + 1]
         for s in p.boundary_poset:
             hit = up[s] & from_stratum[p.rho[s]] & ~(1 << s)
@@ -617,7 +623,7 @@ def _check_type_subadditive(ctx):
 
 def _type_subadditive_rows(ctx):
     """Row x passes iff t(x v z) - t(z) <= t(x) for every z."""
-    join = ctx.row_table
+    join = ctx.join_table
     if join is None:
         return False
     t = list(map(ctx.t, ctx.elements))
@@ -629,15 +635,14 @@ def _type_subadditive_rows(ctx):
 
 
 def _type_subadditive_pairs(ctx):
-    L, els = ctx.L, ctx.elements
-    # One count per element; the elements are closed under joins, so only
-    # a faulty join needs its own count.
-    t = list(map(ctx.t, els))
-    for i, k, j in ctx.join_pairs():
+    # Every element's count first, as the row pass reads them, so that an
+    # error strikes before the first pair; the run's rows keep them.
+    t = ctx.t
+    list(map(t, ctx.elements))
+    for x, z, join in ctx.join_pairs():
         ctx.checked += 1
-        t_join = t[j] if j >= 0 else ctx.t(L.join2(els[i], els[k]))
-        if t_join > t[i] + t[k]:
-            return False, ctx.witness(x=els[i], z=els[k])
+        if t(join) > t(x) + t(z):
+            return False, ctx.witness(x=x, z=z)
     return True, None
 
 
@@ -665,10 +670,10 @@ def _mu_monotone_rows(ctx):
     the lower covers z of x are compared, one ``leq`` each: the verified
     order is transitive, so mu is monotone on every pair once it is on
     the covers.  On a window with tables, every row holds when the mus
-    are that window itself (``mu_window``, as the box's mus are): mu then
-    maps each position to the same position of a window of the same
-    shape, which keeps the order.  Mus of any other shape, or without
-    tables, leave the law to the pair loop."""
+    form a window of its shape (``mus_keep_window``, as the box's mus
+    do): mu then maps each position to the same position of that window,
+    which keeps the order.  Mus of any other shape, or without tables,
+    leave the law to the pair loop."""
     rows = getattr(ctx.L, "poset", None)
     if rows is not None:
         mus, leq, covers = ctx.mus, ctx.L.leq, rows.lower_covers
@@ -677,7 +682,7 @@ def _mu_monotone_rows(ctx):
                 return False
         ctx.checked += sum(map(int.bit_count, rows.down))
         return True
-    if ctx.window is None or ctx.mu_window is not ctx.window:
+    if not ctx.mus_keep_window:
         return False
     ctx.checked += sum(map(len, ctx.window.below))
     return True
@@ -701,12 +706,12 @@ def _check_mu_join_hom(ctx):
 
 
 def _derivative_rows(ctx):
-    """When the mus are the window itself (``mu_window``, as the box's mus
-    are), the join table is theirs too, so every row holds iff each
-    derivative is its mu.  Otherwise ``_join_hom_rows`` decides, with the
-    derivatives against the mus."""
+    """When the mus form a window of the window's shape
+    (``mus_keep_window``, as the box's mus do), the join table is theirs
+    too, so every row holds iff each derivative is its mu.  Otherwise
+    ``_join_hom_rows`` decides, with the derivatives against the mus."""
     derivatives = list(map(ctx.derivative, ctx.elements))
-    if ctx.window is None or ctx.mu_window is not ctx.window:
+    if not ctx.mus_keep_window:
         return _join_hom_rows(ctx, derivatives, ctx.mus)
     if derivatives != ctx.mus:
         return False
@@ -721,15 +726,17 @@ def _join_hom_rows(ctx, got, parts) -> bool:
     got along ``join[x]`` with ``join[parts[x]][parts[z]]`` for every z.
     The rows of one part share one expected row, and with a single part c
     (every core of a finite lattice is the bottom) every entry of got must
-    be ``join[c][c]``.  A value outside the elements, or a table entry of
-    -1, leaves the law to the pair loop."""
-    join = ctx.row_table
+    be ``join[c][c]``.  A value outside the elements, or a join outside
+    them (no join table), leaves the law to the pair loop."""
+    join = ctx.join_table
     if join is None:
         return False
     get = ctx.index.get
-    got = [get(v, -1) for v in got]
-    parts = [get(v, -1) for v in parts]
-    if -1 in got or -1 in parts:
+    if got is parts:
+        got = parts = list(map(get, parts))
+    else:
+        got, parts = list(map(get, got)), list(map(get, parts))
+    if None in got or None in parts:
         return False
     c = parts[0]
     if parts.count(c) == len(parts):
@@ -752,15 +759,13 @@ def _mu_join_hom_pairs(ctx):
     mu(x) v mu(z), joined with ``join2`` since the mus need not be
     elements.  The run's rows keep each profile and derivative, so a
     raising profile stops the law at the pair that first reads it."""
-    L, els = ctx.L, ctx.elements
-    join2, profile, derivative = L.join2, ctx.profile, ctx.derivative
-    for i, k, j in ctx.join_pairs():
+    join2, profile, derivative = ctx.L.join2, ctx.profile, ctx.derivative
+    for x, z, join in ctx.join_pairs():
         ctx.checked += 1
-        expected = join2(profile(els[i]).mu, profile(els[k]).mu)
-        join = els[j] if j >= 0 else join2(els[i], els[k])
+        expected = join2(profile(x).mu, profile(z).mu)
         got = derivative(join)
         if got != expected:
-            return False, ctx.witness(x=els[i], z=els[k], join=join, mu=got, mu_of_parts=expected)
+            return False, ctx.witness(x=x, z=z, join=join, mu=got, mu_of_parts=expected)
     return True, None
 
 
@@ -941,21 +946,15 @@ def _core_rows(ctx):
 
 
 def _core_join_hom_pairs(ctx):
-    """The pair loop of ``core_join_hom``.  core(x) v core(z) is read from
-    the join table when both cores are elements (the testbed's
-    closed-form cores always are), else joined with ``join2``."""
-    L, els = ctx.L, ctx.elements
-    join2, profile = L.join2, ctx.profile
-    table, get = ctx.join_table, ctx.index.get
-    for i, k, j in ctx.join_pairs():
+    """The pair loop of ``core_join_hom``: core(x v z) against
+    core(x) v core(z), joined with ``join2``."""
+    join2, profile = ctx.L.join2, ctx.profile
+    for x, z, join in ctx.join_pairs():
         ctx.checked += 1
-        got = profile(els[j] if j >= 0 else join2(els[i], els[k])).core
-        core_x, core_z = profile(els[i]).core, profile(els[k]).core
-        a, b = get(core_x, -1), get(core_z, -1)
-        e = table[a][b] if a >= 0 and b >= 0 else -1
-        expected = els[e] if e >= 0 else join2(core_x, core_z)
+        got = profile(join).core
+        expected = join2(profile(x).core, profile(z).core)
         if got != expected:
-            return False, ctx.witness(x=els[i], z=els[k], got=got, expected=expected)
+            return False, ctx.witness(x=x, z=z, got=got, expected=expected)
     return True, None
 
 

@@ -25,9 +25,9 @@ derivative, the meet of the maximal subelements, and
 ``residue_unique_maximal`` bounds that derivative on every residue; the
 other laws check the closed forms (maximal subelements, mu, cores,
 residues, x - z) against the pointwise order, meets and joins.  Each run
-computes a vector's derivative once and drops the memo when it returns,
-and the ``OrdinalCoframe`` holds its windows' rows only weakly, so
-nothing outlives the run.  The pair laws check every box pair, deciding
+computes a vector's derivative once and holds its window's tables, and
+drops both when it returns: an ``OrdinalCoframe`` keeps nothing but its
+dims, bottom and top.  The pair laws check every box pair, deciding
 whole rows of pairs at a time.
 
 ``leq``, ``meet2``, ``join2`` and ``co_heyting_sub`` are plain methods,
@@ -38,10 +38,10 @@ box-shaped window by arithmetic on coordinate positions: its join table
 and the positions below each position, plus the meet rows while
 ``meet2`` is the class's own and the x - z rows while
 ``co_heyting_sub`` is.  Each table is a head × tail product of the
-chains' tables.  The tables hold positions only, so one
-``WindowTables`` serves every window of its shape, the box and its mus
-alike, and goes with the run's last reader: a dims-3 run builds four
-tables.  ``run_all`` in dims 3 makes 8,166 calls of them and
+chains' tables.  Each call gives a fresh ``WindowTables``, which builds
+a table on first read and goes with its reader; the run reads the mus'
+tables for their shape alone, so a dims-3 run builds four tables.
+``run_all`` in dims 3 makes 8,166 calls of them and
 ``dually_compact``.  Every other method, and the law registry, reads
 the public names, never a kernel, so a subclass or class patch that
 overrides one is seen by every use, and each table gives way: the laws
@@ -64,7 +64,6 @@ predicate can tell apart finite values at or beyond the bound.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from math import inf as INF
@@ -257,13 +256,11 @@ class WindowTables:
     row below x is the product of the ranks at or above those of x, and
     x - z keeps rank(x_i) where rank(z_i) > rank(x_i) and takes the
     infinite rank elsewhere.  Every table is a head × tail product
-    (``_product_rows``).  The tables hold positions only, so the windows
-    of one shape, a box and its mus among them, share one copy in their
-    coframe's ``_shapes``, a weak mapping: the tables go with the last
-    reader and nothing outlives the run that made them.  ``join`` and
-    ``below`` are built on first read and kept; the ``*_rows`` methods
-    of meets and x - z stream their rows, for a reader that reads them
-    once."""
+    (``_product_rows``).  The tables hold positions only, so ``sizes``
+    and ``has_inf`` give the shape of every window they serve.  ``join``
+    and ``below`` are built on first read and kept as long as their
+    reader keeps this object; the ``*_rows`` methods of meets and x - z
+    stream their rows, for a reader that reads them once."""
 
     def __init__(self, cf, sizes: tuple, has_inf: bool):
         self.cf, self.sizes, self.has_inf = cf, sizes, has_inf
@@ -308,7 +305,6 @@ class OrdinalCoframe:
         _kernels(dims)  # compiled here, not at the first primitive call
         self.bottom = (INF,) * dims
         self.top = (0,) * dims
-        self._shapes = weakref.WeakValueDictionary()  # see WindowTables
 
     # -- lattice primitives ------------------------------------------------
 
@@ -457,8 +453,9 @@ class OrdinalCoframe:
         """The ``WindowTables`` of a box-shaped window: its join table,
         below rows, meet rows and x - z rows by arithmetic on positions.
         The law registry reads them instead of calling the primitives at
-        every ordered pair (see ``laws._Ctx.window``).  Windows of one
-        shape share one ``WindowTables`` while any reader holds it.
+        every ordered pair (see ``laws._Ctx.window``).  Each call gives a
+        fresh ``WindowTables``, which the caller holds: the coframe keeps
+        none.
 
         None unless ``join2`` and ``leq`` are the class's own (see
         ``_own``: a subclass, a class patch or an instance attribute gives
@@ -473,11 +470,7 @@ class OrdinalCoframe:
                 return None
         except (IndexError, TypeError):  # a short vector, or no vector
             return None
-        key = tuple(map(len, axes)), all(axis[-1] == INF for axis in axes)
-        tables = self._shapes.get(key)
-        if tables is None:
-            tables = self._shapes[key] = WindowTables(self, *key)
-        return tables
+        return WindowTables(self, tuple(map(len, axes)), all(axis[-1] == INF for axis in axes))
 
     def name(self, x: tuple) -> str:
         return fmt_vec(x)

@@ -441,6 +441,8 @@ MALFORMED_INPUTS = {
     "empty element name for DOT output": (["analyze", "--gen", "chain:3", "--format", "dot", "--element", ""], None),
     "unknown element name, JSON output": (["analyze", "--gen", "chain:3", "--element", "nope"], None),
     "unknown element name, text output": (["analyze", "--gen", "chain:3", "--format", "text", "--element", "nope"], None),
+    "element name without DOT output, JSON": (["analyze", "--gen", "chain:3", "--element", "2"], None),
+    "element name without DOT output, text": (["analyze", "--gen", "chain:3", "--format", "text", "--element", "2"], None),
     "non-object Cayley JSON": (["group", "--input", "{file}"], [1, 2]),
     "Cayley JSON without order": (["group", "--input", "{file}"], {"elements": ["e"]}),
     "Cayley JSON with non-list table": (

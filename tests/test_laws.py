@@ -1448,15 +1448,48 @@ def test_core_join_hom_rows_with_several_cores(monkeypatch):
     }
 
 
+def test_join_hom_rows_leave_values_outside_the_window_to_the_pair_loop(monkeypatch):
+    """A got or part value that is no element of the window sends
+    ``_join_hom_rows`` back with False, and it raises nothing: on chain:3
+    a part 3 among parts and got values that are all the top (reading the
+    top's row, the last, for 3 would pass every row), a got value 3, and
+    every part 3.  And ``mu_join_hom`` on dims-2 testbeds whose mus leave
+    the box, a wrong mu (9, 9) at (2, 2) and the true mus with no tables
+    of their own, reports what its pair loop reports alone: verdict,
+    ``checked`` count and witness, indices included."""
+    from residua.testbed import OrdinalCoframe
+
+    ctx = _Ctx(generate("chain:3"))
+    top = [2, 2, 2]
+    for got, parts in ((top, [2, 2, 3]), ([2, 2, 3], top), (top, [3, 3, 3])):
+        assert residua.laws._join_hom_rows(ctx, got, parts) is False, (got, parts)
+
+    no_mu_tables = _with_one_table_off(OrdinalCoframe(2))[2]
+    cases = [_testbed_fault(2, profile=_profile_at((2, 2), (9, 9))), no_mu_tables]
+    law = LawId.MU_JOIN_HOM
+    for cf in cases:
+        ctx = _Ctx(cf)
+        assert ctx.window is not None and not ctx.mus_keep_window
+        assert not set(ctx.mus) <= set(ctx.elements)
+    fast = [vars(run_law(cf, law)) for cf in cases]
+    monkeypatch.setitem(REGISTRY, law, replace(REGISTRY[law], fn=residua.laws._mu_join_hom_pairs))
+    assert [vars(run_law(cf, law)) for cf in cases] == fast
+    assert [(r["verdict"], r["checked"]) for r in fast] == [("fail", 3 * 36 + 15), ("pass", 36**2)]
+    # (0, 3) v (2, 2) = (0, 2), whose derivative (1, 3) misses (1, 4) v (9, 9)
+    assert fast[0]["witness"]["indices"] == {
+        "x": (0, 3), "z": (2, 2), "join": (0, 2), "mu": (1, 3), "mu_of_parts": (1, 4)
+    }
+
+
 def test_box_mus_are_the_box_window():
     """The closed-form mus of a box bump every finite coordinate, so they
-    form a window of the box's shape, and ``window_tables`` hands the
-    run the box's own tables for them at dims 1-4."""
+    form a window of the box's shape: ``window_tables`` gives them tables
+    of the box's sizes and ``has_inf`` at dims 1-4."""
     from residua.testbed import OrdinalCoframe
 
     for dims in (1, 2, 3, 4):
         ctx = _Ctx(OrdinalCoframe(dims))
-        assert ctx.window is not None and ctx.mu_window is ctx.window, dims
+        assert ctx.window is not None and ctx.mus_keep_window, dims
 
 
 def test_mus_of_another_window_shape_report_what_the_pair_loops_report(monkeypatch):
@@ -1481,7 +1514,7 @@ def test_mus_of_another_window_shape_report_what_the_pair_loops_report(monkeypat
     for sizes, mu in mus.items():
         cf = _testbed_fault(2, profile=lambda self, x, mu=mu: replace(real(self, x), mu=mu(at[x])))
         ctx = _Ctx(cf)
-        assert ctx.mu_window is not ctx.window and ctx.mu_window.sizes == sizes
+        assert not ctx.mus_keep_window and cf.window_tables(ctx.mus).sizes == sizes
         fast[sizes] = {law: vars(run_law(cf, law)) for law in pair_loops}
         with monkeypatch.context() as patch:
             for law, pairs in pair_loops.items():
@@ -1596,7 +1629,7 @@ def test_testbed_window_tables_match_the_called_tables(monkeypatch):
             assert tables.join == join, (dims, bound)
             assert tables.below == [[at[z] for z in below[x]] for x in box], (dims, bound)
             run = _Ctx(cf)
-            assert run.window is tables
+            assert (run.window.sizes, run.window.has_inf, run.window.join) == (tables.sizes, tables.has_inf, join)
             assert {x: run.below(x) for x in run.elements} == below, (dims, bound)
             ids = set(map(id, run.elements))
             assert all(id(z) in ids for x in run.elements for z in run.below(x))
@@ -1607,7 +1640,7 @@ def test_testbed_window_tables_match_the_called_tables(monkeypatch):
             mus = [cf.profile(x).mu for x in box]
             at = {mu: i for i, mu in enumerate(mus)}
             mu_tables = cf.window_tables(mus)
-            assert mu_tables is tables
+            assert (mu_tables.sizes, mu_tables.has_inf) == (tables.sizes, tables.has_inf)
             assert mu_tables.join == [[at[cf.join2(a, b)] for b in mus] for a in mus], (dims, bound)
             assert mu_tables.below == [[at[b] for b in mus if cf.leq(b, a)] for a in mus], (dims, bound)
 
@@ -1703,14 +1736,15 @@ def test_testbed_window_tables_on_unequal_axes():
 
 def test_testbed_run_builds_each_window_table_once(monkeypatch):
     """One dims-3 ``run_all`` builds the join, below, meet and x - z rows
-    once each: the box's mus share the box's shape and so its join and
-    below rows.  No shape's rows outlive the run, even with the cycle
-    collector off."""
+    once each: the run reads only the shape of the box's mus, never
+    their rows.  No ``WindowTables`` outlives the run, even with the
+    cycle collector off, and the coframe keeps only its dims, bottom and
+    top."""
     import gc
     from collections import Counter
 
     import residua.testbed
-    from residua.testbed import OrdinalCoframe
+    from residua.testbed import OrdinalCoframe, WindowTables
 
     builds = Counter()
     real = residua.testbed._product_rows
@@ -1722,12 +1756,14 @@ def test_testbed_run_builds_each_window_table_once(monkeypatch):
 
     monkeypatch.setattr(residua.testbed, "_product_rows", counting)
     cf = OrdinalCoframe(3)
+    gc.collect()  # the cyclic garbage of earlier tests
     gc.disable()
     try:
         reports = run_all(cf)
-        assert not cf._shapes
+        assert not [o for o in gc.get_objects() if isinstance(o, WindowTables)]
     finally:
         gc.enable()
+    assert set(vars(cf)) == {"dims", "bottom", "top"}
     assert sum(r.verdict == "pass" for r in reports) == 16
     # the chain row at 1 on a chain of 3: join, below, meet, x - z
     assert builds == Counter({(0, 1, 1): 1, (1, 2): 1, (1, 1, 2): 1, (2, 1): 1})
